@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .mechanism import (
     ProblemWithOrder,
     audit_path_independence,
     audit_substitutability,
+    instance_of,
     repair_priority,
     respects_priority,
     select_approx_on_frontier,
@@ -71,17 +73,9 @@ def parse_subset_tokens(spec: str) -> list[str]:
     return out
 
 
-def _instance_of(obj) -> Instance:
-    if isinstance(obj, ProblemWithOrder):
-        return obj.problem.instance
-    if isinstance(obj, Problem):
-        return obj.instance
-    return obj
-
-
 def _apply_subset(obj, spec: str):
     keep = parse_subset_tokens(spec)
-    sub = restrict_patients(_instance_of(obj), keep)
+    sub = restrict_patients(instance_of(obj), keep)
     if isinstance(obj, ProblemWithOrder):
         kept = set(keep)
         po = PriorityOrder(
@@ -120,7 +114,7 @@ def _write_text(text: str, path: str | None) -> None:
 
 def cmd_frontier(args) -> int:
     obj = load_input(args)
-    si = expand_to_seats(_instance_of(obj))
+    si = expand_to_seats(instance_of(obj))
     f = compute_frontier(si)
     if args.witnesses:
         f = with_all_witnesses(si, f)
@@ -163,6 +157,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.random:
         params = {}
         for token in args.random:
@@ -176,12 +172,12 @@ def cmd_verify(args) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     budget = budget_from_env()
 
-    all_results = []
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(inputs), os.cpu_count() or 1)
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         from functools import partial
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             all_results = list(pool.map(partial(run_suites, suites=suites, budget=budget), inputs))
     else:
         all_results = [run_suites(obj, suites, budget) for obj in inputs]
@@ -268,7 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="generate inputs: patients= categories= seed= count= quota=LO:HI elig= bene=",
     )
-    p.add_argument("--jobs", type=int, default=1, help="instances checked in parallel")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="instances checked in parallel; capped at the instance and CPU counts",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("audit", help="test the induced choice rule on every subset")

@@ -22,6 +22,7 @@ add hops).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import Matching, MatchPoint, SeatInstance, match_point
 
@@ -235,6 +236,29 @@ def _trace_back(start, target, cost, hops, n_p, elig, bene, seat_of, patient_of,
     return path
 
 
+def iter_frontier_walk(si: SeatInstance, start: Matching) -> Iterator[tuple[MatchPoint, Matching]]:
+    """Yield the start, then each stop of the cheapest-cycle walk, lazily.
+
+    A consumer that stops early pays only for the cycle searches of the
+    stops it took.  Raises DominatedInputError as frontier_walk does.
+    """
+    current = start
+    yield match_point(si, current), current
+    prev_loss = None
+    while True:
+        cycle = find_minimal_cycle(si, current)
+        if cycle is None:
+            return
+        loss = beneficiary_loss(si, current, cycle)
+        if prev_loss is not None and loss < prev_loss:
+            raise DominatedInputError(
+                "dominated input: beneficiary loss decreased along the walk"
+            )
+        prev_loss = loss
+        current = apply_cycle(si, current, cycle)
+        yield match_point(si, current), current
+
+
 def frontier_walk(si: SeatInstance, start: Matching) -> list[tuple[MatchPoint, Matching]]:
     """Apply cheapest cycles until none remain, recording every stop.
 
@@ -243,18 +267,4 @@ def frontier_walk(si: SeatInstance, start: Matching) -> list[tuple[MatchPoint, M
     a dominated input (non-positive loss, or losses that shrink along the
     way, which a frontier matching can never produce).
     """
-    out = [(match_point(si, start), start)]
-    current = start
-    prev_loss = None
-    while True:
-        cycle = find_minimal_cycle(si, current)
-        if cycle is None:
-            return out
-        loss = beneficiary_loss(si, current, cycle)
-        if prev_loss is not None and loss < prev_loss:
-            raise DominatedInputError(
-                "dominated input: beneficiary loss decreased along the walk"
-            )
-        prev_loss = loss
-        current = apply_cycle(si, current, cycle)
-        out.append((match_point(si, current), current))
+    return list(iter_frontier_walk(si, start))

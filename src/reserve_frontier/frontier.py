@@ -1,15 +1,21 @@
 """Frontier of (total matches, beneficiary matches) by repeated assignment.
 
-Sweeping k = 1..n with integer edge weights (k*n^2 for a plain eligible
-pair, k*n^2 + n^2 + k for a beneficiary pair, n = max(patients, seats))
-makes each maximum-weight matching land on the frontier point that the
-weight ratio singles out.  The unscaled weights are 1 and 1 + 1/k + 1/n^2;
-the k*n^2 scaling keeps everything integer without moving the argmax.  The
-first sweep returns the max-beneficiary-then-max-total endpoint, the last
-sweep the max-total-then-max-beneficiary endpoint, and interior sweeps
-stop exactly at the kinks where the per-match beneficiary cost jumps.
-Frontier points between kinks lie on straight segments and are filled by
-interpolation.
+Sweep k in 1..n solves one assignment problem with integer edge weights
+(k*n^2 for a plain eligible pair, k*n^2 + n^2 + k for a beneficiary pair,
+n = max(patients, seats)), so a matching at point (e, b) scores
+k*(n^2*e + b) + n^2*b.  The unscaled weights are 1 and 1 + 1/k + 1/n^2;
+the k*n^2 scaling keeps everything integer without moving the argmax.
+Sweep 1 returns the max-beneficiary-then-max-total endpoint, sweep n the
+max-total-then-max-beneficiary endpoint, and the sweeps in between stop
+exactly at the kinks where the per-match beneficiary cost jumps.
+
+Only the kinks are solved for.  The score is linear in k, so when sweeps
+lo and hi return the same point P, every sweep in between returns P too:
+a rival Q tying P inside would make score(P) - score(Q), which is >= 0 at
+both ends, vanish identically, so Q = P.  Bisecting [1, n] until adjacent
+sweeps differ therefore finds every kink in O(kinks * log n) sweeps
+instead of n.  Frontier points between kinks lie on straight segments and
+are filled by interpolation.
 """
 
 from __future__ import annotations
@@ -108,7 +114,14 @@ def frontier_iteration(si: SeatInstance, k: int) -> tuple[MatchPoint, Matching]:
 
 
 def compute_frontier(si: SeatInstance) -> Frontier:
-    """The complete frontier, with witnesses at every kink."""
+    """The complete frontier, with witnesses at every kink.
+
+    Bisects the sweep range [1, n]: an interval whose end sweeps agree
+    holds no other point and is not split further, and one whose ends
+    differ is halved until its ends are adjacent.  Each kink's witness is
+    the matching of the smallest k whose sweep returns it, the same one a
+    sweep of every k = 1..n in order would keep.
+    """
     n = _sweep_size(si)
     if n == 0 or not si.eligible_mask.any():
         pt = MatchPoint(0, 0)
@@ -116,15 +129,23 @@ def compute_frontier(si: SeatInstance) -> Frontier:
         check_frontier_invariants(f)
         return f
 
-    kinks: list[MatchPoint] = []
-    witnesses: dict[MatchPoint, Matching] = {}
-    for k in range(1, n + 1):
-        pt, m = frontier_iteration(si, k)
-        if not kinks or pt != kinks[-1]:
-            kinks.append(pt)
-            witnesses[pt] = m
+    sweeps = {k: frontier_iteration(si, k) for k in sorted({1, n})}
+    firsts = [1]  # ascending k at which a new point first appears
+    todo = [(1, n)]  # intervals with both end sweeps done, leftmost on top
+    while todo:
+        lo, hi = todo.pop()
+        if sweeps[lo][0] == sweeps[hi][0]:
+            continue
+        if hi == lo + 1:
+            firsts.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        sweeps[mid] = frontier_iteration(si, mid)
+        todo += [(mid, hi), (lo, mid)]
+    kinks = [sweeps[k][0] for k in firsts]
+    witnesses = dict(sweeps[k] for k in firsts)
     for a, b in zip(kinks, kinks[1:]):
-        # adjacent dedup must imply global distinctness; anything else is a bug
+        # points first seen at ascending k must trade b for e; anything else is a bug
         if not (b.e > a.e and b.b < a.b):
             raise FrontierInvariantError(f"collected kinks out of order: {a} then {b}")
 

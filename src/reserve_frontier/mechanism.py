@@ -34,7 +34,8 @@ from .core import (
     restrict_patients,
     validate_instance,
 )
-from .frontier import Frontier, FrontierInvariantError, compute_frontier, with_all_witnesses
+from .cycles import iter_frontier_walk
+from .frontier import Frontier, FrontierInvariantError, compute_frontier
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -89,6 +90,9 @@ class PriorityOrder:
 
 def validate_priority(inst: Instance, po: PriorityOrder) -> PriorityOrder:
     """Check bijectivity and the beneficiary > eligible > ineligible tiers."""
+    for c in po.order:
+        if c not in inst.categories:
+            raise InstanceError(f"priority names unknown category {c}")
     for c in inst.categories:
         if c not in po.order:
             raise InstanceError(f"priority missing category {c}")
@@ -117,6 +121,15 @@ class ProblemWithOrder:
         validate_priority(self.problem.instance, self.priority)
 
 
+def instance_of(obj: Instance | Problem | ProblemWithOrder) -> Instance:
+    """The instance underneath any parsed input."""
+    if isinstance(obj, ProblemWithOrder):
+        return obj.problem.instance
+    if isinstance(obj, Problem):
+        return obj.instance
+    return obj
+
+
 @dataclass(frozen=True)
 class ChoiceRecord:
     subset: frozenset[str]
@@ -143,6 +156,13 @@ def _assert_share_monotone(f: Frontier) -> None:
 
 
 def _select_from(si: SeatInstance, f: Frontier, beta_star: Fraction) -> tuple[Matching, MatchPoint]:
+    """The selected point and its witness, the one with_all_witnesses would give.
+
+    A point with a witness in f (every kink) returns that witness and runs
+    no cycle search.  Any other point gets the matching at which the
+    cheapest-cycle walk from the e_min witness first reaches it; the walk
+    stops there instead of covering the whole frontier.
+    """
     if f.points[-1].e == 0:
         raise NoNonEmptyMatchingError("no non-empty matching exists")
     _assert_share_monotone(f)
@@ -152,8 +172,14 @@ def _select_from(si: SeatInstance, f: Frontier, beta_star: Fraction) -> tuple[Ma
     else:
         qualifying = [p for p in f.points if beneficiary_share(p) >= beta_star]
         pt = qualifying[-1]
-    witnesses = with_all_witnesses(si, f).witnesses
-    return witnesses[pt], pt
+    if pt in f.witnesses:
+        return f.witnesses[pt], pt
+    for want, (got, m) in zip(f.points, iter_frontier_walk(si, f.witnesses[first])):
+        if got != want:
+            raise FrontierInvariantError(f"cycle walk stepped to {got}, expected {want}")
+        if got == pt:
+            return m, pt
+    raise FrontierInvariantError(f"cycle walk ended before reaching {pt}")
 
 
 def select_approx_on_frontier(pr: Problem) -> tuple[Matching, MatchPoint]:

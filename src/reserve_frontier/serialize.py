@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
-from typing import IO, Any, Mapping
+from typing import IO, Any
 
 from .core import (
     Instance,
@@ -35,7 +35,7 @@ from .core import (
     validate_instance,
 )
 from .frontier import Frontier
-from .mechanism import PriorityOrder, ProblemWithOrder, validate_priority
+from .mechanism import PriorityOrder, ProblemWithOrder, instance_of, validate_priority
 
 ParsedInput = Instance | Problem | ProblemWithOrder
 
@@ -49,7 +49,10 @@ def parse_share(value: Any) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"beta_star {value!r} has a zero denominator") from None
     raise ValueError(f"cannot parse share from {value!r}")
 
 
@@ -57,27 +60,44 @@ def share_str(beta: Fraction) -> str:
     return f"{beta.numerator}/{beta.denominator}"
 
 
-def parse_instance(data: Mapping[str, Any]) -> ParsedInput:
-    """Validated Instance, Problem, or ProblemWithOrder from a JSON document."""
+def _str_list(value: Any, field: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{field} must be a list of string ids")
+    return value
+
+
+def parse_instance(data: Any) -> ParsedInput:
+    """Validated Instance, Problem, or ProblemWithOrder from a JSON document.
+
+    Raises ValueError naming the field on any schema or invariant violation.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("an instance file must hold a JSON object")
     for field in ("categories", "patients"):
         if field not in data:
             raise ValueError(f"instance file is missing the '{field}' field")
+    if not isinstance(data["categories"], list):
+        raise ValueError("'categories' must be a list of category objects")
     categories = []
     quota: dict[str, int] = {}
     eligible: dict[str, frozenset[str]] = {}
     beneficiary: dict[str, frozenset[str]] = {}
     for entry in data["categories"]:
-        if "id" not in entry or "quota" not in entry:
+        if not isinstance(entry, dict) or "id" not in entry or "quota" not in entry:
             raise ValueError("each category needs an 'id' and a 'quota'")
         c = entry["id"]
+        if not isinstance(c, str):
+            raise ValueError(f"category 'id' must be a string, got {type(c).__name__}")
         categories.append(c)
         quota[c] = entry["quota"]
-        eligible[c] = frozenset(entry.get("eligible", ()))
-        beneficiary[c] = frozenset(entry.get("beneficiary", ()))
+        eligible[c] = frozenset(_str_list(entry.get("eligible", []), f"category {c}: 'eligible'"))
+        beneficiary[c] = frozenset(
+            _str_list(entry.get("beneficiary", []), f"category {c}: 'beneficiary'")
+        )
     inst = validate_instance(
         Instance(
             categories=tuple(categories),
-            patients=tuple(data["patients"]),
+            patients=tuple(_str_list(data["patients"], "'patients'")),
             quota=quota,
             eligible=eligible,
             beneficiary=beneficiary,
@@ -92,9 +112,10 @@ def parse_instance(data: Mapping[str, Any]) -> ParsedInput:
     problem = Problem(instance=inst, beta_star=parse_share(beta))
     if priority is None:
         return problem
-    po = validate_priority(
-        inst, PriorityOrder(order={c: tuple(ps) for c, ps in priority.items()})
-    )
+    if not isinstance(priority, dict):
+        raise ValueError("'priority' must map category ids to lists of patient ids")
+    order = {c: tuple(_str_list(ps, f"priority for {c}")) for c, ps in priority.items()}
+    po = validate_priority(inst, PriorityOrder(order=order))
     return ProblemWithOrder(problem=problem, priority=po)
 
 
@@ -105,12 +126,7 @@ def parse_instance_file(path: str) -> ParsedInput:
 
 def emit_instance(obj: ParsedInput) -> dict[str, Any]:
     """JSON-ready document; parse_instance(emit_instance(x)) == x."""
-    if isinstance(obj, ProblemWithOrder):
-        inst = obj.problem.instance
-    elif isinstance(obj, Problem):
-        inst = obj.instance
-    else:
-        inst = obj
+    inst = instance_of(obj)
     doc: dict[str, Any] = {
         "categories": [
             {

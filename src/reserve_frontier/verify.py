@@ -31,6 +31,7 @@ from .mechanism import (
     PriorityOrder,
     ProblemWithOrder,
     dominates_exact_share_matchings,
+    instance_of,
     rank_sum,
     repair_priority,
     respects_priority,
@@ -65,14 +66,6 @@ class CheckResult:
         return f"{status} {self.suite}:{self.check}{tail}"
 
 
-def _instance_of(obj: Instance | Problem | ProblemWithOrder) -> Instance:
-    if isinstance(obj, ProblemWithOrder):
-        return obj.problem.instance
-    if isinstance(obj, Problem):
-        return obj.instance
-    return obj
-
-
 def _maybe_corrupt(f: Frontier) -> Frontier:
     if os.environ.get(CORRUPTION_ENV) != "1":
         return f
@@ -93,7 +86,7 @@ def _maybe_corrupt(f: Frontier) -> Frontier:
 def verify_frontier(obj, budget: EnumerationBudget | None = None) -> list[CheckResult]:
     """Computed frontier == enumerated frontier, plus its shape invariants."""
     budget = budget or budget_from_env()
-    si = expand_to_seats(_instance_of(obj))
+    si = expand_to_seats(instance_of(obj))
     results: list[CheckResult] = []
     f = _maybe_corrupt(compute_frontier(si))
 
@@ -157,7 +150,7 @@ def verify_frontier(obj, budget: EnumerationBudget | None = None) -> list[CheckR
 def verify_cycles(obj, budget: EnumerationBudget | None = None) -> list[CheckResult]:
     """Minimal reassignment cycles agree with exhaustive cycle search."""
     budget = budget or budget_from_env()
-    si = expand_to_seats(_instance_of(obj))
+    si = expand_to_seats(instance_of(obj))
     results: list[CheckResult] = []
     f = compute_frontier(si)
 
@@ -210,7 +203,7 @@ def verify_cycles(obj, budget: EnumerationBudget | None = None) -> list[CheckRes
 def verify_lemmas(obj, budget: EnumerationBudget | None = None) -> list[CheckResult]:
     """Structural facts: disjoint cycle families, matched-set preservation, kink sweep."""
     budget = budget or budget_from_env()
-    si = expand_to_seats(_instance_of(obj))
+    si = expand_to_seats(instance_of(obj))
     results: list[CheckResult] = []
 
     rep = check_disjoint_cycles(si, budget)
@@ -272,7 +265,7 @@ def _targets_for(problem: Problem | None, f: Frontier, seed: int) -> list[Fracti
 def verify_mechanism(obj, budget: EnumerationBudget | None = None, seed: int = 0) -> list[CheckResult]:
     """Selection rule, share guarantee, domination of exact-share rivals, repair."""
     budget = budget or budget_from_env()
-    inst = _instance_of(obj)
+    inst = instance_of(obj)
     given = obj.problem if isinstance(obj, ProblemWithOrder) else (obj if isinstance(obj, Problem) else None)
     si = expand_to_seats(inst)
     f = compute_frontier(si)

@@ -114,6 +114,38 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert code == 2 and "p9" in err
 
 
+def schema_case(edit):
+    doc = {
+        "categories": [{"id": "c1", "quota": 1, "eligible": ["p1", "p2"], "beneficiary": ["p1"]}],
+        "patients": ["p1", "p2"],
+        "beta_star": "1/2",
+    }
+    edit(doc)
+    return doc
+
+
+SCHEMA_DEFECTS = {
+    "list-category-id": (lambda d: d["categories"][0].update(id=["c1"]), "'id'"),
+    "beta-star-zero-denominator": (lambda d: d.update(beta_star="1/0"), "beta_star"),
+    "eligible-not-a-list": (lambda d: d["categories"][0].update(eligible="p1"), "'eligible'"),
+    "integer-patient-ids": (lambda d: d.update(patients=[1, 2]), "'patients'"),
+    "priority-unknown-category": (
+        lambda d: d.update(priority={"c1": ["p1", "p2"], "zz": ["p1", "p2"]}),
+        "unknown category zz",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_DEFECTS))
+def test_schema_defects_exit_2_naming_the_field(case, tmp_path, capsys):
+    edit, field = SCHEMA_DEFECTS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(schema_case(edit)))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    assert field in err
+
+
 def test_verify_single_instance(capsys):
     code, out, _ = run(capsys, "verify", "--named", "conflict")
     assert code == 0
@@ -158,6 +190,41 @@ def test_verify_parallel_jobs(capsys):
         "count=2",
     )
     assert code == 0 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_rejects_jobs_below_one(jobs, capsys):
+    code, out, err = run(capsys, "verify", "--named", "conflict", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "--jobs" in err
+
+
+def test_verify_jobs_capped_by_instances_and_cpus(capsys, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    args = ("verify", "--suite", "frontier", "--random", "patients=3", "categories=2")
+    assert run(capsys, *args, "count=3", "--jobs", "3")[0] == 0
+    assert run(capsys, *args, "count=1", "--jobs", "2")[0] == 0
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert run(capsys, *args, "count=3", "--jobs", "2")[0] == 0
+    assert pools == [2]  # 3 jobs on 2 CPUs; the other runs had one worker and no pool
 
 
 def test_verify_reports_injected_corruption(capsys, monkeypatch):

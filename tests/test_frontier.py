@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+import reserve_frontier.frontier as frontier_module
 from reserve_frontier import (
     FrontierInvariantError,
     GenConfig,
@@ -17,6 +18,7 @@ from reserve_frontier import (
     expand_to_seats,
     frontier_endpoints,
     frontier_iteration,
+    gen_chain_family,
     gen_named,
     gen_random,
     half_bound_ratio,
@@ -187,3 +189,67 @@ def test_matches_oracle_on_random_instances():
         for m in enumerate_matchings(si):
             pt = match_point(si, m)
             assert pt in set(f.points) or any(dominates(q, pt) for q in f.points)
+
+
+def full_sweep_reference(si):
+    """Sweep every k = 1..n in order, keeping each new point's first matching."""
+    n = max(len(si.patients), len(si.seats))
+    kinks, witnesses = [], {}
+    for k in range(1, n + 1):
+        pt, m = frontier_iteration(si, k)
+        if not kinks or pt != kinks[-1]:
+            kinks.append(pt)
+            witnesses[pt] = m
+    points = [kinks[0]]
+    for a, b in zip(kinks, kinks[1:]):
+        step = (a.b - b.b) // (b.e - a.e)
+        points += [MatchPoint(e, a.b - (e - a.e) * step) for e in range(a.e + 1, b.e + 1)]
+    return points, kinks, witnesses
+
+
+def small_random_draws():
+    rng = Random(2)
+    for _ in range(200):
+        yield gen_random(
+            GenConfig(
+                patients=rng.randint(1, 8),
+                categories=rng.randint(1, 5),
+                quota_range=(1, rng.randint(1, 3)),
+                eligibility_density=rng.choice([0.2, 0.5, 0.8]),
+                beneficiary_density=rng.choice([0.2, 0.5, 0.9]),
+                seed=rng.randint(0, 100_000),
+            )
+        )
+
+
+DIFFERENTIAL_FAMILIES = {
+    **{
+        f"unit-quota-{n}": (lambda n=n: [gen_random(GenConfig(n, n, (1, 1), 3 / n, 0.5, seed=1))])
+        for n in (40, 80, 160, 320)
+    },
+    "criterion-12": lambda: [gen_random(GenConfig(500, 200, (1, 4), 0.04, 0.35, seed=7))],
+    "chain": lambda: [gen_chain_family(k) for k in range(1, 8)],
+    "small-random": small_random_draws,
+}
+
+
+@pytest.mark.parametrize("family", sorted(DIFFERENTIAL_FAMILIES))
+def test_bisection_matches_the_full_sweep(family, monkeypatch):
+    swept = []
+
+    def counted(si, k):
+        swept.append(k)
+        return frontier_iteration(si, k)
+
+    monkeypatch.setattr(frontier_module, "frontier_iteration", counted)
+    for inst in DIFFERENTIAL_FAMILIES[family]():
+        si = expand_to_seats(inst)
+        swept.clear()
+        f = compute_frontier(si)
+        points, kinks, witnesses = full_sweep_reference(si)
+        assert list(f.points) == points
+        assert f.kinks == frozenset(kinks)
+        assert f.witnesses == witnesses
+        n = max(len(si.patients), len(si.seats))
+        assert len(swept) == len(set(swept)), "a sweep ran twice"
+        assert len(swept) <= len(f.kinks) * ((n - 1).bit_length() + 1)

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+import reserve_frontier.cycles as cycles_module
 from reserve_frontier import (
     BudgetExceededError,
     GenConfig,
@@ -19,6 +20,7 @@ from reserve_frontier import (
     audit_path_independence,
     audit_substitutability,
     beneficiary_share,
+    compute_frontier,
     dominates,
     dominates_exact_share_matchings,
     enumerate_matchings,
@@ -34,6 +36,7 @@ from reserve_frontier import (
     select_approx_on_frontier,
     validate_instance,
     validate_priority,
+    with_all_witnesses,
 )
 
 
@@ -67,6 +70,45 @@ def test_selection_needs_an_eligible_pair():
     )
     with pytest.raises(NoNonEmptyMatchingError):
         select_approx_on_frontier(Problem(instance=empty, beta_star=Fraction(1, 2)))
+
+
+def unit_quota_draws():
+    # 3/n eligibility leaves straight frontier segments, so most draws have
+    # points that are not kinks
+    return [
+        gen_random(GenConfig(n, n, (1, 1), 3 / n, 0.5, seed=seed))
+        for n in (20, 30, 40, 80)
+        for seed in range(3)
+    ]
+
+
+def test_selection_witness_equals_the_whole_frontier_walk():
+    interior = 0
+    for inst in unit_quota_draws():
+        si = expand_to_seats(inst)
+        f = compute_frontier(si)
+        full = with_all_witnesses(si, f).witnesses
+        for pt in f.points:
+            if pt.e == 0:
+                continue
+            interior += pt not in f.kinks
+            m, got = select_approx_on_frontier(Problem(instance=inst, beta_star=beneficiary_share(pt)))
+            assert got == pt
+            assert m == full[pt]
+    assert interior >= 10
+
+
+def test_selecting_a_kink_runs_no_cycle_search(monkeypatch):
+    def forbidden(si, m):
+        raise AssertionError("cycle search at a kink")
+
+    monkeypatch.setattr(cycles_module, "find_minimal_cycle", forbidden)
+    for inst in unit_quota_draws():
+        f = compute_frontier(expand_to_seats(inst))
+        for pt in f.kinks:
+            if pt.e:
+                pr = Problem(instance=inst, beta_star=beneficiary_share(pt))
+                assert select_approx_on_frontier(pr)[0] == f.witnesses[pt]
 
 
 def test_respects_share():
