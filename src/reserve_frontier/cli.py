@@ -31,6 +31,7 @@ from .core import (
 from .frontier import compute_frontier, with_all_witnesses
 from .generator import NAMED_INSTANCES, gen_named
 from .mechanism import (
+    MAX_AUDIT_PATIENTS,
     AuditViolation,
     PriorityOrder,
     ProblemWithOrder,
@@ -275,7 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="test the induced choice rule on every subset")
     common(p)
     p.add_argument("--check", choices=("pi", "subs", "both"), default="both")
-    p.add_argument("--max-patients", type=int, default=12, help="refuse larger audits")
+    p.add_argument(
+        "--max-patients",
+        type=int,
+        default=12,
+        help=f"refuse larger audits; at most {MAX_AUDIT_PATIENTS}",
+    )
     p.set_defaults(func=cmd_audit)
 
     return parser

@@ -209,7 +209,14 @@ class SeatInstance:
 
 
 def expand_to_seats(inst: Instance) -> SeatInstance:
-    """Expand quotas into unit seats, in category order."""
+    """Expand quotas into unit seats, in category order.
+
+    An instance too large for exact sweep weights is refused before any
+    seat is built, so an oversized quota fails at once.
+    """
+    from .frontier import check_sweep_size  # frontier imports this module
+
+    check_sweep_size(len(inst.patients), inst.total_quota)
     seats: list[str] = []
     seat_category: dict[str, str] = {}
     for c in inst.categories:

@@ -26,9 +26,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Matching, MatchPoint, SeatInstance, match_point
+from .core import InstanceError, Matching, MatchPoint, SeatInstance, match_point
 from .cycles import frontier_walk
-from .hungarian import max_weight_assignment_dense
+from .hungarian import fits_exactly, max_weight_assignment_dense
 
 
 class FrontierInvariantError(RuntimeError):
@@ -97,13 +97,33 @@ def _sweep_size(si: SeatInstance) -> int:
     return max(len(si.patients), len(si.seats))
 
 
+def _sweep_weights(n: int, k: int) -> tuple[int, int]:
+    """Edge weights (plain eligible pair, beneficiary pair) of sweep k."""
+    w_elig = k * n * n
+    return w_elig, w_elig + n * n + k
+
+
+def check_sweep_size(n_patients: int, n_seats: int) -> None:
+    """Raise InstanceError unless every sweep of the instance is exact.
+
+    The largest sweep weight is a beneficiary pair's at k = n, and the
+    assignment solver needs it times min(patients, seats) below 2^53.
+    """
+    n = max(n_patients, n_seats)
+    if not fits_exactly(_sweep_weights(n, n)[1], n_patients, n_seats):
+        raise InstanceError(
+            f"instance too large for exact sweep weights: {n_patients} patient(s) and "
+            f"{n_seats} seat(s) need (n^3 + n^2 + n) * min(patients, seats) < 2^53 "
+            f"with n = max(patients, seats) = {n}"
+        )
+
+
 def frontier_iteration(si: SeatInstance, k: int) -> tuple[MatchPoint, Matching]:
     """Single weighted sweep: the frontier point optimal at weight index k."""
     n = _sweep_size(si)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    w_elig = k * n * n
-    w_bene = w_elig + n * n + k
+    w_elig, w_bene = _sweep_weights(n, k)
     elig = si.eligible_mask
     weights = np.where(si.beneficiary_mask, w_bene, np.where(elig, w_elig, 0)).astype(np.int64)
     rows, cols = max_weight_assignment_dense(weights, elig)

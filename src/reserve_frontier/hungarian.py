@@ -18,6 +18,11 @@ from scipy.optimize import linear_sum_assignment
 EXACT_LIMIT = 2**53
 
 
+def fits_exactly(max_weight: int, n_left: int, n_right: int) -> bool:
+    """Whether weights up to max_weight on an n_left x n_right problem stay exact."""
+    return max_weight * min(n_left, n_right) < EXACT_LIMIT
+
+
 @dataclass(frozen=True)
 class WeightedBipartite:
     """Sparse weighted bipartite graph on index sets [0, n_left) x [0, n_right)."""
@@ -39,7 +44,7 @@ class WeightedBipartite:
             if w < 0:
                 raise ValueError(f"negative weight at ({i}, {j})")
             max_w = max(max_w, w)
-        if max_w * min(self.n_left, self.n_right) >= EXACT_LIMIT:
+        if not fits_exactly(max_w, self.n_left, self.n_right):
             raise ValueError("weights too large for exact arithmetic headroom")
 
 
@@ -71,7 +76,7 @@ def max_weight_assignment_dense(
     if weights.size == 0:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
-    if int(weights.max()) * min(weights.shape) >= EXACT_LIMIT:
+    if not fits_exactly(int(weights.max()), *weights.shape):
         raise ValueError("weights too large for exact arithmetic headroom")
     rows, cols = linear_sum_assignment(weights, maximize=True)
     keep = allowed[rows, cols]

@@ -35,13 +35,13 @@ from .core import (
     validate_instance,
 )
 from .cycles import iter_frontier_walk
-from .frontier import Frontier, FrontierInvariantError, compute_frontier
+from .frontier import Frontier, FrontierInvariantError, check_sweep_size, compute_frontier
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    Census,
     CheckReport,
     EnumerationBudget,
-    enumerate_matchings,
 )
 
 
@@ -192,27 +192,39 @@ def select_approx_on_frontier(pr: Problem) -> tuple[Matching, MatchPoint]:
 
 
 def dominates_exact_share_matchings(
-    pr: Problem, selected: MatchPoint, budget: EnumerationBudget = DEFAULT_BUDGET
+    pr: Problem,
+    selected: MatchPoint,
+    budget: EnumerationBudget = DEFAULT_BUDGET,
+    census: Census | None = None,
 ) -> CheckReport:
     """Verify the selected point dominates every matching whose share is
-    exactly the target (meaningful when the selected share differs from it)."""
-    si = expand_to_seats(pr.instance)
+    exactly the target (meaningful when the selected share differs from it).
+
+    Matchings are counted per point from the census of pr's instance, and
+    b/e = num/den is tested exactly as b*den == e*num.  witnesses_checked
+    counts matchings, and each undominated matching adds one failure;
+    failures come grouped by point, in the order the points first appear
+    in the enumeration.
+    """
     report = CheckReport(name="dominates-exact-share")
+    num, den = pr.beta_star.numerator, pr.beta_star.denominator
     try:
-        for m in enumerate_matchings(si, budget):
-            pt = match_point(si, m)
-            if pt.e == 0 or beneficiary_share(pt) != pr.beta_star:
-                continue
-            report.witnesses_checked += 1
-            if not dominates(selected, pt):
-                report.failures.append(
-                    f"matching at {pt} with exact share {pr.beta_star} "
-                    f"is not dominated by {selected}"
-                )
+        if census is None:
+            census = Census(expand_to_seats(pr.instance), budget)
+        counts = census.counts
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             f"instance too large for exhaustive verification: {exc}"
         ) from exc
+    for pt, n in counts.items():
+        if pt.e == 0 or pt.b * den != pt.e * num:
+            continue
+        report.witnesses_checked += n
+        if not dominates(selected, pt):
+            report.failures += [
+                f"matching at {pt} with exact share {pr.beta_star} "
+                f"is not dominated by {selected}"
+            ] * n
     return report
 
 
@@ -294,12 +306,25 @@ class AuditViolation:
     rhs: frozenset[str]
 
 
+# Path-independence compares all 4^n subset pairs: 2.6 s at n = 12, so
+# about 40 s at n = 14.  No audit cap may be set above this.
+MAX_AUDIT_PATIENTS = 14
+
+
 def _choice_masks(pr: Problem, max_patients: int) -> tuple[tuple[str, ...], list[int]]:
+    if max_patients > MAX_AUDIT_PATIENTS:
+        raise ValueError(
+            f"a choice audit cap of {max_patients} patients exceeds the ceiling "
+            f"of {MAX_AUDIT_PATIENTS} (the audits take 2^n subsets and 4^n pairs)"
+        )
     patients = pr.instance.patients
     if len(patients) > max_patients:
         raise BudgetExceededError(
             f"choice audit over {len(patients)} patients exceeds the cap of {max_patients}"
         )
+    # every subset keeps all seats, so the whole instance bounds their sweeps,
+    # and the empty subset must not be the first to build them
+    check_sweep_size(len(patients), pr.instance.total_quota)
     bit = {p: 1 << i for i, p in enumerate(patients)}
     masks: list[int] = []
     for mask in range(1 << len(patients)):

@@ -5,6 +5,13 @@ matchings are enumerated by direct recursion over patients, the frontier is
 obtained by filtering dominated score points, and cycles are enumerated
 exhaustively from the associated-graph definition.  Budgets cap instance
 size and visited states so runaway inputs fail fast instead of hanging.
+
+The verify checks read one Census per instance, which enumerates it at
+most twice: once for the count and first matching at every score point
+(the frontier, its witnesses and every exact-share count), and once more
+only when samples are asked for (the sampled matchings and the matched
+patient sets at the sampled points).  Leaves are scored by index; no
+Matching is built per leaf.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import Matching, MatchPoint, SeatInstance, dominates
 from .frontier import Frontier, kinks_of
@@ -126,20 +134,104 @@ def count_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET
     return total
 
 
+class Sample(NamedTuple):
+    """Samples at a set of points, and the matched sets of every matching there."""
+
+    matchings: dict[MatchPoint, list[Matching]]
+    mode: str  # "exhaustive" if nothing was dropped, else "sampled"
+    matched: dict[MatchPoint, set[int]]  # bitmasks of matched patient indices
+
+
+class Census:
+    """The oracle's view of one instance, built lazily in at most two passes.
+
+    Pass 1 records, for each point (e, b), the number of matchings scoring
+    it and the first one in recursion order.  Pass 2 runs only when
+    samples are asked for: it reservoir-samples the requested points,
+    drawing from Random(seed) exactly as a scan of its own would, and
+    collects the matched patient sets at those points in the same visit.
+    Samples at other points, cap or seed get a fresh pass of their own, so
+    a frontier that disagrees with the oracle still gets its samples.
+    Every pass has its own state budget, as every scan does.
+    """
+
+    def __init__(self, si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET):
+        self.si = si
+        self.budget = budget
+        self._counts: dict[MatchPoint, int] | None = None
+        self._first: dict[MatchPoint, tuple[int, ...]] = {}
+        self._frontier: Frontier | None = None
+        self._samples: dict[tuple[frozenset[MatchPoint], int, int], Sample] = {}
+
+    @property
+    def counts(self) -> dict[MatchPoint, int]:
+        """Number of eligible matchings at each point, in order of first appearance."""
+        if self._counts is None:
+            counts: dict[tuple[int, int], int] = {}
+            first: dict[tuple[int, int], tuple[int, ...]] = {}
+
+            def visit(a, e, b):
+                key = (e, b)
+                if key in counts:
+                    counts[key] += 1
+                else:
+                    counts[key] = 1
+                    first[key] = tuple(a)
+
+            _scan_leaves(self.si, self.budget, visit)
+            self._first = {MatchPoint(*k): a for k, a in first.items()}
+            self._counts = {MatchPoint(*k): c for k, c in counts.items()}
+        return self._counts
+
+    def frontier(self) -> Frontier:
+        """Undominated points, each witnessed by its first matching."""
+        if self._frontier is None:
+            pts = list(self.counts)
+            nd = sorted(p for p in pts if not any(dominates(q, p) for q in pts))
+            witnesses = {p: _to_matching(self.si, self._first[p]) for p in nd}
+            self._frontier = Frontier(points=tuple(nd), kinks=kinks_of(nd), witnesses=witnesses)
+        return self._frontier
+
+    def sample(self, points, cap: int = 200, seed: int = 0) -> Sample:
+        """Up to cap matchings per point, reservoir-sampled with a fixed seed."""
+        key = (frozenset(points), cap, seed)
+        if key not in self._samples:
+            self._samples[key] = self._sample_pass(*key)
+        return self._samples[key]
+
+    def _sample_pass(self, wanted: frozenset[MatchPoint], cap: int, seed: int) -> Sample:
+        rng = random.Random(seed)
+        kept: dict[MatchPoint, list[tuple[int, ...]]] = {p: [] for p in wanted}
+        seen: dict[MatchPoint, int] = {p: 0 for p in wanted}
+        matched: dict[MatchPoint, set[int]] = {p: set() for p in wanted}
+
+        def visit(a, e, b):
+            pt = (e, b)  # a MatchPoint key matches its plain tuple
+            if pt not in seen:
+                return
+            seen[pt] = n = seen[pt] + 1
+            matched[pt].add(sum(1 << i for i, j in enumerate(a) if j != -1))
+            bucket = kept[pt]
+            if len(bucket) < cap:
+                bucket.append(tuple(a))
+            else:
+                slot = rng.randrange(n)
+                if slot < cap:
+                    bucket[slot] = tuple(a)
+
+        _scan_leaves(self.si, self.budget, visit)
+        mode = "exhaustive" if all(n <= cap for n in seen.values()) else "sampled"
+        samples = {p: [_to_matching(self.si, a) for a in kept[p]] for p in wanted}
+        return Sample(samples, mode, matched)
+
+
+def _census(si: SeatInstance, budget: EnumerationBudget, census: Census | None) -> Census:
+    return census if census is not None else Census(si, budget)
+
+
 def oracle_frontier(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET) -> Frontier:
     """Frontier by full enumeration: collect all score points, drop dominated ones."""
-    first: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def visit(a, e, b):
-        key = (e, b)
-        if key not in first:
-            first[key] = tuple(a)
-
-    _scan_leaves(si, budget, visit)
-    pts = [MatchPoint(e, b) for e, b in first]
-    nd = sorted(p for p in pts if not any(dominates(q, p) for q in pts))
-    witnesses = {p: _to_matching(si, first[(p.e, p.b)]) for p in nd}
-    return Frontier(points=tuple(nd), kinks=kinks_of(nd), witnesses=witnesses)
+    return Census(si, budget).frontier()
 
 
 def matchings_at_point(
@@ -167,30 +259,8 @@ def sample_matchings_at_points(
 
     Returns (samples, mode) where mode is "exhaustive" if nothing was dropped.
     """
-    rng = random.Random(seed)
-    wanted = set(points)
-    kept: dict[MatchPoint, list[tuple[int, ...]]] = {p: [] for p in wanted}
-    seen: dict[MatchPoint, int] = {p: 0 for p in wanted}
-
-    def visit(a, e, b):
-        pt = MatchPoint(e, b)
-        if pt not in wanted:
-            return
-        seen[pt] += 1
-        bucket = kept[pt]
-        if len(bucket) < cap:
-            bucket.append(tuple(a))
-        else:
-            slot = rng.randrange(seen[pt])
-            if slot < cap:
-                bucket[slot] = tuple(a)
-
-    _scan_leaves(si, budget, visit)
-    mode = "exhaustive" if all(seen[p] <= cap for p in wanted) else "sampled"
-    samples = {
-        p: [_to_matching(si, a) for a in kept[p]] for p in wanted
-    }
-    return samples, mode
+    sample = Census(si, budget).sample(points, cap, seed)
+    return sample.matchings, sample.mode
 
 
 def _index_matching(si: SeatInstance, m: Matching) -> tuple[list[int], list[int]]:
@@ -309,13 +379,15 @@ def check_disjoint_cycles(
     budget: EnumerationBudget = DEFAULT_BUDGET,
     cap: int = 200,
     seed: int = 0,
+    census: Census | None = None,
 ) -> CheckReport:
     """For every frontier pair f2 -> f1 (e1 > e2) and every sampled matching at
     f2, find e1-e2 pairwise disjoint applicable cycles with positive losses
     summing to b2-b1 whose joint application lands exactly on f1."""
-    f = oracle_frontier(si, budget)
-    samples, mode = sample_matchings_at_points(si, f.points, budget, cap, seed)
-    report = CheckReport(name="disjoint-cycles", mode=mode)
+    census = _census(si, budget, census)
+    f = census.frontier()
+    sample = census.sample(f.points, cap, seed)
+    report = CheckReport(name="disjoint-cycles", mode=sample.mode)
     n_p = len(si.patients)
 
     for lo_idx, f2 in enumerate(f.points):
@@ -323,7 +395,7 @@ def check_disjoint_cycles(
             k = f1.e - f2.e
             target = f2.b - f1.b
             report.pairs_checked += 1
-            for m2 in samples[f2]:
+            for m2 in sample.matchings[f2]:
                 report.witnesses_checked += 1
                 raw = _applicable_cycles(si, m2, budget)
                 positive = [
@@ -370,32 +442,24 @@ def check_matched_preservation(
     budget: EnumerationBudget = DEFAULT_BUDGET,
     cap: int = 200,
     seed: int = 0,
+    census: Census | None = None,
 ) -> CheckReport:
     """For every frontier pair f2 -> f1 (e1 > e2) and every sampled matching at
     f2, some matching at f1 keeps all of f2's matched patients matched."""
-    f = oracle_frontier(si, budget)
-    samples, mode = sample_matchings_at_points(si, f.points, budget, cap, seed)
-    report = CheckReport(name="matched-preservation", mode=mode)
-
-    matched_sets: dict[MatchPoint, set[frozenset[str]]] = {p: set() for p in f.points}
-    wanted = set(f.points)
-
-    def visit(a, e, b):
-        pt = MatchPoint(e, b)
-        if pt in wanted:
-            matched_sets[pt].add(
-                frozenset(si.patients[i] for i, j in enumerate(a) if j != -1)
-            )
-
-    _scan_leaves(si, budget, visit)
+    census = _census(si, budget, census)
+    f = census.frontier()
+    sample = census.sample(f.points, cap, seed)
+    report = CheckReport(name="matched-preservation", mode=sample.mode)
+    bit = {p: 1 << i for i, p in enumerate(si.patients)}
 
     for lo_idx, f2 in enumerate(f.points):
         for f1 in f.points[lo_idx + 1 :]:
             report.pairs_checked += 1
-            for m2 in samples[f2]:
+            for m2 in sample.matchings[f2]:
                 report.witnesses_checked += 1
                 kept = m2.matched_patients
-                if not any(kept <= s for s in matched_sets[f1]):
+                mask = sum(bit[p] for p in kept)
+                if not any(mask & s == mask for s in sample.matched[f1]):
                     report.failures.append(
                         f"no matching at {f1} keeps matched set {sorted(kept)} from {f2}"
                     )

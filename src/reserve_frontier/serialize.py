@@ -11,6 +11,9 @@ Instance schema (JSON):
       "priority": {"c1": ["p1", "p2"]}    # optional; requires beta_star
     }
 
+Any other key, at the top level or in a category entry, is rejected by
+name.
+
 Shares stay exact end to end: "num/den" strings are the canonical output
 form, decimal inputs are converted through their decimal literal (0.7
 becomes 7/10, never the nearest binary float).  Matchings serialize at the
@@ -39,6 +42,9 @@ from .mechanism import PriorityOrder, ProblemWithOrder, instance_of, validate_pr
 
 ParsedInput = Instance | Problem | ProblemWithOrder
 
+_TOP_KEYS = ("categories", "patients", "beta_star", "priority")
+_CATEGORY_KEYS = ("id", "quota", "eligible", "beneficiary")
+
 
 def parse_share(value: Any) -> Fraction:
     """Exact fraction from "num/den", decimal string, int, or float literal."""
@@ -60,6 +66,12 @@ def share_str(beta: Fraction) -> str:
     return f"{beta.numerator}/{beta.denominator}"
 
 
+def _reject_unknown_keys(doc: dict, known: tuple[str, ...], where: str) -> None:
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {where}; expected one of {', '.join(known)}")
+
+
 def _str_list(value: Any, field: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ValueError(f"{field} must be a list of string ids")
@@ -73,6 +85,7 @@ def parse_instance(data: Any) -> ParsedInput:
     """
     if not isinstance(data, dict):
         raise ValueError("an instance file must hold a JSON object")
+    _reject_unknown_keys(data, _TOP_KEYS, "the instance file")
     for field in ("categories", "patients"):
         if field not in data:
             raise ValueError(f"instance file is missing the '{field}' field")
@@ -88,6 +101,7 @@ def parse_instance(data: Any) -> ParsedInput:
         c = entry["id"]
         if not isinstance(c, str):
             raise ValueError(f"category 'id' must be a string, got {type(c).__name__}")
+        _reject_unknown_keys(entry, _CATEGORY_KEYS, f"category {c}")
         categories.append(c)
         quota[c] = entry["quota"]
         eligible[c] = frozenset(_str_list(entry.get("eligible", []), f"category {c}: 'eligible'"))

@@ -2,7 +2,10 @@
 
 Each suite takes one instance and returns CheckResult rows.  The suites
 never share code with the algorithms they audit beyond the core data
-types, so a bug has to appear on both routes to slip through.
+types, so a bug has to appear on both routes to slip through.  run_suites
+expands the instance once and hands every suite the same oracle Census,
+so the oracle enumerates the instance at most twice however many suites
+and targets read it.
 
 Setting RESERVE_FRONTIER_INJECT_CORRUPTION=1 deliberately corrupts the
 computed frontier before the checks run.  That is the negative control:
@@ -38,13 +41,12 @@ from .mechanism import (
     select_approx_on_frontier,
 )
 from .oracle import (
+    Census,
     EnumerationBudget,
     budget_from_env,
     check_disjoint_cycles,
     check_matched_preservation,
-    oracle_frontier,
     oracle_min_cycle_loss,
-    sample_matchings_at_points,
 )
 from .core import expand_to_seats
 
@@ -83,10 +85,18 @@ def _maybe_corrupt(f: Frontier) -> Frontier:
     )
 
 
-def verify_frontier(obj, budget: EnumerationBudget | None = None) -> list[CheckResult]:
+def _census_of(obj, budget: EnumerationBudget | None, census: Census | None) -> Census:
+    if census is not None:
+        return census
+    return Census(expand_to_seats(instance_of(obj)), budget or budget_from_env())
+
+
+def verify_frontier(
+    obj, budget: EnumerationBudget | None = None, *, census: Census | None = None
+) -> list[CheckResult]:
     """Computed frontier == enumerated frontier, plus its shape invariants."""
-    budget = budget or budget_from_env()
-    si = expand_to_seats(instance_of(obj))
+    census = _census_of(obj, budget, census)
+    si = census.si
     results: list[CheckResult] = []
     f = _maybe_corrupt(compute_frontier(si))
 
@@ -111,7 +121,7 @@ def verify_frontier(obj, budget: EnumerationBudget | None = None) -> list[CheckR
     except Exception as exc:  # report, do not abort the suite
         results.append(CheckResult("frontier", "shape-invariants", False, str(exc)))
 
-    oracle = oracle_frontier(si, budget)
+    oracle = census.frontier()
     same = f.points == oracle.points
     results.append(
         CheckResult(
@@ -147,10 +157,12 @@ def verify_frontier(obj, budget: EnumerationBudget | None = None) -> list[CheckR
     return results
 
 
-def verify_cycles(obj, budget: EnumerationBudget | None = None) -> list[CheckResult]:
+def verify_cycles(
+    obj, budget: EnumerationBudget | None = None, *, census: Census | None = None
+) -> list[CheckResult]:
     """Minimal reassignment cycles agree with exhaustive cycle search."""
-    budget = budget or budget_from_env()
-    si = expand_to_seats(instance_of(obj))
+    census = _census_of(obj, budget, census)
+    si, budget = census.si, census.budget
     results: list[CheckResult] = []
     f = compute_frontier(si)
 
@@ -171,7 +183,8 @@ def verify_cycles(obj, budget: EnumerationBudget | None = None) -> list[CheckRes
         )
     )
 
-    samples, mode = sample_matchings_at_points(si, f.points, budget)
+    sample = census.sample(f.points)
+    samples, mode = sample.matchings, sample.mode
     min_ok = True
     detail = f"mode={mode}"
     for pt in f.points:
@@ -200,13 +213,15 @@ def verify_cycles(obj, budget: EnumerationBudget | None = None) -> list[CheckRes
     return results
 
 
-def verify_lemmas(obj, budget: EnumerationBudget | None = None) -> list[CheckResult]:
+def verify_lemmas(
+    obj, budget: EnumerationBudget | None = None, *, census: Census | None = None
+) -> list[CheckResult]:
     """Structural facts: disjoint cycle families, matched-set preservation, kink sweep."""
-    budget = budget or budget_from_env()
-    si = expand_to_seats(instance_of(obj))
+    census = _census_of(obj, budget, census)
+    si, budget = census.si, census.budget
     results: list[CheckResult] = []
 
-    rep = check_disjoint_cycles(si, budget)
+    rep = check_disjoint_cycles(si, budget, census=census)
     results.append(
         CheckResult(
             "lemmas",
@@ -217,7 +232,7 @@ def verify_lemmas(obj, budget: EnumerationBudget | None = None) -> list[CheckRes
         )
     )
 
-    rep2 = check_matched_preservation(si, budget)
+    rep2 = check_matched_preservation(si, budget, census=census)
     results.append(
         CheckResult(
             "lemmas",
@@ -262,12 +277,18 @@ def _targets_for(problem: Problem | None, f: Frontier, seed: int) -> list[Fracti
     return targets
 
 
-def verify_mechanism(obj, budget: EnumerationBudget | None = None, seed: int = 0) -> list[CheckResult]:
+def verify_mechanism(
+    obj,
+    budget: EnumerationBudget | None = None,
+    seed: int = 0,
+    *,
+    census: Census | None = None,
+) -> list[CheckResult]:
     """Selection rule, share guarantee, domination of exact-share rivals, repair."""
-    budget = budget or budget_from_env()
+    census = _census_of(obj, budget, census)
+    si, budget = census.si, census.budget
     inst = instance_of(obj)
     given = obj.problem if isinstance(obj, ProblemWithOrder) else (obj if isinstance(obj, Problem) else None)
-    si = expand_to_seats(inst)
     f = compute_frontier(si)
     results: list[CheckResult] = []
 
@@ -299,7 +320,7 @@ def verify_mechanism(obj, budget: EnumerationBudget | None = None, seed: int = 0
             sel_ok, detail = False, f"picked {pt}, expected {want} at target {beta}"
             break
         if Fraction(pt.b, pt.e) != beta:
-            rep = dominates_exact_share_matchings(pr, pt, budget)
+            rep = dominates_exact_share_matchings(pr, pt, budget, census=census)
             if not rep.ok:
                 sel_ok, detail = False, f"exact-share rival undominated: {rep.failures[0]}"
                 break
@@ -335,9 +356,10 @@ SUITE_FUNCS = {
 
 
 def run_suites(obj, suites: tuple[str, ...], budget: EnumerationBudget | None = None) -> list[CheckResult]:
+    census = _census_of(obj, budget, None)
     out: list[CheckResult] = []
     for name in suites:
-        out.extend(SUITE_FUNCS[name](obj, budget))
+        out.extend(SUITE_FUNCS[name](obj, census.budget, census=census))
     return out
 
 

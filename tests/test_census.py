@@ -1,0 +1,212 @@
+"""The oracle census against the single-purpose scans it replaced.
+
+The reference functions below are the scans the verify checks ran before
+they shared one census: one enumeration each for the frontier, for the
+samples, for the matched-patient sets and, per share target, for the
+exact-share matchings (built as Matching objects and scored with
+match_point).  They are kept here only as the reference.
+"""
+
+from __future__ import annotations
+
+from random import Random
+
+import pytest
+
+import reserve_frontier.oracle as oracle_module
+from reserve_frontier import (
+    SUITES,
+    CheckReport,
+    GenConfig,
+    MatchPoint,
+    Problem,
+    beneficiary_share,
+    dominates,
+    dominates_exact_share_matchings,
+    enumerate_matchings,
+    expand_to_seats,
+    gen_named,
+    gen_random,
+    match_point,
+    run_suites,
+    select_approx_on_frontier,
+)
+from reserve_frontier.frontier import Frontier, kinks_of
+from reserve_frontier.oracle import (
+    DEFAULT_BUDGET,
+    Census,
+    _scan_leaves,
+    _to_matching,
+)
+
+
+def ref_oracle_frontier(si, budget=DEFAULT_BUDGET) -> Frontier:
+    first: dict = {}
+
+    def visit(a, e, b):
+        if (e, b) not in first:
+            first[(e, b)] = tuple(a)
+
+    _scan_leaves(si, budget, visit)
+    pts = [MatchPoint(e, b) for e, b in first]
+    nd = sorted(p for p in pts if not any(dominates(q, p) for q in pts))
+    witnesses = {p: _to_matching(si, first[(p.e, p.b)]) for p in nd}
+    return Frontier(points=tuple(nd), kinks=kinks_of(nd), witnesses=witnesses)
+
+
+def ref_sample(si, points, budget=DEFAULT_BUDGET, cap=200, seed=0):
+    rng = Random(seed)
+    wanted = set(points)
+    kept = {p: [] for p in wanted}
+    seen = {p: 0 for p in wanted}
+
+    def visit(a, e, b):
+        pt = MatchPoint(e, b)
+        if pt not in wanted:
+            return
+        seen[pt] += 1
+        bucket = kept[pt]
+        if len(bucket) < cap:
+            bucket.append(tuple(a))
+        else:
+            slot = rng.randrange(seen[pt])
+            if slot < cap:
+                bucket[slot] = tuple(a)
+
+    _scan_leaves(si, budget, visit)
+    mode = "exhaustive" if all(seen[p] <= cap for p in wanted) else "sampled"
+    return {p: [_to_matching(si, a) for a in kept[p]] for p in wanted}, mode
+
+
+def ref_matched_sets(si, points, budget=DEFAULT_BUDGET):
+    wanted = set(points)
+    out = {p: set() for p in wanted}
+
+    def visit(a, e, b):
+        pt = MatchPoint(e, b)
+        if pt in wanted:
+            out[pt].add(frozenset(si.patients[i] for i, j in enumerate(a) if j != -1))
+
+    _scan_leaves(si, budget, visit)
+    return out
+
+
+def ref_exact_share(at_share, beta, selected) -> CheckReport:
+    """The old per-matching check; at_share lists the point of every matching of that share."""
+    report = CheckReport(name="dominates-exact-share")
+    for pt in at_share:
+        report.witnesses_checked += 1
+        if not dominates(selected, pt):
+            report.failures.append(
+                f"matching at {pt} with exact share {beta} is not dominated by {selected}"
+            )
+    return report
+
+
+def small_draws():
+    rng = Random(4242)
+    for _ in range(200):
+        yield gen_random(
+            GenConfig(
+                patients=rng.randint(0, 7),
+                categories=rng.randint(1, 3),
+                quota_range=(1, 2),
+                eligibility_density=rng.choice([0.3, 0.5, 0.8]),
+                beneficiary_density=rng.choice([0.2, 0.5, 0.8]),
+                seed=rng.randint(0, 100_000),
+            )
+        )
+
+
+def base_draws():
+    """The ten 7 x 7 draws of the verify-oracle benchmark workload."""
+    for seed in range(100, 110):
+        yield gen_random(GenConfig(7, 7, (1, 1), 0.5, 0.5, seed=seed))
+
+
+def assert_census_matches_the_scans(inst, cap):
+    si = expand_to_seats(inst)
+    census = Census(si)
+    want = ref_oracle_frontier(si)
+    got = census.frontier()
+    assert got.points == want.points
+    assert got.kinks == want.kinks
+    assert got.witnesses == want.witnesses
+
+    # the frontier plus its most common other point, as a disagreeing fast
+    # frontier would ask; the reservoir replaces samples there
+    busiest = max(census.counts, key=census.counts.get)
+    modes = set()
+    for points in (want.points, [*want.points, busiest]):
+        sample = census.sample(points, cap, seed=7)
+        ref_samples, ref_mode = ref_sample(si, points, cap=cap, seed=7)
+        assert sample.matchings == ref_samples
+        assert sample.mode == ref_mode
+        modes.add(sample.mode)
+        bit = {p: 1 << i for i, p in enumerate(si.patients)}
+        ref_sets = ref_matched_sets(si, points)
+        assert sample.matched == {
+            pt: {sum(bit[p] for p in s) for s in sets} for pt, sets in ref_sets.items()
+        }
+
+    by_share: dict = {}
+    for m in enumerate_matchings(si):
+        pt = match_point(si, m)
+        if pt.e:
+            by_share.setdefault(beneficiary_share(pt), []).append(pt)
+    for beta, at_share in by_share.items():
+        pr = Problem(instance=inst, beta_star=beta)
+        _, selected = select_approx_on_frontier(pr)
+        for point in (selected, MatchPoint(0, 0)):
+            got_rep = dominates_exact_share_matchings(pr, point, census=census)
+            want_rep = ref_exact_share(at_share, beta, point)
+            assert got_rep.witnesses_checked == want_rep.witnesses_checked
+            assert sorted(got_rep.failures) == sorted(want_rep.failures)
+            assert got_rep.failures[:1] == want_rep.failures[:1]
+    return modes
+
+
+def test_census_equals_the_single_purpose_scans():
+    modes = set()
+    for inst in small_draws():
+        modes |= assert_census_matches_the_scans(inst, cap=2)
+    for inst in base_draws():
+        modes |= assert_census_matches_the_scans(inst, cap=200)
+    assert modes == {"exhaustive", "sampled"}  # the reservoir was exercised
+
+
+@pytest.fixture
+def scan_counter(monkeypatch):
+    calls = []
+    original = oracle_module._scan_leaves
+
+    def counting(si, budget, visit):
+        calls.append(si)
+        return original(si, budget, visit)
+
+    monkeypatch.setattr(oracle_module, "_scan_leaves", counting)
+    return calls
+
+
+def test_verify_enumerates_each_instance_at_most_twice(scan_counter):
+    insts = [*base_draws(), gen_named("conflict"), gen_named("path-independence")]
+    insts += [gen_random(GenConfig(6, 5, (1, 1), 0.5, 0.5, seed=s)) for s in range(20)]
+    for obj in insts:
+        scan_counter.clear()
+        results = run_suites(obj, SUITES)
+        assert all(r.ok for r in results)
+        assert 1 <= len(scan_counter) <= 2
+
+
+def test_a_disagreeing_frontier_gets_its_own_samples(scan_counter):
+    si = expand_to_seats(next(base_draws()))
+    census = Census(si)
+    points = census.frontier().points
+    assert census.sample(points) is census.sample(list(reversed(points)))
+    assert len(scan_counter) == 2
+    shifted = [MatchPoint(p.e, p.b - 1) for p in points]
+    sample = census.sample(shifted)
+    assert len(scan_counter) == 3
+    assert any(sample.matchings.values())
+    assert sample.matchings == ref_sample(si, shifted)[0]
+

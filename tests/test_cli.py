@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import reserve_frontier.mechanism as mechanism_module
 from reserve_frontier import gen_named
 from reserve_frontier.cli import main, parse_subset_tokens
 from reserve_frontier.serialize import emit_instance
@@ -146,6 +147,41 @@ def test_schema_defects_exit_2_naming_the_field(case, tmp_path, capsys):
     assert field in err
 
 
+def misspell(doc: dict, key: str, typo: str) -> None:
+    doc[typo] = doc.pop(key)
+
+
+@pytest.mark.parametrize("command", ["frontier", "verify", "audit"])
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda d: misspell(d["categories"][0], "beneficiary", "benficiary"), "'benficiary'"),
+        (lambda d: misspell(d, "beta_star", "betastar"), "'betastar'"),
+    ],
+    ids=["category-key", "top-level-key"],
+)
+def test_unknown_keys_exit_2_naming_the_key(command, edit, key, tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(schema_case(edit)))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert key in err
+
+
+def test_oversized_quota_exits_2_before_building_seats(tmp_path, capsys):
+    doc = {
+        "categories": [{"id": "c1", "quota": 100_000_000, "eligible": ["p1"], "beneficiary": ["p1"]}],
+        "patients": ["p1"],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for command in ("frontier", "verify", "audit"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert "1 patient(s) and 100000000 seat(s) need" in err
+        assert "min(patients, seats) < 2^53" in err
+
+
 def test_verify_single_instance(capsys):
     code, out, _ = run(capsys, "verify", "--named", "conflict")
     assert code == 0
@@ -263,3 +299,13 @@ def test_audit_clean_instance_reports_zero(tmp_path, capsys):
     assert code == 0
     assert "path-independence: 0 violation(s)" in out
     assert "substitutability: 0 violation(s)" in out
+
+
+def test_audit_cap_above_the_ceiling_exits_2(monkeypatch, capsys):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("an audit above the ceiling enumerated subsets")
+
+    monkeypatch.setattr(mechanism_module, "induce_choice", no_enumeration)
+    code, out, err = run(capsys, "audit", "--named", "conflict", "--max-patients", "1000")
+    assert code == 2 and out == ""
+    assert "ceiling of 14" in err

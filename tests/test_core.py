@@ -21,6 +21,7 @@ from reserve_frontier import (
     validate_instance,
     validate_matching,
 )
+from reserve_frontier.frontier import check_sweep_size, compute_frontier
 
 
 def tiny() -> Instance:
@@ -127,6 +128,41 @@ def test_expand_to_seats_unit_quotas():
     assert all(si.category_of(s) == "c1" for s in si.seats)
     assert si.eligible_of("c1#1") == frozenset({"p1", "p2"})
     assert si.beneficiary_of("c1#2") == frozenset({"p2"})
+
+
+def test_sweep_size_check_is_the_exact_weight_headroom():
+    def sweep_bound(n_patients: int, n_seats: int) -> int:
+        n = max(n_patients, n_seats)
+        return (n**3 + n**2 + n) * min(n_patients, n_seats)
+
+    def instance(n_patients: int, quota: int, n_beneficiaries: int = 0) -> Instance:
+        patients = tuple(f"p{i}" for i in range(n_patients))
+        eligible = {"c1": frozenset(patients)} if n_beneficiaries else {}
+        beneficiary = {"c1": frozenset(patients[:n_beneficiaries])} if n_beneficiaries else {}
+        return Instance(("c1",), patients, {"c1": quota}, eligible, beneficiary)
+
+    # square instances: the bound holds at n = 9741 and breaks at 9742
+    assert sweep_bound(9741, 9741) < 2**53 <= sweep_bound(9742, 9742)
+    check_sweep_size(9741, 9741)
+    with pytest.raises(InstanceError, match="9742 patient\\(s\\) and 9742 seat\\(s\\)"):
+        expand_to_seats(instance(9742, 9742))
+
+    # one patient: the first quota over the bound is refused, the one below is built
+    q = 1
+    while sweep_bound(1, q) < 2**53:
+        q *= 2
+    lo = q // 2
+    while lo + 1 < q:
+        mid = (lo + q) // 2
+        lo, q = (mid, q) if sweep_bound(1, mid) < 2**53 else (lo, mid)
+    assert len(expand_to_seats(instance(1, q - 1)).seats) == q - 1
+    with pytest.raises(InstanceError, match=f"1 patient\\(s\\) and {q} seat\\(s\\)"):
+        expand_to_seats(instance(1, q))
+
+    # many patients, few seats: far past n = 9741, yet exact, so it is solved
+    assert sweep_bound(10_000, 50) < 2**53
+    f = compute_frontier(expand_to_seats(instance(10_000, 50, n_beneficiaries=20)))
+    assert f.points == (MatchPoint(50, 20),)
 
 
 def test_matching_is_canonical_and_hashable():

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 import reserve_frontier.cycles as cycles_module
+from reserve_frontier.oracle import Census
 from reserve_frontier import (
     BudgetExceededError,
     GenConfig,
@@ -174,6 +175,39 @@ def test_exact_share_matchings_are_dominated():
         assert report.ok, report.failures[:1]
         nonvacuous += report.witnesses_checked > 0
     assert nonvacuous >= 5
+
+
+def test_exact_share_check_catches_an_undominated_rival():
+    # p1 and p2 each have one beneficiary category: both matched gives (2, 2),
+    # swapped gives (2, 0), and each single match gives (1, 1) or (1, 0)
+    inst = validate_instance(
+        Instance(
+            categories=("a", "b"),
+            patients=("p1", "p2"),
+            quota={"a": 1, "b": 1},
+            eligible={"a": frozenset({"p1", "p2"}), "b": frozenset({"p1", "p2"})},
+            beneficiary={"a": frozenset({"p1"}), "b": frozenset({"p2"})},
+        )
+    )
+    si = expand_to_seats(inst)
+    scored = [match_point(si, m) for m in enumerate_matchings(si)]
+    pr = Problem(instance=inst, beta_star=Fraction(1))
+    selected = MatchPoint(2, 0)  # dominates none of the share-1 matchings
+    exact = [pt for pt in scored if pt.e and beneficiary_share(pt) == pr.beta_star]
+    escaped = [pt for pt in exact if not dominates(selected, pt)]
+    assert len(exact) == 3 and len(escaped) == 3
+    census = Census(si)
+    for report in (
+        dominates_exact_share_matchings(pr, selected),
+        dominates_exact_share_matchings(pr, selected, census=census),
+    ):
+        assert not report.ok
+        assert report.witnesses_checked == len(exact)
+        assert len(report.failures) == len(escaped)
+        assert "matching at MatchPoint(e=1, b=1) with exact share 1" in report.failures[0]
+    # (2, 1) dominates both (1, 1) singles; only (2, 2) escapes it
+    report = dominates_exact_share_matchings(pr, MatchPoint(2, 1), census=census)
+    assert (report.witnesses_checked, len(report.failures)) == (3, 1)
 
 
 def priority_fixture():
