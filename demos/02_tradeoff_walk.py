@@ -11,7 +11,6 @@ is exactly why the frontier is concave.
 from reserve_frontier import (
     Instance,
     beneficiary_loss,
-    build_associated_graph,
     compute_frontier,
     expand_to_seats,
     find_minimal_cycle,
@@ -46,10 +45,7 @@ f = compute_frontier(si)
 start = f.witnesses[f.points[0]]
 
 print("start at the max-beneficiary endpoint:", tuple(f.points[0]))
-g = build_associated_graph(si, start)
-edge_count = sum(map(len, g.patient_edges.values())) + sum(map(len, g.seat_edges.values()))
-print(f"associated graph: {edge_count} directed edges over "
-      f"{len(si.patients)} patients and {len(si.seats)} seats")
+print(f"{len(si.patients)} patients and {len(si.seats)} unit seats")
 
 walk = frontier_walk(si, start)
 prev_pt, m = walk[0]

@@ -15,7 +15,6 @@ from reserve_frontier import (
     GenConfig,
     PriorityOrder,
     Problem,
-    ProblemWithOrder,
     expand_to_seats,
     gen_random,
     match_point,
@@ -41,21 +40,20 @@ for c in inst.categories:
         rng.shuffle(tier)
     order[c] = tuple(bene + elig + rest)
 
-pr = Problem(instance=inst, beta_star=Fraction(1, 3))
-pwo = ProblemWithOrder(problem=pr, priority=PriorityOrder(order=order))
+pr = Problem(instance=inst, beta_star=Fraction(1, 3), priority=PriorityOrder(order=order))
 
 m, pt = select_approx_on_frontier(pr)
 si = expand_to_seats(inst)
-before = respects_priority(pwo, m)
+before = respects_priority(pr, m)
 print(f"selected point {tuple(pt)} with {len(before)} priority violation(s)")
 for c, seated, skipped in before:
     print(f"  {c}: seated {seated} over unmatched {skipped}")
 
-fixed = repair_priority(pwo, m)
-after = respects_priority(pwo, fixed)
+fixed = repair_priority(pr, m)
+after = respects_priority(pr, fixed)
 print(f"\nafter repair: {len(after)} violation(s)")
 print("point unchanged:", match_point(si, fixed) == pt)
-print(f"rank sum {rank_sum(pwo, m)} -> {rank_sum(pwo, fixed)}")
+print(f"rank sum {rank_sum(pr, m)} -> {rank_sum(pr, fixed)}")
 
 was = {p: si.category_of(s) for p, s in m.pairs}
 now = {p: si.category_of(s) for p, s in fixed.pairs}

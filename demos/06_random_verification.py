@@ -10,12 +10,12 @@ aggregate, the same machinery the `verify` CLI subcommand uses.
 
 from collections import Counter
 
-from reserve_frontier import SUITES, GenConfig, gen_random, run_suites
+from reserve_frontier import SUITES, GenConfig, Problem, gen_random, run_suites
 
-instances = [
-    gen_random(GenConfig(patients=p, categories=c, quota_range=(1, 2),
-                         eligibility_density=ed, beneficiary_density=bd,
-                         seed=seed))
+problems = [
+    Problem(gen_random(GenConfig(patients=p, categories=c, quota_range=(1, 2),
+                                 eligibility_density=ed, beneficiary_density=bd,
+                                 seed=seed)))
     for seed, (p, c, ed, bd) in enumerate(
         (p, c, ed, bd)
         for p in (3, 5, 7)
@@ -27,15 +27,15 @@ instances = [
 
 totals: Counter[str] = Counter()
 failures = []
-for i, inst in enumerate(instances):
-    for res in run_suites(inst, SUITES):
+for i, pr in enumerate(problems):
+    for res in run_suites(pr, SUITES):
         totals[res.suite] += 1
         if not res.ok:
             failures.append((i, res))
 
 for suite in SUITES:
     print(f"{suite:>10}: {totals[suite]} checks")
-print(f"\n{sum(totals.values())} checks on {len(instances)} instances, "
+print(f"\n{sum(totals.values())} checks on {len(problems)} instances, "
       f"{len(failures)} failure(s)")
 
 for i, res in failures[:5]:

@@ -21,11 +21,10 @@ import sys
 from fractions import Fraction
 
 from .core import (
-    Instance,
+    PriorityOrder,
     Problem,
     beneficiary_share,
     expand_to_seats,
-    match_point,
     restrict_patients,
 )
 from .frontier import compute_frontier, with_all_witnesses
@@ -33,15 +32,11 @@ from .generator import NAMED_INSTANCES, gen_named
 from .mechanism import (
     MAX_AUDIT_PATIENTS,
     AuditViolation,
-    PriorityOrder,
-    ProblemWithOrder,
     audit_path_independence,
     audit_substitutability,
-    instance_of,
     repair_priority,
     respects_priority,
     select_approx_on_frontier,
-    validate_priority,
 )
 from .oracle import BudgetExceededError, budget_from_env
 from .serialize import (
@@ -74,35 +69,30 @@ def parse_subset_tokens(spec: str) -> list[str]:
     return out
 
 
-def _apply_subset(obj, spec: str):
+def _apply_subset(pr: Problem, spec: str) -> Problem:
     keep = parse_subset_tokens(spec)
-    sub = restrict_patients(instance_of(obj), keep)
-    if isinstance(obj, ProblemWithOrder):
-        kept = set(keep)
-        po = PriorityOrder(
-            order={c: tuple(p for p in ps if p in kept) for c, ps in obj.priority.order.items()}
+    sub = restrict_patients(pr.instance, keep)
+    priority = None
+    if pr.priority is not None:
+        kept = set(sub.patients)
+        priority = PriorityOrder(
+            order={c: tuple(p for p in ps if p in kept) for c, ps in pr.priority.order.items()}
         )
-        return ProblemWithOrder(
-            problem=Problem(instance=sub, beta_star=obj.problem.beta_star),
-            priority=validate_priority(sub, po),
-        )
-    if isinstance(obj, Problem):
-        return Problem(instance=sub, beta_star=obj.beta_star)
-    return sub
+    return Problem(instance=sub, beta_star=pr.beta_star, priority=priority)
 
 
-def load_input(args):
+def load_input(args) -> Problem:
     if args.named and args.input:
         raise ValueError("give an input file or --named, not both")
     if args.named:
-        obj = gen_named(args.named)
+        pr = gen_named(args.named)
     elif args.input:
-        obj = parse_instance_file(args.input)
+        pr = parse_instance_file(args.input)
     else:
         raise ValueError("an input file or --named is required")
     if getattr(args, "subset", None):
-        obj = _apply_subset(obj, args.subset)
-    return obj
+        pr = _apply_subset(pr, args.subset)
+    return pr
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -114,8 +104,9 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def cmd_frontier(args) -> int:
-    obj = load_input(args)
-    si = expand_to_seats(instance_of(obj))
+    if args.witnesses and args.format == "csv" and not args.output:
+        raise ValueError("csv witnesses need -o so the sidecar has a path")
+    si = expand_to_seats(load_input(args).instance)
     f = compute_frontier(si)
     if args.witnesses:
         f = with_all_witnesses(si, f)
@@ -126,27 +117,20 @@ def cmd_frontier(args) -> int:
     write_frontier_csv(f, buf)
     _write_text(buf.getvalue(), args.output)
     if args.witnesses:
-        if not args.output:
-            raise ValueError("csv witnesses need -o so the sidecar has a path")
         _write_text(frontier_to_json(f, si, witnesses=True), args.output + ".witnesses.json")
     return 0
 
 
 def cmd_solve(args) -> int:
-    obj = load_input(args)
-    if isinstance(obj, Instance):
+    pr = load_input(args)
+    if pr.beta_star is None:
         raise ValueError("solve needs beta_star in the instance file")
-    pr = obj.problem if isinstance(obj, ProblemWithOrder) else obj
     m, pt = select_approx_on_frontier(pr)
     doc = None
     if args.respect_priority:
-        pwo = (
-            obj
-            if isinstance(obj, ProblemWithOrder)
-            else ProblemWithOrder(problem=pr, priority=PriorityOrder.from_tiers(pr.instance))
-        )
-        m = repair_priority(pwo, m)
-        doc = {"priority_violations": len(respects_priority(pwo, m))}
+        pr = pr.ordered()
+        m = repair_priority(pr, m)
+        doc = {"priority_violations": len(respects_priority(pr, m))}
     si = expand_to_seats(pr.instance)
     out = matching_to_dict(si, m)
     out["target"] = share_str(pr.beta_star)
@@ -181,7 +165,7 @@ def cmd_verify(args) -> int:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             all_results = list(pool.map(partial(run_suites, suites=suites, budget=budget), inputs))
     else:
-        all_results = [run_suites(obj, suites, budget) for obj in inputs]
+        all_results = [run_suites(pr, suites, budget) for pr in inputs]
 
     failed = 0
     total = 0
@@ -215,14 +199,10 @@ def _print_violations(kind: str, violations: list[AuditViolation], limit: int = 
 
 
 def cmd_audit(args) -> int:
-    obj = load_input(args)
-    if isinstance(obj, ProblemWithOrder):
-        pr = obj.problem
-    elif isinstance(obj, Problem):
-        pr = obj
-    else:
+    pr = load_input(args)
+    if pr.beta_star is None:
         # no share target: the rule degenerates to the max-total endpoint
-        pr = Problem(instance=obj, beta_star=Fraction(0))
+        pr = Problem(instance=pr.instance, beta_star=Fraction(0))
     if args.check in ("pi", "both"):
         _print_violations("path-independence", audit_path_independence(pr, args.max_patients))
     if args.check in ("subs", "both"):

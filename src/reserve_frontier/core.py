@@ -5,13 +5,18 @@ and beneficiary patient sets (beneficiaries are a subset of the eligible).
 Quotas are expanded into unit seats before any matching computation; all
 category-level reporting is re-aggregated at the I/O boundary.
 
+Every input, parsed, generated or named, is one Problem: an instance plus
+an optional share target beta_star and optional priority orders.  The
+Instance alone is the structural type that seat expansion, restriction
+and the generators work on.
+
 A matching is scored by the pair (e, b): total eligible matches and
 beneficiary matches.  Shares b/e are kept as exact fractions throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
@@ -127,20 +132,94 @@ def restrict_patients(inst: Instance, keep: Iterable[str]) -> Instance:
 
 
 @dataclass(frozen=True)
+class PriorityOrder:
+    """Per-category strict total orders over all patients, highest first."""
+
+    order: Mapping[str, tuple[str, ...]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "order", {c: tuple(ps) for c, ps in dict(self.order).items()}
+        )
+
+    @cached_property
+    def _ranks(self) -> dict[str, dict[str, int]]:
+        return {
+            c: {p: i + 1 for i, p in enumerate(ps)} for c, ps in self.order.items()
+        }
+
+    def rank(self, category: str, patient: str) -> int:
+        """Position of patient in the category's order; 1 is highest."""
+        return self._ranks[category][patient]
+
+    def outranks(self, category: str, a: str, b: str) -> bool:
+        return self.rank(category, a) < self.rank(category, b)
+
+    @classmethod
+    def from_tiers(cls, inst: Instance) -> "PriorityOrder":
+        """Admissible order synthesized from tiers, input order within a tier."""
+        order = {}
+        for c in inst.categories:
+            bene = inst.beneficiary_of(c)
+            elig = inst.eligible_of(c)
+            order[c] = tuple(
+                [p for p in inst.patients if p in bene]
+                + [p for p in inst.patients if p in elig and p not in bene]
+                + [p for p in inst.patients if p not in elig]
+            )
+        return cls(order=order)
+
+
+def validate_priority(inst: Instance, po: PriorityOrder) -> PriorityOrder:
+    """Check bijectivity and the beneficiary > eligible > ineligible tiers."""
+    for c in po.order:
+        if c not in inst.categories:
+            raise InstanceError(f"priority names unknown category {c}")
+    for c in inst.categories:
+        if c not in po.order:
+            raise InstanceError(f"priority missing category {c}")
+        ps = po.order[c]
+        if sorted(ps) != sorted(inst.patients):
+            raise InstanceError(f"priority for {c} is not a permutation of the patients")
+        bene = inst.beneficiary_of(c)
+        elig = inst.eligible_of(c)
+        tier_seen = 0  # 0 = beneficiaries, 1 = other eligible, 2 = ineligible
+        for p in ps:
+            tier = 0 if p in bene else (1 if p in elig else 2)
+            if tier < tier_seen:
+                raise InstanceError(
+                    f"priority for {c} breaks the beneficiary/eligible/ineligible tiers at {p}"
+                )
+            tier_seen = tier
+    return po
+
+
+@dataclass(frozen=True)
 class Problem:
-    """An instance together with an exact beneficiary-share target beta_star."""
+    """The mechanism's input: an instance, an optional exact beneficiary-share
+    target beta_star, and optional per-category priority orders."""
 
     instance: Instance
-    beta_star: Fraction
+    beta_star: Fraction | None = None
+    priority: PriorityOrder | None = None
 
     def __post_init__(self) -> None:
         beta = self.beta_star
-        if isinstance(beta, float):
-            raise TypeError("beta_star must be exact; pass a Fraction, int, or string")
-        beta = Fraction(beta)
-        if not 0 <= beta <= 1:
-            raise InstanceError(f"beta_star must lie in [0, 1], got {beta}")
-        object.__setattr__(self, "beta_star", beta)
+        if beta is not None:
+            if isinstance(beta, float):
+                raise TypeError("beta_star must be exact; pass a Fraction, int, or string")
+            beta = Fraction(beta)
+            if not 0 <= beta <= 1:
+                raise InstanceError(f"beta_star must lie in [0, 1], got {beta}")
+            object.__setattr__(self, "beta_star", beta)
+        if self.priority is not None:
+            validate_priority(self.instance, self.priority)
+
+    def ordered(self) -> "Problem":
+        """This problem, given the tier order when it names no priority."""
+        if self.priority is not None:
+            return self
+        return replace(self, priority=PriorityOrder.from_tiers(self.instance))
 
 
 @dataclass(frozen=True)

@@ -38,27 +38,6 @@ class DominatedInputError(ValueError):
 
 
 @dataclass(frozen=True)
-class AssociatedGraph:
-    """Directed bipartite graph over patients and seats for one matching."""
-
-    patient_edges: dict[str, tuple[str, ...]]
-    seat_edges: dict[str, tuple[str, ...]]
-
-
-def build_associated_graph(si: SeatInstance, m: Matching) -> AssociatedGraph:
-    unmatched_patients = tuple(p for p in si.patients if m.seat_of(p) is None)
-    patient_edges = {
-        p: tuple(s for s in si.seats if p in si.eligible_of(s) and m.seat_of(p) != s)
-        for p in si.patients
-    }
-    seat_edges: dict[str, tuple[str, ...]] = {}
-    for s in si.seats:
-        holder = m.patient_of(s)
-        seat_edges[s] = (holder,) if holder is not None else unmatched_patients
-    return AssociatedGraph(patient_edges=patient_edges, seat_edges=seat_edges)
-
-
-@dataclass(frozen=True)
 class Cycle:
     """Alternating sequence (p1, s1, ..., pk, sk) closing back to p1."""
 

@@ -107,13 +107,16 @@ def check_sweep_size(n_patients: int, n_seats: int) -> None:
     """Raise InstanceError unless every sweep of the instance is exact.
 
     The largest sweep weight is a beneficiary pair's at k = n, and the
-    assignment solver needs it times min(patients, seats) below 2^53.
+    assignment solver needs it times min(patients, seats) below 2^53.  An
+    instance without patients is held to the one-patient limit: its
+    product is 0 for any quota, and its seats would be built for nothing.
     """
     n = max(n_patients, n_seats)
-    if not fits_exactly(_sweep_weights(n, n)[1], n_patients, n_seats):
+    if not fits_exactly(_sweep_weights(n, n)[1], max(n_patients, 1), n_seats):
+        factor = "min(patients, seats)" if n_patients else "1 (the one-patient limit)"
         raise InstanceError(
             f"instance too large for exact sweep weights: {n_patients} patient(s) and "
-            f"{n_seats} seat(s) need (n^3 + n^2 + n) * min(patients, seats) < 2^53 "
+            f"{n_seats} seat(s) need (n^3 + n^2 + n) * {factor} < 2^53 "
             f"with n = max(patients, seats) = {n}"
         )
 
@@ -185,16 +188,6 @@ def compute_frontier(si: SeatInstance) -> Frontier:
     f = Frontier(points=tuple(points), kinks=frozenset(kinks), witnesses=witnesses)
     check_frontier_invariants(f)
     return f
-
-
-def frontier_endpoints(si: SeatInstance) -> tuple[Matching, Matching]:
-    """Witness matchings for the two frontier endpoints (first and last sweep)."""
-    n = _sweep_size(si)
-    if n == 0 or not si.eligible_mask.any():
-        return Matching.empty(), Matching.empty()
-    _, mu_be = frontier_iteration(si, 1)
-    _, mu_eb = frontier_iteration(si, n)
-    return mu_be, mu_eb
 
 
 def half_bound_ratio(f: Frontier) -> Fraction:

@@ -88,18 +88,19 @@ def gen_chain_family(k: int) -> Instance:
     )
 
 
-def _conflict() -> Instance:
-    return Instance(
+def _conflict() -> Problem:
+    inst = Instance(
         categories=("c1", "c2"),
         patients=("p1", "p2"),
         quota={"c1": 1, "c2": 1},
         eligible={"c1": frozenset({"p1"}), "c2": frozenset({"p1", "p2"})},
         beneficiary={"c1": frozenset(), "c2": frozenset({"p1"})},
     )
+    return Problem(instance=inst)
 
 
-def _figure1() -> Instance:
-    return Instance(
+def _figure1() -> Problem:
+    inst = Instance(
         categories=("c1", "c2", "c3"),
         patients=("p1", "p2", "p3"),
         quota={"c1": 1, "c2": 1, "c3": 1},
@@ -110,6 +111,7 @@ def _figure1() -> Instance:
         },
         beneficiary={},
     )
+    return Problem(instance=inst)
 
 
 def _beta_threshold() -> Problem:
@@ -143,11 +145,11 @@ def _path_independence() -> Problem:
     return Problem(instance=inst, beta_star=Fraction(1, 5))
 
 
-def gen_named(name: str) -> Instance | Problem:
+def gen_named(name: str) -> Problem:
     """Small worked instances used across the docs and test suite.
 
-    "beta-threshold" and "path-independence" carry a share target and come
-    back as Problem; "conflict" and "figure1" are bare instances.
+    Each comes back as a Problem.  "beta-threshold" and "path-independence"
+    carry a share target; "conflict" and "figure1" have beta_star None.
     """
     makers = {
         "conflict": _conflict,
@@ -158,6 +160,5 @@ def gen_named(name: str) -> Instance | Problem:
     if name not in makers:
         raise ValueError(f"unknown named instance {name!r}; choose from {NAMED_INSTANCES}")
     out = makers[name]()
-    inst = out.instance if isinstance(out, Problem) else out
-    validate_instance(inst)
+    validate_instance(out.instance)
     return out

@@ -17,12 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .core import (
-    Instance,
-    InstanceError,
     Matching,
     MatchPoint,
     Problem,
@@ -47,87 +44,6 @@ from .oracle import (
 
 class NoNonEmptyMatchingError(ValueError):
     """The instance admits no non-empty eligible matching."""
-
-
-@dataclass(frozen=True)
-class PriorityOrder:
-    """Per-category strict total orders over all patients, highest first."""
-
-    order: Mapping[str, tuple[str, ...]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "order", {c: tuple(ps) for c, ps in dict(self.order).items()}
-        )
-
-    @cached_property
-    def _ranks(self) -> dict[str, dict[str, int]]:
-        return {
-            c: {p: i + 1 for i, p in enumerate(ps)} for c, ps in self.order.items()
-        }
-
-    def rank(self, category: str, patient: str) -> int:
-        """Position of patient in the category's order; 1 is highest."""
-        return self._ranks[category][patient]
-
-    def outranks(self, category: str, a: str, b: str) -> bool:
-        return self.rank(category, a) < self.rank(category, b)
-
-    @classmethod
-    def from_tiers(cls, inst: Instance) -> "PriorityOrder":
-        """Admissible order synthesized from tiers, input order within a tier."""
-        order = {}
-        for c in inst.categories:
-            bene = inst.beneficiary_of(c)
-            elig = inst.eligible_of(c)
-            order[c] = tuple(
-                [p for p in inst.patients if p in bene]
-                + [p for p in inst.patients if p in elig and p not in bene]
-                + [p for p in inst.patients if p not in elig]
-            )
-        return cls(order=order)
-
-
-def validate_priority(inst: Instance, po: PriorityOrder) -> PriorityOrder:
-    """Check bijectivity and the beneficiary > eligible > ineligible tiers."""
-    for c in po.order:
-        if c not in inst.categories:
-            raise InstanceError(f"priority names unknown category {c}")
-    for c in inst.categories:
-        if c not in po.order:
-            raise InstanceError(f"priority missing category {c}")
-        ps = po.order[c]
-        if sorted(ps) != sorted(inst.patients):
-            raise InstanceError(f"priority for {c} is not a permutation of the patients")
-        bene = inst.beneficiary_of(c)
-        elig = inst.eligible_of(c)
-        tier_seen = 0  # 0 = beneficiaries, 1 = other eligible, 2 = ineligible
-        for p in ps:
-            tier = 0 if p in bene else (1 if p in elig else 2)
-            if tier < tier_seen:
-                raise InstanceError(
-                    f"priority for {c} breaks the beneficiary/eligible/ineligible tiers at {p}"
-                )
-            tier_seen = tier
-    return po
-
-
-@dataclass(frozen=True)
-class ProblemWithOrder:
-    problem: Problem
-    priority: PriorityOrder
-
-    def __post_init__(self) -> None:
-        validate_priority(self.problem.instance, self.priority)
-
-
-def instance_of(obj: Instance | Problem | ProblemWithOrder) -> Instance:
-    """The instance underneath any parsed input."""
-    if isinstance(obj, ProblemWithOrder):
-        return obj.problem.instance
-    if isinstance(obj, Problem):
-        return obj.instance
-    return obj
 
 
 @dataclass(frozen=True)
@@ -187,6 +103,8 @@ def select_approx_on_frontier(pr: Problem) -> tuple[Matching, MatchPoint]:
 
     Raises NoNonEmptyMatchingError when the instance has no eligible pair.
     """
+    if pr.beta_star is None:
+        raise ValueError("selection needs a share target beta_star")
     si = expand_to_seats(validate_instance(pr.instance))
     return _select_from(si, compute_frontier(si), pr.beta_star)
 
@@ -228,27 +146,33 @@ def dominates_exact_share_matchings(
     return report
 
 
-def rank_sum(pwo: ProblemWithOrder, m: Matching) -> int:
-    """Sum of assigned patients' priority ranks in their assigned categories."""
-    si = expand_to_seats(pwo.problem.instance)
-    return sum(pwo.priority.rank(si.category_of(s), p) for p, s in m.pairs)
+def rank_sum(pr: Problem, m: Matching) -> int:
+    """Sum of assigned patients' priority ranks in their assigned categories.
+
+    Like respects_priority and repair_priority, this reads pr.ordered():
+    a problem that names no priority is ranked by the tier order.
+    """
+    po = pr.ordered().priority
+    si = expand_to_seats(pr.instance)
+    return sum(po.rank(si.category_of(s), p) for p, s in m.pairs)
 
 
-def respects_priority(pwo: ProblemWithOrder, m: Matching) -> list[tuple[str, str, str]]:
+def respects_priority(pr: Problem, m: Matching) -> list[tuple[str, str, str]]:
     """All triples (category, assigned patient, unmatched patient outranking them)."""
-    inst = pwo.problem.instance
+    po = pr.ordered().priority
+    inst = pr.instance
     si = expand_to_seats(inst)
     unmatched = [p for p in inst.patients if m.seat_of(p) is None]
     out = []
     for p, s in m.pairs:
         c = si.category_of(s)
         for q in unmatched:
-            if pwo.priority.outranks(c, q, p):
+            if po.outranks(c, q, p):
                 out.append((c, p, q))
     return sorted(out)
 
 
-def repair_priority(pwo: ProblemWithOrder, m: Matching) -> Matching:
+def repair_priority(pr: Problem, m: Matching) -> Matching:
     """Swap out priority violations without moving the matching's score.
 
     Each swap seats the highest-priority unmatched patient of the offending
@@ -257,21 +181,23 @@ def repair_priority(pwo: ProblemWithOrder, m: Matching) -> Matching:
     swap can only change the score if the input was not a frontier
     matching; that case raises with a diagnostic.
     """
-    inst = pwo.problem.instance
+    pr = pr.ordered()  # once, so no swap rebuilds a tier order
+    po = pr.priority
+    inst = pr.instance
     si = expand_to_seats(inst)
     target = match_point(si, m)
     cat_pos = {c: i for i, c in enumerate(inst.categories)}
     current = m
     while True:
-        violations = respects_priority(pwo, current)
+        violations = respects_priority(pr, current)
         if not violations:
             return current
         c, p, q = min(
             violations,
             key=lambda v: (
                 cat_pos[v[0]],
-                pwo.priority.rank(v[0], v[2]),
-                -pwo.priority.rank(v[0], v[1]),
+                po.rank(v[0], v[2]),
+                -po.rank(v[0], v[1]),
             ),
         )
         assignment = dict(current.by_patient)

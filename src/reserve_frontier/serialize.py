@@ -11,8 +11,9 @@ Instance schema (JSON):
       "priority": {"c1": ["p1", "p2"]}    # optional; requires beta_star
     }
 
-Any other key, at the top level or in a category entry, is rejected by
-name.
+Every document parses to one Problem, whose beta_star and priority are
+None when the file omits them.  Any other key, at the top level or in a
+category entry, is rejected by name.
 
 Shares stay exact end to end: "num/den" strings are the canonical output
 form, decimal inputs are converted through their decimal literal (0.7
@@ -30,7 +31,7 @@ from typing import IO, Any
 from .core import (
     Instance,
     Matching,
-    MatchPoint,
+    PriorityOrder,
     Problem,
     SeatInstance,
     beneficiary_share,
@@ -38,9 +39,6 @@ from .core import (
     validate_instance,
 )
 from .frontier import Frontier
-from .mechanism import PriorityOrder, ProblemWithOrder, instance_of, validate_priority
-
-ParsedInput = Instance | Problem | ProblemWithOrder
 
 _TOP_KEYS = ("categories", "patients", "beta_star", "priority")
 _CATEGORY_KEYS = ("id", "quota", "eligible", "beneficiary")
@@ -78,8 +76,8 @@ def _str_list(value: Any, field: str) -> list[str]:
     return value
 
 
-def parse_instance(data: Any) -> ParsedInput:
-    """Validated Instance, Problem, or ProblemWithOrder from a JSON document.
+def parse_instance(data: Any) -> Problem:
+    """Validated Problem from a JSON document.
 
     Raises ValueError naming the field on any schema or invariant violation.
     """
@@ -119,28 +117,29 @@ def parse_instance(data: Any) -> ParsedInput:
     )
     beta = data.get("beta_star")
     priority = data.get("priority")
-    if beta is None:
-        if priority is not None:
-            raise ValueError("a priority block requires beta_star")
-        return inst
-    problem = Problem(instance=inst, beta_star=parse_share(beta))
+    if beta is None and priority is not None:
+        raise ValueError("a priority block requires beta_star")
+    problem = Problem(instance=inst, beta_star=None if beta is None else parse_share(beta))
     if priority is None:
         return problem
     if not isinstance(priority, dict):
         raise ValueError("'priority' must map category ids to lists of patient ids")
     order = {c: tuple(_str_list(ps, f"priority for {c}")) for c, ps in priority.items()}
-    po = validate_priority(inst, PriorityOrder(order=order))
-    return ProblemWithOrder(problem=problem, priority=po)
+    return Problem(instance=inst, beta_star=problem.beta_star, priority=PriorityOrder(order=order))
 
 
-def parse_instance_file(path: str) -> ParsedInput:
+def parse_instance_file(path: str) -> Problem:
     with open(path, "r", encoding="utf-8") as fp:
-        return parse_instance(json.load(fp))
+        try:
+            data = json.load(fp)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nesting too deep to parse") from None
+    return parse_instance(data)
 
 
-def emit_instance(obj: ParsedInput) -> dict[str, Any]:
-    """JSON-ready document; parse_instance(emit_instance(x)) == x."""
-    inst = instance_of(obj)
+def emit_instance(pr: Problem) -> dict[str, Any]:
+    """JSON-ready document; parse_instance(emit_instance(pr)) == pr."""
+    inst = pr.instance
     doc: dict[str, Any] = {
         "categories": [
             {
@@ -153,16 +152,15 @@ def emit_instance(obj: ParsedInput) -> dict[str, Any]:
         ],
         "patients": list(inst.patients),
     }
-    if isinstance(obj, (Problem, ProblemWithOrder)):
-        problem = obj.problem if isinstance(obj, ProblemWithOrder) else obj
-        doc["beta_star"] = share_str(problem.beta_star)
-    if isinstance(obj, ProblemWithOrder):
-        doc["priority"] = {c: list(ps) for c, ps in sorted(obj.priority.order.items())}
+    if pr.beta_star is not None:
+        doc["beta_star"] = share_str(pr.beta_star)
+    if pr.priority is not None:
+        doc["priority"] = {c: list(ps) for c, ps in sorted(pr.priority.order.items())}
     return doc
 
 
-def instance_to_json(obj: ParsedInput) -> str:
-    return json.dumps(emit_instance(obj), indent=2, sort_keys=True) + "\n"
+def instance_to_json(pr: Problem) -> str:
+    return json.dumps(emit_instance(pr), indent=2, sort_keys=True) + "\n"
 
 
 def matching_to_assignment(si: SeatInstance, m: Matching) -> dict[str, str]:

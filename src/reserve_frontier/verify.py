@@ -1,6 +1,6 @@
 """Cross-checks between the fast algorithms and the exhaustive oracle.
 
-Each suite takes one instance and returns CheckResult rows.  The suites
+Each suite takes one Problem and returns CheckResult rows.  The suites
 never share code with the algorithms they audit beyond the core data
 types, so a bug has to appear on both routes to slip through.  run_suites
 expands the instance once and hands every suite the same oracle Census,
@@ -15,11 +15,11 @@ a verifier that cannot fail is not verifying anything.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 
-from .core import Instance, MatchPoint, Problem, dominates, match_point
+from .core import MatchPoint, Problem, dominates, expand_to_seats, match_point
 from .cycles import apply_cycle, beneficiary_loss, find_minimal_cycle, frontier_walk
 from .frontier import (
     Frontier,
@@ -31,10 +31,7 @@ from .frontier import (
 from .generator import gen_random
 from .mechanism import (
     NoNonEmptyMatchingError,
-    PriorityOrder,
-    ProblemWithOrder,
     dominates_exact_share_matchings,
-    instance_of,
     rank_sum,
     repair_priority,
     respects_priority,
@@ -48,7 +45,6 @@ from .oracle import (
     check_matched_preservation,
     oracle_min_cycle_loss,
 )
-from .core import expand_to_seats
 
 CORRUPTION_ENV = "RESERVE_FRONTIER_INJECT_CORRUPTION"
 
@@ -85,17 +81,17 @@ def _maybe_corrupt(f: Frontier) -> Frontier:
     )
 
 
-def _census_of(obj, budget: EnumerationBudget | None, census: Census | None) -> Census:
+def _census_of(pr: Problem, budget: EnumerationBudget | None, census: Census | None) -> Census:
     if census is not None:
         return census
-    return Census(expand_to_seats(instance_of(obj)), budget or budget_from_env())
+    return Census(expand_to_seats(pr.instance), budget or budget_from_env())
 
 
 def verify_frontier(
-    obj, budget: EnumerationBudget | None = None, *, census: Census | None = None
+    pr: Problem, budget: EnumerationBudget | None = None, *, census: Census | None = None
 ) -> list[CheckResult]:
     """Computed frontier == enumerated frontier, plus its shape invariants."""
-    census = _census_of(obj, budget, census)
+    census = _census_of(pr, budget, census)
     si = census.si
     results: list[CheckResult] = []
     f = _maybe_corrupt(compute_frontier(si))
@@ -158,10 +154,10 @@ def verify_frontier(
 
 
 def verify_cycles(
-    obj, budget: EnumerationBudget | None = None, *, census: Census | None = None
+    pr: Problem, budget: EnumerationBudget | None = None, *, census: Census | None = None
 ) -> list[CheckResult]:
     """Minimal reassignment cycles agree with exhaustive cycle search."""
-    census = _census_of(obj, budget, census)
+    census = _census_of(pr, budget, census)
     si, budget = census.si, census.budget
     results: list[CheckResult] = []
     f = compute_frontier(si)
@@ -214,10 +210,10 @@ def verify_cycles(
 
 
 def verify_lemmas(
-    obj, budget: EnumerationBudget | None = None, *, census: Census | None = None
+    pr: Problem, budget: EnumerationBudget | None = None, *, census: Census | None = None
 ) -> list[CheckResult]:
     """Structural facts: disjoint cycle families, matched-set preservation, kink sweep."""
-    census = _census_of(obj, budget, census)
+    census = _census_of(pr, budget, census)
     si, budget = census.si, census.budget
     results: list[CheckResult] = []
 
@@ -265,8 +261,8 @@ def verify_lemmas(
     return results
 
 
-def _targets_for(problem: Problem | None, f: Frontier, seed: int) -> list[Fraction]:
-    targets = [problem.beta_star] if problem is not None else []
+def _targets_for(beta_star: Fraction | None, f: Frontier, seed: int) -> list[Fraction]:
+    targets = [] if beta_star is None else [beta_star]
     rng = Random(seed)
     for _ in range(5):
         targets.append(Fraction(rng.randrange(0, 11), 10))
@@ -278,17 +274,16 @@ def _targets_for(problem: Problem | None, f: Frontier, seed: int) -> list[Fracti
 
 
 def verify_mechanism(
-    obj,
+    pr: Problem,
     budget: EnumerationBudget | None = None,
     seed: int = 0,
     *,
     census: Census | None = None,
 ) -> list[CheckResult]:
     """Selection rule, share guarantee, domination of exact-share rivals, repair."""
-    census = _census_of(obj, budget, census)
+    census = _census_of(pr, budget, census)
     si, budget = census.si, census.budget
-    inst = instance_of(obj)
-    given = obj.problem if isinstance(obj, ProblemWithOrder) else (obj if isinstance(obj, Problem) else None)
+    inst = pr.instance
     f = compute_frontier(si)
     results: list[CheckResult] = []
 
@@ -308,9 +303,9 @@ def verify_mechanism(
 
     sel_ok = True
     detail = ""
-    for beta in _targets_for(given, f, seed):
-        pr = Problem(instance=inst, beta_star=beta)
-        m, pt = select_approx_on_frontier(pr)
+    for beta in _targets_for(pr.beta_star, f, seed):
+        target = Problem(instance=inst, beta_star=beta)
+        m, pt = select_approx_on_frontier(target)
         if match_point(si, m) != pt or pt not in f.points:
             sel_ok, detail = False, f"witness off the frontier at target {beta}"
             break
@@ -320,28 +315,28 @@ def verify_mechanism(
             sel_ok, detail = False, f"picked {pt}, expected {want} at target {beta}"
             break
         if Fraction(pt.b, pt.e) != beta:
-            rep = dominates_exact_share_matchings(pr, pt, budget, census=census)
+            rep = dominates_exact_share_matchings(target, pt, budget, census=census)
             if not rep.ok:
                 sel_ok, detail = False, f"exact-share rival undominated: {rep.failures[0]}"
                 break
     results.append(CheckResult("mechanism", "selection-rule-and-exact-share-domination", sel_ok, detail))
 
-    prio = obj.priority if isinstance(obj, ProblemWithOrder) else PriorityOrder.from_tiers(inst)
-    pr = given or Problem(instance=inst, beta_star=Fraction(1, 2))
-    pwo = ProblemWithOrder(problem=pr, priority=prio)
+    if pr.beta_star is None:
+        pr = replace(pr, beta_star=Fraction(1, 2))
+    pr = pr.ordered()
     m, pt = select_approx_on_frontier(pr)
-    fixed = repair_priority(pwo, m)
+    fixed = repair_priority(pr, m)
     rep_ok = (
         match_point(si, fixed) == pt
-        and not respects_priority(pwo, fixed)
-        and rank_sum(pwo, fixed) <= rank_sum(pwo, m)
+        and not respects_priority(pr, fixed)
+        and rank_sum(pr, fixed) <= rank_sum(pr, m)
     )
     results.append(
         CheckResult(
             "mechanism",
             "priority-repair-keeps-the-point",
             rep_ok,
-            f"violations before={len(respects_priority(pwo, m))}",
+            f"violations before={len(respects_priority(pr, m))}",
         )
     )
     return results
@@ -355,35 +350,39 @@ SUITE_FUNCS = {
 }
 
 
-def run_suites(obj, suites: tuple[str, ...], budget: EnumerationBudget | None = None) -> list[CheckResult]:
-    census = _census_of(obj, budget, None)
+def run_suites(pr: Problem, suites: tuple[str, ...], budget: EnumerationBudget | None = None) -> list[CheckResult]:
+    census = _census_of(pr, budget, None)
     out: list[CheckResult] = []
     for name in suites:
-        out.extend(SUITE_FUNCS[name](obj, census.budget, census=census))
+        out.extend(SUITE_FUNCS[name](pr, census.budget, census=census))
     return out
 
 
-def random_inputs(params: dict[str, str]) -> list[Instance]:
-    """Instances from key=value tokens: patients= categories= seed= count= quota= elig= bene=."""
+def random_inputs(params: dict[str, str]) -> list[Problem]:
+    """Problems from key=value tokens: patients= categories= seed= count= quota= elig= bene=."""
     from .generator import GenConfig
 
     patients = int(params.get("patients", "6"))
     categories = int(params.get("categories", "5"))
     seed = int(params.get("seed", "0"))
     count = int(params.get("count", "1"))
+    if count < 1:
+        raise ValueError(f"--random count must be at least 1, got {count}")
     lo, _, hi = params.get("quota", "1:1").partition(":")
     quota_range = (int(lo), int(hi or lo))
     elig = float(params.get("elig", "0.5"))
     bene = float(params.get("bene", "0.5"))
     return [
-        gen_random(
-            GenConfig(
-                patients=patients,
-                categories=categories,
-                quota_range=quota_range,
-                eligibility_density=elig,
-                beneficiary_density=bene,
-                seed=seed + i,
+        Problem(
+            gen_random(
+                GenConfig(
+                    patients=patients,
+                    categories=categories,
+                    quota_range=quota_range,
+                    eligibility_density=elig,
+                    beneficiary_density=bene,
+                    seed=seed + i,
+                )
             )
         )
         for i in range(count)

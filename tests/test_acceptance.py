@@ -18,7 +18,6 @@ from reserve_frontier import (
     NoNonEmptyMatchingError,
     PriorityOrder,
     Problem,
-    ProblemWithOrder,
     apply_cycle,
     audit_substitutability,
     beneficiary_loss,
@@ -130,9 +129,7 @@ def test_criterion_01_named_frontiers():
         "path-independence": (MatchPoint(4, 2), MatchPoint(5, 1)),
     }
     for name, want in cases.items():
-        obj = gen_named(name)
-        inst = obj.instance if isinstance(obj, Problem) else obj
-        got = compute_frontier(expand_to_seats(inst)).points
+        got = compute_frontier(expand_to_seats(gen_named(name).instance)).points
         assert got == want, f"{name}: {got} != {want}"
     sub = restrict_patients(
         gen_named("path-independence").instance, {"p1", "p2", "p3", "p4", "p5"}
@@ -168,7 +165,7 @@ def test_criterion_03_half_bound(small_pool):
         r = half_bound_ratio(f)
         assert r <= Fraction(1, 2), f"instance {i}: ratio {r}"
     assert nonempty >= 900, f"only {nonempty} instances had any match"
-    conflict = compute_frontier(expand_to_seats(gen_named("conflict")))
+    conflict = compute_frontier(expand_to_seats(gen_named("conflict").instance))
     assert half_bound_ratio(conflict) == Fraction(1, 2)
     elapsed = build_s + time.perf_counter() - t0
     assert elapsed < 60.0, f"{elapsed:.1f}s"
@@ -312,7 +309,7 @@ def test_criterion_10_priority_repair():
             m, pt = select_approx_on_frontier(pr)
         except NoNonEmptyMatchingError:
             continue
-        pwo = ProblemWithOrder(problem=pr, priority=_admissible_order(inst, rng))
+        pwo = Problem(instance=inst, beta_star=beta, priority=_admissible_order(inst, rng))
         fixed = repair_priority(pwo, m)
         si = expand_to_seats(inst)
         assert respects_priority(pwo, fixed) == [], f"instance {i - 1}"

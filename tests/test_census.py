@@ -189,11 +189,11 @@ def scan_counter(monkeypatch):
 
 
 def test_verify_enumerates_each_instance_at_most_twice(scan_counter):
-    insts = [*base_draws(), gen_named("conflict"), gen_named("path-independence")]
-    insts += [gen_random(GenConfig(6, 5, (1, 1), 0.5, 0.5, seed=s)) for s in range(20)]
-    for obj in insts:
+    problems = [*map(Problem, base_draws()), gen_named("conflict"), gen_named("path-independence")]
+    problems += [Problem(gen_random(GenConfig(6, 5, (1, 1), 0.5, 0.5, seed=s))) for s in range(20)]
+    for pr in problems:
         scan_counter.clear()
-        results = run_suites(obj, SUITES)
+        results = run_suites(pr, SUITES)
         assert all(r.ok for r in results)
         assert 1 <= len(scan_counter) <= 2
 

@@ -64,6 +64,18 @@ def test_frontier_csv_witnesses_to_stdout_is_an_error(capsys):
     assert "sidecar" in err
 
 
+def test_frontier_csv_witnesses_without_output_fail_before_any_work(monkeypatch, capsys):
+    import reserve_frontier.cli as cli_module
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the frontier was computed before the arguments were checked")
+
+    monkeypatch.setattr(cli_module, "compute_frontier", no_work)
+    code, out, err = run(capsys, "frontier", "--named", "figure1", "--witnesses")
+    assert code == 2 and out == ""
+    assert "-o" in err
+
+
 def test_solve_summary_line(capsys):
     code, out, _ = run(capsys, "solve", "--named", "beta-threshold")
     assert code == 0
@@ -209,6 +221,21 @@ def test_verify_random_instances(capsys):
 def test_verify_random_rejects_bad_tokens(capsys):
     code, _, err = run(capsys, "verify", "--random", "patients")
     assert code == 2 and "key=value" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_random_count_below_one_exits_2(count, capsys):
+    code, out, err = run(capsys, "verify", "--random", f"count={count}")
+    assert code == 2 and out == ""
+    assert "count" in err
+
+
+def test_deeply_nested_json_exits_2_naming_the_nesting(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "frontier", str(path))
+    assert code == 2 and out == ""
+    assert "nesting" in err
 
 
 def test_verify_parallel_jobs(capsys):

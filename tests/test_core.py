@@ -12,6 +12,7 @@ from reserve_frontier import (
     Matching,
     MatchingError,
     MatchPoint,
+    PriorityOrder,
     Problem,
     beneficiary_share,
     dominates,
@@ -113,6 +114,17 @@ def test_problem_requires_exact_fraction():
         Problem(instance=inst, beta_star=Fraction(-1, 10))
 
 
+def test_problem_validates_its_priority_and_fills_in_the_tier_order():
+    inst = tiny()
+    bare = Problem(instance=inst)
+    assert bare.beta_star is None and bare.priority is None
+    ordered = bare.ordered()
+    assert ordered.priority == PriorityOrder.from_tiers(inst)
+    assert ordered.ordered() is ordered  # a given order is kept, not rebuilt
+    with pytest.raises(InstanceError, match="unknown category"):
+        Problem(instance=inst, priority=PriorityOrder(order={"zz": inst.patients}))
+
+
 def test_expand_to_seats_unit_quotas():
     inst = validate_instance(
         Instance(
@@ -158,6 +170,12 @@ def test_sweep_size_check_is_the_exact_weight_headroom():
     assert len(expand_to_seats(instance(1, q - 1)).seats) == q - 1
     with pytest.raises(InstanceError, match=f"1 patient\\(s\\) and {q} seat\\(s\\)"):
         expand_to_seats(instance(1, q))
+
+    # no patients: held to the one-patient limit, though min(patients, seats) = 0
+    assert q == 208_064 and sweep_bound(0, q) == 0
+    assert len(expand_to_seats(instance(0, q - 1)).seats) == q - 1
+    with pytest.raises(InstanceError, match=f"0 patient\\(s\\) and {q} seat\\(s\\).*one-patient limit"):
+        expand_to_seats(instance(0, q))
 
     # many patients, few seats: far past n = 9741, yet exact, so it is solved
     assert sweep_bound(10_000, 50) < 2**53

@@ -14,7 +14,6 @@ from reserve_frontier import (
     MatchPoint,
     apply_cycle,
     beneficiary_loss,
-    build_associated_graph,
     check_applicable,
     compute_frontier,
     expand_to_seats,
@@ -32,19 +31,7 @@ from reserve_frontier import (
 
 
 def conflict_si():
-    return expand_to_seats(gen_named("conflict"))
-
-
-def test_associated_graph_shape():
-    si = conflict_si()
-    m = Matching(pairs=(("p1", "c2#0"),))
-    g = build_associated_graph(si, m)
-    # p1 may move to the other seat it is eligible for
-    assert g.patient_edges["p1"] == ("c1#0",)
-    assert g.patient_edges["p2"] == ("c2#0",)
-    # a filled seat points to its holder, an open one to all unmatched patients
-    assert g.seat_edges["c2#0"] == ("p1",)
-    assert g.seat_edges["c1#0"] == ("p2",)
+    return expand_to_seats(gen_named("conflict").instance)
 
 
 def test_cycle_validation():
@@ -147,9 +134,7 @@ def test_chain_family_single_cycle_costs_everything():
 
 def test_walk_visits_the_whole_frontier():
     for name in ("conflict", "figure1", "path-independence"):
-        obj = gen_named(name)
-        inst = getattr(obj, "instance", obj)
-        si = expand_to_seats(inst)
+        si = expand_to_seats(gen_named(name).instance)
         f = compute_frontier(si)
         walk = frontier_walk(si, f.witnesses[f.points[0]])
         assert [pt for pt, _ in walk] == list(f.points)

@@ -16,7 +16,6 @@ from reserve_frontier import (
     dominates,
     enumerate_matchings,
     expand_to_seats,
-    frontier_endpoints,
     frontier_iteration,
     gen_chain_family,
     gen_named,
@@ -46,11 +45,11 @@ def test_kinks_are_endpoints_plus_slope_changes():
 
 
 def test_named_frontiers():
-    f = compute_frontier(expand_to_seats(gen_named("conflict")))
+    f = compute_frontier(expand_to_seats(gen_named("conflict").instance))
     assert list(f.points) == pts((1, 1), (2, 0))
     assert f.kinks == {MatchPoint(1, 1), MatchPoint(2, 0)}
 
-    f = compute_frontier(expand_to_seats(gen_named("figure1")))
+    f = compute_frontier(expand_to_seats(gen_named("figure1").instance))
     assert list(f.points) == pts((3, 0))
 
     f = compute_frontier(expand_to_seats(gen_named("beta-threshold").instance))
@@ -79,7 +78,7 @@ def test_frontier_iteration_maximizes_the_weighted_objective():
 
 
 def test_frontier_iteration_range_check():
-    si = expand_to_seats(gen_named("conflict"))
+    si = expand_to_seats(gen_named("conflict").instance)
     with pytest.raises(ValueError):
         frontier_iteration(si, 0)
     with pytest.raises(ValueError):
@@ -88,7 +87,8 @@ def test_frontier_iteration_range_check():
 
 def test_endpoints_maximize_each_objective_first():
     si = expand_to_seats(gen_named("path-independence").instance)
-    mu_be, mu_eb = frontier_endpoints(si)
+    _, mu_be = frontier_iteration(si, 1)
+    _, mu_eb = frontier_iteration(si, max(len(si.patients), len(si.seats)))
     f = compute_frontier(si)
     assert match_point(si, mu_be) == f.points[0]
     assert match_point(si, mu_eb) == f.points[-1]
@@ -141,8 +141,8 @@ def test_zero_eligibility_gives_the_empty_point():
 
 
 def test_half_bound_ratio_values():
-    assert half_bound_ratio(compute_frontier(expand_to_seats(gen_named("conflict")))) == Fraction(1, 2)
-    assert half_bound_ratio(compute_frontier(expand_to_seats(gen_named("figure1")))) == 0
+    assert half_bound_ratio(compute_frontier(expand_to_seats(gen_named("conflict").instance))) == Fraction(1, 2)
+    assert half_bound_ratio(compute_frontier(expand_to_seats(gen_named("figure1").instance))) == 0
 
 
 def test_invariant_checker_rejects_bad_shapes():

@@ -7,8 +7,6 @@ import pytest
 from reserve_frontier import (
     NAMED_INSTANCES,
     GenConfig,
-    Instance,
-    Problem,
     gen_chain_family,
     gen_named,
     gen_random,
@@ -23,8 +21,9 @@ def test_registry_lists_all_named_instances():
 
 
 def test_conflict_structure():
-    inst = gen_named("conflict")
-    assert isinstance(inst, Instance)
+    pr = gen_named("conflict")
+    assert pr.beta_star is None and pr.priority is None
+    inst = pr.instance
     assert inst.quota == {"c1": 1, "c2": 1}
     assert inst.eligible_of("c1") == frozenset({"p1"})
     assert inst.eligible_of("c2") == frozenset({"p1", "p2"})
@@ -33,8 +32,9 @@ def test_conflict_structure():
 
 
 def test_figure1_structure():
-    inst = gen_named("figure1")
-    assert isinstance(inst, Instance)
+    pr = gen_named("figure1")
+    assert pr.beta_star is None and pr.priority is None
+    inst = pr.instance
     assert inst.eligible_of("c1") == frozenset({"p1", "p2"})
     assert inst.eligible_of("c2") == frozenset({"p2", "p3"})
     assert inst.eligible_of("c3") == frozenset({"p1"})
@@ -43,7 +43,7 @@ def test_figure1_structure():
 
 def test_beta_threshold_structure():
     pr = gen_named("beta-threshold")
-    assert isinstance(pr, Problem)
+    assert pr.beta_star is not None and pr.priority is None
     assert pr.beta_star == Fraction(7, 10)
     inst = pr.instance
     assert inst.eligible_of("c1") == inst.beneficiary_of("c1") == frozenset({"p1"})
@@ -53,7 +53,7 @@ def test_beta_threshold_structure():
 
 def test_path_independence_structure():
     pr = gen_named("path-independence")
-    assert isinstance(pr, Problem)
+    assert pr.beta_star is not None and pr.priority is None
     assert pr.beta_star == Fraction(1, 5)
     inst = pr.instance
     assert inst.patients == ("p1", "p2", "p3", "p4", "p5", "p6")

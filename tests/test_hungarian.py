@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reserve_frontier.hungarian import (
-    EXACT_LIMIT,
-    WeightedBipartite,
-    max_weight_assignment_dense,
-    max_weight_matching,
-)
+from reserve_frontier.hungarian import EXACT_LIMIT, max_weight_assignment_dense
 
 
 def brute_force_total(n_left: int, n_right: int, weights: dict) -> int:
@@ -35,36 +30,39 @@ def brute_force_total(n_left: int, n_right: int, weights: dict) -> int:
     return best
 
 
+def solve(n_left: int, n_right: int, weights: dict) -> tuple[dict[int, int], int]:
+    """Dense solve of a weight map; absent pairs are forbidden."""
+    dense = np.zeros((n_left, n_right), dtype=np.int64)
+    allowed = np.zeros((n_left, n_right), dtype=bool)
+    for (i, j), w in weights.items():
+        dense[i, j] = w
+        allowed[i, j] = True
+    rows, cols = max_weight_assignment_dense(dense, allowed)
+    return dict(zip(rows.tolist(), cols.tolist())), int(dense[rows, cols].sum())
+
+
 def test_empty_graph():
-    g = WeightedBipartite(n_left=0, n_right=3, weights={})
-    assignment, total = max_weight_matching(g)
+    assignment, total = solve(0, 3, {})
     assert assignment == {} and total == 0
 
 
 def test_simple_two_by_two():
-    g = WeightedBipartite(n_left=2, n_right=2, weights={(0, 0): 3, (0, 1): 5, (1, 0): 4})
-    assignment, total = max_weight_matching(g)
+    assignment, total = solve(2, 2, {(0, 0): 3, (0, 1): 5, (1, 0): 4})
     assert total == 9
     assert assignment == {0: 1, 1: 0}
 
 
 def test_forbidden_pairs_never_assigned():
     # only (0,1) carries weight; (1,0) is forbidden entirely
-    g = WeightedBipartite(n_left=2, n_right=2, weights={(0, 1): 7})
-    assignment, total = max_weight_matching(g)
+    assignment, total = solve(2, 2, {(0, 1): 7})
     assert assignment == {0: 1}
     assert total == 7
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        WeightedBipartite(n_left=1, n_right=1, weights={(1, 0): 1})
-    with pytest.raises(ValueError):
-        WeightedBipartite(n_left=1, n_right=1, weights={(0, 0): -1})
-    with pytest.raises(ValueError):
-        WeightedBipartite(n_left=1, n_right=1, weights={(0, 0): 1.5})
-    with pytest.raises(ValueError):
-        WeightedBipartite(n_left=2, n_right=2, weights={(0, 0): EXACT_LIMIT})
+    # a weight whose product with the smaller side reaches 2^53 is refused
+    with pytest.raises(ValueError, match="exact arithmetic headroom"):
+        solve(2, 2, {(0, 0): EXACT_LIMIT})
 
 
 def test_matches_brute_force_on_random_graphs():
@@ -77,15 +75,14 @@ def test_matches_brute_force_on_random_graphs():
             for j in range(n_right):
                 if rng.random() < 0.6:
                     weights[(i, j)] = rng.randint(0, 40)
-        g = WeightedBipartite(n_left=n_left, n_right=n_right, weights=weights)
-        assignment, total = max_weight_matching(g)
+        assignment, total = solve(n_left, n_right, weights)
         assert total == brute_force_total(n_left, n_right, weights)
         assert total == sum(weights[(i, j)] for i, j in assignment.items())
         assert len(set(assignment.values())) == len(assignment)
         assert all((i, j) in weights for i, j in assignment.items())
 
 
-def test_dense_variant_agrees_with_dict_variant():
+def test_dense_agrees_with_brute_force_on_zero_weight_pairs():
     rng = Random(3)
     for trial in range(30):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
@@ -100,8 +97,7 @@ def test_dense_variant_agrees_with_dict_variant():
                     weights[(i, j)] = int(w[i, j])
         rows, cols = max_weight_assignment_dense(w, allowed)
         dense_total = int(w[rows, cols].sum())
-        _, total = max_weight_matching(WeightedBipartite(n_left=n, n_right=m, weights=weights))
-        assert dense_total == total
+        assert dense_total == brute_force_total(n, m, weights)
         assert allowed[rows, cols].all()
 
 
@@ -119,6 +115,5 @@ def test_total_is_max_over_all_injections(n_left, n_right, vals, mask):
             k = i * 4 + j
             if mask[k]:
                 weights[(i, j)] = vals[k]
-    g = WeightedBipartite(n_left=n_left, n_right=n_right, weights=weights)
-    _, total = max_weight_matching(g)
+    _, total = solve(n_left, n_right, weights)
     assert total == brute_force_total(n_left, n_right, weights)

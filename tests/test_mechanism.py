@@ -17,7 +17,6 @@ from reserve_frontier import (
     NoNonEmptyMatchingError,
     PriorityOrder,
     Problem,
-    ProblemWithOrder,
     audit_path_independence,
     audit_substitutability,
     beneficiary_share,
@@ -52,9 +51,13 @@ def test_selection_on_named_problems():
     assert pt == MatchPoint(5, 1)
     assert beneficiary_share(pt) == Fraction(1, 5)
 
+    # a named problem without a share target cannot be selected on
+    with pytest.raises(ValueError, match="beta_star"):
+        select_approx_on_frontier(gen_named("conflict"))
+
 
 def test_selection_picks_largest_qualifying_point():
-    inst = gen_named("conflict")
+    inst = gen_named("conflict").instance
     m, pt = select_approx_on_frontier(Problem(instance=inst, beta_star=Fraction(1, 3)))
     assert pt == MatchPoint(1, 1)
     m, pt = select_approx_on_frontier(Problem(instance=inst, beta_star=Fraction(0)))
@@ -252,8 +255,9 @@ def test_validate_priority_rejects_bad_orders():
 
 def test_rank_sum_by_hand():
     inst = priority_fixture()
-    pwo = ProblemWithOrder(
-        problem=Problem(instance=inst, beta_star=Fraction(0)),
+    pwo = Problem(
+        instance=inst,
+        beta_star=Fraction(0),
         priority=PriorityOrder.from_tiers(inst),
     )
     m = Matching(pairs=(("p1", "c1#0"), ("p3", "c2#0")))
@@ -272,8 +276,9 @@ def test_repair_swaps_in_the_outranking_patient():
             beneficiary={},
         )
     )
-    pwo = ProblemWithOrder(
-        problem=Problem(instance=inst, beta_star=Fraction(0)),
+    pwo = Problem(
+        instance=inst,
+        beta_star=Fraction(0),
         priority=PriorityOrder(order={"c1": ("p2", "p1")}),
     )
     m = Matching(pairs=(("p1", "c1#0"),))
@@ -297,8 +302,9 @@ def test_repair_rejects_score_changing_swaps():
             beneficiary={"c1": frozenset({"p2"})},
         )
     )
-    pwo = ProblemWithOrder(
-        problem=Problem(instance=inst, beta_star=Fraction(0)),
+    pwo = Problem(
+        instance=inst,
+        beta_star=Fraction(0),
         priority=PriorityOrder.from_tiers(inst),
     )
     dominated = Matching(pairs=(("p1", "c1#0"),))
@@ -339,7 +345,7 @@ def test_repair_preserves_selected_points_on_random_instances():
                 rng.shuffle(tier)
                 shuffled.extend(tier)
             order[c] = tuple(shuffled)
-        pwo = ProblemWithOrder(problem=pr, priority=validate_priority(inst, PriorityOrder(order=order)))
+        pwo = Problem(instance=inst, beta_star=pr.beta_star, priority=validate_priority(inst, PriorityOrder(order=order)))
         before = respects_priority(pwo, m)
         fixed = repair_priority(pwo, m)
         si = expand_to_seats(inst)

@@ -43,7 +43,7 @@ def count_by_seats(si) -> int:
 
 
 def test_conflict_has_five_matchings():
-    si = expand_to_seats(gen_named("conflict"))
+    si = expand_to_seats(gen_named("conflict").instance)
     assert count_matchings(si) == 5
     ms = list(enumerate_matchings(si))
     assert len(ms) == 5
@@ -70,11 +70,11 @@ def test_count_agrees_with_seat_axis_recursion():
 
 
 def test_oracle_frontier_on_named_instances():
-    assert list(oracle_frontier(expand_to_seats(gen_named("conflict"))).points) == [
+    assert list(oracle_frontier(expand_to_seats(gen_named("conflict").instance)).points) == [
         MatchPoint(1, 1),
         MatchPoint(2, 0),
     ]
-    assert list(oracle_frontier(expand_to_seats(gen_named("figure1"))).points) == [MatchPoint(3, 0)]
+    assert list(oracle_frontier(expand_to_seats(gen_named("figure1").instance)).points) == [MatchPoint(3, 0)]
     pi = gen_named("path-independence").instance
     assert list(oracle_frontier(expand_to_seats(pi)).points) == [MatchPoint(4, 2), MatchPoint(5, 1)]
 
@@ -118,7 +118,7 @@ def test_budget_env_override(monkeypatch):
 
 
 def test_matchings_at_point_and_sampling():
-    si = expand_to_seats(gen_named("conflict"))
+    si = expand_to_seats(gen_named("conflict").instance)
     at_11 = matchings_at_point(si, MatchPoint(1, 1))
     assert at_11 == [Matching(pairs=(("p1", "c2#0"),))]
     f = oracle_frontier(si)
@@ -142,7 +142,7 @@ def test_sampling_caps_and_stays_deterministic():
 
 
 def test_min_cycle_loss_on_conflict():
-    si = expand_to_seats(gen_named("conflict"))
+    si = expand_to_seats(gen_named("conflict").instance)
     best = Matching(pairs=(("p1", "c2#0"),))  # the (1,1) matching
     assert oracle_min_cycle_loss(si, best) == 1
     full = Matching(pairs=(("p1", "c1#0"), ("p2", "c2#0")))  # (2,0): nothing larger

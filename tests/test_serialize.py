@@ -6,13 +6,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reserve_frontier import (
     GenConfig,
     Matching,
     PriorityOrder,
     Problem,
-    ProblemWithOrder,
     compute_frontier,
     expand_to_seats,
     gen_named,
@@ -56,7 +57,9 @@ def test_parse_minimal_document():
         ],
         "patients": ["p1", "p2"],
     }
-    inst = parse_instance(doc)
+    pr = parse_instance(doc)
+    assert pr.beta_star is None and pr.priority is None
+    inst = pr.instance
     assert inst.quota == {"c1": 1, "c2": 2}
     assert inst.beneficiary_of("c2") == frozenset({"p1"})
 
@@ -80,7 +83,9 @@ def test_round_trip_on_named_inputs():
 
 def test_round_trip_with_priority():
     pr = gen_named("beta-threshold")
-    pwo = ProblemWithOrder(problem=pr, priority=PriorityOrder.from_tiers(pr.instance))
+    pwo = Problem(
+        instance=pr.instance, beta_star=pr.beta_star, priority=PriorityOrder.from_tiers(pr.instance)
+    )
     again = parse_instance(emit_instance(pwo))
     assert again == pwo
 
@@ -96,13 +101,13 @@ def test_round_trip_on_random_instances():
                 seed=rng.randint(0, 10_000),
             )
         )
-        assert parse_instance(emit_instance(inst)) == inst
+        assert parse_instance(emit_instance(Problem(inst))) == Problem(inst)
         pr = Problem(instance=inst, beta_star=Fraction(rng.randint(0, 6), 6))
         assert parse_instance(emit_instance(pr)) == pr
 
 
 def test_matching_serialization_uses_categories():
-    si = expand_to_seats(gen_named("conflict"))
+    si = expand_to_seats(gen_named("conflict").instance)
     m = Matching(pairs=(("p1", "c2#0"),))
     assert matching_to_assignment(si, m) == {"p1": "c2"}
     d = matching_to_dict(si, m)
@@ -111,7 +116,7 @@ def test_matching_serialization_uses_categories():
 
 
 def test_frontier_csv_layout():
-    f = compute_frontier(expand_to_seats(gen_named("conflict")))
+    f = compute_frontier(expand_to_seats(gen_named("conflict").instance))
     buf = io.StringIO()
     write_frontier_csv(f, buf)
     assert buf.getvalue() == "e,b,beta_num,beta_den,is_kink\n1,1,1,1,1\n2,0,0,1,1\n"
@@ -130,7 +135,7 @@ def test_frontier_csv_empty_point_row():
 
 
 def test_frontier_json_with_witnesses():
-    si = expand_to_seats(gen_named("conflict"))
+    si = expand_to_seats(gen_named("conflict").instance)
     f = with_all_witnesses(si, compute_frontier(si))
     doc = frontier_to_dict(f, si, witnesses=True)
     assert [p["e"] for p in doc["points"]] == [1, 2]
@@ -142,3 +147,58 @@ def test_frontier_json_with_witnesses():
         frontier_to_dict(f, None, witnesses=True)
     # repeated rendering is byte-identical
     assert frontier_to_json(f, si, witnesses=True) == frontier_to_json(f, si, witnesses=True)
+
+
+# JSON-shaped values, biased toward instance-file keys and ids so that
+# most documents reach the schema and invariant checks, not just the first
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats()
+    | st.sampled_from(["p1", "p2", "c1", "c2", "7/10", "0.5", "1/0", "2", ""])
+)
+_values = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "quota", "eligible", "c1", "x"]), kids, max_size=3),
+    max_leaves=12,
+)
+
+
+def _mostly(good):
+    """Three draws in four from the well-formed strategy, the rest anything."""
+    pick = st.sampled_from((True, True, True, False))
+    return st.tuples(pick, good, _values).map(lambda t: t[1] if t[0] else t[2])
+
+
+_ids = _mostly(st.lists(st.sampled_from(["p1", "p2", "p3"]), max_size=3, unique=True))
+_category = st.fixed_dictionaries(
+    {"id": _mostly(st.sampled_from(["c1", "c2"])), "quota": _mostly(st.integers(0, 2))},
+    optional={"eligible": _ids, "beneficiary": _mostly(st.just(["p1"]))},
+)
+_document = _mostly(
+    st.fixed_dictionaries(
+        {
+            "categories": _mostly(st.lists(_category, max_size=3)),
+            "patients": _mostly(st.just(["p1", "p2", "p3"])),
+        },
+        optional={
+            "beta_star": _mostly(st.sampled_from(["7/10", "1/2", "0.5", 0, 1, 0.25, "2"])),
+            "priority": _mostly(
+                st.dictionaries(st.sampled_from(["c1", "c2", "c3"]), _ids, max_size=3)
+            ),
+        },
+    )
+)
+
+
+@given(_document)
+@settings(max_examples=300, deadline=None)
+def test_parse_instance_returns_a_problem_or_raises_value_error(doc):
+    try:
+        pr = parse_instance(doc)
+    except ValueError:
+        return
+    assert isinstance(pr, Problem)
+    assert parse_instance(emit_instance(pr)) == pr
