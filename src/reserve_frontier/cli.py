@@ -126,15 +126,12 @@ def cmd_solve(args) -> int:
     if pr.beta_star is None:
         raise ValueError("solve needs beta_star in the instance file")
     m, pt = select_approx_on_frontier(pr)
-    doc = None
     if args.respect_priority:
-        pr = pr.ordered()
         m = repair_priority(pr, m)
-        doc = {"priority_violations": len(respects_priority(pr, m))}
-    si = expand_to_seats(pr.instance)
-    out = matching_to_dict(si, m)
+    out = matching_to_dict(expand_to_seats(pr.instance), m)
     out["target"] = share_str(pr.beta_star)
-    out.update(doc or {})
+    if args.respect_priority:
+        out["priority_violations"] = len(respects_priority(pr, m))
     _write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", args.output)
     beta = share_str(beneficiary_share(pt)) if pt.e else "0/1"
     print(f"e={pt.e} b={pt.b} beta={beta} target={share_str(pr.beta_star)}")

@@ -16,7 +16,7 @@ beneficiary matches.  Shares b/e are kept as exact fractions throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
@@ -142,32 +142,14 @@ class PriorityOrder:
             self, "order", {c: tuple(ps) for c, ps in dict(self.order).items()}
         )
 
-    @cached_property
-    def _ranks(self) -> dict[str, dict[str, int]]:
-        return {
-            c: {p: i + 1 for i, p in enumerate(ps)} for c, ps in self.order.items()
-        }
-
-    def rank(self, category: str, patient: str) -> int:
-        """Position of patient in the category's order; 1 is highest."""
-        return self._ranks[category][patient]
-
-    def outranks(self, category: str, a: str, b: str) -> bool:
-        return self.rank(category, a) < self.rank(category, b)
-
     @classmethod
     def from_tiers(cls, inst: Instance) -> "PriorityOrder":
         """Admissible order synthesized from tiers, input order within a tier."""
-        order = {}
-        for c in inst.categories:
-            bene = inst.beneficiary_of(c)
-            elig = inst.eligible_of(c)
-            order[c] = tuple(
-                [p for p in inst.patients if p in bene]
-                + [p for p in inst.patients if p in elig and p not in bene]
-                + [p for p in inst.patients if p not in elig]
-            )
-        return cls(order=order)
+        def tiers(c: str) -> tuple[str, ...]:
+            bene, elig = inst.beneficiary_of(c), inst.eligible_of(c)
+            return tuple(sorted(inst.patients, key=lambda p: (p not in bene, p not in elig)))
+
+        return cls(order={c: tiers(c) for c in inst.categories})
 
 
 def validate_priority(inst: Instance, po: PriorityOrder) -> PriorityOrder:
@@ -175,11 +157,12 @@ def validate_priority(inst: Instance, po: PriorityOrder) -> PriorityOrder:
     for c in po.order:
         if c not in inst.categories:
             raise InstanceError(f"priority names unknown category {c}")
+    pats = set(inst.patients)
     for c in inst.categories:
         if c not in po.order:
             raise InstanceError(f"priority missing category {c}")
         ps = po.order[c]
-        if sorted(ps) != sorted(inst.patients):
+        if len(ps) != len(inst.patients) or set(ps) != pats:
             raise InstanceError(f"priority for {c} is not a permutation of the patients")
         bene = inst.beneficiary_of(c)
         elig = inst.eligible_of(c)
@@ -214,12 +197,6 @@ class Problem:
             object.__setattr__(self, "beta_star", beta)
         if self.priority is not None:
             validate_priority(self.instance, self.priority)
-
-    def ordered(self) -> "Problem":
-        """This problem, given the tier order when it names no priority."""
-        if self.priority is not None:
-            return self
-        return replace(self, priority=PriorityOrder.from_tiers(self.instance))
 
 
 @dataclass(frozen=True)
@@ -355,10 +332,6 @@ class Matching:
     @cached_property
     def matched_patients(self) -> frozenset[str]:
         return frozenset(self.by_patient)
-
-    @cached_property
-    def matched_seats(self) -> frozenset[str]:
-        return frozenset(self.by_seat)
 
     def seat_of(self, patient: str) -> str | None:
         return self.by_patient.get(patient)

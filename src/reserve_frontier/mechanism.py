@@ -11,13 +11,20 @@ beneficiaries > other eligible > ineligible.  A frontier matching that
 seats someone over a higher-priority unmatched patient is repaired by
 swapping the two inside the category, which cannot change the matching's
 score on admissible orders.
+
+An admissible order ranks every eligible patient above every ineligible
+one, so a category's eligible patients hold its top |eligible| ranks and
+no ineligible patient outranks one the category can seat.  The priority
+functions therefore rank only eligible patients, unless a hand-built
+matching seats an ineligible one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import takewhile
+from typing import Iterable, Sequence
 
 from .core import (
     Matching,
@@ -146,30 +153,58 @@ def dominates_exact_share_matchings(
     return report
 
 
+class _Ranks:
+    """Per-category ranks (1 is highest) of the eligible patients, from
+    pr's priority or, when it names none, from the tiers."""
+
+    def __init__(self, pr: Problem) -> None:
+        self.pr, self.si = pr, expand_to_seats(pr.instance)
+        self.top: dict[str, Sequence[str]] = {}
+        for c in pr.instance.categories:
+            elig, bene = pr.instance.eligible_of(c), pr.instance.beneficiary_of(c)
+            if pr.priority is not None:
+                self.top[c] = pr.priority.order[c][: len(elig)]
+            else:
+                self.top[c] = sorted(elig, key=lambda p: (p not in bene, self.si.patient_index[p]))
+        self.rank = {c: {p: i for i, p in enumerate(top, 1)} for c, top in self.top.items()}
+
+    def ahead(self, c: str, p: str) -> Sequence[str]:
+        """The patients that outrank p in c."""
+        r = self.rank[c].get(p)
+        if r is not None:
+            return self.top[c][: r - 1]
+        # p is ineligible for c, which only a hand-built matching allows
+        inst = self.pr.instance
+        if self.pr.priority is not None:
+            tail = self.pr.priority.order[c][len(self.top[c]):]
+        else:
+            tail = [q for q in inst.patients if q not in inst.eligible_of(c)]
+        return [*self.top[c], *takewhile(lambda q: q != p, tail)]
+
+    def of(self, c: str, p: str) -> int:
+        return self.rank[c].get(p) or len(self.ahead(c, p)) + 1
+
+    def violations(self, m: Matching) -> list[tuple[str, str, str]]:
+        out = []
+        for p, s in m.pairs:
+            c = self.si.category_of(s)
+            out += [(c, p, q) for q in self.ahead(c, p) if m.seat_of(q) is None]
+        return sorted(out)
+
+
 def rank_sum(pr: Problem, m: Matching) -> int:
     """Sum of assigned patients' priority ranks in their assigned categories.
 
-    Like respects_priority and repair_priority, this reads pr.ordered():
-    a problem that names no priority is ranked by the tier order.
+    Like respects_priority and repair_priority, this ranks by the tier
+    order when pr names no priority.
     """
-    po = pr.ordered().priority
-    si = expand_to_seats(pr.instance)
-    return sum(po.rank(si.category_of(s), p) for p, s in m.pairs)
+    r = _Ranks(pr)
+    return sum(r.of(r.si.category_of(s), p) for p, s in m.pairs)
 
 
 def respects_priority(pr: Problem, m: Matching) -> list[tuple[str, str, str]]:
     """All triples (category, assigned patient, unmatched patient outranking them)."""
-    po = pr.ordered().priority
-    inst = pr.instance
-    si = expand_to_seats(inst)
-    unmatched = [p for p in inst.patients if m.seat_of(p) is None]
-    out = []
-    for p, s in m.pairs:
-        c = si.category_of(s)
-        for q in unmatched:
-            if po.outranks(c, q, p):
-                out.append((c, p, q))
-    return sorted(out)
+    return _Ranks(pr).violations(m)
 
 
 def repair_priority(pr: Problem, m: Matching) -> Matching:
@@ -181,30 +216,23 @@ def repair_priority(pr: Problem, m: Matching) -> Matching:
     swap can only change the score if the input was not a frontier
     matching; that case raises with a diagnostic.
     """
-    pr = pr.ordered()  # once, so no swap rebuilds a tier order
-    po = pr.priority
-    inst = pr.instance
-    si = expand_to_seats(inst)
-    target = match_point(si, m)
-    cat_pos = {c: i for i, c in enumerate(inst.categories)}
+    r = _Ranks(pr)
+    target = match_point(r.si, m)
+    cat_pos = {c: i for i, c in enumerate(pr.instance.categories)}
     current = m
     while True:
-        violations = respects_priority(pr, current)
+        violations = r.violations(current)
         if not violations:
             return current
         c, p, q = min(
             violations,
-            key=lambda v: (
-                cat_pos[v[0]],
-                po.rank(v[0], v[2]),
-                -po.rank(v[0], v[1]),
-            ),
+            key=lambda v: (cat_pos[v[0]], r.of(v[0], v[2]), -r.of(v[0], v[1])),
         )
         assignment = dict(current.by_patient)
         seat = assignment.pop(p)
         assignment[q] = seat
         swapped = Matching.from_assignment(assignment)
-        if match_point(si, swapped) != target:
+        if match_point(r.si, swapped) != target:
             raise ValueError(
                 "input was not a frontier matching: a priority swap changed its score"
             )

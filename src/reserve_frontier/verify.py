@@ -323,7 +323,6 @@ def verify_mechanism(
 
     if pr.beta_star is None:
         pr = replace(pr, beta_star=Fraction(1, 2))
-    pr = pr.ordered()
     m, pt = select_approx_on_frontier(pr)
     fixed = repair_priority(pr, m)
     rep_ok = (

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import reserve_frontier.core as core_module
 import reserve_frontier.mechanism as mechanism_module
 from reserve_frontier import gen_named
 from reserve_frontier.cli import main, parse_subset_tokens
@@ -106,6 +107,46 @@ def test_solve_with_priority_repair(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["priority_violations"] == 0
     assert doc["e"] == 5 and doc["b"] == 1
+
+
+def test_solve_repair_builds_no_tier_order(monkeypatch, tmp_path, capsys):
+    # the solver seats p2 in c2; the tier order prefers the unmatched p1,
+    # and the repair must find that without a full order or its validation
+    def forbidden(*args):
+        raise AssertionError("a tier order was materialized")
+
+    monkeypatch.setattr(core_module.PriorityOrder, "from_tiers", forbidden)
+    monkeypatch.setattr(core_module, "validate_priority", forbidden)
+    everyone = ["p1", "p2", "p3", "p4"]
+    path = tmp_path / "inst.json"
+    path.write_text(
+        json.dumps(
+            {
+                "beta_star": "1/2",
+                "patients": everyone,
+                "categories": [
+                    {"id": c, "quota": 1, "eligible": everyone, "beneficiary": ["p4"]}
+                    for c in ("c1", "c2")
+                ],
+            }
+        )
+    )
+    code, out, err = run(capsys, "solve", str(path), "--respect-priority")
+    assert (code, err) == (0, "")
+    assert out == (
+        "{\n"
+        '  "assignment": {\n'
+        '    "p1": "c2",\n'
+        '    "p4": "c1"\n'
+        "  },\n"
+        '  "b": 1,\n'
+        '  "beta": "1/2",\n'
+        '  "e": 2,\n'
+        '  "priority_violations": 0,\n'
+        '  "target": "1/2"\n'
+        "}\n"
+        "e=2 b=1 beta=1/2 target=1/2\n"
+    )
 
 
 def test_instance_file_input(tmp_path, capsys):

@@ -18,6 +18,8 @@ from reserve_frontier import (
     dominates,
     expand_to_seats,
     match_point,
+    rank_sum,
+    respects_priority,
     restrict_patients,
     validate_instance,
     validate_matching,
@@ -118,9 +120,11 @@ def test_problem_validates_its_priority_and_fills_in_the_tier_order():
     inst = tiny()
     bare = Problem(instance=inst)
     assert bare.beta_star is None and bare.priority is None
-    ordered = bare.ordered()
-    assert ordered.priority == PriorityOrder.from_tiers(inst)
-    assert ordered.ordered() is ordered  # a given order is kept, not rebuilt
+    # without a priority, the priority layer ranks by the tier order
+    tiered = Problem(instance=inst, priority=PriorityOrder.from_tiers(inst))
+    m = Matching(pairs=(("p2", "c2#0"),))
+    assert rank_sum(bare, m) == rank_sum(tiered, m)
+    assert respects_priority(bare, m) == respects_priority(tiered, m) == [("c2", "p2", "p1")]
     with pytest.raises(InstanceError, match="unknown category"):
         Problem(instance=inst, priority=PriorityOrder(order={"zz": inst.patients}))
 

@@ -232,8 +232,6 @@ def test_from_tiers_orders_beneficiaries_first():
     assert po.order["c1"] == ("p2", "p1", "p3")  # beneficiary, then eligible, then rest
     assert po.order["c2"] == ("p2", "p3", "p1")
     validate_priority(inst, po)
-    assert po.rank("c1", "p2") == 1
-    assert po.outranks("c1", "p2", "p3")
 
 
 def test_validate_priority_rejects_bad_orders():
@@ -354,6 +352,145 @@ def test_repair_preserves_selected_points_on_random_instances():
         assert rank_sum(pwo, fixed) <= rank_sum(pwo, m)
         repaired_any = repaired_any or bool(before)
     assert repaired_any
+
+
+def reference_order(pr):
+    return pr.priority if pr.priority is not None else PriorityOrder.from_tiers(pr.instance)
+
+
+def reference_rank(po, c, p):
+    return po.order[c].index(p) + 1
+
+
+def reference_respects_priority(pr, m):
+    """The full scan: every assigned patient against every unmatched one."""
+    po = reference_order(pr)
+    si = expand_to_seats(pr.instance)
+    unmatched = [p for p in pr.instance.patients if m.seat_of(p) is None]
+    out = []
+    for p, s in m.pairs:
+        c = si.category_of(s)
+        rp = reference_rank(po, c, p)
+        out += [(c, p, q) for q in unmatched if reference_rank(po, c, q) < rp]
+    return sorted(out)
+
+
+def reference_repair_priority(pr, m):
+    """One full scan per swap; each swap takes the min-key violation."""
+    po = reference_order(pr)
+    si = expand_to_seats(pr.instance)
+    target = match_point(si, m)
+    cat_pos = {c: i for i, c in enumerate(pr.instance.categories)}
+    while True:
+        violations = reference_respects_priority(pr, m)
+        if not violations:
+            return m
+        c, p, q = min(
+            violations,
+            key=lambda v: (
+                cat_pos[v[0]], reference_rank(po, v[0], v[2]), -reference_rank(po, v[0], v[1])
+            ),
+        )
+        assignment = dict(m.by_patient)
+        assignment[q] = assignment.pop(p)
+        m = Matching.from_assignment(assignment)
+        if match_point(si, m) != target:
+            raise ValueError(
+                "input was not a frontier matching: a priority swap changed its score"
+            )
+
+
+def shuffled_admissible_order(inst, rng):
+    order = {}
+    for c in inst.categories:
+        bene, elig = inst.beneficiary_of(c), inst.eligible_of(c)
+        tiers = [
+            [p for p in inst.patients if p in bene],
+            [p for p in inst.patients if p in elig and p not in bene],
+            [p for p in inst.patients if p not in elig],
+        ]
+        order[c] = tuple(p for tier in tiers for p in rng.sample(tier, len(tier)))
+    return PriorityOrder(order=order)
+
+
+def random_matching(inst, rng):
+    """Any one-to-one matching, ineligible pairs included."""
+    seats = list(expand_to_seats(inst).seats)
+    patients = rng.sample(inst.patients, rng.randint(0, min(len(seats), len(inst.patients))))
+    return Matching(pairs=tuple(zip(patients, rng.sample(seats, len(patients)))))
+
+
+def reference_rank_sum(pr, m):
+    po, si = reference_order(pr), expand_to_seats(pr.instance)
+    return sum(reference_rank(po, si.category_of(s), p) for p, s in m.pairs)
+
+
+def assert_priority_layer_matches_reference(pr, m):
+    """The repaired matching, or None when both repairs refuse m."""
+    assert respects_priority(pr, m) == reference_respects_priority(pr, m)
+    assert rank_sum(pr, m) == reference_rank_sum(pr, m)
+    try:
+        want = reference_repair_priority(pr, m)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            repair_priority(pr, m)
+        return None
+    got = repair_priority(pr, m)
+    assert got == want
+    assert rank_sum(pr, got) == reference_rank_sum(pr, got)
+    return got
+
+
+def test_priority_layer_matches_the_full_scan_on_random_matchings():
+    rng = Random(2025)
+    flagged = swapped = 0
+    for _ in range(300):
+        inst = gen_random(
+            GenConfig(
+                patients=rng.randint(1, 8),
+                categories=rng.randint(1, 5),
+                quota_range=(1, 3),
+                eligibility_density=rng.choice([0.2, 0.5, 0.9]),
+                beneficiary_density=0.5,
+                seed=rng.randint(0, 100_000),
+            )
+        )
+        for priority in (None, shuffled_admissible_order(inst, rng)):
+            pr = Problem(instance=inst, beta_star=Fraction(1, 2), priority=priority)
+            m = random_matching(inst, rng)
+            flagged += bool(reference_respects_priority(pr, m))
+            fixed = assert_priority_layer_matches_reference(pr, m)
+            swapped += fixed is not None and fixed != m
+    assert flagged > 100 and swapped > 20
+
+
+def test_priority_layer_matches_the_full_scan_on_frontier_matchings():
+    rng = Random(31)
+    swapped = 0
+    for _ in range(60):
+        inst = gen_random(
+            GenConfig(
+                rng.randint(3, 9), rng.randint(1, 5), (1, 2), 0.6, 0.4, seed=rng.randint(0, 10**5)
+            )
+        )
+        for priority in (None, shuffled_admissible_order(inst, rng)):
+            pr = Problem(instance=inst, beta_star=Fraction(rng.randrange(4), 3), priority=priority)
+            try:
+                m, _ = select_approx_on_frontier(pr)
+            except NoNonEmptyMatchingError:
+                continue
+            swapped += assert_priority_layer_matches_reference(pr, m) != m
+    assert swapped > 5
+
+
+def test_priority_layer_matches_the_full_scan_on_the_solve_walk_draw():
+    # the solve-walk base draw: 320 x 320, quota 1, elig 3/320, bene 0.5, seed 1
+    inst = gen_random(GenConfig(320, 320, (1, 1), 3 / 320, 0.5, seed=1))
+    pr = Problem(instance=inst, beta_star=Fraction(1, 2))
+    m, _ = select_approx_on_frontier(pr)
+    assert reference_respects_priority(pr, m)
+    fixed = assert_priority_layer_matches_reference(pr, m)
+    assert respects_priority(pr, fixed) == []
 
 
 def test_induced_choice_on_the_six_patient_problem():
