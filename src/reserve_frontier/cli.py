@@ -51,8 +51,9 @@ from .verify import SUITES, random_inputs, run_suites
 RANGE_TOKEN = re.compile(r"([A-Za-z_]*)(\d+)\.\.([A-Za-z_]*)(\d+)")
 
 
-def parse_subset_tokens(spec: str) -> list[str]:
-    """Comma-separated ids with range shorthand: "p1..p3,p7" -> p1 p2 p3 p7."""
+def parse_subset_tokens(spec: str, n_patients: int) -> list[str]:
+    """Comma-separated ids with range shorthand: "p1..p3,p7" -> p1 p2 p3 p7.
+    A range of more than n_patients ids is refused before it is expanded."""
     out: list[str] = []
     for token in spec.split(","):
         token = token.strip()
@@ -63,6 +64,8 @@ def parse_subset_tokens(spec: str) -> list[str]:
             prefix, lo, hi = m.group(1), int(m.group(2)), int(m.group(4))
             if hi < lo:
                 raise ValueError(f"empty range in subset token {token!r}")
+            if hi - lo >= n_patients:
+                raise ValueError(f"subset token {token!r} names more ids than the {n_patients} patient(s)")
             out.extend(f"{prefix}{i}" for i in range(lo, hi + 1))
         else:
             out.append(token)
@@ -70,7 +73,7 @@ def parse_subset_tokens(spec: str) -> list[str]:
 
 
 def _apply_subset(pr: Problem, spec: str) -> Problem:
-    keep = parse_subset_tokens(spec)
+    keep = parse_subset_tokens(spec, len(pr.instance.patients))
     sub = restrict_patients(pr.instance, keep)
     priority = None
     if pr.priority is not None:

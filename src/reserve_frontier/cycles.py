@@ -9,7 +9,8 @@ every p_i at s_i, raising the total match count by exactly one at some
 beneficiary-match cost.  The cheapest applicable cycle steps from one
 frontier point to the next, so walking cheapest cycles from the
 max-beneficiary endpoint materializes a witness matching at every frontier
-point.
+point.  Only verify and the demos walk; production solves for witnesses
+directly (frontier.witness_at).
 
 Cheapest-cycle search runs Bellman-Ford over (cost, hops) pairs, where an
 alternating path's cost is exactly the beneficiary loss of the cycle it
@@ -22,7 +23,6 @@ add hops).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import Matching, MatchPoint, SeatInstance, match_point
 
@@ -215,29 +215,6 @@ def _trace_back(start, target, cost, hops, n_p, elig, bene, seat_of, patient_of,
     return path
 
 
-def iter_frontier_walk(si: SeatInstance, start: Matching) -> Iterator[tuple[MatchPoint, Matching]]:
-    """Yield the start, then each stop of the cheapest-cycle walk, lazily.
-
-    A consumer that stops early pays only for the cycle searches of the
-    stops it took.  Raises DominatedInputError as frontier_walk does.
-    """
-    current = start
-    yield match_point(si, current), current
-    prev_loss = None
-    while True:
-        cycle = find_minimal_cycle(si, current)
-        if cycle is None:
-            return
-        loss = beneficiary_loss(si, current, cycle)
-        if prev_loss is not None and loss < prev_loss:
-            raise DominatedInputError(
-                "dominated input: beneficiary loss decreased along the walk"
-            )
-        prev_loss = loss
-        current = apply_cycle(si, current, cycle)
-        yield match_point(si, current), current
-
-
 def frontier_walk(si: SeatInstance, start: Matching) -> list[tuple[MatchPoint, Matching]]:
     """Apply cheapest cycles until none remain, recording every stop.
 
@@ -246,4 +223,13 @@ def frontier_walk(si: SeatInstance, start: Matching) -> list[tuple[MatchPoint, M
     a dominated input (non-positive loss, or losses that shrink along the
     way, which a frontier matching can never produce).
     """
-    return list(iter_frontier_walk(si, start))
+    current, prev_loss = start, 0  # find_minimal_cycle never returns a loss below 1
+    stops = [(match_point(si, current), current)]
+    while (cycle := find_minimal_cycle(si, current)) is not None:
+        loss = beneficiary_loss(si, current, cycle)
+        if loss < prev_loss:
+            raise DominatedInputError("dominated input: beneficiary loss decreased along the walk")
+        prev_loss = loss
+        current = apply_cycle(si, current, cycle)
+        stops.append((match_point(si, current), current))
+    return stops

@@ -14,8 +14,8 @@ lo and hi return the same point P, every sweep in between returns P too:
 a rival Q tying P inside would make score(P) - score(Q), which is >= 0 at
 both ends, vanish identically, so Q = P.  Bisecting [1, n] until adjacent
 sweeps differ therefore finds every kink in O(kinks * log n) sweeps
-instead of n.  Frontier points between kinks lie on straight segments and
-are filled by interpolation.
+instead of n.  Frontier points between kinks lie on straight segments, are
+filled by interpolation, and get witnesses from the same solver (witness_at).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import InstanceError, Matching, MatchPoint, SeatInstance, match_point
-from .cycles import frontier_walk
 from .hungarian import fits_exactly, max_weight_assignment_dense
 
 
@@ -40,7 +39,7 @@ class Frontier:
     """Non-domination frontier: points ascending in e, kinks, and witnesses.
 
     Witnesses are guaranteed at every kink (hence both endpoints); interior
-    straight-segment points get witnesses on demand via with_all_witnesses.
+    straight-segment points get one on demand from witness_at.
     """
 
     points: tuple[MatchPoint, ...]
@@ -103,6 +102,21 @@ def _sweep_weights(n: int, k: int) -> tuple[int, int]:
     return w_elig, w_elig + n * n + k
 
 
+def _kcard_weights(n: int) -> tuple[int, int, int]:
+    """Weights (plain pair, beneficiary pair, dummy) W = n + 1, W + 1 and 2n + 2
+    of the k-cardinality solve at total e, which has P - e dummy columns.
+
+    Leaving d < P - e dummies empty gains at most (P - e - d) * W + n but loses
+    (P - e - d) * (2n + 2).  With every dummy filled, W > n >= b puts e real
+    pairs first and the largest b second: the frontier point at e.  The solve
+    is P x (S + P - e) with e <= S, so it needs (2n + 2) * P < 2^53, which
+    check_sweep_size's (n^3 + n^2 + n) * min(P, S) < 2^53 implies when S >= 1:
+    P <= n, and 2n + 2 <= n^2 + n + 1 for n >= 2 (n = 1 needs only 4 < 2^53).
+    A seatless instance has only (0, 0), witnessed by compute_frontier.
+    """
+    return n + 1, n + 2, 2 * n + 2
+
+
 def check_sweep_size(n_patients: int, n_seats: int) -> None:
     """Raise InstanceError unless every sweep of the instance is exact.
 
@@ -121,19 +135,33 @@ def check_sweep_size(n_patients: int, n_seats: int) -> None:
         )
 
 
+def _assign(si: SeatInstance, w_elig: int, w_bene: int, w_dummy: int = 0, dummies: int = 0) -> Matching:
+    """Max-weight matching; `dummies` columns of w_dummy, open to all, are dropped."""
+    elig = si.eligible_mask
+    weights = np.where(si.beneficiary_mask, w_bene, np.where(elig, w_elig, 0)).astype(np.int64)
+    if dummies:
+        pad = ((0, 0), (0, dummies))
+        weights, elig = np.pad(weights, pad, constant_values=w_dummy), np.pad(elig, pad)
+    rows, cols = max_weight_assignment_dense(weights, elig)
+    return Matching(tuple((si.patients[i], si.seats[j]) for i, j in zip(rows.tolist(), cols.tolist())))
+
+
 def frontier_iteration(si: SeatInstance, k: int) -> tuple[MatchPoint, Matching]:
     """Single weighted sweep: the frontier point optimal at weight index k."""
     n = _sweep_size(si)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    w_elig, w_bene = _sweep_weights(n, k)
-    elig = si.eligible_mask
-    weights = np.where(si.beneficiary_mask, w_bene, np.where(elig, w_elig, 0)).astype(np.int64)
-    rows, cols = max_weight_assignment_dense(weights, elig)
-    m = Matching(
-        tuple((si.patients[i], si.seats[j]) for i, j in zip(rows.tolist(), cols.tolist()))
-    )
+    m = _assign(si, *_sweep_weights(n, k))
     return match_point(si, m), m
+
+
+def witness_at(si: SeatInstance, pt: MatchPoint) -> Matching:
+    """A matching at frontier point pt, from one k-cardinality assignment (Dell'Amico
+    and Martello, 1997).  Raises FrontierInvariantError if it does not score pt."""
+    m = _assign(si, *_kcard_weights(_sweep_size(si)), len(si.patients) - pt.e)
+    if match_point(si, m) != pt:
+        raise FrontierInvariantError(f"k-cardinality solve gave {match_point(si, m)}, not {pt}")
+    return m
 
 
 def compute_frontier(si: SeatInstance) -> Frontier:
@@ -198,11 +226,6 @@ def half_bound_ratio(f: Frontier) -> Fraction:
 
 
 def with_all_witnesses(si: SeatInstance, f: Frontier) -> Frontier:
-    """Fill missing interior witnesses by walking cheapest cycles from e_min."""
-    if all(pt in f.witnesses for pt in f.points):
-        return f
-    walked = dict(frontier_walk(si, f.witnesses[f.points[0]]))
-    if set(walked) != set(f.points):
-        raise FrontierInvariantError("cycle walk did not visit every frontier point")
-    merged = {**walked, **f.witnesses}
-    return Frontier(points=f.points, kinks=f.kinks, witnesses=merged)
+    """f with a witness at every point: one witness_at solve per missing one."""
+    missing = {pt: witness_at(si, pt) for pt in f.points if pt not in f.witnesses}
+    return Frontier(points=f.points, kinks=f.kinks, witnesses={**f.witnesses, **missing})

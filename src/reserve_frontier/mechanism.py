@@ -38,8 +38,7 @@ from .core import (
     restrict_patients,
     validate_instance,
 )
-from .cycles import iter_frontier_walk
-from .frontier import Frontier, FrontierInvariantError, check_sweep_size, compute_frontier
+from .frontier import Frontier, FrontierInvariantError, check_sweep_size, compute_frontier, witness_at
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -79,30 +78,15 @@ def _assert_share_monotone(f: Frontier) -> None:
 
 
 def _select_from(si: SeatInstance, f: Frontier, beta_star: Fraction) -> tuple[Matching, MatchPoint]:
-    """The selected point and its witness, the one with_all_witnesses would give.
-
-    A point with a witness in f (every kink) returns that witness and runs
-    no cycle search.  Any other point gets the matching at which the
-    cheapest-cycle walk from the e_min witness first reaches it; the walk
-    stops there instead of covering the whole frontier.
-    """
+    """The selected point and its witness, the one with_all_witnesses would give:
+    f's own at a kink, else one k-cardinality solve (witness_at)."""
     if f.points[-1].e == 0:
         raise NoNonEmptyMatchingError("no non-empty matching exists")
     _assert_share_monotone(f)
-    first = f.points[0]
-    if beta_star >= beneficiary_share(first):
-        pt = first
-    else:
-        qualifying = [p for p in f.points if beneficiary_share(p) >= beta_star]
-        pt = qualifying[-1]
-    if pt in f.witnesses:
-        return f.witnesses[pt], pt
-    for want, (got, m) in zip(f.points, iter_frontier_walk(si, f.witnesses[first])):
-        if got != want:
-            raise FrontierInvariantError(f"cycle walk stepped to {got}, expected {want}")
-        if got == pt:
-            return m, pt
-    raise FrontierInvariantError(f"cycle walk ended before reaching {pt}")
+    qualifying = [p for p in f.points if beneficiary_share(p) >= beta_star]
+    pt = qualifying[-1] if qualifying else f.points[0]
+    m = f.witnesses[pt] if pt in f.witnesses else witness_at(si, pt)
+    return m, pt
 
 
 def select_approx_on_frontier(pr: Problem) -> tuple[Matching, MatchPoint]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -18,11 +19,19 @@ def run(capsys, *argv):
 
 
 def test_subset_token_parsing():
-    assert parse_subset_tokens("p1..p3,p7") == ["p1", "p2", "p3", "p7"]
-    assert parse_subset_tokens("p2..4") == ["p2", "p3", "p4"]
-    assert parse_subset_tokens("alice, bob") == ["alice", "bob"]
+    assert parse_subset_tokens("p1..p3,p7", 7) == ["p1", "p2", "p3", "p7"]
+    assert parse_subset_tokens("p2..4", 3) == ["p2", "p3", "p4"]
+    assert parse_subset_tokens("alice, bob", 2) == ["alice", "bob"]
     with pytest.raises(ValueError):
-        parse_subset_tokens("p5..p2")
+        parse_subset_tokens("p5..p2", 7)
+
+
+def test_subset_range_longer_than_the_instance_is_refused_unexpanded(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "frontier", "--named", "conflict", "--subset", "p1..p1000000000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert "'p1..p1000000000000'" in err and "2 patient(s)" in err
 
 
 def test_frontier_csv_stdout(capsys):

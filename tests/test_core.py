@@ -24,7 +24,8 @@ from reserve_frontier import (
     validate_instance,
     validate_matching,
 )
-from reserve_frontier.frontier import check_sweep_size, compute_frontier
+from reserve_frontier.frontier import _kcard_weights, check_sweep_size, compute_frontier
+from reserve_frontier.hungarian import fits_exactly
 
 
 def tiny() -> Instance:
@@ -180,6 +181,13 @@ def test_sweep_size_check_is_the_exact_weight_headroom():
     assert len(expand_to_seats(instance(0, q - 1)).seats) == q - 1
     with pytest.raises(InstanceError, match=f"0 patient\\(s\\) and {q} seat\\(s\\).*one-patient limit"):
         expand_to_seats(instance(0, q))
+
+    # the k-cardinality witness solve of the largest admitted shapes fits
+    # too; it is patients x (seats + patients - e), widest at e = 0
+    for n_patients, n_seats in ((9741, 9741), (1, q - 1), (q - 1, 1)):
+        check_sweep_size(n_patients, n_seats)
+        w_dummy = _kcard_weights(max(n_patients, n_seats))[2]
+        assert fits_exactly(w_dummy, n_patients, n_seats + n_patients)
 
     # many patients, few seats: far past n = 9741, yet exact, so it is solved
     assert sweep_bound(10_000, 50) < 2**53

@@ -17,6 +17,7 @@ from reserve_frontier import (
     enumerate_matchings,
     expand_to_seats,
     frontier_iteration,
+    frontier_walk,
     gen_chain_family,
     gen_named,
     gen_random,
@@ -28,6 +29,7 @@ from reserve_frontier import (
     validate_matching,
     with_all_witnesses,
 )
+from reserve_frontier.frontier import witness_at
 
 
 def pts(*pairs) -> list[MatchPoint]:
@@ -127,6 +129,34 @@ def test_with_all_witnesses_fills_interior_points():
     for pt, m in f.witnesses.items():
         validate_matching(si, m)
         assert match_point(si, m) == pt
+
+
+def test_kcard_witness_agrees_with_the_cycle_walk():
+    # unit quotas at 3/n eligibility leave straight segments, so many points
+    # are not kinks; criterion 12 is the largest frontier the tests build
+    rng = Random(6)
+    sizes = [rng.randint(6, 30) for _ in range(300)]
+    draws = [GenConfig(n, n, (1, 1), 3 / n, 0.5, seed) for seed, n in enumerate(sizes)]
+    draws.append(GenConfig(500, 200, (1, 4), 0.04, 0.35, seed=7))
+    insts = [gen_random(cfg) for cfg in draws] + [gen_chain_family(k) for k in range(1, 8)]
+    interior = 0
+    for inst in insts:
+        si = expand_to_seats(inst)
+        f = compute_frontier(si)
+        walk = frontier_walk(si, f.witnesses[f.points[0]])
+        assert [pt for pt, _ in walk] == list(f.points)
+        for pt in f.points:
+            m = witness_at(si, pt)
+            validate_matching(si, m)
+            assert match_point(si, m) == pt
+        interior += len(f.points) - len(f.kinks)
+    assert interior >= 60
+
+
+def test_kcard_witness_refuses_a_point_off_the_frontier():
+    si = expand_to_seats(two_conflict_copies())
+    with pytest.raises(FrontierInvariantError, match="k-cardinality"):
+        witness_at(si, MatchPoint(3, 2))
 
 
 def test_zero_eligibility_gives_the_empty_point():

@@ -86,7 +86,7 @@ def unit_quota_draws():
     ]
 
 
-def test_selection_witness_equals_the_whole_frontier_walk():
+def test_selection_witness_equals_with_all_witnesses():
     interior = 0
     for inst in unit_quota_draws():
         si = expand_to_seats(inst)
@@ -102,17 +102,25 @@ def test_selection_witness_equals_the_whole_frontier_walk():
     assert interior >= 10
 
 
-def test_selecting_a_kink_runs_no_cycle_search(monkeypatch):
-    def forbidden(si, m):
-        raise AssertionError("cycle search at a kink")
+def test_selection_and_all_witnesses_run_no_cycle_search(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("cycle search in production")
 
     monkeypatch.setattr(cycles_module, "find_minimal_cycle", forbidden)
+    monkeypatch.setattr(cycles_module, "frontier_walk", forbidden)
+    interior = 0
     for inst in unit_quota_draws():
-        f = compute_frontier(expand_to_seats(inst))
-        for pt in f.kinks:
+        si = expand_to_seats(inst)
+        f = compute_frontier(si)
+        assert set(with_all_witnesses(si, f).witnesses) == set(f.points)
+        for pt in f.points:
             if pt.e:
-                pr = Problem(instance=inst, beta_star=beneficiary_share(pt))
-                assert select_approx_on_frontier(pr)[0] == f.witnesses[pt]
+                interior += pt not in f.kinks
+                m, got = select_approx_on_frontier(Problem(instance=inst, beta_star=beneficiary_share(pt)))
+                assert got == pt
+                if pt in f.kinks:
+                    assert m == f.witnesses[pt]
+    assert interior >= 10
 
 
 def test_respects_share():
