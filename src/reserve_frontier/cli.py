@@ -13,6 +13,7 @@ field order is fixed, and nothing carries a timestamp.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -228,13 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--witnesses", action="store_true", help="include a witness matching per point")
     p.add_argument("-o", "--output", help="write here instead of stdout")
-    p.set_defaults(func=cmd_frontier)
 
     p = sub.add_parser("solve", help="select a frontier matching for the share target")
     common(p)
     p.add_argument("--respect-priority", action="store_true", help="repair priority violations")
     p.add_argument("-o", "--output", help="write the matching JSON here")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="cross-check the algorithms against enumeration")
     common(p)
@@ -251,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="instances checked in parallel; capped at the instance and CPU counts",
     )
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("audit", help="test the induced choice rule on every subset")
     common(p)
@@ -262,15 +260,22 @@ def build_parser() -> argparse.ArgumentParser:
         default=12,
         help=f"refuse larger audits; at most {MAX_AUDIT_PATIENTS}",
     )
-    p.set_defaults(func=cmd_audit)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use and never changed after."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a replaced cmd_* (a test double, a tracer) runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

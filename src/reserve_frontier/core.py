@@ -230,38 +230,28 @@ class SeatInstance:
         return {s: j for j, s in enumerate(self.seats)}
 
     @cached_property
-    def eligible_mask(self) -> np.ndarray:
-        """Boolean (patients x seats) eligibility matrix."""
-        mask = np.zeros((len(self.patients), len(self.seats)), dtype=bool)
-        for j, s in enumerate(self.seats):
-            for p in self.eligible_of(s):
-                mask[self.patient_index[p], j] = True
-        return mask
-
-    @cached_property
-    def beneficiary_mask(self) -> np.ndarray:
-        """Boolean (patients x seats) beneficiary matrix."""
-        mask = np.zeros((len(self.patients), len(self.seats)), dtype=bool)
-        for j, s in enumerate(self.seats):
-            for p in self.beneficiary_of(s):
-                mask[self.patient_index[p], j] = True
-        return mask
+    def pair_codes(self) -> np.ndarray:
+        """uint8 (patients x seats) pair codes: 0 ineligible, 1 eligible, 2 beneficiary."""
+        index, cats = self.patient_index, self.source.categories
+        by_category = np.zeros((len(self.patients), len(cats)), dtype=np.uint8)
+        for code, members in ((1, self.source.eligible), (2, self.source.beneficiary)):
+            sets = [members[cat] for cat in cats]
+            rows = [index[p] for ps in sets for p in ps]
+            by_category[rows, np.repeat(np.arange(len(cats)), [len(ps) for ps in sets])] = code
+        column = {cat: c for c, cat in enumerate(cats)}
+        # take, not by_category[:, cols], whose result is column-major: the
+        # solver copies a cost matrix gathered over that into row-major order
+        return np.take(by_category, [column[self.seat_category[s]] for s in self.seats], axis=1)
 
     @cached_property
     def eligible_seats(self) -> tuple[tuple[int, ...], ...]:
         """Per patient index, the ascending seat indices the patient is eligible for."""
-        out: list[tuple[int, ...]] = []
-        for i in range(len(self.patients)):
-            out.append(tuple(np.flatnonzero(self.eligible_mask[i]).tolist()))
-        return tuple(out)
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.pair_codes)
 
     @cached_property
     def beneficiary_seat_sets(self) -> tuple[frozenset[int], ...]:
         """Per patient index, the seat indices where the patient is a beneficiary."""
-        out: list[frozenset[int]] = []
-        for i in range(len(self.patients)):
-            out.append(frozenset(np.flatnonzero(self.beneficiary_mask[i]).tolist()))
-        return tuple(out)
+        return tuple(frozenset(np.flatnonzero(row == 2).tolist()) for row in self.pair_codes)
 
 
 def expand_to_seats(inst: Instance) -> SeatInstance:

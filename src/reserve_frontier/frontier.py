@@ -16,6 +16,14 @@ both ends, vanish identically, so Q = P.  Bisecting [1, n] until adjacent
 sweeps differ therefore finds every kink in O(kinks * log n) sweeps
 instead of n.  Frontier points between kinks lie on straight segments, are
 filled by interpolation, and get witnesses from the same solver (witness_at).
+
+Every solve reads the instance's cached pair codes (0 ineligible, 1
+eligible, 2 beneficiary) with one weight per code, which the solver
+gathers into a negated float64 cost matrix in one allocation (see
+hungarian).  A sweep is scored by index, e = the number of pairs and
+b = the number of code-2 pairs, so a named Matching is built only for a
+kept kink witness and for what frontier_iteration and witness_at return.
+witness_at appends its dummy columns as code 3.
 """
 
 from __future__ import annotations
@@ -135,14 +143,14 @@ def check_sweep_size(n_patients: int, n_seats: int) -> None:
         )
 
 
-def _assign(si: SeatInstance, w_elig: int, w_bene: int, w_dummy: int = 0, dummies: int = 0) -> Matching:
-    """Max-weight matching; `dummies` columns of w_dummy, open to all, are dropped."""
-    elig = si.eligible_mask
-    weights = np.where(si.beneficiary_mask, w_bene, np.where(elig, w_elig, 0)).astype(np.int64)
-    if dummies:
-        pad = ((0, 0), (0, dummies))
-        weights, elig = np.pad(weights, pad, constant_values=w_dummy), np.pad(elig, pad)
-    rows, cols = max_weight_assignment_dense(weights, elig)
+def _sweep(si: SeatInstance, n: int, k: int) -> tuple[MatchPoint, np.ndarray, np.ndarray]:
+    """Sweep k scored by index: its point and the (rows, cols) of its matching."""
+    codes = si.pair_codes
+    rows, cols = max_weight_assignment_dense(codes, (0, *_sweep_weights(n, k)))
+    return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2))), rows, cols
+
+
+def _matching(si: SeatInstance, rows: np.ndarray, cols: np.ndarray) -> Matching:
     return Matching(tuple((si.patients[i], si.seats[j]) for i, j in zip(rows.tolist(), cols.tolist())))
 
 
@@ -151,14 +159,17 @@ def frontier_iteration(si: SeatInstance, k: int) -> tuple[MatchPoint, Matching]:
     n = _sweep_size(si)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    m = _assign(si, *_sweep_weights(n, k))
-    return match_point(si, m), m
+    pt, rows, cols = _sweep(si, n, k)
+    return pt, _matching(si, rows, cols)
 
 
 def witness_at(si: SeatInstance, pt: MatchPoint) -> Matching:
     """A matching at frontier point pt, from one k-cardinality assignment (Dell'Amico
     and Martello, 1997).  Raises FrontierInvariantError if it does not score pt."""
-    m = _assign(si, *_kcard_weights(_sweep_size(si)), len(si.patients) - pt.e)
+    codes = np.pad(si.pair_codes, ((0, 0), (0, len(si.patients) - pt.e)), constant_values=3)
+    rows, cols = max_weight_assignment_dense(codes, (0, *_kcard_weights(_sweep_size(si))))
+    real = cols < len(si.seats)  # drop the dummy columns
+    m = _matching(si, rows[real], cols[real])
     if match_point(si, m) != pt:
         raise FrontierInvariantError(f"k-cardinality solve gave {match_point(si, m)}, not {pt}")
     return m
@@ -174,13 +185,13 @@ def compute_frontier(si: SeatInstance) -> Frontier:
     sweep of every k = 1..n in order would keep.
     """
     n = _sweep_size(si)
-    if n == 0 or not si.eligible_mask.any():
+    if n == 0 or not si.pair_codes.any():
         pt = MatchPoint(0, 0)
         f = Frontier(points=(pt,), kinks=frozenset({pt}), witnesses={pt: Matching.empty()})
         check_frontier_invariants(f)
         return f
 
-    sweeps = {k: frontier_iteration(si, k) for k in sorted({1, n})}
+    sweeps = {k: _sweep(si, n, k) for k in sorted({1, n})}
     firsts = [1]  # ascending k at which a new point first appears
     todo = [(1, n)]  # intervals with both end sweeps done, leftmost on top
     while todo:
@@ -191,10 +202,10 @@ def compute_frontier(si: SeatInstance) -> Frontier:
             firsts.append(hi)
             continue
         mid = (lo + hi) // 2
-        sweeps[mid] = frontier_iteration(si, mid)
+        sweeps[mid] = _sweep(si, n, mid)
         todo += [(mid, hi), (lo, mid)]
     kinks = [sweeps[k][0] for k in firsts]
-    witnesses = dict(sweeps[k] for k in firsts)
+    witnesses = {sweeps[k][0]: _matching(si, *sweeps[k][1:]) for k in firsts}
     for a, b in zip(kinks, kinks[1:]):
         # points first seen at ascending k must trade b for e; anything else is a bug
         if not (b.e > a.e and b.b < a.b):

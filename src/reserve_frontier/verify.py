@@ -5,11 +5,13 @@ never share code with the algorithms they audit beyond the core data
 types, so a bug has to appear on both routes to slip through.  run_suites
 expands the instance once and hands every suite the same oracle Census,
 so the oracle enumerates the instance at most twice however many suites
-and targets read it.
+and targets read it; they share one computed frontier the same way, and
+the mechanism suite selects on it instead of recomputing it per target.
 
 Setting RESERVE_FRONTIER_INJECT_CORRUPTION=1 deliberately corrupts the
-computed frontier before the checks run.  That is the negative control:
-a verifier that cannot fail is not verifying anything.
+frontier that the frontier suite checks, and only that copy.  That is
+the negative control: a verifier that cannot fail is not verifying
+anything.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 
-from .core import MatchPoint, Problem, dominates, expand_to_seats, match_point
+from .core import MatchPoint, Problem, SeatInstance, dominates, expand_to_seats, match_point
 from .cycles import apply_cycle, beneficiary_loss, find_minimal_cycle, frontier_walk
 from .frontier import (
     Frontier,
@@ -31,6 +33,7 @@ from .frontier import (
 from .generator import gen_random
 from .mechanism import (
     NoNonEmptyMatchingError,
+    _select_from,
     dominates_exact_share_matchings,
     rank_sum,
     repair_priority,
@@ -87,14 +90,22 @@ def _census_of(pr: Problem, budget: EnumerationBudget | None, census: Census | N
     return Census(expand_to_seats(pr.instance), budget or budget_from_env())
 
 
+def _frontier_of(si: SeatInstance, frontier: Frontier | None) -> Frontier:
+    return compute_frontier(si) if frontier is None else frontier
+
+
 def verify_frontier(
-    pr: Problem, budget: EnumerationBudget | None = None, *, census: Census | None = None
+    pr: Problem,
+    budget: EnumerationBudget | None = None,
+    *,
+    census: Census | None = None,
+    frontier: Frontier | None = None,
 ) -> list[CheckResult]:
     """Computed frontier == enumerated frontier, plus its shape invariants."""
     census = _census_of(pr, budget, census)
     si = census.si
     results: list[CheckResult] = []
-    f = _maybe_corrupt(compute_frontier(si))
+    f = _maybe_corrupt(_frontier_of(si, frontier))
 
     bad = [
         (p, q)
@@ -154,13 +165,17 @@ def verify_frontier(
 
 
 def verify_cycles(
-    pr: Problem, budget: EnumerationBudget | None = None, *, census: Census | None = None
+    pr: Problem,
+    budget: EnumerationBudget | None = None,
+    *,
+    census: Census | None = None,
+    frontier: Frontier | None = None,
 ) -> list[CheckResult]:
     """Minimal reassignment cycles agree with exhaustive cycle search."""
     census = _census_of(pr, budget, census)
     si, budget = census.si, census.budget
     results: list[CheckResult] = []
-    f = compute_frontier(si)
+    f = _frontier_of(si, frontier)
 
     if si.source.total_quota == 0 or f.e_max == 0:
         results.append(CheckResult("cycles", "walk-covers-frontier", True, "empty frontier"))
@@ -210,7 +225,11 @@ def verify_cycles(
 
 
 def verify_lemmas(
-    pr: Problem, budget: EnumerationBudget | None = None, *, census: Census | None = None
+    pr: Problem,
+    budget: EnumerationBudget | None = None,
+    *,
+    census: Census | None = None,
+    frontier: Frontier | None = None,
 ) -> list[CheckResult]:
     """Structural facts: disjoint cycle families, matched-set preservation, kink sweep."""
     census = _census_of(pr, budget, census)
@@ -239,7 +258,7 @@ def verify_lemmas(
         )
     )
 
-    f = compute_frontier(si)
+    f = _frontier_of(si, frontier)
     ok = True
     detail = ""
     if f.e_max:
@@ -279,12 +298,13 @@ def verify_mechanism(
     seed: int = 0,
     *,
     census: Census | None = None,
+    frontier: Frontier | None = None,
 ) -> list[CheckResult]:
     """Selection rule, share guarantee, domination of exact-share rivals, repair."""
     census = _census_of(pr, budget, census)
     si, budget = census.si, census.budget
     inst = pr.instance
-    f = compute_frontier(si)
+    f = _frontier_of(si, frontier)
     results: list[CheckResult] = []
 
     if f.e_max == 0:
@@ -305,7 +325,7 @@ def verify_mechanism(
     detail = ""
     for beta in _targets_for(pr.beta_star, f, seed):
         target = Problem(instance=inst, beta_star=beta)
-        m, pt = select_approx_on_frontier(target)
+        m, pt = _select_from(si, f, beta)
         if match_point(si, m) != pt or pt not in f.points:
             sel_ok, detail = False, f"witness off the frontier at target {beta}"
             break
@@ -323,7 +343,7 @@ def verify_mechanism(
 
     if pr.beta_star is None:
         pr = replace(pr, beta_star=Fraction(1, 2))
-    m, pt = select_approx_on_frontier(pr)
+    m, pt = _select_from(si, f, pr.beta_star)
     fixed = repair_priority(pr, m)
     rep_ok = (
         match_point(si, fixed) == pt
@@ -351,9 +371,10 @@ SUITE_FUNCS = {
 
 def run_suites(pr: Problem, suites: tuple[str, ...], budget: EnumerationBudget | None = None) -> list[CheckResult]:
     census = _census_of(pr, budget, None)
+    f = compute_frontier(census.si)
     out: list[CheckResult] = []
     for name in suites:
-        out.extend(SUITE_FUNCS[name](pr, census.budget, census=census))
+        out.extend(SUITE_FUNCS[name](pr, census.budget, census=census, frontier=f))
     return out
 
 

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import reserve_frontier
+import reserve_frontier.cli as cli_module
 import reserve_frontier.core as core_module
 import reserve_frontier.mechanism as mechanism_module
 from reserve_frontier import gen_named
@@ -16,6 +22,32 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_commands_in_one_process_match_separate_processes(capsys):
+    calls = [
+        ("frontier", "--named", "conflict", "--format", "json"),
+        ("solve", "--named", "beta-threshold"),
+        ("verify", "--named", "conflict", "--suite", "frontier"),
+        ("frontier",),  # no input: exit 2
+    ]
+    in_process = [run(capsys, *argv)[:2] for argv in calls]
+    env = {**os.environ, "PYTHONPATH": str(Path(reserve_frontier.__file__).parents[1])}
+    for argv, (code, out) in zip(calls, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "reserve_frontier.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out), argv
+    assert [code for code, _ in in_process] == [0, 0, 0, 2]
+
+
+def test_a_replaced_command_runs_after_the_parser_is_built(monkeypatch, capsys):
+    assert run(capsys, "frontier", "--named", "conflict")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli_module, "cmd_frontier", lambda args: seen.append(args.named) or 0)
+    assert run(capsys, "frontier", "--named", "figure1") == (0, "", "")
+    assert seen == ["figure1"]
 
 
 def test_subset_token_parsing():

@@ -266,17 +266,18 @@ DIFFERENTIAL_FAMILIES = {
 @pytest.mark.parametrize("family", sorted(DIFFERENTIAL_FAMILIES))
 def test_bisection_matches_the_full_sweep(family, monkeypatch):
     swept = []
+    sweep = frontier_module._sweep
 
-    def counted(si, k):
+    def counted(si, n, k):
         swept.append(k)
-        return frontier_iteration(si, k)
+        return sweep(si, n, k)
 
-    monkeypatch.setattr(frontier_module, "frontier_iteration", counted)
+    monkeypatch.setattr(frontier_module, "_sweep", counted)
     for inst in DIFFERENTIAL_FAMILIES[family]():
         si = expand_to_seats(inst)
+        points, kinks, witnesses = full_sweep_reference(si)
         swept.clear()
         f = compute_frontier(si)
-        points, kinks, witnesses = full_sweep_reference(si)
         assert list(f.points) == points
         assert f.kinks == frozenset(kinks)
         assert f.witnesses == witnesses

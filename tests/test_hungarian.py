@@ -7,8 +7,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from reserve_frontier.hungarian import EXACT_LIMIT, max_weight_assignment_dense
+from reserve_frontier import GenConfig, expand_to_seats, gen_random
+from reserve_frontier.frontier import _kcard_weights, _sweep_weights
+from reserve_frontier.hungarian import EXACT_LIMIT, fits_exactly, max_weight_assignment_dense
+
+
+def as_codes(dense: np.ndarray, allowed: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """A dense weight matrix as pair codes and a table: one code per allowed
+    cell, code 0 for every forbidden one."""
+    codes = np.where(allowed, np.arange(1, dense.size + 1).reshape(dense.shape), 0)
+    return codes, [0, *dense.ravel().tolist()]
+
+
+def reference_assignment(weights: np.ndarray, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 maximize=True solve that the code-table entry replaced."""
+    rows, cols = linear_sum_assignment(weights, maximize=True)
+    keep = allowed[rows, cols]
+    return rows[keep], cols[keep]
 
 
 def brute_force_total(n_left: int, n_right: int, weights: dict) -> int:
@@ -37,7 +54,7 @@ def solve(n_left: int, n_right: int, weights: dict) -> tuple[dict[int, int], int
     for (i, j), w in weights.items():
         dense[i, j] = w
         allowed[i, j] = True
-    rows, cols = max_weight_assignment_dense(dense, allowed)
+    rows, cols = max_weight_assignment_dense(*as_codes(dense, allowed))
     return dict(zip(rows.tolist(), cols.tolist())), int(dense[rows, cols].sum())
 
 
@@ -95,7 +112,7 @@ def test_dense_agrees_with_brute_force_on_zero_weight_pairs():
                     allowed[i, j] = True
                     w[i, j] = rng.randint(0, 30)
                     weights[(i, j)] = int(w[i, j])
-        rows, cols = max_weight_assignment_dense(w, allowed)
+        rows, cols = max_weight_assignment_dense(*as_codes(w, allowed))
         dense_total = int(w[rows, cols].sum())
         assert dense_total == brute_force_total(n, m, weights)
         assert allowed[rows, cols].all()
@@ -117,3 +134,65 @@ def test_total_is_max_over_all_injections(n_left, n_right, vals, mask):
                 weights[(i, j)] = vals[k]
     _, total = solve(n_left, n_right, weights)
     assert total == brute_force_total(n_left, n_right, weights)
+
+
+def assert_same_pairs(got, want):
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_code_table_entry_matches_the_int64_maximize_solve_on_sweeps_and_pads():
+    rng = Random(11)
+    for _ in range(300):
+        inst = gen_random(
+            GenConfig(
+                patients=rng.randint(1, 12),
+                categories=rng.randint(1, 6),
+                quota_range=(1, rng.randint(1, 3)),
+                eligibility_density=rng.choice([0.05, 0.2, 0.5, 0.8, 1.0]),
+                beneficiary_density=rng.choice([0.2, 0.5, 0.9]),
+                seed=rng.randint(0, 100_000),
+            )
+        )
+        si = expand_to_seats(inst)
+        codes = si.pair_codes
+        n_p, n_s = codes.shape
+        # masks from the seats' eligible and beneficiary sets, not from the codes
+        elig = np.zeros((n_p, n_s), dtype=bool)
+        bene = np.zeros((n_p, n_s), dtype=bool)
+        for j, seat in enumerate(si.seats):
+            elig[[si.patient_index[p] for p in si.eligible_of(seat)], j] = True
+            bene[[si.patient_index[p] for p in si.beneficiary_of(seat)], j] = True
+        assert np.array_equal(codes, elig.astype(np.uint8) + bene)
+        assert codes.flags.c_contiguous  # else scipy copies every cost matrix gathered over it
+
+        n = max(n_p, n_s)
+        for k in sorted({1, -(-n // 3), n}):
+            w_elig, w_bene = _sweep_weights(n, k)
+            weights = np.where(bene, w_bene, np.where(elig, w_elig, 0)).astype(np.int64)
+            got = max_weight_assignment_dense(codes, (0, w_elig, w_bene))
+            assert_same_pairs(got, reference_assignment(weights, elig))
+
+        w_elig, w_bene, w_dummy = _kcard_weights(n)
+        for e in sorted({0, n_p // 2, n_p}):
+            pad = ((0, 0), (0, n_p - e))
+            weights = np.where(bene, w_bene, np.where(elig, w_elig, 0)).astype(np.int64)
+            weights = np.pad(weights, pad, constant_values=w_dummy)
+            got = max_weight_assignment_dense(
+                np.pad(codes, pad, constant_values=3), (0, w_elig, w_bene, w_dummy)
+            )
+            assert_same_pairs(got, reference_assignment(weights, np.pad(elig, pad, constant_values=True)))
+
+
+def test_code_table_entry_matches_the_int64_maximize_solve_near_the_headroom():
+    rng = Random(5)
+    top = (EXACT_LIMIT - 1) // 3
+    assert fits_exactly(top, 3, 4) and not fits_exactly(top + 1, 3, 4)
+    for _ in range(50):
+        allowed = np.array([[rng.random() < 0.7 for _ in range(4)] for _ in range(3)])
+        dense = np.array([[rng.randint(top - 1000, top) for _ in range(4)] for _ in range(3)], dtype=np.int64)
+        dense[~allowed] = 0
+        for w, a in ((dense, allowed), (dense.T.copy(), allowed.T.copy())):
+            got = max_weight_assignment_dense(*as_codes(w, a))
+            assert_same_pairs(got, reference_assignment(w, a))
+    with pytest.raises(ValueError, match="exact arithmetic headroom"):
+        max_weight_assignment_dense(np.ones((3, 4), dtype=np.uint8), (0, top + 1))
