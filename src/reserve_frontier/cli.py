@@ -21,13 +21,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .core import (
-    PriorityOrder,
-    Problem,
-    beneficiary_share,
-    expand_to_seats,
-    restrict_patients,
-)
+from .core import PriorityOrder, Problem, beneficiary_share, restrict_patients
 from .frontier import compute_frontier, with_all_witnesses
 from .generator import NAMED_INSTANCES, gen_named
 from .mechanism import (
@@ -110,7 +104,7 @@ def _write_text(text: str, path: str | None) -> None:
 def cmd_frontier(args) -> int:
     if args.witnesses and args.format == "csv" and not args.output:
         raise ValueError("csv witnesses need -o so the sidecar has a path")
-    si = expand_to_seats(load_input(args).instance)
+    si = load_input(args).seat_instance
     f = compute_frontier(si)
     if args.witnesses:
         f = with_all_witnesses(si, f)
@@ -132,7 +126,7 @@ def cmd_solve(args) -> int:
     m, pt = select_approx_on_frontier(pr)
     if args.respect_priority:
         m = repair_priority(pr, m)
-    out = matching_to_dict(expand_to_seats(pr.instance), m)
+    out = matching_to_dict(pr.seat_instance, m)
     out["target"] = share_str(pr.beta_star)
     if args.respect_priority:
         out["priority_violations"] = len(respects_priority(pr, m))

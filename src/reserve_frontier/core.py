@@ -8,7 +8,8 @@ category-level reporting is re-aggregated at the I/O boundary.
 Every input, parsed, generated or named, is one Problem: an instance plus
 an optional share target beta_star and optional priority orders.  The
 Instance alone is the structural type that seat expansion, restriction
-and the generators work on.
+and the generators work on.  A Problem expands its instance once, on
+first use of seat_instance, and every consumer reads that expansion.
 
 A matching is scored by the pair (e, b): total eligible matches and
 beneficiary matches.  Shares b/e are kept as exact fractions throughout.
@@ -197,6 +198,11 @@ class Problem:
             object.__setattr__(self, "beta_star", beta)
         if self.priority is not None:
             validate_priority(self.instance, self.priority)
+
+    @cached_property
+    def seat_instance(self) -> SeatInstance:
+        """The validated instance expanded to unit seats, built on first use."""
+        return expand_to_seats(validate_instance(self.instance))
 
 
 @dataclass(frozen=True)

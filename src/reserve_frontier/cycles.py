@@ -176,7 +176,11 @@ def find_minimal_cycle(si: SeatInstance, m: Matching) -> Cycle | None:
         return None
     cycle = Cycle(patients=tuple(si.patients[i] for i in best_path[0::2]),
                   seats=tuple(si.seats[j - n_p] for j in best_path[1::2]))
-    delta = beneficiary_loss(si, m, cycle)
+    # the loss by name, without applying the cycle: only its patients move,
+    # since each seat it takes is empty or held by the next of them
+    before = [(p, m.seat_of(p)) for p in cycle.patients]
+    delta = sum(1 for p, s in before if s is not None and p in si.beneficiary_of(s))
+    delta -= sum(1 for p, s in zip(cycle.patients, cycle.seats) if p in si.beneficiary_of(s))
     if delta != best_key[0]:
         raise RuntimeError("cycle cost disagrees with its beneficiary loss")
     if delta <= 0:
@@ -226,10 +230,11 @@ def frontier_walk(si: SeatInstance, start: Matching) -> list[tuple[MatchPoint, M
     current, prev_loss = start, 0  # find_minimal_cycle never returns a loss below 1
     stops = [(match_point(si, current), current)]
     while (cycle := find_minimal_cycle(si, current)) is not None:
-        loss = beneficiary_loss(si, current, cycle)
+        current = apply_cycle(si, current, cycle)
+        pt = match_point(si, current)
+        loss = stops[-1][0].b - pt.b
         if loss < prev_loss:
             raise DominatedInputError("dominated input: beneficiary loss decreased along the walk")
         prev_loss = loss
-        current = apply_cycle(si, current, cycle)
-        stops.append((match_point(si, current), current))
+        stops.append((pt, current))
     return stops

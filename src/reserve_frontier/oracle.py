@@ -31,11 +31,27 @@ class BudgetExceededError(RuntimeError):
     """The instance or search exceeds the enumeration budget."""
 
 
+# _scan_leaves and _applicable_cycles recurse once per patient, and
+# _find_disjoint_family once per chosen cycle (at most min(patients, seats)),
+# on top of the caller's frames.  Sizes up to this stay well inside Python's
+# default recursion limit of 1,000.
+MAX_ORACLE_SIZE = 500
+
+
 @dataclass(frozen=True)
 class EnumerationBudget:
     max_patients: int = 7
     max_seats: int = 7
     max_states: int = 10_000_000
+
+    def __post_init__(self) -> None:
+        for what, size in (("patients", self.max_patients), ("seats", self.max_seats)):
+            if size > MAX_ORACLE_SIZE:
+                raise ValueError(
+                    f"an oracle budget of {size} {what} exceeds the ceiling of "
+                    f"{MAX_ORACLE_SIZE} that the enumeration's recursion allows; "
+                    f"keep the patients and seats of {BUDGET_ENV} at most {MAX_ORACLE_SIZE}"
+                )
 
 
 DEFAULT_BUDGET = EnumerationBudget()
@@ -225,10 +241,6 @@ class Census:
         return Sample(samples, mode, matched)
 
 
-def _census(si: SeatInstance, budget: EnumerationBudget, census: Census | None) -> Census:
-    return census if census is not None else Census(si, budget)
-
-
 def oracle_frontier(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET) -> Frontier:
     """Frontier by full enumeration: collect all score points, drop dominated ones."""
     return Census(si, budget).frontier()
@@ -356,37 +368,33 @@ def _find_disjoint_family(cycles, k: int, target_loss: int, counter: _StateCount
     """k pairwise vertex-disjoint cycles with losses summing to target_loss."""
 
     def rec(i: int, chosen, used, loss_left: int):
-        counter.tick()
-        if len(chosen) == k:
-            return chosen if loss_left == 0 else None
-        if i == len(cycles) or len(cycles) - i < k - len(chosen):
-            return None
+        # recurses only to take cycle i; skipping it loops, one state per i
         need = k - len(chosen)
-        if loss_left < need:  # every cycle loses at least 1
-            return None
-        ps, vset, loss = cycles[i]
-        if loss <= loss_left - (need - 1) and used.isdisjoint(vset):
-            hit = rec(i + 1, chosen + [i], used | vset, loss_left - loss)
-            if hit is not None:
-                return hit
-        return rec(i + 1, chosen, used, loss_left)
+        while True:
+            counter.tick()
+            if not need:
+                return chosen if loss_left == 0 else None
+            if i == len(cycles) or len(cycles) - i < need:
+                return None
+            if loss_left < need:  # every cycle loses at least 1
+                return None
+            ps, vset, loss = cycles[i]
+            if loss <= loss_left - (need - 1) and used.isdisjoint(vset):
+                hit = rec(i + 1, chosen + [i], used | vset, loss_left - loss)
+                if hit is not None:
+                    return hit
+            i += 1
 
     return rec(0, [], frozenset(), target_loss)
 
 
-def check_disjoint_cycles(
-    si: SeatInstance,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-    cap: int = 200,
-    seed: int = 0,
-    census: Census | None = None,
-) -> CheckReport:
+def check_disjoint_cycles(census: Census) -> CheckReport:
     """For every frontier pair f2 -> f1 (e1 > e2) and every sampled matching at
     f2, find e1-e2 pairwise disjoint applicable cycles with positive losses
     summing to b2-b1 whose joint application lands exactly on f1."""
-    census = _census(si, budget, census)
+    si, budget = census.si, census.budget
     f = census.frontier()
-    sample = census.sample(f.points, cap, seed)
+    sample = census.sample(f.points)
     report = CheckReport(name="disjoint-cycles", mode=sample.mode)
     n_p = len(si.patients)
 
@@ -437,18 +445,12 @@ def check_disjoint_cycles(
     return report
 
 
-def check_matched_preservation(
-    si: SeatInstance,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-    cap: int = 200,
-    seed: int = 0,
-    census: Census | None = None,
-) -> CheckReport:
+def check_matched_preservation(census: Census) -> CheckReport:
     """For every frontier pair f2 -> f1 (e1 > e2) and every sampled matching at
     f2, some matching at f1 keeps all of f2's matched patients matched."""
-    census = _census(si, budget, census)
+    si = census.si
     f = census.frontier()
-    sample = census.sample(f.points, cap, seed)
+    sample = census.sample(f.points)
     report = CheckReport(name="matched-preservation", mode=sample.mode)
     bit = {p: 1 << i for i, p in enumerate(si.patients)}
 

@@ -1,12 +1,13 @@
 """Cross-checks between the fast algorithms and the exhaustive oracle.
 
-Each suite takes one Problem and returns CheckResult rows.  The suites
-never share code with the algorithms they audit beyond the core data
-types, so a bug has to appear on both routes to slip through.  run_suites
-expands the instance once and hands every suite the same oracle Census,
-so the oracle enumerates the instance at most twice however many suites
-and targets read it; they share one computed frontier the same way, and
-the mechanism suite selects on it instead of recomputing it per target.
+Each suite takes (pr, census, f) and returns CheckResult rows.  The
+suites never share code with the algorithms they audit beyond the core
+data types, so a bug has to appear on both routes to slip through.
+run_suites builds one expansion, one census and one frontier per
+instance and hands them to every suite: the instance is expanded once
+(pr.seat_instance), the oracle Census enumerates it at most twice
+however many suites and targets read it, and the mechanism suite
+selects on the shared frontier instead of recomputing it per target.
 
 Setting RESERVE_FRONTIER_INJECT_CORRUPTION=1 deliberately corrupts the
 frontier that the frontier suite checks, and only that copy.  That is
@@ -17,12 +18,12 @@ anything.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .core import MatchPoint, Problem, SeatInstance, dominates, expand_to_seats, match_point
-from .cycles import apply_cycle, beneficiary_loss, find_minimal_cycle, frontier_walk
+from .core import MatchPoint, Problem, dominates, match_point
+from .cycles import apply_cycle, find_minimal_cycle, frontier_walk
 from .frontier import (
     Frontier,
     check_frontier_invariants,
@@ -38,7 +39,6 @@ from .mechanism import (
     rank_sum,
     repair_priority,
     respects_priority,
-    select_approx_on_frontier,
 )
 from .oracle import (
     Census,
@@ -84,28 +84,11 @@ def _maybe_corrupt(f: Frontier) -> Frontier:
     )
 
 
-def _census_of(pr: Problem, budget: EnumerationBudget | None, census: Census | None) -> Census:
-    if census is not None:
-        return census
-    return Census(expand_to_seats(pr.instance), budget or budget_from_env())
-
-
-def _frontier_of(si: SeatInstance, frontier: Frontier | None) -> Frontier:
-    return compute_frontier(si) if frontier is None else frontier
-
-
-def verify_frontier(
-    pr: Problem,
-    budget: EnumerationBudget | None = None,
-    *,
-    census: Census | None = None,
-    frontier: Frontier | None = None,
-) -> list[CheckResult]:
+def verify_frontier(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
     """Computed frontier == enumerated frontier, plus its shape invariants."""
-    census = _census_of(pr, budget, census)
     si = census.si
     results: list[CheckResult] = []
-    f = _maybe_corrupt(_frontier_of(si, frontier))
+    f = _maybe_corrupt(f)
 
     bad = [
         (p, q)
@@ -164,18 +147,10 @@ def verify_frontier(
     return results
 
 
-def verify_cycles(
-    pr: Problem,
-    budget: EnumerationBudget | None = None,
-    *,
-    census: Census | None = None,
-    frontier: Frontier | None = None,
-) -> list[CheckResult]:
+def verify_cycles(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
     """Minimal reassignment cycles agree with exhaustive cycle search."""
-    census = _census_of(pr, budget, census)
     si, budget = census.si, census.budget
     results: list[CheckResult] = []
-    f = _frontier_of(si, frontier)
 
     if si.source.total_quota == 0 or f.e_max == 0:
         results.append(CheckResult("cycles", "walk-covers-frontier", True, "empty frontier"))
@@ -210,11 +185,11 @@ def verify_cycles(
                     min_ok, detail = False, f"no cycle before the max-size point {pt}"
                     break
                 continue
-            got = beneficiary_loss(si, m, cyc)
+            nxt = match_point(si, apply_cycle(si, m, cyc))
+            got = pt.b - nxt.b  # the sample at pt scores pt
             if want is None or got != want:
                 min_ok, detail = False, f"loss {got} vs exhaustive {want} at {pt}"
                 break
-            nxt = match_point(si, apply_cycle(si, m, cyc))
             if nxt not in set(f.points):
                 min_ok, detail = False, f"cheapest cycle from {pt} landed off the frontier at {nxt}"
                 break
@@ -224,19 +199,12 @@ def verify_cycles(
     return results
 
 
-def verify_lemmas(
-    pr: Problem,
-    budget: EnumerationBudget | None = None,
-    *,
-    census: Census | None = None,
-    frontier: Frontier | None = None,
-) -> list[CheckResult]:
+def verify_lemmas(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
     """Structural facts: disjoint cycle families, matched-set preservation, kink sweep."""
-    census = _census_of(pr, budget, census)
-    si, budget = census.si, census.budget
+    si = census.si
     results: list[CheckResult] = []
 
-    rep = check_disjoint_cycles(si, budget, census=census)
+    rep = check_disjoint_cycles(census)
     results.append(
         CheckResult(
             "lemmas",
@@ -247,7 +215,7 @@ def verify_lemmas(
         )
     )
 
-    rep2 = check_matched_preservation(si, budget, census=census)
+    rep2 = check_matched_preservation(census)
     results.append(
         CheckResult(
             "lemmas",
@@ -258,7 +226,6 @@ def verify_lemmas(
         )
     )
 
-    f = _frontier_of(si, frontier)
     ok = True
     detail = ""
     if f.e_max:
@@ -280,9 +247,9 @@ def verify_lemmas(
     return results
 
 
-def _targets_for(beta_star: Fraction | None, f: Frontier, seed: int) -> list[Fraction]:
+def _targets_for(beta_star: Fraction | None, f: Frontier) -> list[Fraction]:
     targets = [] if beta_star is None else [beta_star]
-    rng = Random(seed)
+    rng = Random(0)
     for _ in range(5):
         targets.append(Fraction(rng.randrange(0, 11), 10))
     # hit exact frontier shares too: those exercise the equality branch
@@ -292,25 +259,15 @@ def _targets_for(beta_star: Fraction | None, f: Frontier, seed: int) -> list[Fra
     return targets
 
 
-def verify_mechanism(
-    pr: Problem,
-    budget: EnumerationBudget | None = None,
-    seed: int = 0,
-    *,
-    census: Census | None = None,
-    frontier: Frontier | None = None,
-) -> list[CheckResult]:
+def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
     """Selection rule, share guarantee, domination of exact-share rivals, repair."""
-    census = _census_of(pr, budget, census)
-    si, budget = census.si, census.budget
-    inst = pr.instance
-    f = _frontier_of(si, frontier)
+    si, inst = census.si, pr.instance
     results: list[CheckResult] = []
 
     if f.e_max == 0:
         ok = True
         try:
-            select_approx_on_frontier(Problem(instance=inst, beta_star=Fraction(1, 2)))
+            _select_from(si, f, Fraction(1, 2))
             ok = False
         except NoNonEmptyMatchingError:
             pass
@@ -323,7 +280,7 @@ def verify_mechanism(
 
     sel_ok = True
     detail = ""
-    for beta in _targets_for(pr.beta_star, f, seed):
+    for beta in _targets_for(pr.beta_star, f):
         target = Problem(instance=inst, beta_star=beta)
         m, pt = _select_from(si, f, beta)
         if match_point(si, m) != pt or pt not in f.points:
@@ -335,15 +292,14 @@ def verify_mechanism(
             sel_ok, detail = False, f"picked {pt}, expected {want} at target {beta}"
             break
         if Fraction(pt.b, pt.e) != beta:
-            rep = dominates_exact_share_matchings(target, pt, budget, census=census)
+            rep = dominates_exact_share_matchings(target, pt, census)
             if not rep.ok:
                 sel_ok, detail = False, f"exact-share rival undominated: {rep.failures[0]}"
                 break
     results.append(CheckResult("mechanism", "selection-rule-and-exact-share-domination", sel_ok, detail))
 
-    if pr.beta_star is None:
-        pr = replace(pr, beta_star=Fraction(1, 2))
-    m, pt = _select_from(si, f, pr.beta_star)
+    # the priority functions never read beta_star, so pr itself serves
+    m, pt = _select_from(si, f, Fraction(1, 2) if pr.beta_star is None else pr.beta_star)
     fixed = repair_priority(pr, m)
     rep_ok = (
         match_point(si, fixed) == pt
@@ -370,11 +326,11 @@ SUITE_FUNCS = {
 
 
 def run_suites(pr: Problem, suites: tuple[str, ...], budget: EnumerationBudget | None = None) -> list[CheckResult]:
-    census = _census_of(pr, budget, None)
+    census = Census(pr.seat_instance, budget or budget_from_env())
     f = compute_frontier(census.si)
     out: list[CheckResult] = []
     for name in suites:
-        out.extend(SUITE_FUNCS[name](pr, census.budget, census=census, frontier=f))
+        out.extend(SUITE_FUNCS[name](pr, census, f))
     return out
 
 

@@ -11,6 +11,7 @@ from random import Random
 
 import pytest
 
+from reserve_frontier.oracle import Census
 from reserve_frontier import (
     GenConfig,
     Matching,
@@ -260,6 +261,7 @@ def test_criterion_09_exact_share_domination():
         inst = gen_random(_oracle_cfg(i, seed_base=17_000))
         i += 1
         si = expand_to_seats(inst)
+        census = Census(si)
         shares = set()
         for m in enumerate_matchings(si):
             pt = match_point(si, m)
@@ -274,7 +276,7 @@ def test_criterion_09_exact_share_domination():
             if beneficiary_share(pt) == beta:
                 continue
             qualifying += 1
-            report = dominates_exact_share_matchings(pr, pt)
+            report = dominates_exact_share_matchings(pr, pt, census)
             assert report.witnesses_checked > 0
             assert not report.failures, f"instance {i - 1}: {report.failures[:3]}"
     print(f"criterion 09: {qualifying} off-target selections dominate every exact-share matching")

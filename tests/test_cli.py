@@ -13,9 +13,10 @@ import reserve_frontier
 import reserve_frontier.cli as cli_module
 import reserve_frontier.core as core_module
 import reserve_frontier.mechanism as mechanism_module
-from reserve_frontier import gen_named
+from reserve_frontier import NAMED_INSTANCES, SUITES, Instance, Problem, gen_named, run_suites
 from reserve_frontier.cli import main, parse_subset_tokens
-from reserve_frontier.serialize import emit_instance
+from reserve_frontier.serialize import emit_instance, parse_instance
+from reserve_frontier.verify import random_inputs
 
 
 def run(capsys, *argv):
@@ -188,6 +189,49 @@ def test_solve_repair_builds_no_tier_order(monkeypatch, tmp_path, capsys):
         "}\n"
         "e=2 b=1 beta=1/2 target=1/2\n"
     )
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Records every expand_to_seats call, under any name the package binds it to."""
+    calls = []
+    original = core_module.expand_to_seats
+
+    def counting(inst):
+        calls.append(inst)
+        return original(inst)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("reserve_frontier") and getattr(module, "expand_to_seats", None) is original:
+            monkeypatch.setattr(module, "expand_to_seats", counting)
+    return calls
+
+
+def test_solve_with_repair_expands_the_instance_once(expansions, capsys):
+    code, out, _ = run(capsys, "solve", "--named", "path-independence", "--respect-priority")
+    assert code == 0 and '"priority_violations": 0' in out
+    assert len(expansions) == 1
+
+
+def test_run_suites_expands_each_instance_once(expansions):
+    empty = Instance(
+        categories=("c1",), patients=("p1",), quota={"c1": 1}, eligible={}, beneficiary={}
+    )
+    prioritized = parse_instance(
+        {
+            "categories": [{"id": "c1", "quota": 1, "eligible": ["p1", "p2"], "beneficiary": ["p2"]}],
+            "patients": ["p1", "p2"],
+            "beta_star": "1/3",
+            "priority": {"c1": ["p2", "p1"]},
+        }
+    )
+    problems = [gen_named(n) for n in NAMED_INSTANCES] + [Problem(empty), prioritized]
+    problems += random_inputs({"patients": "6", "categories": "5", "count": "8"})
+    for pr in problems:
+        expansions.clear()
+        results = run_suites(pr, SUITES)
+        assert results and all(r.ok for r in results)
+        assert len(expansions) == 1
 
 
 def test_instance_file_input(tmp_path, capsys):

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import reserve_frontier.cycles as cycles_module
 from reserve_frontier import (
     Cycle,
     CycleError,
@@ -140,6 +141,55 @@ def test_walk_visits_the_whole_frontier():
         assert [pt for pt, _ in walk] == list(f.points)
         for pt, m in walk:
             assert match_point(si, m) == pt
+
+
+def test_each_walk_step_applies_its_cycle_once(monkeypatch):
+    applied = []
+    original = cycles_module.apply_cycle
+
+    def counting(si, m, c):
+        applied.append(c)
+        return original(si, m, c)
+
+    monkeypatch.setattr(cycles_module, "apply_cycle", counting)
+    monkeypatch.setattr(cycles_module, "beneficiary_loss", None)  # the walk must not call it
+    for name in ("conflict", "figure1", "path-independence"):
+        si = expand_to_seats(gen_named(name).instance)
+        f = compute_frontier(si)
+        applied.clear()
+        walk = frontier_walk(si, f.witnesses[f.points[0]])
+        assert len(applied) == len(walk) - 1
+        assert [pt for pt, _ in walk] == list(f.points)
+
+
+def test_walk_with_shrinking_losses_is_rejected(monkeypatch):
+    # a conflict pair (loss 1) beside a two-step chain (loss 2); a search
+    # that took the chain first would then lose less, which no frontier
+    # walk can do
+    inst = validate_instance(
+        Instance(
+            categories=("a1", "a2", "d1", "d2", "d3"),
+            patients=("p1", "p2", "x1", "x2", "x3"),
+            quota={c: 1 for c in ("a1", "a2", "d1", "d2", "d3")},
+            eligible={
+                "a1": frozenset({"p1"}),
+                "a2": frozenset({"p1", "p2"}),
+                "d1": frozenset({"x1", "x3"}),
+                "d2": frozenset({"x1", "x2"}),
+                "d3": frozenset({"x2"}),
+            },
+            beneficiary={"a2": frozenset({"p1"}), "d1": frozenset({"x1"}), "d2": frozenset({"x2"})},
+        )
+    )
+    si = expand_to_seats(inst)
+    start = Matching(pairs=(("p1", "a2#0"), ("x1", "d1#0"), ("x2", "d2#0")))
+    assert [pt for pt, _ in frontier_walk(si, start)] == [(3, 3), (4, 2), (5, 0)]
+    chain = Cycle(patients=("x3", "x1", "x2"), seats=("d1#0", "d2#0", "d3#0"))
+    conflict = Cycle(patients=("p2", "p1"), seats=("a2#0", "a1#0"))
+    forced = iter([chain, conflict])
+    monkeypatch.setattr(cycles_module, "find_minimal_cycle", lambda si, m: next(forced, None))
+    with pytest.raises(DominatedInputError, match="decreased"):
+        frontier_walk(si, start)
 
 
 def test_walk_from_dominated_start_is_rejected():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from random import Random
 
 import pytest
@@ -23,7 +24,8 @@ from reserve_frontier import (
     sample_matchings_at_points,
     validate_matching,
 )
-from reserve_frontier.oracle import budget_from_env
+from reserve_frontier.cli import main
+from reserve_frontier.oracle import MAX_ORACLE_SIZE, _find_disjoint_family, _StateCounter, budget_from_env
 
 
 def count_by_seats(si) -> int:
@@ -115,6 +117,53 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("RESERVE_FRONTIER_ORACLE_BUDGET", "3,4")
     with pytest.raises(ValueError):
         budget_from_env()
+
+
+def one_pair_file(tmp_path, n_patients):
+    patients = [f"p{i}" for i in range(1, n_patients + 1)]
+    doc = {"patients": patients, "categories": [{"id": "c1", "quota": 1, "eligible": ["p1"]}]}
+    path = tmp_path / f"one-pair-{n_patients}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_budget_above_the_recursion_ceiling_is_refused(monkeypatch):
+    for size in ((MAX_ORACLE_SIZE + 1, 7), (7, MAX_ORACLE_SIZE + 1)):
+        with pytest.raises(ValueError, match=f"ceiling of {MAX_ORACLE_SIZE}"):
+            EnumerationBudget(*size)
+    monkeypatch.setenv("RESERVE_FRONTIER_ORACLE_BUDGET", f"{MAX_ORACLE_SIZE + 1},7,100")
+    with pytest.raises(ValueError, match="RESERVE_FRONTIER_ORACLE_BUDGET"):
+        budget_from_env()
+
+
+def test_verify_runs_at_the_ceiling_and_exits_2_above_it(tmp_path, monkeypatch, capsys):
+    at = one_pair_file(tmp_path, MAX_ORACLE_SIZE)
+    monkeypatch.setenv("RESERVE_FRONTIER_ORACLE_BUDGET", f"{MAX_ORACLE_SIZE},{MAX_ORACLE_SIZE},10000000")
+    assert main(["verify", at]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    above = one_pair_file(tmp_path, MAX_ORACLE_SIZE + 1)
+    monkeypatch.setenv("RESERVE_FRONTIER_ORACLE_BUDGET", f"{MAX_ORACLE_SIZE + 1},{MAX_ORACLE_SIZE + 1},10000000")
+    assert main(["verify", above]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RESERVE_FRONTIER_ORACLE_BUDGET" in captured.err
+    assert f"ceiling of {MAX_ORACLE_SIZE}" in captured.err
+
+
+def test_oversized_budget_on_a_large_file_exits_2_not_with_a_recursion_error(tmp_path, monkeypatch, capsys):
+    # this once died in the leaf scan's recursion with a traceback and exit 1
+    path = one_pair_file(tmp_path, 1500)
+    monkeypatch.setenv("RESERVE_FRONTIER_ORACLE_BUDGET", "2000,2000,10000000")
+    assert main(["verify", path]) == 2
+    assert f"ceiling of {MAX_ORACLE_SIZE}" in capsys.readouterr().err
+
+
+def test_disjoint_family_search_loops_over_skipped_cycles():
+    # far more candidates than the recursion limit, none of which fits
+    cycles = [([], frozenset({i}), 5) for i in range(5000)]
+    assert _find_disjoint_family(cycles, 1, 2, _StateCounter(10**6)) is None
+    cycles[-1] = ([], frozenset({4999}), 2)
+    assert _find_disjoint_family(cycles, 1, 2, _StateCounter(10**6)) == [4999]
 
 
 def test_matchings_at_point_and_sampling():
