@@ -8,8 +8,9 @@ category-level reporting is re-aggregated at the I/O boundary.
 Every input, parsed, generated or named, is one Problem: an instance plus
 an optional share target beta_star and optional priority orders.  The
 Instance alone is the structural type that seat expansion, restriction
-and the generators work on.  A Problem expands its instance once, on
-first use of seat_instance, and every consumer reads that expansion.
+and the generators work on.  A Problem validates its instance once, when
+it is built, and expands it once, on first use of seat_instance; every
+consumer reads that expansion.
 
 A matching is scored by the pair (e, b): total eligible matches and
 beneficiary matches.  Shares b/e are kept as exact fractions throughout.
@@ -181,13 +182,18 @@ def validate_priority(inst: Instance, po: PriorityOrder) -> PriorityOrder:
 @dataclass(frozen=True)
 class Problem:
     """The mechanism's input: an instance, an optional exact beneficiary-share
-    target beta_star, and optional per-category priority orders."""
+    target beta_star, and optional per-category priority orders.
+
+    Construction validates the instance, then beta_star, then the priority
+    orders, and raises on the first fault; nothing downstream validates
+    the instance again."""
 
     instance: Instance
     beta_star: Fraction | None = None
     priority: PriorityOrder | None = None
 
     def __post_init__(self) -> None:
+        validate_instance(self.instance)
         beta = self.beta_star
         if beta is not None:
             if isinstance(beta, float):
@@ -201,8 +207,8 @@ class Problem:
 
     @cached_property
     def seat_instance(self) -> SeatInstance:
-        """The validated instance expanded to unit seats, built on first use."""
-        return expand_to_seats(validate_instance(self.instance))
+        """The instance expanded to unit seats, built on first use."""
+        return expand_to_seats(self.instance)
 
 
 @dataclass(frozen=True)

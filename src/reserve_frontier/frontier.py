@@ -12,10 +12,12 @@ exactly at the kinks where the per-match beneficiary cost jumps.
 Only the kinks are solved for.  The score is linear in k, so when sweeps
 lo and hi return the same point P, every sweep in between returns P too:
 a rival Q tying P inside would make score(P) - score(Q), which is >= 0 at
-both ends, vanish identically, so Q = P.  Bisecting [1, n] until adjacent
-sweeps differ therefore finds every kink in O(kinks * log n) sweeps
-instead of n.  Frontier points between kinks lie on straight segments, are
-filled by interpolation, and get witnesses from the same solver (witness_at).
+both ends, vanish identically, so Q = P.  When they return different
+points A and C, the interval is split where the scores of A and C cross,
+a parametric search in the manner of Eisner and Severance (1976, J. ACM
+23(4)), so every kink is found in O(kinks) sweeps instead of n.  Frontier
+points between kinks lie on straight segments, are filled by
+interpolation, and get witnesses from the same solver (witness_at).
 
 Every solve reads the instance's cached pair codes (0 ineligible, 1
 eligible, 2 beneficiary) with one weight per code, which the solver
@@ -178,11 +180,26 @@ def witness_at(si: SeatInstance, pt: MatchPoint) -> Matching:
 def compute_frontier(si: SeatInstance) -> Frontier:
     """The complete frontier, with witnesses at every kink.
 
-    Bisects the sweep range [1, n]: an interval whose end sweeps agree
-    holds no other point and is not split further, and one whose ends
-    differ is halved until its ends are adjacent.  Each kink's witness is
-    the matching of the smallest k whose sweep returns it, the same one a
-    sweep of every k = 1..n in order would keep.
+    Splits the sweep range [1, n] where scores cross.  An interval whose
+    end sweeps agree holds no other point and is not split further.  One
+    whose ends lo < hi return A and C != A, with de = C.e - A.e > 0 and
+    db = A.b - C.b > 0, is split at x = n^2 db // (n^2 de - db), the
+    largest k at which A scores at least C (sweep k scores (e, b) as
+    k n^2 e + (n^2 + k) b), clamped into [lo + 1, hi - 1]; at adjacent
+    ends C first appears at hi.  Each kink's witness is the matching of
+    the smallest k whose sweep returns it, the same one a sweep of every
+    k = 1..n in order would keep.
+
+    Sweeps are linear in the kinks.  Distinct points never tie in a sweep
+    (a tie at k needs n^2 (k de - db) = k db, which lies in (0, n^2], so
+    k = db = n and n de = n + 1, impossible for n >= 2), so A wins strictly
+    at lo and C at hi, and lo <= x < hi.  A sweep at x finds a new point or A, and then one at
+    x + 1, where C wins, finds a new point or C; a sweep at lo + 1 > x
+    finds a new point or C.  So the pair (A, C) costs at most two sweeps
+    that find nothing new, each charged to the adjacent pair of kinks it
+    ends up between: at most 3 * kinks - 2 sweeps (2 when the ends agree),
+    where bisection needs O(kinks * log n).  The parametric search is that
+    of Eisner and Severance (1976, J. ACM 23(4)).
     """
     n = _sweep_size(si)
     if n == 0 or not si.pair_codes.any():
@@ -191,25 +208,27 @@ def compute_frontier(si: SeatInstance) -> Frontier:
         check_frontier_invariants(f)
         return f
 
+    nn = n * n
     sweeps = {k: _sweep(si, n, k) for k in sorted({1, n})}
     firsts = [1]  # ascending k at which a new point first appears
     todo = [(1, n)]  # intervals with both end sweeps done, leftmost on top
     while todo:
         lo, hi = todo.pop()
-        if sweeps[lo][0] == sweeps[hi][0]:
+        a, c = sweeps[lo][0], sweeps[hi][0]
+        if a == c:
             continue
+        # points first seen at ascending k must trade b for e; anything else is a bug
+        if not (c.e > a.e and c.b < a.b):
+            raise FrontierInvariantError(f"sweeps {lo} and {hi} out of order: {a} then {c}")
         if hi == lo + 1:
             firsts.append(hi)
             continue
-        mid = (lo + hi) // 2
+        db = a.b - c.b
+        mid = min(max(nn * db // (nn * (c.e - a.e) - db), lo + 1), hi - 1)
         sweeps[mid] = _sweep(si, n, mid)
         todo += [(mid, hi), (lo, mid)]
     kinks = [sweeps[k][0] for k in firsts]
     witnesses = {sweeps[k][0]: _matching(si, *sweeps[k][1:]) for k in firsts}
-    for a, b in zip(kinks, kinks[1:]):
-        # points first seen at ascending k must trade b for e; anything else is a bug
-        if not (b.e > a.e and b.b < a.b):
-            raise FrontierInvariantError(f"collected kinks out of order: {a} then {b}")
 
     points: list[MatchPoint] = [kinks[0]]
     for a, b in zip(kinks, kinks[1:]):

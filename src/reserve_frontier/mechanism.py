@@ -83,18 +83,18 @@ def select_approx_on_frontier(pr: Problem) -> tuple[Matching, MatchPoint]:
     return _select_from(si, compute_frontier(si), pr.beta_star)
 
 
-def dominates_exact_share_matchings(pr: Problem, selected: MatchPoint, census: Census) -> CheckReport:
+def dominates_exact_share_matchings(beta_star: Fraction, selected: MatchPoint, census: Census) -> CheckReport:
     """Verify the selected point dominates every matching whose share is
     exactly the target (meaningful when the selected share differs from it).
 
-    Matchings are counted per point from the census of pr's instance, and
+    Matchings are counted per point from the census, and
     b/e = num/den is tested exactly as b*den == e*num.  witnesses_checked
     counts matchings, and each undominated matching adds one failure;
     failures come grouped by point, in the order the points first appear
     in the enumeration.
     """
     report = CheckReport(name="dominates-exact-share")
-    num, den = pr.beta_star.numerator, pr.beta_star.denominator
+    num, den = beta_star.numerator, beta_star.denominator
     try:
         counts = census.counts
     except BudgetExceededError as exc:
@@ -107,7 +107,7 @@ def dominates_exact_share_matchings(pr: Problem, selected: MatchPoint, census: C
         report.witnesses_checked += n
         if not dominates(selected, pt):
             report.failures += [
-                f"matching at {pt} with exact share {pr.beta_star} "
+                f"matching at {pt} with exact share {beta_star} "
                 f"is not dominated by {selected}"
             ] * n
     return report

@@ -36,7 +36,6 @@ from .core import (
     SeatInstance,
     beneficiary_share,
     match_point,
-    validate_instance,
 )
 from .frontier import Frontier
 
@@ -106,26 +105,33 @@ def parse_instance(data: Any) -> Problem:
         beneficiary[c] = frozenset(
             _str_list(entry.get("beneficiary", []), f"category {c}: 'beneficiary'")
         )
-    inst = validate_instance(
-        Instance(
-            categories=tuple(categories),
-            patients=tuple(_str_list(data["patients"], "'patients'")),
-            quota=quota,
-            eligible=eligible,
-            beneficiary=beneficiary,
-        )
+    inst = Instance(
+        categories=tuple(categories),
+        patients=tuple(_str_list(data["patients"], "'patients'")),
+        quota=quota,
+        eligible=eligible,
+        beneficiary=beneficiary,
     )
     beta = data.get("beta_star")
     priority = data.get("priority")
-    if beta is None and priority is not None:
-        raise ValueError("a priority block requires beta_star")
-    problem = Problem(instance=inst, beta_star=None if beta is None else parse_share(beta))
-    if priority is None:
-        return problem
-    if not isinstance(priority, dict):
-        raise ValueError("'priority' must map category ids to lists of patient ids")
-    order = {c: tuple(_str_list(ps, f"priority for {c}")) for c, ps in priority.items()}
-    return Problem(instance=inst, beta_star=problem.beta_star, priority=PriorityOrder(order=order))
+    beta_star = order = None
+    try:
+        if beta is None and priority is not None:
+            raise ValueError("a priority block requires beta_star")
+        if beta is not None:
+            beta_star = parse_share(beta)
+        if priority is not None:
+            if not isinstance(priority, dict):
+                raise ValueError("'priority' must map category ids to lists of patient ids")
+            order = PriorityOrder(
+                order={c: tuple(_str_list(ps, f"priority for {c}")) for c, ps in priority.items()}
+            )
+    except ValueError:
+        # report faults in the order a document is read: the instance, then
+        # the share's range, then this one
+        Problem(instance=inst, beta_star=beta_star)
+        raise
+    return Problem(instance=inst, beta_star=beta_star, priority=order)
 
 
 def parse_instance_file(path: str) -> Problem:

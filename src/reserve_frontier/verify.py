@@ -261,7 +261,7 @@ def _targets_for(beta_star: Fraction | None, f: Frontier) -> list[Fraction]:
 
 def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
     """Selection rule, share guarantee, domination of exact-share rivals, repair."""
-    si, inst = census.si, pr.instance
+    si = census.si
     results: list[CheckResult] = []
 
     if f.e_max == 0:
@@ -281,7 +281,6 @@ def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResu
     sel_ok = True
     detail = ""
     for beta in _targets_for(pr.beta_star, f):
-        target = Problem(instance=inst, beta_star=beta)
         m, pt = _select_from(si, f, beta)
         if match_point(si, m) != pt or pt not in f.points:
             sel_ok, detail = False, f"witness off the frontier at target {beta}"
@@ -292,7 +291,7 @@ def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResu
             sel_ok, detail = False, f"picked {pt}, expected {want} at target {beta}"
             break
         if Fraction(pt.b, pt.e) != beta:
-            rep = dominates_exact_share_matchings(target, pt, census)
+            rep = dominates_exact_share_matchings(beta, pt, census)
             if not rep.ok:
                 sel_ok, detail = False, f"exact-share rival undominated: {rep.failures[0]}"
                 break

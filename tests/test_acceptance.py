@@ -276,7 +276,7 @@ def test_criterion_09_exact_share_domination():
             if beneficiary_share(pt) == beta:
                 continue
             qualifying += 1
-            report = dominates_exact_share_matchings(pr, pt, census)
+            report = dominates_exact_share_matchings(pr.beta_star, pt, census)
             assert report.witnesses_checked > 0
             assert not report.failures, f"instance {i - 1}: {report.failures[:3]}"
     print(f"criterion 09: {qualifying} off-target selections dominate every exact-share matching")

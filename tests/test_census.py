@@ -158,7 +158,7 @@ def assert_census_matches_the_scans(inst, cap):
         pr = Problem(instance=inst, beta_star=beta)
         _, selected = select_approx_on_frontier(pr)
         for point in (selected, MatchPoint(0, 0)):
-            got_rep = dominates_exact_share_matchings(pr, point, census=census)
+            got_rep = dominates_exact_share_matchings(pr.beta_star, point, census=census)
             want_rep = ref_exact_share(at_share, beta, point)
             assert got_rep.witnesses_checked == want_rep.witnesses_checked
             assert sorted(got_rep.failures) == sorted(want_rep.failures)

@@ -13,7 +13,15 @@ import reserve_frontier
 import reserve_frontier.cli as cli_module
 import reserve_frontier.core as core_module
 import reserve_frontier.mechanism as mechanism_module
-from reserve_frontier import NAMED_INSTANCES, SUITES, Instance, Problem, gen_named, run_suites
+from reserve_frontier import (
+    NAMED_INSTANCES,
+    SUITES,
+    Instance,
+    PriorityOrder,
+    Problem,
+    gen_named,
+    run_suites,
+)
 from reserve_frontier.cli import main, parse_subset_tokens
 from reserve_frontier.serialize import emit_instance, parse_instance
 from reserve_frontier.verify import random_inputs
@@ -191,20 +199,24 @@ def test_solve_repair_builds_no_tier_order(monkeypatch, tmp_path, capsys):
     )
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """Records every call of core's function name, under any name the package binds it to."""
+    calls = []
+    original = getattr(core_module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("reserve_frontier") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture
 def expansions(monkeypatch):
-    """Records every expand_to_seats call, under any name the package binds it to."""
-    calls = []
-    original = core_module.expand_to_seats
-
-    def counting(inst):
-        calls.append(inst)
-        return original(inst)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("reserve_frontier") and getattr(module, "expand_to_seats", None) is original:
-            monkeypatch.setattr(module, "expand_to_seats", counting)
-    return calls
+    return count_calls(monkeypatch, "expand_to_seats")
 
 
 def test_solve_with_repair_expands_the_instance_once(expansions, capsys):
@@ -232,6 +244,25 @@ def test_run_suites_expands_each_instance_once(expansions):
         results = run_suites(pr, SUITES)
         assert results and all(r.ok for r in results)
         assert len(expansions) == 1
+
+
+def test_each_input_is_validated_once(monkeypatch, tmp_path, capsys):
+    validations = count_calls(monkeypatch, "validate_instance")
+    pr = gen_named("path-independence")
+    prioritized = Problem(pr.instance, pr.beta_star, PriorityOrder.from_tiers(pr.instance))
+    paths = []
+    for name, problem in (("plain", pr), ("prioritized", prioritized)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(emit_instance(problem)))
+    for argv in (
+        ("solve", str(paths[0]), "--respect-priority"),
+        ("solve", str(paths[1]), "--respect-priority"),
+        ("verify", str(paths[0]), "--jobs", "1"),
+        ("frontier", "--named", "conflict"),
+    ):
+        validations.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert len(validations) == 1, argv
 
 
 def test_instance_file_input(tmp_path, capsys):

@@ -117,6 +117,14 @@ def test_problem_requires_exact_fraction():
         Problem(instance=inst, beta_star=Fraction(-1, 10))
 
 
+def test_a_problem_validates_its_instance_on_construction():
+    bad = Instance(
+        categories=("c1",), patients=("p1",), quota={"c1": 1}, eligible={"c1": {"p9"}}, beneficiary={}
+    )
+    with pytest.raises(InstanceError, match="not in patient set"):
+        Problem(instance=bad)
+
+
 def test_problem_validates_its_priority_and_fills_in_the_tier_order():
     inst = tiny()
     bare = Problem(instance=inst)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -252,6 +253,25 @@ def small_random_draws():
         )
 
 
+def disjoint_union(*insts: Instance) -> Instance:
+    """The instances side by side, ids prefixed by position: frontiers add."""
+    cats, pats, quota, eligible, beneficiary = [], [], {}, {}, {}
+    for i, inst in enumerate(insts):
+        tag = lambda x, i=i: f"u{i}{x}"
+        cats += map(tag, inst.categories)
+        pats += map(tag, inst.patients)
+        for c in inst.categories:
+            quota[tag(c)] = inst.quota[c]
+            eligible[tag(c)] = frozenset(map(tag, inst.eligible_of(c)))
+            beneficiary[tag(c)] = frozenset(map(tag, inst.beneficiary_of(c)))
+    return validate_instance(Instance(tuple(cats), tuple(pats), quota, eligible, beneficiary))
+
+
+# chain k drops k + 1 beneficiaries for its last match, so a union of chains
+# has one kink per chain at steep, well separated slopes; (2, 6) needs the
+# 3 * 3 - 2 = 7 sweeps the crossing split's bound allows
+CHAIN_UNIONS = [(2, 6), (2, 10), (3, 8, 15), (2, 5, 9, 14), (1, 1, 4), (6, 3, 6)]
+
 DIFFERENTIAL_FAMILIES = {
     **{
         f"unit-quota-{n}": (lambda n=n: [gen_random(GenConfig(n, n, (1, 1), 3 / n, 0.5, seed=1))])
@@ -259,12 +279,15 @@ DIFFERENTIAL_FAMILIES = {
     },
     "criterion-12": lambda: [gen_random(GenConfig(500, 200, (1, 4), 0.04, 0.35, seed=7))],
     "chain": lambda: [gen_chain_family(k) for k in range(1, 8)],
+    "chain-unions": lambda: [disjoint_union(*map(gen_chain_family, ks)) for ks in CHAIN_UNIONS],
     "small-random": small_random_draws,
 }
 
 
 @pytest.mark.parametrize("family", sorted(DIFFERENTIAL_FAMILIES))
 def test_bisection_matches_the_full_sweep(family, monkeypatch):
+    """The crossing split keeps the full sweep's points, kinks and witnesses
+    in at most 3 * kinks - 2 sweeps (2 when one point covers every k)."""
     swept = []
     sweep = frontier_module._sweep
 
@@ -281,6 +304,67 @@ def test_bisection_matches_the_full_sweep(family, monkeypatch):
         assert list(f.points) == points
         assert f.kinks == frozenset(kinks)
         assert f.witnesses == witnesses
-        n = max(len(si.patients), len(si.seats))
         assert len(swept) == len(set(swept)), "a sweep ran twice"
-        assert len(swept) <= len(f.kinks) * ((n - 1).bit_length() + 1)
+        assert len(swept) <= max(2, 3 * len(f.kinks) - 2)
+
+
+def tally_splits(monkeypatch, shift: int) -> Counter:
+    """Answer sweep k with sweep k + shift (clamped into [1, n]) and tally
+    where each split fell against the crossing x of its interval's ends.
+
+    A monotone remap of k keeps the sweeps a step function, so the split
+    must still match the full sweep of the same remap.  A split's interval
+    is bounded by the nearest sweeps already done on either side of it.
+    """
+    sweep = frontier_module._sweep
+    done: dict[int, MatchPoint] = {}
+    tally = Counter()
+
+    def remapped(si, n, k):
+        out = sweep(si, n, min(max(k + shift, 1), n))
+        below, above = [j for j in done if j < k], [j for j in done if j > k]
+        if below and above:
+            lo, hi = max(below), min(above)
+            a, c = done[lo], done[hi]
+            db = a.b - c.b
+            x = n * n * db // (n * n * (c.e - a.e) - db)
+            tally["lower clamp" if x <= lo else "upper clamp" if x >= hi else "at the crossing"] += 1
+            if k == x and out[0] == c:
+                tally["C ties A at x"] += 1
+        done[k] = out[0]
+        return out
+
+    monkeypatch.setattr(frontier_module, "_sweep", remapped)
+    draws = [two_conflict_copies(), *(gen_chain_family(k) for k in range(1, 5))]
+    draws += [disjoint_union(*map(gen_chain_family, ks)) for ks in CHAIN_UNIONS]
+    for inst in draws:
+        si = expand_to_seats(inst)
+        done.clear()
+        points, kinks, witnesses = full_sweep_reference(si)  # ascending k: no splits
+        done.clear()
+        f = compute_frontier(si)
+        assert (list(f.points), f.kinks, f.witnesses) == (points, frozenset(kinks), witnesses)
+    return tally
+
+
+def test_exact_sweeps_split_inside_their_interval_and_never_tie(monkeypatch):
+    # distinct points never tie in a sweep (see compute_frontier), so A wins
+    # strictly at lo and C at hi: lo <= x < hi, the upper clamp cannot fire,
+    # and the sweep at x never returns C
+    tally = tally_splits(monkeypatch, shift=0)
+    assert tally["lower clamp"] and tally["at the crossing"]
+    assert not tally["upper clamp"] and not tally["C ties A at x"]
+
+
+def test_a_shifted_sweep_reaches_the_upper_clamp_and_a_tie_at_x(monkeypatch):
+    # sweep k answering as sweep k + 1 moves every change point one left:
+    # C then appears at x, as at a tie, and the next interval ends at x
+    tally = tally_splits(monkeypatch, shift=1)
+    assert tally["upper clamp"] and tally["C ties A at x"]
+
+
+def test_out_of_order_interval_ends_raise(monkeypatch):
+    sweep = frontier_module._sweep
+    monkeypatch.setattr(frontier_module, "_sweep", lambda si, n, k: sweep(si, n, n + 1 - k))
+    with pytest.raises(FrontierInvariantError, match="out of order"):
+        compute_frontier(expand_to_seats(two_conflict_copies()))

@@ -182,7 +182,7 @@ def test_exact_share_matchings_are_dominated():
             continue
         if beneficiary_share(pt) == beta:
             continue
-        report = dominates_exact_share_matchings(pr, pt, Census(pr.seat_instance))
+        report = dominates_exact_share_matchings(pr.beta_star, pt, Census(pr.seat_instance))
         assert report.ok, report.failures[:1]
         nonvacuous += report.witnesses_checked > 0
     assert nonvacuous >= 5
@@ -208,13 +208,13 @@ def test_exact_share_check_catches_an_undominated_rival():
     escaped = [pt for pt in exact if not dominates(selected, pt)]
     assert len(exact) == 3 and len(escaped) == 3
     census = Census(si)
-    report = dominates_exact_share_matchings(pr, selected, census)
+    report = dominates_exact_share_matchings(pr.beta_star, selected, census)
     assert not report.ok
     assert report.witnesses_checked == len(exact)
     assert len(report.failures) == len(escaped)
     assert "matching at MatchPoint(e=1, b=1) with exact share 1" in report.failures[0]
     # (2, 1) dominates both (1, 1) singles; only (2, 2) escapes it
-    report = dominates_exact_share_matchings(pr, MatchPoint(2, 1), census)
+    report = dominates_exact_share_matchings(pr.beta_star, MatchPoint(2, 1), census)
     assert (report.witnesses_checked, len(report.failures)) == (3, 1)
 
 

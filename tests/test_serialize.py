@@ -73,6 +73,25 @@ def test_parse_errors():
         parse_instance({"categories": [], "patients": [], "priority": {}})
 
 
+def test_parse_reports_the_first_fault_in_reading_order():
+    """Instance, then share, then priority faults, though the Problem is built once."""
+    cats = [{"id": "c1", "quota": 1, "eligible": ["p1", "p2"], "beneficiary": ["p1"]}]
+    bad_cats = [{"id": "c1", "quota": 1, "eligible": ["p1"], "beneficiary": ["p2"]}]
+    cases = [
+        (dict(categories=bad_cats, priority={"c1": ["p1", "p2"]}), "not eligible"),
+        (dict(categories=bad_cats, beta_star="half"), "not eligible"),
+        (dict(categories=bad_cats, beta_star="3/2", priority="nope"), "not eligible"),
+        (dict(categories=cats, beta_star="half", priority="nope"), "Fraction"),
+        (dict(categories=cats, beta_star="3/2", priority="nope"), "lie in"),
+        (dict(categories=cats, beta_star="3/2", priority={"c1": [1]}), "lie in"),
+        (dict(categories=cats, beta_star="3/2", priority={"c1": ["p2", "p1"]}), "lie in"),
+        (dict(categories=cats, beta_star="1/2", priority={"c1": ["p2", "p1"]}), "tiers"),
+    ]
+    for fields, message in cases:
+        with pytest.raises(ValueError, match=message):
+            parse_instance({"patients": ["p1", "p2"], **fields})
+
+
 def test_round_trip_on_named_inputs():
     for name in ("conflict", "figure1", "beta-threshold", "path-independence"):
         obj = gen_named(name)
