@@ -12,12 +12,12 @@ max-beneficiary endpoint materializes a witness matching at every frontier
 point.  Only verify and the demos walk; production solves for witnesses
 directly (frontier.witness_at).
 
-Cheapest-cycle search runs Bellman-Ford over (cost, hops) pairs, where an
+Cheapest-cycle search is one Bellman-Ford from every unmatched patient at
+once, over (cost, start rank, hops) labels with predecessor links, where an
 alternating path's cost is exactly the beneficiary loss of the cycle it
 closes.  Costs can be negative on a dominated input; a negative-cost cycle
-is reported as such rather than looped over (lexicographic (cost, hops)
-relaxation converges in V-1 rounds otherwise, since zero-cost loops only
-add hops).
+is reported as such rather than looped over (lexicographic relaxation
+converges in V-1 rounds otherwise, since zero-cost loops only add hops).
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Matching, MatchPoint, SeatInstance, match_point
-
-INF = 10**9
 
 
 class CycleError(ValueError):
@@ -102,6 +100,34 @@ def find_minimal_cycle(si: SeatInstance, m: Matching) -> Cycle | None:
     path length, so the result is deterministic.  Raises DominatedInputError
     when the cheapest loss is not positive or a negative-cost loop exists;
     either certifies the input matching is dominated.
+
+    One Bellman-Ford starts from every unmatched patient at once.  Each
+    node carries the least (cost, start rank, hops) label over the
+    alternating paths that reach it, where a start's rank is its position
+    among the unmatched patients with an eligible seat, and each seat
+    records the patient that last strictly improved its label.  This returns the cycle that one
+    search per start, compared pair by pair, would return:
+
+    - Same best key.  A start's rank is the same at every node of its
+      paths, so a node's label is the least over starts of that start's
+      own (cost, hops) label with the rank inserted, and the least
+      (cost, start rank, seat rank, hops) over targets is the least over
+      (start, target) pairs.
+    - Same candidate predecessors.  Every node on the chosen path carries
+      the chosen start's own label: a start that labelled such a node
+      better would also reach the target better.  So each seat on the
+      path has the predecessors a search from that start alone sees.
+    - Same predecessor.  Within a round patients relax seats, then seats
+      relax their holders, so a label of h hops first appears in round
+      ceil(h/2), when every patient that can give the seat its final label
+      already holds its own.  Patients are scanned in index order, so the
+      first strict improvement comes from the lowest-index predecessor.
+    - Starts keep their labels.  An unmatched patient has no incoming
+      edge, so every start keeps (0, rank, 0).
+
+    Once the labels settle, a seat's label is its recorded patient's plus
+    one hop, and a held seat's holder is the seat's plus one hop, so the
+    links lead back to the start in strictly fewer hops.
     """
     n_p, n_s = len(si.patients), len(si.seats)
     seat_of = [-1] * n_p
@@ -122,101 +148,71 @@ def find_minimal_cycle(si: SeatInstance, m: Matching) -> Cycle | None:
     if not starts or not targets:
         return None
 
-    n_nodes = n_p + n_s  # patient i -> node i, seat j -> node n_p + j
-    best_key: tuple[int, int, int, int] | None = None
-    best_path: list[int] | None = None
-
-    for start_rank, start in enumerate(starts):
-        cost = [INF] * n_nodes
-        hops = [INF] * n_nodes
-        cost[start] = 0
-        hops[start] = 0
-        rounds = 0
-        changed = True
-        while changed:
-            changed = False
-            rounds += 1
-            if rounds > n_nodes:
-                raise DominatedInputError(
-                    "dominated input: negative-loss reassignment loop detected"
-                )
-            for i in range(n_p):
-                if cost[i] == INF:
-                    continue
-                for j in elig[i]:
-                    if j == seat_of[i]:
-                        continue
-                    w = cur_bene[i] - (1 if j in bene[i] else 0)
-                    cand = (cost[i] + w, hops[i] + 1)
-                    if cand < (cost[n_p + j], hops[n_p + j]):
-                        cost[n_p + j], hops[n_p + j] = cand
-                        changed = True
-            for j in range(n_s):
-                u = n_p + j
-                if cost[u] == INF or patient_of[j] == -1:
-                    continue
-                v = patient_of[j]
-                cand = (cost[u], hops[u] + 1)
-                if cand < (cost[v], hops[v]):
-                    cost[v], hops[v] = cand
-                    changed = True
-
-        for seat_rank, t in enumerate(targets):
-            u = n_p + t
-            if cost[u] == INF:
+    label: list[tuple[int, int, int] | None] = [None] * n_p
+    seat_label: list[tuple[int, int, int] | None] = [None] * n_s
+    pred = [-1] * n_s  # patient that last strictly improved each seat's label
+    for rank, i in enumerate(starts):
+        label[i] = (0, rank, 0)
+    rounds = 0
+    changed = True
+    while changed:
+        changed = False
+        rounds += 1
+        if rounds > n_p + n_s:
+            raise DominatedInputError(
+                "dominated input: negative-loss reassignment loop detected"
+            )
+        for i in range(n_p):
+            if label[i] is None:
                 continue
-            key = (cost[u], start_rank, seat_rank, hops[u])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_path = _trace_back(
-                    start, u, cost, hops, n_p, elig, bene, seat_of, patient_of, cur_bene
-                )
+            cost, rank, hops = label[i]
+            for j in elig[i]:
+                if j == seat_of[i]:
+                    continue
+                w = cur_bene[i] - (1 if j in bene[i] else 0)
+                cand = (cost + w, rank, hops + 1)
+                if seat_label[j] is None or cand < seat_label[j]:
+                    seat_label[j] = cand
+                    pred[j] = i
+                    changed = True
+        for i in range(n_p):
+            j = seat_of[i]
+            if j == -1 or seat_label[j] is None:
+                continue
+            cost, rank, hops = seat_label[j]
+            cand = (cost, rank, hops + 1)
+            if label[i] is None or cand < label[i]:
+                label[i] = cand
+                changed = True
 
-    if best_path is None:
+    reached = [
+        (seat_label[t][0], seat_label[t][1], seat_rank, seat_label[t][2], t)
+        for seat_rank, t in enumerate(targets)
+        if seat_label[t] is not None
+    ]
+    if not reached:
         return None
-    cycle = Cycle(patients=tuple(si.patients[i] for i in best_path[0::2]),
-                  seats=tuple(si.seats[j - n_p] for j in best_path[1::2]))
+    best_cost, *_, j = min(reached)
+    patients: list[str] = []
+    seats: list[str] = []
+    while j != -1:
+        i = pred[j]
+        patients.append(si.patients[i])
+        seats.append(si.seats[j])
+        j = seat_of[i]
+    cycle = Cycle(patients=tuple(reversed(patients)), seats=tuple(reversed(seats)))
     # the loss by name, without applying the cycle: only its patients move,
     # since each seat it takes is empty or held by the next of them
     before = [(p, m.seat_of(p)) for p in cycle.patients]
     delta = sum(1 for p, s in before if s is not None and p in si.beneficiary_of(s))
     delta -= sum(1 for p, s in zip(cycle.patients, cycle.seats) if p in si.beneficiary_of(s))
-    if delta != best_key[0]:
+    if delta != best_cost:
         raise RuntimeError("cycle cost disagrees with its beneficiary loss")
     if delta <= 0:
         raise DominatedInputError(
             f"dominated input: applicable cycle with beneficiary loss {delta}"
         )
     return cycle
-
-
-def _trace_back(start, target, cost, hops, n_p, elig, bene, seat_of, patient_of, cur_bene):
-    """Walk predecessors from target back to start by decrementing hop layers."""
-    path = [target]
-    node = target
-    while node != start:
-        if node >= n_p:
-            j = node - n_p
-            found = None
-            for i in range(n_p):
-                if cost[i] == INF or j == seat_of[i] or j not in elig[i]:
-                    continue
-                w = cur_bene[i] - (1 if j in bene[i] else 0)
-                if cost[i] + w == cost[node] and hops[i] + 1 == hops[node]:
-                    found = i
-                    break
-            if found is None:
-                raise RuntimeError("path reconstruction lost its predecessor")
-            node = found
-        else:
-            j = seat_of[node]
-            u = n_p + j
-            if j == -1 or not (cost[u] == cost[node] and hops[u] + 1 == hops[node]):
-                raise RuntimeError("path reconstruction lost its predecessor")
-            node = u
-        path.append(node)
-    path.reverse()
-    return path
 
 
 def frontier_walk(si: SeatInstance, start: Matching) -> list[tuple[MatchPoint, Matching]]:

@@ -2,7 +2,9 @@
 
 Random generation is deterministic per seed.  Degenerate draws (a patient
 eligible nowhere, a category with no eligible patients) are kept, not
-resampled; they exercise empty-row handling downstream.
+resampled; they exercise empty-row handling downstream.  Generated
+instances are valid by construction and come back unchecked; a Problem
+validates its instance when it is built.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, Problem, validate_instance
+from .core import Instance, Problem
 
 NAMED_INSTANCES = ("conflict", "figure1", "beta-threshold", "path-independence")
 
@@ -50,14 +52,12 @@ def gen_random(cfg: GenConfig) -> Instance:
         bene = [p for p in elig if rng.random() < cfg.beneficiary_density]
         eligible[c] = frozenset(elig)
         beneficiary[c] = frozenset(bene)
-    return validate_instance(
-        Instance(
-            categories=categories,
-            patients=patients,
-            quota=quota,
-            eligible=eligible,
-            beneficiary=beneficiary,
-        )
+    return Instance(
+        categories=categories,
+        patients=patients,
+        quota=quota,
+        eligible=eligible,
+        beneficiary=beneficiary,
     )
 
 
@@ -77,14 +77,12 @@ def gen_chain_family(k: int) -> Instance:
     eligible[f"c{n}"] = frozenset({f"p{n - 1}"})
     beneficiary = {f"c{i}": frozenset({f"p{i}"}) for i in range(1, n)}
     beneficiary[f"c{n}"] = frozenset()
-    return validate_instance(
-        Instance(
-            categories=categories,
-            patients=patients,
-            quota={c: 1 for c in categories},
-            eligible=eligible,
-            beneficiary=beneficiary,
-        )
+    return Instance(
+        categories=categories,
+        patients=patients,
+        quota={c: 1 for c in categories},
+        eligible=eligible,
+        beneficiary=beneficiary,
     )
 
 

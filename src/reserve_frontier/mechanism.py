@@ -237,6 +237,8 @@ MAX_AUDIT_PATIENTS = 14
 
 
 def _choice_masks(pr: Problem, max_patients: int) -> tuple[tuple[str, ...], list[int]]:
+    if max_patients < 0:
+        raise ValueError(f"a choice audit cap of {max_patients} patients is below 0")
     if max_patients > MAX_AUDIT_PATIENTS:
         raise ValueError(
             f"a choice audit cap of {max_patients} patients exceeds the ceiling "

@@ -265,6 +265,12 @@ def test_each_input_is_validated_once(monkeypatch, tmp_path, capsys):
         assert len(validations) == 1, argv
 
 
+def test_random_verify_validates_each_draw_once(monkeypatch, capsys):
+    validations = count_calls(monkeypatch, "validate_instance")
+    assert run(capsys, "verify", "--random", "count=20", "--jobs", "1")[0] == 0
+    assert len(validations) == 20
+
+
 def test_instance_file_input(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(emit_instance(gen_named("beta-threshold"))))
@@ -485,11 +491,16 @@ def test_audit_clean_instance_reports_zero(tmp_path, capsys):
     assert "substitutability: 0 violation(s)" in out
 
 
-def test_audit_cap_above_the_ceiling_exits_2(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "cap, message",
+    [("1000", "ceiling of 14"), ("-3", "-3 patients is below 0")],
+    ids=["1000", "-3"],
+)
+def test_audit_cap_above_the_ceiling_exits_2(monkeypatch, capsys, cap, message):
     def no_enumeration(*args, **kwargs):
-        raise AssertionError("an audit above the ceiling enumerated subsets")
+        raise AssertionError("an audit outside the allowed caps enumerated subsets")
 
     monkeypatch.setattr(mechanism_module, "induce_choice", no_enumeration)
-    code, out, err = run(capsys, "audit", "--named", "conflict", "--max-patients", "1000")
+    code, out, err = run(capsys, "audit", "--named", "conflict", "--max-patients", cap)
     assert code == 2 and out == ""
-    assert "ceiling of 14" in err
+    assert message in err

@@ -225,3 +225,215 @@ def test_minimal_loss_matches_exhaustive_search():
                 else:
                     assert got is not None
                     assert beneficiary_loss(si, m, got) == want
+
+
+# The cheapest-cycle search as it stood before it became one multi-source
+# search: one Bellman-Ford per unmatched patient, then a walk back along
+# decrementing hop layers.  Kept here only as the reference.  When
+# start_costs is given, it receives each start's cheapest target cost.
+REF_INF = 10**9
+
+
+def ref_find_minimal_cycle(si, m, start_costs=None):
+    n_p, n_s = len(si.patients), len(si.seats)
+    seat_of = [-1] * n_p
+    patient_of = [-1] * n_s
+    for p, s in m.pairs:
+        i, j = si.patient_index[p], si.seat_index[s]
+        seat_of[i] = j
+        patient_of[j] = i
+    elig = si.eligible_seats
+    bene = si.beneficiary_seat_sets
+    cur_bene = [
+        1 if seat_of[i] != -1 and seat_of[i] in bene[i] else 0 for i in range(n_p)
+    ]
+    starts = [i for i in range(n_p) if seat_of[i] == -1 and elig[i]]
+    targets = [j for j in range(n_s) if patient_of[j] == -1]
+    if not starts or not targets:
+        return None
+
+    n_nodes = n_p + n_s
+    best_key = None
+    best_path = None
+
+    for start_rank, start in enumerate(starts):
+        cost = [REF_INF] * n_nodes
+        hops = [REF_INF] * n_nodes
+        cost[start] = 0
+        hops[start] = 0
+        rounds = 0
+        changed = True
+        while changed:
+            changed = False
+            rounds += 1
+            if rounds > n_nodes:
+                raise DominatedInputError(
+                    "dominated input: negative-loss reassignment loop detected"
+                )
+            for i in range(n_p):
+                if cost[i] == REF_INF:
+                    continue
+                for j in elig[i]:
+                    if j == seat_of[i]:
+                        continue
+                    w = cur_bene[i] - (1 if j in bene[i] else 0)
+                    cand = (cost[i] + w, hops[i] + 1)
+                    if cand < (cost[n_p + j], hops[n_p + j]):
+                        cost[n_p + j], hops[n_p + j] = cand
+                        changed = True
+            for j in range(n_s):
+                u = n_p + j
+                if cost[u] == REF_INF or patient_of[j] == -1:
+                    continue
+                v = patient_of[j]
+                cand = (cost[u], hops[u] + 1)
+                if cand < (cost[v], hops[v]):
+                    cost[v], hops[v] = cand
+                    changed = True
+
+        if start_costs is not None:
+            start_costs.append(min(cost[n_p + t] for t in targets))
+        for seat_rank, t in enumerate(targets):
+            u = n_p + t
+            if cost[u] == REF_INF:
+                continue
+            key = (cost[u], start_rank, seat_rank, hops[u])
+            if best_key is None or key < best_key:
+                best_key = key
+                best_path = ref_trace_back(
+                    start, u, cost, hops, n_p, elig, bene, seat_of, patient_of, cur_bene
+                )
+
+    if best_path is None:
+        return None
+    cycle = Cycle(patients=tuple(si.patients[i] for i in best_path[0::2]),
+                  seats=tuple(si.seats[j - n_p] for j in best_path[1::2]))
+    before = [(p, m.seat_of(p)) for p in cycle.patients]
+    delta = sum(1 for p, s in before if s is not None and p in si.beneficiary_of(s))
+    delta -= sum(1 for p, s in zip(cycle.patients, cycle.seats) if p in si.beneficiary_of(s))
+    if delta != best_key[0]:
+        raise RuntimeError("cycle cost disagrees with its beneficiary loss")
+    if delta <= 0:
+        raise DominatedInputError(
+            f"dominated input: applicable cycle with beneficiary loss {delta}"
+        )
+    return cycle
+
+
+def ref_trace_back(start, target, cost, hops, n_p, elig, bene, seat_of, patient_of, cur_bene):
+    path = [target]
+    node = target
+    while node != start:
+        if node >= n_p:
+            j = node - n_p
+            found = None
+            for i in range(n_p):
+                if cost[i] == REF_INF or j == seat_of[i] or j not in elig[i]:
+                    continue
+                w = cur_bene[i] - (1 if j in bene[i] else 0)
+                if cost[i] + w == cost[node] and hops[i] + 1 == hops[node]:
+                    found = i
+                    break
+            if found is None:
+                raise RuntimeError("path reconstruction lost its predecessor")
+            node = found
+        else:
+            j = seat_of[node]
+            u = n_p + j
+            if j == -1 or not (cost[u] == cost[node] and hops[u] + 1 == hops[node]):
+                raise RuntimeError("path reconstruction lost its predecessor")
+            node = u
+        path.append(node)
+    path.reverse()
+    return path
+
+
+def outcome(search, si, m, **kwargs):
+    """The cycle's patients and seats, None, or the exception's type and message."""
+    try:
+        c = search(si, m, **kwargs)
+    except (DominatedInputError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+    return None if c is None else ("cycle", c.patients, c.seats)
+
+
+def random_eligible_matching(si, rng):
+    """Seat a random subset of patients, each at a random free eligible seat."""
+    free = set(range(len(si.seats)))
+    pairs = []
+    for i in rng.sample(range(len(si.patients)), len(si.patients)):
+        open_seats = sorted(free & set(si.eligible_seats[i]))
+        if open_seats and rng.random() < 0.7:
+            j = rng.choice(open_seats)
+            free.discard(j)
+            pairs.append((si.patients[i], si.seats[j]))
+    return Matching(pairs=tuple(pairs))
+
+
+def walk_matchings(si, start):
+    """Every matching a frontier walk from start searches, up to its first refusal."""
+    current = start
+    while True:
+        yield current
+        try:
+            c = find_minimal_cycle(si, current)
+        except DominatedInputError:
+            return
+        if c is None:
+            return
+        current = apply_cycle(si, current, c)
+
+
+def differential_corpus():
+    """(seat instance, matching) calls from walks, chains, arbitrary matchings and oracle samples."""
+    rng = Random(2024)
+    for _ in range(80):  # walk steps on sparse draws shaped like the solve-walk family
+        n = rng.randint(10, 60)
+        inst = gen_random(
+            GenConfig(n, n, (1, 1), rng.randint(2, 5) / n, 0.5, seed=rng.randint(0, 10**6))
+        )
+        si = expand_to_seats(inst)
+        f = compute_frontier(si)
+        yield from ((si, m) for m in walk_matchings(si, f.witnesses[f.points[0]]))
+    for k in range(1, 9):
+        si = expand_to_seats(gen_chain_family(k))
+        f = compute_frontier(si)
+        yield from ((si, m) for m in walk_matchings(si, f.witnesses[f.points[0]]))
+    for _ in range(300):  # arbitrary eligible matchings, mostly dominated
+        n = rng.randint(2, 14)
+        inst = gen_random(
+            GenConfig(
+                n, rng.randint(1, 8), (1, 2), rng.choice([0.3, 0.5, 0.8]),
+                rng.choice([0.2, 0.5, 0.9]), seed=rng.randint(0, 10**6),
+            )
+        )
+        si = expand_to_seats(inst)
+        for _ in range(4):
+            yield si, random_eligible_matching(si, rng)
+    for _ in range(40):  # oracle samples at frontier points
+        inst = gen_random(
+            GenConfig(
+                rng.randint(2, 7), rng.randint(1, 7), (1, 1), rng.choice([0.4, 0.6]),
+                0.5, seed=rng.randint(0, 10**6),
+            )
+        )
+        si = expand_to_seats(inst)
+        samples, _ = sample_matchings_at_points(si, oracle_frontier(si).points, cap=4)
+        for ms in samples.values():
+            yield from ((si, m) for m in ms)
+
+
+def test_one_search_returns_the_per_start_searches_outcome():
+    rank_ties = loops = 0
+    for si, m in differential_corpus():
+        start_costs: list[int] = []
+        want = outcome(ref_find_minimal_cycle, si, m, start_costs=start_costs)
+        assert outcome(find_minimal_cycle, si, m) == want, (si.patients, m.pairs)
+        if want is None:
+            continue
+        if want[0] == "cycle":
+            rank_ties += start_costs.count(min(start_costs)) > 1
+        else:
+            loops += "loop detected" in want[1]
+    # the corpus has cycles that the start rank picks, and negative loops
+    assert rank_ties > 0 and loops > 0, (rank_ties, loops)

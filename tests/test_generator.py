@@ -70,6 +70,7 @@ def test_path_independence_structure():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_chain_family_structure(k):
     inst = gen_chain_family(k)
+    validate_instance(inst)
     n = k + 2
     assert len(inst.patients) == n and len(inst.categories) == n
     assert inst.eligible_of("c1") == frozenset({"p1", f"p{n}"})
