@@ -1,17 +1,21 @@
 """Brute-force reference computations for desk-scale instances.
 
 Everything here is deliberately independent of the production algorithms:
-matchings are enumerated by direct recursion over patients, the frontier is
-obtained by filtering dominated score points, and cycles are enumerated
-exhaustively from the associated-graph definition.  Budgets cap instance
-size and visited states so runaway inputs fail fast instead of hanging.
+every matching is enumerated, the frontier is obtained by filtering
+dominated score points, and cycles are enumerated exhaustively from the
+associated-graph definition.  Budgets cap instance size and visited states
+so runaway inputs fail fast instead of hanging.
 
-The verify checks read one Census per instance, which enumerates it at
-most twice: once for the count and first matching at every score point
-(the frontier, its witnesses and every exact-share count), and once more
-only when samples are asked for (the sampled matchings and the matched
-patient sets at the sampled points).  Leaves are scored by index; no
-Matching is built per leaf.
+Matchings are enumerated in numpy blocks (_leaf_blocks), one patient per
+level, in the leaf order of a depth-first recursion over patients; the
+blocks count the recursion's states against the budget and hold a fixed
+number of bytes whatever the instance.  The verify checks read one Census
+per instance, which enumerates it at most twice: once for the count and
+first matching at every score point (the frontier, its witnesses and every
+exact-share count), and once more only when samples are asked for (the
+sampled matchings and the matched patient sets at the sampled points).
+Leaves are scored by index, block by block; only the leaves at sampled
+points reach Python, and no Matching is built per leaf.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import os
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .core import Matching, MatchPoint, SeatInstance, dominates
 from .frontier import Frontier, kinks_of
@@ -31,10 +37,12 @@ class BudgetExceededError(RuntimeError):
     """The instance or search exceeds the enumeration budget."""
 
 
-# _scan_leaves and _applicable_cycles recurse once per patient, and
-# _find_disjoint_family once per chosen cycle (at most min(patients, seats)),
-# on top of the caller's frames.  Sizes up to this stay well inside Python's
-# default recursion limit of 1,000.
+# _applicable_cycles recurses once per patient, and _find_disjoint_family
+# once per chosen cycle (at most min(patients, seats)), on top of the
+# caller's frames.  Sizes up to this stay well inside Python's default
+# recursion limit of 1,000.  _leaf_blocks keeps one level of rows per
+# patient, and up to this size one level's share of _BLOCK_BYTES still
+# holds the children of one parent.
 MAX_ORACLE_SIZE = 500
 
 
@@ -49,7 +57,7 @@ class EnumerationBudget:
             if size > MAX_ORACLE_SIZE:
                 raise ValueError(
                     f"an oracle budget of {size} {what} exceeds the ceiling of "
-                    f"{MAX_ORACLE_SIZE} that the enumeration's recursion allows; "
+                    f"{MAX_ORACLE_SIZE} that the oracle's searches allow; "
                     f"keep the patients and seats of {BUDGET_ENV} at most {MAX_ORACLE_SIZE}"
                 )
 
@@ -73,8 +81,15 @@ def _check_size(si: SeatInstance, budget: EnumerationBudget) -> None:
     if n_p > budget.max_patients or n_s > budget.max_seats:
         raise BudgetExceededError(
             f"instance has {n_p} patients and {n_s} seats; "
-            f"budget allows {budget.max_patients} patients and {budget.max_seats} seats"
+            f"budget allows {budget.max_patients} patients and {budget.max_seats} seats; "
+            f"raise it with {BUDGET_ENV}=patients,seats,states"
         )
+
+
+def _over_state_budget(limit: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"state budget {limit} exceeded; raise it with {BUDGET_ENV}=patients,seats,states"
+    )
 
 
 class _StateCounter:
@@ -87,39 +102,115 @@ class _StateCounter:
     def tick(self) -> None:
         self.used += 1
         if self.used > self.limit:
-            raise BudgetExceededError(f"state budget {self.limit} exceeded")
+            raise _over_state_budget(self.limit)
 
 
-def _scan_leaves(si: SeatInstance, budget: EnumerationBudget, visit) -> None:
-    """Call visit(assignment, e, b) for every eligible matching.
+# Bytes that the rows of the enumeration's live levels may hold together.
+# Each of the n levels gets an equal share, and a parent's children are
+# never split, so a share must hold the up to seats + 1 children of one
+# parent: at the 500 x 500 ceiling that is 501 rows of 82 bytes a level,
+# 20.5 MB in all.  The arrays one expansion step builds are a small
+# multiple of one level's share.
+_BLOCK_BYTES = 32 << 20
 
-    `assignment` is a mutable list of seat indices per patient (-1 for
-    unmatched) that is only valid during the call.
+
+class _Level(NamedTuple):
+    """The rows with the same number of patients decided, in leaf order."""
+
+    parent: np.ndarray  # row of the level above
+    seat: np.ndarray  # int16 seat of the last decided patient, -1 unmatched
+    e: np.ndarray  # int32 matches so far
+    b: np.ndarray  # int32 beneficiary matches so far
+    used: np.ndarray  # (rows, words) uint64 bitmask of the seats taken
+
+
+def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
+    """Yield (assignment, e, b) blocks that list every eligible matching once.
+
+    Row r of a block is one matching: assignment[r] holds a seat index per
+    patient (-1 for unmatched), and e[r], b[r] are its score.  Matchings are
+    expanded one patient per level, and a parent's children stay together
+    in choice order (unmatched, then the ascending eligible seats), so the
+    blocks list the matchings lexicographically, in the leaf order of a
+    depth-first recursion over patients.
+
+    The state count is the root plus every row of every level, the states
+    that such a recursion visits.  All the children of a level's rows are
+    counted before any of them is built, so BudgetExceededError is raised
+    exactly when the recursion would raise it, before the rows over the
+    budget are allocated.  Levels are expanded a slice of parents at a
+    time, so that the live levels hold at most _BLOCK_BYTES.
     """
     _check_size(si, budget)
-    n = len(si.patients)
-    elig = si.eligible_seats
-    bene = si.beneficiary_seat_sets
-    used = [False] * len(si.seats)
-    current = [-1] * n
-    counter = _StateCounter(budget.max_states)
+    n, words = len(si.patients), (len(si.seats) + 63) // 64
+    limit = budget.max_states
+    states = 1
+    if states > limit:
+        raise _over_state_budget(limit)
+    if n == 0:
+        yield np.empty((1, 0), np.int16), np.zeros(1, np.int32), np.zeros(1, np.int32)
+        return
 
-    def rec(i: int, e: int, b: int) -> None:
-        counter.tick()
-        if i == n:
-            visit(current, e, b)
-            return
-        current[i] = -1
-        rec(i + 1, e, b)
-        for j in elig[i]:
-            if not used[j]:
-                used[j] = True
-                current[i] = j
-                rec(i + 1, e + 1, b + (1 if j in bene[i] else 0))
-                used[j] = False
-        current[i] = -1
+    # per patient: the seat of each choice, whether it is a beneficiary
+    # pair, and the bitmask word and bit of each eligible seat
+    codes = si.pair_codes
+    elig = [np.array(seats, dtype=np.intp) for seats in si.eligible_seats]
+    seat_of_choice = [np.concatenate(([-1], js)).astype(np.int16) for js in elig]
+    bene_of_choice = [np.concatenate(([0], codes[i, js] == 2)).astype(np.int32) for i, js in enumerate(elig)]
+    word = [js >> 6 for js in elig]
+    bit = [np.left_shift(np.uint64(1), (js & 63).astype(np.uint64)) for js in elig]
+    row_bytes = 8 + 2 + 4 + 4 + 8 * words  # parent, seat, e, b and used of one _Level row
+    share = max(1, _BLOCK_BYTES // (n * row_bytes))
+    step = [max(1, share // (len(js) + 1)) for js in elig]  # parents per slice
 
-    rec(0, 0, 0)
+    def free(level: _Level, i: int, start: int, stop: int) -> np.ndarray:
+        """(parents, eligible seats) mask of the seats patient i may still take."""
+        return (level.used[start:stop][:, word[i]] & bit[i]) == 0
+
+    def push(level: _Level) -> None:
+        nonlocal states
+        i = len(levels)
+        rows = len(level.e)
+        states += rows + sum(
+            int(np.count_nonzero(free(level, i, start, start + step[i])))
+            for start in range(0, rows, step[i])
+        )
+        if states > limit:
+            raise _over_state_budget(limit)
+        levels.append(level)
+        cursor.append(0)
+
+    levels: list[_Level] = []
+    cursor: list[int] = []
+    zero = np.zeros(1, np.int32)
+    push(_Level(np.zeros(1, np.intp), np.full(1, -1, np.int16), zero, zero, np.zeros((1, words), np.uint64)))
+    while levels:
+        i, top, start = len(levels) - 1, levels[-1], cursor[-1]
+        if start == len(top.e):
+            levels.pop()
+            cursor.pop()
+            continue
+        stop = cursor[-1] = min(start + step[i], len(top.e))
+        choices = np.ones((stop - start, len(elig[i]) + 1), dtype=bool)
+        choices[:, 1:] = free(top, i, start, stop)
+        parent, choice = np.nonzero(choices)
+        parent += start
+        seat = seat_of_choice[i][choice]
+        e = top.e[parent] + (choice > 0)
+        b = top.b[parent] + bene_of_choice[i][choice]
+        if i + 1 < n:
+            used = top.used[parent]
+            matched = np.flatnonzero(choice)
+            taken = choice[matched] - 1
+            used[matched, word[i][taken]] |= bit[i][taken]
+            push(_Level(parent, seat, e, b, used))
+            continue
+        assignment = np.empty((len(e), n), dtype=np.int16)
+        assignment[:, i] = seat
+        for lv in range(i, 0, -1):
+            assignment[:, lv - 1] = levels[lv].seat[parent]
+            parent = levels[lv].parent[parent]
+        yield assignment, e, b
 
 
 def _to_matching(si: SeatInstance, assignment) -> Matching:
@@ -134,20 +225,14 @@ def _to_matching(si: SeatInstance, assignment) -> Matching:
 
 def enumerate_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET):
     """Yield every eligible matching exactly once, in a fixed recursion order."""
-    collected: list[Matching] = []
-    _scan_leaves(si, budget, lambda a, e, b: collected.append(_to_matching(si, a)))
-    yield from collected
+    blocks = list(_leaf_blocks(si, budget))  # a budget error comes before any matching
+    for assignment, _, _ in blocks:
+        for a in assignment.tolist():
+            yield _to_matching(si, a)
 
 
 def count_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET) -> int:
-    total = 0
-
-    def visit(a, e, b):
-        nonlocal total
-        total += 1
-
-    _scan_leaves(si, budget, visit)
-    return total
+    return sum(len(e) for _, e, _ in _leaf_blocks(si, budget))
 
 
 class Sample(NamedTuple):
@@ -185,16 +270,16 @@ class Census:
         if self._counts is None:
             counts: dict[tuple[int, int], int] = {}
             first: dict[tuple[int, int], tuple[int, ...]] = {}
-
-            def visit(a, e, b):
-                key = (e, b)
-                if key in counts:
-                    counts[key] += 1
-                else:
-                    counts[key] = 1
-                    first[key] = tuple(a)
-
-            _scan_leaves(self.si, self.budget, visit)
+            stride = len(self.si.patients) + 1
+            for a, e, b in _leaf_blocks(self.si, self.budget):
+                keys, at, sizes = np.unique(e * stride + b, return_index=True, return_counts=True)
+                for k in np.argsort(at).tolist():  # in order of first appearance
+                    key = divmod(int(keys[k]), stride)
+                    if key in counts:
+                        counts[key] += int(sizes[k])
+                    else:
+                        counts[key] = int(sizes[k])
+                        first[key] = tuple(a[at[k]].tolist())
             self._first = {MatchPoint(*k): a for k, a in first.items()}
             self._counts = {MatchPoint(*k): c for k, c in counts.items()}
         return self._counts
@@ -220,22 +305,30 @@ class Census:
         kept: dict[MatchPoint, list[tuple[int, ...]]] = {p: [] for p in wanted}
         seen: dict[MatchPoint, int] = {p: 0 for p in wanted}
         matched: dict[MatchPoint, set[int]] = {p: set() for p in wanted}
-
-        def visit(a, e, b):
-            pt = (e, b)  # a MatchPoint key matches its plain tuple
-            if pt not in seen:
-                return
-            seen[pt] = n = seen[pt] + 1
-            matched[pt].add(sum(1 << i for i, j in enumerate(a) if j != -1))
-            bucket = kept[pt]
-            if len(bucket) < cap:
-                bucket.append(tuple(a))
-            else:
-                slot = rng.randrange(n)
-                if slot < cap:
-                    bucket[slot] = tuple(a)
-
-        _scan_leaves(self.si, self.budget, visit)
+        # each point a leaf can score has one slot; the others are never hit
+        stride = len(self.si.patients) + 1
+        slot_of = np.full(stride * stride, -1, dtype=np.intp)
+        points = [p for p in wanted if min(p) >= 0 and max(p) < stride]
+        for k, (pe, pb) in enumerate(points):
+            slot_of[pe * stride + pb] = k
+        for a, e, b in _leaf_blocks(self.si, self.budget):
+            slots = slot_of[e * stride + b]
+            rows = np.flatnonzero(slots >= 0)
+            hits = a[rows]
+            bits = np.packbits(hits >= 0, axis=1, bitorder="little")
+            # one leaf at a time, in leaf order across all points, so the
+            # reservoir draws from rng exactly as a depth-first scan does
+            for k, row, mask in zip(slots[rows].tolist(), hits.tolist(), bits):
+                pt = points[k]
+                seen[pt] = n = seen[pt] + 1
+                matched[pt].add(int.from_bytes(mask.tobytes(), "little"))
+                bucket = kept[pt]
+                if len(bucket) < cap:
+                    bucket.append(tuple(row))
+                else:
+                    slot = rng.randrange(n)
+                    if slot < cap:
+                        bucket[slot] = tuple(row)
         mode = "exhaustive" if all(n <= cap for n in seen.values()) else "sampled"
         samples = {p: [_to_matching(self.si, a) for a in kept[p]] for p in wanted}
         return Sample(samples, mode, matched)
@@ -251,12 +344,8 @@ def matchings_at_point(
 ) -> list[Matching]:
     """Every eligible matching scoring exactly pt."""
     out: list[Matching] = []
-
-    def visit(a, e, b):
-        if e == pt.e and b == pt.b:
-            out.append(_to_matching(si, a))
-
-    _scan_leaves(si, budget, visit)
+    for a, e, b in _leaf_blocks(si, budget):
+        out.extend(_to_matching(si, row) for row in a[(e == pt.e) & (b == pt.b)].tolist())
     return out
 
 
@@ -398,23 +487,26 @@ def check_disjoint_cycles(census: Census) -> CheckReport:
     report = CheckReport(name="disjoint-cycles", mode=sample.mode)
     n_p = len(si.patients)
 
-    for lo_idx, f2 in enumerate(f.points):
+    for lo_idx, f2 in enumerate(f.points[:-1]):
+        # the cycles of a sampled matching serve every f1 above its f2
+        sampled = []
+        for m2 in sample.matchings[f2]:
+            positive = [
+                (
+                    list(zip(ps, ss)),
+                    frozenset(ps) | frozenset(n_p + j for j in ss),
+                    loss,
+                )
+                for ps, ss, loss in _applicable_cycles(si, m2, budget)
+                if loss >= 1
+            ]
+            sampled.append((m2, positive, _index_matching(si, m2)[0]))
         for f1 in f.points[lo_idx + 1 :]:
             k = f1.e - f2.e
             target = f2.b - f1.b
             report.pairs_checked += 1
-            for m2 in sample.matchings[f2]:
+            for m2, positive, seat_of in sampled:
                 report.witnesses_checked += 1
-                raw = _applicable_cycles(si, m2, budget)
-                positive = [
-                    (
-                        list(zip(ps, ss)),
-                        frozenset(ps) | frozenset(n_p + j for j in ss),
-                        loss,
-                    )
-                    for ps, ss, loss in raw
-                    if loss >= 1
-                ]
                 counter = _StateCounter(budget.max_states)
                 family = _find_disjoint_family(positive, k, target, counter)
                 if family is None:
@@ -423,7 +515,6 @@ def check_disjoint_cycles(census: Census) -> CheckReport:
                         f"from {f2} to {f1} for witness {m2.pairs}"
                     )
                     continue
-                seat_of, _ = _index_matching(si, m2)
                 assignment = {
                     si.patients[i]: si.seats[j] for i, j in enumerate(seat_of) if j != -1
                 }

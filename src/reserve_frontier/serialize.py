@@ -140,6 +140,8 @@ def parse_instance_file(path: str) -> Problem:
             data = json.load(fp)
         except RecursionError:
             raise ValueError(f"{path}: JSON nesting too deep to parse") from None
+        except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long to convert
+            raise ValueError(f"{path}: {exc}") from None
     return parse_instance(data)
 
 

@@ -4,11 +4,14 @@ The reference functions below are the scans the verify checks ran before
 they shared one census: one enumeration each for the frontier, for the
 samples, for the matched-patient sets and, per share target, for the
 exact-share matchings (built as Matching objects and scored with
-match_point).  They are kept here only as the reference.
+match_point).  They run on scan_leaves, the depth-first recursion that
+enumerated the matchings one Python call per state before the oracle
+expanded them in numpy blocks.  They are kept here only as the reference.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from random import Random
 
 import pytest
@@ -16,11 +19,15 @@ import pytest
 import reserve_frontier.oracle as oracle_module
 from reserve_frontier import (
     SUITES,
+    BudgetExceededError,
     CheckReport,
+    EnumerationBudget,
     GenConfig,
+    Instance,
     MatchPoint,
     Problem,
     beneficiary_share,
+    count_matchings,
     dominates,
     dominates_exact_share_matchings,
     enumerate_matchings,
@@ -33,11 +40,49 @@ from reserve_frontier import (
 )
 from reserve_frontier.frontier import Frontier, kinks_of
 from reserve_frontier.oracle import (
+    BUDGET_ENV,
     DEFAULT_BUDGET,
+    MAX_ORACLE_SIZE,
     Census,
-    _scan_leaves,
+    _check_size,
+    _leaf_blocks,
+    _StateCounter,
     _to_matching,
 )
+
+
+def scan_leaves(si, budget, visit) -> int:
+    """Call visit(assignment, e, b) for every eligible matching, depth first.
+
+    `assignment` is a mutable list of seat indices per patient (-1 for
+    unmatched) that is only valid during the call.  Returns the number of
+    states visited.
+    """
+    _check_size(si, budget)
+    n = len(si.patients)
+    elig = si.eligible_seats
+    bene = si.beneficiary_seat_sets
+    used = [False] * len(si.seats)
+    current = [-1] * n
+    counter = _StateCounter(budget.max_states)
+
+    def rec(i: int, e: int, b: int) -> None:
+        counter.tick()
+        if i == n:
+            visit(current, e, b)
+            return
+        current[i] = -1
+        rec(i + 1, e, b)
+        for j in elig[i]:
+            if not used[j]:
+                used[j] = True
+                current[i] = j
+                rec(i + 1, e + 1, b + (1 if j in bene[i] else 0))
+                used[j] = False
+        current[i] = -1
+
+    rec(0, 0, 0)
+    return counter.used
 
 
 def ref_oracle_frontier(si, budget=DEFAULT_BUDGET) -> Frontier:
@@ -47,7 +92,7 @@ def ref_oracle_frontier(si, budget=DEFAULT_BUDGET) -> Frontier:
         if (e, b) not in first:
             first[(e, b)] = tuple(a)
 
-    _scan_leaves(si, budget, visit)
+    scan_leaves(si, budget, visit)
     pts = [MatchPoint(e, b) for e, b in first]
     nd = sorted(p for p in pts if not any(dominates(q, p) for q in pts))
     witnesses = {p: _to_matching(si, first[(p.e, p.b)]) for p in nd}
@@ -73,7 +118,7 @@ def ref_sample(si, points, budget=DEFAULT_BUDGET, cap=200, seed=0):
             if slot < cap:
                 bucket[slot] = tuple(a)
 
-    _scan_leaves(si, budget, visit)
+    scan_leaves(si, budget, visit)
     mode = "exhaustive" if all(seen[p] <= cap for p in wanted) else "sampled"
     return {p: [_to_matching(si, a) for a in kept[p]] for p in wanted}, mode
 
@@ -87,7 +132,7 @@ def ref_matched_sets(si, points, budget=DEFAULT_BUDGET):
         if pt in wanted:
             out[pt].add(frozenset(si.patients[i] for i, j in enumerate(a) if j != -1))
 
-    _scan_leaves(si, budget, visit)
+    scan_leaves(si, budget, visit)
     return out
 
 
@@ -166,7 +211,12 @@ def assert_census_matches_the_scans(inst, cap):
     return modes
 
 
-def test_census_equals_the_single_purpose_scans():
+def slice_every_level(monkeypatch):
+    """Shrink the enumeration's byte cap until every level is expanded in slices."""
+    monkeypatch.setattr(oracle_module, "_BLOCK_BYTES", 4096)
+
+
+def assert_census_matches_on_the_draws():
     modes = set()
     for inst in small_draws():
         modes |= assert_census_matches_the_scans(inst, cap=2)
@@ -175,16 +225,25 @@ def test_census_equals_the_single_purpose_scans():
     assert modes == {"exhaustive", "sampled"}  # the reservoir was exercised
 
 
+def test_census_equals_the_single_purpose_scans():
+    assert_census_matches_on_the_draws()
+
+
+def test_census_equals_the_scans_with_every_level_sliced(monkeypatch):
+    slice_every_level(monkeypatch)
+    assert_census_matches_on_the_draws()
+
+
 @pytest.fixture
 def scan_counter(monkeypatch):
     calls = []
-    original = oracle_module._scan_leaves
+    original = oracle_module._leaf_blocks
 
-    def counting(si, budget, visit):
+    def counting(si, budget):
         calls.append(si)
-        return original(si, budget, visit)
+        return original(si, budget)
 
-    monkeypatch.setattr(oracle_module, "_scan_leaves", counting)
+    monkeypatch.setattr(oracle_module, "_leaf_blocks", counting)
     return calls
 
 
@@ -210,3 +269,57 @@ def test_a_disagreeing_frontier_gets_its_own_samples(scan_counter):
     assert any(sample.matchings.values())
     assert sample.matchings == ref_sample(si, shifted)[0]
 
+
+
+@pytest.mark.parametrize("sliced", [False, True])
+def test_leaf_blocks_list_the_recursions_leaves(sliced, monkeypatch):
+    if sliced:
+        slice_every_level(monkeypatch)
+    most_blocks = 0
+    for inst in [*small_draws(), *base_draws()]:
+        si = expand_to_seats(inst)
+        want: list = []
+        states = scan_leaves(si, DEFAULT_BUDGET, lambda a, e, b: want.append((tuple(a), e, b)))
+        blocks = list(_leaf_blocks(si, DEFAULT_BUDGET))
+        most_blocks = max(most_blocks, len(blocks))
+        got = [(tuple(a), e, b) for block in blocks for a, e, b in zip(*(x.tolist() for x in block))]
+        assert got == want
+        assert list(enumerate_matchings(si)) == [_to_matching(si, a) for a, _, _ in want]
+
+        counts: dict = {}
+        first: dict = {}
+        for a, e, b in want:
+            counts[(e, b)] = counts.get((e, b), 0) + 1
+            first.setdefault((e, b), a)
+        census = Census(si)
+        assert list(census.counts.items()) == list(counts.items())
+        assert list(census._first.items()) == list(first.items())
+
+        # the budget binds at exactly the recursion's state count
+        assert count_matchings(si, EnumerationBudget(max_states=states)) == len(want)
+        with pytest.raises(BudgetExceededError, match=BUDGET_ENV):
+            count_matchings(si, EnumerationBudget(max_states=states - 1))
+    assert most_blocks > 1 if sliced else most_blocks == 1
+
+
+def test_enumeration_memory_stays_under_the_byte_cap_at_the_ceiling():
+    n = MAX_ORACLE_SIZE
+    patients = tuple(f"p{i}" for i in range(n))
+    half = frozenset(patients[::2])
+    inst = Instance(
+        categories=("a", "b"),
+        patients=patients,
+        quota={"a": n // 2, "b": n - n // 2},
+        eligible={"a": frozenset(patients), "b": frozenset(patients)},
+        beneficiary={"a": half, "b": half},
+    )
+    si = expand_to_seats(inst)
+    si.eligible_seats, si.beneficiary_seat_sets  # the instance's own tables, built before measuring
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            count_matchings(si, EnumerationBudget(n, n, 10_000_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < oracle_module._BLOCK_BYTES

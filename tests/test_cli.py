@@ -401,6 +401,23 @@ def test_deeply_nested_json_exits_2_naming_the_nesting(tmp_path, capsys):
     assert "nesting" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"patients": [], "categories": [{"id": "c1", "quota": ' + b"9" * 5000 + b"}]}",
+        b'{"patients": [,]}',
+        '{"patients": ["caf\xe9"], "categories": []}'.encode("latin-1"),
+    ],
+    ids=["huge-integer", "bad-json", "bad-utf8"],
+)
+def test_unreadable_json_exits_2_naming_the_file(content, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "frontier", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ")
+
+
 def test_verify_parallel_jobs(capsys):
     code, out, _ = run(
         capsys,

@@ -24,8 +24,16 @@ from reserve_frontier import (
     sample_matchings_at_points,
     validate_matching,
 )
+import reserve_frontier.oracle as oracle_module
 from reserve_frontier.cli import main
-from reserve_frontier.oracle import MAX_ORACLE_SIZE, _find_disjoint_family, _StateCounter, budget_from_env
+from reserve_frontier.oracle import (
+    MAX_ORACLE_SIZE,
+    Census,
+    _find_disjoint_family,
+    _StateCounter,
+    budget_from_env,
+    check_disjoint_cycles,
+)
 
 
 def count_by_seats(si) -> int:
@@ -148,6 +156,45 @@ def test_verify_runs_at_the_ceiling_and_exits_2_above_it(tmp_path, monkeypatch, 
     assert captured.out == ""
     assert "RESERVE_FRONTIER_ORACLE_BUDGET" in captured.err
     assert f"ceiling of {MAX_ORACLE_SIZE}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "budget, argv, names",
+    [
+        (None, ["patients=8", "categories=8"], "budget allows 7 patients and 7 seats"),
+        ("7,7,10", [], "state budget 10 exceeded"),
+    ],
+    ids=["size", "states"],
+)
+def test_exit_3_names_the_budget_override(budget, argv, names, monkeypatch, capsys):
+    if budget is None:
+        monkeypatch.delenv("RESERVE_FRONTIER_ORACLE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("RESERVE_FRONTIER_ORACLE_BUDGET", budget)
+    assert main(["verify", "--random", *argv, "count=1"]) == 3
+    err = capsys.readouterr().err
+    assert names in err
+    assert "RESERVE_FRONTIER_ORACLE_BUDGET=patients,seats,states" in err
+
+
+def test_disjoint_cycle_check_searches_each_sampled_matching_once(monkeypatch):
+    calls = []
+    original = oracle_module._applicable_cycles
+
+    def counting(si, m, budget):
+        calls.append(m)
+        return original(si, m, budget)
+
+    monkeypatch.setattr(oracle_module, "_applicable_cycles", counting)
+    census = Census(expand_to_seats(gen_random(GenConfig(7, 3, (1, 3), 0.6, 0.4, seed=3))))
+    points = census.frontier().points
+    samples = census.sample(points).matchings
+    assert len(points) >= 3
+    report = check_disjoint_cycles(census)
+    assert report.ok
+    # once per sampled matching below the top point, not once per pair and matching
+    assert len(calls) == sum(len(samples[p]) for p in points[:-1])
+    assert len(calls) < report.witnesses_checked
 
 
 def test_oversized_budget_on_a_large_file_exits_2_not_with_a_recursion_error(tmp_path, monkeypatch, capsys):
