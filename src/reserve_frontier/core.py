@@ -266,15 +266,32 @@ class SeatInstance:
         return tuple(frozenset(np.flatnonzero(row == 2).tolist()) for row in self.pair_codes)
 
 
+# Memory limits.  A dense assignment solve costs 9 bytes a cell, a uint8
+# pair code and a float64 cost, so MAX_CELLS (about 1.7 GB of solve) is the
+# k-cardinality matrix of a 9,741 x 9,741 instance, patients x (seats +
+# patients).  MAX_SEATS bounds the seat ids that expand_to_seats builds,
+# which the cell check misses when there are few or no patients.
+MAX_SEATS = 208_063
+MAX_CELLS = 2 * 9_741**2
+
+
+def check_cells(n_rows: int, n_cols: int, what: str) -> None:
+    """Raise InstanceError if a dense n_rows x n_cols matrix exceeds MAX_CELLS."""
+    if n_rows * n_cols > MAX_CELLS:
+        raise InstanceError(f"{what} too large for memory: {n_rows} x {n_cols} = {n_rows * n_cols}"
+                            f" cells exceed MAX_CELLS = {MAX_CELLS}, at 9 bytes a cell")
+
+
 def expand_to_seats(inst: Instance) -> SeatInstance:
     """Expand quotas into unit seats, in category order.
 
-    An instance too large for exact sweep weights is refused before any
-    seat is built, so an oversized quota fails at once.
+    An instance over MAX_SEATS seats or MAX_CELLS patients x seats is
+    refused before any seat is built, so an oversized quota fails at once.
     """
-    from .frontier import check_sweep_size  # frontier imports this module
-
-    check_sweep_size(len(inst.patients), inst.total_quota)
+    if inst.total_quota > MAX_SEATS:
+        raise InstanceError(f"instance too large for memory: {inst.total_quota} seat(s) "
+                            f"exceed MAX_SEATS = {MAX_SEATS}")
+    check_cells(len(inst.patients), inst.total_quota, "instance (patients x seats)")
     seats: list[str] = []
     seat_category: dict[str, str] = {}
     for c in inst.categories:

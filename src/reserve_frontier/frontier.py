@@ -1,23 +1,25 @@
 """Frontier of (total matches, beneficiary matches) by repeated assignment.
 
-Sweep k in 1..n solves one assignment problem with integer edge weights
-(k*n^2 for a plain eligible pair, k*n^2 + n^2 + k for a beneficiary pair,
-n = max(patients, seats)), so a matching at point (e, b) scores
-k*(n^2*e + b) + n^2*b.  The unscaled weights are 1 and 1 + 1/k + 1/n^2;
-the k*n^2 scaling keeps everything integer without moving the argmax.
-Sweep 1 returns the max-beneficiary-then-max-total endpoint, sweep n the
-max-total-then-max-beneficiary endpoint, and the sweeps in between stop
-exactly at the kinks where the per-match beneficiary cost jumps.
+Sweep d in 0..n (n = max(patients, seats)) solves one assignment problem
+with integer edge weights 2d + 1 for a plain eligible pair and 2d + 3 for
+a beneficiary pair, so a matching at point (e, b) scores (2d + 1) e + 2b,
+twice alpha e + b at alpha = d + 1/2.  The frontier is dense in e and
+concave, so every per-step drop in b, and every segment slope, is an
+integer in 1..n.  A half-integer alpha therefore has one optimal frontier
+point, the one whose left drop is at most d and whose right drop exceeds
+d, and every dominated matching scores strictly less.  Sweep 0 returns
+the max-beneficiary-then-max-total endpoint, sweep n the
+max-total-then-max-beneficiary endpoint.
 
-Only the kinks are solved for.  The score is linear in k, so when sweeps
+Only the kinks are solved for.  The score is linear in d, so when sweeps
 lo and hi return the same point P, every sweep in between returns P too:
-a rival Q tying P inside would make score(P) - score(Q), which is >= 0 at
-both ends, vanish identically, so Q = P.  When they return different
-points A and C, the interval is split where the scores of A and C cross,
-a parametric search in the manner of Eisner and Severance (1976, J. ACM
-23(4)), so every kink is found in O(kinks) sweeps instead of n.  Frontier
-points between kinks lie on straight segments, are filled by
-interpolation, and get witnesses from the same solver (witness_at).
+score(P) - score(Q) is > 0 at both ends for every rival Q, so it is > 0
+in between.  When they return different points A and C, the interval is
+split where the scores of A and C cross, a parametric search in the
+manner of Eisner and Severance (1976, J. ACM 23(4)), so every kink is
+found in O(kinks) sweeps instead of n.  Frontier points between kinks
+lie on straight segments, are filled by interpolation, and get witnesses
+from the same solver (witness_at).
 
 Every solve reads the instance's cached pair codes (0 ineligible, 1
 eligible, 2 beneficiary) with one weight per code, which the solver
@@ -36,8 +38,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import InstanceError, Matching, MatchPoint, SeatInstance, match_point
-from .hungarian import fits_exactly, max_weight_assignment_dense
+from .core import Matching, MatchPoint, SeatInstance, check_cells, match_point
+from .hungarian import max_weight_assignment_dense
 
 
 class FrontierInvariantError(RuntimeError):
@@ -106,49 +108,23 @@ def _sweep_size(si: SeatInstance) -> int:
     return max(len(si.patients), len(si.seats))
 
 
-def _sweep_weights(n: int, k: int) -> tuple[int, int]:
-    """Edge weights (plain eligible pair, beneficiary pair) of sweep k."""
-    w_elig = k * n * n
-    return w_elig, w_elig + n * n + k
-
-
 def _kcard_weights(n: int) -> tuple[int, int, int]:
     """Weights (plain pair, beneficiary pair, dummy) W = n + 1, W + 1 and 2n + 2
     of the k-cardinality solve at total e, which has P - e dummy columns.
 
-    Leaving d < P - e dummies empty gains at most (P - e - d) * W + n but loses
-    (P - e - d) * (2n + 2).  With every dummy filled, W > n >= b puts e real
-    pairs first and the largest b second: the frontier point at e.  The solve
-    is P x (S + P - e) with e <= S, so it needs (2n + 2) * P < 2^53, which
-    check_sweep_size's (n^3 + n^2 + n) * min(P, S) < 2^53 implies when S >= 1:
-    P <= n, and 2n + 2 <= n^2 + n + 1 for n >= 2 (n = 1 needs only 4 < 2^53).
-    A seatless instance has only (0, 0), witnessed by compute_frontier.
+    Leaving j < P - e dummies empty gains at most (P - e - j) * W + n but loses
+    (P - e - j) * (2n + 2).  With every dummy filled, W > n >= b puts e real
+    pairs first and the largest b second: the frontier point at e.  A solve
+    within the memory limits is exact: P^2 <= P * (S + P - e) <= MAX_CELLS
+    and S <= MAX_SEATS keep (2n + 2) * P below 10^10, far under 2^53.
     """
     return n + 1, n + 2, 2 * n + 2
 
 
-def check_sweep_size(n_patients: int, n_seats: int) -> None:
-    """Raise InstanceError unless every sweep of the instance is exact.
-
-    The largest sweep weight is a beneficiary pair's at k = n, and the
-    assignment solver needs it times min(patients, seats) below 2^53.  An
-    instance without patients is held to the one-patient limit: its
-    product is 0 for any quota, and its seats would be built for nothing.
-    """
-    n = max(n_patients, n_seats)
-    if not fits_exactly(_sweep_weights(n, n)[1], max(n_patients, 1), n_seats):
-        factor = "min(patients, seats)" if n_patients else "1 (the one-patient limit)"
-        raise InstanceError(
-            f"instance too large for exact sweep weights: {n_patients} patient(s) and "
-            f"{n_seats} seat(s) need (n^3 + n^2 + n) * {factor} < 2^53 "
-            f"with n = max(patients, seats) = {n}"
-        )
-
-
-def _sweep(si: SeatInstance, n: int, k: int) -> tuple[MatchPoint, np.ndarray, np.ndarray]:
-    """Sweep k scored by index: its point and the (rows, cols) of its matching."""
+def _sweep(si: SeatInstance, d: int) -> tuple[MatchPoint, np.ndarray, np.ndarray]:
+    """Sweep d scored by index: its point and the (rows, cols) of its matching."""
     codes = si.pair_codes
-    rows, cols = max_weight_assignment_dense(codes, (0, *_sweep_weights(n, k)))
+    rows, cols = max_weight_assignment_dense(codes, (0, 2 * d + 1, 2 * d + 3))
     return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2))), rows, cols
 
 
@@ -156,19 +132,22 @@ def _matching(si: SeatInstance, rows: np.ndarray, cols: np.ndarray) -> Matching:
     return Matching(tuple((si.patients[i], si.seats[j]) for i, j in zip(rows.tolist(), cols.tolist())))
 
 
-def frontier_iteration(si: SeatInstance, k: int) -> tuple[MatchPoint, Matching]:
-    """Single weighted sweep: the frontier point optimal at weight index k."""
+def frontier_iteration(si: SeatInstance, d: int) -> tuple[MatchPoint, Matching]:
+    """Single weighted sweep: the frontier point that maximizes (2d + 1) e + 2b."""
     n = _sweep_size(si)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    pt, rows, cols = _sweep(si, n, k)
+    if not 0 <= d <= n:
+        raise ValueError(f"d must be in [0, {n}], got {d}")
+    pt, rows, cols = _sweep(si, d)
     return pt, _matching(si, rows, cols)
 
 
 def witness_at(si: SeatInstance, pt: MatchPoint) -> Matching:
     """A matching at frontier point pt, from one k-cardinality assignment (Dell'Amico
     and Martello, 1997).  Raises FrontierInvariantError if it does not score pt."""
-    codes = np.pad(si.pair_codes, ((0, 0), (0, len(si.patients) - pt.e)), constant_values=3)
+    n_p, n_s = si.pair_codes.shape
+    # the solver checks its cells too, but only after np.pad has built them
+    check_cells(n_p, n_s + n_p - pt.e, "k-cardinality witness solve")
+    codes = np.pad(si.pair_codes, ((0, 0), (0, n_p - pt.e)), constant_values=3)
     rows, cols = max_weight_assignment_dense(codes, (0, *_kcard_weights(_sweep_size(si))))
     real = cols < len(si.seats)  # drop the dummy columns
     m = _matching(si, rows[real], cols[real])
@@ -180,20 +159,20 @@ def witness_at(si: SeatInstance, pt: MatchPoint) -> Matching:
 def compute_frontier(si: SeatInstance) -> Frontier:
     """The complete frontier, with witnesses at every kink.
 
-    Splits the sweep range [1, n] where scores cross.  An interval whose
+    Splits the sweep range [0, n] where scores cross.  An interval whose
     end sweeps agree holds no other point and is not split further.  One
     whose ends lo < hi return A and C != A, with de = C.e - A.e > 0 and
-    db = A.b - C.b > 0, is split at x = n^2 db // (n^2 de - db), the
-    largest k at which A scores at least C (sweep k scores (e, b) as
-    k n^2 e + (n^2 + k) b), clamped into [lo + 1, hi - 1]; at adjacent
-    ends C first appears at hi.  Each kink's witness is the matching of
-    the smallest k whose sweep returns it, the same one a sweep of every
-    k = 1..n in order would keep.
+    db = A.b - C.b > 0, is split at x = (2 db - de) // (2 de), the largest
+    d at which A scores at least C (sweep d scores (e, b) as
+    (2d + 1) e + 2b), clamped into [lo + 1, hi - 1]; at adjacent ends C
+    first appears at hi.  Each kink's witness is the matching of the
+    smallest d whose sweep returns it, the same one a sweep of every
+    d = 0..n in order would keep.
 
-    Sweeps are linear in the kinks.  Distinct points never tie in a sweep
-    (a tie at k needs n^2 (k de - db) = k db, which lies in (0, n^2], so
-    k = db = n and n de = n + 1, impossible for n >= 2), so A wins strictly
-    at lo and C at hi, and lo <= x < hi.  A sweep at x finds a new point or A, and then one at
+    Sweeps are linear in the kinks.  Slopes are integers, so no two
+    frontier points tie for the best score at a half-integer, and every
+    dominated matching loses strictly.  So A wins strictly at lo and C at
+    hi, and lo <= x < hi.  A sweep at x finds a new point or A, and then one at
     x + 1, where C wins, finds a new point or C; a sweep at lo + 1 > x
     finds a new point or C.  So the pair (A, C) costs at most two sweeps
     that find nothing new, each charged to the adjacent pair of kinks it
@@ -208,27 +187,26 @@ def compute_frontier(si: SeatInstance) -> Frontier:
         check_frontier_invariants(f)
         return f
 
-    nn = n * n
-    sweeps = {k: _sweep(si, n, k) for k in sorted({1, n})}
-    firsts = [1]  # ascending k at which a new point first appears
-    todo = [(1, n)]  # intervals with both end sweeps done, leftmost on top
+    sweeps = {d: _sweep(si, d) for d in (0, n)}
+    firsts = [0]  # ascending d at which a new point first appears
+    todo = [(0, n)]  # intervals with both end sweeps done, leftmost on top
     while todo:
         lo, hi = todo.pop()
         a, c = sweeps[lo][0], sweeps[hi][0]
         if a == c:
             continue
-        # points first seen at ascending k must trade b for e; anything else is a bug
+        # points first seen at ascending d must trade b for e; anything else is a bug
         if not (c.e > a.e and c.b < a.b):
             raise FrontierInvariantError(f"sweeps {lo} and {hi} out of order: {a} then {c}")
         if hi == lo + 1:
             firsts.append(hi)
             continue
-        db = a.b - c.b
-        mid = min(max(nn * db // (nn * (c.e - a.e) - db), lo + 1), hi - 1)
-        sweeps[mid] = _sweep(si, n, mid)
+        de = c.e - a.e
+        mid = min(max((2 * (a.b - c.b) - de) // (2 * de), lo + 1), hi - 1)
+        sweeps[mid] = _sweep(si, mid)
         todo += [(mid, hi), (lo, mid)]
-    kinks = [sweeps[k][0] for k in firsts]
-    witnesses = {sweeps[k][0]: _matching(si, *sweeps[k][1:]) for k in firsts}
+    kinks = [sweeps[d][0] for d in firsts]
+    witnesses = {sweeps[d][0]: _matching(si, *sweeps[d][1:]) for d in firsts}
 
     points: list[MatchPoint] = [kinks[0]]
     for a, b in zip(kinks, kinks[1:]):

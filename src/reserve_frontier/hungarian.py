@@ -5,7 +5,10 @@ matrix of small integer pair codes and a table of one non-negative
 integer weight per code; code 0 marks a forbidden pair, whose weight
 must be 0.  We require max_weight * min(n_left, n_right) < 2**53 so that
 every value the solver touches is exactly representable in float64;
-under that bound the returned optimum is exact, not approximate.
+under that bound the returned optimum is exact, not approximate.  The
+frontier's weights are O(n), so the bound is far from binding within
+the memory limit: a matrix over core.MAX_CELLS cells is refused before
+the cost matrix is allocated.
 
 The solver minimizes, so the cost matrix is the negated table gathered
 over the codes: one float64 allocation, which scipy reads in place,
@@ -22,6 +25,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from .core import check_cells
 
 EXACT_LIMIT = 2**53
 
@@ -41,6 +46,7 @@ def max_weight_assignment_dense(
     if codes.size == 0:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
+    check_cells(*codes.shape, "assignment")
     if not fits_exactly(max(table), *codes.shape):
         raise ValueError("weights too large for exact arithmetic headroom")
     # negate the small table, not the gathered matrix: one full-size allocation

@@ -36,7 +36,7 @@ from .core import (
     match_point,
     restrict_patients,
 )
-from .frontier import Frontier, check_sweep_size, compute_frontier, witness_at
+from .frontier import Frontier, compute_frontier, witness_at
 from .oracle import BudgetExceededError, Census, CheckReport
 
 
@@ -249,9 +249,10 @@ def _choice_masks(pr: Problem, max_patients: int) -> tuple[tuple[str, ...], list
         raise BudgetExceededError(
             f"choice audit over {len(patients)} patients exceeds the cap of {max_patients}"
         )
-    # every subset keeps all seats, so the whole instance bounds their sweeps,
-    # and the empty subset must not be the first to build them
-    check_sweep_size(len(patients), pr.instance.total_quota)
+    # expand the whole instance for its size checks: every subset keeps all
+    # seats, so none is larger, and the empty subset must not be the first
+    # to build them
+    pr.seat_instance
     bit = {p: 1 << i for i, p in enumerate(patients)}
     masks: list[int] = []
     for mask in range(1 << len(patients)):

@@ -53,6 +53,9 @@ class EnumerationBudget:
     max_states: int = 10_000_000
 
     def __post_init__(self) -> None:
+        if min(self.max_patients, self.max_seats) < 0 or self.max_states < 1:
+            raise ValueError(f"{BUDGET_ENV}=patients,seats,states needs patients, seats >= 0 and states"
+                             f" >= 1, got {self.max_patients},{self.max_seats},{self.max_states}")
         for what, size in (("patients", self.max_patients), ("seats", self.max_seats)):
             if size > MAX_ORACLE_SIZE:
                 raise ValueError(
@@ -70,9 +73,12 @@ def budget_from_env() -> EnumerationBudget:
     raw = os.environ.get(BUDGET_ENV, "").strip()
     if not raw:
         return DEFAULT_BUDGET
-    parts = [int(tok) for tok in raw.split(",")]
+    try:
+        parts = [int(tok) for tok in raw.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 3:
-        raise ValueError(f"{BUDGET_ENV} must be three comma-separated integers")
+        raise ValueError(f"{BUDGET_ENV}={raw!r} must be patients,seats,states, three integers")
     return EnumerationBudget(*parts)
 
 

@@ -229,19 +229,14 @@ def verify_lemmas(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]
     ok = True
     detail = ""
     if f.e_max:
-        n = max(len(si.patients), len(si.seats))
-        pts = list(f.points)
+        pts = f.points
         for i, pt in enumerate(pts):
             if pt not in f.kinks:
                 continue
-            if i + 1 < len(pts):
-                k = pts[i].b - pts[i + 1].b if i else 1
-                k = max(k, 1)
-            else:
-                k = n
-            got, _ = frontier_iteration(si, min(k, n))
+            d = pts[i - 1].b - pt.b if i else 0  # the left drop
+            got, _ = frontier_iteration(si, d)
             if got != pt:
-                ok, detail = False, f"sweep weight {k} gave {got}, expected {pt}"
+                ok, detail = False, f"sweep {d} gave {got}, expected {pt}"
                 break
     results.append(CheckResult("lemmas", "kinks-surface-at-their-tradeoff-weight", ok, detail))
     return results

@@ -230,18 +230,18 @@ def test_criterion_07_kink_correspondence(oracle_pool):
     for i, si, _, fo, _ in records:
         pts = fo.points
         n = max(len(si.patients), len(si.seats))
-        assert frontier_iteration(si, 1)[0] == pts[0], f"instance {i}: k=1"
-        assert frontier_iteration(si, n)[0] == pts[-1], f"instance {i}: k=n"
+        assert frontier_iteration(si, 0)[0] == pts[0], f"instance {i}: d=0"
+        assert frontier_iteration(si, n)[0] == pts[-1], f"instance {i}: d=n"
         kinks_hit += 2
-        for j in range(1, len(pts) - 1):
+        for j in range(1, len(pts)):
             if pts[j] not in fo.kinks:
                 continue
-            k = pts[j].b - pts[j + 1].b
-            assert frontier_iteration(si, k)[0] == pts[j], (
-                f"instance {i}: kink {pts[j]} not returned at weight {k}"
+            d = pts[j - 1].b - pts[j].b  # the kink's left drop
+            assert frontier_iteration(si, d)[0] == pts[j], (
+                f"instance {i}: kink {pts[j]} not returned at sweep {d}"
             )
             kinks_hit += 1
-    print(f"criterion 07: endpoints and interior kinks surfaced at {kinks_hit} weights")
+    print(f"criterion 07: endpoints at d = 0 and n, and kinks at their left drop, surfaced at {kinks_hit} sweeps")
 
 
 def test_criterion_08_chain_family():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -353,8 +354,74 @@ def test_oversized_quota_exits_2_before_building_seats(tmp_path, capsys):
     for command in ("frontier", "verify", "audit"):
         code, out, err = run(capsys, command, str(path))
         assert code == 2 and out == ""
-        assert "1 patient(s) and 100000000 seat(s) need" in err
-        assert "min(patients, seats) < 2^53" in err
+        assert "100000000 seat(s) exceed MAX_SEATS = 208063" in err
+
+
+def tall_conflict_doc(n_fillers: int) -> dict:
+    """Two conflict blocks, frontier (2, 2), (3, 1), (4, 0) with (3, 1) not a
+    kink, plus patients eligible for nothing; beta_star selects (3, 1)."""
+    categories = [
+        {"id": "c1", "quota": 1, "eligible": ["p1"]},
+        {"id": "c2", "quota": 1, "eligible": ["p1", "p2"], "beneficiary": ["p1"]},
+        {"id": "d1", "quota": 1, "eligible": ["q1"]},
+        {"id": "d2", "quota": 1, "eligible": ["q1", "q2"], "beneficiary": ["q1"]},
+    ]
+    patients = ["p1", "p2", "q1", "q2"] + [f"f{i}" for i in range(n_fillers)]
+    return {"categories": categories, "patients": patients, "beta_star": "1/3"}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        (
+            {"categories": [{"id": "c1", "quota": 208_064}], "patients": ["p1"]},
+            ("frontier",),
+            "instance too large for memory: 208064 seat(s) exceed MAX_SEATS = 208063",
+        ),
+        (
+            {"categories": [{"id": "c1", "quota": 2 * 9741}], "patients": [f"p{i}" for i in range(9742)]},
+            ("frontier",),
+            f"instance (patients x seats) too large for memory: 9742 x 19482 = {9742 * 19482} cells"
+            f" exceed MAX_CELLS = {2 * 9741**2}",
+        ),
+        (
+            tall_conflict_doc(20_000),
+            ("frontier", "--format", "json", "--witnesses"),
+            f"k-cardinality witness solve too large for memory: 20004 x 20005 = {20004 * 20005} cells",
+        ),
+        (tall_conflict_doc(20_000), ("solve",), "20004 x 20005"),
+    ],
+    ids=["seats", "patients-x-seats", "witness-frontier", "witness-solve"],
+)
+def test_memory_limits_exit_2_naming_the_limit_before_allocating(doc, argv, message, tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert message in err
+    # the witness solve would allocate 4 * 10^8 pair codes before its cost matrix
+    assert peak < 100 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+def test_a_tall_instance_within_the_limits_gets_its_frontier(tmp_path, capsys):
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(tall_conflict_doc(20_000)))
+    code, out, _ = run(capsys, "frontier", str(path))
+    assert code == 0
+    assert out.splitlines()[1:] == ["2,2,1,1,1", "3,1,1,3,0", "4,0,0,1,1"]
+
+
+@pytest.mark.parametrize("value", ["a,7,5", "7,7,-1", "7,7,0", "-1,7,5"])
+def test_bad_oracle_budget_exits_2_naming_the_variable(value, monkeypatch, capsys):
+    monkeypatch.setenv("RESERVE_FRONTIER_ORACLE_BUDGET", value)
+    code, out, err = run(capsys, "verify", "--named", "conflict")
+    assert code == 2 and out == ""
+    assert "RESERVE_FRONTIER_ORACLE_BUDGET=" in err and "patients,seats,states" in err
 
 
 def test_verify_single_instance(capsys):

@@ -24,7 +24,8 @@ from reserve_frontier import (
     validate_instance,
     validate_matching,
 )
-from reserve_frontier.frontier import _kcard_weights, check_sweep_size, compute_frontier
+from reserve_frontier.core import MAX_CELLS, MAX_SEATS
+from reserve_frontier.frontier import _kcard_weights, compute_frontier
 from reserve_frontier.hungarian import fits_exactly
 
 
@@ -155,50 +156,49 @@ def test_expand_to_seats_unit_quotas():
     assert si.beneficiary_of("c1#2") == frozenset({"p2"})
 
 
-def test_sweep_size_check_is_the_exact_weight_headroom():
-    def sweep_bound(n_patients: int, n_seats: int) -> int:
-        n = max(n_patients, n_seats)
-        return (n**3 + n**2 + n) * min(n_patients, n_seats)
-
+def test_memory_limits_admit_every_exact_weight_shape_and_refuse_past_each_cap():
     def instance(n_patients: int, quota: int, n_beneficiaries: int = 0) -> Instance:
         patients = tuple(f"p{i}" for i in range(n_patients))
         eligible = {"c1": frozenset(patients)} if n_beneficiaries else {}
         beneficiary = {"c1": frozenset(patients[:n_beneficiaries])} if n_beneficiaries else {}
         return Instance(("c1",), patients, {"c1": quota}, eligible, beneficiary)
 
-    # square instances: the bound holds at n = 9741 and breaks at 9742
-    assert sweep_bound(9741, 9741) < 2**53 <= sweep_bound(9742, 9742)
-    check_sweep_size(9741, 9741)
-    with pytest.raises(InstanceError, match="9742 patient\\(s\\) and 9742 seat\\(s\\)"):
-        expand_to_seats(instance(9742, 9742))
+    def n_cubed_bound(n_patients: int, n_seats: int) -> int:
+        # the largest n^3-weight sweep times the smaller side, which had to stay
+        # below 2^53; an instance without patients was held to the one-patient limit
+        n = max(n_patients, n_seats)
+        return (n**3 + n**2 + n) * min(max(n_patients, 1), n_seats)
 
-    # one patient: the first quota over the bound is refused, the one below is built
-    q = 1
-    while sweep_bound(1, q) < 2**53:
-        q *= 2
-    lo = q // 2
-    while lo + 1 < q:
-        mid = (lo + q) // 2
-        lo, q = (mid, q) if sweep_bound(1, mid) < 2**53 else (lo, mid)
-    assert len(expand_to_seats(instance(1, q - 1)).seats) == q - 1
-    with pytest.raises(InstanceError, match=f"1 patient\\(s\\) and {q} seat\\(s\\)"):
-        expand_to_seats(instance(1, q))
+    # the extreme shapes that the n^3 sweep weights admitted are admitted
+    extremes = ((9741, 9741), (1, 208_063), (0, 208_063), (208_063, 1), (10_000, 50))
+    for n_patients, n_seats in extremes:
+        assert n_cubed_bound(n_patients, n_seats) < 2**53
+        assert n_seats <= MAX_SEATS and n_patients * n_seats <= MAX_CELLS
+    assert n_cubed_bound(9742, 9742) >= 2**53 and n_cubed_bound(1, 208_064) >= 2**53
+    assert MAX_CELLS == 9741 * (9741 + 9741)  # the k-cardinality solve at e = 0
+    for n_patients, n_seats in ((1, MAX_SEATS), (0, MAX_SEATS), (9741, 9741), (208_063, 1)):
+        assert len(expand_to_seats(instance(n_patients, n_seats)).seats) == n_seats
 
-    # no patients: held to the one-patient limit, though min(patients, seats) = 0
-    assert q == 208_064 and sweep_bound(0, q) == 0
-    assert len(expand_to_seats(instance(0, q - 1)).seats) == q - 1
-    with pytest.raises(InstanceError, match=f"0 patient\\(s\\) and {q} seat\\(s\\).*one-patient limit"):
-        expand_to_seats(instance(0, q))
+    # the first shape past each cap is refused before a seat is built
+    for n_patients in (0, 1):
+        with pytest.raises(InstanceError, match=f"{MAX_SEATS + 1} seat\\(s\\) exceed MAX_SEATS"):
+            expand_to_seats(instance(n_patients, MAX_SEATS + 1))
+    assert len(expand_to_seats(instance(9741, 2 * 9741)).seats) == 2 * 9741  # MAX_CELLS exactly
+    with pytest.raises(InstanceError, match=f"9742 x 19482 = {9742 * 19482} cells exceed MAX_CELLS"):
+        expand_to_seats(instance(9742, 2 * 9741))
 
-    # the k-cardinality witness solve of the largest admitted shapes fits
-    # too; it is patients x (seats + patients - e), widest at e = 0
-    for n_patients, n_seats in ((9741, 9741), (1, q - 1), (q - 1, 1)):
-        check_sweep_size(n_patients, n_seats)
+    # every solve that passes the cell check is exact: with n = max(P, S),
+    # (2n + 3) min(P, S) <= 5 P S and (2n + 2) P <= 2 P (P + S) + 2 P, where
+    # P (P + S) <= P (S + P - e) + P S <= 2 MAX_CELLS; checked at the corners
+    assert 5 * MAX_CELLS < 2**53
+    for n_patients, n_seats in ((9741, 9741), (1, MAX_SEATS), (MAX_CELLS, 1), (9741, 2 * 9741)):
+        assert fits_exactly(2 * max(n_patients, n_seats) + 3, n_patients, n_seats)
+    for n_patients, n_seats, e in ((9741, 9741, 0), (1, MAX_SEATS, 0), (9741, 2 * 9741, 9741)):
+        assert n_patients * (n_seats + n_patients - e) <= MAX_CELLS
         w_dummy = _kcard_weights(max(n_patients, n_seats))[2]
-        assert fits_exactly(w_dummy, n_patients, n_seats + n_patients)
+        assert fits_exactly(w_dummy, n_patients, n_seats + n_patients - e)
 
-    # many patients, few seats: far past n = 9741, yet exact, so it is solved
-    assert sweep_bound(10_000, 50) < 2**53
+    # many patients, few seats, solved: 500,000 cells
     f = compute_frontier(expand_to_seats(instance(10_000, 50, n_beneficiaries=20)))
     assert f.points == (MatchPoint(50, 20),)
 

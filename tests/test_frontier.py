@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 import reserve_frontier.frontier as frontier_module
@@ -31,6 +32,7 @@ from reserve_frontier import (
     with_all_witnesses,
 )
 from reserve_frontier.frontier import witness_at
+from reserve_frontier.hungarian import max_weight_assignment_dense
 
 
 def pts(*pairs) -> list[MatchPoint]:
@@ -63,7 +65,8 @@ def test_named_frontiers():
 
 
 def test_frontier_iteration_maximizes_the_weighted_objective():
-    # the k-th sweep maximizes e + b/k + b/n^2; check against enumeration
+    # sweep d maximizes (2d + 1) e + 2b over every matching, and one point
+    # alone attains the maximum: the one-line tie proof, checked by enumeration
     rng = Random(17)
     for _ in range(10):
         inst = gen_random(
@@ -72,25 +75,27 @@ def test_frontier_iteration_maximizes_the_weighted_objective():
         si = expand_to_seats(inst)
         n = max(len(si.patients), len(si.seats))
         all_points = {match_point(si, m) for m in enumerate_matchings(si)}
-        for k in range(1, n + 1):
-            pt, m = frontier_iteration(si, k)
+        for d in range(n + 1):
+            pt, m = frontier_iteration(si, d)
             validate_matching(si, m)
             assert match_point(si, m) == pt
-            value = lambda q: q.e + Fraction(q.b, k) + Fraction(q.b, n * n)
-            assert value(pt) == max(value(q) for q in all_points)
+            value = lambda q: (2 * d + 1) * q.e + 2 * q.b
+            assert [q for q in all_points if value(q) >= value(pt)] == [pt]
 
 
 def test_frontier_iteration_range_check():
     si = expand_to_seats(gen_named("conflict").instance)
-    with pytest.raises(ValueError):
-        frontier_iteration(si, 0)
-    with pytest.raises(ValueError):
-        frontier_iteration(si, 99)
+    n = max(len(si.patients), len(si.seats))
+    for d in (-1, n + 1):
+        with pytest.raises(ValueError, match=f"d must be in \\[0, {n}\\], got {d}"):
+            frontier_iteration(si, d)
+    for d in (0, n):
+        frontier_iteration(si, d)
 
 
 def test_endpoints_maximize_each_objective_first():
     si = expand_to_seats(gen_named("path-independence").instance)
-    _, mu_be = frontier_iteration(si, 1)
+    _, mu_be = frontier_iteration(si, 0)
     _, mu_eb = frontier_iteration(si, max(len(si.patients), len(si.seats)))
     f = compute_frontier(si)
     assert match_point(si, mu_be) == f.points[0]
@@ -223,11 +228,11 @@ def test_matches_oracle_on_random_instances():
 
 
 def full_sweep_reference(si):
-    """Sweep every k = 1..n in order, keeping each new point's first matching."""
+    """Sweep every d = 0..n in order, keeping each new point's first matching."""
     n = max(len(si.patients), len(si.seats))
     kinks, witnesses = [], {}
-    for k in range(1, n + 1):
-        pt, m = frontier_iteration(si, k)
+    for d in range(n + 1):
+        pt, m = frontier_iteration(si, d)
         if not kinks or pt != kinks[-1]:
             kinks.append(pt)
             witnesses[pt] = m
@@ -287,13 +292,13 @@ DIFFERENTIAL_FAMILIES = {
 @pytest.mark.parametrize("family", sorted(DIFFERENTIAL_FAMILIES))
 def test_bisection_matches_the_full_sweep(family, monkeypatch):
     """The crossing split keeps the full sweep's points, kinks and witnesses
-    in at most 3 * kinks - 2 sweeps (2 when one point covers every k)."""
+    in at most 3 * kinks - 2 sweeps (2 when one point covers every d)."""
     swept = []
     sweep = frontier_module._sweep
 
-    def counted(si, n, k):
-        swept.append(k)
-        return sweep(si, n, k)
+    def counted(si, d):
+        swept.append(d)
+        return sweep(si, d)
 
     monkeypatch.setattr(frontier_module, "_sweep", counted)
     for inst in DIFFERENTIAL_FAMILIES[family]():
@@ -309,10 +314,10 @@ def test_bisection_matches_the_full_sweep(family, monkeypatch):
 
 
 def tally_splits(monkeypatch, shift: int) -> Counter:
-    """Answer sweep k with sweep k + shift (clamped into [1, n]) and tally
+    """Answer sweep d with sweep d + shift (clamped into [0, n]) and tally
     where each split fell against the crossing x of its interval's ends.
 
-    A monotone remap of k keeps the sweeps a step function, so the split
+    A monotone remap of d keeps the sweeps a step function, so the split
     must still match the full sweep of the same remap.  A split's interval
     is bounded by the nearest sweeps already done on either side of it.
     """
@@ -320,18 +325,18 @@ def tally_splits(monkeypatch, shift: int) -> Counter:
     done: dict[int, MatchPoint] = {}
     tally = Counter()
 
-    def remapped(si, n, k):
-        out = sweep(si, n, min(max(k + shift, 1), n))
-        below, above = [j for j in done if j < k], [j for j in done if j > k]
+    def remapped(si, d):
+        out = sweep(si, min(max(d + shift, 0), max(len(si.patients), len(si.seats))))
+        below, above = [j for j in done if j < d], [j for j in done if j > d]
         if below and above:
             lo, hi = max(below), min(above)
             a, c = done[lo], done[hi]
-            db = a.b - c.b
-            x = n * n * db // (n * n * (c.e - a.e) - db)
+            de = c.e - a.e
+            x = (2 * (a.b - c.b) - de) // (2 * de)
             tally["lower clamp" if x <= lo else "upper clamp" if x >= hi else "at the crossing"] += 1
-            if k == x and out[0] == c:
+            if d == x and out[0] == c:
                 tally["C ties A at x"] += 1
-        done[k] = out[0]
+        done[d] = out[0]
         return out
 
     monkeypatch.setattr(frontier_module, "_sweep", remapped)
@@ -340,7 +345,7 @@ def tally_splits(monkeypatch, shift: int) -> Counter:
     for inst in draws:
         si = expand_to_seats(inst)
         done.clear()
-        points, kinks, witnesses = full_sweep_reference(si)  # ascending k: no splits
+        points, kinks, witnesses = full_sweep_reference(si)  # ascending d: no splits
         done.clear()
         f = compute_frontier(si)
         assert (list(f.points), f.kinks, f.witnesses) == (points, frozenset(kinks), witnesses)
@@ -348,7 +353,7 @@ def tally_splits(monkeypatch, shift: int) -> Counter:
 
 
 def test_exact_sweeps_split_inside_their_interval_and_never_tie(monkeypatch):
-    # distinct points never tie in a sweep (see compute_frontier), so A wins
+    # each sweep has one optimal point (see compute_frontier), so A wins
     # strictly at lo and C at hi: lo <= x < hi, the upper clamp cannot fire,
     # and the sweep at x never returns C
     tally = tally_splits(monkeypatch, shift=0)
@@ -357,7 +362,7 @@ def test_exact_sweeps_split_inside_their_interval_and_never_tie(monkeypatch):
 
 
 def test_a_shifted_sweep_reaches_the_upper_clamp_and_a_tie_at_x(monkeypatch):
-    # sweep k answering as sweep k + 1 moves every change point one left:
+    # sweep d answering as sweep d + 1 moves every change point one left:
     # C then appears at x, as at a tie, and the next interval ends at x
     tally = tally_splits(monkeypatch, shift=1)
     assert tally["upper clamp"] and tally["C ties A at x"]
@@ -365,6 +370,80 @@ def test_a_shifted_sweep_reaches_the_upper_clamp_and_a_tie_at_x(monkeypatch):
 
 def test_out_of_order_interval_ends_raise(monkeypatch):
     sweep = frontier_module._sweep
-    monkeypatch.setattr(frontier_module, "_sweep", lambda si, n, k: sweep(si, n, n + 1 - k))
+    monkeypatch.setattr(frontier_module, "_sweep", lambda si, d: sweep(si, max(si.pair_codes.shape) - d))
     with pytest.raises(FrontierInvariantError, match="out of order"):
         compute_frontier(expand_to_seats(two_conflict_copies()))
+
+
+# compute_frontier as it stood before the integer-slope sweeps: sweep k in
+# 1..n weighed a plain pair k n^2 and a beneficiary pair k n^2 + n^2 + k,
+# and split an interval at x = n^2 db // (n^2 de - db).  Kept here only as
+# the reference for the kinks and their witnesses.
+def ref_n_cubed_kinks(si):
+    codes = si.pair_codes
+    n = max(codes.shape)
+    if n == 0 or not codes.any():
+        return [MatchPoint(0, 0)], {MatchPoint(0, 0): frontier_module.Matching.empty()}
+
+    def sweep(k):
+        rows, cols = max_weight_assignment_dense(codes, (0, k * n * n, k * n * n + n * n + k))
+        return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2))), rows, cols
+
+    sweeps = {k: sweep(k) for k in sorted({1, n})}
+    firsts, todo = [1], [(1, n)]
+    while todo:
+        lo, hi = todo.pop()
+        a, c = sweeps[lo][0], sweeps[hi][0]
+        if a == c:
+            continue
+        if hi == lo + 1:
+            firsts.append(hi)
+            continue
+        db = a.b - c.b
+        mid = min(max(n * n * db // (n * n * (c.e - a.e) - db), lo + 1), hi - 1)
+        sweeps[mid] = sweep(mid)
+        todo += [(mid, hi), (lo, mid)]
+    kinks = [sweeps[k][0] for k in firsts]
+    return kinks, {sweeps[k][0]: frontier_module._matching(si, *sweeps[k][1:]) for k in firsts}
+
+
+def integer_slope_draws():
+    """gen_random draws of 1-60 patients at every density, then
+    gen_chain_family(1..11), then criterion 12 (500 x 495)."""
+    rng = Random(12)
+    for _ in range(600):
+        patients = rng.randint(1, 60)
+        yield gen_random(
+            GenConfig(
+                patients=patients,
+                categories=rng.randint(1, patients),
+                quota_range=(1, rng.randint(1, 3)),
+                eligibility_density=rng.choice([0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.8, 1.0]),
+                beneficiary_density=rng.choice([0.0, 0.1, 0.35, 0.6, 0.9, 1.0]),
+                seed=rng.randint(0, 100_000),
+            )
+        )
+    yield from (gen_chain_family(k) for k in range(1, 12))
+    yield gen_random(GenConfig(500, 200, (1, 4), 0.04, 0.35, seed=7))
+
+
+def test_integer_slope_sweeps_keep_the_n_cubed_kinks_and_witnesses():
+    kinks_seen = ranges_swept = 0
+    for inst in integer_slope_draws():
+        si = expand_to_seats(inst)
+        f = compute_frontier(si)
+        kinks, witnesses = ref_n_cubed_kinks(si)
+        assert f.kinks == frozenset(kinks), inst
+        assert f.witnesses == witnesses, inst
+        kinks_seen += len(kinks)
+        n = max(si.pair_codes.shape)
+        if n > 200 or not f.e_max:
+            continue  # criterion 12 would take 501 sweeps; an empty frontier has none
+        # every d from a kink's left drop to one below its right drop returns it,
+        # and the last kink's range ends at n: the ranges cover 0..n
+        drops = [a.b - c.b for a, c in zip(f.points, f.points[1:])]
+        ends = [0] + [drops[i - 1] for i, pt in enumerate(f.points) if i and pt in f.kinks] + [n + 1]
+        for kink, lo, hi in zip(sorted(f.kinks), ends, ends[1:]):
+            assert [frontier_module._sweep(si, d)[0] for d in range(lo, hi)] == [kink] * (hi - lo)
+            ranges_swept += 1
+    assert kinks_seen >= 600 and ranges_swept >= 550, (kinks_seen, ranges_swept)

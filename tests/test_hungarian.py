@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from reserve_frontier import GenConfig, expand_to_seats, gen_random
-from reserve_frontier.frontier import _kcard_weights, _sweep_weights
+from reserve_frontier.core import MAX_CELLS, InstanceError
+from reserve_frontier.frontier import _kcard_weights
 from reserve_frontier.hungarian import EXACT_LIMIT, fits_exactly, max_weight_assignment_dense
 
 
@@ -166,8 +167,8 @@ def test_code_table_entry_matches_the_int64_maximize_solve_on_sweeps_and_pads():
         assert codes.flags.c_contiguous  # else scipy copies every cost matrix gathered over it
 
         n = max(n_p, n_s)
-        for k in sorted({1, -(-n // 3), n}):
-            w_elig, w_bene = _sweep_weights(n, k)
+        for d in sorted({0, n // 3, n}):
+            w_elig, w_bene = 2 * d + 1, 2 * d + 3  # the weights of sweep d
             weights = np.where(bene, w_bene, np.where(elig, w_elig, 0)).astype(np.int64)
             got = max_weight_assignment_dense(codes, (0, w_elig, w_bene))
             assert_same_pairs(got, reference_assignment(weights, elig))
@@ -196,3 +197,13 @@ def test_code_table_entry_matches_the_int64_maximize_solve_near_the_headroom():
             assert_same_pairs(got, reference_assignment(w, a))
     with pytest.raises(ValueError, match="exact arithmetic headroom"):
         max_weight_assignment_dense(np.ones((3, 4), dtype=np.uint8), (0, top + 1))
+
+
+def test_a_matrix_over_the_cell_limit_is_refused_before_its_cost_matrix_exists():
+    # broadcast views hold one byte whatever their shape, so nothing here
+    # allocates; the solver would gather a float64 cost matrix over them
+    side = int(MAX_CELLS**0.5) + 1  # the smallest square over the limit
+    assert (side - 1) ** 2 <= MAX_CELLS < side**2
+    over = np.broadcast_to(np.uint8(1), (side, side))
+    with pytest.raises(InstanceError, match=f"assignment too large for memory: {side} x {side}"):
+        max_weight_assignment_dense(over, (0, 1))
