@@ -12,9 +12,9 @@ from reserve_frontier import (
     Problem,
     audit_path_independence,
     audit_substitutability,
+    choice_masks,
     expand_to_seats,
     gen_named,
-    induce_choice,
     matchings_at_point,
     restrict_patients,
     select_approx_on_frontier,
@@ -24,16 +24,26 @@ pr = gen_named("path-independence")
 full = frozenset(pr.instance.patients)
 x = frozenset({"p1", "p2", "p3", "p4", "p5"})
 
-cp = induce_choice(pr, full).chosen
-cx = induce_choice(pr, x).chosen
+# bit i of a subset mask is patient i; masks[X] is the mask of C(X)
+patients, masks = choice_masks(pr)
+bit = {p: 1 << i for i, p in enumerate(patients)}
+
+
+def choose(subset):
+    chosen = masks[sum(bit[p] for p in subset)]
+    return frozenset(p for p in patients if chosen & bit[p])
+
+
+cp = choose(full)
+cx = choose(x)
 print("C(P)          =", sorted(cp))
 print("C(X), no p6   =", sorted(cx))
 kept = cp & x
 print("C(P) cap X    =", sorted(kept), " contained in C(X)?", kept <= cx)
 
-subs = audit_substitutability(pr)
-pi = audit_path_independence(pr)
-print(f"\naudits: {len(subs)} substitutability and {len(pi)} "
+n_subs, subs = audit_substitutability(patients, masks)
+n_pi, _ = audit_path_independence(patients, masks)
+print(f"\naudits: {n_subs} substitutability and {n_pi} "
       f"path-independence violation(s)")
 worst = next(v for v in subs if v.x == full and v.x_prime == x)
 print("example: chose", sorted(worst.lhs), "from the full pool but only",

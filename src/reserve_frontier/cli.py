@@ -19,16 +19,17 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .core import PriorityOrder, Problem, beneficiary_share, restrict_patients
 from .frontier import compute_frontier, with_all_witnesses
 from .generator import NAMED_INSTANCES, gen_named
 from .mechanism import (
+    AUDIT_SHOWN,
     MAX_AUDIT_PATIENTS,
     AuditViolation,
     audit_path_independence,
     audit_substitutability,
+    choice_masks,
     repair_priority,
     respects_priority,
     select_approx_on_frontier,
@@ -179,29 +180,26 @@ def _fmt_set(s: frozenset) -> str:
     return "{" + ",".join(sorted(s)) + "}"
 
 
-def _print_violations(kind: str, violations: list[AuditViolation], limit: int = 20) -> None:
+def _print_violations(kind: str, count: int, first: list[AuditViolation]) -> None:
     lhs_name, rhs_name = (
         ("C(X|X')", "C(C(X)|X')") if kind == "path-independence" else ("C(X)&X'", "C(X')")
     )
-    print(f"{kind}: {len(violations)} violation(s)")
-    for v in violations[:limit]:
+    print(f"{kind}: {count} violation(s)")
+    for v in first:
         print(
             f"  X={_fmt_set(v.x)} X'={_fmt_set(v.x_prime)} "
             f"{lhs_name}={_fmt_set(v.lhs)} {rhs_name}={_fmt_set(v.rhs)}"
         )
-    if len(violations) > limit:
-        print(f"  ... and {len(violations) - limit} more")
+    if count > AUDIT_SHOWN:
+        print(f"  ... and {count - AUDIT_SHOWN} more")
 
 
 def cmd_audit(args) -> int:
-    pr = load_input(args)
-    if pr.beta_star is None:
-        # no share target: the rule degenerates to the max-total endpoint
-        pr = Problem(instance=pr.instance, beta_star=Fraction(0))
+    patients, masks = choice_masks(load_input(args), args.max_patients)
     if args.check in ("pi", "both"):
-        _print_violations("path-independence", audit_path_independence(pr, args.max_patients))
+        _print_violations("path-independence", *audit_path_independence(patients, masks))
     if args.check in ("subs", "both"):
-        _print_violations("substitutability", audit_substitutability(pr, args.max_patients))
+        _print_violations("substitutability", *audit_substitutability(patients, masks))
     return 0
 
 

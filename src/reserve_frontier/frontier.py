@@ -26,7 +26,8 @@ eligible, 2 beneficiary) with one weight per code, which the solver
 gathers into a negated float64 cost matrix in one allocation (see
 hungarian).  A sweep is scored by index, e = the number of pairs and
 b = the number of code-2 pairs, so a named Matching is built only for a
-kept kink witness and for what frontier_iteration and witness_at return.
+kept kink witness and for what frontier_iteration and witness_at return;
+the choice audit runs their cores on row subsets and names nothing.
 witness_at appends its dummy columns as code 3.
 """
 
@@ -38,8 +39,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Matching, MatchPoint, SeatInstance, check_cells, match_point
+from .core import Matching, MatchPoint, SeatInstance, check_cells
 from .hungarian import max_weight_assignment_dense
+
+_Pairs = tuple[np.ndarray, np.ndarray]  # the (rows, cols) of a matching, by index
 
 
 class FrontierInvariantError(RuntimeError):
@@ -79,7 +82,10 @@ class Frontier:
 
 def check_frontier_invariants(f: Frontier) -> None:
     """Density, monotonicity, and concavity; raise FrontierInvariantError."""
-    pts = f.points
+    _check_points(f.points)
+
+
+def _check_points(pts: Sequence[MatchPoint]) -> None:
     if not pts:
         raise FrontierInvariantError("frontier must contain at least one point")
     for a, b in zip(pts, pts[1:]):
@@ -104,10 +110,6 @@ def kinks_of(points: Sequence[MatchPoint]) -> frozenset[MatchPoint]:
     return frozenset(out)
 
 
-def _sweep_size(si: SeatInstance) -> int:
-    return max(len(si.patients), len(si.seats))
-
-
 def _kcard_weights(n: int) -> tuple[int, int, int]:
     """Weights (plain pair, beneficiary pair, dummy) W = n + 1, W + 1 and 2n + 2
     of the k-cardinality solve at total e, which has P - e dummy columns.
@@ -121,11 +123,15 @@ def _kcard_weights(n: int) -> tuple[int, int, int]:
     return n + 1, n + 2, 2 * n + 2
 
 
-def _sweep(si: SeatInstance, d: int) -> tuple[MatchPoint, np.ndarray, np.ndarray]:
+def _point(codes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> MatchPoint:
+    """The point of the matching (rows, cols), scored by index."""
+    return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2)))
+
+
+def _sweep(codes: np.ndarray, d: int) -> tuple[MatchPoint, np.ndarray, np.ndarray]:
     """Sweep d scored by index: its point and the (rows, cols) of its matching."""
-    codes = si.pair_codes
     rows, cols = max_weight_assignment_dense(codes, (0, 2 * d + 1, 2 * d + 3))
-    return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2))), rows, cols
+    return _point(codes, rows, cols), rows, cols
 
 
 def _matching(si: SeatInstance, rows: np.ndarray, cols: np.ndarray) -> Matching:
@@ -134,26 +140,32 @@ def _matching(si: SeatInstance, rows: np.ndarray, cols: np.ndarray) -> Matching:
 
 def frontier_iteration(si: SeatInstance, d: int) -> tuple[MatchPoint, Matching]:
     """Single weighted sweep: the frontier point that maximizes (2d + 1) e + 2b."""
-    n = _sweep_size(si)
+    n = max(si.pair_codes.shape)
     if not 0 <= d <= n:
         raise ValueError(f"d must be in [0, {n}], got {d}")
-    pt, rows, cols = _sweep(si, d)
+    pt, rows, cols = _sweep(si.pair_codes, d)
     return pt, _matching(si, rows, cols)
 
 
 def witness_at(si: SeatInstance, pt: MatchPoint) -> Matching:
     """A matching at frontier point pt, from one k-cardinality assignment (Dell'Amico
     and Martello, 1997).  Raises FrontierInvariantError if it does not score pt."""
-    n_p, n_s = si.pair_codes.shape
+    return _matching(si, *_witness_by_index(si.pair_codes, pt))
+
+
+def _witness_by_index(codes: np.ndarray, pt: MatchPoint) -> _Pairs:
+    """witness_at on a pair-code matrix."""
+    n_p, n_s = codes.shape
     # the solver checks its cells too, but only after np.pad has built them
     check_cells(n_p, n_s + n_p - pt.e, "k-cardinality witness solve")
-    codes = np.pad(si.pair_codes, ((0, 0), (0, n_p - pt.e)), constant_values=3)
-    rows, cols = max_weight_assignment_dense(codes, (0, *_kcard_weights(_sweep_size(si))))
-    real = cols < len(si.seats)  # drop the dummy columns
-    m = _matching(si, rows[real], cols[real])
-    if match_point(si, m) != pt:
-        raise FrontierInvariantError(f"k-cardinality solve gave {match_point(si, m)}, not {pt}")
-    return m
+    padded = np.pad(codes, ((0, 0), (0, n_p - pt.e)), constant_values=3)
+    rows, cols = max_weight_assignment_dense(padded, (0, *_kcard_weights(max(codes.shape))))
+    real = cols < n_s  # drop the dummy columns
+    rows, cols = rows[real], cols[real]
+    got = _point(codes, rows, cols)
+    if got != pt:
+        raise FrontierInvariantError(f"k-cardinality solve gave {got}, not {pt}")
+    return rows, cols
 
 
 def compute_frontier(si: SeatInstance) -> Frontier:
@@ -180,14 +192,19 @@ def compute_frontier(si: SeatInstance) -> Frontier:
     where bisection needs O(kinks * log n).  The parametric search is that
     of Eisner and Severance (1976, J. ACM 23(4)).
     """
-    n = _sweep_size(si)
-    if n == 0 or not si.pair_codes.any():
-        pt = MatchPoint(0, 0)
-        f = Frontier(points=(pt,), kinks=frozenset({pt}), witnesses={pt: Matching.empty()})
-        check_frontier_invariants(f)
-        return f
+    points, kink_pairs = _frontier_by_index(si.pair_codes)
+    witnesses = {pt: _matching(si, rows, cols) for pt, (rows, cols) in kink_pairs.items()}
+    return Frontier(points=tuple(points), kinks=frozenset(witnesses), witnesses=witnesses)
 
-    sweeps = {d: _sweep(si, d) for d in (0, n)}
+
+def _frontier_by_index(codes: np.ndarray) -> tuple[list[MatchPoint], dict[MatchPoint, _Pairs]]:
+    """compute_frontier on a pair-code matrix: the points and each kink's witness."""
+    n = max(codes.shape)
+    if n == 0 or not codes.any():
+        empty = np.empty(0, dtype=np.intp)
+        return [MatchPoint(0, 0)], {MatchPoint(0, 0): (empty, empty)}
+
+    sweeps = {d: _sweep(codes, d) for d in (0, n)}
     firsts = [0]  # ascending d at which a new point first appears
     todo = [(0, n)]  # intervals with both end sweeps done, leftmost on top
     while todo:
@@ -203,10 +220,10 @@ def compute_frontier(si: SeatInstance) -> Frontier:
             continue
         de = c.e - a.e
         mid = min(max((2 * (a.b - c.b) - de) // (2 * de), lo + 1), hi - 1)
-        sweeps[mid] = _sweep(si, mid)
+        sweeps[mid] = _sweep(codes, mid)
         todo += [(mid, hi), (lo, mid)]
-    kinks = [sweeps[d][0] for d in firsts]
-    witnesses = {sweeps[d][0]: _matching(si, *sweeps[d][1:]) for d in firsts}
+    kink_pairs = {sweeps[d][0]: sweeps[d][1:] for d in firsts}
+    kinks = list(kink_pairs)
 
     points: list[MatchPoint] = [kinks[0]]
     for a, b in zip(kinks, kinks[1:]):
@@ -221,9 +238,8 @@ def compute_frontier(si: SeatInstance) -> Frontier:
             points.append(MatchPoint(a.e + j, a.b - j * step))
         points.append(b)
 
-    f = Frontier(points=tuple(points), kinks=frozenset(kinks), witnesses=witnesses)
-    check_frontier_invariants(f)
-    return f
+    _check_points(points)
+    return points, kink_pairs
 
 
 def half_bound_ratio(f: Frontier) -> Fraction:

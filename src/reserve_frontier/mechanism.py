@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .core import (
     Matching,
@@ -34,9 +36,8 @@ from .core import (
     beneficiary_share,
     dominates,
     match_point,
-    restrict_patients,
 )
-from .frontier import Frontier, compute_frontier, witness_at
+from .frontier import Frontier, _frontier_by_index, _witness_by_index, compute_frontier, witness_at
 from .oracle import BudgetExceededError, Census, CheckReport
 
 
@@ -44,30 +45,23 @@ class NoNonEmptyMatchingError(ValueError):
     """The instance admits no non-empty eligible matching."""
 
 
-@dataclass(frozen=True)
-class ChoiceRecord:
-    subset: frozenset[str]
-    chosen: frozenset[str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "subset", frozenset(self.subset))
-        object.__setattr__(self, "chosen", frozenset(self.chosen))
-        if not self.chosen <= self.subset:
-            raise ValueError("chosen patients must come from the offered subset")
-
-
 def respects_share(pt: MatchPoint, beta_star) -> bool:
     """Exact test of b/e >= beta_star."""
     return beneficiary_share(pt) >= Fraction(beta_star)
 
 
+def _select_point(points: Sequence[MatchPoint], beta_star: Fraction) -> MatchPoint:
+    """The selection rule's point among the frontier points (module docstring)."""
+    if points[-1].e == 0:
+        raise NoNonEmptyMatchingError("no non-empty matching exists")
+    qualifying = [p for p in points if beneficiary_share(p) >= beta_star]
+    return qualifying[-1] if qualifying else points[0]
+
+
 def _select_from(si: SeatInstance, f: Frontier, beta_star: Fraction) -> tuple[Matching, MatchPoint]:
     """The selected point and its witness, the one with_all_witnesses would give:
     f's own at a kink, else one k-cardinality solve (witness_at)."""
-    if f.points[-1].e == 0:
-        raise NoNonEmptyMatchingError("no non-empty matching exists")
-    qualifying = [p for p in f.points if beneficiary_share(p) >= beta_star]
-    pt = qualifying[-1] if qualifying else f.points[0]
+    pt = _select_point(f.points, beta_star)
     m = f.witnesses[pt] if pt in f.witnesses else witness_at(si, pt)
     return m, pt
 
@@ -199,25 +193,6 @@ def repair_priority(pr: Problem, m: Matching) -> Matching:
         current = swapped
 
 
-def induce_choice(pr: Problem, subset: Iterable[str]) -> ChoiceRecord:
-    """Patients of the subset that the selection rule seats in the sub-problem.
-
-    These are the matched patients of the witness that selection returns.
-    At a point that is not a kink, optimal matchings that seat different
-    patients can tie, so the choice there, and every audit count built on
-    it, depends on which one the solver returns: on one 7-patient draw
-    the audits find 528 path-independence and 43 substitutability
-    violations with one witness and 418 and 30 with another.
-    """
-    chosen_from = frozenset(subset)
-    sub = restrict_patients(pr.instance, chosen_from)
-    try:
-        m, _ = select_approx_on_frontier(Problem(instance=sub, beta_star=pr.beta_star))
-    except NoNonEmptyMatchingError:
-        return ChoiceRecord(subset=chosen_from, chosen=frozenset())
-    return ChoiceRecord(subset=chosen_from, chosen=m.matched_patients)
-
-
 @dataclass(frozen=True)
 class AuditViolation:
     """One failed identity: lhs != rhs (path-independence) or lhs ⊄ rhs (substitutability)."""
@@ -228,15 +203,46 @@ class AuditViolation:
     rhs: frozenset[str]
 
 
-# Path-independence compares all 4^n subset pairs.  On a violation-poor
-# instance that is 2.6 s at n = 12, so about 40 s at n = 14; but every
-# violation is materialized, and on a violation-rich 12-patient instance
-# (2.4 M violations) `audit --check pi` took 33.9 s and 6.95 GB.  No audit
-# cap may be set above this.
+# Audit cost on 2 shared vCPUs.  The choices take 2^n selections on row
+# subsets of one pair-code matrix; path independence compares 4^n pairs as
+# 2^n numpy rows, substitutability 3^n, and only the printed violations are
+# built, so memory stays flat.  GenConfig(12, 4, (1, 2), 0.5, seed=3) at
+# beta* 1/3 (2,422,275 and 16,300 violations) takes 0.2-0.3 s of masks and
+# 0.2 s of counts; its 14-patient sibling (7,059,068 and 77,175) 0.9-1.1 s
+# and 1.8-1.9 s, with 82 MB peak for the whole `audit --check both`.  Each
+# patient more quadruples the pairs, so no audit cap may be set above this.
 MAX_AUDIT_PATIENTS = 14
 
+# violations that an audit builds and the CLI prints; the rest are counted
+AUDIT_SHOWN = 20
 
-def _choice_masks(pr: Problem, max_patients: int) -> tuple[tuple[str, ...], list[int]]:
+
+def _chosen_rows(codes: np.ndarray, beta_star: Fraction) -> np.ndarray:
+    """The rows that the selected witness seats on a pair-code matrix, the
+    matched patients of select_approx_on_frontier by index: empty when no
+    pair is eligible."""
+    points, kink_pairs = _frontier_by_index(codes)
+    try:
+        pt = _select_point(points, beta_star)
+    except NoNonEmptyMatchingError:
+        return np.empty(0, dtype=np.intp)
+    return kink_pairs[pt][0] if pt in kink_pairs else _witness_by_index(codes, pt)[0]
+
+
+def choice_masks(pr: Problem, max_patients: int = 12) -> tuple[tuple[str, ...], np.ndarray]:
+    """The choice rule that selection induces, as (patients, masks): bit i of
+    a subset mask is patients[i], and masks[x] is the mask of C(x), the
+    patients of subset x that selection seats.  A missing share target
+    reads as 0, which selects the max-total endpoint.
+
+    A subset keeps every seat, so its sub-problem is its rows of
+    pr.seat_instance.pair_codes, the matrix that restricting the instance
+    to it and expanding that would build.  At a point that is not a kink,
+    optimal matchings that seat different patients can tie, so C, and every
+    audit count built on it, depends on which one the solver returns: on
+    one 7-patient draw the audits find 528 path-independence and 43
+    substitutability violations with one witness and 418 and 30 with another.
+    """
     if max_patients < 0:
         raise ValueError(f"a choice audit cap of {max_patients} patients is below 0")
     if max_patients > MAX_AUDIT_PATIENTS:
@@ -249,65 +255,43 @@ def _choice_masks(pr: Problem, max_patients: int) -> tuple[tuple[str, ...], list
         raise BudgetExceededError(
             f"choice audit over {len(patients)} patients exceeds the cap of {max_patients}"
         )
-    # expand the whole instance for its size checks: every subset keeps all
-    # seats, so none is larger, and the empty subset must not be the first
-    # to build them
-    pr.seat_instance
-    bit = {p: 1 << i for i, p in enumerate(patients)}
-    masks: list[int] = []
-    for mask in range(1 << len(patients)):
-        subset = [p for p in patients if bit[p] & mask]
-        chosen = induce_choice(pr, subset).chosen
-        masks.append(sum(bit[p] for p in chosen))
+    beta_star = Fraction(0) if pr.beta_star is None else pr.beta_star
+    codes = pr.seat_instance.pair_codes
+    bits = 1 << np.arange(len(patients), dtype=np.int64)
+    masks = np.zeros(1 << len(patients), dtype=np.int64)
+    for x in range(1, len(masks)):
+        rows = np.flatnonzero(x & bits)
+        masks[x] = bits[rows[_chosen_rows(codes[rows], beta_star)]].sum()
     return patients, masks
 
 
-def _unmask(patients: tuple[str, ...], mask: int) -> frozenset[str]:
-    return frozenset(p for i, p in enumerate(patients) if mask & (1 << i))
+def _violation(patients: tuple[str, ...], *masks: int) -> AuditViolation:
+    return AuditViolation(*(frozenset(p for i, p in enumerate(patients) if int(m) >> i & 1) for m in masks))
 
 
-def audit_path_independence(pr: Problem, max_patients: int = 12) -> list[AuditViolation]:
-    """All ordered pairs (X, X') where C(X ∪ X') != C(C(X) ∪ X')."""
-    patients, masks = _choice_masks(pr, max_patients)
-    n = len(patients)
-    out = []
-    for x in range(1 << n):
-        cx = masks[x]
-        for xp in range(1 << n):
-            left = masks[x | xp]
-            right = masks[cx | xp]
-            if left != right:
-                out.append(
-                    AuditViolation(
-                        x=_unmask(patients, x),
-                        x_prime=_unmask(patients, xp),
-                        lhs=_unmask(patients, left),
-                        rhs=_unmask(patients, right),
-                    )
-                )
-    return out
+def audit_path_independence(patients: tuple[str, ...], masks: np.ndarray) -> tuple[int, list[AuditViolation]]:
+    """The number of ordered pairs (X, X') where C(X ∪ X') != C(C(X) ∪ X'),
+    and the first AUDIT_SHOWN of them in (X, X') order."""
+    xps = np.arange(len(masks))
+    count, first = 0, []
+    for x in range(len(masks)):
+        left, right = masks[x | xps], masks[masks[x] | xps]
+        bad = np.flatnonzero(left != right)
+        count += len(bad)
+        first += [_violation(patients, x, xp, left[xp], right[xp]) for xp in bad[: AUDIT_SHOWN - len(first)]]
+    return count, first
 
 
-def audit_substitutability(pr: Problem, max_patients: int = 12) -> list[AuditViolation]:
-    """All pairs X' ⊆ X where C(X) ∩ X' is not contained in C(X')."""
-    patients, masks = _choice_masks(pr, max_patients)
-    n = len(patients)
-    out = []
-    for x in range(1 << n):
-        cx = masks[x]
-        xp = x
-        while True:
-            kept = cx & xp
-            if kept & ~masks[xp]:
-                out.append(
-                    AuditViolation(
-                        x=_unmask(patients, x),
-                        x_prime=_unmask(patients, xp),
-                        lhs=_unmask(patients, kept),
-                        rhs=_unmask(patients, masks[xp]),
-                    )
-                )
-            if xp == 0:
-                break
-            xp = (xp - 1) & x
-    return out
+def audit_substitutability(patients: tuple[str, ...], masks: np.ndarray) -> tuple[int, list[AuditViolation]]:
+    """The number of pairs X' ⊆ X where C(X) ∩ X' is not contained in C(X'),
+    and the first AUDIT_SHOWN of them, X ascending and X' descending."""
+    digits = (np.arange(len(masks))[:, None] >> np.arange(len(patients))) & 1  # row k: k's bits
+    count, first = 0, []
+    for x in range(len(masks)):
+        ones = np.flatnonzero(digits[x])
+        xps = digits[(1 << len(ones)) - 1 :: -1, : len(ones)] @ (1 << ones)  # x's submasks, descending
+        kept, rhs = masks[x] & xps, masks[xps]
+        bad = np.flatnonzero(kept & ~rhs)
+        count += len(bad)
+        first += [_violation(patients, x, xps[i], kept[i], rhs[i]) for i in bad[: AUDIT_SHOWN - len(first)]]
+    return count, first

@@ -23,6 +23,7 @@ from reserve_frontier import (
     audit_substitutability,
     beneficiary_loss,
     beneficiary_share,
+    choice_masks,
     compute_frontier,
     dominates_exact_share_matchings,
     enumerate_matchings,
@@ -332,7 +333,7 @@ def test_criterion_11_impossibility_reproduction():
     x = frozenset({"p1", "p2", "p3", "p4", "p5"})
     needed = frozenset({"p1", "p2", "p3", "p5"})
 
-    violations = audit_substitutability(pr)
+    _, violations = audit_substitutability(*choice_masks(pr))
     designed = [v for v in violations if v.x == full and v.x_prime == x]
     assert designed, "audit missed the designed failure pair"
     assert designed[0].lhs == needed and not needed <= designed[0].rhs

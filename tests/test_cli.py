@@ -226,6 +226,12 @@ def test_solve_with_repair_expands_the_instance_once(expansions, capsys):
     assert len(expansions) == 1
 
 
+def test_audit_expands_the_instance_once_for_every_subset(expansions, capsys):
+    code, out, _ = run(capsys, "audit", "--named", "path-independence", "--check", "both")
+    assert code == 0 and "substitutability: 3 violation(s)" in out
+    assert len(expansions) == 1
+
+
 def test_run_suites_expands_each_instance_once(expansions):
     empty = Instance(
         categories=("c1",), patients=("p1",), quota={"c1": 1}, eligible={}, beneficiary={}
@@ -260,6 +266,8 @@ def test_each_input_is_validated_once(monkeypatch, tmp_path, capsys):
         ("solve", str(paths[1]), "--respect-priority"),
         ("verify", str(paths[0]), "--jobs", "1"),
         ("frontier", "--named", "conflict"),
+        ("audit", str(paths[0]), "--check", "both"),
+        ("audit", "--named", "conflict"),  # no share target
     ):
         validations.clear()
         assert run(capsys, *argv)[0] == 0, argv
@@ -584,7 +592,7 @@ def test_audit_cap_above_the_ceiling_exits_2(monkeypatch, capsys, cap, message):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("an audit outside the allowed caps enumerated subsets")
 
-    monkeypatch.setattr(mechanism_module, "induce_choice", no_enumeration)
+    monkeypatch.setattr(mechanism_module, "_chosen_rows", no_enumeration)
     code, out, err = run(capsys, "audit", "--named", "conflict", "--max-patients", cap)
     assert code == 2 and out == ""
     assert message in err

@@ -296,9 +296,9 @@ def test_bisection_matches_the_full_sweep(family, monkeypatch):
     swept = []
     sweep = frontier_module._sweep
 
-    def counted(si, d):
+    def counted(codes, d):
         swept.append(d)
-        return sweep(si, d)
+        return sweep(codes, d)
 
     monkeypatch.setattr(frontier_module, "_sweep", counted)
     for inst in DIFFERENTIAL_FAMILIES[family]():
@@ -325,8 +325,8 @@ def tally_splits(monkeypatch, shift: int) -> Counter:
     done: dict[int, MatchPoint] = {}
     tally = Counter()
 
-    def remapped(si, d):
-        out = sweep(si, min(max(d + shift, 0), max(len(si.patients), len(si.seats))))
+    def remapped(codes, d):
+        out = sweep(codes, min(max(d + shift, 0), max(codes.shape)))
         below, above = [j for j in done if j < d], [j for j in done if j > d]
         if below and above:
             lo, hi = max(below), min(above)
@@ -370,7 +370,7 @@ def test_a_shifted_sweep_reaches_the_upper_clamp_and_a_tie_at_x(monkeypatch):
 
 def test_out_of_order_interval_ends_raise(monkeypatch):
     sweep = frontier_module._sweep
-    monkeypatch.setattr(frontier_module, "_sweep", lambda si, d: sweep(si, max(si.pair_codes.shape) - d))
+    monkeypatch.setattr(frontier_module, "_sweep", lambda codes, d: sweep(codes, max(codes.shape) - d))
     with pytest.raises(FrontierInvariantError, match="out of order"):
         compute_frontier(expand_to_seats(two_conflict_copies()))
 
@@ -444,6 +444,6 @@ def test_integer_slope_sweeps_keep_the_n_cubed_kinks_and_witnesses():
         drops = [a.b - c.b for a, c in zip(f.points, f.points[1:])]
         ends = [0] + [drops[i - 1] for i, pt in enumerate(f.points) if i and pt in f.kinks] + [n + 1]
         for kink, lo, hi in zip(sorted(f.kinks), ends, ends[1:]):
-            assert [frontier_module._sweep(si, d)[0] for d in range(lo, hi)] == [kink] * (hi - lo)
+            assert [frontier_module._sweep(si.pair_codes, d)[0] for d in range(lo, hi)] == [kink] * (hi - lo)
             ranges_swept += 1
     assert kinks_seen >= 600 and ranges_swept >= 550, (kinks_seen, ranges_swept)

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 import reserve_frontier.cycles as cycles_module
+from reserve_frontier.mechanism import AUDIT_SHOWN
 from reserve_frontier.oracle import Census
 from reserve_frontier import (
+    NAMED_INSTANCES,
+    AuditViolation,
     BudgetExceededError,
     GenConfig,
     Instance,
@@ -20,6 +24,7 @@ from reserve_frontier import (
     audit_path_independence,
     audit_substitutability,
     beneficiary_share,
+    choice_masks,
     compute_frontier,
     dominates,
     dominates_exact_share_matchings,
@@ -27,12 +32,12 @@ from reserve_frontier import (
     expand_to_seats,
     gen_named,
     gen_random,
-    induce_choice,
     match_point,
     rank_sum,
     repair_priority,
     respects_priority,
     respects_share,
+    restrict_patients,
     select_approx_on_frontier,
     validate_instance,
     validate_priority,
@@ -500,27 +505,31 @@ def test_priority_layer_matches_the_full_scan_on_the_solve_walk_draw():
 
 def test_induced_choice_on_the_six_patient_problem():
     pr = gen_named("path-independence")
-    assert induce_choice(pr, pr.instance.patients).chosen == frozenset(
-        {"p1", "p2", "p3", "p5", "p6"}
-    )
-    cx = induce_choice(pr, ["p1", "p2", "p3", "p4", "p5"]).chosen
-    assert cx in (
+    patients, masks = choice_masks(pr)
+    assert patients == pr.instance.patients
+
+    def chosen(subset):
+        return unmask(patients, masks[sum(1 << patients.index(p) for p in subset)])
+
+    assert chosen(pr.instance.patients) == frozenset({"p1", "p2", "p3", "p5", "p6"})
+    assert chosen(["p1", "p2", "p3", "p4", "p5"]) in (
         frozenset({"p1", "p2", "p3", "p4"}),
         frozenset({"p1", "p2", "p4", "p5"}),
         frozenset({"p1", "p3", "p4", "p5"}),
     )
-    assert induce_choice(pr, []).chosen == frozenset()
+    assert chosen([]) == frozenset()
 
 
 def test_audits_flag_the_designed_failure():
     pr = gen_named("path-independence")
-    pi = audit_path_independence(pr)
+    patients, masks = choice_masks(pr)
+    pi, _ = audit_path_independence(patients, masks)
     assert pi
-    subs = audit_substitutability(pr)
-    assert subs
+    subs, first = audit_substitutability(patients, masks)
+    assert subs == len(first) == 3
     everyone = frozenset(pr.instance.patients)
     x = frozenset({"p1", "p2", "p3", "p4", "p5"})
-    hits = [v for v in subs if v.x == everyone and v.x_prime == x]
+    hits = [v for v in first if v.x == everyone and v.x_prime == x]
     assert hits and hits[0].lhs == frozenset({"p1", "p2", "p3", "p5"})
 
 
@@ -535,14 +544,143 @@ def test_audits_pass_on_an_unconstrained_instance():
             beneficiary={"c1": frozenset({"p1", "p2", "p3"})},
         )
     )
-    pr = Problem(instance=inst, beta_star=Fraction(1))
-    assert audit_path_independence(pr) == []
-    assert audit_substitutability(pr) == []
+    patients, masks = choice_masks(Problem(instance=inst, beta_star=Fraction(1)))
+    assert masks.tolist() == list(range(8))
+    assert audit_path_independence(patients, masks) == (0, [])
+    assert audit_substitutability(patients, masks) == (0, [])
 
 
 def test_audit_respects_the_patient_cap():
     pr = gen_named("path-independence")
     with pytest.raises(BudgetExceededError):
-        audit_path_independence(pr, max_patients=5)
-    with pytest.raises(BudgetExceededError):
-        audit_substitutability(pr, max_patients=5)
+        choice_masks(pr, max_patients=5)
+    assert len(choice_masks(pr, max_patients=6)[1]) == 64
+
+
+# The choice rule and the audits as they stood before choice_masks: one
+# restricted instance, Problem, expansion and selection per subset, and
+# every violation kept in a list.  Kept here only as the reference.
+def reference_choice_masks(pr):
+    patients = pr.instance.patients
+    beta_star = Fraction(0) if pr.beta_star is None else pr.beta_star
+    masks = []
+    for x in range(1 << len(patients)):
+        sub = restrict_patients(pr.instance, unmask(patients, x))
+        try:
+            m, _ = select_approx_on_frontier(Problem(instance=sub, beta_star=beta_star))
+        except NoNonEmptyMatchingError:
+            m = Matching.empty()
+        masks.append(sum(1 << patients.index(p) for p in m.matched_patients))
+    return masks
+
+
+def unmask(patients, mask):
+    return frozenset(p for i, p in enumerate(patients) if mask >> i & 1)
+
+
+def violation(patients, *masks):
+    return AuditViolation(*(unmask(patients, m) for m in masks))
+
+
+def reference_path_independence(patients, masks):
+    out = []
+    for x in range(len(masks)):
+        for xp in range(len(masks)):
+            left, right = masks[x | xp], masks[masks[x] | xp]
+            if left != right:
+                out.append(violation(patients, x, xp, left, right))
+    return out
+
+
+def reference_substitutability(patients, masks):
+    out = []
+    for x in range(len(masks)):
+        xp = x
+        while True:
+            kept = masks[x] & xp
+            if kept & ~masks[xp]:
+                out.append(violation(patients, x, xp, kept, masks[xp]))
+            if xp == 0:
+                break
+            xp = (xp - 1) & x
+    return out
+
+
+# the draw on which two solver witnesses gave 528 / 43 and 418 / 30 violations
+TIE_DRAW = GenConfig(7, 5, (1, 1), 0.5, 0.3, seed=5067)
+A12 = GenConfig(12, 4, (1, 2), 0.5, seed=3)
+
+
+def audit_problems():
+    """The named problems, then 40 seeded draws of 2-8 patients and the tie
+    draw, each at the share targets 0, 1/5, 1/2 and 1."""
+    yield from (gen_named(name) for name in NAMED_INSTANCES)
+    rng = Random(13)
+    draws = [
+        GenConfig(
+            patients=rng.randint(2, 8),
+            categories=rng.randint(1, 5),
+            quota_range=(1, rng.randint(1, 2)),
+            eligibility_density=rng.choice([0.3, 0.5, 0.8]),
+            beneficiary_density=rng.choice([0.2, 0.5, 0.9]),
+            seed=rng.randint(0, 100_000),
+        )
+        for _ in range(40)
+    ]
+    for cfg in [*draws, TIE_DRAW]:
+        inst = gen_random(cfg)
+        yield from (Problem(instance=inst, beta_star=t) for t in (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1)))
+
+
+def test_choice_masks_and_audits_match_the_per_subset_route():
+    for pr in audit_problems():
+        patients, masks = choice_masks(pr)
+        want = reference_choice_masks(pr)
+        assert masks.tolist() == want, pr
+        for audit, reference in (
+            (audit_path_independence, reference_path_independence),
+            (audit_substitutability, reference_substitutability),
+        ):
+            violations = reference(patients, want)
+            assert audit(patients, masks) == (len(violations), violations[:AUDIT_SHOWN]), pr
+
+
+def test_audit_counts_on_the_tie_draw_and_a12():
+    patients, masks = choice_masks(Problem(instance=gen_random(TIE_DRAW), beta_star=Fraction(1, 5)))
+    assert audit_path_independence(patients, masks)[0] == 418
+    assert audit_substitutability(patients, masks)[0] == 30
+
+    pr = Problem(instance=gen_random(A12), beta_star=Fraction(1, 3))
+    patients, masks = choice_masks(pr)
+    assert masks.tolist() == reference_choice_masks(pr)
+    # never build the reference path-independence list here: it held 2.4 M
+    # violations and took 6.95 GB
+    assert audit_path_independence(patients, masks)[0] == 2_422_275
+    assert audit_substitutability(patients, masks)[0] == 16_300
+
+
+def ira_holds(masks):
+    """Irrelevance of rejected alternatives: C(X - {x}) = C(X) for every x in X - C(X)."""
+    for x, chosen in enumerate(masks):
+        rejected = x & ~chosen
+        for i in range(len(masks).bit_length() - 1):
+            if rejected >> i & 1 and masks[x ^ (1 << i)] != chosen:
+                return False
+    return True
+
+
+def test_path_independence_is_substitutability_plus_ira():
+    # a choice rule is path-independent if and only if it is substitutable
+    # and satisfies IRA (Aizerman and Malishevski, 1981)
+    verdicts = Counter()
+    for pr in audit_problems():
+        patients, masks = choice_masks(pr)
+        pi = audit_path_independence(patients, masks)[0] == 0
+        subs = audit_substitutability(patients, masks)[0] == 0
+        ira = ira_holds(masks.tolist())
+        assert pi == (subs and ira), pr
+        verdicts[pi, subs, ira] += 1
+    # no draw seen so far fails IRA while substitutable, so only one side
+    # of the conjunction is seen failing alone
+    assert verdicts[True, True, True], "no path-independent case"
+    assert verdicts[False, False, True], "no case where substitutability alone fails"
