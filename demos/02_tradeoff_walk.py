@@ -10,7 +10,6 @@ is exactly why the frontier is concave.
 
 from reserve_frontier import (
     Instance,
-    beneficiary_loss,
     compute_frontier,
     expand_to_seats,
     find_minimal_cycle,
@@ -50,10 +49,8 @@ print(f"{len(si.patients)} patients and {len(si.seats)} unit seats")
 walk = frontier_walk(si, start)
 prev_pt, m = walk[0]
 for pt, nxt in walk[1:]:
-    cyc = find_minimal_cycle(si, m)
-    loss = beneficiary_loss(si, m, cyc)
-    moved = " -> ".join(cyc.patients)
-    print(f"  {tuple(prev_pt)} -> {tuple(pt)}  loss {loss}, reseats {moved}")
+    moved = " -> ".join(find_minimal_cycle(si, m).patients)  # the cycle the walk applied
+    print(f"  {tuple(prev_pt)} -> {tuple(pt)}  loss {prev_pt.b - pt.b}, reseats {moved}")
     prev_pt, m = pt, nxt
 
 print("reached the max-total endpoint:", tuple(prev_pt))

@@ -13,9 +13,10 @@ from reserve_frontier import (
     audit_path_independence,
     audit_substitutability,
     choice_masks,
+    enumerate_matchings,
     expand_to_seats,
     gen_named,
-    matchings_at_point,
+    match_point,
     restrict_patients,
     select_approx_on_frontier,
 )
@@ -52,7 +53,8 @@ print("example: chose", sorted(worst.lhs), "from the full pool but only",
 # every optimal matching on X is an admissible C(X); none keeps all of kept
 sub = restrict_patients(pr.instance, x)
 _, pt = select_approx_on_frontier(Problem(instance=sub, beta_star=pr.beta_star))
-options = {m.matched_patients for m in matchings_at_point(expand_to_seats(sub), pt)}
+si = expand_to_seats(sub)
+options = {m.matched_patients for m in enumerate_matchings(si) if match_point(si, m) == pt}
 print(f"\nadmissible C(X) tie-breaks at {tuple(pt)}:")
 for s in sorted(options, key=sorted):
     print("  ", sorted(s), "misses", sorted(kept - s))

@@ -32,7 +32,6 @@ from .cycles import (
     CycleError,
     DominatedInputError,
     apply_cycle,
-    beneficiary_loss,
     check_applicable,
     find_minimal_cycle,
     frontier_walk,
@@ -64,7 +63,6 @@ from .mechanism import (
     rank_sum,
     repair_priority,
     respects_priority,
-    respects_share,
     select_approx_on_frontier,
 )
 from .oracle import (
@@ -73,12 +71,8 @@ from .oracle import (
     EnumerationBudget,
     check_disjoint_cycles,
     check_matched_preservation,
-    count_matchings,
     enumerate_matchings,
-    matchings_at_point,
-    oracle_frontier,
     oracle_min_cycle_loss,
-    sample_matchings_at_points,
 )
 from .verify import (
     SUITES,
@@ -118,7 +112,6 @@ __all__ = [
     "apply_cycle",
     "audit_path_independence",
     "audit_substitutability",
-    "beneficiary_loss",
     "beneficiary_share",
     "check_applicable",
     "check_disjoint_cycles",
@@ -126,7 +119,6 @@ __all__ = [
     "check_matched_preservation",
     "choice_masks",
     "compute_frontier",
-    "count_matchings",
     "dominates",
     "dominates_exact_share_matchings",
     "enumerate_matchings",
@@ -140,16 +132,12 @@ __all__ = [
     "half_bound_ratio",
     "kinks_of",
     "match_point",
-    "matchings_at_point",
-    "oracle_frontier",
     "oracle_min_cycle_loss",
     "rank_sum",
     "repair_priority",
     "respects_priority",
-    "respects_share",
     "restrict_patients",
     "run_suites",
-    "sample_matchings_at_points",
     "select_approx_on_frontier",
     "validate_instance",
     "validate_matching",

@@ -265,6 +265,22 @@ class SeatInstance:
         """Per patient index, the seat indices where the patient is a beneficiary."""
         return tuple(frozenset(np.flatnonzero(row == 2).tolist()) for row in self.pair_codes)
 
+    # A seat row lists a matching by index: row[i] is patient i's seat
+    # index, -1 when patient i is unmatched.
+    def name_row(self, row: Iterable[int]) -> Matching:
+        """The Matching that the seat row lists."""
+        return Matching(tuple((self.patients[i], self.seats[j]) for i, j in enumerate(row) if j != -1))
+
+    def index_matching(self, m: Matching) -> tuple[list[int], list[int]]:
+        """(seat_of, patient_of): m's seat row, and each seat's patient index or -1."""
+        seat_of = [-1] * len(self.patients)
+        patient_of = [-1] * len(self.seats)
+        for p, s in m.pairs:
+            i, j = self.patient_index[p], self.seat_index[s]
+            seat_of[i] = j
+            patient_of[j] = i
+        return seat_of, patient_of
+
 
 # Memory limits.  A dense assignment solve costs 9 bytes a cell, a uint8
 # pair code and a float64 cost, so MAX_CELLS (about 1.7 GB of solve) is the

@@ -88,11 +88,6 @@ def apply_cycle(si: SeatInstance, m: Matching, c: Cycle) -> Matching:
     return out
 
 
-def beneficiary_loss(si: SeatInstance, m: Matching, c: Cycle) -> int:
-    """Drop in beneficiary matches caused by applying c to m."""
-    return match_point(si, m).b - match_point(si, apply_cycle(si, m, c)).b
-
-
 def find_minimal_cycle(si: SeatInstance, m: Matching) -> Cycle | None:
     """Applicable cycle of minimum beneficiary loss, or None if none exists.
 
@@ -130,12 +125,7 @@ def find_minimal_cycle(si: SeatInstance, m: Matching) -> Cycle | None:
     links lead back to the start in strictly fewer hops.
     """
     n_p, n_s = len(si.patients), len(si.seats)
-    seat_of = [-1] * n_p
-    patient_of = [-1] * n_s
-    for p, s in m.pairs:
-        i, j = si.patient_index[p], si.seat_index[s]
-        seat_of[i] = j
-        patient_of[j] = i
+    seat_of, patient_of = si.index_matching(m)
     elig = si.eligible_seats
     bene = si.beneficiary_seat_sets
     # Cost of moving patient i to seat j: loses their current beneficiary

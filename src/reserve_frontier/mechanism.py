@@ -45,11 +45,6 @@ class NoNonEmptyMatchingError(ValueError):
     """The instance admits no non-empty eligible matching."""
 
 
-def respects_share(pt: MatchPoint, beta_star) -> bool:
-    """Exact test of b/e >= beta_star."""
-    return beneficiary_share(pt) >= Fraction(beta_star)
-
-
 def _select_point(points: Sequence[MatchPoint], beta_star: Fraction) -> MatchPoint:
     """The selection rule's point among the frontier points (module docstring)."""
     if points[-1].e == 0:

@@ -6,16 +6,23 @@ dominated score points, and cycles are enumerated exhaustively from the
 associated-graph definition.  Budgets cap instance size and visited states
 so runaway inputs fail fast instead of hanging.
 
+There are two entry points.  Census(si, budget) answers everything the
+verify checks read: .counts (matchings per score point), .frontier()
+(undominated points with their first witnesses) and .sample(points) (up
+to the SAMPLE_CAP constant matchings per point, reservoir-sampled with
+seed 0).  enumerate_matchings(si, budget) yields every matching once, in
+the same order, for callers that need each one.
+
 Matchings are enumerated in numpy blocks (_leaf_blocks), one patient per
 level, in the leaf order of a depth-first recursion over patients; the
 blocks count the recursion's states against the budget and hold a fixed
-number of bytes whatever the instance.  The verify checks read one Census
-per instance, which enumerates it at most twice: once for the count and
-first matching at every score point (the frontier, its witnesses and every
-exact-share count), and once more only when samples are asked for (the
-sampled matchings and the matched patient sets at the sampled points).
-Leaves are scored by index, block by block; only the leaves at sampled
-points reach Python, and no Matching is built per leaf.
+number of bytes whatever the instance.  A Census enumerates its instance
+at most twice: once for the count and first matching at every score point
+(the frontier, its witnesses and every exact-share count), and once more
+only when samples are asked for (the sampled matchings and the matched
+patient sets at the sampled points).  Leaves are scored by index, block
+by block; only the leaves at sampled points reach Python, and no Matching
+is built per leaf.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Matching, MatchPoint, SeatInstance, dominates
+from .core import Matching, MatchPoint, SeatInstance, dominates, match_point
 from .frontier import Frontier, kinks_of
 
 BUDGET_ENV = "RESERVE_FRONTIER_ORACLE_BUDGET"
@@ -219,26 +226,16 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
         yield assignment, e, b
 
 
-def _to_matching(si: SeatInstance, assignment) -> Matching:
-    return Matching(
-        tuple(
-            (si.patients[i], si.seats[j])
-            for i, j in enumerate(assignment)
-            if j != -1
-        )
-    )
-
-
 def enumerate_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET):
     """Yield every eligible matching exactly once, in a fixed recursion order."""
     blocks = list(_leaf_blocks(si, budget))  # a budget error comes before any matching
     for assignment, _, _ in blocks:
         for a in assignment.tolist():
-            yield _to_matching(si, a)
+            yield si.name_row(a)
 
 
-def count_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET) -> int:
-    return sum(len(e) for _, e, _ in _leaf_blocks(si, budget))
+# Matchings that Census.sample keeps per point; the rest are reservoir-sampled.
+SAMPLE_CAP = 200
 
 
 class Sample(NamedTuple):
@@ -252,23 +249,26 @@ class Sample(NamedTuple):
 class Census:
     """The oracle's view of one instance, built lazily in at most two passes.
 
-    Pass 1 records, for each point (e, b), the number of matchings scoring
-    it and the first one in recursion order.  Pass 2 runs only when
-    samples are asked for: it reservoir-samples the requested points,
-    drawing from Random(seed) exactly as a scan of its own would, and
+    An instance over the budget's patients or seats is refused when the
+    census is built, before any caller solves it.  Pass 1 records, for
+    each point (e, b), the number of matchings scoring it and the first
+    one in recursion order.  Pass 2 runs only when samples are asked for:
+    it reservoir-samples up to SAMPLE_CAP matchings at each requested
+    point, drawing from Random(0) exactly as a scan of its own would, and
     collects the matched patient sets at those points in the same visit.
-    Samples at other points, cap or seed get a fresh pass of their own, so
-    a frontier that disagrees with the oracle still gets its samples.
+    Samples at another point set get a fresh pass of their own, so a
+    frontier that disagrees with the oracle still gets its samples.
     Every pass has its own state budget, as every scan does.
     """
 
     def __init__(self, si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET):
+        _check_size(si, budget)
         self.si = si
         self.budget = budget
         self._counts: dict[MatchPoint, int] | None = None
         self._first: dict[MatchPoint, tuple[int, ...]] = {}
         self._frontier: Frontier | None = None
-        self._samples: dict[tuple[frozenset[MatchPoint], int, int], Sample] = {}
+        self._samples: dict[frozenset[MatchPoint], Sample] = {}
 
     @property
     def counts(self) -> dict[MatchPoint, int]:
@@ -295,19 +295,19 @@ class Census:
         if self._frontier is None:
             pts = list(self.counts)
             nd = sorted(p for p in pts if not any(dominates(q, p) for q in pts))
-            witnesses = {p: _to_matching(self.si, self._first[p]) for p in nd}
+            witnesses = {p: self.si.name_row(self._first[p]) for p in nd}
             self._frontier = Frontier(points=tuple(nd), kinks=kinks_of(nd), witnesses=witnesses)
         return self._frontier
 
-    def sample(self, points, cap: int = 200, seed: int = 0) -> Sample:
-        """Up to cap matchings per point, reservoir-sampled with a fixed seed."""
-        key = (frozenset(points), cap, seed)
+    def sample(self, points) -> Sample:
+        """Up to SAMPLE_CAP matchings per point, reservoir-sampled with seed 0."""
+        key = frozenset(points)
         if key not in self._samples:
-            self._samples[key] = self._sample_pass(*key)
+            self._samples[key] = self._sample_pass(key)
         return self._samples[key]
 
-    def _sample_pass(self, wanted: frozenset[MatchPoint], cap: int, seed: int) -> Sample:
-        rng = random.Random(seed)
+    def _sample_pass(self, wanted: frozenset[MatchPoint]) -> Sample:
+        rng, cap = random.Random(0), SAMPLE_CAP
         kept: dict[MatchPoint, list[tuple[int, ...]]] = {p: [] for p in wanted}
         seen: dict[MatchPoint, int] = {p: 0 for p in wanted}
         matched: dict[MatchPoint, set[int]] = {p: set() for p in wanted}
@@ -336,48 +336,8 @@ class Census:
                     if slot < cap:
                         bucket[slot] = tuple(row)
         mode = "exhaustive" if all(n <= cap for n in seen.values()) else "sampled"
-        samples = {p: [_to_matching(self.si, a) for a in kept[p]] for p in wanted}
+        samples = {p: [self.si.name_row(a) for a in kept[p]] for p in wanted}
         return Sample(samples, mode, matched)
-
-
-def oracle_frontier(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET) -> Frontier:
-    """Frontier by full enumeration: collect all score points, drop dominated ones."""
-    return Census(si, budget).frontier()
-
-
-def matchings_at_point(
-    si: SeatInstance, pt: MatchPoint, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> list[Matching]:
-    """Every eligible matching scoring exactly pt."""
-    out: list[Matching] = []
-    for a, e, b in _leaf_blocks(si, budget):
-        out.extend(_to_matching(si, row) for row in a[(e == pt.e) & (b == pt.b)].tolist())
-    return out
-
-
-def sample_matchings_at_points(
-    si: SeatInstance,
-    points,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-    cap: int = 200,
-    seed: int = 0,
-) -> tuple[dict[MatchPoint, list[Matching]], str]:
-    """Up to cap matchings per requested point, reservoir-sampled with a fixed seed.
-
-    Returns (samples, mode) where mode is "exhaustive" if nothing was dropped.
-    """
-    sample = Census(si, budget).sample(points, cap, seed)
-    return sample.matchings, sample.mode
-
-
-def _index_matching(si: SeatInstance, m: Matching) -> tuple[list[int], list[int]]:
-    seat_of = [-1] * len(si.patients)
-    patient_of = [-1] * len(si.seats)
-    for p, s in m.pairs:
-        i, j = si.patient_index[p], si.seat_index[s]
-        seat_of[i] = j
-        patient_of[j] = i
-    return seat_of, patient_of
 
 
 def _applicable_cycles(si: SeatInstance, m: Matching, budget: EnumerationBudget):
@@ -387,7 +347,7 @@ def _applicable_cycles(si: SeatInstance, m: Matching, budget: EnumerationBudget)
     a unique unmatched start patient, so each is produced exactly once.
     """
     n_p, n_s = len(si.patients), len(si.seats)
-    seat_of, patient_of = _index_matching(si, m)
+    seat_of, patient_of = si.index_matching(m)
     elig = si.eligible_seats
     bene = si.beneficiary_seat_sets
     cur_bene = [1 if seat_of[i] != -1 and seat_of[i] in bene[i] else 0 for i in range(n_p)]
@@ -506,7 +466,7 @@ def check_disjoint_cycles(census: Census) -> CheckReport:
                 for ps, ss, loss in _applicable_cycles(si, m2, budget)
                 if loss >= 1
             ]
-            sampled.append((m2, positive, _index_matching(si, m2)[0]))
+            sampled.append((m2, positive, si.index_matching(m2)[0]))
         for f1 in f.points[lo_idx + 1 :]:
             k = f1.e - f2.e
             target = f2.b - f1.b
@@ -521,20 +481,11 @@ def check_disjoint_cycles(census: Census) -> CheckReport:
                         f"from {f2} to {f1} for witness {m2.pairs}"
                     )
                     continue
-                assignment = {
-                    si.patients[i]: si.seats[j] for i, j in enumerate(seat_of) if j != -1
-                }
+                row = list(seat_of)
                 for idx in family:
                     for i, j in positive[idx][0]:
-                        assignment[si.patients[i]] = si.seats[j]
-                landed = MatchPoint(
-                    len(assignment),
-                    sum(
-                        1
-                        for p, s in assignment.items()
-                        if p in si.beneficiary_of(s)
-                    ),
-                )
+                        row[i] = j
+                landed = match_point(si, si.name_row(row))
                 if landed != f1:
                     report.failures.append(
                         f"joint application landed on {landed}, expected {f1}"

@@ -18,7 +18,7 @@ anything.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 
@@ -31,7 +31,7 @@ from .frontier import (
     frontier_iteration,
     half_bound_ratio,
 )
-from .generator import gen_random
+from .generator import GenConfig, gen_random
 from .mechanism import (
     NoNonEmptyMatchingError,
     _select_from,
@@ -41,6 +41,8 @@ from .mechanism import (
     respects_priority,
 )
 from .oracle import (
+    BUDGET_ENV,
+    BudgetExceededError,
     Census,
     EnumerationBudget,
     budget_from_env,
@@ -320,6 +322,7 @@ SUITE_FUNCS = {
 
 
 def run_suites(pr: Problem, suites: tuple[str, ...], budget: EnumerationBudget | None = None) -> list[CheckResult]:
+    # the census refuses an instance over the oracle budget, so it comes before the solve
     census = Census(pr.seat_instance, budget or budget_from_env())
     f = compute_frontier(census.si)
     out: list[CheckResult] = []
@@ -329,9 +332,11 @@ def run_suites(pr: Problem, suites: tuple[str, ...], budget: EnumerationBudget |
 
 
 def random_inputs(params: dict[str, str]) -> list[Problem]:
-    """Problems from key=value tokens: patients= categories= seed= count= quota= elig= bene=."""
-    from .generator import GenConfig
+    """Problems from key=value tokens: patients= categories= seed= count= quota= elig= bene=.
 
+    Draws that cannot fit the oracle budget are refused before any is
+    drawn: every category has at least one seat.
+    """
     patients = int(params.get("patients", "6"))
     categories = int(params.get("categories", "5"))
     seed = int(params.get("seed", "0"))
@@ -339,21 +344,19 @@ def random_inputs(params: dict[str, str]) -> list[Problem]:
     if count < 1:
         raise ValueError(f"--random count must be at least 1, got {count}")
     lo, _, hi = params.get("quota", "1:1").partition(":")
-    quota_range = (int(lo), int(hi or lo))
-    elig = float(params.get("elig", "0.5"))
-    bene = float(params.get("bene", "0.5"))
-    return [
-        Problem(
-            gen_random(
-                GenConfig(
-                    patients=patients,
-                    categories=categories,
-                    quota_range=quota_range,
-                    eligibility_density=elig,
-                    beneficiary_density=bene,
-                    seed=seed + i,
-                )
-            )
+    cfg = GenConfig(
+        patients=patients,
+        categories=categories,
+        quota_range=(int(lo), int(hi or lo)),
+        eligibility_density=float(params.get("elig", "0.5")),
+        beneficiary_density=float(params.get("bene", "0.5")),
+        seed=seed,
+    )
+    budget = budget_from_env()
+    if patients > budget.max_patients or categories > budget.max_seats:
+        raise BudgetExceededError(
+            f"--random draws {patients} patients and at least {categories} seats; "
+            f"budget allows {budget.max_patients} patients and {budget.max_seats} seats; "
+            f"raise it with {BUDGET_ENV}=patients,seats,states"
         )
-        for i in range(count)
-    ]
+    return [Problem(gen_random(replace(cfg, seed=seed + i))) for i in range(count)]

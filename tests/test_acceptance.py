@@ -11,6 +11,7 @@ from random import Random
 
 import pytest
 
+import reserve_frontier.oracle as oracle_module
 from reserve_frontier.oracle import Census
 from reserve_frontier import (
     GenConfig,
@@ -21,7 +22,6 @@ from reserve_frontier import (
     Problem,
     apply_cycle,
     audit_substitutability,
-    beneficiary_loss,
     beneficiary_share,
     choice_masks,
     compute_frontier,
@@ -36,14 +36,11 @@ from reserve_frontier import (
     gen_random,
     half_bound_ratio,
     match_point,
-    matchings_at_point,
-    oracle_frontier,
     oracle_min_cycle_loss,
     rank_sum,
     repair_priority,
     respects_priority,
     restrict_patients,
-    sample_matchings_at_points,
     select_approx_on_frontier,
 )
 
@@ -117,7 +114,7 @@ def oracle_pool():
         inst = gen_random(_oracle_cfg(i))
         si = expand_to_seats(inst)
         f = compute_frontier(si)
-        fo = oracle_frontier(si)
+        fo = Census(si).frontier()
         walk = frontier_walk(si, f.witnesses[f.points[0]])
         records.append((i, si, f, fo, frozenset(pt for pt, _ in walk)))
     return records, time.perf_counter() - t0
@@ -202,12 +199,13 @@ def test_criterion_05_concavity_density(small_pool, oracle_pool):
     print(f"criterion 05: zero shape violations across {checked} frontiers")
 
 
-def test_criterion_06_minimal_cycle_theorem(oracle_pool):
+def test_criterion_06_minimal_cycle_theorem(oracle_pool, monkeypatch):
+    monkeypatch.setattr(oracle_module, "SAMPLE_CAP", 8)
     records, _ = oracle_pool
     checked = 0
     for i, si, _, fo, _ in records:
         on_frontier = set(fo.points)
-        samples, _ = sample_matchings_at_points(si, fo.points, cap=8, seed=i)
+        samples = Census(si).sample(fo.points).matchings
         for pt, ms in samples.items():
             for m in ms:
                 checked += 1
@@ -217,9 +215,9 @@ def test_criterion_06_minimal_cycle_theorem(oracle_pool):
                     assert want is None, f"instance {i}: missed a cycle at {pt}"
                     assert pt.e == fo.e_max, f"instance {i}: stuck at {pt}"
                     continue
-                got = beneficiary_loss(si, m, cyc)
-                assert got == want, f"instance {i} at {pt}: loss {got} != {want}"
                 nxt = match_point(si, apply_cycle(si, m, cyc))
+                got = match_point(si, m).b - nxt.b
+                assert got == want, f"instance {i} at {pt}: loss {got} != {want}"
                 assert nxt in on_frontier, f"instance {i}: {pt} stepped off to {nxt}"
     assert checked >= 2000
     print(f"criterion 06: minimal cycles exact on {checked} sampled matchings")
@@ -326,6 +324,11 @@ def test_criterion_10_priority_repair():
     print(f"criterion 10: {done} repairs clean, point preserved, {improved} non-trivial")
 
 
+def matchings_at(si, pt):
+    """Every eligible matching scoring exactly pt."""
+    return [m for m in enumerate_matchings(si) if match_point(si, m) == pt]
+
+
 def test_criterion_11_impossibility_reproduction():
     t0 = time.perf_counter()
     pr = gen_named("path-independence")
@@ -341,17 +344,12 @@ def test_criterion_11_impossibility_reproduction():
     # robustness over tie-breaks: every optimal matching is an admissible
     # choice set, so quantify over all of them on both sides of the pair
     _, pt_full = select_approx_on_frontier(pr)
-    full_sets = {
-        m.matched_patients
-        for m in matchings_at_point(expand_to_seats(pr.instance), pt_full)
-    }
+    full_sets = {m.matched_patients for m in matchings_at(expand_to_seats(pr.instance), pt_full)}
     assert full_sets and all(needed <= s for s in full_sets)
 
     sub = restrict_patients(pr.instance, x)
     _, pt_sub = select_approx_on_frontier(Problem(instance=sub, beta_star=pr.beta_star))
-    sub_sets = {
-        m.matched_patients for m in matchings_at_point(expand_to_seats(sub), pt_sub)
-    }
+    sub_sets = {m.matched_patients for m in matchings_at(expand_to_seats(sub), pt_sub)}
     assert sub_sets and all(not needed <= s for s in sub_sets)
 
     elapsed = time.perf_counter() - t0

@@ -27,7 +27,6 @@ from reserve_frontier import (
     MatchPoint,
     Problem,
     beneficiary_share,
-    count_matchings,
     dominates,
     dominates_exact_share_matchings,
     enumerate_matchings,
@@ -47,7 +46,6 @@ from reserve_frontier.oracle import (
     _check_size,
     _leaf_blocks,
     _StateCounter,
-    _to_matching,
 )
 
 
@@ -95,12 +93,12 @@ def ref_oracle_frontier(si, budget=DEFAULT_BUDGET) -> Frontier:
     scan_leaves(si, budget, visit)
     pts = [MatchPoint(e, b) for e, b in first]
     nd = sorted(p for p in pts if not any(dominates(q, p) for q in pts))
-    witnesses = {p: _to_matching(si, first[(p.e, p.b)]) for p in nd}
+    witnesses = {p: si.name_row(first[(p.e, p.b)]) for p in nd}
     return Frontier(points=tuple(nd), kinks=kinks_of(nd), witnesses=witnesses)
 
 
-def ref_sample(si, points, budget=DEFAULT_BUDGET, cap=200, seed=0):
-    rng = Random(seed)
+def ref_sample(si, points, budget=DEFAULT_BUDGET, cap=200):
+    rng = Random(0)
     wanted = set(points)
     kept = {p: [] for p in wanted}
     seen = {p: 0 for p in wanted}
@@ -120,7 +118,7 @@ def ref_sample(si, points, budget=DEFAULT_BUDGET, cap=200, seed=0):
 
     scan_leaves(si, budget, visit)
     mode = "exhaustive" if all(seen[p] <= cap for p in wanted) else "sampled"
-    return {p: [_to_matching(si, a) for a in kept[p]] for p in wanted}, mode
+    return {p: [si.name_row(a) for a in kept[p]] for p in wanted}, mode
 
 
 def ref_matched_sets(si, points, budget=DEFAULT_BUDGET):
@@ -183,8 +181,10 @@ def assert_census_matches_the_scans(inst, cap):
     busiest = max(census.counts, key=census.counts.get)
     modes = set()
     for points in (want.points, [*want.points, busiest]):
-        sample = census.sample(points, cap, seed=7)
-        ref_samples, ref_mode = ref_sample(si, points, cap=cap, seed=7)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_module, "SAMPLE_CAP", cap)
+            sample = census.sample(points)
+        ref_samples, ref_mode = ref_sample(si, points, cap=cap)
         assert sample.matchings == ref_samples
         assert sample.mode == ref_mode
         modes.add(sample.mode)
@@ -232,6 +232,22 @@ def test_census_equals_the_single_purpose_scans():
 def test_census_equals_the_scans_with_every_level_sliced(monkeypatch):
     slice_every_level(monkeypatch)
     assert_census_matches_on_the_draws()
+
+
+def test_seat_rows_name_the_enumerated_matchings():
+    for inst in [*small_draws(), *base_draws()]:
+        si = expand_to_seats(inst)
+        rows = [row for a, _, _ in _leaf_blocks(si, DEFAULT_BUDGET) for row in a.tolist()]
+        matchings = list(enumerate_matchings(si))
+        assert len(rows) == len(matchings)
+        for row, m in zip(rows, matchings):
+            seat_of, patient_of = si.index_matching(m)
+            assert seat_of == row
+            assert si.name_row(seat_of) == m
+            assert len(patient_of) == len(si.seats)
+            assert sum(i != -1 for i in patient_of) == len(m)
+            assert all(patient_of[j] == i for i, j in enumerate(seat_of) if j != -1)
+            assert all(seat_of[i] == j for j, i in enumerate(patient_of) if i != -1)
 
 
 @pytest.fixture
@@ -284,7 +300,7 @@ def test_leaf_blocks_list_the_recursions_leaves(sliced, monkeypatch):
         most_blocks = max(most_blocks, len(blocks))
         got = [(tuple(a), e, b) for block in blocks for a, e, b in zip(*(x.tolist() for x in block))]
         assert got == want
-        assert list(enumerate_matchings(si)) == [_to_matching(si, a) for a, _, _ in want]
+        assert list(enumerate_matchings(si)) == [si.name_row(a) for a, _, _ in want]
 
         counts: dict = {}
         first: dict = {}
@@ -297,9 +313,9 @@ def test_leaf_blocks_list_the_recursions_leaves(sliced, monkeypatch):
 
         # the budget binds at exactly the recursion's state count; a budget
         # below one state (only the root, no patients) is refused when built
-        assert count_matchings(si, EnumerationBudget(max_states=states)) == len(want)
+        assert sum(Census(si, EnumerationBudget(max_states=states)).counts.values()) == len(want)
         with pytest.raises(BudgetExceededError if states > 1 else ValueError, match=BUDGET_ENV):
-            count_matchings(si, EnumerationBudget(max_states=states - 1))
+            Census(si, EnumerationBudget(max_states=states - 1)).counts
     assert most_blocks > 1 if sliced else most_blocks == 1
 
 
@@ -319,7 +335,7 @@ def test_enumeration_memory_stays_under_the_byte_cap_at_the_ceiling():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
-            count_matchings(si, EnumerationBudget(n, n, 10_000_000))
+            Census(si, EnumerationBudget(n, n, 10_000_000)).counts
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

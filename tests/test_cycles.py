@@ -14,7 +14,6 @@ from reserve_frontier import (
     Matching,
     MatchPoint,
     apply_cycle,
-    beneficiary_loss,
     check_applicable,
     compute_frontier,
     expand_to_seats,
@@ -24,11 +23,16 @@ from reserve_frontier import (
     gen_named,
     gen_random,
     match_point,
-    oracle_frontier,
     oracle_min_cycle_loss,
-    sample_matchings_at_points,
     validate_instance,
 )
+import reserve_frontier.oracle as oracle_module
+from reserve_frontier.oracle import Census
+
+
+def beneficiary_loss(si, m, c):
+    """Drop in beneficiary matches caused by applying c to m."""
+    return match_point(si, m).b - match_point(si, apply_cycle(si, m, c)).b
 
 
 def conflict_si():
@@ -152,7 +156,6 @@ def test_each_walk_step_applies_its_cycle_once(monkeypatch):
         return original(si, m, c)
 
     monkeypatch.setattr(cycles_module, "apply_cycle", counting)
-    monkeypatch.setattr(cycles_module, "beneficiary_loss", None)  # the walk must not call it
     for name in ("conflict", "figure1", "path-independence"):
         si = expand_to_seats(gen_named(name).instance)
         f = compute_frontier(si)
@@ -198,7 +201,8 @@ def test_walk_from_dominated_start_is_rejected():
         frontier_walk(si, Matching(pairs=(("p1", "c1#0"),)))
 
 
-def test_minimal_loss_matches_exhaustive_search():
+def test_minimal_loss_matches_exhaustive_search(monkeypatch):
+    monkeypatch.setattr(oracle_module, "SAMPLE_CAP", 10)
     rng = Random(31)
     for _ in range(20):
         inst = gen_random(
@@ -212,10 +216,11 @@ def test_minimal_loss_matches_exhaustive_search():
             )
         )
         si = expand_to_seats(inst)
-        f = oracle_frontier(si)
+        census = Census(si)
+        f = census.frontier()
         if f.points[-1].e == 0:
             continue
-        samples, _ = sample_matchings_at_points(si, f.points, cap=10)
+        samples = census.sample(f.points).matchings
         for pt, ms in samples.items():
             for m in ms:
                 want = oracle_min_cycle_loss(si, m)
@@ -418,12 +423,14 @@ def differential_corpus():
             )
         )
         si = expand_to_seats(inst)
-        samples, _ = sample_matchings_at_points(si, oracle_frontier(si).points, cap=4)
+        census = Census(si)
+        samples = census.sample(census.frontier().points).matchings
         for ms in samples.values():
             yield from ((si, m) for m in ms)
 
 
-def test_one_search_returns_the_per_start_searches_outcome():
+def test_one_search_returns_the_per_start_searches_outcome(monkeypatch):
+    monkeypatch.setattr(oracle_module, "SAMPLE_CAP", 4)
     rank_ties = loops = 0
     for si, m in differential_corpus():
         start_costs: list[int] = []

@@ -26,13 +26,13 @@ from reserve_frontier import (
     half_bound_ratio,
     kinks_of,
     match_point,
-    oracle_frontier,
     validate_instance,
     validate_matching,
     with_all_witnesses,
 )
 from reserve_frontier.frontier import witness_at
 from reserve_frontier.hungarian import max_weight_assignment_dense
+from reserve_frontier.oracle import Census
 
 
 def pts(*pairs) -> list[MatchPoint]:
@@ -125,7 +125,7 @@ def test_straight_segments_are_interpolated():
     f = compute_frontier(si)
     assert list(f.points) == pts((2, 2), (3, 1), (4, 0))
     assert f.kinks == {MatchPoint(2, 2), MatchPoint(4, 0)}  # middle point is not a kink
-    assert list(oracle_frontier(si).points) == list(f.points)
+    assert list(Census(si).frontier().points) == list(f.points)
 
 
 def test_with_all_witnesses_fills_interior_points():
@@ -217,7 +217,7 @@ def test_matches_oracle_on_random_instances():
         )
         si = expand_to_seats(inst)
         f = compute_frontier(si)
-        o = oracle_frontier(si)
+        o = Census(si).frontier()
         assert f.points == o.points
         assert f.kinks == o.kinks
         check_frontier_invariants(f)

@@ -11,22 +11,20 @@ from reserve_frontier import (
     GenConfig,
     Matching,
     MatchPoint,
-    count_matchings,
     dominates,
     enumerate_matchings,
     expand_to_seats,
     gen_named,
     gen_random,
     match_point,
-    matchings_at_point,
-    oracle_frontier,
     oracle_min_cycle_loss,
-    sample_matchings_at_points,
     validate_matching,
 )
 import reserve_frontier.oracle as oracle_module
+import reserve_frontier.verify as verify_module
 from reserve_frontier.cli import main
 from reserve_frontier.oracle import (
+    BUDGET_ENV,
     MAX_ORACLE_SIZE,
     Census,
     _find_disjoint_family,
@@ -34,6 +32,10 @@ from reserve_frontier.oracle import (
     budget_from_env,
     check_disjoint_cycles,
 )
+
+
+def count_matchings(si, budget=EnumerationBudget()) -> int:
+    return sum(Census(si, budget).counts.values())
 
 
 def count_by_seats(si) -> int:
@@ -80,19 +82,19 @@ def test_count_agrees_with_seat_axis_recursion():
 
 
 def test_oracle_frontier_on_named_instances():
-    assert list(oracle_frontier(expand_to_seats(gen_named("conflict").instance)).points) == [
+    assert list(Census(expand_to_seats(gen_named("conflict").instance)).frontier().points) == [
         MatchPoint(1, 1),
         MatchPoint(2, 0),
     ]
-    assert list(oracle_frontier(expand_to_seats(gen_named("figure1").instance)).points) == [MatchPoint(3, 0)]
+    assert list(Census(expand_to_seats(gen_named("figure1").instance)).frontier().points) == [MatchPoint(3, 0)]
     pi = gen_named("path-independence").instance
-    assert list(oracle_frontier(expand_to_seats(pi)).points) == [MatchPoint(4, 2), MatchPoint(5, 1)]
+    assert list(Census(expand_to_seats(pi)).frontier().points) == [MatchPoint(4, 2), MatchPoint(5, 1)]
 
 
 def test_oracle_frontier_points_dominate_everything():
     inst = gen_random(GenConfig(patients=5, categories=3, quota_range=(1, 2), seed=99))
     si = expand_to_seats(inst)
-    f = oracle_frontier(si)
+    f = Census(si).frontier()
     pts = set(f.points)
     for m in enumerate_matchings(si):
         pt = match_point(si, m)
@@ -102,7 +104,7 @@ def test_oracle_frontier_points_dominate_everything():
 def test_empty_instance_oracle():
     inst = gen_random(GenConfig(patients=0, categories=2, seed=0))
     si = expand_to_seats(inst)
-    f = oracle_frontier(si)
+    f = Census(si).frontier()
     assert list(f.points) == [MatchPoint(0, 0)]
     assert count_matchings(si) == 1
 
@@ -111,7 +113,9 @@ def test_budget_rejects_large_instances():
     inst = gen_random(GenConfig(patients=8, categories=3, seed=1))
     si = expand_to_seats(inst)
     with pytest.raises(BudgetExceededError):
-        count_matchings(si)  # default allows at most 7 patients
+        Census(si)  # default allows at most 7 patients; refused when built
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_matchings(si))
     small = expand_to_seats(gen_random(GenConfig(patients=5, categories=5, eligibility_density=1.0, seed=1)))
     with pytest.raises(BudgetExceededError):
         count_matchings(small, EnumerationBudget(max_states=10))
@@ -177,6 +181,47 @@ def test_exit_3_names_the_budget_override(budget, argv, names, monkeypatch, caps
     assert "RESERVE_FRONTIER_ORACLE_BUDGET=patients,seats,states" in err
 
 
+@pytest.mark.parametrize("suite", ["all", "frontier", "cycles", "lemmas", "mechanism"])
+def test_verify_refuses_an_oversized_instance_before_solving_it(suite, tmp_path, monkeypatch, capsys):
+    def no_solve(si):
+        raise AssertionError("solved an instance that the oracle refuses")
+
+    monkeypatch.setattr(verify_module, "compute_frontier", no_solve)
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    assert main(["verify", one_pair_file(tmp_path, 8), "--suite", suite]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget allows 7 patients and 7 seats" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["patients=6000", "categories=6000", "elig=0.0005"],
+        ["patients=8", "categories=3"],
+        ["patients=3", "categories=8", "quota=2:2"],
+    ],
+    ids=["both", "patients", "categories"],
+)
+def test_verify_random_refuses_an_oversized_draw_before_drawing(argv, monkeypatch, capsys):
+    def no_draw(cfg):
+        raise AssertionError("drew an instance that the oracle refuses")
+
+    monkeypatch.setattr(verify_module, "gen_random", no_draw)
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    assert main(["verify", "--random", *argv, "count=1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget allows 7 patients and 7 seats" in captured.err
+    assert f"raise it with {BUDGET_ENV}=patients,seats,states" in captured.err
+
+
+def test_verify_random_checks_its_tokens_before_the_budget(monkeypatch, capsys):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    assert main(["verify", "--random", "patients=8", "quota=0:1"]) == 2
+    assert "bad quota range" in capsys.readouterr().err
+
+
 def test_disjoint_cycle_check_searches_each_sampled_matching_once(monkeypatch):
     calls = []
     original = oracle_module._applicable_cycles
@@ -215,26 +260,29 @@ def test_disjoint_family_search_loops_over_skipped_cycles():
 
 def test_matchings_at_point_and_sampling():
     si = expand_to_seats(gen_named("conflict").instance)
-    at_11 = matchings_at_point(si, MatchPoint(1, 1))
+    at_11 = [m for m in enumerate_matchings(si) if match_point(si, m) == MatchPoint(1, 1)]
     assert at_11 == [Matching(pairs=(("p1", "c2#0"),))]
-    f = oracle_frontier(si)
-    samples, mode = sample_matchings_at_points(si, f.points)
-    assert mode == "exhaustive"
-    for pt, ms in samples.items():
+    census = Census(si)
+    f = census.frontier()
+    sample = census.sample(f.points)
+    assert sample.mode == "exhaustive"
+    for pt, ms in sample.matchings.items():
         assert ms
         for m in ms:
             validate_matching(si, m)
             assert match_point(si, m) == pt
 
 
-def test_sampling_caps_and_stays_deterministic():
+def test_sampling_caps_and_stays_deterministic(monkeypatch):
+    monkeypatch.setattr(oracle_module, "SAMPLE_CAP", 3)
     inst = gen_random(GenConfig(patients=6, categories=6, eligibility_density=0.9, seed=4))
     si = expand_to_seats(inst)
-    f = oracle_frontier(si)
-    a, mode_a = sample_matchings_at_points(si, f.points, cap=3, seed=9)
-    b, mode_b = sample_matchings_at_points(si, f.points, cap=3, seed=9)
-    assert a == b and mode_a == mode_b
-    assert all(len(ms) <= 3 for ms in a.values())
+    f = Census(si).frontier()
+    a = Census(si).sample(f.points)
+    b = Census(si).sample(f.points)
+    assert a == b
+    assert a.mode == "sampled"
+    assert all(len(ms) <= 3 for ms in a.matchings.values())
 
 
 def test_min_cycle_loss_on_conflict():
