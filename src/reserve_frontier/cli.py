@@ -89,7 +89,7 @@ def load_input(args) -> Problem:
         pr = parse_instance_file(args.input)
     else:
         raise ValueError("an input file or --named is required")
-    if getattr(args, "subset", None):
+    if args.subset:
         pr = _apply_subset(pr, args.subset)
     return pr
 
@@ -210,11 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, subset: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", nargs="?", help="instance JSON file")
         p.add_argument("--named", choices=NAMED_INSTANCES, help="built-in instance")
-        if subset:
-            p.add_argument("--subset", help="restrict to these patients, e.g. p1..p4,p6")
+        p.add_argument("--subset", help="restrict to these patients, e.g. p1..p4,p6")
 
     p = sub.add_parser("frontier", help="compute the non-domination frontier")
     common(p)

@@ -13,10 +13,12 @@ to the SAMPLE_CAP constant matchings per point, reservoir-sampled with
 seed 0).  enumerate_matchings(si, budget) yields every matching once, in
 the same order, for callers that need each one.
 
-Matchings are enumerated in numpy blocks (_leaf_blocks), one patient per
-level, in the leaf order of a depth-first recursion over patients; the
-blocks count the recursion's states against the budget and hold a fixed
-number of bytes whatever the instance.  A Census enumerates its instance
+Matchings are enumerated by a recursion over patients (_leaf_blocks)
+that expands one numpy level of rows per patient and yields the leaves
+in blocks, in the leaf order of a depth-first recursion with one call
+per state; it counts that recursion's states against the budget and
+holds a fixed number of bytes whatever the instance, and
+enumerate_matchings streams its blocks.  A Census enumerates its instance
 at most twice: once for the count and first matching at every score point
 (the frontier, its witnesses and every exact-share count), and once more
 only when samples are asked for (the sampled matchings and the matched
@@ -44,12 +46,12 @@ class BudgetExceededError(RuntimeError):
     """The instance or search exceeds the enumeration budget."""
 
 
-# _applicable_cycles recurses once per patient, and _find_disjoint_family
-# once per chosen cycle (at most min(patients, seats)), on top of the
-# caller's frames.  Sizes up to this stay well inside Python's default
-# recursion limit of 1,000.  _leaf_blocks keeps one level of rows per
-# patient, and up to this size one level's share of _BLOCK_BYTES still
-# holds the children of one parent.
+# _applicable_cycles and _leaf_blocks recurse once per patient, and
+# _find_disjoint_family once per chosen cycle (at most min(patients,
+# seats)), on top of the caller's frames.  Sizes up to this stay well
+# inside Python's default recursion limit of 1,000.  _leaf_blocks keeps
+# one level of rows per patient, and up to this size one level's share of
+# _BLOCK_BYTES still holds the children of one parent.
 MAX_ORACLE_SIZE = 500
 
 
@@ -127,42 +129,26 @@ class _StateCounter:
 _BLOCK_BYTES = 32 << 20
 
 
-class _Level(NamedTuple):
-    """The rows with the same number of patients decided, in leaf order."""
-
-    parent: np.ndarray  # row of the level above
-    seat: np.ndarray  # int16 seat of the last decided patient, -1 unmatched
-    e: np.ndarray  # int32 matches so far
-    b: np.ndarray  # int32 beneficiary matches so far
-    used: np.ndarray  # (rows, words) uint64 bitmask of the seats taken
-
-
 def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
     """Yield (assignment, e, b) blocks that list every eligible matching once.
 
     Row r of a block is one matching: assignment[r] holds a seat index per
-    patient (-1 for unmatched), and e[r], b[r] are its score.  Matchings are
-    expanded one patient per level, and a parent's children stay together
-    in choice order (unmatched, then the ascending eligible seats), so the
-    blocks list the matchings lexicographically, in the leaf order of a
-    depth-first recursion over patients.
+    patient (-1 for unmatched), and e[r], b[r] are its score.  A recursion
+    over patients expands one level of rows per patient, and a parent's
+    children stay together in choice order (unmatched, then the ascending
+    eligible seats), so the blocks list the matchings lexicographically, in
+    the leaf order of a depth-first recursion that takes one call per state.
 
     The state count is the root plus every row of every level, the states
     that such a recursion visits.  All the children of a level's rows are
     counted before any of them is built, so BudgetExceededError is raised
-    exactly when the recursion would raise it, before the rows over the
-    budget are allocated.  Levels are expanded a slice of parents at a
-    time, so that the live levels hold at most _BLOCK_BYTES.
+    exactly when the one-call-per-state recursion would raise it, before
+    the rows over the budget are allocated.  Levels are expanded a slice of
+    parents at a time, so that the live levels hold at most _BLOCK_BYTES.
     """
     _check_size(si, budget)
     n, words = len(si.patients), (len(si.seats) + 63) // 64
-    limit = budget.max_states
-    states = 1
-    if states > limit:
-        raise _over_state_budget(limit)
-    if n == 0:
-        yield np.empty((1, 0), np.int16), np.zeros(1, np.int32), np.zeros(1, np.int32)
-        return
+    states = 1  # the root
 
     # per patient: the seat of each choice, whether it is a beneficiary
     # pair, and the bitmask word and bit of each eligible seat
@@ -172,64 +158,66 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
     bene_of_choice = [np.concatenate(([0], codes[i, js] == 2)).astype(np.int32) for i, js in enumerate(elig)]
     word = [js >> 6 for js in elig]
     bit = [np.left_shift(np.uint64(1), (js & 63).astype(np.uint64)) for js in elig]
-    row_bytes = 8 + 2 + 4 + 4 + 8 * words  # parent, seat, e, b and used of one _Level row
-    share = max(1, _BLOCK_BYTES // (n * row_bytes))
-    step = [max(1, share // (len(js) + 1)) for js in elig]  # parents per slice
+    row_bytes = 8 + 2 + 4 + 4 + 8 * words  # parent link, seat, e, b and used of one row
+    # parents per slice: each of the n levels gets an equal share of the bytes
+    step = [max(1, _BLOCK_BYTES // (n * row_bytes * (len(js) + 1))) for js in elig]
 
-    def free(level: _Level, i: int, start: int, stop: int) -> np.ndarray:
+    def free(used: np.ndarray, i: int) -> np.ndarray:
         """(parents, eligible seats) mask of the seats patient i may still take."""
-        return (level.used[start:stop][:, word[i]] & bit[i]) == 0
+        return (used[:, word[i]] & bit[i]) == 0
 
-    def push(level: _Level) -> None:
+    def expand(links: list, e: np.ndarray, b: np.ndarray, used: np.ndarray | None):
+        """Yield the leaf blocks below the rows of level i = len(links), each row
+        with its score and the bitmask of the seats it took (None at the leaves);
+        links[k] holds the parent row and the seat of every row of level k + 1."""
         nonlocal states
-        i = len(levels)
-        rows = len(level.e)
-        states += rows + sum(
-            int(np.count_nonzero(free(level, i, start, start + step[i])))
-            for start in range(0, rows, step[i])
-        )
-        if states > limit:
-            raise _over_state_budget(limit)
-        levels.append(level)
-        cursor.append(0)
+        i = len(links)
+        if i == n:  # leaves: read each row's seats back along the parent links
+            assignment = np.empty((len(e), n), dtype=np.int16)
+            rows = slice(None)
+            for lv in reversed(range(n)):
+                parent, seat = links[lv]
+                assignment[:, lv] = seat[rows]
+                rows = parent[rows]
+            yield assignment, e, b
+            return
+        slices = range(0, len(e), step[i])
+        states += len(e) + sum(int(np.count_nonzero(free(used[s : s + step[i]], i))) for s in slices)
+        if states > budget.max_states:
+            raise _over_state_budget(budget.max_states)
+        for start in slices:
+            yield from expand(*children(links, e, b, used, start))
 
-    levels: list[_Level] = []
-    cursor: list[int] = []
-    zero = np.zeros(1, np.int32)
-    push(_Level(np.zeros(1, np.intp), np.full(1, -1, np.int16), zero, zero, np.zeros((1, words), np.uint64)))
-    while levels:
-        i, top, start = len(levels) - 1, levels[-1], cursor[-1]
-        if start == len(top.e):
-            levels.pop()
-            cursor.pop()
-            continue
-        stop = cursor[-1] = min(start + step[i], len(top.e))
+    def children(links: list, e: np.ndarray, b: np.ndarray, used: np.ndarray, start: int):
+        """expand's arguments for the children of one slice of parents, from start on;
+        a function of its own, so that its masks are freed before expand descends."""
+        i = len(links)
+        stop = min(start + step[i], len(e))
         choices = np.ones((stop - start, len(elig[i]) + 1), dtype=bool)
-        choices[:, 1:] = free(top, i, start, stop)
+        choices[:, 1:] = free(used[start:stop], i)
         parent, choice = np.nonzero(choices)
         parent += start
-        seat = seat_of_choice[i][choice]
-        e = top.e[parent] + (choice > 0)
-        b = top.b[parent] + bene_of_choice[i][choice]
-        if i + 1 < n:
-            used = top.used[parent]
+        child_used = None
+        if i + 1 < n:  # leaves need no mask
+            child_used = used[parent]
             matched = np.flatnonzero(choice)
             taken = choice[matched] - 1
-            used[matched, word[i][taken]] |= bit[i][taken]
-            push(_Level(parent, seat, e, b, used))
-            continue
-        assignment = np.empty((len(e), n), dtype=np.int16)
-        assignment[:, i] = seat
-        for lv in range(i, 0, -1):
-            assignment[:, lv - 1] = levels[lv].seat[parent]
-            parent = levels[lv].parent[parent]
-        yield assignment, e, b
+            child_used[matched, word[i][taken]] |= bit[i][taken]
+        link = parent, seat_of_choice[i][choice]
+        return [*links, link], e[parent] + (choice > 0), b[parent] + bene_of_choice[i][choice], child_used
+
+    zero = np.zeros(1, np.int32)
+    yield from expand([], zero, zero, np.zeros((1, words), np.uint64))
 
 
 def enumerate_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET):
-    """Yield every eligible matching exactly once, in a fixed recursion order."""
-    blocks = list(_leaf_blocks(si, budget))  # a budget error comes before any matching
-    for assignment, _, _ in blocks:
+    """Yield every eligible matching exactly once, in a fixed recursion order.
+
+    Blocks are built as the matchings are consumed, so memory stays within
+    the enumeration's byte cap, and a BudgetExceededError for the state
+    budget can come after matchings already yielded.
+    """
+    for assignment, _, _ in _leaf_blocks(si, budget):
         for a in assignment.tolist():
             yield si.name_row(a)
 

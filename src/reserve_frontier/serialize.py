@@ -199,9 +199,7 @@ def write_frontier_csv(f: Frontier, fp: IO[str]) -> None:
         writer.writerow([pt.e, pt.b, num, den, 1 if pt in f.kinks else 0])
 
 
-def frontier_to_dict(
-    f: Frontier, si: SeatInstance | None = None, witnesses: bool = False
-) -> dict[str, Any]:
+def frontier_to_dict(f: Frontier, si: SeatInstance, witnesses: bool = False) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "points": [
             {
@@ -214,8 +212,6 @@ def frontier_to_dict(
         ]
     }
     if witnesses:
-        if si is None:
-            raise ValueError("witness output needs the seat instance")
         doc["witnesses"] = [
             {"e": pt.e, "b": pt.b, **matching_to_dict(si, f.witnesses[pt])}
             for pt in f.points
@@ -224,5 +220,5 @@ def frontier_to_dict(
     return doc
 
 
-def frontier_to_json(f: Frontier, si: SeatInstance | None = None, witnesses: bool = False) -> str:
+def frontier_to_json(f: Frontier, si: SeatInstance, witnesses: bool = False) -> str:
     return json.dumps(frontier_to_dict(f, si, witnesses), indent=2, sort_keys=True) + "\n"

@@ -340,3 +340,32 @@ def test_enumeration_memory_stays_under_the_byte_cap_at_the_ceiling():
     finally:
         tracemalloc.stop()
     assert peak < oracle_module._BLOCK_BYTES
+
+
+def test_enumerate_matchings_streams_its_blocks():
+    # 130,922 matchings of 300 patients, of whom only the last 7 are eligible
+    patients = tuple(f"p{i}" for i in range(300))
+    categories = tuple(f"c{k}" for k in range(7))
+    inst = Instance(
+        categories=categories,
+        patients=patients,
+        quota=dict.fromkeys(categories, 1),
+        eligible=dict.fromkeys(categories, frozenset(patients[-7:])),
+        beneficiary={c: frozenset(patients[-3:]) for c in categories[:3]},
+    )
+    si = expand_to_seats(inst)
+    si.eligible_seats, si.beneficiary_seat_sets, si.pair_codes  # built before measuring
+    tracemalloc.start()
+    try:
+        next(enumerate_matchings(si, EnumerationBudget(300, 300, 10**7)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < oracle_module._BLOCK_BYTES
+
+    # the leaves alone are over this budget; the error follows the first blocks
+    yielded = 0
+    with pytest.raises(BudgetExceededError, match="state budget 100000 exceeded"):
+        for _ in enumerate_matchings(si, EnumerationBudget(300, 300, 100_000)):
+            yielded += 1
+    assert yielded > 0

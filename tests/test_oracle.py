@@ -162,6 +162,17 @@ def test_verify_runs_at_the_ceiling_and_exits_2_above_it(tmp_path, monkeypatch, 
     assert f"ceiling of {MAX_ORACLE_SIZE}" in captured.err
 
 
+def test_a_state_budget_error_reads_the_same_from_every_suite(monkeypatch, capsys):
+    monkeypatch.setenv(BUDGET_ENV, "7,7,3")
+    seen = []
+    for suite in ("mechanism", "frontier"):
+        code = main(["verify", "--named", "conflict", "--suite", suite])
+        seen.append((code, capsys.readouterr().err))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 3
+    assert "state budget 3 exceeded" in seen[0][1]
+
+
 @pytest.mark.parametrize(
     "budget, argv, names",
     [
