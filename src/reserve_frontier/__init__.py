@@ -10,6 +10,7 @@ all of it against brute-force enumeration at small scale.
 """
 
 from .core import (
+    BudgetExceededError,
     Instance,
     InstanceError,
     Matching,
@@ -59,21 +60,12 @@ from .mechanism import (
     audit_path_independence,
     audit_substitutability,
     choice_masks,
-    dominates_exact_share_matchings,
     rank_sum,
     repair_priority,
     respects_priority,
     select_approx_on_frontier,
 )
-from .oracle import (
-    BudgetExceededError,
-    CheckReport,
-    EnumerationBudget,
-    check_disjoint_cycles,
-    check_matched_preservation,
-    enumerate_matchings,
-    oracle_min_cycle_loss,
-)
+from .oracle import EnumerationBudget, enumerate_matchings, oracle_min_cycle_loss
 from .verify import (
     SUITES,
     CheckResult,
@@ -89,7 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditViolation",
     "BudgetExceededError",
-    "CheckReport",
     "CheckResult",
     "Cycle",
     "CycleError",
@@ -114,13 +105,10 @@ __all__ = [
     "audit_substitutability",
     "beneficiary_share",
     "check_applicable",
-    "check_disjoint_cycles",
     "check_frontier_invariants",
-    "check_matched_preservation",
     "choice_masks",
     "compute_frontier",
     "dominates",
-    "dominates_exact_share_matchings",
     "enumerate_matchings",
     "expand_to_seats",
     "find_minimal_cycle",

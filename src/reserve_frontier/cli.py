@@ -20,7 +20,7 @@ import os
 import re
 import sys
 
-from .core import PriorityOrder, Problem, beneficiary_share, restrict_patients
+from .core import BudgetExceededError, PriorityOrder, Problem, beneficiary_share, restrict_patients
 from .frontier import compute_frontier, with_all_witnesses
 from .generator import NAMED_INSTANCES, gen_named
 from .mechanism import (
@@ -34,7 +34,7 @@ from .mechanism import (
     respects_priority,
     select_approx_on_frontier,
 )
-from .oracle import BudgetExceededError, budget_from_env
+from .oracle import budget_from_env
 from .serialize import (
     frontier_to_json,
     matching_to_dict,

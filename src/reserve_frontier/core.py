@@ -34,6 +34,10 @@ class MatchingError(ValueError):
     """An assignment is not a valid matching for the given instance."""
 
 
+class BudgetExceededError(RuntimeError):
+    """The instance or search exceeds a budget: the oracle's or the audit cap."""
+
+
 class MatchPoint(NamedTuple):
     """Score of a matching: e = eligible (total) matches, b = beneficiary matches."""
 
@@ -102,7 +106,7 @@ def validate_instance(inst: Instance) -> Instance:
             raise InstanceError(f"category {c}: missing quota")
         q = inst.quota[c]
         if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-            raise InstanceError(f"category {c}: quota must be positive")
+            raise InstanceError(f"category {c}: quota must be a positive integer")
     for name, mapping in (("quota", inst.quota), ("eligible", inst.eligible),
                           ("beneficiary", inst.beneficiary)):
         for c in mapping:

@@ -4,7 +4,9 @@ Selection rule: if the share target is at or above the share of the
 max-beneficiary endpoint, return that endpoint; otherwise return the
 frontier point with the largest total-match count whose share still meets
 the target.  Shares fall strictly as the frontier adds matches, so this is
-the point closest to the target from above.
+the point closest to the target from above.  That the selected point
+dominates every matching whose share is exactly the target is checked
+against the oracle by verify's mechanism suite, not here.
 
 Priority orders are strict per-category orders with the tier structure
 beneficiaries > other eligible > ineligible.  A frontier matching that
@@ -29,16 +31,15 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    BudgetExceededError,
     Matching,
     MatchPoint,
     Problem,
     SeatInstance,
     beneficiary_share,
-    dominates,
     match_point,
 )
 from .frontier import Frontier, _frontier_by_index, _witness_by_index, compute_frontier, witness_at
-from .oracle import BudgetExceededError, Census, CheckReport
 
 
 class NoNonEmptyMatchingError(ValueError):
@@ -70,30 +71,6 @@ def select_approx_on_frontier(pr: Problem) -> tuple[Matching, MatchPoint]:
         raise ValueError("selection needs a share target beta_star")
     si = pr.seat_instance
     return _select_from(si, compute_frontier(si), pr.beta_star)
-
-
-def dominates_exact_share_matchings(beta_star: Fraction, selected: MatchPoint, census: Census) -> CheckReport:
-    """Verify the selected point dominates every matching whose share is
-    exactly the target (meaningful when the selected share differs from it).
-
-    Matchings are counted per point from the census, and
-    b/e = num/den is tested exactly as b*den == e*num.  witnesses_checked
-    counts matchings, and each undominated matching adds one failure;
-    failures come grouped by point, in the order the points first appear
-    in the enumeration.
-    """
-    report = CheckReport(name="dominates-exact-share")
-    num, den = beta_star.numerator, beta_star.denominator
-    for pt, n in census.counts.items():
-        if pt.e == 0 or pt.b * den != pt.e * num:
-            continue
-        report.witnesses_checked += n
-        if not dominates(selected, pt):
-            report.failures += [
-                f"matching at {pt} with exact share {beta_star} "
-                f"is not dominated by {selected}"
-            ] * n
-    return report
 
 
 class _Ranks:

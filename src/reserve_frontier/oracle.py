@@ -4,7 +4,8 @@ Everything here is deliberately independent of the production algorithms:
 every matching is enumerated, the frontier is obtained by filtering
 dominated score points, and cycles are enumerated exhaustively from the
 associated-graph definition.  Budgets cap instance size and visited states
-so runaway inputs fail fast instead of hanging.
+so runaway inputs fail fast instead of hanging.  It only computes: the
+checks on its answers live in verify, and no production module imports it.
 
 There are two entry points.  Census(si, budget) answers everything the
 verify checks read: .counts (matchings per score point), .frontier()
@@ -31,19 +32,15 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import Matching, MatchPoint, SeatInstance, dominates, match_point
+from .core import BudgetExceededError, Matching, MatchPoint, SeatInstance, dominates
 from .frontier import Frontier, kinks_of
 
 BUDGET_ENV = "RESERVE_FRONTIER_ORACLE_BUDGET"
-
-
-class BudgetExceededError(RuntimeError):
-    """The instance or search exceeds the enumeration budget."""
 
 
 # _applicable_cycles and _leaf_blocks recurse once per patient, and
@@ -101,23 +98,21 @@ def _check_size(si: SeatInstance, budget: EnumerationBudget) -> None:
         )
 
 
-def _over_state_budget(limit: int) -> BudgetExceededError:
-    return BudgetExceededError(
-        f"state budget {limit} exceeded; raise it with {BUDGET_ENV}=patients,seats,states"
-    )
-
-
 class _StateCounter:
+    """The states one search has visited, against the budget's max_states."""
+
     __slots__ = ("used", "limit")
 
     def __init__(self, limit: int):
         self.used = 0
         self.limit = limit
 
-    def tick(self) -> None:
-        self.used += 1
+    def add(self, k: int = 1) -> None:
+        self.used += k
         if self.used > self.limit:
-            raise _over_state_budget(self.limit)
+            raise BudgetExceededError(
+                f"state budget {self.limit} exceeded; raise it with {BUDGET_ENV}=patients,seats,states"
+            )
 
 
 # Bytes that the rows of the enumeration's live levels may hold together.
@@ -148,7 +143,8 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
     """
     _check_size(si, budget)
     n, words = len(si.patients), (len(si.seats) + 63) // 64
-    states = 1  # the root
+    states = _StateCounter(budget.max_states)
+    states.add()  # the root
 
     # per patient: the seat of each choice, whether it is a beneficiary
     # pair, and the bitmask word and bit of each eligible seat
@@ -170,7 +166,6 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
         """Yield the leaf blocks below the rows of level i = len(links), each row
         with its score and the bitmask of the seats it took (None at the leaves);
         links[k] holds the parent row and the seat of every row of level k + 1."""
-        nonlocal states
         i = len(links)
         if i == n:  # leaves: read each row's seats back along the parent links
             assignment = np.empty((len(e), n), dtype=np.int16)
@@ -182,9 +177,7 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
             yield assignment, e, b
             return
         slices = range(0, len(e), step[i])
-        states += len(e) + sum(int(np.count_nonzero(free(used[s : s + step[i]], i))) for s in slices)
-        if states > budget.max_states:
-            raise _over_state_budget(budget.max_states)
+        states.add(len(e) + sum(int(np.count_nonzero(free(used[s : s + step[i]], i))) for s in slices))
         for start in slices:
             yield from expand(*children(links, e, b, used, start))
 
@@ -348,7 +341,7 @@ def _applicable_cycles(si: SeatInstance, m: Matching, budget: EnumerationBudget)
     on_p = [False] * n_p
 
     def step(p: int, loss: int) -> None:
-        counter.tick()
+        counter.add()
         for j in elig[p]:
             if j == seat_of[p] or on_s[j]:
                 continue
@@ -392,21 +385,6 @@ def oracle_min_cycle_loss(
     return min(loss for _, _, loss in cycles)
 
 
-@dataclass
-class CheckReport:
-    """Outcome of one oracle checker over an instance."""
-
-    name: str
-    pairs_checked: int = 0
-    witnesses_checked: int = 0
-    mode: str = "exhaustive"
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def _find_disjoint_family(cycles, k: int, target_loss: int, counter: _StateCounter):
     """k pairwise vertex-disjoint cycles with losses summing to target_loss."""
 
@@ -414,7 +392,7 @@ def _find_disjoint_family(cycles, k: int, target_loss: int, counter: _StateCount
         # recurses only to take cycle i; skipping it loops, one state per i
         need = k - len(chosen)
         while True:
-            counter.tick()
+            counter.add()
             if not need:
                 return chosen if loss_left == 0 else None
             if i == len(cycles) or len(cycles) - i < need:
@@ -429,76 +407,3 @@ def _find_disjoint_family(cycles, k: int, target_loss: int, counter: _StateCount
             i += 1
 
     return rec(0, [], frozenset(), target_loss)
-
-
-def check_disjoint_cycles(census: Census) -> CheckReport:
-    """For every frontier pair f2 -> f1 (e1 > e2) and every sampled matching at
-    f2, find e1-e2 pairwise disjoint applicable cycles with positive losses
-    summing to b2-b1 whose joint application lands exactly on f1."""
-    si, budget = census.si, census.budget
-    f = census.frontier()
-    sample = census.sample(f.points)
-    report = CheckReport(name="disjoint-cycles", mode=sample.mode)
-    n_p = len(si.patients)
-
-    for lo_idx, f2 in enumerate(f.points[:-1]):
-        # the cycles of a sampled matching serve every f1 above its f2
-        sampled = []
-        for m2 in sample.matchings[f2]:
-            positive = [
-                (
-                    list(zip(ps, ss)),
-                    frozenset(ps) | frozenset(n_p + j for j in ss),
-                    loss,
-                )
-                for ps, ss, loss in _applicable_cycles(si, m2, budget)
-                if loss >= 1
-            ]
-            sampled.append((m2, positive, si.index_matching(m2)[0]))
-        for f1 in f.points[lo_idx + 1 :]:
-            k = f1.e - f2.e
-            target = f2.b - f1.b
-            report.pairs_checked += 1
-            for m2, positive, seat_of in sampled:
-                report.witnesses_checked += 1
-                counter = _StateCounter(budget.max_states)
-                family = _find_disjoint_family(positive, k, target, counter)
-                if family is None:
-                    report.failures.append(
-                        f"no {k} disjoint cycles with total loss {target} "
-                        f"from {f2} to {f1} for witness {m2.pairs}"
-                    )
-                    continue
-                row = list(seat_of)
-                for idx in family:
-                    for i, j in positive[idx][0]:
-                        row[i] = j
-                landed = match_point(si, si.name_row(row))
-                if landed != f1:
-                    report.failures.append(
-                        f"joint application landed on {landed}, expected {f1}"
-                    )
-    return report
-
-
-def check_matched_preservation(census: Census) -> CheckReport:
-    """For every frontier pair f2 -> f1 (e1 > e2) and every sampled matching at
-    f2, some matching at f1 keeps all of f2's matched patients matched."""
-    si = census.si
-    f = census.frontier()
-    sample = census.sample(f.points)
-    report = CheckReport(name="matched-preservation", mode=sample.mode)
-    bit = {p: 1 << i for i, p in enumerate(si.patients)}
-
-    for lo_idx, f2 in enumerate(f.points):
-        for f1 in f.points[lo_idx + 1 :]:
-            report.pairs_checked += 1
-            for m2 in sample.matchings[f2]:
-                report.witnesses_checked += 1
-                kept = m2.matched_patients
-                mask = sum(bit[p] for p in kept)
-                if not any(mask & s == mask for s in sample.matched[f1]):
-                    report.failures.append(
-                        f"no matching at {f1} keeps matched set {sorted(kept)} from {f2}"
-                    )
-    return report

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from fractions import Fraction
-from typing import IO, Any
+from typing import IO, Any, NamedTuple
 
 from .core import (
     Instance,
@@ -49,13 +50,13 @@ def parse_share(value: Any) -> Fraction:
         raise ValueError("beta_star must be a number or fraction string")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
+    if isinstance(value, (float, str)):
+        try:  # a float goes through its decimal literal; inf and nan have none
+            return Fraction(value.strip() if isinstance(value, str) else str(value))
         except ZeroDivisionError:
             raise ValueError(f"beta_star {value!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"beta_star must be a finite number or fraction string, got {value!r}") from None
     raise ValueError(f"cannot parse share from {value!r}")
 
 
@@ -134,10 +135,30 @@ def parse_instance(data: Any) -> Problem:
     return Problem(instance=inst, beta_star=beta_star, priority=order)
 
 
+class _LongInteger(NamedTuple):
+    digits: int  # of an integer literal too long for int() to convert
+
+
+def _integer(literal: str) -> int | _LongInteger:
+    try:
+        return int(literal)
+    except ValueError:
+        return _LongInteger(len(literal.lstrip("-")))
+
+
+def _object(doc: dict[str, Any]) -> dict[str, Any]:
+    """A JSON object; an integer value too long to convert is refused by its key."""
+    for key, value in doc.items():
+        if isinstance(value, _LongInteger):
+            raise ValueError(f"{key!r} holds an integer of {value.digits} digits, over the "
+                             f"{sys.get_int_max_str_digits()}-digit limit of integer conversion")
+    return doc
+
+
 def parse_instance_file(path: str) -> Problem:
     with open(path, "r", encoding="utf-8") as fp:
         try:
-            data = json.load(fp)
+            data = json.load(fp, parse_int=_integer, object_hook=_object)
         except RecursionError:
             raise ValueError(f"{path}: JSON nesting too deep to parse") from None
         except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long to convert

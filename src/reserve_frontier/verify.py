@@ -3,6 +3,8 @@
 Each suite takes (pr, census, f) and returns CheckResult rows.  The
 suites never share code with the algorithms they audit beyond the core
 data types, so a bug has to appear on both routes to slip through.
+Every check lives here, as a CheckResult row that keeps its first
+failure; the oracle only computes.
 run_suites builds one expansion, one census and one frontier per
 instance and hands them to every suite: the instance is expanded once
 (pr.seat_instance), the oracle Census enumerates it at most twice
@@ -22,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 
-from .core import MatchPoint, Problem, dominates, match_point
+from .core import BudgetExceededError, MatchPoint, Problem, dominates, match_point
 from .cycles import apply_cycle, find_minimal_cycle, frontier_walk
 from .frontier import (
     Frontier,
@@ -32,22 +34,15 @@ from .frontier import (
     half_bound_ratio,
 )
 from .generator import GenConfig, gen_random
-from .mechanism import (
-    NoNonEmptyMatchingError,
-    _select_from,
-    dominates_exact_share_matchings,
-    rank_sum,
-    repair_priority,
-    respects_priority,
-)
+from .mechanism import NoNonEmptyMatchingError, _select_from, rank_sum, repair_priority, respects_priority
 from .oracle import (
     BUDGET_ENV,
-    BudgetExceededError,
     Census,
     EnumerationBudget,
+    _applicable_cycles,
+    _find_disjoint_family,
+    _StateCounter,
     budget_from_env,
-    check_disjoint_cycles,
-    check_matched_preservation,
     oracle_min_cycle_loss,
 )
 
@@ -201,32 +196,83 @@ def verify_cycles(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]
     return results
 
 
+def _lemma(check: str, counts: str, failure: str) -> CheckResult:
+    """A lemma check's row: what it counted, then its first failure if any."""
+    tail = f" first failure: {failure}" if failure else ""
+    return CheckResult("lemmas", check, not failure, counts + tail)
+
+
+def _disjoint_cycles(census: Census) -> CheckResult:
+    """For every frontier pair f2 -> f1 (e1 > e2) and every sampled matching at
+    f2, find e1-e2 pairwise disjoint applicable cycles with positive losses
+    summing to b2-b1 whose joint application lands exactly on f1."""
+    si, budget = census.si, census.budget
+    f = census.frontier()
+    sample = census.sample(f.points)
+    n_p = len(si.patients)
+    pairs = witnesses = 0
+    failure = ""
+    for lo_idx, f2 in enumerate(f.points[:-1]):
+        # the cycles of a sampled matching serve every f1 above its f2
+        sampled = []
+        for m2 in sample.matchings[f2]:
+            positive = [
+                (
+                    list(zip(ps, ss)),
+                    frozenset(ps) | frozenset(n_p + j for j in ss),
+                    loss,
+                )
+                for ps, ss, loss in _applicable_cycles(si, m2, budget)
+                if loss >= 1
+            ]
+            sampled.append((m2, positive, si.index_matching(m2)[0]))
+        for f1 in f.points[lo_idx + 1 :]:
+            k = f1.e - f2.e
+            target = f2.b - f1.b
+            pairs += 1
+            for m2, positive, seat_of in sampled:
+                witnesses += 1
+                family = _find_disjoint_family(positive, k, target, _StateCounter(budget.max_states))
+                if family is None:
+                    failure = failure or (
+                        f"no {k} disjoint cycles with total loss {target} "
+                        f"from {f2} to {f1} for witness {m2.pairs}"
+                    )
+                    continue
+                row = list(seat_of)
+                for idx in family:
+                    for i, j in positive[idx][0]:
+                        row[i] = j
+                landed = match_point(si, si.name_row(row))
+                if landed != f1:
+                    failure = failure or f"joint application landed on {landed}, expected {f1}"
+    counts = f"pairs={pairs} witnesses={witnesses} mode={sample.mode}"
+    return _lemma("gaps-split-into-disjoint-cycles", counts, failure)
+
+
+def _matched_preservation(census: Census) -> CheckResult:
+    """For every frontier pair f2 -> f1 (e1 > e2) and every sampled matching at
+    f2, some matching at f1 keeps all of f2's matched patients matched."""
+    f = census.frontier()
+    sample = census.sample(f.points)
+    bit = {p: 1 << i for i, p in enumerate(census.si.patients)}
+    pairs = 0
+    failure = ""
+    for lo_idx, f2 in enumerate(f.points):
+        for f1 in f.points[lo_idx + 1 :]:
+            pairs += 1
+            for m2 in sample.matchings[f2]:
+                kept = m2.matched_patients
+                mask = sum(bit[p] for p in kept)
+                if not failure and not any(mask & s == mask for s in sample.matched[f1]):
+                    failure = f"no matching at {f1} keeps matched set {sorted(kept)} from {f2}"
+    return _lemma("matched-sets-extend-along-frontier", f"pairs={pairs} mode={sample.mode}", failure)
+
+
 def verify_lemmas(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
     """Structural facts: disjoint cycle families, matched-set preservation, kink sweep."""
     si = census.si
-    results: list[CheckResult] = []
-
-    rep = check_disjoint_cycles(census)
-    results.append(
-        CheckResult(
-            "lemmas",
-            "gaps-split-into-disjoint-cycles",
-            rep.ok,
-            f"pairs={rep.pairs_checked} witnesses={rep.witnesses_checked} mode={rep.mode}"
-            + ("" if rep.ok else f" first failure: {rep.failures[0]}"),
-        )
-    )
-
-    rep2 = check_matched_preservation(census)
-    results.append(
-        CheckResult(
-            "lemmas",
-            "matched-sets-extend-along-frontier",
-            rep2.ok,
-            f"pairs={rep2.pairs_checked} mode={rep2.mode}"
-            + ("" if rep2.ok else f" first failure: {rep2.failures[0]}"),
-        )
-    )
+    results = [_disjoint_cycles(census), _matched_preservation(census)]
 
     ok = True
     detail = ""
@@ -254,6 +300,20 @@ def _targets_for(beta_star: Fraction | None, f: Frontier) -> list[Fraction]:
         if pt.e:
             targets.append(Fraction(pt.b, pt.e))
     return targets
+
+
+def _exact_share_domination(beta: Fraction, selected: MatchPoint, census: Census) -> CheckResult:
+    """Whether the selected point dominates every matching whose share is
+    exactly the target (meaningful when the selected share differs from it).
+    b/e = num/den is tested exactly as b*den == e*num at each point the
+    census counts, and the first undominated one, in enumeration order, fails."""
+    num, den = beta.numerator, beta.denominator
+    for pt in census.counts:
+        if pt.e and pt.b * den == pt.e * num and not dominates(selected, pt):
+            return CheckResult("mechanism", "selection-rule-and-exact-share-domination", False,
+                               f"exact-share rival undominated: matching at {pt} with exact share {beta} "
+                               f"is not dominated by {selected}")
+    return CheckResult("mechanism", "selection-rule-and-exact-share-domination", True)
 
 
 def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
@@ -288,9 +348,9 @@ def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResu
             sel_ok, detail = False, f"picked {pt}, expected {want} at target {beta}"
             break
         if Fraction(pt.b, pt.e) != beta:
-            rep = dominates_exact_share_matchings(beta, pt, census)
-            if not rep.ok:
-                sel_ok, detail = False, f"exact-share rival undominated: {rep.failures[0]}"
+            rival = _exact_share_domination(beta, pt, census)
+            if not rival.ok:
+                sel_ok, detail = False, rival.detail
                 break
     results.append(CheckResult("mechanism", "selection-rule-and-exact-share-domination", sel_ok, detail))
 
@@ -331,25 +391,40 @@ def run_suites(pr: Problem, suites: tuple[str, ...], budget: EnumerationBudget |
     return out
 
 
+# the keys of verify --random, with their defaults
+RANDOM_DEFAULTS = {"patients": "6", "categories": "5", "seed": "0", "count": "1",
+                   "quota": "1:1", "elig": "0.5", "bene": "0.5"}
+
+
 def random_inputs(params: dict[str, str]) -> list[Problem]:
     """Problems from key=value tokens: patients= categories= seed= count= quota= elig= bene=.
 
+    An unknown key, or a value that is not a number, is refused by its key.
     Draws that cannot fit the oracle budget are refused before any is
     drawn: every category has at least one seat.
     """
-    patients = int(params.get("patients", "6"))
-    categories = int(params.get("categories", "5"))
-    seed = int(params.get("seed", "0"))
-    count = int(params.get("count", "1"))
+    for key in params:
+        if key not in RANDOM_DEFAULTS:
+            raise ValueError(f"unknown --random key {key!r}; expected one of {', '.join(RANDOM_DEFAULTS)}")
+    raw = {**RANDOM_DEFAULTS, **params}
+
+    def number(key: str, text: str, kind: type = int):
+        try:
+            return kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"--random {key}={raw[key]}: {text!r} is not {what}") from None
+
+    patients, categories, seed, count = (number(k, raw[k]) for k in ("patients", "categories", "seed", "count"))
     if count < 1:
         raise ValueError(f"--random count must be at least 1, got {count}")
-    lo, _, hi = params.get("quota", "1:1").partition(":")
+    lo, _, hi = raw["quota"].partition(":")
     cfg = GenConfig(
         patients=patients,
         categories=categories,
-        quota_range=(int(lo), int(hi or lo)),
-        eligibility_density=float(params.get("elig", "0.5")),
-        beneficiary_density=float(params.get("bene", "0.5")),
+        quota_range=(number("quota", lo), number("quota", hi or lo)),
+        eligibility_density=number("elig", raw["elig"], float),
+        beneficiary_density=number("bene", raw["bene"], float),
         seed=seed,
     )
     budget = budget_from_env()

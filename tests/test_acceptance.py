@@ -13,6 +13,7 @@ import pytest
 
 import reserve_frontier.oracle as oracle_module
 from reserve_frontier.oracle import Census
+from reserve_frontier.verify import _exact_share_domination
 from reserve_frontier import (
     GenConfig,
     Matching,
@@ -25,7 +26,6 @@ from reserve_frontier import (
     beneficiary_share,
     choice_masks,
     compute_frontier,
-    dominates_exact_share_matchings,
     enumerate_matchings,
     expand_to_seats,
     find_minimal_cycle,
@@ -275,9 +275,9 @@ def test_criterion_09_exact_share_domination():
             if beneficiary_share(pt) == beta:
                 continue
             qualifying += 1
-            report = dominates_exact_share_matchings(pr.beta_star, pt, census)
-            assert report.witnesses_checked > 0
-            assert not report.failures, f"instance {i - 1}: {report.failures[:3]}"
+            assert any(p.e and beneficiary_share(p) == beta for p in census.counts)
+            row = _exact_share_domination(pr.beta_star, pt, census)
+            assert row.ok, f"instance {i - 1}: {row.detail}"
     print(f"criterion 09: {qualifying} off-target selections dominate every exact-share matching")
 
 

@@ -20,7 +20,6 @@ import reserve_frontier.oracle as oracle_module
 from reserve_frontier import (
     SUITES,
     BudgetExceededError,
-    CheckReport,
     EnumerationBudget,
     GenConfig,
     Instance,
@@ -28,7 +27,6 @@ from reserve_frontier import (
     Problem,
     beneficiary_share,
     dominates,
-    dominates_exact_share_matchings,
     enumerate_matchings,
     expand_to_seats,
     gen_named,
@@ -47,6 +45,7 @@ from reserve_frontier.oracle import (
     _leaf_blocks,
     _StateCounter,
 )
+from reserve_frontier.verify import _exact_share_domination
 
 
 def scan_leaves(si, budget, visit) -> int:
@@ -65,7 +64,7 @@ def scan_leaves(si, budget, visit) -> int:
     counter = _StateCounter(budget.max_states)
 
     def rec(i: int, e: int, b: int) -> None:
-        counter.tick()
+        counter.add()
         if i == n:
             visit(current, e, b)
             return
@@ -134,16 +133,13 @@ def ref_matched_sets(si, points, budget=DEFAULT_BUDGET):
     return out
 
 
-def ref_exact_share(at_share, beta, selected) -> CheckReport:
-    """The old per-matching check; at_share lists the point of every matching of that share."""
-    report = CheckReport(name="dominates-exact-share")
-    for pt in at_share:
-        report.witnesses_checked += 1
-        if not dominates(selected, pt):
-            report.failures.append(
-                f"matching at {pt} with exact share {beta} is not dominated by {selected}"
-            )
-    return report
+def ref_exact_share(at_share, beta, selected) -> list[str]:
+    """The old per-matching check's failures; at_share lists the point of every matching of that share."""
+    return [
+        f"matching at {pt} with exact share {beta} is not dominated by {selected}"
+        for pt in at_share
+        if not dominates(selected, pt)
+    ]
 
 
 def small_draws():
@@ -202,12 +198,13 @@ def assert_census_matches_the_scans(inst, cap):
     for beta, at_share in by_share.items():
         pr = Problem(instance=inst, beta_star=beta)
         _, selected = select_approx_on_frontier(pr)
+        # the census counts every matching of that share
+        assert sum(n for pt, n in census.counts.items() if pt.e and beneficiary_share(pt) == beta) == len(at_share)
         for point in (selected, MatchPoint(0, 0)):
-            got_rep = dominates_exact_share_matchings(pr.beta_star, point, census=census)
-            want_rep = ref_exact_share(at_share, beta, point)
-            assert got_rep.witnesses_checked == want_rep.witnesses_checked
-            assert sorted(got_rep.failures) == sorted(want_rep.failures)
-            assert got_rep.failures[:1] == want_rep.failures[:1]
+            got = _exact_share_domination(pr.beta_star, point, census)
+            want = ref_exact_share(at_share, beta, point)
+            assert got.ok == (not want)
+            assert got.detail == (f"exact-share rival undominated: {want[0]}" if want else "")
     return modes
 
 

@@ -461,6 +461,21 @@ def test_verify_random_rejects_bad_tokens(capsys):
     assert code == 2 and "key=value" in err
 
 
+def test_verify_random_refuses_an_unknown_key_by_name(capsys):
+    code, out, err = run(capsys, "verify", "--random", "patient=8")
+    assert code == 2 and out == ""
+    assert "unknown --random key 'patient'" in err
+    assert "patients, categories, seed, count, quota, elig, bene" in err
+
+
+@pytest.mark.parametrize("token, key", [("count=abc", "count"), ("seed=1.5", "seed"), ("quota=1:x", "quota"),
+                                        ("elig=dense", "elig")])
+def test_verify_random_names_the_key_of_a_value_that_is_not_a_number(token, key, capsys):
+    code, out, err = run(capsys, "verify", "--random", token)
+    assert code == 2 and out == ""
+    assert f"--random {token}:" in err and f"--random {key}=" in err
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_verify_random_count_below_one_exits_2(count, capsys):
     code, out, err = run(capsys, "verify", "--random", f"count={count}")

@@ -9,6 +9,7 @@ import pytest
 import reserve_frontier.cycles as cycles_module
 from reserve_frontier.mechanism import AUDIT_SHOWN
 from reserve_frontier.oracle import Census
+from reserve_frontier.verify import _exact_share_domination
 from reserve_frontier import (
     NAMED_INSTANCES,
     AuditViolation,
@@ -27,7 +28,6 @@ from reserve_frontier import (
     choice_masks,
     compute_frontier,
     dominates,
-    dominates_exact_share_matchings,
     enumerate_matchings,
     expand_to_seats,
     gen_named,
@@ -186,9 +186,10 @@ def test_exact_share_matchings_are_dominated():
             continue
         if beneficiary_share(pt) == beta:
             continue
-        report = dominates_exact_share_matchings(pr.beta_star, pt, Census(pr.seat_instance))
-        assert report.ok, report.failures[:1]
-        nonvacuous += report.witnesses_checked > 0
+        census = Census(pr.seat_instance)
+        row = _exact_share_domination(pr.beta_star, pt, census)
+        assert row.ok, row.detail
+        nonvacuous += any(p.e and beneficiary_share(p) == beta for p in census.counts)
     assert nonvacuous >= 5
 
 
@@ -212,14 +213,15 @@ def test_exact_share_check_catches_an_undominated_rival():
     escaped = [pt for pt in exact if not dominates(selected, pt)]
     assert len(exact) == 3 and len(escaped) == 3
     census = Census(si)
-    report = dominates_exact_share_matchings(pr.beta_star, selected, census)
-    assert not report.ok
-    assert report.witnesses_checked == len(exact)
-    assert len(report.failures) == len(escaped)
-    assert "matching at MatchPoint(e=1, b=1) with exact share 1" in report.failures[0]
+    assert sum(n for pt, n in census.counts.items() if pt.e and beneficiary_share(pt) == 1) == len(exact)
+    row = _exact_share_domination(pr.beta_star, selected, census)
+    assert not row.ok
+    # the first undominated point in enumeration order is reported
+    assert "matching at MatchPoint(e=1, b=1) with exact share 1 is not dominated" in row.detail
     # (2, 1) dominates both (1, 1) singles; only (2, 2) escapes it
-    report = dominates_exact_share_matchings(pr.beta_star, MatchPoint(2, 1), census)
-    assert (report.witnesses_checked, len(report.failures)) == (3, 1)
+    row = _exact_share_domination(pr.beta_star, MatchPoint(2, 1), census)
+    assert not row.ok
+    assert "matching at MatchPoint(e=2, b=2)" in row.detail
 
 
 def priority_fixture():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from random import Random
 
 import pytest
@@ -30,7 +31,6 @@ from reserve_frontier.oracle import (
     _find_disjoint_family,
     _StateCounter,
     budget_from_env,
-    check_disjoint_cycles,
 )
 
 
@@ -241,16 +241,39 @@ def test_disjoint_cycle_check_searches_each_sampled_matching_once(monkeypatch):
         calls.append(m)
         return original(si, m, budget)
 
-    monkeypatch.setattr(oracle_module, "_applicable_cycles", counting)
+    monkeypatch.setattr(verify_module, "_applicable_cycles", counting)
     census = Census(expand_to_seats(gen_random(GenConfig(7, 3, (1, 3), 0.6, 0.4, seed=3))))
     points = census.frontier().points
     samples = census.sample(points).matchings
     assert len(points) >= 3
-    report = check_disjoint_cycles(census)
-    assert report.ok
+    row = verify_module._disjoint_cycles(census)
+    assert row.ok
+    witnesses = int(re.search(r"witnesses=(\d+)", row.detail).group(1))
     # once per sampled matching below the top point, not once per pair and matching
     assert len(calls) == sum(len(samples[p]) for p in points[:-1])
-    assert len(calls) < report.witnesses_checked
+    assert len(calls) < witnesses
+
+
+def test_lemma_checks_report_their_counts_and_first_failure(monkeypatch):
+    census = Census(expand_to_seats(gen_random(GenConfig(7, 3, (1, 3), 0.6, 0.4, seed=3))))
+    points = census.frontier().points
+    passed = verify_module._disjoint_cycles(census)
+    kept = verify_module._matched_preservation(census)
+    assert passed.ok and kept.ok
+    # no family found: every pair and witness is still counted, one failure is named
+    monkeypatch.setattr(verify_module, "_find_disjoint_family", lambda *args: None)
+    row = verify_module._disjoint_cycles(census)
+    assert not row.ok
+    assert row.detail.startswith(passed.detail + f" first failure: no {points[1].e - points[0].e} disjoint cycles")
+    assert row.detail.count("no ") == 1
+    # no matched set at any point: the first pair fails
+    for sets in census.sample(points).matched.values():
+        sets.clear()
+    row = verify_module._matched_preservation(census)
+    assert not row.ok
+    assert row.detail == kept.detail + f" first failure: no matching at {points[1]} keeps matched set " + (
+        f"{sorted(census.sample(points).matchings[points[0]][0].matched_patients)} from {points[0]}"
+    )
 
 
 def test_oversized_budget_on_a_large_file_exits_2_not_with_a_recursion_error(tmp_path, monkeypatch, capsys):

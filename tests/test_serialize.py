@@ -28,6 +28,7 @@ from reserve_frontier.serialize import (
     matching_to_assignment,
     matching_to_dict,
     parse_instance,
+    parse_instance_file,
     parse_share,
     share_str,
     write_frontier_csv,
@@ -73,6 +74,32 @@ def test_parse_errors():
         parse_instance({"categories": [], "patients": [], "priority": {}})
 
 
+@pytest.mark.parametrize("quota", [1e3, True, 1.5])
+def test_a_non_integer_quota_is_refused_as_not_a_positive_integer(quota):
+    doc = {"categories": [{"id": "c1", "quota": quota, "eligible": ["p1"]}], "patients": ["p1"]}
+    with pytest.raises(ValueError, match="category c1: quota must be a positive integer"):
+        parse_instance(doc)
+
+
+@pytest.mark.parametrize("text", ['"inf"', '"nan"', '"-Infinity"', "1e400", "NaN"])
+def test_a_non_finite_beta_star_names_the_field(text, tmp_path):
+    path = tmp_path / "share.json"
+    path.write_text('{"categories": [{"id": "c1", "quota": 1}], "patients": ["p1"], "beta_star": %s}' % text)
+    with pytest.raises(ValueError, match="beta_star must be a finite number or fraction string"):
+        parse_instance_file(str(path))
+
+
+@pytest.mark.parametrize("field", ["quota", "beta_star"])
+def test_an_integer_too_long_to_convert_names_its_field(field, tmp_path):
+    digits = "9" * 5000
+    quota, beta = (digits, '"1/2"') if field == "quota" else ("1", digits)
+    path = tmp_path / "long.json"
+    path.write_text('{"categories": [{"id": "c1", "quota": %s}], "patients": ["p1"], "beta_star": %s}' % (quota, beta))
+    with pytest.raises(ValueError) as caught:
+        parse_instance_file(str(path))
+    assert str(caught.value).startswith(f"{path}: '{field}' holds an integer of 5000 digits, over the")
+
+
 def test_parse_reports_the_first_fault_in_reading_order():
     """Instance, then share, then priority faults, though the Problem is built once."""
     cats = [{"id": "c1", "quota": 1, "eligible": ["p1", "p2"], "beneficiary": ["p1"]}]
@@ -81,7 +108,7 @@ def test_parse_reports_the_first_fault_in_reading_order():
         (dict(categories=bad_cats, priority={"c1": ["p1", "p2"]}), "not eligible"),
         (dict(categories=bad_cats, beta_star="half"), "not eligible"),
         (dict(categories=bad_cats, beta_star="3/2", priority="nope"), "not eligible"),
-        (dict(categories=cats, beta_star="half", priority="nope"), "Fraction"),
+        (dict(categories=cats, beta_star="half", priority="nope"), "beta_star must be a finite number"),
         (dict(categories=cats, beta_star="3/2", priority="nope"), "lie in"),
         (dict(categories=cats, beta_star="3/2", priority={"c1": [1]}), "lie in"),
         (dict(categories=cats, beta_star="3/2", priority={"c1": ["p2", "p1"]}), "lie in"),
