@@ -25,7 +25,6 @@ from .frontier import compute_frontier, with_all_witnesses
 from .generator import NAMED_INSTANCES, gen_named
 from .mechanism import (
     AUDIT_SHOWN,
-    MAX_AUDIT_PATIENTS,
     AuditViolation,
     audit_path_independence,
     audit_substitutability,
@@ -34,7 +33,6 @@ from .mechanism import (
     respects_priority,
     select_approx_on_frontier,
 )
-from .oracle import budget_from_env
 from .serialize import (
     frontier_to_json,
     matching_to_dict,
@@ -151,17 +149,15 @@ def cmd_verify(args) -> int:
     else:
         inputs = [load_input(args)]
     suites = SUITES if args.suite == "all" else (args.suite,)
-    budget = budget_from_env()
 
     jobs = min(args.jobs, len(inputs), os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            all_results = list(pool.map(partial(run_suites, suites=suites, budget=budget), inputs))
+            all_results = list(pool.map(functools.partial(run_suites, suites=suites), inputs))
     else:
-        all_results = [run_suites(pr, suites, budget) for pr in inputs]
+        all_results = [run_suites(pr, suites) for pr in inputs]
 
     failed = 0
     total = 0
@@ -195,7 +191,7 @@ def _print_violations(kind: str, count: int, first: list[AuditViolation]) -> Non
 
 
 def cmd_audit(args) -> int:
-    patients, masks = choice_masks(load_input(args), args.max_patients)
+    patients, masks = choice_masks(load_input(args))
     if args.check in ("pi", "both"):
         _print_violations("path-independence", *audit_path_independence(patients, masks))
     if args.check in ("subs", "both"):
@@ -245,12 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="test the induced choice rule on every subset")
     common(p)
     p.add_argument("--check", choices=("pi", "subs", "both"), default="both")
-    p.add_argument(
-        "--max-patients",
-        type=int,
-        default=12,
-        help=f"refuse larger audits; at most {MAX_AUDIT_PATIENTS}",
-    )
 
     return parser
 

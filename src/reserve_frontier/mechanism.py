@@ -17,15 +17,15 @@ score on admissible orders.
 An admissible order ranks every eligible patient above every ineligible
 one, so a category's eligible patients hold its top |eligible| ranks and
 no ineligible patient outranks one the category can seat.  The priority
-functions therefore rank only eligible patients, unless a hand-built
-matching seats an ineligible one.
+functions therefore rank only eligible patients, and refuse a matching
+that seats a patient where they are not eligible (MatchingError).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from .core import (
     Problem,
     SeatInstance,
     beneficiary_share,
-    match_point,
+    validate_matching,
 )
 from .frontier import Frontier, _frontier_by_index, _witness_by_index, compute_frontier, witness_at
 
@@ -73,43 +73,21 @@ def select_approx_on_frontier(pr: Problem) -> tuple[Matching, MatchPoint]:
     return _select_from(si, compute_frontier(si), pr.beta_star)
 
 
-class _Ranks:
-    """Per-category ranks (1 is highest) of the eligible patients, from
-    pr's priority or, when it names none, from the tiers."""
-
-    def __init__(self, pr: Problem) -> None:
-        self.pr, self.si = pr, pr.seat_instance
-        self.top: dict[str, Sequence[str]] = {}
-        for c in pr.instance.categories:
-            elig, bene = pr.instance.eligible_of(c), pr.instance.beneficiary_of(c)
-            if pr.priority is not None:
-                self.top[c] = pr.priority.order[c][: len(elig)]
-            else:
-                self.top[c] = sorted(elig, key=lambda p: (p not in bene, self.si.patient_index[p]))
-        self.rank = {c: {p: i for i, p in enumerate(top, 1)} for c, top in self.top.items()}
-
-    def ahead(self, c: str, p: str) -> Sequence[str]:
-        """The patients that outrank p in c."""
-        r = self.rank[c].get(p)
-        if r is not None:
-            return self.top[c][: r - 1]
-        # p is ineligible for c, which only a hand-built matching allows
-        inst = self.pr.instance
-        if self.pr.priority is not None:
-            tail = self.pr.priority.order[c][len(self.top[c]):]
+def _rank_tables(pr: Problem, m: Matching) -> dict[str, dict[str, int]]:
+    """Per category, in instance order, the ranks (1 is highest) of its
+    eligible patients, best first: from pr's priority or, when it names
+    none, from the tier order in input order.  Raises MatchingError unless
+    m pairs known patients with known seats they are eligible for."""
+    validate_matching(pr.seat_instance, m)
+    inst, index = pr.instance, pr.seat_instance.patient_index
+    tables = {}
+    for c in inst.categories:
+        if pr.priority is not None:
+            top = pr.priority.order[c][: len(inst.eligible_of(c))]
         else:
-            tail = [q for q in inst.patients if q not in inst.eligible_of(c)]
-        return [*self.top[c], *takewhile(lambda q: q != p, tail)]
-
-    def of(self, c: str, p: str) -> int:
-        return self.rank[c].get(p) or len(self.ahead(c, p)) + 1
-
-    def violations(self, m: Matching) -> list[tuple[str, str, str]]:
-        out = []
-        for p, s in m.pairs:
-            c = self.si.category_of(s)
-            out += [(c, p, q) for q in self.ahead(c, p) if m.seat_of(q) is None]
-        return sorted(out)
+            top = sorted(inst.eligible_of(c), key=lambda p: (p not in inst.beneficiary_of(c), index[p]))
+        tables[c] = {p: r for r, p in enumerate(top, 1)}
+    return tables
 
 
 def rank_sum(pr: Problem, m: Matching) -> int:
@@ -118,45 +96,46 @@ def rank_sum(pr: Problem, m: Matching) -> int:
     Like respects_priority and repair_priority, this ranks by the tier
     order when pr names no priority.
     """
-    r = _Ranks(pr)
-    return sum(r.of(r.si.category_of(s), p) for p, s in m.pairs)
+    ranks, si = _rank_tables(pr, m), pr.seat_instance
+    return sum(ranks[si.category_of(s)][p] for p, s in m.pairs)
 
 
 def respects_priority(pr: Problem, m: Matching) -> list[tuple[str, str, str]]:
     """All triples (category, assigned patient, unmatched patient outranking them)."""
-    return _Ranks(pr).violations(m)
+    ranks, si = _rank_tables(pr, m), pr.seat_instance
+    out = []
+    for p, s in m.pairs:
+        c = si.category_of(s)
+        out += [(c, p, q) for q in islice(ranks[c], ranks[c][p] - 1) if m.seat_of(q) is None]
+    return sorted(out)
 
 
 def repair_priority(pr: Problem, m: Matching) -> Matching:
     """Swap out priority violations without moving the matching's score.
 
-    Each swap seats the highest-priority unmatched patient of the offending
-    category in place of its lowest-priority assigned patient, strictly
-    reducing the rank sum, so the loop terminates.  On admissible orders a
-    swap can only change the score if the input was not a frontier
-    matching; that case raises with a diagnostic.
+    Each swap takes the first category, in instance order, whose best-ranked
+    unmatched patient outranks its worst-ranked assigned one, and seats the
+    first in place of the second, strictly reducing the rank sum, so the
+    loop terminates.  A swap moves the score only if exactly one of the two
+    is a beneficiary, which on admissible orders means the input was not a
+    frontier matching; that case raises with a diagnostic.
     """
-    r = _Ranks(pr)
-    target = match_point(r.si, m)
-    cat_pos = {c: i for i, c in enumerate(pr.instance.categories)}
-    current = m
+    ranks, si = _rank_tables(pr, m), pr.seat_instance
+    seat = dict(m.by_patient)
     while True:
-        violations = r.violations(current)
-        if not violations:
-            return current
-        c, p, q = min(
-            violations,
-            key=lambda v: (cat_pos[v[0]], r.of(v[0], v[2]), -r.of(v[0], v[1])),
-        )
-        assignment = dict(current.by_patient)
-        seat = assignment.pop(p)
-        assignment[q] = seat
-        swapped = Matching.from_assignment(assignment)
-        if match_point(r.si, swapped) != target:
+        for c, rank in ranks.items():
+            unmatched = [q for q in rank if q not in seat]
+            seated = [p for p in rank if p in seat and si.category_of(seat[p]) == c]
+            if unmatched and seated and rank[unmatched[0]] < rank[seated[-1]]:
+                break
+        else:
+            return Matching.from_assignment(seat)
+        bene = pr.instance.beneficiary_of(c)
+        if (seated[-1] in bene) != (unmatched[0] in bene):
             raise ValueError(
                 "input was not a frontier matching: a priority swap changed its score"
             )
-        current = swapped
+        seat[unmatched[0]] = seat.pop(seated[-1])
 
 
 @dataclass(frozen=True)
@@ -169,14 +148,14 @@ class AuditViolation:
     rhs: frozenset[str]
 
 
-# Audit cost on 2 shared vCPUs.  The choices take 2^n selections on row
-# subsets of one pair-code matrix; path independence compares 4^n pairs as
-# 2^n numpy rows, substitutability 3^n, and only the printed violations are
-# built, so memory stays flat.  GenConfig(12, 4, (1, 2), 0.5, seed=3) at
-# beta* 1/3 (2,422,275 and 16,300 violations) takes 0.2-0.3 s of masks and
-# 0.2 s of counts; its 14-patient sibling (7,059,068 and 77,175) 0.9-1.1 s
-# and 1.8-1.9 s, with 82 MB peak for the whole `audit --check both`.  Each
-# patient more quadruples the pairs, so no audit cap may be set above this.
+# The patient cap of every audit.  On 2 shared vCPUs the choices take 2^n
+# selections on row subsets of one pair-code matrix; path independence
+# compares 4^n pairs as 2^n numpy rows, substitutability 3^n, and only the
+# printed violations are built, so memory stays flat.  GenConfig(12, 4,
+# (1, 2), 0.5, seed=3) at beta* 1/3 (2,422,275 and 16,300 violations) takes
+# 0.2-0.3 s of masks and 0.2 s of counts; its 14-patient sibling (7,059,068
+# and 77,175) 0.9-1.1 s and 1.8-1.9 s, and 3.6-3.9 s and 81 MB for the whole
+# `audit --check both`.  Each patient more quadruples the pairs.
 MAX_AUDIT_PATIENTS = 14
 
 # violations that an audit builds and the CLI prints; the rest are counted
@@ -195,11 +174,12 @@ def _chosen_rows(codes: np.ndarray, beta_star: Fraction) -> np.ndarray:
     return kink_pairs[pt][0] if pt in kink_pairs else _witness_by_index(codes, pt)[0]
 
 
-def choice_masks(pr: Problem, max_patients: int = 12) -> tuple[tuple[str, ...], np.ndarray]:
+def choice_masks(pr: Problem) -> tuple[tuple[str, ...], np.ndarray]:
     """The choice rule that selection induces, as (patients, masks): bit i of
     a subset mask is patients[i], and masks[x] is the mask of C(x), the
     patients of subset x that selection seats.  A missing share target
-    reads as 0, which selects the max-total endpoint.
+    reads as 0, which selects the max-total endpoint.  An instance of more
+    than MAX_AUDIT_PATIENTS patients is refused before any subset is solved.
 
     A subset keeps every seat, so its sub-problem is its rows of
     pr.seat_instance.pair_codes, the matrix that restricting the instance
@@ -209,17 +189,11 @@ def choice_masks(pr: Problem, max_patients: int = 12) -> tuple[tuple[str, ...], 
     one 7-patient draw the audits find 528 path-independence and 43
     substitutability violations with one witness and 418 and 30 with another.
     """
-    if max_patients < 0:
-        raise ValueError(f"a choice audit cap of {max_patients} patients is below 0")
-    if max_patients > MAX_AUDIT_PATIENTS:
-        raise ValueError(
-            f"a choice audit cap of {max_patients} patients exceeds the ceiling "
-            f"of {MAX_AUDIT_PATIENTS} (the audits take 2^n subsets and 4^n pairs)"
-        )
     patients = pr.instance.patients
-    if len(patients) > max_patients:
+    if len(patients) > MAX_AUDIT_PATIENTS:
         raise BudgetExceededError(
-            f"choice audit over {len(patients)} patients exceeds the cap of {max_patients}"
+            f"choice audit over {len(patients)} patients exceeds MAX_AUDIT_PATIENTS = "
+            f"{MAX_AUDIT_PATIENTS} (the audits take 2^n subsets and 4^n pairs)"
         )
     beta_star = Fraction(0) if pr.beta_star is None else pr.beta_star
     codes = pr.seat_instance.pair_codes

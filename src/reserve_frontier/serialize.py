@@ -44,6 +44,22 @@ _TOP_KEYS = ("categories", "patients", "beta_star", "priority")
 _CATEGORY_KEYS = ("id", "quota", "eligible", "beneficiary")
 
 
+def _check_exponent(text: str) -> None:
+    """Refuse a decimal whose exponent would make its numerator or
+    denominator too long to print, before the fraction is built."""
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    try:
+        shift = int(exponent or 0)
+    except ValueError:  # not an exponent, or one too long to convert: Fraction refuses it
+        return
+    digits = max(len(whole) + len(decimals) + shift, len(decimals) - shift + 1)
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise ValueError(f"beta_star {text!r} makes a fraction of up to {digits} digits, "
+                         f"over the {limit}-digit limit of integer conversion")
+
+
 def parse_share(value: Any) -> Fraction:
     """Exact fraction from "num/den", decimal string, int, or float literal."""
     if isinstance(value, bool):
@@ -51,8 +67,10 @@ def parse_share(value: Any) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, (float, str)):
+        text = value.strip() if isinstance(value, str) else str(value)
+        _check_exponent(text)
         try:  # a float goes through its decimal literal; inf and nan have none
-            return Fraction(value.strip() if isinstance(value, str) else str(value))
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"beta_star {value!r} has a zero denominator") from None
         except ValueError:

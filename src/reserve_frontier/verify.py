@@ -38,7 +38,6 @@ from .mechanism import NoNonEmptyMatchingError, _select_from, rank_sum, repair_p
 from .oracle import (
     BUDGET_ENV,
     Census,
-    EnumerationBudget,
     _applicable_cycles,
     _find_disjoint_family,
     _StateCounter,
@@ -381,9 +380,9 @@ SUITE_FUNCS = {
 }
 
 
-def run_suites(pr: Problem, suites: tuple[str, ...], budget: EnumerationBudget | None = None) -> list[CheckResult]:
+def run_suites(pr: Problem, suites: tuple[str, ...]) -> list[CheckResult]:
     # the census refuses an instance over the oracle budget, so it comes before the solve
-    census = Census(pr.seat_instance, budget or budget_from_env())
+    census = Census(pr.seat_instance, budget_from_env())
     f = compute_frontier(census.si)
     out: list[CheckResult] = []
     for name in suites:

@@ -432,6 +432,28 @@ def test_bad_oracle_budget_exits_2_naming_the_variable(value, monkeypatch, capsy
     assert "RESERVE_FRONTIER_ORACLE_BUDGET=" in err and "patients,seats,states" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "frontier"])
+@pytest.mark.parametrize("beta", ["1e-300000", "-1e-300000", "1e300000"])
+def test_a_long_exponent_beta_star_exits_2_naming_the_field(tmp_path, capsys, command, beta):
+    doc = {"categories": [{"id": "c1", "quota": 1, "eligible": ["p1"]}], "patients": ["p1"], "beta_star": beta}
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert f"beta_star '{beta}'" in err
+
+
+def test_bad_oracle_budget_reads_the_same_serially_and_with_jobs(monkeypatch, capsys):
+    monkeypatch.setenv("RESERVE_FRONTIER_ORACLE_BUDGET", "a,7,5")
+    args = ("verify", "--random", "patients=3", "categories=2", "count=2")
+    errs = []
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, *args, "--jobs", jobs)
+        assert code == 2 and out == ""
+        errs.append(err)
+    assert errs[0] == errs[1] == run(capsys, "verify", "--named", "conflict")[2]
+
+
 def test_verify_single_instance(capsys):
     code, out, _ = run(capsys, "verify", "--named", "conflict")
     assert code == 0
@@ -576,12 +598,25 @@ def test_audit_reports_designed_violations(capsys):
     assert int(first.split()[1]) > 0
 
 
-def test_audit_cap_exits_3(capsys):
-    code, _, err = run(
-        capsys, "audit", "--named", "path-independence", "--max-patients", "4"
-    )
-    assert code == 3
-    assert "exceeds" in err
+def test_audit_cap_exits_3(tmp_path, monkeypatch, capsys):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("an audit over the patient cap solved a subset")
+
+    patients = [f"p{i}" for i in range(1, 16)]
+    doc = {"categories": [{"id": "c1", "quota": 1, "eligible": patients}], "patients": patients}
+    path = tmp_path / "fifteen.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(mechanism_module, "_chosen_rows", no_enumeration)
+    code, out, err = run(capsys, "audit", str(path))
+    assert code == 3 and out == ""
+    assert "15 patients exceeds MAX_AUDIT_PATIENTS = 14" in err
+
+
+def test_audit_has_no_max_patients_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--named", "conflict", "--max-patients", "14"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-patients" in capsys.readouterr().err
 
 
 def test_audit_clean_instance_reports_zero(tmp_path, capsys):
@@ -596,18 +631,3 @@ def test_audit_clean_instance_reports_zero(tmp_path, capsys):
     assert code == 0
     assert "path-independence: 0 violation(s)" in out
     assert "substitutability: 0 violation(s)" in out
-
-
-@pytest.mark.parametrize(
-    "cap, message",
-    [("1000", "ceiling of 14"), ("-3", "-3 patients is below 0")],
-    ids=["1000", "-3"],
-)
-def test_audit_cap_above_the_ceiling_exits_2(monkeypatch, capsys, cap, message):
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("an audit outside the allowed caps enumerated subsets")
-
-    monkeypatch.setattr(mechanism_module, "_chosen_rows", no_enumeration)
-    code, out, err = run(capsys, "audit", "--named", "conflict", "--max-patients", cap)
-    assert code == 2 and out == ""
-    assert message in err

@@ -48,7 +48,7 @@ COMMANDS = (
     ("solve",),
     ("solve", "--respect-priority"),
     ("verify",),
-    ("audit", "--max-patients", "4"),
+    ("audit",),
 )
 
 

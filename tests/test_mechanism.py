@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 import reserve_frontier.cycles as cycles_module
+import reserve_frontier.mechanism as mechanism_module
 from reserve_frontier.mechanism import AUDIT_SHOWN
 from reserve_frontier.oracle import Census
 from reserve_frontier.verify import _exact_share_domination
@@ -18,6 +19,7 @@ from reserve_frontier import (
     Instance,
     InstanceError,
     Matching,
+    MatchingError,
     MatchPoint,
     NoNonEmptyMatchingError,
     PriorityOrder,
@@ -425,10 +427,16 @@ def shuffled_admissible_order(inst, rng):
 
 
 def random_matching(inst, rng):
-    """Any one-to-one matching, ineligible pairs included."""
-    seats = list(expand_to_seats(inst).seats)
-    patients = rng.sample(inst.patients, rng.randint(0, min(len(seats), len(inst.patients))))
-    return Matching(pairs=tuple(zip(patients, rng.sample(seats, len(patients)))))
+    """An eligible matching: each drawn patient takes a random free seat it is eligible for."""
+    si = expand_to_seats(inst)
+    free, pairs = set(si.seats), []
+    for p in rng.sample(inst.patients, rng.randint(0, len(inst.patients))):
+        options = [s for s in si.seats if s in free and p in si.eligible_of(s)]
+        if options:
+            s = rng.choice(options)
+            free.remove(s)
+            pairs.append((p, s))
+    return Matching(pairs=tuple(pairs))
 
 
 def reference_rank_sum(pr, m):
@@ -473,6 +481,25 @@ def test_priority_layer_matches_the_full_scan_on_random_matchings():
             fixed = assert_priority_layer_matches_reference(pr, m)
             swapped += fixed is not None and fixed != m
     assert flagged > 100 and swapped > 20
+
+
+@pytest.mark.parametrize("pairs", [(("p1", "c1#0"),), (("p1", "c9#0"),)], ids=["ineligible", "unknown-seat"])
+def test_priority_layer_refuses_a_pair_it_cannot_rank(pairs):
+    inst = validate_instance(
+        Instance(
+            categories=("c1",),
+            patients=("p1", "p2"),
+            quota={"c1": 1},
+            eligible={"c1": frozenset({"p2"})},
+            beneficiary={},
+        )
+    )
+    m = Matching(pairs=pairs)
+    for priority in (None, PriorityOrder(order={"c1": ("p2", "p1")})):
+        pr = Problem(instance=inst, beta_star=Fraction(0), priority=priority)
+        for fn in (rank_sum, respects_priority, repair_priority):
+            with pytest.raises(MatchingError):
+                fn(pr, m)
 
 
 def test_priority_layer_matches_the_full_scan_on_frontier_matchings():
@@ -551,11 +578,14 @@ def test_audits_pass_on_an_unconstrained_instance():
     assert audit_substitutability(patients, masks) == (0, [])
 
 
-def test_audit_respects_the_patient_cap():
-    pr = gen_named("path-independence")
-    with pytest.raises(BudgetExceededError):
-        choice_masks(pr, max_patients=5)
-    assert len(choice_masks(pr, max_patients=6)[1]) == 64
+def test_audit_respects_the_patient_cap(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("an audit over the patient cap solved a subset")
+
+    monkeypatch.setattr(mechanism_module, "_chosen_rows", no_enumeration)
+    pr = Problem(instance=gen_random(GenConfig(15, 4, (1, 2), 0.5, seed=3)), beta_star=Fraction(1, 3))
+    with pytest.raises(BudgetExceededError, match="MAX_AUDIT_PATIENTS = 14"):
+        choice_masks(pr)
 
 
 # The choice rule and the audits as they stood before choice_masks: one

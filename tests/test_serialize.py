@@ -50,6 +50,21 @@ def test_parse_share_forms():
     assert share_str(Fraction(7, 10)) == "7/10"
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [("0.7", Fraction(7, 10)), ("7e-1", Fraction(7, 10)), ("1e-5", Fraction(1, 100_000)),
+     ("1e-4299", Fraction(1, 10**4299)), ("1e-300000", None), ("-1e-300000", None),
+     ("1e300000", None), ("1e-3000000", None), ("0.1e-4299", None)],
+)
+def test_parse_share_refuses_an_exponent_too_long_to_print(text, want):
+    if want is not None:
+        assert parse_share(text) == want
+        share_str(want)  # prints within the integer conversion limit
+    else:
+        with pytest.raises(ValueError, match="beta_star .* digits, over the .*-digit limit of integer conversion"):
+            parse_share(text)
+
+
 def test_parse_minimal_document():
     doc = {
         "categories": [
