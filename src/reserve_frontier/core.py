@@ -10,7 +10,8 @@ an optional share target beta_star and optional priority orders.  The
 Instance alone is the structural type that seat expansion, restriction
 and the generators work on.  A Problem validates its instance once, when
 it is built, and expands it once, on first use of seat_instance; every
-consumer reads that expansion.
+consumer reads that expansion.  Its priority rank tables are likewise
+built once, on first use of rank_tables.
 
 A matching is scored by the pair (e, b): total eligible matches and
 beneficiary matches.  Shares b/e are kept as exact fractions throughout.
@@ -183,6 +184,19 @@ def validate_priority(inst: Instance, po: PriorityOrder) -> PriorityOrder:
     return po
 
 
+def _build_rank_tables(pr: Problem) -> dict[str, dict[str, int]]:
+    """Problem.rank_tables."""
+    inst, index = pr.instance, pr.seat_instance.patient_index
+    tables = {}
+    for c in inst.categories:
+        if pr.priority is not None:
+            top = pr.priority.order[c][: len(inst.eligible_of(c))]
+        else:
+            top = sorted(inst.eligible_of(c), key=lambda p: (p not in inst.beneficiary_of(c), index[p]))
+        tables[c] = {p: r for r, p in enumerate(top, 1)}
+    return tables
+
+
 @dataclass(frozen=True)
 class Problem:
     """The mechanism's input: an instance, an optional exact beneficiary-share
@@ -213,6 +227,13 @@ class Problem:
     def seat_instance(self) -> SeatInstance:
         """The instance expanded to unit seats, built on first use."""
         return expand_to_seats(self.instance)
+
+    @cached_property
+    def rank_tables(self) -> dict[str, dict[str, int]]:
+        """Per category, in instance order, the ranks (1 is highest) of its
+        eligible patients, best first, built on first use: from the priority
+        or, when it names none, from the tier order in input order."""
+        return _build_rank_tables(self)
 
 
 @dataclass(frozen=True)

@@ -74,20 +74,10 @@ def select_approx_on_frontier(pr: Problem) -> tuple[Matching, MatchPoint]:
 
 
 def _rank_tables(pr: Problem, m: Matching) -> dict[str, dict[str, int]]:
-    """Per category, in instance order, the ranks (1 is highest) of its
-    eligible patients, best first: from pr's priority or, when it names
-    none, from the tier order in input order.  Raises MatchingError unless
-    m pairs known patients with known seats they are eligible for."""
+    """pr.rank_tables, once m is known to pair known patients with known seats
+    they are eligible for; raises MatchingError otherwise."""
     validate_matching(pr.seat_instance, m)
-    inst, index = pr.instance, pr.seat_instance.patient_index
-    tables = {}
-    for c in inst.categories:
-        if pr.priority is not None:
-            top = pr.priority.order[c][: len(inst.eligible_of(c))]
-        else:
-            top = sorted(inst.eligible_of(c), key=lambda p: (p not in inst.beneficiary_of(c), index[p]))
-        tables[c] = {p: r for r, p in enumerate(top, 1)}
-    return tables
+    return pr.rank_tables
 
 
 def rank_sum(pr: Problem, m: Matching) -> int:

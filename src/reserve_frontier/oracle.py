@@ -7,8 +7,8 @@ associated-graph definition.  Budgets cap instance size and visited states
 so runaway inputs fail fast instead of hanging.  It only computes: the
 checks on its answers live in verify, and no production module imports it.
 
-There are two entry points.  Census(si, budget) answers everything the
-verify checks read: .counts (matchings per score point), .frontier()
+There are two entry points.  Census(si, budget, points) answers everything
+the verify checks read: .counts (matchings per score point), .frontier()
 (undominated points with their first witnesses) and .sample(points) (up
 to the SAMPLE_CAP constant matchings per point, reservoir-sampled with
 seed 0).  enumerate_matchings(si, budget) yields every matching once, in
@@ -20,12 +20,12 @@ in blocks, in the leaf order of a depth-first recursion with one call
 per state; it counts that recursion's states against the budget and
 holds a fixed number of bytes whatever the instance, and
 enumerate_matchings streams its blocks.  A Census enumerates its instance
-at most twice: once for the count and first matching at every score point
-(the frontier, its witnesses and every exact-share count), and once more
-only when samples are asked for (the sampled matchings and the matched
-patient sets at the sampled points).  Leaves are scored by index, block
-by block; only the leaves at sampled points reach Python, and no Matching
-is built per leaf.
+once for the count and first matching at every score point (the
+frontier, its witnesses and every exact-share count) and, in the same
+pass, the sampled matchings and matched patient sets at the points it
+was built with; only samples at other points take a pass of their own.
+Leaves are scored by index, block by block; only the leaves at sampled
+points reach Python, and no Matching is built per leaf.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import BudgetExceededError, Matching, MatchPoint, SeatInstance, dominates
+from .core import BudgetExceededError, Matching, MatchPoint, SeatInstance
 from .frontier import Frontier, kinks_of
 
 BUDGET_ENV = "RESERVE_FRONTIER_ORACLE_BUDGET"
@@ -228,24 +228,25 @@ class Sample(NamedTuple):
 
 
 class Census:
-    """The oracle's view of one instance, built lazily in at most two passes.
+    """The oracle's view of one instance, built lazily in one pass.
 
     An instance over the budget's patients or seats is refused when the
-    census is built, before any caller solves it.  Pass 1 records, for
+    census is built, before any caller solves it.  The pass records, for
     each point (e, b), the number of matchings scoring it and the first
-    one in recursion order.  Pass 2 runs only when samples are asked for:
-    it reservoir-samples up to SAMPLE_CAP matchings at each requested
-    point, drawing from Random(0) exactly as a scan of its own would, and
-    collects the matched patient sets at those points in the same visit.
-    Samples at another point set get a fresh pass of their own, so a
-    frontier that disagrees with the oracle still gets its samples.
-    Every pass has its own state budget, as every scan does.
+    one in recursion order, and in the same visit reservoir-samples up to
+    SAMPLE_CAP matchings at each of the census's points, drawing from
+    Random(0) exactly as a scan of its own would, and collects the matched
+    patient sets there.  Samples at another point set get a fresh pass of
+    their own, so a frontier that disagrees with the oracle still gets its
+    samples.  Every pass has its own state budget, as every scan does.
     """
 
-    def __init__(self, si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET):
+    def __init__(self, si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET,
+                 points: Iterable[MatchPoint] = ()):
         _check_size(si, budget)
         self.si = si
         self.budget = budget
+        self._points = frozenset(points)
         self._counts: dict[MatchPoint, int] | None = None
         self._first: dict[MatchPoint, tuple[int, ...]] = {}
         self._frontier: Frontier | None = None
@@ -255,27 +256,20 @@ class Census:
     def counts(self) -> dict[MatchPoint, int]:
         """Number of eligible matchings at each point, in order of first appearance."""
         if self._counts is None:
-            counts: dict[tuple[int, int], int] = {}
-            first: dict[tuple[int, int], tuple[int, ...]] = {}
-            stride = len(self.si.patients) + 1
-            for a, e, b in _leaf_blocks(self.si, self.budget):
-                keys, at, sizes = np.unique(e * stride + b, return_index=True, return_counts=True)
-                for k in np.argsort(at).tolist():  # in order of first appearance
-                    key = divmod(int(keys[k]), stride)
-                    if key in counts:
-                        counts[key] += int(sizes[k])
-                    else:
-                        counts[key] = int(sizes[k])
-                        first[key] = tuple(a[at[k]].tolist())
-            self._first = {MatchPoint(*k): a for k, a in first.items()}
-            self._counts = {MatchPoint(*k): c for k, c in counts.items()}
+            self._samples[self._points] = self._pass(self._points, tally=True)
         return self._counts
 
     def frontier(self) -> Frontier:
         """Undominated points, each witnessed by its first matching."""
         if self._frontier is None:
-            pts = list(self.counts)
-            nd = sorted(p for p in pts if not any(dominates(q, p) for q in pts))
+            # by e, then b, descending: a point is undominated iff its b
+            # beats every b before it
+            nd, top = [], -1
+            for p in sorted(self.counts, key=lambda p: (-p.e, -p.b)):
+                if p.b > top:
+                    nd.append(p)
+                    top = p.b
+            nd.reverse()
             witnesses = {p: self.si.name_row(self._first[p]) for p in nd}
             self._frontier = Frontier(points=tuple(nd), kinks=kinks_of(nd), witnesses=witnesses)
         return self._frontier
@@ -283,23 +277,43 @@ class Census:
     def sample(self, points) -> Sample:
         """Up to SAMPLE_CAP matchings per point, reservoir-sampled with seed 0."""
         key = frozenset(points)
+        if key == self._points:
+            self.counts  # the census's own pass samples its points
         if key not in self._samples:
-            self._samples[key] = self._sample_pass(key)
+            self._samples[key] = self._pass(key, tally=False)
         return self._samples[key]
 
-    def _sample_pass(self, wanted: frozenset[MatchPoint]) -> Sample:
+    def _pass(self, wanted: frozenset[MatchPoint], tally: bool) -> Sample:
+        """One enumeration: the sample at the wanted points and, with tally,
+        the count and first matching of every point."""
         rng, cap = random.Random(0), SAMPLE_CAP
         kept: dict[MatchPoint, list[tuple[int, ...]]] = {p: [] for p in wanted}
         seen: dict[MatchPoint, int] = {p: 0 for p in wanted}
         matched: dict[MatchPoint, set[int]] = {p: set() for p in wanted}
-        # each point a leaf can score has one slot; the others are never hit
+        counts: dict[int, int] = {}
+        first: dict[int, tuple[int, ...]] = {}
+        # a point's key is e * stride + b; each wanted point a leaf can score
+        # has one slot, and the others are never hit
         stride = len(self.si.patients) + 1
         slot_of = np.full(stride * stride, -1, dtype=np.intp)
         points = [p for p in wanted if min(p) >= 0 and max(p) < stride]
         for k, (pe, pb) in enumerate(points):
             slot_of[pe * stride + pb] = k
         for a, e, b in _leaf_blocks(self.si, self.budget):
-            slots = slot_of[e * stride + b]
+            keys = e * stride + b
+            if tally:
+                sizes = np.bincount(keys)
+                at = np.full(len(sizes), len(keys), dtype=np.intp)
+                np.minimum.at(at, keys, np.arange(len(keys)))  # each key's first row
+                hit = np.flatnonzero(sizes)
+                hit = hit[np.argsort(at[hit])]  # in order of first appearance
+                for key, row, size in zip(hit.tolist(), at[hit].tolist(), sizes[hit].tolist()):
+                    if key in counts:
+                        counts[key] += size
+                    else:
+                        counts[key] = size
+                        first[key] = tuple(a[row].tolist())
+            slots = slot_of[keys]
             rows = np.flatnonzero(slots >= 0)
             hits = a[rows]
             bits = np.packbits(hits >= 0, axis=1, bitorder="little")
@@ -316,6 +330,9 @@ class Census:
                     slot = rng.randrange(n)
                     if slot < cap:
                         bucket[slot] = tuple(row)
+        if tally:
+            self._first = {MatchPoint(*divmod(k, stride)): a for k, a in first.items()}
+            self._counts = {MatchPoint(*divmod(k, stride)): c for k, c in counts.items()}
         mode = "exhaustive" if all(n <= cap for n in seen.values()) else "sampled"
         samples = {p: [self.si.name_row(a) for a in kept[p]] for p in wanted}
         return Sample(samples, mode, matched)

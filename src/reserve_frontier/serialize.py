@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import IO, Any, NamedTuple
@@ -67,7 +68,7 @@ def parse_share(value: Any) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, (float, str)):
-        text = value.strip() if isinstance(value, str) else str(value)
+        text = value.strip() if isinstance(value, str) else getattr(value, "literal", str(value))
         _check_exponent(text)
         try:  # a float goes through its decimal literal; inf and nan have none
             return Fraction(text)
@@ -164,19 +165,39 @@ def _integer(literal: str) -> int | _LongInteger:
         return _LongInteger(len(literal.lstrip("-")))
 
 
+class _Decimal(float):
+    """A JSON number with a fraction or an exponent, as the float that json
+    reads plus its literal, from which parse_share reads beta_star exactly:
+    1e-400 is 10^-400, not the 0.0 it underflows to."""
+
+    __slots__ = ("literal",)
+
+
+def _decimal(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):  # over the float range: refused as not finite
+        return value
+    decimal = _Decimal(literal)
+    decimal.literal = literal
+    return decimal
+
+
 def _object(doc: dict[str, Any]) -> dict[str, Any]:
-    """A JSON object; an integer value too long to convert is refused by its key."""
+    """A JSON object; an integer value too long to convert is refused by its key,
+    and only beta_star keeps a decimal's literal."""
     for key, value in doc.items():
         if isinstance(value, _LongInteger):
             raise ValueError(f"{key!r} holds an integer of {value.digits} digits, over the "
                              f"{sys.get_int_max_str_digits()}-digit limit of integer conversion")
+        if isinstance(value, _Decimal) and key != "beta_star":
+            doc[key] = float(value)
     return doc
 
 
 def parse_instance_file(path: str) -> Problem:
     with open(path, "r", encoding="utf-8") as fp:
         try:
-            data = json.load(fp, parse_int=_integer, object_hook=_object)
+            data = json.load(fp, parse_int=_integer, parse_float=_decimal, object_hook=_object)
         except RecursionError:
             raise ValueError(f"{path}: JSON nesting too deep to parse") from None
         except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long to convert

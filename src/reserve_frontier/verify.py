@@ -7,9 +7,10 @@ Every check lives here, as a CheckResult row that keeps its first
 failure; the oracle only computes.
 run_suites builds one expansion, one census and one frontier per
 instance and hands them to every suite: the instance is expanded once
-(pr.seat_instance), the oracle Census enumerates it at most twice
-however many suites and targets read it, and the mechanism suite
-selects on the shared frontier instead of recomputing it per target.
+(pr.seat_instance), the oracle Census, built with the computed
+frontier's points, enumerates it once however many suites and targets
+read it, and the mechanism suite selects on the shared frontier instead
+of recomputing it per target.
 
 Setting RESERVE_FRONTIER_INJECT_CORRUPTION=1 deliberately corrupts the
 frontier that the frontier suite checks, and only that copy.  That is
@@ -39,6 +40,7 @@ from .oracle import (
     BUDGET_ENV,
     Census,
     _applicable_cycles,
+    _check_size,
     _find_disjoint_family,
     _StateCounter,
     budget_from_env,
@@ -381,9 +383,10 @@ SUITE_FUNCS = {
 
 
 def run_suites(pr: Problem, suites: tuple[str, ...]) -> list[CheckResult]:
-    # the census refuses an instance over the oracle budget, so it comes before the solve
-    census = Census(pr.seat_instance, budget_from_env())
-    f = compute_frontier(census.si)
+    si, budget = pr.seat_instance, budget_from_env()
+    _check_size(si, budget)  # an instance the oracle refuses is never solved
+    f = compute_frontier(si)
+    census = Census(si, budget, f.points)
     out: list[CheckResult] = []
     for name in suites:
         out.extend(SUITE_FUNCS[name](pr, census, f))

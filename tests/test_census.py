@@ -231,6 +231,49 @@ def test_census_equals_the_scans_with_every_level_sliced(monkeypatch):
     assert_census_matches_on_the_draws()
 
 
+def assert_a_census_with_points_matches_the_scans(inst, cap):
+    """A census built with its points answers as the scans do, in one pass."""
+    si = expand_to_seats(inst)
+    plain = Census(si)
+    want = ref_oracle_frontier(si)
+    busiest = max(plain.counts, key=plain.counts.get)
+    bit = {p: 1 << i for i, p in enumerate(si.patients)}
+    modes = set()
+    for points in (want.points, [*want.points, busiest]):
+        passes = []
+        original = oracle_module._leaf_blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_module, "SAMPLE_CAP", cap)
+            mp.setattr(oracle_module, "_leaf_blocks", lambda *args: passes.append(args) or original(*args))
+            census = Census(si, points=points)
+            sample = census.sample(list(reversed(points)))
+            assert list(census.counts.items()) == list(plain.counts.items())
+            assert list(census._first.items()) == list(plain._first.items())
+            got = census.frontier()
+        assert len(passes) == 1
+        assert (got.points, got.kinks, got.witnesses) == (want.points, want.kinks, want.witnesses)
+        ref_samples, ref_mode = ref_sample(si, points, cap=cap)
+        assert sample.matchings == ref_samples
+        assert sample.mode == ref_mode
+        assert sample.matched == {
+            pt: {sum(bit[p] for p in s) for s in sets} for pt, sets in ref_matched_sets(si, points).items()
+        }
+        modes.add(sample.mode)
+    return modes
+
+
+@pytest.mark.parametrize("sliced", [False, True])
+def test_a_census_built_with_its_points_equals_the_scans(sliced, monkeypatch):
+    if sliced:
+        slice_every_level(monkeypatch)
+    modes = set()
+    for inst in small_draws():
+        modes |= assert_a_census_with_points_matches_the_scans(inst, cap=2)
+    for inst in base_draws():
+        modes |= assert_a_census_with_points_matches_the_scans(inst, cap=200)
+    assert modes == {"exhaustive", "sampled"}
+
+
 def test_seat_rows_name_the_enumerated_matchings():
     for inst in [*small_draws(), *base_draws()]:
         si = expand_to_seats(inst)
@@ -260,14 +303,14 @@ def scan_counter(monkeypatch):
     return calls
 
 
-def test_verify_enumerates_each_instance_at_most_twice(scan_counter):
+def test_verify_enumerates_each_instance_exactly_once(scan_counter):
     problems = [*map(Problem, base_draws()), gen_named("conflict"), gen_named("path-independence")]
     problems += [Problem(gen_random(GenConfig(6, 5, (1, 1), 0.5, 0.5, seed=s))) for s in range(20)]
     for pr in problems:
         scan_counter.clear()
         results = run_suites(pr, SUITES)
         assert all(r.ok for r in results)
-        assert 1 <= len(scan_counter) <= 2
+        assert len(scan_counter) == 1
 
 
 def test_a_disagreeing_frontier_gets_its_own_samples(scan_counter):

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import reserve_frontier.core as core_module
 import reserve_frontier.cycles as cycles_module
 import reserve_frontier.mechanism as mechanism_module
 from reserve_frontier.mechanism import AUDIT_SHOWN
@@ -39,6 +40,7 @@ from reserve_frontier import (
     repair_priority,
     respects_priority,
     restrict_patients,
+    run_suites,
     select_approx_on_frontier,
     validate_instance,
     validate_priority,
@@ -500,6 +502,28 @@ def test_priority_layer_refuses_a_pair_it_cannot_rank(pairs):
         for fn in (rank_sum, respects_priority, repair_priority):
             with pytest.raises(MatchingError):
                 fn(pr, m)
+
+
+def test_rank_tables_are_built_once_per_problem(monkeypatch):
+    builds = []
+    original = core_module._build_rank_tables
+
+    def counting(pr):
+        builds.append(pr)
+        return original(pr)
+
+    monkeypatch.setattr(core_module, "_build_rank_tables", counting)
+    inst = gen_random(GenConfig(7, 4, (1, 2), 0.6, 0.5, seed=5))
+    for priority in (None, PriorityOrder.from_tiers(inst)):
+        builds.clear()
+        pr = Problem(instance=inst, beta_star=Fraction(1, 2), priority=priority)
+        m, _ = select_approx_on_frontier(pr)
+        fixed = repair_priority(pr, m)
+        assert respects_priority(pr, fixed) == [] and rank_sum(pr, fixed) <= rank_sum(pr, m)
+        assert all(r.ok for r in run_suites(pr, ("mechanism",)))
+        assert len(builds) == 1
+        with pytest.raises(MatchingError):  # each call still validates its matching
+            respects_priority(pr, Matching(pairs=(("p1", "nowhere#0"),)))
 
 
 def test_priority_layer_matches_the_full_scan_on_frontier_matchings():

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from reserve_frontier import (
     GenConfig,
     Matching,
+    MatchPoint,
     PriorityOrder,
     Problem,
     compute_frontier,
     expand_to_seats,
     gen_named,
     gen_random,
+    select_approx_on_frontier,
     with_all_witnesses,
 )
 from reserve_frontier.serialize import (
@@ -101,6 +103,32 @@ def test_a_non_finite_beta_star_names_the_field(text, tmp_path):
     path = tmp_path / "share.json"
     path.write_text('{"categories": [{"id": "c1", "quota": 1}], "patients": ["p1"], "beta_star": %s}' % text)
     with pytest.raises(ValueError, match="beta_star must be a finite number or fraction string"):
+        parse_instance_file(str(path))
+
+
+def test_a_json_number_beta_star_is_read_from_its_literal(tmp_path):
+    # 1e-400 underflows to the float 0.0, which would select e=2 b=0
+    doc = ('{"patients": ["p1", "p2"], "beta_star": %s, "categories": [{"id": "c1", "quota": 1, '
+           '"eligible": ["p1", "p2"], "beneficiary": ["p1"]}, {"id": "c2", "quota": 1, "eligible": ["p1"]}]}')
+    path = tmp_path / "share.json"
+    picked = []
+    for beta in ("1e-400", '"1e-400"'):
+        path.write_text(doc % beta)
+        pr = parse_instance_file(str(path))
+        assert pr.beta_star == Fraction(1, 10**400)
+        picked.append(select_approx_on_frontier(pr)[1])
+    assert picked == [MatchPoint(1, 1)] * 2
+    path.write_text(doc % "1e-300000")  # the exponent check reads the literal too
+    with pytest.raises(ValueError, match="beta_star '1e-300000' makes a fraction of up to 300001 digits"):
+        parse_instance_file(str(path))
+
+
+@pytest.mark.parametrize("entry, message", [('{"id": "c1", "quota": 1.5}', "category c1: quota must be a positive integer"),
+                                            ('{"id": 1.5, "quota": 1}', "category 'id' must be a string, got float")])
+def test_a_decimal_outside_beta_star_reads_as_a_float(entry, message, tmp_path):
+    path = tmp_path / "decimal.json"
+    path.write_text('{"patients": ["p1"], "categories": [%s]}' % entry)
+    with pytest.raises(ValueError, match=message):
         parse_instance_file(str(path))
 
 
