@@ -68,6 +68,8 @@ def parse_subset_tokens(spec: str, n_patients: int) -> list[str]:
 
 def _apply_subset(pr: Problem, spec: str) -> Problem:
     keep = parse_subset_tokens(spec, len(pr.instance.patients))
+    if not keep:
+        raise ValueError(f"--subset {spec!r} names no patient")
     sub = restrict_patients(pr.instance, keep)
     priority = None
     if pr.priority is not None:
@@ -87,7 +89,7 @@ def load_input(args) -> Problem:
         pr = parse_instance_file(args.input)
     else:
         raise ValueError("an input file or --named is required")
-    if args.subset:
+    if args.subset is not None:
         pr = _apply_subset(pr, args.subset)
     return pr
 
@@ -139,6 +141,8 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.random:
+        if args.input or args.named or args.subset is not None:
+            raise ValueError("--random draws its own instances; give no input file, --named or --subset with it")
         params = {}
         for token in args.random:
             key, sep, value = token.partition("=")

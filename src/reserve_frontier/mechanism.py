@@ -144,7 +144,7 @@ class AuditViolation:
 # printed violations are built, so memory stays flat.  GenConfig(12, 4,
 # (1, 2), 0.5, seed=3) at beta* 1/3 (2,422,275 and 16,300 violations) takes
 # 0.2-0.3 s of masks and 0.2 s of counts; its 14-patient sibling (7,059,068
-# and 77,175) 0.9-1.1 s and 1.8-1.9 s, and 3.6-3.9 s and 81 MB for the whole
+# and 77,175) 0.9-1.1 s and 1.8-1.9 s, and 3.2 s and 34 MB for the whole
 # `audit --check both`.  Each patient more quadruples the pairs.
 MAX_AUDIT_PATIENTS = 14
 

@@ -52,6 +52,39 @@ def test_commands_in_one_process_match_separate_processes(capsys):
     assert [code for code, _ in in_process] == [0, 0, 0, 2]
 
 
+UNUSED_SCIPY = ("scipy.optimize", "scipy.linalg", "scipy.special")
+IMPORT_PROBE = f"""
+import sys
+from reserve_frontier.cli import main
+code = main(sys.argv[1:])
+print("imported:", *[m for m in {UNUSED_SCIPY!r} if m in sys.modules], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("frontier", "--named", "conflict"),
+        ("solve", "--named", "beta-threshold", "--respect-priority"),
+        ("verify", "--named", "conflict"),
+        ("audit", "--named", "conflict"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_command_imports_scipy_optimize(argv, capsys):
+    # scipy.optimize's package __init__ pulls in scipy.linalg and
+    # scipy.special, most of a second of start-up that no command uses
+    code, out, _ = run(capsys, *argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(reserve_frontier.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert code == 0
+    assert (proc.returncode, proc.stdout) == (0, out)
+    assert proc.stderr.splitlines()[-1] == "imported:"
+
+
 def test_a_replaced_command_runs_after_the_parser_is_built(monkeypatch, capsys):
     assert run(capsys, "frontier", "--named", "conflict")[0] == 0
     seen = []
@@ -297,6 +330,23 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert run(capsys, "frontier", str(missing))[0] == 2
     code, _, err = run(capsys, "frontier", "--named", "conflict", "--subset", "p1,p9")
     assert code == 2 and "p9" in err
+
+
+@pytest.mark.parametrize("spec", ["", ",", " , "])
+def test_a_subset_that_names_no_patient_exits_2_on_every_command(spec, capsys):
+    for command in ("frontier", "solve", "verify", "audit"):
+        code, out, err = run(capsys, command, "--named", "beta-threshold", "--subset", spec)
+        assert (code, out) == (2, ""), command
+        assert f"--subset {spec!r} names no patient" in err, command
+
+
+@pytest.mark.parametrize(
+    "extra", [("--subset", "p1"), ("--subset", ""), ("--named", "conflict")], ids=["subset", "empty-subset", "named"]
+)
+def test_verify_random_refuses_an_input_of_its_own(extra, capsys):
+    code, out, err = run(capsys, "verify", "--random", "count=1", *extra)
+    assert (code, out) == (2, "")
+    assert "--random draws its own instances" in err
 
 
 def schema_case(edit):

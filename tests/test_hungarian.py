@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.machinery
 import itertools
+import types
 from random import Random
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from reserve_frontier import GenConfig, expand_to_seats, gen_random
+from reserve_frontier import GenConfig, expand_to_seats, gen_random, hungarian
 from reserve_frontier.core import MAX_CELLS, InstanceError
 from reserve_frontier.frontier import _kcard_weights
 from reserve_frontier.hungarian import EXACT_LIMIT, fits_exactly, max_weight_assignment_dense
@@ -207,3 +209,67 @@ def test_a_matrix_over_the_cell_limit_is_refused_before_its_cost_matrix_exists()
     over = np.broadcast_to(np.uint8(1), (side, side))
     with pytest.raises(InstanceError, match=f"assignment too large for memory: {side} x {side}"):
         max_weight_assignment_dense(over, (0, 1))
+
+
+def test_the_solver_is_scipys_built_in():
+    solver = hungarian.linear_sum_assignment
+    assert isinstance(solver, types.BuiltinFunctionType)
+    assert solver.__name__ == "linear_sum_assignment"
+
+
+def cost_matrices():
+    """About 200 float64 cost matrices: square, tall, wide, empty, and
+    small-integer codes full of ties."""
+    rng = np.random.default_rng(19)
+    shapes = [(0, 0), (0, 3), (4, 0), (1, 1)]
+    shapes += [(n, n) for n in range(2, 12)]
+    shapes += [(rng.integers(2, 15), rng.integers(1, 15)) for _ in range(60)]
+    for n, m in shapes:
+        yield rng.random((n, m))
+        yield -rng.integers(0, 4, size=(n, m)).astype(np.float64)
+        yield rng.integers(-2, 3, size=(n, m)).astype(np.float64) * 1e6
+
+
+def test_the_loaded_solver_returns_the_public_functions_pairs():
+    count = 0
+    for cost in cost_matrices():
+        got = hungarian.linear_sum_assignment(cost)
+        want = linear_sum_assignment(cost)
+        assert_same_pairs(got, want)
+        assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+        count += 1
+    assert count >= 200
+
+
+class NoSolverLoader(importlib.machinery.ExtensionFileLoader):
+    """An extension loader whose module defines nothing."""
+
+    def create_module(self, spec):
+        return types.ModuleType(spec.name)
+
+    def exec_module(self, module):
+        pass
+
+
+@pytest.mark.parametrize(
+    "found",
+    [
+        None,
+        importlib.machinery.ModuleSpec("_lsap", importlib.machinery.SourceFileLoader("_lsap", "_lsap.py")),
+        importlib.machinery.ModuleSpec("_lsap", NoSolverLoader("_lsap", "_lsap.so")),
+    ],
+    ids=["no-file", "not-an-extension", "no-attribute"],
+)
+def test_the_loader_falls_back_to_the_public_import(found, monkeypatch):
+    real = importlib.machinery.PathFinder.find_spec
+    looked = []
+
+    def find_spec(name, path=None, target=None):
+        if name != "_lsap":
+            return real(name, path, target)
+        looked.append(name)
+        return found
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", find_spec)
+    assert hungarian._load_lsap() is linear_sum_assignment
+    assert looked == ["_lsap"]
