@@ -19,6 +19,8 @@ import json
 import os
 import re
 import sys
+from collections import deque
+from typing import Iterable, Iterator
 
 from .core import BudgetExceededError, PriorityOrder, Problem, beneficiary_share, restrict_patients
 from .frontier import compute_frontier, with_all_witnesses
@@ -40,7 +42,7 @@ from .serialize import (
     share_str,
     write_frontier_csv,
 )
-from .verify import SUITES, random_inputs, run_suites
+from .verify import SUITES, CheckResult, random_inputs, run_suites
 
 RANGE_TOKEN = re.compile(r"([A-Za-z_]*)(\d+)\.\.([A-Za-z_]*)(\d+)")
 
@@ -123,7 +125,8 @@ def cmd_frontier(args) -> int:
 def cmd_solve(args) -> int:
     pr = load_input(args)
     if pr.beta_star is None:
-        raise ValueError("solve needs beta_star in the instance file")
+        source = f"--named {args.named}" if args.named else args.input
+        raise ValueError(f"{source}: solve needs a beta_star, and this input has none")
     m, pt = select_approx_on_frontier(pr)
     if args.respect_priority:
         m = repair_priority(pr, m)
@@ -135,6 +138,24 @@ def cmd_solve(args) -> int:
     beta = share_str(beneficiary_share(pt)) if pt.e else "0/1"
     print(f"e={pt.e} b={pt.b} beta={beta} target={share_str(pr.beta_star)}")
     return 0
+
+
+def _checked(inputs: Iterable[Problem], suites: tuple[str, ...], jobs: int) -> Iterator[list[CheckResult]]:
+    """run_suites on each input, in input order, as each is checked.  With
+    jobs > 1 a pool checks them, with at most 2 * jobs inputs drawn ahead."""
+    if jobs == 1:
+        yield from (run_suites(pr, suites) for pr in inputs)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        ahead: deque = deque()
+        for pr in inputs:
+            ahead.append(pool.submit(run_suites, pr, suites))
+            if len(ahead) == 2 * jobs:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def cmd_verify(args) -> int:
@@ -149,30 +170,21 @@ def cmd_verify(args) -> int:
             if not sep:
                 raise ValueError(f"--random expects key=value tokens, got {token!r}")
             params[key] = value
-        inputs = random_inputs(params)
+        count, inputs = random_inputs(params)
     else:
-        inputs = [load_input(args)]
+        count, inputs = 1, [load_input(args)]
     suites = SUITES if args.suite == "all" else (args.suite,)
-
-    jobs = min(args.jobs, len(inputs), os.cpu_count() or 1)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            all_results = list(pool.map(functools.partial(run_suites, suites=suites), inputs))
-    else:
-        all_results = [run_suites(pr, suites) for pr in inputs]
 
     failed = 0
     total = 0
-    for i, results in enumerate(all_results):
-        if len(inputs) > 1:
-            print(f"-- instance {i + 1}/{len(inputs)} --")
+    for i, results in enumerate(_checked(inputs, suites, min(args.jobs, count, os.cpu_count() or 1))):
+        if count > 1:
+            print(f"-- instance {i + 1}/{count} --")
         for r in results:
             total += 1
             failed += 0 if r.ok else 1
             print(r.line())
-    print(f"{total - failed}/{total} checks passed on {len(inputs)} instance(s)")
+    print(f"{total - failed}/{total} checks passed on {count} instance(s)")
     return 0 if failed == 0 else 1
 
 

@@ -23,11 +23,11 @@ from the same solver (witness_at).
 
 Every solve reads the instance's cached pair codes (0 ineligible, 1
 eligible, 2 beneficiary) with one weight per code, which the solver
-gathers into a negated float64 cost matrix in one allocation (see
-hungarian).  A sweep is scored by index, e = the number of pairs and
-b = the number of code-2 pairs, so a named Matching is built only for a
-kept kink witness and for what frontier_iteration and witness_at return;
-the choice audit runs their cores on row subsets and names nothing.
+gathers into a negated float64 cost matrix (see hungarian).  A matching
+is a seat row, as in the oracle and the cycle search: row[i] is patient
+i's seat index, or -1 when patient i is unmatched.  Sweeps are scored on
+their rows, and SeatInstance.name_row names only the kept kink witnesses
+and the matchings returned (frontier_iteration, witness_at, selection).
 witness_at appends its dummy columns as code 3.
 """
 
@@ -41,9 +41,6 @@ import numpy as np
 
 from .core import Matching, MatchPoint, SeatInstance, check_cells
 from .hungarian import max_weight_assignment_dense
-
-_Pairs = tuple[np.ndarray, np.ndarray]  # the (rows, cols) of a matching, by index
-
 
 class FrontierInvariantError(RuntimeError):
     """A computed frontier violates a structural guarantee; indicates a bug."""
@@ -123,19 +120,24 @@ def _kcard_weights(n: int) -> tuple[int, int, int]:
     return n + 1, n + 2, 2 * n + 2
 
 
-def _point(codes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> MatchPoint:
-    """The point of the matching (rows, cols), scored by index."""
-    return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2)))
+def _point(codes: np.ndarray, row: np.ndarray) -> MatchPoint:
+    """The point of a seat row on its pair-code matrix."""
+    rows = np.flatnonzero(row >= 0)
+    return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, row[rows]] == 2)))
 
 
-def _sweep(codes: np.ndarray, d: int) -> tuple[MatchPoint, np.ndarray, np.ndarray]:
-    """Sweep d scored by index: its point and the (rows, cols) of its matching."""
-    rows, cols = max_weight_assignment_dense(codes, (0, 2 * d + 1, 2 * d + 3))
-    return _point(codes, rows, cols), rows, cols
+def _assign(codes: np.ndarray, table: tuple[int, ...]) -> np.ndarray:
+    """The solver's max-weight assignment under table, as a seat row."""
+    rows, cols = max_weight_assignment_dense(codes, table)
+    row = np.full(codes.shape[0], -1, dtype=np.intp)
+    row[rows] = cols
+    return row
 
 
-def _matching(si: SeatInstance, rows: np.ndarray, cols: np.ndarray) -> Matching:
-    return Matching(tuple((si.patients[i], si.seats[j]) for i, j in zip(rows.tolist(), cols.tolist())))
+def _sweep(codes: np.ndarray, d: int) -> tuple[MatchPoint, np.ndarray]:
+    """Sweep d scored by index: its point and its seat row."""
+    row = _assign(codes, (0, 2 * d + 1, 2 * d + 3))
+    return _point(codes, row), row
 
 
 def frontier_iteration(si: SeatInstance, d: int) -> tuple[MatchPoint, Matching]:
@@ -143,29 +145,28 @@ def frontier_iteration(si: SeatInstance, d: int) -> tuple[MatchPoint, Matching]:
     n = max(si.pair_codes.shape)
     if not 0 <= d <= n:
         raise ValueError(f"d must be in [0, {n}], got {d}")
-    pt, rows, cols = _sweep(si.pair_codes, d)
-    return pt, _matching(si, rows, cols)
+    pt, row = _sweep(si.pair_codes, d)
+    return pt, si.name_row(row.tolist())
 
 
 def witness_at(si: SeatInstance, pt: MatchPoint) -> Matching:
     """A matching at frontier point pt, from one k-cardinality assignment (Dell'Amico
     and Martello, 1997).  Raises FrontierInvariantError if it does not score pt."""
-    return _matching(si, *_witness_by_index(si.pair_codes, pt))
+    return si.name_row(_witness_by_index(si.pair_codes, pt).tolist())
 
 
-def _witness_by_index(codes: np.ndarray, pt: MatchPoint) -> _Pairs:
-    """witness_at on a pair-code matrix."""
+def _witness_by_index(codes: np.ndarray, pt: MatchPoint) -> np.ndarray:
+    """witness_at on a pair-code matrix, as a seat row."""
     n_p, n_s = codes.shape
     # the solver checks its cells too, but only after np.pad has built them
     check_cells(n_p, n_s + n_p - pt.e, "k-cardinality witness solve")
     padded = np.pad(codes, ((0, 0), (0, n_p - pt.e)), constant_values=3)
-    rows, cols = max_weight_assignment_dense(padded, (0, *_kcard_weights(max(codes.shape))))
-    real = cols < n_s  # drop the dummy columns
-    rows, cols = rows[real], cols[real]
-    got = _point(codes, rows, cols)
+    row = _assign(padded, (0, *_kcard_weights(max(codes.shape))))
+    row[row >= n_s] = -1  # drop the dummy columns
+    got = _point(codes, row)
     if got != pt:
         raise FrontierInvariantError(f"k-cardinality solve gave {got}, not {pt}")
-    return rows, cols
+    return row
 
 
 def compute_frontier(si: SeatInstance) -> Frontier:
@@ -192,17 +193,16 @@ def compute_frontier(si: SeatInstance) -> Frontier:
     where bisection needs O(kinks * log n).  The parametric search is that
     of Eisner and Severance (1976, J. ACM 23(4)).
     """
-    points, kink_pairs = _frontier_by_index(si.pair_codes)
-    witnesses = {pt: _matching(si, rows, cols) for pt, (rows, cols) in kink_pairs.items()}
+    points, kink_rows = _frontier_by_index(si.pair_codes)
+    witnesses = {pt: si.name_row(row.tolist()) for pt, row in kink_rows.items()}
     return Frontier(points=tuple(points), kinks=frozenset(witnesses), witnesses=witnesses)
 
 
-def _frontier_by_index(codes: np.ndarray) -> tuple[list[MatchPoint], dict[MatchPoint, _Pairs]]:
-    """compute_frontier on a pair-code matrix: the points and each kink's witness."""
+def _frontier_by_index(codes: np.ndarray) -> tuple[list[MatchPoint], dict[MatchPoint, np.ndarray]]:
+    """compute_frontier on a pair-code matrix: the points and each kink's seat row."""
     n = max(codes.shape)
     if n == 0 or not codes.any():
-        empty = np.empty(0, dtype=np.intp)
-        return [MatchPoint(0, 0)], {MatchPoint(0, 0): (empty, empty)}
+        return [MatchPoint(0, 0)], {MatchPoint(0, 0): np.full(codes.shape[0], -1, dtype=np.intp)}
 
     sweeps = {d: _sweep(codes, d) for d in (0, n)}
     firsts = [0]  # ascending d at which a new point first appears
@@ -222,8 +222,8 @@ def _frontier_by_index(codes: np.ndarray) -> tuple[list[MatchPoint], dict[MatchP
         mid = min(max((2 * (a.b - c.b) - de) // (2 * de), lo + 1), hi - 1)
         sweeps[mid] = _sweep(codes, mid)
         todo += [(mid, hi), (lo, mid)]
-    kink_pairs = {sweeps[d][0]: sweeps[d][1:] for d in firsts}
-    kinks = list(kink_pairs)
+    kink_rows = dict(sweeps[d] for d in firsts)
+    kinks = list(kink_rows)
 
     points: list[MatchPoint] = [kinks[0]]
     for a, b in zip(kinks, kinks[1:]):
@@ -239,7 +239,7 @@ def _frontier_by_index(codes: np.ndarray) -> tuple[list[MatchPoint], dict[MatchP
         points.append(b)
 
     _check_points(points)
-    return points, kink_pairs
+    return points, kink_rows
 
 
 def half_bound_ratio(f: Frontier) -> Fraction:

@@ -16,7 +16,10 @@ with no int64-to-float64 copy and no negated copy.  Its doubles equal
 the ones scipy's maximize=True path builds from the int64 weight
 matrix: each weight is an integer below 2**53, so converting it to
 float64 is exact and so is negating it.  The solver therefore sees the
-same input and returns the same pairs.
+same input and returns the same pairs.  `table.take(codes)` gives the
+same bytes and is faster alone, but it first copies the uint8 codes to
+intp: inside `solve` on a 320 x 320 instance it took 0.78-0.89 ms a
+call against 0.36 ms for the gather, on 2 shared vCPUs.
 
 The solver is scipy's compiled `scipy/optimize/_lsap` extension, loaded
 from its file.  `from scipy.optimize import linear_sum_assignment`

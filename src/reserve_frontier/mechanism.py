@@ -39,7 +39,7 @@ from .core import (
     beneficiary_share,
     validate_matching,
 )
-from .frontier import Frontier, _frontier_by_index, _witness_by_index, compute_frontier, witness_at
+from .frontier import Frontier, _frontier_by_index, _witness_by_index, witness_at
 
 
 class NoNonEmptyMatchingError(ValueError):
@@ -58,8 +58,15 @@ def _select_from(si: SeatInstance, f: Frontier, beta_star: Fraction) -> tuple[Ma
     """The selected point and its witness, the one with_all_witnesses would give:
     f's own at a kink, else one k-cardinality solve (witness_at)."""
     pt = _select_point(f.points, beta_star)
-    m = f.witnesses[pt] if pt in f.witnesses else witness_at(si, pt)
-    return m, pt
+    return (f.witnesses[pt] if pt in f.witnesses else witness_at(si, pt)), pt
+
+
+def _select(codes: np.ndarray, beta_star: Fraction) -> tuple[MatchPoint, np.ndarray]:
+    """_select_from on a pair-code matrix, with the witness as a seat row: the
+    kink's sweep row, else one k-cardinality solve (_witness_by_index)."""
+    points, kink_rows = _frontier_by_index(codes)
+    pt = _select_point(points, beta_star)
+    return pt, kink_rows[pt] if pt in kink_rows else _witness_by_index(codes, pt)
 
 
 def select_approx_on_frontier(pr: Problem) -> tuple[Matching, MatchPoint]:
@@ -70,7 +77,8 @@ def select_approx_on_frontier(pr: Problem) -> tuple[Matching, MatchPoint]:
     if pr.beta_star is None:
         raise ValueError("selection needs a share target beta_star")
     si = pr.seat_instance
-    return _select_from(si, compute_frontier(si), pr.beta_star)
+    pt, row = _select(si.pair_codes, pr.beta_star)
+    return si.name_row(row.tolist()), pt
 
 
 def _rank_tables(pr: Problem, m: Matching) -> dict[str, dict[str, int]]:
@@ -152,18 +160,6 @@ MAX_AUDIT_PATIENTS = 14
 AUDIT_SHOWN = 20
 
 
-def _chosen_rows(codes: np.ndarray, beta_star: Fraction) -> np.ndarray:
-    """The rows that the selected witness seats on a pair-code matrix, the
-    matched patients of select_approx_on_frontier by index: empty when no
-    pair is eligible."""
-    points, kink_pairs = _frontier_by_index(codes)
-    try:
-        pt = _select_point(points, beta_star)
-    except NoNonEmptyMatchingError:
-        return np.empty(0, dtype=np.intp)
-    return kink_pairs[pt][0] if pt in kink_pairs else _witness_by_index(codes, pt)[0]
-
-
 def choice_masks(pr: Problem) -> tuple[tuple[str, ...], np.ndarray]:
     """The choice rule that selection induces, as (patients, masks): bit i of
     a subset mask is patients[i], and masks[x] is the mask of C(x), the
@@ -191,7 +187,10 @@ def choice_masks(pr: Problem) -> tuple[tuple[str, ...], np.ndarray]:
     masks = np.zeros(1 << len(patients), dtype=np.int64)
     for x in range(1, len(masks)):
         rows = np.flatnonzero(x & bits)
-        masks[x] = bits[rows[_chosen_rows(codes[rows], beta_star)]].sum()
+        try:
+            masks[x] = bits[rows[_select(codes[rows], beta_star)[1] >= 0]].sum()
+        except NoNonEmptyMatchingError:
+            pass  # no eligible pair: C(x) is empty
     return patients, masks
 
 

@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
+from typing import Iterator
 
 from .core import BudgetExceededError, MatchPoint, Problem, dominates, match_point
 from .cycles import apply_cycle, find_minimal_cycle, frontier_walk
@@ -398,12 +399,13 @@ RANDOM_DEFAULTS = {"patients": "6", "categories": "5", "seed": "0", "count": "1"
                    "quota": "1:1", "elig": "0.5", "bene": "0.5"}
 
 
-def random_inputs(params: dict[str, str]) -> list[Problem]:
-    """Problems from key=value tokens: patients= categories= seed= count= quota= elig= bene=.
+def random_inputs(params: dict[str, str]) -> tuple[int, Iterator[Problem]]:
+    """The draw count, and the Problems drawn one at a time, from key=value
+    tokens: patients= categories= seed= count= quota= elig= bene=.
 
-    An unknown key, or a value that is not a number, is refused by its key.
-    Draws that cannot fit the oracle budget are refused before any is
-    drawn: every category has at least one seat.
+    An unknown key, a value that is not a number, or one that GenConfig
+    refuses is refused by its key, before anything is drawn.  So are draws
+    that cannot fit the oracle budget: every category has at least one seat.
     """
     for key in params:
         if key not in RANDOM_DEFAULTS:
@@ -421,14 +423,18 @@ def random_inputs(params: dict[str, str]) -> list[Problem]:
     if count < 1:
         raise ValueError(f"--random count must be at least 1, got {count}")
     lo, _, hi = raw["quota"].partition(":")
-    cfg = GenConfig(
-        patients=patients,
-        categories=categories,
-        quota_range=(number("quota", lo), number("quota", hi or lo)),
-        eligibility_density=number("elig", raw["elig"], float),
-        beneficiary_density=number("bene", raw["bene"], float),
-        seed=seed,
-    )
+    cfg = GenConfig(0, 0, seed=seed)
+    for key, field, value in (
+        ("patients", "patients", patients),
+        ("categories", "categories", categories),
+        ("quota", "quota_range", (number("quota", lo), number("quota", hi or lo))),
+        ("elig", "eligibility_density", number("elig", raw["elig"], float)),
+        ("bene", "beneficiary_density", number("bene", raw["bene"], float)),
+    ):
+        try:  # one field at a time, so that GenConfig's own check names the key
+            cfg = replace(cfg, **{field: value})
+        except ValueError as exc:
+            raise ValueError(f"--random {key}={raw[key]}: {exc}") from None
     budget = budget_from_env()
     if patients > budget.max_patients or categories > budget.max_seats:
         raise BudgetExceededError(
@@ -436,4 +442,4 @@ def random_inputs(params: dict[str, str]) -> list[Problem]:
             f"budget allows {budget.max_patients} patients and {budget.max_seats} seats; "
             f"raise it with {BUDGET_ENV}=patients,seats,states"
         )
-    return [Problem(gen_random(replace(cfg, seed=seed + i))) for i in range(count)]
+    return count, (Problem(gen_random(replace(cfg, seed=seed + i))) for i in range(count))

@@ -175,6 +175,16 @@ def test_solve_requires_a_share_target(capsys):
     assert "beta_star" in err
 
 
+@pytest.mark.parametrize("named", [True, False], ids=["named", "file"])
+def test_solve_without_a_share_target_names_its_input(named, tmp_path, capsys):
+    path = tmp_path / "no-target.json"
+    path.write_text(json.dumps(emit_instance(gen_named("conflict"))))
+    source = "--named conflict" if named else str(path)
+    code, out, err = run(capsys, "solve", *(["--named", "conflict"] if named else [str(path)]))
+    assert code == 2 and out == ""
+    assert err == f"error: {source}: solve needs a beta_star, and this input has none\n"
+
+
 def test_solve_with_priority_repair(tmp_path, capsys):
     out_path = tmp_path / "m.json"
     code, out, _ = run(
@@ -278,7 +288,7 @@ def test_run_suites_expands_each_instance_once(expansions):
         }
     )
     problems = [gen_named(n) for n in NAMED_INSTANCES] + [Problem(empty), prioritized]
-    problems += random_inputs({"patients": "6", "categories": "5", "count": "8"})
+    problems += random_inputs({"patients": "6", "categories": "5", "count": "8"})[1]
     for pr in problems:
         expansions.clear()
         results = run_suites(pr, SUITES)
@@ -548,6 +558,53 @@ def test_verify_random_names_the_key_of_a_value_that_is_not_a_number(token, key,
     assert f"--random {token}:" in err and f"--random {key}=" in err
 
 
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("elig=0", "eligibility_density must be in (0, 1]"),
+        ("elig=nan", "eligibility_density must be in (0, 1]"),
+        ("bene=1.5", "beneficiary_density must be in [0, 1]"),
+        ("quota=2:1", "bad quota range (2, 1)"),
+        ("quota=0", "bad quota range (0, 0)"),
+        ("patients=-1", "patients and categories must be non-negative"),
+        ("categories=-3", "patients and categories must be non-negative"),
+    ],
+)
+def test_verify_random_names_the_key_of_a_value_out_of_range(token, message, capsys):
+    code, out, err = run(capsys, "verify", "--random", "patients=3", token)
+    assert code == 2 and out == ""
+    assert err == f"error: --random {token}: {message}\n"
+
+
+def test_verify_random_checks_each_draw_before_the_next(monkeypatch, capsys):
+    import reserve_frontier.verify as verify_module
+
+    draws, drawn_when_checked = [], []
+    draw, check = verify_module.gen_random, cli_module.run_suites
+    monkeypatch.setattr(verify_module, "gen_random", lambda cfg: draws.append(cfg) or draw(cfg))
+    monkeypatch.setattr(cli_module, "run_suites",
+                        lambda pr, suites: drawn_when_checked.append(len(draws)) or check(pr, suites))
+    code, out, _ = run(capsys, "verify", "--random", "count=5", "--jobs", "1")
+    assert code == 0 and out.count("-- instance") == 5
+    assert drawn_when_checked == [1, 2, 3, 4, 5]
+
+
+def test_a_pool_draws_at_most_two_inputs_per_worker_ahead():
+    count, inputs = random_inputs({"count": "12"})
+    drawn = []
+
+    def counted():
+        for pr in inputs:
+            drawn.append(pr)
+            yield pr
+
+    checked = cli_module._checked(counted(), SUITES, 2)
+    first = next(checked)
+    assert len(drawn) == 4
+    assert [first, *checked] == [run_suites(pr, SUITES) for pr in drawn]
+    assert count == len(drawn) == 12
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_verify_random_count_below_one_exits_2(count, capsys):
     code, out, err = run(capsys, "verify", "--random", f"count={count}")
@@ -619,8 +676,10 @@ def test_verify_jobs_capped_by_instances_and_cpus(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
@@ -656,7 +715,7 @@ def test_audit_cap_exits_3(tmp_path, monkeypatch, capsys):
     doc = {"categories": [{"id": "c1", "quota": 1, "eligible": patients}], "patients": patients}
     path = tmp_path / "fifteen.json"
     path.write_text(json.dumps(doc))
-    monkeypatch.setattr(mechanism_module, "_chosen_rows", no_enumeration)
+    monkeypatch.setattr(mechanism_module, "_select", no_enumeration)
     code, out, err = run(capsys, "audit", str(path))
     assert code == 3 and out == ""
     assert "15 patients exceeds MAX_AUDIT_PATIENTS = 14" in err

@@ -387,7 +387,9 @@ def ref_n_cubed_kinks(si):
 
     def sweep(k):
         rows, cols = max_weight_assignment_dense(codes, (0, k * n * n, k * n * n + n * n + k))
-        return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2))), rows, cols
+        row = np.full(len(codes), -1)  # the seat row: patient i's seat, or -1
+        row[rows] = cols
+        return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2))), row
 
     sweeps = {k: sweep(k) for k in sorted({1, n})}
     firsts, todo = [1], [(1, n)]
@@ -404,7 +406,7 @@ def ref_n_cubed_kinks(si):
         sweeps[mid] = sweep(mid)
         todo += [(mid, hi), (lo, mid)]
     kinks = [sweeps[k][0] for k in firsts]
-    return kinks, {sweeps[k][0]: frontier_module._matching(si, *sweeps[k][1:]) for k in firsts}
+    return kinks, {sweeps[k][0]: si.name_row(sweeps[k][1].tolist()) for k in firsts}
 
 
 def integer_slope_draws():

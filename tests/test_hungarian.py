@@ -186,6 +186,29 @@ def test_code_table_entry_matches_the_int64_maximize_solve_on_sweeps_and_pads():
             assert_same_pairs(got, reference_assignment(weights, np.pad(elig, pad, constant_values=True)))
 
 
+def test_the_cost_matrix_is_the_negated_table_indexed_by_the_codes(monkeypatch):
+    # however the wrapper builds its cost, the solver must see the bytes, and
+    # so the -0.0 of code 0, that indexing the negated table by the codes gives
+    costs = []
+    solver = hungarian.linear_sum_assignment
+    monkeypatch.setattr(hungarian, "linear_sum_assignment", lambda cost: costs.append(cost) or solver(cost))
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        n_p, n_s = (int(v) for v in rng.integers(1, 25, size=2))
+        n = max(n_p, n_s)
+        d = int(rng.integers(0, n + 1))
+        for table in ((0, 2 * d + 1, 2 * d + 3), (0, *_kcard_weights(n))):  # a sweep, a k-cardinality solve
+            codes = rng.integers(0, len(table), size=(n_p, n_s), dtype=np.uint8)
+            costs.clear()
+            max_weight_assignment_dense(codes, table)
+            want = (-np.array(table, dtype=np.float64))[codes]
+            (got,) = costs
+            assert got.dtype == np.float64 and got.shape == codes.shape
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.signbit(got[codes == 0]).all()
+
+
 def test_code_table_entry_matches_the_int64_maximize_solve_near_the_headroom():
     rng = Random(5)
     top = (EXACT_LIMIT - 1) // 3

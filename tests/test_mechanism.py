@@ -9,7 +9,7 @@ import pytest
 import reserve_frontier.core as core_module
 import reserve_frontier.cycles as cycles_module
 import reserve_frontier.mechanism as mechanism_module
-from reserve_frontier.mechanism import AUDIT_SHOWN
+from reserve_frontier.mechanism import AUDIT_SHOWN, _select_from
 from reserve_frontier.oracle import Census
 from reserve_frontier.verify import _exact_share_domination
 from reserve_frontier import (
@@ -166,6 +166,61 @@ def test_no_qualifying_matching_is_larger_than_the_selection():
             if opt.e > pt.e:
                 assert beneficiary_share(opt) < beta
     assert checked >= 20
+
+
+@pytest.mark.parametrize(
+    "beta_star, selected",
+    [(Fraction(10, 13), MatchPoint(26, 20)), (Fraction(2, 3), MatchPoint(27, 18))],
+    ids=["kink", "between-kinks"],
+)
+def test_selection_names_only_the_witness_it_returns(beta_star, selected, monkeypatch):
+    pr = Problem(instance=gen_random(GenConfig(30, 30, (1, 1), 0.1, 0.5, seed=1)), beta_star=beta_star)
+    si = pr.seat_instance
+    f = compute_frontier(si)
+    assert len(f.kinks) == 3 and (selected in f.kinks) == (selected == MatchPoint(26, 20))
+    named, built = [], []
+    name_row, post_init = core_module.SeatInstance.name_row, core_module.Matching.__post_init__
+    monkeypatch.setattr(core_module.SeatInstance, "name_row", lambda self, row: named.append(1) or name_row(self, row))
+    monkeypatch.setattr(core_module.Matching, "__post_init__", lambda self: built.append(1) or post_init(self))
+    m, pt = select_approx_on_frontier(pr)
+    assert (len(named), len(built)) == (1, 1)
+    assert pt == selected and m == f.witnesses.get(pt, m) and match_point(si, m) == pt
+
+
+def test_selection_returns_the_frontier_witness_at_its_point():
+    rng = Random(20)
+    checked = between_kinks = 0
+    for _ in range(360):
+        patients = rng.randint(1, 50)
+        inst = gen_random(
+            GenConfig(
+                patients=patients,
+                categories=rng.randint(max(1, patients // 2), patients),
+                quota_range=(1, rng.randint(1, 2)),
+                eligibility_density=min(1.0, rng.choice([2, 3, 3, 5]) / patients),
+                beneficiary_density=rng.choice([0.3, 0.5, 0.5]),
+                seed=rng.randint(0, 100_000),
+            )
+        )
+        si = expand_to_seats(inst)
+        f = compute_frontier(si)
+        den = rng.randint(1, 12)
+        beta_star = Fraction(rng.randint(0, den), den)
+        between = [p for p in f.points if p not in f.kinks]
+        if between and rng.random() < 0.75:  # the share of a point selects that point
+            beta_star = beneficiary_share(rng.choice(between))
+        pr = Problem(instance=inst, beta_star=beta_star)
+        si = pr.seat_instance
+        if f.e_max == 0:
+            with pytest.raises(NoNonEmptyMatchingError):
+                select_approx_on_frontier(pr)
+            continue
+        m, pt = select_approx_on_frontier(pr)
+        assert (m, pt) == _select_from(si, f, beta_star), inst
+        assert m == with_all_witnesses(si, f).witnesses[pt], inst
+        checked += 1
+        between_kinks += pt not in f.kinks
+    assert checked >= 300 and between_kinks >= 30, (checked, between_kinks)
 
 
 def test_exact_share_matchings_are_dominated():
@@ -606,7 +661,7 @@ def test_audit_respects_the_patient_cap(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("an audit over the patient cap solved a subset")
 
-    monkeypatch.setattr(mechanism_module, "_chosen_rows", no_enumeration)
+    monkeypatch.setattr(mechanism_module, "_select", no_enumeration)
     pr = Problem(instance=gen_random(GenConfig(15, 4, (1, 2), 0.5, seed=3)), beta_star=Fraction(1, 3))
     with pytest.raises(BudgetExceededError, match="MAX_AUDIT_PATIENTS = 14"):
         choice_masks(pr)
