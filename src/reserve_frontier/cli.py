@@ -28,12 +28,12 @@ from .generator import NAMED_INSTANCES, gen_named
 from .mechanism import (
     AUDIT_SHOWN,
     AuditViolation,
+    _repair,
+    _select,
+    _violations,
     audit_path_independence,
     audit_substitutability,
     choice_masks,
-    repair_priority,
-    respects_priority,
-    select_approx_on_frontier,
 )
 from .serialize import (
     frontier_to_json,
@@ -49,7 +49,8 @@ RANGE_TOKEN = re.compile(r"([A-Za-z_]*)(\d+)\.\.([A-Za-z_]*)(\d+)")
 
 def parse_subset_tokens(spec: str, n_patients: int) -> list[str]:
     """Comma-separated ids with range shorthand: "p1..p3,p7" -> p1 p2 p3 p7.
-    A range of more than n_patients ids is refused before it is expanded."""
+    Ends of one width keep it: "p08..p10" -> p08 p09 p10.  A range of more
+    than n_patients ids is refused before it is expanded."""
     out: list[str] = []
     for token in spec.split(","):
         token = token.strip()
@@ -62,7 +63,8 @@ def parse_subset_tokens(spec: str, n_patients: int) -> list[str]:
                 raise ValueError(f"empty range in subset token {token!r}")
             if hi - lo >= n_patients:
                 raise ValueError(f"subset token {token!r} names more ids than the {n_patients} patient(s)")
-            out.extend(f"{prefix}{i}" for i in range(lo, hi + 1))
+            width = len(m.group(2)) if len(m.group(2)) == len(m.group(4)) else 0
+            out.extend(f"{prefix}{i:0{width}d}" for i in range(lo, hi + 1))
         else:
             out.append(token)
     return out
@@ -127,16 +129,15 @@ def cmd_solve(args) -> int:
     if pr.beta_star is None:
         source = f"--named {args.named}" if args.named else args.input
         raise ValueError(f"{source}: solve needs a beta_star, and this input has none")
-    m, pt = select_approx_on_frontier(pr)
-    if args.respect_priority:
-        m = repair_priority(pr, m)
-    out = matching_to_dict(pr.seat_instance, m)
+    si = pr.seat_instance
+    pt, row = _select(si.pair_codes, pr.beta_star)  # no eligible pair: NoNonEmptyMatchingError
+    row = _repair(pr, row.tolist()) if args.respect_priority else row.tolist()
+    out = matching_to_dict(si, si.name_row(row))
     out["target"] = share_str(pr.beta_star)
     if args.respect_priority:
-        out["priority_violations"] = len(respects_priority(pr, m))
+        out["priority_violations"] = len(_violations(pr, row))
     _write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", args.output)
-    beta = share_str(beneficiary_share(pt)) if pt.e else "0/1"
-    print(f"e={pt.e} b={pt.b} beta={beta} target={share_str(pr.beta_star)}")
+    print(f"e={pt.e} b={pt.b} beta={share_str(beneficiary_share(pt))} target={share_str(pr.beta_star)}")
     return 0
 
 

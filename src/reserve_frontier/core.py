@@ -10,8 +10,8 @@ an optional share target beta_star and optional priority orders.  The
 Instance alone is the structural type that seat expansion, restriction
 and the generators work on.  A Problem validates its instance once, when
 it is built, and expands it once, on first use of seat_instance; every
-consumer reads that expansion.  Its priority rank tables are likewise
-built once, on first use of rank_tables.
+consumer reads that expansion.  Its priority ranks are likewise built
+once, on first use of rank_rows, as rows of patient indices.
 
 A matching is scored by the pair (e, b): total eligible matches and
 beneficiary matches.  Shares b/e are kept as exact fractions throughout.
@@ -184,17 +184,17 @@ def validate_priority(inst: Instance, po: PriorityOrder) -> PriorityOrder:
     return po
 
 
-def _build_rank_tables(pr: Problem) -> dict[str, dict[str, int]]:
-    """Problem.rank_tables."""
-    inst, index = pr.instance, pr.seat_instance.patient_index
-    tables = {}
+def _build_rank_rows(pr: Problem) -> tuple[tuple[int, ...], ...]:
+    """Problem.rank_rows."""
+    inst, index = pr.instance, pr.seat_instance.patient_index.__getitem__
+    rows = []
     for c in inst.categories:
+        elig, bene = inst.eligible[c], inst.beneficiary[c]
         if pr.priority is not None:
-            top = pr.priority.order[c][: len(inst.eligible_of(c))]
+            rows.append(tuple(map(index, pr.priority.order[c][: len(elig)])))
         else:
-            top = sorted(inst.eligible_of(c), key=lambda p: (p not in inst.beneficiary_of(c), index[p]))
-        tables[c] = {p: r for r, p in enumerate(top, 1)}
-    return tables
+            rows.append((*sorted(map(index, bene)), *sorted(map(index, elig - bene))))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -229,11 +229,11 @@ class Problem:
         return expand_to_seats(self.instance)
 
     @cached_property
-    def rank_tables(self) -> dict[str, dict[str, int]]:
-        """Per category, in instance order, the ranks (1 is highest) of its
+    def rank_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per category, in instance order, the patient indices of its
         eligible patients, best first, built on first use: from the priority
         or, when it names none, from the tier order in input order."""
-        return _build_rank_tables(self)
+        return _build_rank_rows(self)
 
 
 @dataclass(frozen=True)
@@ -267,6 +267,12 @@ class SeatInstance:
         return {s: j for j, s in enumerate(self.seats)}
 
     @cached_property
+    def category_index(self) -> tuple[int, ...]:
+        """Per seat index, the index of the seat's category in source.categories."""
+        column = {cat: c for c, cat in enumerate(self.source.categories)}
+        return tuple(column[self.seat_category[s]] for s in self.seats)
+
+    @cached_property
     def pair_codes(self) -> np.ndarray:
         """uint8 (patients x seats) pair codes: 0 ineligible, 1 eligible, 2 beneficiary."""
         index, cats = self.patient_index, self.source.categories
@@ -275,10 +281,9 @@ class SeatInstance:
             sets = [members[cat] for cat in cats]
             rows = [index[p] for ps in sets for p in ps]
             by_category[rows, np.repeat(np.arange(len(cats)), [len(ps) for ps in sets])] = code
-        column = {cat: c for c, cat in enumerate(cats)}
         # take, not by_category[:, cols], whose result is column-major: the
         # solver copies a cost matrix gathered over that into row-major order
-        return np.take(by_category, [column[self.seat_category[s]] for s in self.seats], axis=1)
+        return np.take(by_category, self.category_index, axis=1)
 
     @cached_property
     def eligible_seats(self) -> tuple[tuple[int, ...], ...]:

@@ -22,10 +22,12 @@ lie on straight segments, are filled by interpolation, and get witnesses
 from the same solver (witness_at).
 
 Every solve reads the instance's cached pair codes (0 ineligible, 1
-eligible, 2 beneficiary) with one weight per code, which the solver
-gathers into a negated float64 cost matrix (see hungarian).  A matching
-is a seat row, as in the oracle and the cycle search: row[i] is patient
-i's seat index, or -1 when patient i is unmatched.  Sweeps are scored on
+eligible, 2 beneficiary) with one weight per code, gathered into a
+negated float64 cost matrix (see hungarian).  The sweeps of one frontier
+share one such matrix, gathered once and shifted in place from one
+sweep's weights to the next (_sweeps).  A matching is a seat row, as in
+the oracle and the cycle search: row[i] is patient i's seat index, or -1
+when patient i is unmatched.  Sweeps are scored on
 their rows, and SeatInstance.name_row names only the kept kink witnesses
 and the matchings returned (frontier_iteration, witness_at, selection).
 witness_at appends its dummy columns as code 3.
@@ -35,12 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .core import Matching, MatchPoint, SeatInstance, check_cells
-from .hungarian import max_weight_assignment_dense
+from .hungarian import cost_matrix, max_weight_assignment_dense, min_cost_assignment
 
 class FrontierInvariantError(RuntimeError):
     """A computed frontier violates a structural guarantee; indicates a bug."""
@@ -126,18 +128,36 @@ def _point(codes: np.ndarray, row: np.ndarray) -> MatchPoint:
     return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, row[rows]] == 2)))
 
 
-def _assign(codes: np.ndarray, table: tuple[int, ...]) -> np.ndarray:
-    """The solver's max-weight assignment under table, as a seat row."""
-    rows, cols = max_weight_assignment_dense(codes, table)
-    row = np.full(codes.shape[0], -1, dtype=np.intp)
+def _row(n_rows: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The seat row of the pairs (rows[k], cols[k])."""
+    row = np.full(n_rows, -1, dtype=np.intp)
     row[rows] = cols
     return row
 
 
-def _sweep(codes: np.ndarray, d: int) -> tuple[MatchPoint, np.ndarray]:
-    """Sweep d scored by index: its point and its seat row."""
-    row = _assign(codes, (0, 2 * d + 1, 2 * d + 3))
-    return _point(codes, row), row
+def _sweeps(codes: np.ndarray) -> Callable[[int], tuple[MatchPoint, np.ndarray]]:
+    """sweep(d) -> (point, seat row) of sweep d in 0..n, all on one cost matrix.
+
+    The matrix is gathered at d = n, so its exactness check covers every
+    sweep's weights.  Sweep d's matrix is sweep d_prev's with each eligible
+    cell 2 (d - d_prev) lower, so a sweep shifts those cells in place.  The
+    values are integers below 2^53, so the shift is exact, and code-0 cells
+    keep their -0.0: the solver reads the bytes a fresh gather for d gives.
+    The shift's mask, one byte a cell, is freed before the solve.
+    """
+    n = max(codes.shape)
+    cost = cost_matrix(codes, (0, 2 * n + 1, 2 * n + 3))
+    at = n
+
+    def sweep(d: int) -> tuple[MatchPoint, np.ndarray]:
+        nonlocal at
+        if d != at:
+            np.subtract(cost, 2 * (d - at), out=cost, where=codes != 0)
+            at = d
+        row = _row(codes.shape[0], *min_cost_assignment(cost, codes))
+        return _point(codes, row), row
+
+    return sweep
 
 
 def frontier_iteration(si: SeatInstance, d: int) -> tuple[MatchPoint, Matching]:
@@ -145,7 +165,7 @@ def frontier_iteration(si: SeatInstance, d: int) -> tuple[MatchPoint, Matching]:
     n = max(si.pair_codes.shape)
     if not 0 <= d <= n:
         raise ValueError(f"d must be in [0, {n}], got {d}")
-    pt, row = _sweep(si.pair_codes, d)
+    pt, row = _sweeps(si.pair_codes)(d)
     return pt, si.name_row(row.tolist())
 
 
@@ -161,7 +181,7 @@ def _witness_by_index(codes: np.ndarray, pt: MatchPoint) -> np.ndarray:
     # the solver checks its cells too, but only after np.pad has built them
     check_cells(n_p, n_s + n_p - pt.e, "k-cardinality witness solve")
     padded = np.pad(codes, ((0, 0), (0, n_p - pt.e)), constant_values=3)
-    row = _assign(padded, (0, *_kcard_weights(max(codes.shape))))
+    row = _row(n_p, *max_weight_assignment_dense(padded, (0, *_kcard_weights(max(codes.shape)))))
     row[row >= n_s] = -1  # drop the dummy columns
     got = _point(codes, row)
     if got != pt:
@@ -204,7 +224,8 @@ def _frontier_by_index(codes: np.ndarray) -> tuple[list[MatchPoint], dict[MatchP
     if n == 0 or not codes.any():
         return [MatchPoint(0, 0)], {MatchPoint(0, 0): np.full(codes.shape[0], -1, dtype=np.intp)}
 
-    sweeps = {d: _sweep(codes, d) for d in (0, n)}
+    sweep = _sweeps(codes)
+    sweeps = {d: sweep(d) for d in (n, 0)}  # n first: its matrix needs no shift
     firsts = [0]  # ascending d at which a new point first appears
     todo = [(0, n)]  # intervals with both end sweeps done, leftmost on top
     while todo:
@@ -220,7 +241,7 @@ def _frontier_by_index(codes: np.ndarray) -> tuple[list[MatchPoint], dict[MatchP
             continue
         de = c.e - a.e
         mid = min(max((2 * (a.b - c.b) - de) // (2 * de), lo + 1), hi - 1)
-        sweeps[mid] = _sweep(codes, mid)
+        sweeps[mid] = sweep(mid)
         todo += [(mid, hi), (lo, mid)]
     kink_rows = dict(sweeps[d] for d in firsts)
     kinks = list(kink_rows)

@@ -21,6 +21,12 @@ same bytes and is faster alone, but it first copies the uint8 codes to
 intp: inside `solve` on a 320 x 320 instance it took 0.78-0.89 ms a
 call against 0.36 ms for the gather, on 2 shared vCPUs.
 
+`cost_matrix` makes that matrix and `min_cost_assignment` solves on it;
+`max_weight_assignment_dense` is the two in one call.  A caller that
+solves several tables over one code matrix gathers once and edits the
+matrix between solves: the frontier's sweeps shift its eligible cells
+in place (see frontier).
+
 The solver is scipy's compiled `scipy/optimize/_lsap` extension, loaded
 from its file.  `from scipy.optimize import linear_sum_assignment`
 returns the same built-in function, but it first runs the package
@@ -71,6 +77,29 @@ def fits_exactly(max_weight: int, n_left: int, n_right: int) -> bool:
     return max_weight * min(n_left, n_right) < EXACT_LIMIT
 
 
+def cost_matrix(codes: np.ndarray, table: Sequence[int]) -> np.ndarray:
+    """The solver's cost matrix for pair weights table[codes[i, j]]: the
+    negated table gathered over the codes, code-0 cells at -0.0.
+
+    Refuses a matrix over MAX_CELLS, or weights without exact headroom,
+    before it is allocated.
+    """
+    check_cells(*codes.shape, "assignment")
+    if not fits_exactly(max(table), *codes.shape):
+        raise ValueError("weights too large for exact arithmetic headroom")
+    # negate the small table, not the gathered matrix: one full-size allocation
+    return (-np.array(table, dtype=np.float64))[codes]
+
+
+def min_cost_assignment(cost: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The solver's min-cost assignment on cost, a matrix over codes whose
+    code-0 cells cost -0.0; returns (row_indices, col_indices) without
+    code-0 pairs."""
+    rows, cols = linear_sum_assignment(cost)
+    keep = codes[rows, cols] != 0
+    return rows[keep], cols[keep]
+
+
 def max_weight_assignment_dense(
     codes: np.ndarray, table: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -81,11 +110,4 @@ def max_weight_assignment_dense(
     if codes.size == 0:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
-    check_cells(*codes.shape, "assignment")
-    if not fits_exactly(max(table), *codes.shape):
-        raise ValueError("weights too large for exact arithmetic headroom")
-    # negate the small table, not the gathered matrix: one full-size allocation
-    cost = (-np.array(table, dtype=np.float64))[codes]
-    rows, cols = linear_sum_assignment(cost)
-    keep = codes[rows, cols] != 0
-    return rows[keep], cols[keep]
+    return min_cost_assignment(cost_matrix(codes, table), codes)

@@ -18,14 +18,17 @@ An admissible order ranks every eligible patient above every ineligible
 one, so a category's eligible patients hold its top |eligible| ranks and
 no ineligible patient outranks one the category can seat.  The priority
 functions therefore rank only eligible patients, and refuse a matching
-that seats a patient where they are not eligible (MatchingError).
+that seats a patient where they are not eligible (MatchingError).  They
+work on seat rows (row[i] is patient i's seat index, or -1) and on
+pr.rank_rows, each category's eligible patient indices best first;
+rank_sum, respects_priority and repair_priority check and index a
+Matching, and name what they return.  solve repairs the row it selects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -81,11 +84,57 @@ def select_approx_on_frontier(pr: Problem) -> tuple[Matching, MatchPoint]:
     return si.name_row(row.tolist()), pt
 
 
-def _rank_tables(pr: Problem, m: Matching) -> dict[str, dict[str, int]]:
-    """pr.rank_tables, once m is known to pair known patients with known seats
+def _first_swap(pr: Problem, row: Sequence[int]) -> tuple[int, int] | None:
+    """The next swap of repair on row, as (seated, unmatched) patient indices:
+    in the first category, in instance order, whose best-ranked unmatched
+    patient outranks its worst-ranked seated one, those two; None if none."""
+    category = pr.seat_instance.category_index
+    for c, rank in enumerate(pr.rank_rows):
+        free = seated = None
+        for i in rank:
+            if row[i] < 0:
+                if free is None:
+                    free = i
+            elif free is not None and category[row[i]] == c:
+                seated = i
+        if seated is not None:
+            return seated, free
+    return None
+
+
+def _repair(pr: Problem, row: Sequence[int]) -> list[int]:
+    """repair_priority on a seat row: the repaired row."""
+    row, codes = list(row), pr.seat_instance.pair_codes
+    while (swap := _first_swap(pr, row)) is not None:
+        p, q = swap
+        s = row[p]
+        if (codes[p, s] == 2) != (codes[q, s] == 2):
+            raise ValueError(
+                "input was not a frontier matching: a priority swap changed its score"
+            )
+        row[p], row[q] = -1, s
+    return row
+
+
+def _violations(pr: Problem, row: Sequence[int]) -> list[tuple[int, int, int]]:
+    """respects_priority on a seat row, as (category, seated, unmatched)
+    indices, categories in instance order and each by rank."""
+    category, out = pr.seat_instance.category_index, []
+    for c, rank in enumerate(pr.rank_rows):
+        free: list[int] = []
+        for i in rank:
+            if row[i] < 0:
+                free.append(i)
+            elif free and category[row[i]] == c:
+                out += [(c, i, q) for q in free]
+    return out
+
+
+def _seat_row(pr: Problem, m: Matching) -> list[int]:
+    """m's seat row, once m is known to pair known patients with known seats
     they are eligible for; raises MatchingError otherwise."""
-    validate_matching(pr.seat_instance, m)
-    return pr.rank_tables
+    si = pr.seat_instance
+    return si.index_matching(validate_matching(si, m))[0]
 
 
 def rank_sum(pr: Problem, m: Matching) -> int:
@@ -94,18 +143,17 @@ def rank_sum(pr: Problem, m: Matching) -> int:
     Like respects_priority and repair_priority, this ranks by the tier
     order when pr names no priority.
     """
-    ranks, si = _rank_tables(pr, m), pr.seat_instance
-    return sum(ranks[si.category_of(s)][p] for p, s in m.pairs)
+    row, category = _seat_row(pr, m), pr.seat_instance.category_index
+    return sum(
+        k for c, rank in enumerate(pr.rank_rows) for k, i in enumerate(rank, 1)
+        if row[i] >= 0 and category[row[i]] == c
+    )
 
 
 def respects_priority(pr: Problem, m: Matching) -> list[tuple[str, str, str]]:
     """All triples (category, assigned patient, unmatched patient outranking them)."""
-    ranks, si = _rank_tables(pr, m), pr.seat_instance
-    out = []
-    for p, s in m.pairs:
-        c = si.category_of(s)
-        out += [(c, p, q) for q in islice(ranks[c], ranks[c][p] - 1) if m.seat_of(q) is None]
-    return sorted(out)
+    cats, pats = pr.instance.categories, pr.seat_instance.patients
+    return sorted((cats[c], pats[p], pats[q]) for c, p, q in _violations(pr, _seat_row(pr, m)))
 
 
 def repair_priority(pr: Problem, m: Matching) -> Matching:
@@ -118,22 +166,7 @@ def repair_priority(pr: Problem, m: Matching) -> Matching:
     is a beneficiary, which on admissible orders means the input was not a
     frontier matching; that case raises with a diagnostic.
     """
-    ranks, si = _rank_tables(pr, m), pr.seat_instance
-    seat = dict(m.by_patient)
-    while True:
-        for c, rank in ranks.items():
-            unmatched = [q for q in rank if q not in seat]
-            seated = [p for p in rank if p in seat and si.category_of(seat[p]) == c]
-            if unmatched and seated and rank[unmatched[0]] < rank[seated[-1]]:
-                break
-        else:
-            return Matching.from_assignment(seat)
-        bene = pr.instance.beneficiary_of(c)
-        if (seated[-1] in bene) != (unmatched[0] in bene):
-            raise ValueError(
-                "input was not a frontier matching: a priority swap changed its score"
-            )
-        seat[unmatched[0]] = seat.pop(seated[-1])
+    return pr.seat_instance.name_row(_repair(pr, _seat_row(pr, m)))
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,9 @@ def test_subset_token_parsing():
     assert parse_subset_tokens("p1..p3,p7", 7) == ["p1", "p2", "p3", "p7"]
     assert parse_subset_tokens("p2..4", 3) == ["p2", "p3", "p4"]
     assert parse_subset_tokens("alice, bob", 2) == ["alice", "bob"]
+    assert parse_subset_tokens("p01..p03", 3) == ["p01", "p02", "p03"]  # ends of one width keep it
+    assert parse_subset_tokens("p098..p100", 3) == ["p098", "p099", "p100"]
+    assert parse_subset_tokens("p9..p11", 3) == ["p9", "p10", "p11"]
     with pytest.raises(ValueError):
         parse_subset_tokens("p5..p2", 7)
 
@@ -167,6 +170,14 @@ def test_solve_summary_line(capsys):
     doc = json.loads(out[: out.rindex("\n", 0, out.rindex("\n"))])
     assert doc["assignment"] == {"p1": "c1", "p2": "c2"}
     assert out.endswith("e=2 b=1 beta=1/2 target=7/10\n")
+
+
+def test_solve_on_an_instance_with_no_eligible_pair_exits_2(tmp_path, capsys):
+    path = tmp_path / "none.json"
+    path.write_text(json.dumps({"beta_star": "1/2", "patients": ["p1"],
+                                "categories": [{"id": "c1", "quota": 1, "eligible": [], "beneficiary": []}]}))
+    for extra in ((), ("--respect-priority",)):
+        assert run(capsys, "solve", str(path), *extra) == (2, "", "error: no non-empty matching exists\n")
 
 
 def test_solve_requires_a_share_target(capsys):

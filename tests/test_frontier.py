@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import reserve_frontier.frontier as frontier_module
+import reserve_frontier.hungarian as hungarian_module
 from reserve_frontier import (
     FrontierInvariantError,
     GenConfig,
@@ -289,18 +290,29 @@ DIFFERENTIAL_FAMILIES = {
 }
 
 
+def route_sweeps(monkeypatch, through):
+    """Answer sweep d of every frontier with through(sweep, codes, d), where
+    sweep is the frontier's own sweep function on the same codes."""
+    sweeps = frontier_module._sweeps
+
+    def routed(codes):
+        sweep = sweeps(codes)
+        return lambda d: through(sweep, codes, d)
+
+    monkeypatch.setattr(frontier_module, "_sweeps", routed)
+
+
 @pytest.mark.parametrize("family", sorted(DIFFERENTIAL_FAMILIES))
 def test_bisection_matches_the_full_sweep(family, monkeypatch):
     """The crossing split keeps the full sweep's points, kinks and witnesses
     in at most 3 * kinks - 2 sweeps (2 when one point covers every d)."""
     swept = []
-    sweep = frontier_module._sweep
 
-    def counted(codes, d):
+    def counted(sweep, codes, d):
         swept.append(d)
-        return sweep(codes, d)
+        return sweep(d)
 
-    monkeypatch.setattr(frontier_module, "_sweep", counted)
+    route_sweeps(monkeypatch, counted)
     for inst in DIFFERENTIAL_FAMILIES[family]():
         si = expand_to_seats(inst)
         points, kinks, witnesses = full_sweep_reference(si)
@@ -321,12 +333,11 @@ def tally_splits(monkeypatch, shift: int) -> Counter:
     must still match the full sweep of the same remap.  A split's interval
     is bounded by the nearest sweeps already done on either side of it.
     """
-    sweep = frontier_module._sweep
     done: dict[int, MatchPoint] = {}
     tally = Counter()
 
-    def remapped(codes, d):
-        out = sweep(codes, min(max(d + shift, 0), max(codes.shape)))
+    def remapped(sweep, codes, d):
+        out = sweep(min(max(d + shift, 0), max(codes.shape)))
         below, above = [j for j in done if j < d], [j for j in done if j > d]
         if below and above:
             lo, hi = max(below), min(above)
@@ -339,7 +350,7 @@ def tally_splits(monkeypatch, shift: int) -> Counter:
         done[d] = out[0]
         return out
 
-    monkeypatch.setattr(frontier_module, "_sweep", remapped)
+    route_sweeps(monkeypatch, remapped)
     draws = [two_conflict_copies(), *(gen_chain_family(k) for k in range(1, 5))]
     draws += [disjoint_union(*map(gen_chain_family, ks)) for ks in CHAIN_UNIONS]
     for inst in draws:
@@ -369,10 +380,74 @@ def test_a_shifted_sweep_reaches_the_upper_clamp_and_a_tie_at_x(monkeypatch):
 
 
 def test_out_of_order_interval_ends_raise(monkeypatch):
-    sweep = frontier_module._sweep
-    monkeypatch.setattr(frontier_module, "_sweep", lambda codes, d: sweep(codes, max(codes.shape) - d))
+    route_sweeps(monkeypatch, lambda sweep, codes, d: sweep(max(codes.shape) - d))
     with pytest.raises(FrontierInvariantError, match="out of order"):
         compute_frontier(expand_to_seats(two_conflict_copies()))
+
+
+def fresh_gather_sweeps(codes):
+    """The frontier's sweep function with one fresh cost matrix per sweep."""
+
+    def sweep(d):
+        rows, cols = max_weight_assignment_dense(codes, (0, 2 * d + 1, 2 * d + 3))
+        row = np.full(len(codes), -1, dtype=np.intp)
+        row[rows] = cols
+        return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2))), row
+
+    return sweep
+
+
+def shared_matrix_codes():
+    """240 seeded pair-code matrices, a quarter each all eligible, sparse,
+    dense with some rows and columns emptied, and a shuffled union of chain
+    families, whose kinks make the split search go back to smaller d."""
+    rng = np.random.default_rng(2106)
+    for k in range(240):
+        shape = rng.integers(1, 14, size=2)
+        if k % 4 == 0:
+            codes = rng.integers(1, 3, size=shape)
+        elif k % 4 == 1:
+            codes = rng.choice(3, size=shape, p=(0.8, 0.1, 0.1))
+        elif k % 4 == 2:
+            codes = rng.choice(3, size=shape, p=(0.3, 0.4, 0.3))
+            codes[rng.random(shape[0]) < 0.3] = 0
+            codes[:, rng.random(shape[1]) < 0.3] = 0
+        else:
+            ks = rng.integers(1, 9, size=rng.integers(2, 5))
+            codes = expand_to_seats(disjoint_union(*map(gen_chain_family, ks))).pair_codes
+            codes = codes[rng.permutation(len(codes))][:, rng.permutation(codes.shape[1])]
+        yield codes.astype(np.uint8)
+
+
+def test_sweeps_share_one_cost_matrix_that_reads_as_a_fresh_gather(monkeypatch):
+    """Every matrix the solver gets during _frontier_by_index has the bytes of
+    (-table)[codes] for its d, -0.0 sign bits included, and the points and
+    kink rows are those of a fresh gather per sweep."""
+    solver, got = hungarian_module.linear_sum_assignment, []
+    monkeypatch.setattr(hungarian_module, "linear_sum_assignment", lambda cost: got.append(cost.copy()) or solver(cost))
+    matrices = empty_lines = split = revisited = 0
+    for codes in shared_matrix_codes():
+        got.clear()
+        points, kink_rows = frontier_module._frontier_by_index(codes)
+        ds = []
+        for cost in got:
+            i, j = np.argwhere(codes)[0]  # an eligible cell costs -(2d + 1), or -(2d + 3) at code 2
+            d = (int(-cost[i, j]) - 1 - 2 * (codes[i, j] == 2)) // 2
+            assert cost.tobytes() == (-np.array((0, 2 * d + 1, 2 * d + 3), dtype=np.float64))[codes].tobytes()
+            ds.append(d)
+        n = max(codes.shape)
+        assert len(ds) == len(set(ds)) and (not codes.any() or {0, n} <= set(ds))
+        with monkeypatch.context() as m:
+            m.setattr(frontier_module, "_sweeps", fresh_gather_sweeps)
+            want_points, want_rows = frontier_module._frontier_by_index(codes)
+        assert points == want_points
+        assert list(kink_rows) == list(want_rows)
+        assert all(np.array_equal(kink_rows[pt], want_rows[pt]) for pt in want_rows)
+        matrices += 1
+        split += len(ds) > 2
+        empty_lines += not (codes.any(axis=0).all() and codes.any(axis=1).all())
+        revisited += any(b < a for a, b in zip(ds[2:], ds[3:]))  # after the end sweeps n and 0
+    assert (matrices, empty_lines >= 50, split >= 50, revisited >= 30) == (240, True, True, True)
 
 
 # compute_frontier as it stood before the integer-slope sweeps: sweep k in
@@ -445,7 +520,8 @@ def test_integer_slope_sweeps_keep_the_n_cubed_kinks_and_witnesses():
         # and the last kink's range ends at n: the ranges cover 0..n
         drops = [a.b - c.b for a, c in zip(f.points, f.points[1:])]
         ends = [0] + [drops[i - 1] for i, pt in enumerate(f.points) if i and pt in f.kinks] + [n + 1]
+        sweep = frontier_module._sweeps(si.pair_codes)
         for kink, lo, hi in zip(sorted(f.kinks), ends, ends[1:]):
-            assert [frontier_module._sweep(si.pair_codes, d)[0] for d in range(lo, hi)] == [kink] * (hi - lo)
+            assert [sweep(d)[0] for d in range(lo, hi)] == [kink] * (hi - lo)
             ranges_swept += 1
     assert kinks_seen >= 600 and ranges_swept >= 550, (kinks_seen, ranges_swept)

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+import reserve_frontier.cli as cli_module
 import reserve_frontier.core as core_module
 import reserve_frontier.cycles as cycles_module
 import reserve_frontier.mechanism as mechanism_module
 from reserve_frontier.mechanism import AUDIT_SHOWN, _select_from
 from reserve_frontier.oracle import Census
+from reserve_frontier.serialize import instance_to_json, matching_to_dict, share_str
 from reserve_frontier.verify import _exact_share_domination
 from reserve_frontier import (
     NAMED_INSTANCES,
@@ -559,15 +562,65 @@ def test_priority_layer_refuses_a_pair_it_cannot_rank(pairs):
                 fn(pr, m)
 
 
+def name_route_solve_stdout(pr: Problem, respect: bool) -> str:
+    """What solve prints, built on names: select_approx_on_frontier, then
+    repair_priority and respects_priority, then matching_to_dict."""
+    m, pt = select_approx_on_frontier(pr)
+    if respect:
+        m = repair_priority(pr, m)
+    out = matching_to_dict(pr.seat_instance, m)
+    out["target"] = share_str(pr.beta_star)
+    if respect:
+        out["priority_violations"] = len(respects_priority(pr, m))
+    summary = f"e={pt.e} b={pt.b} beta={share_str(beneficiary_share(pt))} target={share_str(pr.beta_star)}"
+    return json.dumps(out, indent=2, sort_keys=True) + "\n" + summary + "\n"
+
+
+def test_solve_prints_the_name_route_on_seat_rows(tmp_path, capsys):
+    """solve and solve --respect-priority repair and count on the selected
+    seat row; their stdout is the name route's, byte for byte."""
+    rng = Random(2107)
+    problems = []
+    for _ in range(200):
+        patients = rng.randint(1, 12)
+        inst = gen_random(
+            GenConfig(
+                patients, rng.randint(1, 6), (1, 3), rng.choice([0.2, 0.4, 0.7]), rng.choice([0.2, 0.5, 0.8]),
+                seed=rng.randint(0, 10**5),
+            )
+        )
+        beta = Fraction(rng.randrange(6), 5)
+        problems += [Problem(inst, beta), Problem(inst, beta, shuffled_admissible_order(inst, rng))]
+    walk = gen_random(GenConfig(320, 320, (1, 1), 3 / 320, 0.5, seed=1))
+    problems += [Problem(walk, Fraction(1, 2)), Problem(walk, Fraction(1, 2), shuffled_admissible_order(walk, rng))]
+    path, compared, swapped = tmp_path / "draw.json", Counter(), 0
+    for pr in problems:
+        path.write_text(instance_to_json(pr))
+        try:
+            swapped += bool(respects_priority(pr, select_approx_on_frontier(pr)[0]))
+            wants = [name_route_solve_stdout(pr, respect) for respect in (False, True)]
+        except NoNonEmptyMatchingError:
+            wants = [None, None]
+        for respect, want in zip((False, True), wants):
+            code = cli_module.main(["solve", str(path), *(["--respect-priority"] if respect else [])])
+            out, err = capsys.readouterr()
+            if want is None:
+                assert (code, out, err) == (2, "", "error: no non-empty matching exists\n")
+            else:
+                assert (code, out, err) == (0, want, "")
+                compared[pr.priority is None, respect] += 1
+    assert min(compared.values()) >= 150 and swapped >= 40, (compared, swapped)
+
+
 def test_rank_tables_are_built_once_per_problem(monkeypatch):
     builds = []
-    original = core_module._build_rank_tables
+    original = core_module._build_rank_rows
 
     def counting(pr):
         builds.append(pr)
         return original(pr)
 
-    monkeypatch.setattr(core_module, "_build_rank_tables", counting)
+    monkeypatch.setattr(core_module, "_build_rank_rows", counting)
     inst = gen_random(GenConfig(7, 4, (1, 2), 0.6, 0.5, seed=5))
     for priority in (None, PriorityOrder.from_tiers(inst)):
         builds.clear()
