@@ -313,10 +313,10 @@ class SeatInstance:
 
 
 # Memory limits.  A dense assignment solve costs 9 bytes a cell, a uint8
-# pair code and a float64 cost, so MAX_CELLS (about 1.7 GB of solve) is the
-# k-cardinality matrix of a 9,741 x 9,741 instance, patients x (seats +
-# patients).  MAX_SEATS bounds the seat ids that expand_to_seats builds,
-# which the cell check misses when there are few or no patients.
+# pair code and a float64 cost, so MAX_CELLS is about 1.7 GB of solve.
+# Every solve is a sweep on an admitted instance's patients x seats matrix.
+# MAX_SEATS bounds the seat ids that expand_to_seats builds, which the cell
+# check misses when there are few or no patients.
 MAX_SEATS = 208_063
 MAX_CELLS = 2 * 9_741**2
 
@@ -333,6 +333,7 @@ def expand_to_seats(inst: Instance) -> SeatInstance:
 
     An instance over MAX_SEATS seats or MAX_CELLS patients x seats is
     refused before any seat is built, so an oversized quota fails at once.
+    Seat id c#k splits at its last '#', so distinct categories give distinct seats.
     """
     if inst.total_quota > MAX_SEATS:
         raise InstanceError(f"instance too large for memory: {inst.total_quota} seat(s) "
@@ -343,8 +344,6 @@ def expand_to_seats(inst: Instance) -> SeatInstance:
     for c in inst.categories:
         for k in range(inst.quota[c]):
             sid = f"{c}#{k}"
-            if sid in seat_category:
-                raise InstanceError(f"seat id collision at {sid}")
             seats.append(sid)
             seat_category[sid] = c
     return SeatInstance(

@@ -9,8 +9,8 @@ every p_i at s_i, raising the total match count by exactly one at some
 beneficiary-match cost.  The cheapest applicable cycle steps from one
 frontier point to the next, so walking cheapest cycles from the
 max-beneficiary endpoint materializes a witness matching at every frontier
-point.  Only verify and the demos walk; production solves for witnesses
-directly (frontier.witness_at).
+point.  Only verify and the demos walk; production builds a witness
+between two kinks from their sweep rows (frontier.witness_at).
 
 Cheapest-cycle search is one Bellman-Ford from every unmatched patient at
 once, over (cost, start rank, hops) labels with predecessor links, where an

@@ -19,7 +19,7 @@ split where the scores of A and C cross, a parametric search in the
 manner of Eisner and Severance (1976, J. ACM 23(4)), so every kink is
 found in O(kinks) sweeps instead of n.  Frontier points between kinks
 lie on straight segments, are filled by interpolation, and get witnesses
-from the same solver (witness_at).
+from the two kink rows around them (witness_at).
 
 Every solve reads the instance's cached pair codes (0 ineligible, 1
 eligible, 2 beneficiary) with one weight per code, gathered into a
@@ -30,19 +30,18 @@ the oracle and the cycle search: row[i] is patient i's seat index, or -1
 when patient i is unmatched.  Sweeps are scored on
 their rows, and SeatInstance.name_row names only the kept kink witnesses
 and the matchings returned (frontier_iteration, witness_at, selection).
-witness_at appends its dummy columns as code 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Matching, MatchPoint, SeatInstance, check_cells
-from .hungarian import cost_matrix, max_weight_assignment_dense, min_cost_assignment
+from .core import Matching, MatchPoint, SeatInstance
+from .hungarian import cost_matrix, min_cost_assignment
 
 class FrontierInvariantError(RuntimeError):
     """A computed frontier violates a structural guarantee; indicates a bug."""
@@ -109,19 +108,6 @@ def kinks_of(points: Sequence[MatchPoint]) -> frozenset[MatchPoint]:
     return frozenset(out)
 
 
-def _kcard_weights(n: int) -> tuple[int, int, int]:
-    """Weights (plain pair, beneficiary pair, dummy) W = n + 1, W + 1 and 2n + 2
-    of the k-cardinality solve at total e, which has P - e dummy columns.
-
-    Leaving j < P - e dummies empty gains at most (P - e - j) * W + n but loses
-    (P - e - j) * (2n + 2).  With every dummy filled, W > n >= b puts e real
-    pairs first and the largest b second: the frontier point at e.  A solve
-    within the memory limits is exact: P^2 <= P * (S + P - e) <= MAX_CELLS
-    and S <= MAX_SEATS keep (2n + 2) * P below 10^10, far under 2^53.
-    """
-    return n + 1, n + 2, 2 * n + 2
-
-
 def _point(codes: np.ndarray, row: np.ndarray) -> MatchPoint:
     """The point of a seat row on its pair-code matrix."""
     rows = np.flatnonzero(row >= 0)
@@ -169,23 +155,49 @@ def frontier_iteration(si: SeatInstance, d: int) -> tuple[MatchPoint, Matching]:
     return pt, si.name_row(row.tolist())
 
 
-def witness_at(si: SeatInstance, pt: MatchPoint) -> Matching:
-    """A matching at frontier point pt, from one k-cardinality assignment (Dell'Amico
-    and Martello, 1997).  Raises FrontierInvariantError if it does not score pt."""
-    return si.name_row(_witness_by_index(si.pair_codes, pt).tolist())
+def witness_at(si: SeatInstance, f: Frontier, pt: MatchPoint) -> Matching:
+    """f's witness at frontier point pt, else one built from the two around it."""
+    if pt in f.witnesses:
+        return f.witnesses[pt]
+    rows = {q: np.array(si.index_matching(f.witnesses[q])[0]) for q in _bracket(f.witnesses, pt)}
+    return si.name_row(_witness_row(si.pair_codes, rows, pt).tolist())
 
 
-def _witness_by_index(codes: np.ndarray, pt: MatchPoint) -> np.ndarray:
-    """witness_at on a pair-code matrix, as a seat row."""
-    n_p, n_s = codes.shape
-    # the solver checks its cells too, but only after np.pad has built them
-    check_cells(n_p, n_s + n_p - pt.e, "k-cardinality witness solve")
-    padded = np.pad(codes, ((0, 0), (0, n_p - pt.e)), constant_values=3)
-    row = _row(n_p, *max_weight_assignment_dense(padded, (0, *_kcard_weights(max(codes.shape)))))
-    row[row >= n_s] = -1  # drop the dummy columns
+def _bracket(witnessed: Iterable[MatchPoint], pt: MatchPoint) -> tuple[MatchPoint, MatchPoint]:
+    """The witnessed points just below and just above pt."""
+    return max(q for q in witnessed if q.e < pt.e), min(q for q in witnessed if q.e > pt.e)
+
+
+def _witness_row(codes: np.ndarray, rows: Mapping[MatchPoint, np.ndarray], pt: MatchPoint) -> np.ndarray:
+    """rows[pt] itself if pt has one.  Otherwise, for the points A and C just
+    below and above pt, A's row with the first pt.e - A.e augmenting paths
+    of A xor C applied.  No kink lies between A and C, so for their integer
+    slope s both maximize s e + b, and each path or cycle of A xor C (Berge,
+    1957) keeps that score: an augmenting path adds a match at a loss of s,
+    and at least C.e - A.e components augment.  Each starts at a patient
+    whom C seats and A does not, taken by ascending patient; one that ends
+    at a patient whom C leaves unmatched moves neither count and is skipped.
+    Raises FrontierInvariantError if the row does not score pt.
+    """
+    if pt in rows:
+        return rows[pt]
+    a, c = _bracket(rows, pt)
+    row, c_row = rows[a].copy(), rows[c].tolist()
+    holder = np.full(codes.shape[1], -1, dtype=np.intp)  # A's patient at each seat
+    holder[row[row >= 0]] = np.flatnonzero(row >= 0)
+    holder, need = holder.tolist(), pt.e - a.e
+    for i in np.flatnonzero((row < 0) & (rows[c] >= 0)).tolist():
+        if not need:
+            break
+        path = [i]
+        while (i := holder[c_row[i]]) >= 0 and c_row[i] >= 0:
+            path.append(i)
+        if i < 0:  # C's seat is free in A: an augmenting path
+            row[path] = [c_row[k] for k in path]
+            need -= 1
     got = _point(codes, row)
     if got != pt:
-        raise FrontierInvariantError(f"k-cardinality solve gave {got}, not {pt}")
+        raise FrontierInvariantError(f"witness between {a} and {c} scores {got}, not {pt}")
     return row
 
 
@@ -271,6 +283,6 @@ def half_bound_ratio(f: Frontier) -> Fraction:
 
 
 def with_all_witnesses(si: SeatInstance, f: Frontier) -> Frontier:
-    """f with a witness at every point: one witness_at solve per missing one."""
-    missing = {pt: witness_at(si, pt) for pt in f.points if pt not in f.witnesses}
+    """f with a witness at every point: witness_at at each missing one."""
+    missing = {pt: witness_at(si, f, pt) for pt in f.points if pt not in f.witnesses}
     return Frontier(points=f.points, kinks=f.kinks, witnesses={**f.witnesses, **missing})

@@ -21,11 +21,10 @@ same bytes and is faster alone, but it first copies the uint8 codes to
 intp: inside `solve` on a 320 x 320 instance it took 0.78-0.89 ms a
 call against 0.36 ms for the gather, on 2 shared vCPUs.
 
-`cost_matrix` makes that matrix and `min_cost_assignment` solves on it;
-`max_weight_assignment_dense` is the two in one call.  A caller that
-solves several tables over one code matrix gathers once and edits the
-matrix between solves: the frontier's sweeps shift its eligible cells
-in place (see frontier).
+`cost_matrix` makes that matrix and `min_cost_assignment` solves on it.
+Their one caller, the frontier's sweeps, gathers once per frontier and
+shifts the matrix's eligible cells in place between solves (see
+frontier).
 
 The solver is scipy's compiled `scipy/optimize/_lsap` extension, loaded
 from its file.  `from scipy.optimize import linear_sum_assignment`
@@ -98,16 +97,3 @@ def min_cost_assignment(cost: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray
     rows, cols = linear_sum_assignment(cost)
     keep = codes[rows, cols] != 0
     return rows[keep], cols[keep]
-
-
-def max_weight_assignment_dense(
-    codes: np.ndarray, table: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Max-weight assignment where pair (i, j) weighs table[codes[i, j]].
-
-    Returns the selected (row_indices, col_indices) without code-0 pairs.
-    """
-    if codes.size == 0:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty
-    return min_cost_assignment(cost_matrix(codes, table), codes)

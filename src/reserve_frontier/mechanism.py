@@ -42,7 +42,7 @@ from .core import (
     beneficiary_share,
     validate_matching,
 )
-from .frontier import Frontier, _frontier_by_index, _witness_by_index, witness_at
+from .frontier import Frontier, _frontier_by_index, _witness_row, witness_at
 
 
 class NoNonEmptyMatchingError(ValueError):
@@ -58,18 +58,17 @@ def _select_point(points: Sequence[MatchPoint], beta_star: Fraction) -> MatchPoi
 
 
 def _select_from(si: SeatInstance, f: Frontier, beta_star: Fraction) -> tuple[Matching, MatchPoint]:
-    """The selected point and its witness, the one with_all_witnesses would give:
-    f's own at a kink, else one k-cardinality solve (witness_at)."""
+    """The selected point and its witness_at witness, the one with_all_witnesses gives."""
     pt = _select_point(f.points, beta_star)
-    return (f.witnesses[pt] if pt in f.witnesses else witness_at(si, pt)), pt
+    return witness_at(si, f, pt), pt
 
 
 def _select(codes: np.ndarray, beta_star: Fraction) -> tuple[MatchPoint, np.ndarray]:
     """_select_from on a pair-code matrix, with the witness as a seat row: the
-    kink's sweep row, else one k-cardinality solve (_witness_by_index)."""
+    kink's sweep row, else one built from the kink rows around it (_witness_row)."""
     points, kink_rows = _frontier_by_index(codes)
     pt = _select_point(points, beta_star)
-    return pt, kink_rows[pt] if pt in kink_rows else _witness_by_index(codes, pt)
+    return pt, _witness_row(codes, kink_rows, pt)
 
 
 def select_approx_on_frontier(pr: Problem) -> tuple[Matching, MatchPoint]:
@@ -204,9 +203,9 @@ def choice_masks(pr: Problem) -> tuple[tuple[str, ...], np.ndarray]:
     pr.seat_instance.pair_codes, the matrix that restricting the instance
     to it and expanding that would build.  At a point that is not a kink,
     optimal matchings that seat different patients can tie, so C, and every
-    audit count built on it, depends on which one the solver returns: on
+    audit count built on it, depends on which one _witness_row builds: on
     one 7-patient draw the audits find 528 path-independence and 43
-    substitutability violations with one witness and 418 and 30 with another.
+    substitutability violations with its witness and 418 and 30 with another.
     """
     patients = pr.instance.patients
     if len(patients) > MAX_AUDIT_PATIENTS:

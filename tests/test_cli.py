@@ -463,14 +463,8 @@ def tall_conflict_doc(n_fillers: int) -> dict:
             f"instance (patients x seats) too large for memory: 9742 x 19482 = {9742 * 19482} cells"
             f" exceed MAX_CELLS = {2 * 9741**2}",
         ),
-        (
-            tall_conflict_doc(20_000),
-            ("frontier", "--format", "json", "--witnesses"),
-            f"k-cardinality witness solve too large for memory: 20004 x 20005 = {20004 * 20005} cells",
-        ),
-        (tall_conflict_doc(20_000), ("solve",), "20004 x 20005"),
     ],
-    ids=["seats", "patients-x-seats", "witness-frontier", "witness-solve"],
+    ids=["seats", "patients-x-seats"],
 )
 def test_memory_limits_exit_2_naming_the_limit_before_allocating(doc, argv, message, tmp_path, capsys):
     path = tmp_path / "big.json"
@@ -483,8 +477,27 @@ def test_memory_limits_exit_2_naming_the_limit_before_allocating(doc, argv, mess
         tracemalloc.stop()
     assert code == 2 and out == ""
     assert message in err
-    # the witness solve would allocate 4 * 10^8 pair codes before its cost matrix
     assert peak < 100 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+def test_a_tall_instance_gets_its_segment_witness_from_frontier_and_solve(tmp_path, capsys):
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(tall_conflict_doc(20_000)))
+    outs = []
+    for argv in (("frontier", "--format", "json", "--witnesses"), ("solve",)):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and err == ""
+        assert peak < 100 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+        outs.append(out)
+    witness = {w["e"]: w["assignment"] for w in json.loads(outs[0])["witnesses"]}
+    solved = json.loads(outs[1][: outs[1].rindex("}") + 1])
+    assert sorted(witness) == [2, 3, 4] and solved["e"] == 3
+    assert solved["assignment"] == witness[3]
 
 
 def test_a_tall_instance_within_the_limits_gets_its_frontier(tmp_path, capsys):

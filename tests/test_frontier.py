@@ -31,8 +31,8 @@ from reserve_frontier import (
     validate_matching,
     with_all_witnesses,
 )
-from reserve_frontier.frontier import witness_at
-from reserve_frontier.hungarian import max_weight_assignment_dense
+from reserve_frontier.frontier import _point, _witness_row, witness_at
+from reserve_frontier.hungarian import cost_matrix, min_cost_assignment
 from reserve_frontier.oracle import Census
 
 
@@ -138,12 +138,16 @@ def test_with_all_witnesses_fills_interior_points():
         assert match_point(si, m) == pt
 
 
-def test_kcard_witness_agrees_with_the_cycle_walk():
+def test_segment_witness_agrees_with_the_cycle_walk():
     # unit quotas at 3/n eligibility leave straight segments, so many points
     # are not kinks; criterion 12 is the largest frontier the tests build
     rng = Random(6)
     sizes = [rng.randint(6, 30) for _ in range(300)]
     draws = [GenConfig(n, n, (1, 1), 3 / n, 0.5, seed) for seed, n in enumerate(sizes)]
+    rng = Random(22)
+    for seed in range(300):
+        n = rng.randint(30, 100)
+        draws.append(GenConfig(n, n, (1, 1), 3 / n, rng.choice([0.3, 0.5, 0.7]), seed))
     draws.append(GenConfig(500, 200, (1, 4), 0.04, 0.35, seed=7))
     insts = [gen_random(cfg) for cfg in draws] + [gen_chain_family(k) for k in range(1, 8)]
     interior = 0
@@ -153,17 +157,55 @@ def test_kcard_witness_agrees_with_the_cycle_walk():
         walk = frontier_walk(si, f.witnesses[f.points[0]])
         assert [pt for pt, _ in walk] == list(f.points)
         for pt in f.points:
-            m = witness_at(si, pt)
+            m = witness_at(si, f, pt)
             validate_matching(si, m)
             assert match_point(si, m) == pt
         interior += len(f.points) - len(f.kinks)
-    assert interior >= 60
+    assert interior >= 500
 
 
-def test_kcard_witness_refuses_a_point_off_the_frontier():
+def test_segment_witness_refuses_a_point_off_the_frontier():
     si = expand_to_seats(two_conflict_copies())
-    with pytest.raises(FrontierInvariantError, match="k-cardinality"):
-        witness_at(si, MatchPoint(3, 2))
+    with pytest.raises(FrontierInvariantError, match=r"between .* scores MatchPoint\(e=3, b=1\)"):
+        witness_at(si, compute_frontier(si), MatchPoint(3, 2))
+
+
+# Hand-built rows A at (6, 4) and C at (9, 1), both optimal at one plain
+# weight, two a beneficiary pair.  A xor C holds, by start patient: an even
+# path 0 -> s0 -> 2 ending at patient 2, whom C leaves unmatched; augmenting
+# paths from patients 1, 4 and 8, each trading a beneficiary pair of A for
+# two plain pairs of C; and the cycle 6 -> s6 -> 7 -> s5 -> 6.
+SEGMENT_CODES = {(0, 0): 1, (2, 0): 1, (1, 1): 1, (3, 1): 2, (3, 2): 1, (4, 3): 1, (5, 3): 2, (5, 4): 1,
+                 (6, 5): 2, (7, 6): 1, (6, 6): 2, (7, 5): 1, (8, 7): 1, (9, 7): 2, (9, 8): 1}
+SEGMENT_A = [-1, -1, 0, 1, -1, 3, 5, 6, -1, 7]
+SEGMENT_C = [0, 1, -1, 2, 3, 4, 6, 5, 7, 8]
+
+
+def segment_rows():
+    codes = np.zeros((10, 9), dtype=np.uint8)
+    for cell, code in SEGMENT_CODES.items():
+        codes[cell] = code
+    rows = {_point(codes, np.array(row)): np.array(row, dtype=np.intp) for row in (SEGMENT_A, SEGMENT_C)}
+    assert list(rows) == pts((6, 4), (9, 1))
+    return codes, rows
+
+
+def test_witness_row_applies_the_first_augmenting_paths_of_the_two_kink_rows():
+    codes, rows = segment_rows()
+    for pt in rows:
+        assert _witness_row(codes, rows, pt) is rows[pt]  # a kink's row, not a copy
+    # the even path from patient 0 and the cycle stay as A has them
+    want = {
+        MatchPoint(7, 3): [-1, 1, 0, 2, -1, 3, 5, 6, -1, 7],
+        MatchPoint(8, 2): [-1, 1, 0, 2, 3, 4, 5, 6, -1, 7],
+    }
+    for pt, row in want.items():
+        got = _witness_row(codes, rows, pt)
+        assert got.tolist() == row
+        assert _point(codes, got) == pt
+    assert rows[MatchPoint(6, 4)].tolist() == SEGMENT_A  # A's row is not edited
+    with pytest.raises(FrontierInvariantError, match=r"scores MatchPoint\(e=7, b=3\), not MatchPoint\(e=7, b=4\)"):
+        _witness_row(codes, rows, MatchPoint(7, 4))
 
 
 def test_zero_eligibility_gives_the_empty_point():
@@ -389,7 +431,7 @@ def fresh_gather_sweeps(codes):
     """The frontier's sweep function with one fresh cost matrix per sweep."""
 
     def sweep(d):
-        rows, cols = max_weight_assignment_dense(codes, (0, 2 * d + 1, 2 * d + 3))
+        rows, cols = min_cost_assignment(cost_matrix(codes, (0, 2 * d + 1, 2 * d + 3)), codes)
         row = np.full(len(codes), -1, dtype=np.intp)
         row[rows] = cols
         return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2))), row
@@ -461,7 +503,7 @@ def ref_n_cubed_kinks(si):
         return [MatchPoint(0, 0)], {MatchPoint(0, 0): frontier_module.Matching.empty()}
 
     def sweep(k):
-        rows, cols = max_weight_assignment_dense(codes, (0, k * n * n, k * n * n + n * n + k))
+        rows, cols = min_cost_assignment(cost_matrix(codes, (0, k * n * n, k * n * n + n * n + k)), codes)
         row = np.full(len(codes), -1)  # the seat row: patient i's seat, or -1
         row[rows] = cols
         return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2))), row

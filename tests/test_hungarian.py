@@ -13,8 +13,7 @@ from scipy.optimize import linear_sum_assignment
 
 from reserve_frontier import GenConfig, expand_to_seats, gen_random, hungarian
 from reserve_frontier.core import MAX_CELLS, InstanceError
-from reserve_frontier.frontier import _kcard_weights
-from reserve_frontier.hungarian import EXACT_LIMIT, fits_exactly, max_weight_assignment_dense
+from reserve_frontier.hungarian import EXACT_LIMIT, cost_matrix, fits_exactly, min_cost_assignment
 
 
 def as_codes(dense: np.ndarray, allowed: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -22,6 +21,11 @@ def as_codes(dense: np.ndarray, allowed: np.ndarray) -> tuple[np.ndarray, list[i
     cell, code 0 for every forbidden one."""
     codes = np.where(allowed, np.arange(1, dense.size + 1).reshape(dense.shape), 0)
     return codes, [0, *dense.ravel().tolist()]
+
+
+def assign(codes: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
+    """The max-weight assignment where pair (i, j) weighs table[codes[i, j]]."""
+    return min_cost_assignment(cost_matrix(codes, table), codes)
 
 
 def reference_assignment(weights: np.ndarray, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -57,7 +61,7 @@ def solve(n_left: int, n_right: int, weights: dict) -> tuple[dict[int, int], int
     for (i, j), w in weights.items():
         dense[i, j] = w
         allowed[i, j] = True
-    rows, cols = max_weight_assignment_dense(*as_codes(dense, allowed))
+    rows, cols = assign(*as_codes(dense, allowed))
     return dict(zip(rows.tolist(), cols.tolist())), int(dense[rows, cols].sum())
 
 
@@ -115,7 +119,7 @@ def test_dense_agrees_with_brute_force_on_zero_weight_pairs():
                     allowed[i, j] = True
                     w[i, j] = rng.randint(0, 30)
                     weights[(i, j)] = int(w[i, j])
-        rows, cols = max_weight_assignment_dense(*as_codes(w, allowed))
+        rows, cols = assign(*as_codes(w, allowed))
         dense_total = int(w[rows, cols].sum())
         assert dense_total == brute_force_total(n, m, weights)
         assert allowed[rows, cols].all()
@@ -172,18 +176,8 @@ def test_code_table_entry_matches_the_int64_maximize_solve_on_sweeps_and_pads():
         for d in sorted({0, n // 3, n}):
             w_elig, w_bene = 2 * d + 1, 2 * d + 3  # the weights of sweep d
             weights = np.where(bene, w_bene, np.where(elig, w_elig, 0)).astype(np.int64)
-            got = max_weight_assignment_dense(codes, (0, w_elig, w_bene))
+            got = assign(codes, (0, w_elig, w_bene))
             assert_same_pairs(got, reference_assignment(weights, elig))
-
-        w_elig, w_bene, w_dummy = _kcard_weights(n)
-        for e in sorted({0, n_p // 2, n_p}):
-            pad = ((0, 0), (0, n_p - e))
-            weights = np.where(bene, w_bene, np.where(elig, w_elig, 0)).astype(np.int64)
-            weights = np.pad(weights, pad, constant_values=w_dummy)
-            got = max_weight_assignment_dense(
-                np.pad(codes, pad, constant_values=3), (0, w_elig, w_bene, w_dummy)
-            )
-            assert_same_pairs(got, reference_assignment(weights, np.pad(elig, pad, constant_values=True)))
 
 
 def test_the_cost_matrix_is_the_negated_table_indexed_by_the_codes(monkeypatch):
@@ -195,18 +189,17 @@ def test_the_cost_matrix_is_the_negated_table_indexed_by_the_codes(monkeypatch):
     rng = np.random.default_rng(20)
     for _ in range(200):
         n_p, n_s = (int(v) for v in rng.integers(1, 25, size=2))
-        n = max(n_p, n_s)
-        d = int(rng.integers(0, n + 1))
-        for table in ((0, 2 * d + 1, 2 * d + 3), (0, *_kcard_weights(n))):  # a sweep, a k-cardinality solve
-            codes = rng.integers(0, len(table), size=(n_p, n_s), dtype=np.uint8)
-            costs.clear()
-            max_weight_assignment_dense(codes, table)
-            want = (-np.array(table, dtype=np.float64))[codes]
-            (got,) = costs
-            assert got.dtype == np.float64 and got.shape == codes.shape
-            assert got.tobytes() == want.tobytes()
-            assert np.array_equal(np.signbit(got), np.signbit(want))
-            assert np.signbit(got[codes == 0]).all()
+        d = int(rng.integers(0, max(n_p, n_s) + 1))
+        table = (0, 2 * d + 1, 2 * d + 3)  # the weights of sweep d
+        codes = rng.integers(0, len(table), size=(n_p, n_s), dtype=np.uint8)
+        costs.clear()
+        assign(codes, table)
+        want = (-np.array(table, dtype=np.float64))[codes]
+        (got,) = costs
+        assert got.dtype == np.float64 and got.shape == codes.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.signbit(got[codes == 0]).all()
 
 
 def test_code_table_entry_matches_the_int64_maximize_solve_near_the_headroom():
@@ -218,10 +211,10 @@ def test_code_table_entry_matches_the_int64_maximize_solve_near_the_headroom():
         dense = np.array([[rng.randint(top - 1000, top) for _ in range(4)] for _ in range(3)], dtype=np.int64)
         dense[~allowed] = 0
         for w, a in ((dense, allowed), (dense.T.copy(), allowed.T.copy())):
-            got = max_weight_assignment_dense(*as_codes(w, a))
+            got = assign(*as_codes(w, a))
             assert_same_pairs(got, reference_assignment(w, a))
     with pytest.raises(ValueError, match="exact arithmetic headroom"):
-        max_weight_assignment_dense(np.ones((3, 4), dtype=np.uint8), (0, top + 1))
+        assign(np.ones((3, 4), dtype=np.uint8), (0, top + 1))
 
 
 def test_a_matrix_over_the_cell_limit_is_refused_before_its_cost_matrix_exists():
@@ -231,7 +224,7 @@ def test_a_matrix_over_the_cell_limit_is_refused_before_its_cost_matrix_exists()
     assert (side - 1) ** 2 <= MAX_CELLS < side**2
     over = np.broadcast_to(np.uint8(1), (side, side))
     with pytest.raises(InstanceError, match=f"assignment too large for memory: {side} x {side}"):
-        max_weight_assignment_dense(over, (0, 1))
+        assign(over, (0, 1))
 
 
 def test_the_solver_is_scipys_built_in():
