@@ -463,8 +463,24 @@ def tall_conflict_doc(n_fillers: int) -> dict:
             f"instance (patients x seats) too large for memory: 9742 x 19482 = {9742 * 19482} cells"
             f" exceed MAX_CELLS = {2 * 9741**2}",
         ),
+        # witnesses come from the frontier's one cost matrix, so the cell
+        # limit is the one that guards them
+        (
+            {"categories": [{"id": "c1", "quota": 2 * 9741}], "patients": [f"p{i}" for i in range(9742)]},
+            ("frontier", "--format", "json", "--witnesses"),
+            f"instance (patients x seats) too large for memory: 9742 x 19482 = {9742 * 19482} cells",
+        ),
+        (
+            {
+                "categories": [{"id": "c1", "quota": 2 * 9741}],
+                "patients": [f"p{i}" for i in range(9742)],
+                "beta_star": "1/3",
+            },
+            ("solve",),
+            "9742 x 19482",
+        ),
     ],
-    ids=["seats", "patients-x-seats"],
+    ids=["seats", "patients-x-seats", "witness-frontier", "witness-solve"],
 )
 def test_memory_limits_exit_2_naming_the_limit_before_allocating(doc, argv, message, tmp_path, capsys):
     path = tmp_path / "big.json"
