@@ -41,7 +41,7 @@ inst = validate_instance(
 
 si = expand_to_seats(inst)
 f = compute_frontier(si)
-start = f.witnesses[f.points[0]]
+start = si.name_row(f.witnesses[f.points[0]])  # the cycle search walks named matchings
 
 print("start at the max-beneficiary endpoint:", tuple(f.points[0]))
 print(f"{len(si.patients)} patients and {len(si.seats)} unit seats")

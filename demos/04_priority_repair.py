@@ -15,7 +15,6 @@ from reserve_frontier import (
     GenConfig,
     PriorityOrder,
     Problem,
-    expand_to_seats,
     gen_random,
     match_point,
     rank_sum,
@@ -42,20 +41,26 @@ for c in inst.categories:
 
 pr = Problem(instance=inst, beta_star=Fraction(1, 3), priority=PriorityOrder(order=order))
 
-m, pt = select_approx_on_frontier(pr)
-si = expand_to_seats(inst)
-before = respects_priority(pr, m)
+# a matching is a seat row: row[i] is patient i's seat index, or -1;
+# violations are (category, seated patient, unmatched patient) indices
+row, pt = select_approx_on_frontier(pr)
+si = pr.seat_instance
+before = respects_priority(pr, row)
 print(f"selected point {tuple(pt)} with {len(before)} priority violation(s)")
 for c, seated, skipped in before:
-    print(f"  {c}: seated {seated} over unmatched {skipped}")
+    print(f"  {inst.categories[c]}: seated {si.patients[seated]} over unmatched {si.patients[skipped]}")
 
-fixed = repair_priority(pr, m)
+fixed = repair_priority(pr, row)
 after = respects_priority(pr, fixed)
 print(f"\nafter repair: {len(after)} violation(s)")
-print("point unchanged:", match_point(si, fixed) == pt)
-print(f"rank sum {rank_sum(pr, m)} -> {rank_sum(pr, fixed)}")
+print("point unchanged:", match_point(si, si.name_row(fixed)) == pt)
+print(f"rank sum {rank_sum(pr, row)} -> {rank_sum(pr, fixed)}")
 
-was = {p: si.category_of(s) for p, s in m.pairs}
-now = {p: si.category_of(s) for p, s in fixed.pairs}
+
+def categories(row):
+    return {p: si.category_of(si.seats[j]) for p, j in zip(si.patients, row) if j >= 0}
+
+
+was, now = categories(row), categories(fixed)
 changed = sorted(f"{p}->{c}" for p, c in now.items() if was.get(p) != c)
 print("reseated:", ", ".join(changed) or "(nothing)")

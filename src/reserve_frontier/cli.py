@@ -28,12 +28,12 @@ from .generator import NAMED_INSTANCES, gen_named
 from .mechanism import (
     AUDIT_SHOWN,
     AuditViolation,
-    _repair,
-    _select,
-    _violations,
     audit_path_independence,
     audit_substitutability,
     choice_masks,
+    repair_priority,
+    respects_priority,
+    select_approx_on_frontier,
 )
 from .serialize import (
     frontier_to_json,
@@ -129,13 +129,13 @@ def cmd_solve(args) -> int:
     if pr.beta_star is None:
         source = f"--named {args.named}" if args.named else args.input
         raise ValueError(f"{source}: solve needs a beta_star, and this input has none")
-    si = pr.seat_instance
-    pt, row = _select(si.pair_codes, pr.beta_star)  # no eligible pair: NoNonEmptyMatchingError
-    row = _repair(pr, row.tolist()) if args.respect_priority else row.tolist()
-    out = matching_to_dict(si, si.name_row(row))
+    row, pt = select_approx_on_frontier(pr)  # no eligible pair: NoNonEmptyMatchingError
+    if args.respect_priority:
+        row = repair_priority(pr, row)
+    out = matching_to_dict(pr.seat_instance, row)
     out["target"] = share_str(pr.beta_star)
     if args.respect_priority:
-        out["priority_violations"] = len(_violations(pr, row))
+        out["priority_violations"] = len(respects_priority(pr, row))
     _write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", args.output)
     print(f"e={pt.e} b={pt.b} beta={share_str(beneficiary_share(pt))} target={share_str(pr.beta_star)}")
     return 0

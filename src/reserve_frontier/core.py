@@ -114,12 +114,11 @@ def validate_instance(inst: Instance) -> Instance:
             if c not in cats:
                 raise InstanceError(f"{name} references unknown category {c}")
     for c in inst.categories:
-        for p in inst.eligible_of(c):
-            if p not in pats:
-                raise InstanceError(f"category {c}: eligible patient {p} not in patient set")
-        for p in inst.beneficiary_of(c):
-            if p not in inst.eligible_of(c):
-                raise InstanceError(f"category {c}: beneficiary {p} not eligible")
+        elig = inst.eligible_of(c)
+        for p in elig - pats:
+            raise InstanceError(f"category {c}: eligible patient {p} not in patient set")
+        for p in inst.beneficiary_of(c) - elig:
+            raise InstanceError(f"category {c}: beneficiary {p} not eligible")
     return inst
 
 

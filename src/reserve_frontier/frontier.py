@@ -26,21 +26,21 @@ eligible, 2 beneficiary) with one weight per code, gathered into a
 negated float64 cost matrix (see hungarian).  The sweeps of one frontier
 share one such matrix, gathered once and shifted in place from one
 sweep's weights to the next (_sweeps).  A matching is a seat row, as in
-the oracle and the cycle search: row[i] is patient i's seat index, or -1
-when patient i is unmatched.  Sweeps are scored on
-their rows, and SeatInstance.name_row names only the kept kink witnesses
-and the matchings returned (frontier_iteration, witness_at, selection).
+the oracle: row[i] is patient i's seat index, or -1 when patient i is
+unmatched.  Sweeps are scored on their rows, and every witness this
+module returns is a seat row, a tuple of ints; names are given at the
+I/O boundary (serialize) or by SeatInstance.name_row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Matching, MatchPoint, SeatInstance
+from .core import MatchPoint, SeatInstance
 from .hungarian import cost_matrix, min_cost_assignment
 
 class FrontierInvariantError(RuntimeError):
@@ -51,13 +51,14 @@ class FrontierInvariantError(RuntimeError):
 class Frontier:
     """Non-domination frontier: points ascending in e, kinks, and witnesses.
 
-    Witnesses are guaranteed at every kink (hence both endpoints); interior
-    straight-segment points get one on demand from witness_at.
+    A witness is a seat row.  Witnesses are guaranteed at every kink (hence
+    both endpoints); interior straight-segment points get one on demand
+    from witness_at.
     """
 
     points: tuple[MatchPoint, ...]
     kinks: frozenset[MatchPoint]
-    witnesses: Mapping[MatchPoint, Matching]
+    witnesses: Mapping[MatchPoint, tuple[int, ...]]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
@@ -146,47 +147,41 @@ def _sweeps(codes: np.ndarray) -> Callable[[int], tuple[MatchPoint, np.ndarray]]
     return sweep
 
 
-def frontier_iteration(si: SeatInstance, d: int) -> tuple[MatchPoint, Matching]:
-    """Single weighted sweep: the frontier point that maximizes (2d + 1) e + 2b."""
+def frontier_iteration(si: SeatInstance, d: int) -> tuple[MatchPoint, tuple[int, ...]]:
+    """Single weighted sweep: the frontier point that maximizes (2d + 1) e + 2b, and its row."""
     n = max(si.pair_codes.shape)
     if not 0 <= d <= n:
         raise ValueError(f"d must be in [0, {n}], got {d}")
     pt, row = _sweeps(si.pair_codes)(d)
-    return pt, si.name_row(row.tolist())
+    return pt, tuple(row.tolist())
 
 
-def witness_at(si: SeatInstance, f: Frontier, pt: MatchPoint) -> Matching:
-    """f's witness at frontier point pt, else one built from the two around it."""
+def witness_at(codes: np.ndarray, f: Frontier, pt: MatchPoint) -> tuple[int, ...]:
+    """The seat row of a matching at frontier point pt of f, the frontier of
+    the pair-code matrix codes (si.pair_codes).
+
+    f's own witness if pt has one.  Otherwise, for the witnessed points A
+    and C just below and above pt, A's row with the first pt.e - A.e
+    augmenting paths of A xor C applied.  No kink lies between A and C, so
+    for their integer slope s both maximize s e + b, and each path or cycle
+    of A xor C (Berge, 1957) keeps that score: an augmenting path adds a
+    match at a loss of s, and at least C.e - A.e components augment.  Each
+    starts at a patient whom C seats and A does not, taken by ascending
+    patient; one that ends at a patient whom C leaves unmatched moves
+    neither count and is skipped.  Raises ValueError if pt is not a point
+    of f, and FrontierInvariantError if the row does not score pt.
+    """
     if pt in f.witnesses:
         return f.witnesses[pt]
-    rows = {q: np.array(si.index_matching(f.witnesses[q])[0]) for q in _bracket(f.witnesses, pt)}
-    return si.name_row(_witness_row(si.pair_codes, rows, pt).tolist())
-
-
-def _bracket(witnessed: Iterable[MatchPoint], pt: MatchPoint) -> tuple[MatchPoint, MatchPoint]:
-    """The witnessed points just below and just above pt."""
-    return max(q for q in witnessed if q.e < pt.e), min(q for q in witnessed if q.e > pt.e)
-
-
-def _witness_row(codes: np.ndarray, rows: Mapping[MatchPoint, np.ndarray], pt: MatchPoint) -> np.ndarray:
-    """rows[pt] itself if pt has one.  Otherwise, for the points A and C just
-    below and above pt, A's row with the first pt.e - A.e augmenting paths
-    of A xor C applied.  No kink lies between A and C, so for their integer
-    slope s both maximize s e + b, and each path or cycle of A xor C (Berge,
-    1957) keeps that score: an augmenting path adds a match at a loss of s,
-    and at least C.e - A.e components augment.  Each starts at a patient
-    whom C seats and A does not, taken by ascending patient; one that ends
-    at a patient whom C leaves unmatched moves neither count and is skipped.
-    Raises FrontierInvariantError if the row does not score pt.
-    """
-    if pt in rows:
-        return rows[pt]
-    a, c = _bracket(rows, pt)
-    row, c_row = rows[a].copy(), rows[c].tolist()
+    if pt not in f.points:
+        raise ValueError(f"{pt} is not a point of the frontier")
+    a = max(q for q in f.witnesses if q.e < pt.e)
+    c = min(q for q in f.witnesses if q.e > pt.e)
+    row, c_row = np.array(f.witnesses[a], dtype=np.intp), f.witnesses[c]
     holder = np.full(codes.shape[1], -1, dtype=np.intp)  # A's patient at each seat
     holder[row[row >= 0]] = np.flatnonzero(row >= 0)
     holder, need = holder.tolist(), pt.e - a.e
-    for i in np.flatnonzero((row < 0) & (rows[c] >= 0)).tolist():
+    for i in np.flatnonzero((row < 0) & (np.array(c_row, dtype=np.intp) >= 0)).tolist():
         if not need:
             break
         path = [i]
@@ -198,7 +193,7 @@ def _witness_row(codes: np.ndarray, rows: Mapping[MatchPoint, np.ndarray], pt: M
     got = _point(codes, row)
     if got != pt:
         raise FrontierInvariantError(f"witness between {a} and {c} scores {got}, not {pt}")
-    return row
+    return tuple(row.tolist())
 
 
 def compute_frontier(si: SeatInstance) -> Frontier:
@@ -225,16 +220,15 @@ def compute_frontier(si: SeatInstance) -> Frontier:
     where bisection needs O(kinks * log n).  The parametric search is that
     of Eisner and Severance (1976, J. ACM 23(4)).
     """
-    points, kink_rows = _frontier_by_index(si.pair_codes)
-    witnesses = {pt: si.name_row(row.tolist()) for pt, row in kink_rows.items()}
-    return Frontier(points=tuple(points), kinks=frozenset(witnesses), witnesses=witnesses)
+    return _frontier(si.pair_codes)
 
 
-def _frontier_by_index(codes: np.ndarray) -> tuple[list[MatchPoint], dict[MatchPoint, np.ndarray]]:
-    """compute_frontier on a pair-code matrix: the points and each kink's seat row."""
+def _frontier(codes: np.ndarray) -> Frontier:
+    """compute_frontier on a pair-code matrix, such as the rows of a patient subset."""
     n = max(codes.shape)
     if n == 0 or not codes.any():
-        return [MatchPoint(0, 0)], {MatchPoint(0, 0): np.full(codes.shape[0], -1, dtype=np.intp)}
+        empty = MatchPoint(0, 0)
+        return Frontier(points=(empty,), kinks=frozenset({empty}), witnesses={empty: (-1,) * codes.shape[0]})
 
     sweep = _sweeps(codes)
     sweeps = {d: sweep(d) for d in (n, 0)}  # n first: its matrix needs no shift
@@ -255,8 +249,8 @@ def _frontier_by_index(codes: np.ndarray) -> tuple[list[MatchPoint], dict[MatchP
         mid = min(max((2 * (a.b - c.b) - de) // (2 * de), lo + 1), hi - 1)
         sweeps[mid] = sweep(mid)
         todo += [(mid, hi), (lo, mid)]
-    kink_rows = dict(sweeps[d] for d in firsts)
-    kinks = list(kink_rows)
+    witnesses = {pt: tuple(row.tolist()) for pt, row in (sweeps[d] for d in firsts)}
+    kinks = list(witnesses)
 
     points: list[MatchPoint] = [kinks[0]]
     for a, b in zip(kinks, kinks[1:]):
@@ -272,7 +266,7 @@ def _frontier_by_index(codes: np.ndarray) -> tuple[list[MatchPoint], dict[MatchP
         points.append(b)
 
     _check_points(points)
-    return points, kink_rows
+    return Frontier(points=tuple(points), kinks=frozenset(kinks), witnesses=witnesses)
 
 
 def half_bound_ratio(f: Frontier) -> Fraction:
@@ -284,5 +278,5 @@ def half_bound_ratio(f: Frontier) -> Fraction:
 
 def with_all_witnesses(si: SeatInstance, f: Frontier) -> Frontier:
     """f with a witness at every point: witness_at at each missing one."""
-    missing = {pt: witness_at(si, f, pt) for pt in f.points if pt not in f.witnesses}
+    missing = {pt: witness_at(si.pair_codes, f, pt) for pt in f.points if pt not in f.witnesses}
     return Frontier(points=f.points, kinks=f.kinks, witnesses={**f.witnesses, **missing})

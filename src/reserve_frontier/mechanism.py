@@ -17,70 +17,55 @@ score on admissible orders.
 An admissible order ranks every eligible patient above every ineligible
 one, so a category's eligible patients hold its top |eligible| ranks and
 no ineligible patient outranks one the category can seat.  The priority
-functions therefore rank only eligible patients, and refuse a matching
-that seats a patient where they are not eligible (MatchingError).  They
-work on seat rows (row[i] is patient i's seat index, or -1) and on
-pr.rank_rows, each category's eligible patient indices best first;
-rank_sum, respects_priority and repair_priority check and index a
-Matching, and name what they return.  solve repairs the row it selects.
+functions therefore rank only eligible patients, on pr.rank_rows, each
+category's eligible patient indices best first.
+
+Every matching here is a seat row, a tuple with one entry per patient:
+row[i] is patient i's seat index, or -1 when patient i is unmatched.
+Selection returns one; rank_sum, respects_priority and repair_priority
+take one, and refuse with MatchingError a row that is not a matching of
+the instance: one of the wrong length, with a seat index outside
+[-1, seats), with a patient seated where they are not eligible, or with a
+seat used twice.  Names are given at the I/O boundary (serialize).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    BudgetExceededError,
-    Matching,
-    MatchPoint,
-    Problem,
-    SeatInstance,
-    beneficiary_share,
-    validate_matching,
-)
-from .frontier import Frontier, _frontier_by_index, _witness_row, witness_at
+from .core import BudgetExceededError, MatchingError, MatchPoint, Problem, beneficiary_share
+from .frontier import Frontier, _frontier, compute_frontier, witness_at
 
 
 class NoNonEmptyMatchingError(ValueError):
     """The instance admits no non-empty eligible matching."""
 
 
-def _select_point(points: Sequence[MatchPoint], beta_star: Fraction) -> MatchPoint:
-    """The selection rule's point among the frontier points (module docstring)."""
-    if points[-1].e == 0:
+def _select(codes: np.ndarray, f: Frontier, beta_star: Fraction) -> tuple[tuple[int, ...], MatchPoint]:
+    """The selection rule's point on f, the frontier of the pair-code matrix
+    codes (module docstring), and its witness_at witness."""
+    if f.e_max == 0:
         raise NoNonEmptyMatchingError("no non-empty matching exists")
-    qualifying = [p for p in points if beneficiary_share(p) >= beta_star]
-    return qualifying[-1] if qualifying else points[0]
+    qualifying = [p for p in f.points if beneficiary_share(p) >= beta_star]
+    pt = qualifying[-1] if qualifying else f.points[0]
+    return witness_at(codes, f, pt), pt
 
 
-def _select_from(si: SeatInstance, f: Frontier, beta_star: Fraction) -> tuple[Matching, MatchPoint]:
-    """The selected point and its witness_at witness, the one with_all_witnesses gives."""
-    pt = _select_point(f.points, beta_star)
-    return witness_at(si, f, pt), pt
-
-
-def _select(codes: np.ndarray, beta_star: Fraction) -> tuple[MatchPoint, np.ndarray]:
-    """_select_from on a pair-code matrix, with the witness as a seat row: the
-    kink's sweep row, else one built from the kink rows around it (_witness_row)."""
-    points, kink_rows = _frontier_by_index(codes)
-    pt = _select_point(points, beta_star)
-    return pt, _witness_row(codes, kink_rows, pt)
-
-
-def select_approx_on_frontier(pr: Problem) -> tuple[Matching, MatchPoint]:
-    """The frontier matching meeting the share target approximately.
+def select_approx_on_frontier(pr: Problem) -> tuple[tuple[int, ...], MatchPoint]:
+    """The seat row of the frontier matching meeting the share target
+    approximately, and its point.
 
     Raises NoNonEmptyMatchingError when the instance has no eligible pair.
     """
     if pr.beta_star is None:
         raise ValueError("selection needs a share target beta_star")
     si = pr.seat_instance
-    pt, row = _select(si.pair_codes, pr.beta_star)
-    return si.name_row(row.tolist()), pt
+    return _select(si.pair_codes, compute_frontier(si), pr.beta_star)
 
 
 def _first_swap(pr: Problem, row: Sequence[int]) -> tuple[int, int] | None:
@@ -101,24 +86,43 @@ def _first_swap(pr: Problem, row: Sequence[int]) -> tuple[int, int] | None:
     return None
 
 
-def _repair(pr: Problem, row: Sequence[int]) -> list[int]:
-    """repair_priority on a seat row: the repaired row."""
-    row, codes = list(row), pr.seat_instance.pair_codes
-    while (swap := _first_swap(pr, row)) is not None:
-        p, q = swap
-        s = row[p]
-        if (codes[p, s] == 2) != (codes[q, s] == 2):
-            raise ValueError(
-                "input was not a frontier matching: a priority swap changed its score"
-            )
-        row[p], row[q] = -1, s
+def _checked(pr: Problem, row: Sequence[int]) -> list[int]:
+    """row as a list, once it is the seat row of a matching of pr's seat
+    instance; raises MatchingError otherwise."""
+    si = pr.seat_instance
+    n_patients, n_seats = si.pair_codes.shape
+    row = list(map(operator.index, row))
+    if len(row) != n_patients:
+        raise MatchingError(f"a seat row has one entry per patient: {len(row)} for {n_patients} patient(s)")
+    seated = [i for i, j in enumerate(row) if j != -1]
+    seats = [row[i] for i in seated]
+    for i, j in zip(seated, seats):
+        if not 0 <= j < n_seats:
+            raise MatchingError(f"patient {si.patients[i]}: seat index {j} outside [-1, {n_seats})")
+    for k in np.flatnonzero(si.pair_codes[seated, seats] == 0).tolist():
+        raise MatchingError(f"patient {si.patients[seated[k]]} not eligible for seat {si.seats[seats[k]]}")
+    if len(set(seats)) != len(seats):
+        raise MatchingError("a seat row gives one seat to more than one patient")
     return row
 
 
-def _violations(pr: Problem, row: Sequence[int]) -> list[tuple[int, int, int]]:
-    """respects_priority on a seat row, as (category, seated, unmatched)
-    indices, categories in instance order and each by rank."""
-    category, out = pr.seat_instance.category_index, []
+def rank_sum(pr: Problem, row: Sequence[int]) -> int:
+    """Sum of seated patients' priority ranks in their seats' categories.
+
+    Like respects_priority and repair_priority, this ranks by the tier
+    order when pr names no priority.
+    """
+    row, category = _checked(pr, row), pr.seat_instance.category_index
+    return sum(
+        k for c, rank in enumerate(pr.rank_rows) for k, i in enumerate(rank, 1)
+        if row[i] >= 0 and category[row[i]] == c
+    )
+
+
+def respects_priority(pr: Problem, row: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Every violation, as (category, seated patient, unmatched patient who
+    outranks them) indices, categories in instance order and each by rank."""
+    row, category, out = _checked(pr, row), pr.seat_instance.category_index, []
     for c, rank in enumerate(pr.rank_rows):
         free: list[int] = []
         for i in rank:
@@ -129,43 +133,26 @@ def _violations(pr: Problem, row: Sequence[int]) -> list[tuple[int, int, int]]:
     return out
 
 
-def _seat_row(pr: Problem, m: Matching) -> list[int]:
-    """m's seat row, once m is known to pair known patients with known seats
-    they are eligible for; raises MatchingError otherwise."""
-    si = pr.seat_instance
-    return si.index_matching(validate_matching(si, m))[0]
-
-
-def rank_sum(pr: Problem, m: Matching) -> int:
-    """Sum of assigned patients' priority ranks in their assigned categories.
-
-    Like respects_priority and repair_priority, this ranks by the tier
-    order when pr names no priority.
-    """
-    row, category = _seat_row(pr, m), pr.seat_instance.category_index
-    return sum(
-        k for c, rank in enumerate(pr.rank_rows) for k, i in enumerate(rank, 1)
-        if row[i] >= 0 and category[row[i]] == c
-    )
-
-
-def respects_priority(pr: Problem, m: Matching) -> list[tuple[str, str, str]]:
-    """All triples (category, assigned patient, unmatched patient outranking them)."""
-    cats, pats = pr.instance.categories, pr.seat_instance.patients
-    return sorted((cats[c], pats[p], pats[q]) for c, p, q in _violations(pr, _seat_row(pr, m)))
-
-
-def repair_priority(pr: Problem, m: Matching) -> Matching:
+def repair_priority(pr: Problem, row: Sequence[int]) -> tuple[int, ...]:
     """Swap out priority violations without moving the matching's score.
 
     Each swap takes the first category, in instance order, whose best-ranked
-    unmatched patient outranks its worst-ranked assigned one, and seats the
+    unmatched patient outranks its worst-ranked seated one, and seats the
     first in place of the second, strictly reducing the rank sum, so the
     loop terminates.  A swap moves the score only if exactly one of the two
     is a beneficiary, which on admissible orders means the input was not a
     frontier matching; that case raises with a diagnostic.
     """
-    return pr.seat_instance.name_row(_repair(pr, _seat_row(pr, m)))
+    row, codes = _checked(pr, row), pr.seat_instance.pair_codes
+    while (swap := _first_swap(pr, row)) is not None:
+        p, q = swap
+        s = row[p]
+        if (codes[p, s] == 2) != (codes[q, s] == 2):
+            raise ValueError(
+                "input was not a frontier matching: a priority swap changed its score"
+            )
+        row[p], row[q] = -1, s
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -203,7 +190,7 @@ def choice_masks(pr: Problem) -> tuple[tuple[str, ...], np.ndarray]:
     pr.seat_instance.pair_codes, the matrix that restricting the instance
     to it and expanding that would build.  At a point that is not a kink,
     optimal matchings that seat different patients can tie, so C, and every
-    audit count built on it, depends on which one _witness_row builds: on
+    audit count built on it, depends on which one witness_at builds: on
     one 7-patient draw the audits find 528 path-independence and 43
     substitutability violations with its witness and 418 and 30 with another.
     """
@@ -219,10 +206,12 @@ def choice_masks(pr: Problem) -> tuple[tuple[str, ...], np.ndarray]:
     masks = np.zeros(1 << len(patients), dtype=np.int64)
     for x in range(1, len(masks)):
         rows = np.flatnonzero(x & bits)
+        sub = codes[rows]
         try:
-            masks[x] = bits[rows[_select(codes[rows], beta_star)[1] >= 0]].sum()
+            row, _ = _select(sub, _frontier(sub), beta_star)
         except NoNonEmptyMatchingError:
-            pass  # no eligible pair: C(x) is empty
+            continue  # no eligible pair: C(x) is empty
+        masks[x] = sum(1 << i for i, j in zip(rows.tolist(), row) if j >= 0)
     return patients, masks
 
 

@@ -9,10 +9,12 @@ checks on its answers live in verify, and no production module imports it.
 
 There are two entry points.  Census(si, budget, points) answers everything
 the verify checks read: .counts (matchings per score point), .frontier()
-(undominated points with their first witnesses) and .sample(points) (up
-to the SAMPLE_CAP constant matchings per point, reservoir-sampled with
-seed 0).  enumerate_matchings(si, budget) yields every matching once, in
-the same order, for callers that need each one.
+(undominated points, witnessed as frontier does, by the seat row of
+their first matching) and .sample(points) (up to the SAMPLE_CAP constant
+Matchings per point, reservoir-sampled with seed 0).
+enumerate_matchings(si, budget) yields every Matching once, in the same
+order, for callers that need each one.  Samples and enumerated matchings
+are named, for the cycle checks that read them (verify, cycles).
 
 Matchings are enumerated by a recursion over patients (_leaf_blocks)
 that expands one numpy level of rows per patient and yields the leaves
@@ -260,7 +262,7 @@ class Census:
         return self._counts
 
     def frontier(self) -> Frontier:
-        """Undominated points, each witnessed by its first matching."""
+        """Undominated points, each witnessed by its first matching's seat row."""
         if self._frontier is None:
             # by e, then b, descending: a point is undominated iff its b
             # beats every b before it
@@ -270,7 +272,7 @@ class Census:
                     nd.append(p)
                     top = p.b
             nd.reverse()
-            witnesses = {p: self.si.name_row(self._first[p]) for p in nd}
+            witnesses = {p: self._first[p] for p in nd}
             self._frontier = Frontier(points=tuple(nd), kinks=kinks_of(nd), witnesses=witnesses)
         return self._frontier
 

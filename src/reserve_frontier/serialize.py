@@ -19,6 +19,8 @@ Shares stay exact end to end: "num/den" strings are the canonical output
 form, decimal inputs are converted through their decimal literal (0.7
 becomes 7/10, never the nearest binary float).  Matchings serialize at the
 category level (patient -> category); unit seats are an internal device.
+The library hands matchings over as seat rows (row[i] is patient i's
+seat index, or -1), and this is where they get names.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import IO, Any, NamedTuple
+from typing import IO, Any, NamedTuple, Sequence
 
 from .core import (
     Instance,
-    Matching,
     PriorityOrder,
     Problem,
     SeatInstance,
@@ -231,15 +232,13 @@ def instance_to_json(pr: Problem) -> str:
     return json.dumps(emit_instance(pr), indent=2, sort_keys=True) + "\n"
 
 
-def matching_to_assignment(si: SeatInstance, m: Matching) -> dict[str, str]:
-    """Category-level view of a matching (seats are internal)."""
-    return {p: si.category_of(s) for p, s in m.pairs}
-
-
-def matching_to_dict(si: SeatInstance, m: Matching) -> dict[str, Any]:
+def matching_to_dict(si: SeatInstance, row: Sequence[int]) -> dict[str, Any]:
+    """The matching of a seat row at the category level (seats are
+    internal), by patient id, with its score."""
+    m = si.name_row(row)
     pt = match_point(si, m)
     return {
-        "assignment": dict(sorted(matching_to_assignment(si, m).items())),
+        "assignment": {p: si.category_of(s) for p, s in m.pairs},  # pairs sort by patient
         "e": pt.e,
         "b": pt.b,
         "beta": share_str(beneficiary_share(pt)) if pt.e else None,

@@ -36,7 +36,7 @@ from .frontier import (
     half_bound_ratio,
 )
 from .generator import GenConfig, gen_random
-from .mechanism import NoNonEmptyMatchingError, _select_from, rank_sum, repair_priority, respects_priority
+from .mechanism import NoNonEmptyMatchingError, _select, rank_sum, repair_priority, respects_priority
 from .oracle import (
     BUDGET_ENV,
     Census,
@@ -79,7 +79,7 @@ def _maybe_corrupt(f: Frontier) -> Frontier:
     return Frontier(
         points=tuple(pts),
         kinks=frozenset(k for k in f.kinks if k in keep),
-        witnesses={p: m for p, m in f.witnesses.items() if p in keep},
+        witnesses={p: row for p, row in f.witnesses.items() if p in keep},
     )
 
 
@@ -130,7 +130,7 @@ def verify_frontier(pr: Problem, census: Census, f: Frontier) -> list[CheckResul
         )
     )
 
-    wit_ok = all(match_point(si, m) == pt for pt, m in f.witnesses.items())
+    wit_ok = all(match_point(si, si.name_row(row)) == pt for pt, row in f.witnesses.items())
     results.append(CheckResult("frontier", "witnesses-score-their-points", wit_ok))
 
     if f.e_max:
@@ -156,7 +156,7 @@ def verify_cycles(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]
         return results
 
     start_pt = f.points[0]
-    walk = frontier_walk(si, f.witnesses[start_pt])
+    walk = frontier_walk(si, si.name_row(f.witnesses[start_pt]))
     walk_pts = [pt for pt, _ in walk]
     covered = walk_pts == list(f.points)
     results.append(
@@ -326,7 +326,7 @@ def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResu
     if f.e_max == 0:
         ok = True
         try:
-            _select_from(si, f, Fraction(1, 2))
+            _select(si.pair_codes, f, Fraction(1, 2))
             ok = False
         except NoNonEmptyMatchingError:
             pass
@@ -340,8 +340,8 @@ def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResu
     sel_ok = True
     detail = ""
     for beta in _targets_for(pr.beta_star, f):
-        m, pt = _select_from(si, f, beta)
-        if match_point(si, m) != pt or pt not in f.points:
+        row, pt = _select(si.pair_codes, f, beta)
+        if match_point(si, si.name_row(row)) != pt or pt not in f.points:
             sel_ok, detail = False, f"witness off the frontier at target {beta}"
             break
         qualifying = [p for p in f.points if Fraction(p.b, p.e) >= beta]
@@ -357,19 +357,19 @@ def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResu
     results.append(CheckResult("mechanism", "selection-rule-and-exact-share-domination", sel_ok, detail))
 
     # the priority functions never read beta_star, so pr itself serves
-    m, pt = _select_from(si, f, Fraction(1, 2) if pr.beta_star is None else pr.beta_star)
-    fixed = repair_priority(pr, m)
+    row, pt = _select(si.pair_codes, f, Fraction(1, 2) if pr.beta_star is None else pr.beta_star)
+    fixed = repair_priority(pr, row)
     rep_ok = (
-        match_point(si, fixed) == pt
+        match_point(si, si.name_row(fixed)) == pt
         and not respects_priority(pr, fixed)
-        and rank_sum(pr, fixed) <= rank_sum(pr, m)
+        and rank_sum(pr, fixed) <= rank_sum(pr, row)
     )
     results.append(
         CheckResult(
             "mechanism",
             "priority-repair-keeps-the-point",
             rep_ok,
-            f"violations before={len(respects_priority(pr, m))}",
+            f"violations before={len(respects_priority(pr, row))}",
         )
     )
     return results

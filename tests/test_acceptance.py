@@ -115,7 +115,7 @@ def oracle_pool():
         si = expand_to_seats(inst)
         f = compute_frontier(si)
         fo = Census(si).frontier()
-        walk = frontier_walk(si, f.witnesses[f.points[0]])
+        walk = frontier_walk(si, si.name_row(f.witnesses[f.points[0]]))
         records.append((i, si, f, fo, frozenset(pt for pt, _ in walk)))
     return records, time.perf_counter() - t0
 
@@ -307,17 +307,17 @@ def test_criterion_10_priority_repair():
         i += 1
         pr = Problem(instance=inst, beta_star=beta)
         try:
-            m, pt = select_approx_on_frontier(pr)
+            row, pt = select_approx_on_frontier(pr)
         except NoNonEmptyMatchingError:
             continue
         pwo = Problem(instance=inst, beta_star=beta, priority=_admissible_order(inst, rng))
-        fixed = repair_priority(pwo, m)
+        fixed = repair_priority(pwo, row)
         si = expand_to_seats(inst)
         assert respects_priority(pwo, fixed) == [], f"instance {i - 1}"
-        assert match_point(si, fixed) == pt, f"instance {i - 1}: point moved"
-        r0, r1 = rank_sum(pwo, m), rank_sum(pwo, fixed)
+        assert match_point(si, si.name_row(fixed)) == pt, f"instance {i - 1}: point moved"
+        r0, r1 = rank_sum(pwo, row), rank_sum(pwo, fixed)
         assert r1 <= r0, f"instance {i - 1}: rank sum {r0} -> {r1}"
-        if r1 < r0 or respects_priority(pwo, m):
+        if r1 < r0 or respects_priority(pwo, row):
             improved += 1
         done += 1
     assert improved >= 10, f"only {improved} repairs did any work"

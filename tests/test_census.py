@@ -92,7 +92,7 @@ def ref_oracle_frontier(si, budget=DEFAULT_BUDGET) -> Frontier:
     scan_leaves(si, budget, visit)
     pts = [MatchPoint(e, b) for e, b in first]
     nd = sorted(p for p in pts if not any(dominates(q, p) for q in pts))
-    witnesses = {p: si.name_row(first[(p.e, p.b)]) for p in nd}
+    witnesses = {p: first[(p.e, p.b)] for p in nd}
     return Frontier(points=tuple(nd), kinks=kinks_of(nd), witnesses=witnesses)
 
 

@@ -132,9 +132,10 @@ def test_problem_validates_its_priority_and_fills_in_the_tier_order():
     assert bare.beta_star is None and bare.priority is None
     # without a priority, the priority layer ranks by the tier order
     tiered = Problem(instance=inst, priority=PriorityOrder.from_tiers(inst))
-    m = Matching(pairs=(("p2", "c2#0"),))
-    assert rank_sum(bare, m) == rank_sum(tiered, m)
-    assert respects_priority(bare, m) == respects_priority(tiered, m) == [("c2", "p2", "p1")]
+    row = (-1, 1)  # p2 at c2#0
+    assert rank_sum(bare, row) == rank_sum(tiered, row)
+    # c2 seats p2 over the unmatched p1
+    assert respects_priority(bare, row) == respects_priority(tiered, row) == [(1, 1, 0)]
     with pytest.raises(InstanceError, match="unknown category"):
         Problem(instance=inst, priority=PriorityOrder(order={"zz": inst.patients}))
 

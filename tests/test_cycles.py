@@ -89,7 +89,7 @@ def test_minimal_cycle_is_deterministic():
     inst = gen_random(GenConfig(patients=6, categories=4, quota_range=(1, 2), seed=12))
     si = expand_to_seats(inst)
     f = compute_frontier(si)
-    m = f.witnesses[f.points[0]]
+    m = si.name_row(f.witnesses[f.points[0]])
     if f.points[0] != f.points[-1]:
         cycles = {find_minimal_cycle(si, m) for _ in range(5)}
         assert len(cycles) == 1
@@ -130,7 +130,7 @@ def test_chain_family_single_cycle_costs_everything():
         si = expand_to_seats(gen_chain_family(k))
         f = compute_frontier(si)
         assert list(f.points) == [MatchPoint(k + 1, k + 1), MatchPoint(k + 2, 0)]
-        m = f.witnesses[f.points[0]]
+        m = si.name_row(f.witnesses[f.points[0]])
         c = find_minimal_cycle(si, m)
         assert c is not None
         assert beneficiary_loss(si, m, c) == k + 1
@@ -141,7 +141,7 @@ def test_walk_visits_the_whole_frontier():
     for name in ("conflict", "figure1", "path-independence"):
         si = expand_to_seats(gen_named(name).instance)
         f = compute_frontier(si)
-        walk = frontier_walk(si, f.witnesses[f.points[0]])
+        walk = frontier_walk(si, si.name_row(f.witnesses[f.points[0]]))
         assert [pt for pt, _ in walk] == list(f.points)
         for pt, m in walk:
             assert match_point(si, m) == pt
@@ -160,7 +160,7 @@ def test_each_walk_step_applies_its_cycle_once(monkeypatch):
         si = expand_to_seats(gen_named(name).instance)
         f = compute_frontier(si)
         applied.clear()
-        walk = frontier_walk(si, f.witnesses[f.points[0]])
+        walk = frontier_walk(si, si.name_row(f.witnesses[f.points[0]]))
         assert len(applied) == len(walk) - 1
         assert [pt for pt, _ in walk] == list(f.points)
 
@@ -399,11 +399,11 @@ def differential_corpus():
         )
         si = expand_to_seats(inst)
         f = compute_frontier(si)
-        yield from ((si, m) for m in walk_matchings(si, f.witnesses[f.points[0]]))
+        yield from ((si, m) for m in walk_matchings(si, si.name_row(f.witnesses[f.points[0]])))
     for k in range(1, 9):
         si = expand_to_seats(gen_chain_family(k))
         f = compute_frontier(si)
-        yield from ((si, m) for m in walk_matchings(si, f.witnesses[f.points[0]]))
+        yield from ((si, m) for m in walk_matchings(si, si.name_row(f.witnesses[f.points[0]])))
     for _ in range(300):  # arbitrary eligible matchings, mostly dominated
         n = rng.randint(2, 14)
         inst = gen_random(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -10,6 +11,7 @@ import pytest
 import reserve_frontier.frontier as frontier_module
 import reserve_frontier.hungarian as hungarian_module
 from reserve_frontier import (
+    Frontier,
     FrontierInvariantError,
     GenConfig,
     Instance,
@@ -31,7 +33,7 @@ from reserve_frontier import (
     validate_matching,
     with_all_witnesses,
 )
-from reserve_frontier.frontier import _point, _witness_row, witness_at
+from reserve_frontier.frontier import _point, witness_at
 from reserve_frontier.hungarian import cost_matrix, min_cost_assignment
 from reserve_frontier.oracle import Census
 
@@ -77,8 +79,8 @@ def test_frontier_iteration_maximizes_the_weighted_objective():
         n = max(len(si.patients), len(si.seats))
         all_points = {match_point(si, m) for m in enumerate_matchings(si)}
         for d in range(n + 1):
-            pt, m = frontier_iteration(si, d)
-            validate_matching(si, m)
+            pt, row = frontier_iteration(si, d)
+            m = validate_matching(si, si.name_row(row))
             assert match_point(si, m) == pt
             value = lambda q: (2 * d + 1) * q.e + 2 * q.b
             assert [q for q in all_points if value(q) >= value(pt)] == [pt]
@@ -99,8 +101,8 @@ def test_endpoints_maximize_each_objective_first():
     _, mu_be = frontier_iteration(si, 0)
     _, mu_eb = frontier_iteration(si, max(len(si.patients), len(si.seats)))
     f = compute_frontier(si)
-    assert match_point(si, mu_be) == f.points[0]
-    assert match_point(si, mu_eb) == f.points[-1]
+    assert match_point(si, si.name_row(mu_be)) == f.points[0]
+    assert match_point(si, si.name_row(mu_eb)) == f.points[-1]
 
 
 def two_conflict_copies() -> Instance:
@@ -133,9 +135,8 @@ def test_with_all_witnesses_fills_interior_points():
     si = expand_to_seats(two_conflict_copies())
     f = with_all_witnesses(si, compute_frontier(si))
     assert set(f.witnesses) == set(f.points)
-    for pt, m in f.witnesses.items():
-        validate_matching(si, m)
-        assert match_point(si, m) == pt
+    for pt, row in f.witnesses.items():
+        assert match_point(si, validate_matching(si, si.name_row(row))) == pt
 
 
 def test_segment_witness_agrees_with_the_cycle_walk():
@@ -154,20 +155,29 @@ def test_segment_witness_agrees_with_the_cycle_walk():
     for inst in insts:
         si = expand_to_seats(inst)
         f = compute_frontier(si)
-        walk = frontier_walk(si, f.witnesses[f.points[0]])
+        walk = frontier_walk(si, si.name_row(f.witnesses[f.points[0]]))
         assert [pt for pt, _ in walk] == list(f.points)
         for pt in f.points:
-            m = witness_at(si, f, pt)
-            validate_matching(si, m)
+            m = validate_matching(si, si.name_row(witness_at(si.pair_codes, f, pt)))
             assert match_point(si, m) == pt
         interior += len(f.points) - len(f.kinks)
     assert interior >= 500
 
 
 def test_segment_witness_refuses_a_point_off_the_frontier():
-    si = expand_to_seats(two_conflict_copies())
-    with pytest.raises(FrontierInvariantError, match=r"between .* scores MatchPoint\(e=3, b=1\)"):
-        witness_at(si, compute_frontier(si), MatchPoint(3, 2))
+    # beside the frontier, past e_max, below e_min, and beside a segment
+    # between kinks of a larger draw
+    cases = [
+        (two_conflict_copies(), MatchPoint(3, 2)),
+        (gen_named("path-independence").instance, MatchPoint(6, 0)),
+        (gen_named("path-independence").instance, MatchPoint(0, 0)),
+        (gen_random(GenConfig(30, 30, (1, 1), 0.1, 0.5, seed=1)), MatchPoint(27, 19)),
+    ]
+    for inst, pt in cases:
+        si = expand_to_seats(inst)
+        f = compute_frontier(si)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(pt))} is not a point of the frontier$"):
+            witness_at(si.pair_codes, f, pt)
 
 
 # Hand-built rows A at (6, 4) and C at (9, 1), both optimal at one plain
@@ -181,31 +191,39 @@ SEGMENT_A = [-1, -1, 0, 1, -1, 3, 5, 6, -1, 7]
 SEGMENT_C = [0, 1, -1, 2, 3, 4, 6, 5, 7, 8]
 
 
-def segment_rows():
+def segment_codes():
     codes = np.zeros((10, 9), dtype=np.uint8)
     for cell, code in SEGMENT_CODES.items():
         codes[cell] = code
-    rows = {_point(codes, np.array(row)): np.array(row, dtype=np.intp) for row in (SEGMENT_A, SEGMENT_C)}
-    assert list(rows) == pts((6, 4), (9, 1))
-    return codes, rows
+    assert [_point(codes, np.array(row)) for row in (SEGMENT_A, SEGMENT_C)] == pts((6, 4), (9, 1))
+    return codes
+
+
+def segment_frontier(*points):
+    """A frontier through points whose only witnesses are A and C."""
+    a, c = pts((6, 4), (9, 1))
+    return Frontier(points=points, kinks={a, c}, witnesses={a: tuple(SEGMENT_A), c: tuple(SEGMENT_C)})
 
 
 def test_witness_row_applies_the_first_augmenting_paths_of_the_two_kink_rows():
-    codes, rows = segment_rows()
-    for pt in rows:
-        assert _witness_row(codes, rows, pt) is rows[pt]  # a kink's row, not a copy
+    codes = segment_codes()
+    f = segment_frontier(*pts((6, 4), (7, 3), (8, 2), (9, 1)))
+    for pt in f.kinks:
+        assert witness_at(codes, f, pt) is f.witnesses[pt]  # a kink's row, not a copy
     # the even path from patient 0 and the cycle stay as A has them
     want = {
-        MatchPoint(7, 3): [-1, 1, 0, 2, -1, 3, 5, 6, -1, 7],
-        MatchPoint(8, 2): [-1, 1, 0, 2, 3, 4, 5, 6, -1, 7],
+        MatchPoint(7, 3): (-1, 1, 0, 2, -1, 3, 5, 6, -1, 7),
+        MatchPoint(8, 2): (-1, 1, 0, 2, 3, 4, 5, 6, -1, 7),
     }
     for pt, row in want.items():
-        got = _witness_row(codes, rows, pt)
-        assert got.tolist() == row
-        assert _point(codes, got) == pt
-    assert rows[MatchPoint(6, 4)].tolist() == SEGMENT_A  # A's row is not edited
+        got = witness_at(codes, f, pt)
+        assert got == row
+        assert _point(codes, np.array(got)) == pt
+    assert f.witnesses[MatchPoint(6, 4)] == tuple(SEGMENT_A)  # A's row is not edited
+    # a frontier that lists a point no matching between A and C scores
+    wrong = segment_frontier(*pts((6, 4), (7, 4), (8, 2), (9, 1)))
     with pytest.raises(FrontierInvariantError, match=r"scores MatchPoint\(e=7, b=3\), not MatchPoint\(e=7, b=4\)"):
-        _witness_row(codes, rows, MatchPoint(7, 4))
+        witness_at(codes, wrong, MatchPoint(7, 4))
 
 
 def test_zero_eligibility_gives_the_empty_point():
@@ -214,7 +232,7 @@ def test_zero_eligibility_gives_the_empty_point():
     )
     f = compute_frontier(expand_to_seats(inst))
     assert list(f.points) == [MatchPoint(0, 0)]
-    assert f.witnesses[MatchPoint(0, 0)].pairs == ()
+    assert f.witnesses[MatchPoint(0, 0)] == (-1,)
     with pytest.raises(ValueError):
         half_bound_ratio(f)
 
@@ -225,8 +243,6 @@ def test_half_bound_ratio_values():
 
 
 def test_invariant_checker_rejects_bad_shapes():
-    from reserve_frontier import Frontier
-
     # e-step of 2
     f = Frontier(points=pts((1, 3), (3, 0)), kinks=frozenset(pts((1, 3), (3, 0))), witnesses={})
     with pytest.raises(FrontierInvariantError):
@@ -275,10 +291,10 @@ def full_sweep_reference(si):
     n = max(len(si.patients), len(si.seats))
     kinks, witnesses = [], {}
     for d in range(n + 1):
-        pt, m = frontier_iteration(si, d)
+        pt, row = frontier_iteration(si, d)
         if not kinks or pt != kinks[-1]:
             kinks.append(pt)
-            witnesses[pt] = m
+            witnesses[pt] = row
     points = [kinks[0]]
     for a, b in zip(kinks, kinks[1:]):
         step = (a.b - b.b) // (b.e - a.e)
@@ -462,7 +478,7 @@ def shared_matrix_codes():
 
 
 def test_sweeps_share_one_cost_matrix_that_reads_as_a_fresh_gather(monkeypatch):
-    """Every matrix the solver gets during _frontier_by_index has the bytes of
+    """Every matrix the solver gets during _frontier has the bytes of
     (-table)[codes] for its d, -0.0 sign bits included, and the points and
     kink rows are those of a fresh gather per sweep."""
     solver, got = hungarian_module.linear_sum_assignment, []
@@ -470,7 +486,7 @@ def test_sweeps_share_one_cost_matrix_that_reads_as_a_fresh_gather(monkeypatch):
     matrices = empty_lines = split = revisited = 0
     for codes in shared_matrix_codes():
         got.clear()
-        points, kink_rows = frontier_module._frontier_by_index(codes)
+        f = frontier_module._frontier(codes)
         ds = []
         for cost in got:
             i, j = np.argwhere(codes)[0]  # an eligible cell costs -(2d + 1), or -(2d + 3) at code 2
@@ -481,10 +497,9 @@ def test_sweeps_share_one_cost_matrix_that_reads_as_a_fresh_gather(monkeypatch):
         assert len(ds) == len(set(ds)) and (not codes.any() or {0, n} <= set(ds))
         with monkeypatch.context() as m:
             m.setattr(frontier_module, "_sweeps", fresh_gather_sweeps)
-            want_points, want_rows = frontier_module._frontier_by_index(codes)
-        assert points == want_points
-        assert list(kink_rows) == list(want_rows)
-        assert all(np.array_equal(kink_rows[pt], want_rows[pt]) for pt in want_rows)
+            want = frontier_module._frontier(codes)
+        assert f.points == want.points
+        assert list(f.witnesses.items()) == list(want.witnesses.items())
         matrices += 1
         split += len(ds) > 2
         empty_lines += not (codes.any(axis=0).all() and codes.any(axis=1).all())
@@ -500,7 +515,7 @@ def ref_n_cubed_kinks(si):
     codes = si.pair_codes
     n = max(codes.shape)
     if n == 0 or not codes.any():
-        return [MatchPoint(0, 0)], {MatchPoint(0, 0): frontier_module.Matching.empty()}
+        return [MatchPoint(0, 0)], {MatchPoint(0, 0): (-1,) * len(codes)}
 
     def sweep(k):
         rows, cols = min_cost_assignment(cost_matrix(codes, (0, k * n * n, k * n * n + n * n + k)), codes)
@@ -523,7 +538,7 @@ def ref_n_cubed_kinks(si):
         sweeps[mid] = sweep(mid)
         todo += [(mid, hi), (lo, mid)]
     kinks = [sweeps[k][0] for k in firsts]
-    return kinks, {sweeps[k][0]: si.name_row(sweeps[k][1].tolist()) for k in firsts}
+    return kinks, {sweeps[k][0]: tuple(sweeps[k][1].tolist()) for k in firsts}
 
 
 def integer_slope_draws():

@@ -11,7 +11,7 @@ import reserve_frontier.cli as cli_module
 import reserve_frontier.core as core_module
 import reserve_frontier.cycles as cycles_module
 import reserve_frontier.mechanism as mechanism_module
-from reserve_frontier.mechanism import AUDIT_SHOWN, _select_from
+from reserve_frontier.mechanism import AUDIT_SHOWN, _select
 from reserve_frontier.oracle import Census
 from reserve_frontier.serialize import instance_to_json, matching_to_dict, share_str
 from reserve_frontier.verify import _exact_share_domination
@@ -46,6 +46,7 @@ from reserve_frontier import (
     run_suites,
     select_approx_on_frontier,
     validate_instance,
+    validate_matching,
     validate_priority,
     with_all_witnesses,
 )
@@ -73,10 +74,10 @@ def test_selection_picks_largest_qualifying_point():
     assert pt == MatchPoint(1, 1)
     m, pt = select_approx_on_frontier(Problem(instance=inst, beta_star=Fraction(0)))
     assert pt == MatchPoint(2, 0)
-    m, pt = select_approx_on_frontier(Problem(instance=inst, beta_star=Fraction(1)))
+    row, pt = select_approx_on_frontier(Problem(instance=inst, beta_star=Fraction(1)))
     assert pt == MatchPoint(1, 1)
     si = expand_to_seats(inst)
-    assert match_point(si, m) == pt
+    assert match_point(si, si.name_row(row)) == pt
 
 
 def test_selection_needs_an_eligible_pair():
@@ -107,9 +108,9 @@ def test_selection_witness_equals_with_all_witnesses():
             if pt.e == 0:
                 continue
             interior += pt not in f.kinks
-            m, got = select_approx_on_frontier(Problem(instance=inst, beta_star=beneficiary_share(pt)))
+            row, got = select_approx_on_frontier(Problem(instance=inst, beta_star=beneficiary_share(pt)))
             assert got == pt
-            assert m == full[pt]
+            assert row == full[pt]
     assert interior >= 10
 
 
@@ -127,10 +128,10 @@ def test_selection_and_all_witnesses_run_no_cycle_search(monkeypatch):
         for pt in f.points:
             if pt.e:
                 interior += pt not in f.kinks
-                m, got = select_approx_on_frontier(Problem(instance=inst, beta_star=beneficiary_share(pt)))
+                row, got = select_approx_on_frontier(Problem(instance=inst, beta_star=beneficiary_share(pt)))
                 assert got == pt
                 if pt in f.kinks:
-                    assert m == f.witnesses[pt]
+                    assert row == f.witnesses[pt]
     assert interior >= 10
 
 
@@ -176,18 +177,25 @@ def test_no_qualifying_matching_is_larger_than_the_selection():
     [(Fraction(10, 13), MatchPoint(26, 20)), (Fraction(2, 3), MatchPoint(27, 18))],
     ids=["kink", "between-kinks"],
 )
-def test_selection_names_only_the_witness_it_returns(beta_star, selected, monkeypatch):
+def test_selection_names_only_the_witness_it_returns(beta_star, selected, monkeypatch, tmp_path, capsys):
+    """Selection and repair name nothing; solve names the one witness it prints."""
     pr = Problem(instance=gen_random(GenConfig(30, 30, (1, 1), 0.1, 0.5, seed=1)), beta_star=beta_star)
     si = pr.seat_instance
     f = compute_frontier(si)
     assert len(f.kinks) == 3 and (selected in f.kinks) == (selected == MatchPoint(26, 20))
+    path = tmp_path / "draw.json"
+    path.write_text(instance_to_json(pr))
     named, built = [], []
     name_row, post_init = core_module.SeatInstance.name_row, core_module.Matching.__post_init__
     monkeypatch.setattr(core_module.SeatInstance, "name_row", lambda self, row: named.append(1) or name_row(self, row))
     monkeypatch.setattr(core_module.Matching, "__post_init__", lambda self: built.append(1) or post_init(self))
-    m, pt = select_approx_on_frontier(pr)
+    row, pt = select_approx_on_frontier(pr)
+    fixed = repair_priority(pr, row)
+    assert respects_priority(pr, fixed) == [] and (len(named), len(built)) == (0, 0)
+    assert cli_module.main(["solve", str(path), "--respect-priority"]) == 0
     assert (len(named), len(built)) == (1, 1)
-    assert pt == selected and m == f.witnesses.get(pt, m) and match_point(si, m) == pt
+    assert capsys.readouterr().out == name_route_solve_stdout(pr, True)
+    assert pt == selected and row == f.witnesses.get(pt, row) and match_point(si, si.name_row(row)) == pt
 
 
 def test_selection_returns_the_frontier_witness_at_its_point():
@@ -218,9 +226,9 @@ def test_selection_returns_the_frontier_witness_at_its_point():
             with pytest.raises(NoNonEmptyMatchingError):
                 select_approx_on_frontier(pr)
             continue
-        m, pt = select_approx_on_frontier(pr)
-        assert (m, pt) == _select_from(si, f, beta_star), inst
-        assert m == with_all_witnesses(si, f).witnesses[pt], inst
+        row, pt = select_approx_on_frontier(pr)
+        assert (row, pt) == _select(si.pair_codes, f, beta_star), inst
+        assert row == with_all_witnesses(si, f).witnesses[pt], inst
         checked += 1
         between_kinks += pt not in f.kinks
     assert checked >= 300 and between_kinks >= 30, (checked, between_kinks)
@@ -331,9 +339,9 @@ def test_rank_sum_by_hand():
         beta_star=Fraction(0),
         priority=PriorityOrder.from_tiers(inst),
     )
-    m = Matching(pairs=(("p1", "c1#0"), ("p3", "c2#0")))
+    row = (0, -1, 1)  # p1 at c1#0, p3 at c2#0
     # p1 is rank 2 in c1, p3 is rank 2 in c2
-    assert rank_sum(pwo, m) == 4
+    assert rank_sum(pwo, row) == 4
 
 
 def test_repair_swaps_in_the_outranking_patient():
@@ -352,14 +360,14 @@ def test_repair_swaps_in_the_outranking_patient():
         beta_star=Fraction(0),
         priority=PriorityOrder(order={"c1": ("p2", "p1")}),
     )
-    m = Matching(pairs=(("p1", "c1#0"),))
-    assert respects_priority(pwo, m) == [("c1", "p1", "p2")]
-    fixed = repair_priority(pwo, m)
-    assert fixed == Matching(pairs=(("p2", "c1#0"),))
+    row = (0, -1)  # p1 at c1#0
+    assert respects_priority(pwo, row) == [(0, 0, 1)]  # c1 seats p1 over p2
+    fixed = repair_priority(pwo, row)
+    assert fixed == (-1, 0)
     assert respects_priority(pwo, fixed) == []
-    assert rank_sum(pwo, fixed) < rank_sum(pwo, m)
+    assert rank_sum(pwo, fixed) < rank_sum(pwo, row)
     si = expand_to_seats(inst)
-    assert match_point(si, fixed) == match_point(si, m)
+    assert match_point(si, si.name_row(fixed)) == match_point(si, si.name_row(row))
 
 
 def test_repair_rejects_score_changing_swaps():
@@ -378,7 +386,7 @@ def test_repair_rejects_score_changing_swaps():
         beta_star=Fraction(0),
         priority=PriorityOrder.from_tiers(inst),
     )
-    dominated = Matching(pairs=(("p1", "c1#0"),))
+    dominated = (0, -1)  # p1 at c1#0
     with pytest.raises(ValueError, match="not a frontier matching"):
         repair_priority(pwo, dominated)
 
@@ -399,7 +407,7 @@ def test_repair_preserves_selected_points_on_random_instances():
         )
         pr = Problem(instance=inst, beta_star=Fraction(rng.randrange(0, 4), 3))
         try:
-            m, pt = select_approx_on_frontier(pr)
+            row, pt = select_approx_on_frontier(pr)
         except NoNonEmptyMatchingError:
             continue
         # scramble within tiers deterministically to provoke violations
@@ -417,12 +425,12 @@ def test_repair_preserves_selected_points_on_random_instances():
                 shuffled.extend(tier)
             order[c] = tuple(shuffled)
         pwo = Problem(instance=inst, beta_star=pr.beta_star, priority=validate_priority(inst, PriorityOrder(order=order)))
-        before = respects_priority(pwo, m)
-        fixed = repair_priority(pwo, m)
+        before = respects_priority(pwo, row)
+        fixed = repair_priority(pwo, row)
         si = expand_to_seats(inst)
-        assert match_point(si, fixed) == pt
+        assert match_point(si, si.name_row(fixed)) == pt
         assert respects_priority(pwo, fixed) == []
-        assert rank_sum(pwo, fixed) <= rank_sum(pwo, m)
+        assert rank_sum(pwo, fixed) <= rank_sum(pwo, row)
         repaired_any = repaired_any or bool(before)
     assert repaired_any
 
@@ -487,7 +495,8 @@ def shuffled_admissible_order(inst, rng):
 
 
 def random_matching(inst, rng):
-    """An eligible matching: each drawn patient takes a random free seat it is eligible for."""
+    """The seat row of an eligible matching: each drawn patient takes a
+    random free seat it is eligible for."""
     si = expand_to_seats(inst)
     free, pairs = set(si.seats), []
     for p in rng.sample(inst.patients, rng.randint(0, len(inst.patients))):
@@ -496,7 +505,7 @@ def random_matching(inst, rng):
             s = rng.choice(options)
             free.remove(s)
             pairs.append((p, s))
-    return Matching(pairs=tuple(pairs))
+    return tuple(si.index_matching(Matching(pairs=tuple(pairs)))[0])
 
 
 def reference_rank_sum(pr, m):
@@ -504,19 +513,24 @@ def reference_rank_sum(pr, m):
     return sum(reference_rank(po, si.category_of(s), p) for p, s in m.pairs)
 
 
-def assert_priority_layer_matches_reference(pr, m):
-    """The repaired matching, or None when both repairs refuse m."""
-    assert respects_priority(pr, m) == reference_respects_priority(pr, m)
-    assert rank_sum(pr, m) == reference_rank_sum(pr, m)
+def assert_priority_layer_matches_reference(pr, row):
+    """The repaired seat row, or None when both repairs refuse row.  The
+    reference scans work on the named matching."""
+    si = pr.seat_instance
+    m = si.name_row(row)
+    cats, pats = pr.instance.categories, si.patients
+    named = sorted((cats[c], pats[p], pats[q]) for c, p, q in respects_priority(pr, row))
+    assert named == reference_respects_priority(pr, m)
+    assert rank_sum(pr, row) == reference_rank_sum(pr, m)
     try:
         want = reference_repair_priority(pr, m)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            repair_priority(pr, m)
+            repair_priority(pr, row)
         return None
-    got = repair_priority(pr, m)
-    assert got == want
-    assert rank_sum(pr, got) == reference_rank_sum(pr, got)
+    got = repair_priority(pr, row)
+    assert si.name_row(got) == want
+    assert rank_sum(pr, got) == reference_rank_sum(pr, want)
     return got
 
 
@@ -536,42 +550,58 @@ def test_priority_layer_matches_the_full_scan_on_random_matchings():
         )
         for priority in (None, shuffled_admissible_order(inst, rng)):
             pr = Problem(instance=inst, beta_star=Fraction(1, 2), priority=priority)
-            m = random_matching(inst, rng)
-            flagged += bool(reference_respects_priority(pr, m))
-            fixed = assert_priority_layer_matches_reference(pr, m)
-            swapped += fixed is not None and fixed != m
+            row = random_matching(inst, rng)
+            flagged += bool(reference_respects_priority(pr, pr.seat_instance.name_row(row)))
+            fixed = assert_priority_layer_matches_reference(pr, row)
+            swapped += fixed is not None and fixed != row
     assert flagged > 100 and swapped > 20
 
 
-@pytest.mark.parametrize("pairs", [(("p1", "c1#0"),), (("p1", "c9#0"),)], ids=["ineligible", "unknown-seat"])
-def test_priority_layer_refuses_a_pair_it_cannot_rank(pairs):
+@pytest.mark.parametrize(
+    "row, pairs, message",
+    [
+        ((0, -1, -1), (("p1", "c1#0"),), "patient p1 not eligible for seat c1#0"),
+        ((-1, 2, -1), (("p2", "c9#0"),), "seat index 2 outside \\[-1, 2\\)|unknown seat c9#0"),
+        ((-1, -2, -1), None, "seat index -2 outside \\[-1, 2\\)"),
+        ((-1, 0), None, "one entry per patient: 2 for 3"),
+        ((-1, 0, -1, -1), None, "one entry per patient: 4 for 3"),
+        ((-1, 0, 0), (("p2", "c1#0"), ("p3", "c1#0")), "more than one patient|seat c1#0 assigned more than one"),
+    ],
+    ids=["ineligible", "unknown-seat", "below-minus-one", "short", "long", "seat-twice"],
+)
+def test_priority_layer_refuses_a_pair_it_cannot_rank(row, pairs, message):
+    """A row that is not a matching of the instance is refused by each
+    priority function; a named pair list is refused by validate_matching
+    or the Matching constructor with the same fault."""
     inst = validate_instance(
         Instance(
-            categories=("c1",),
-            patients=("p1", "p2"),
-            quota={"c1": 1},
-            eligible={"c1": frozenset({"p2"})},
+            categories=("c1", "c2"),
+            patients=("p1", "p2", "p3"),
+            quota={"c1": 1, "c2": 1},
+            eligible={"c1": frozenset({"p2", "p3"}), "c2": frozenset({"p3"})},
             beneficiary={},
         )
     )
-    m = Matching(pairs=pairs)
-    for priority in (None, PriorityOrder(order={"c1": ("p2", "p1")})):
+    for priority in (None, PriorityOrder(order={"c1": ("p2", "p3", "p1"), "c2": ("p3", "p1", "p2")})):
         pr = Problem(instance=inst, beta_star=Fraction(0), priority=priority)
         for fn in (rank_sum, respects_priority, repair_priority):
-            with pytest.raises(MatchingError):
-                fn(pr, m)
+            with pytest.raises(MatchingError, match=message):
+                fn(pr, row)
+    if pairs is not None:
+        with pytest.raises(MatchingError, match=message):
+            validate_matching(pr.seat_instance, Matching(pairs=pairs))
 
 
 def name_route_solve_stdout(pr: Problem, respect: bool) -> str:
     """What solve prints, built on names: select_approx_on_frontier, then
     repair_priority and respects_priority, then matching_to_dict."""
-    m, pt = select_approx_on_frontier(pr)
+    row, pt = select_approx_on_frontier(pr)
     if respect:
-        m = repair_priority(pr, m)
-    out = matching_to_dict(pr.seat_instance, m)
+        row = repair_priority(pr, row)
+    out = matching_to_dict(pr.seat_instance, row)
     out["target"] = share_str(pr.beta_star)
     if respect:
-        out["priority_violations"] = len(respects_priority(pr, m))
+        out["priority_violations"] = len(respects_priority(pr, row))
     summary = f"e={pt.e} b={pt.b} beta={share_str(beneficiary_share(pt))} target={share_str(pr.beta_star)}"
     return json.dumps(out, indent=2, sort_keys=True) + "\n" + summary + "\n"
 
@@ -625,13 +655,13 @@ def test_rank_tables_are_built_once_per_problem(monkeypatch):
     for priority in (None, PriorityOrder.from_tiers(inst)):
         builds.clear()
         pr = Problem(instance=inst, beta_star=Fraction(1, 2), priority=priority)
-        m, _ = select_approx_on_frontier(pr)
-        fixed = repair_priority(pr, m)
-        assert respects_priority(pr, fixed) == [] and rank_sum(pr, fixed) <= rank_sum(pr, m)
+        row, _ = select_approx_on_frontier(pr)
+        fixed = repair_priority(pr, row)
+        assert respects_priority(pr, fixed) == [] and rank_sum(pr, fixed) <= rank_sum(pr, row)
         assert all(r.ok for r in run_suites(pr, ("mechanism",)))
         assert len(builds) == 1
-        with pytest.raises(MatchingError):  # each call still validates its matching
-            respects_priority(pr, Matching(pairs=(("p1", "nowhere#0"),)))
+        with pytest.raises(MatchingError):  # each call still checks its row
+            respects_priority(pr, (len(pr.seat_instance.seats),) + row[1:])
 
 
 def test_priority_layer_matches_the_full_scan_on_frontier_matchings():
@@ -646,10 +676,10 @@ def test_priority_layer_matches_the_full_scan_on_frontier_matchings():
         for priority in (None, shuffled_admissible_order(inst, rng)):
             pr = Problem(instance=inst, beta_star=Fraction(rng.randrange(4), 3), priority=priority)
             try:
-                m, _ = select_approx_on_frontier(pr)
+                row, _ = select_approx_on_frontier(pr)
             except NoNonEmptyMatchingError:
                 continue
-            swapped += assert_priority_layer_matches_reference(pr, m) != m
+            swapped += assert_priority_layer_matches_reference(pr, row) != row
     assert swapped > 5
 
 
@@ -657,9 +687,9 @@ def test_priority_layer_matches_the_full_scan_on_the_solve_walk_draw():
     # the solve-walk base draw: 320 x 320, quota 1, elig 3/320, bene 0.5, seed 1
     inst = gen_random(GenConfig(320, 320, (1, 1), 3 / 320, 0.5, seed=1))
     pr = Problem(instance=inst, beta_star=Fraction(1, 2))
-    m, _ = select_approx_on_frontier(pr)
-    assert reference_respects_priority(pr, m)
-    fixed = assert_priority_layer_matches_reference(pr, m)
+    row, _ = select_approx_on_frontier(pr)
+    assert reference_respects_priority(pr, pr.seat_instance.name_row(row))
+    fixed = assert_priority_layer_matches_reference(pr, row)
     assert respects_priority(pr, fixed) == []
 
 
@@ -730,10 +760,11 @@ def reference_choice_masks(pr):
     for x in range(1 << len(patients)):
         sub = restrict_patients(pr.instance, unmask(patients, x))
         try:
-            m, _ = select_approx_on_frontier(Problem(instance=sub, beta_star=beta_star))
+            row, _ = select_approx_on_frontier(Problem(instance=sub, beta_star=beta_star))
         except NoNonEmptyMatchingError:
-            m = Matching.empty()
-        masks.append(sum(1 << patients.index(p) for p in m.matched_patients))
+            row = ()
+        chosen = [p for p, j in zip(sub.patients, row) if j >= 0]
+        masks.append(sum(1 << patients.index(p) for p in chosen))
     return masks
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from reserve_frontier import (
     GenConfig,
-    Matching,
     MatchPoint,
     PriorityOrder,
     Problem,
@@ -27,7 +26,6 @@ from reserve_frontier.serialize import (
     frontier_to_dict,
     frontier_to_json,
     instance_to_json,
-    matching_to_assignment,
     matching_to_dict,
     parse_instance,
     parse_instance_file,
@@ -197,11 +195,10 @@ def test_round_trip_on_random_instances():
 
 def test_matching_serialization_uses_categories():
     si = expand_to_seats(gen_named("conflict").instance)
-    m = Matching(pairs=(("p1", "c2#0"),))
-    assert matching_to_assignment(si, m) == {"p1": "c2"}
-    d = matching_to_dict(si, m)
+    assert si.seats == ("c1#0", "c2#0")
+    d = matching_to_dict(si, (1, -1))  # p1 at c2#0
     assert d == {"assignment": {"p1": "c2"}, "e": 1, "b": 1, "beta": "1/1"}
-    assert matching_to_dict(si, Matching.empty())["beta"] is None
+    assert matching_to_dict(si, (-1, -1)) == {"assignment": {}, "e": 0, "b": 0, "beta": None}
 
 
 def test_frontier_csv_layout():
