@@ -10,9 +10,9 @@ is exactly why the frontier is concave.
 
 from reserve_frontier import (
     Instance,
+    cheapest_cycle,
     compute_frontier,
     expand_to_seats,
-    find_minimal_cycle,
     frontier_walk,
     validate_instance,
 )
@@ -41,17 +41,18 @@ inst = validate_instance(
 
 si = expand_to_seats(inst)
 f = compute_frontier(si)
-start = si.name_row(f.witnesses[f.points[0]])  # the cycle search walks named matchings
+start = f.witnesses[f.points[0]]  # a seat row: row[i] is patient i's seat index, or -1
 
 print("start at the max-beneficiary endpoint:", tuple(f.points[0]))
 print(f"{len(si.patients)} patients and {len(si.seats)} unit seats")
 
 walk = frontier_walk(si, start)
-prev_pt, m = walk[0]
+prev_pt, row = walk[0]
 for pt, nxt in walk[1:]:
-    moved = " -> ".join(find_minimal_cycle(si, m).patients)  # the cycle the walk applied
+    cycle = cheapest_cycle(si, row)  # the cycle the walk applied, as patient and seat indices
+    moved = " -> ".join(si.patients[i] for i in cycle.patients)
     print(f"  {tuple(prev_pt)} -> {tuple(pt)}  loss {prev_pt.b - pt.b}, reseats {moved}")
-    prev_pt, m = pt, nxt
+    prev_pt, row = pt, nxt
 
 print("reached the max-total endpoint:", tuple(prev_pt))
 assert [pt for pt, _ in walk] == list(f.points), "walk must cover the frontier"

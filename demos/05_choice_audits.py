@@ -16,10 +16,10 @@ from reserve_frontier import (
     enumerate_matchings,
     expand_to_seats,
     gen_named,
-    match_point,
     restrict_patients,
     select_approx_on_frontier,
 )
+from reserve_frontier.core import row_point
 
 pr = gen_named("path-independence")
 full = frozenset(pr.instance.patients)
@@ -54,7 +54,12 @@ print("example: chose", sorted(worst.lhs), "from the full pool but only",
 sub = restrict_patients(pr.instance, x)
 _, pt = select_approx_on_frontier(Problem(instance=sub, beta_star=pr.beta_star))
 si = expand_to_seats(sub)
-options = {m.matched_patients for m in enumerate_matchings(si) if match_point(si, m) == pt}
+# enumerate_matchings yields seat rows: row[i] is patient i's seat index, or -1
+options = {
+    frozenset(si.patients[i] for i, j in enumerate(row) if j != -1)
+    for row in enumerate_matchings(si)
+    if row_point(si.pair_codes, row) == pt
+}
 print(f"\nadmissible C(X) tie-breaks at {tuple(pt)}:")
 for s in sorted(options, key=sorted):
     print("  ", sorted(s), "misses", sorted(kept - s))

@@ -33,8 +33,8 @@ from .cycles import (
     CycleError,
     DominatedInputError,
     apply_cycle,
+    cheapest_cycle,
     check_applicable,
-    find_minimal_cycle,
     frontier_walk,
 )
 from .frontier import (
@@ -104,6 +104,7 @@ __all__ = [
     "audit_path_independence",
     "audit_substitutability",
     "beneficiary_share",
+    "cheapest_cycle",
     "check_applicable",
     "check_frontier_invariants",
     "choice_masks",
@@ -111,7 +112,6 @@ __all__ = [
     "dominates",
     "enumerate_matchings",
     "expand_to_seats",
-    "find_minimal_cycle",
     "frontier_iteration",
     "frontier_walk",
     "gen_chain_family",

@@ -12,6 +12,11 @@ max-beneficiary endpoint materializes a witness matching at every frontier
 point.  Only verify and the demos walk; production builds a witness
 between two kinks from their sweep rows (frontier.witness_at).
 
+Every matching here is a seat row, as in frontier and the oracle (row[i]
+is patient i's seat index, or -1), and a Cycle lists indices.  Each public
+function refuses a row that is not a matching of the instance with
+MatchingError (SeatInstance.check_row); a walk checks only its start row.
+
 Cheapest-cycle search is one Bellman-Ford from every unmatched patient at
 once, over (cost, start rank, hops) labels with predecessor links, where an
 alternating path's cost is exactly the beneficiary loss of the cycle it
@@ -22,9 +27,11 @@ converges in V-1 rounds otherwise, since zero-cost loops only add hops).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
-from .core import Matching, MatchPoint, SeatInstance, match_point
+from .core import MatchPoint, SeatInstance, row_point
 
 
 class CycleError(ValueError):
@@ -37,14 +44,14 @@ class DominatedInputError(ValueError):
 
 @dataclass(frozen=True)
 class Cycle:
-    """Alternating sequence (p1, s1, ..., pk, sk) closing back to p1."""
+    """Alternating patient and seat indices (p1, s1, ..., pk, sk) closing back to p1."""
 
-    patients: tuple[str, ...]
-    seats: tuple[str, ...]
+    patients: tuple[int, ...]
+    seats: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "patients", tuple(self.patients))
-        object.__setattr__(self, "seats", tuple(self.seats))
+        object.__setattr__(self, "patients", tuple(map(operator.index, self.patients)))
+        object.__setattr__(self, "seats", tuple(map(operator.index, self.seats)))
         if len(self.patients) != len(self.seats) or not self.patients:
             raise CycleError("cycle must alternate equal numbers of patients and seats")
         if len(set(self.patients)) != len(self.patients) or len(set(self.seats)) != len(self.seats):
@@ -54,41 +61,48 @@ class Cycle:
         return len(self.patients)
 
 
-def check_applicable(si: SeatInstance, m: Matching, c: Cycle) -> None:
-    """Raise CycleError unless c is an applicable cycle in the graph of m."""
+def check_applicable(si: SeatInstance, row: Sequence[int], c: Cycle) -> None:
+    """Raise CycleError unless c is an applicable cycle in the graph of the seat row's matching."""
+    _check_applicable(si, si.check_row(row), c)
+
+
+def _check_applicable(si: SeatInstance, row: Sequence[int], c: Cycle) -> None:
+    codes = si.pair_codes
+    n_p, n_s = codes.shape
+    for p, s in zip(c.patients, c.seats):
+        if not (0 <= p < n_p and 0 <= s < n_s):
+            raise CycleError(f"cycle not applicable: pair ({p}, {s}) outside {n_p} patients and {n_s} seats")
+    holder = {j: i for i, j in enumerate(row) if j != -1}
     p1, last_seat = c.patients[0], c.seats[-1]
-    if m.seat_of(p1) is not None:
-        raise CycleError(f"cycle not applicable: patient {p1} is matched")
-    if m.patient_of(last_seat) is not None:
-        raise CycleError(f"cycle not applicable: seat {last_seat} is filled")
+    if row[p1] != -1:
+        raise CycleError(f"cycle not applicable: patient {si.patients[p1]} is matched")
+    if last_seat in holder:
+        raise CycleError(f"cycle not applicable: seat {si.seats[last_seat]} is filled")
     for p, s in zip(c.patients, c.seats):
-        if s not in si.seat_index:
-            raise CycleError(f"cycle not applicable: unknown seat {s}")
-        if p not in si.eligible_of(s):
-            raise CycleError(f"cycle not applicable: {p} not eligible for {s}")
-        if m.seat_of(p) == s:
-            raise CycleError(f"cycle not applicable: {p} already seated at {s}")
+        if codes[p, s] == 0:
+            raise CycleError(f"cycle not applicable: {si.patients[p]} not eligible for {si.seats[s]}")
+        if row[p] == s:
+            raise CycleError(f"cycle not applicable: {si.patients[p]} already seated at {si.seats[s]}")
     for k in range(len(c) - 1):
-        holder = m.patient_of(c.seats[k])
-        if holder != c.patients[k + 1]:
-            raise CycleError(
-                f"cycle not applicable: seat {c.seats[k]} does not hold {c.patients[k + 1]}"
-            )
+        if holder.get(c.seats[k]) != c.patients[k + 1]:
+            raise CycleError(f"cycle not applicable: seat {si.seats[c.seats[k]]} "
+                             f"does not hold {si.patients[c.patients[k + 1]]}")
 
 
-def apply_cycle(si: SeatInstance, m: Matching, c: Cycle) -> Matching:
-    """Seat every cycle patient at its cycle seat; everyone else stays put."""
-    check_applicable(si, m, c)
-    assignment = dict(m.by_patient)
+def apply_cycle(si: SeatInstance, row: Sequence[int], c: Cycle) -> tuple[int, ...]:
+    """The seat row with every cycle patient at its cycle seat; everyone else stays put."""
+    return _apply(si, si.check_row(row), c)
+
+
+def _apply(si: SeatInstance, row: Sequence[int], c: Cycle) -> tuple[int, ...]:
+    _check_applicable(si, row, c)
+    out = list(row)
     for p, s in zip(c.patients, c.seats):
-        assignment[p] = s
-    out = Matching.from_assignment(assignment)
-    if len(out) != len(m) + 1:
-        raise CycleError("cycle application must add exactly one match")
-    return out
+        out[p] = s
+    return tuple(out)
 
 
-def find_minimal_cycle(si: SeatInstance, m: Matching) -> Cycle | None:
+def cheapest_cycle(si: SeatInstance, row: Sequence[int]) -> Cycle | None:
     """Applicable cycle of minimum beneficiary loss, or None if none exists.
 
     Ties break by unmatched-patient order, then unmatched-seat order, then
@@ -124,8 +138,12 @@ def find_minimal_cycle(si: SeatInstance, m: Matching) -> Cycle | None:
     one hop, and a held seat's holder is the seat's plus one hop, so the
     links lead back to the start in strictly fewer hops.
     """
+    return _cheapest(si, si.check_row(row))
+
+
+def _cheapest(si: SeatInstance, seat_of: Sequence[int]) -> Cycle | None:
     n_p, n_s = len(si.patients), len(si.seats)
-    seat_of, patient_of = si.index_matching(m)
+    held = set(seat_of)
     elig = si.eligible_seats
     bene = si.beneficiary_seat_sets
     # Cost of moving patient i to seat j: loses their current beneficiary
@@ -134,7 +152,7 @@ def find_minimal_cycle(si: SeatInstance, m: Matching) -> Cycle | None:
         1 if seat_of[i] != -1 and seat_of[i] in bene[i] else 0 for i in range(n_p)
     ]
     starts = [i for i in range(n_p) if seat_of[i] == -1 and elig[i]]
-    targets = [j for j in range(n_s) if patient_of[j] == -1]
+    targets = [j for j in range(n_s) if j not in held]
     if not starts or not targets:
         return None
 
@@ -183,41 +201,38 @@ def find_minimal_cycle(si: SeatInstance, m: Matching) -> Cycle | None:
     if not reached:
         return None
     best_cost, *_, j = min(reached)
-    patients: list[str] = []
-    seats: list[str] = []
+    patients: list[int] = []
+    seats: list[int] = []
     while j != -1:
         i = pred[j]
-        patients.append(si.patients[i])
-        seats.append(si.seats[j])
+        patients.append(i)
+        seats.append(j)
         j = seat_of[i]
-    cycle = Cycle(patients=tuple(reversed(patients)), seats=tuple(reversed(seats)))
-    # the loss by name, without applying the cycle: only its patients move,
-    # since each seat it takes is empty or held by the next of them
-    before = [(p, m.seat_of(p)) for p in cycle.patients]
-    delta = sum(1 for p, s in before if s is not None and p in si.beneficiary_of(s))
-    delta -= sum(1 for p, s in zip(cycle.patients, cycle.seats) if p in si.beneficiary_of(s))
+    # the loss, recounted without applying the cycle: only its patients
+    # move, since each seat it takes is empty or held by the next of them
+    delta = sum(cur_bene[i] for i in patients) - sum(j in bene[i] for i, j in zip(patients, seats))
     if delta != best_cost:
         raise RuntimeError("cycle cost disagrees with its beneficiary loss")
     if delta <= 0:
         raise DominatedInputError(
             f"dominated input: applicable cycle with beneficiary loss {delta}"
         )
-    return cycle
+    return Cycle(patients=tuple(reversed(patients)), seats=tuple(reversed(seats)))
 
 
-def frontier_walk(si: SeatInstance, start: Matching) -> list[tuple[MatchPoint, Matching]]:
-    """Apply cheapest cycles until none remain, recording every stop.
+def frontier_walk(si: SeatInstance, start: Sequence[int]) -> list[tuple[MatchPoint, tuple[int, ...]]]:
+    """Apply cheapest cycles until none remain, recording every stop (point, seat row).
 
     Started from a max-beneficiary-then-max-total matching this visits every
     frontier point in order.  Raises DominatedInputError if the walk betrays
     a dominated input (non-positive loss, or losses that shrink along the
     way, which a frontier matching can never produce).
     """
-    current, prev_loss = start, 0  # find_minimal_cycle never returns a loss below 1
-    stops = [(match_point(si, current), current)]
-    while (cycle := find_minimal_cycle(si, current)) is not None:
-        current = apply_cycle(si, current, cycle)
-        pt = match_point(si, current)
+    current, prev_loss = tuple(si.check_row(start)), 0  # a cycle never loses less than 1
+    stops = [(row_point(si.pair_codes, current), current)]
+    while (cycle := _cheapest(si, current)) is not None:
+        current = _apply(si, current, cycle)
+        pt = row_point(si.pair_codes, current)
         loss = stops[-1][0].b - pt.b
         if loss < prev_loss:
             raise DominatedInputError("dominated input: beneficiary loss decreased along the walk")

@@ -40,7 +40,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import MatchPoint, SeatInstance
+from .core import MatchPoint, SeatInstance, row_point
 from .hungarian import cost_matrix, min_cost_assignment
 
 class FrontierInvariantError(RuntimeError):
@@ -109,12 +109,6 @@ def kinks_of(points: Sequence[MatchPoint]) -> frozenset[MatchPoint]:
     return frozenset(out)
 
 
-def _point(codes: np.ndarray, row: np.ndarray) -> MatchPoint:
-    """The point of a seat row on its pair-code matrix."""
-    rows = np.flatnonzero(row >= 0)
-    return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, row[rows]] == 2)))
-
-
 def _row(n_rows: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The seat row of the pairs (rows[k], cols[k])."""
     row = np.full(n_rows, -1, dtype=np.intp)
@@ -142,7 +136,7 @@ def _sweeps(codes: np.ndarray) -> Callable[[int], tuple[MatchPoint, np.ndarray]]
             np.subtract(cost, 2 * (d - at), out=cost, where=codes != 0)
             at = d
         row = _row(codes.shape[0], *min_cost_assignment(cost, codes))
-        return _point(codes, row), row
+        return row_point(codes, row), row
 
     return sweep
 
@@ -190,7 +184,7 @@ def witness_at(codes: np.ndarray, f: Frontier, pt: MatchPoint) -> tuple[int, ...
         if i < 0:  # C's seat is free in A: an augmenting path
             row[path] = [c_row[k] for k in path]
             need -= 1
-    got = _point(codes, row)
+    got = row_point(codes, row)
     if got != pt:
         raise FrontierInvariantError(f"witness between {a} and {c} scores {got}, not {pt}")
     return tuple(row.tolist())

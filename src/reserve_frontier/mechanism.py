@@ -24,21 +24,19 @@ Every matching here is a seat row, a tuple with one entry per patient:
 row[i] is patient i's seat index, or -1 when patient i is unmatched.
 Selection returns one; rank_sum, respects_priority and repair_priority
 take one, and refuse with MatchingError a row that is not a matching of
-the instance: one of the wrong length, with a seat index outside
-[-1, seats), with a patient seated where they are not eligible, or with a
-seat used twice.  Names are given at the I/O boundary (serialize).
+the instance (SeatInstance.check_row).  Names are given at the I/O
+boundary (serialize).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .core import BudgetExceededError, MatchingError, MatchPoint, Problem, beneficiary_share
+from .core import BudgetExceededError, MatchPoint, Problem, beneficiary_share
 from .frontier import Frontier, _frontier, compute_frontier, witness_at
 
 
@@ -86,33 +84,13 @@ def _first_swap(pr: Problem, row: Sequence[int]) -> tuple[int, int] | None:
     return None
 
 
-def _checked(pr: Problem, row: Sequence[int]) -> list[int]:
-    """row as a list, once it is the seat row of a matching of pr's seat
-    instance; raises MatchingError otherwise."""
-    si = pr.seat_instance
-    n_patients, n_seats = si.pair_codes.shape
-    row = list(map(operator.index, row))
-    if len(row) != n_patients:
-        raise MatchingError(f"a seat row has one entry per patient: {len(row)} for {n_patients} patient(s)")
-    seated = [i for i, j in enumerate(row) if j != -1]
-    seats = [row[i] for i in seated]
-    for i, j in zip(seated, seats):
-        if not 0 <= j < n_seats:
-            raise MatchingError(f"patient {si.patients[i]}: seat index {j} outside [-1, {n_seats})")
-    for k in np.flatnonzero(si.pair_codes[seated, seats] == 0).tolist():
-        raise MatchingError(f"patient {si.patients[seated[k]]} not eligible for seat {si.seats[seats[k]]}")
-    if len(set(seats)) != len(seats):
-        raise MatchingError("a seat row gives one seat to more than one patient")
-    return row
-
-
 def rank_sum(pr: Problem, row: Sequence[int]) -> int:
     """Sum of seated patients' priority ranks in their seats' categories.
 
     Like respects_priority and repair_priority, this ranks by the tier
     order when pr names no priority.
     """
-    row, category = _checked(pr, row), pr.seat_instance.category_index
+    row, category = pr.seat_instance.check_row(row), pr.seat_instance.category_index
     return sum(
         k for c, rank in enumerate(pr.rank_rows) for k, i in enumerate(rank, 1)
         if row[i] >= 0 and category[row[i]] == c
@@ -122,7 +100,7 @@ def rank_sum(pr: Problem, row: Sequence[int]) -> int:
 def respects_priority(pr: Problem, row: Sequence[int]) -> list[tuple[int, int, int]]:
     """Every violation, as (category, seated patient, unmatched patient who
     outranks them) indices, categories in instance order and each by rank."""
-    row, category, out = _checked(pr, row), pr.seat_instance.category_index, []
+    row, category, out = pr.seat_instance.check_row(row), pr.seat_instance.category_index, []
     for c, rank in enumerate(pr.rank_rows):
         free: list[int] = []
         for i in rank:
@@ -143,7 +121,7 @@ def repair_priority(pr: Problem, row: Sequence[int]) -> tuple[int, ...]:
     is a beneficiary, which on admissible orders means the input was not a
     frontier matching; that case raises with a diagnostic.
     """
-    row, codes = _checked(pr, row), pr.seat_instance.pair_codes
+    row, codes = pr.seat_instance.check_row(row), pr.seat_instance.pair_codes
     while (swap := _first_swap(pr, row)) is not None:
         p, q = swap
         s = row[p]

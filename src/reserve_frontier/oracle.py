@@ -7,14 +7,17 @@ associated-graph definition.  Budgets cap instance size and visited states
 so runaway inputs fail fast instead of hanging.  It only computes: the
 checks on its answers live in verify, and no production module imports it.
 
+Every matching here is a seat row, as in frontier and cycles (row[i] is
+patient i's seat index, or -1), and nothing here names one.
+
 There are two entry points.  Census(si, budget, points) answers everything
 the verify checks read: .counts (matchings per score point), .frontier()
 (undominated points, witnessed as frontier does, by the seat row of
 their first matching) and .sample(points) (up to the SAMPLE_CAP constant
-Matchings per point, reservoir-sampled with seed 0).
-enumerate_matchings(si, budget) yields every Matching once, in the same
-order, for callers that need each one.  Samples and enumerated matchings
-are named, for the cycle checks that read them (verify, cycles).
+seat rows per point, reservoir-sampled with seed 0).
+enumerate_matchings(si, budget) yields every seat row once, in the same
+order, for callers that need each one.  oracle_min_cycle_loss(si, row)
+refuses a row that is not a matching of si (SeatInstance.check_row).
 
 Matchings are enumerated by a recursion over patients (_leaf_blocks)
 that expands one numpy level of rows per patient and yields the leaves
@@ -26,8 +29,8 @@ once for the count and first matching at every score point (the
 frontier, its witnesses and every exact-share count) and, in the same
 pass, the sampled matchings and matched patient sets at the points it
 was built with; only samples at other points take a pass of their own.
-Leaves are scored by index, block by block; only the leaves at sampled
-points reach Python, and no Matching is built per leaf.
+Leaves are scored by index, block by block, and only the leaves at
+sampled points reach Python.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BudgetExceededError, Matching, MatchPoint, SeatInstance
+from .core import BudgetExceededError, MatchPoint, SeatInstance
 from .frontier import Frontier, kinks_of
 
 BUDGET_ENV = "RESERVE_FRONTIER_ORACLE_BUDGET"
@@ -206,25 +209,25 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
 
 
 def enumerate_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET):
-    """Yield every eligible matching exactly once, in a fixed recursion order.
+    """Yield the seat row of every eligible matching exactly once, in a fixed
+    recursion order.
 
     Blocks are built as the matchings are consumed, so memory stays within
     the enumeration's byte cap, and a BudgetExceededError for the state
     budget can come after matchings already yielded.
     """
     for assignment, _, _ in _leaf_blocks(si, budget):
-        for a in assignment.tolist():
-            yield si.name_row(a)
+        yield from map(tuple, assignment.tolist())
 
 
-# Matchings that Census.sample keeps per point; the rest are reservoir-sampled.
+# Seat rows that Census.sample keeps per point; the rest are reservoir-sampled.
 SAMPLE_CAP = 200
 
 
 class Sample(NamedTuple):
     """Samples at a set of points, and the matched sets of every matching there."""
 
-    matchings: dict[MatchPoint, list[Matching]]
+    matchings: dict[MatchPoint, list[tuple[int, ...]]]  # seat rows
     mode: str  # "exhaustive" if nothing was dropped, else "sampled"
     matched: dict[MatchPoint, set[int]]  # bitmasks of matched patient indices
 
@@ -277,7 +280,7 @@ class Census:
         return self._frontier
 
     def sample(self, points) -> Sample:
-        """Up to SAMPLE_CAP matchings per point, reservoir-sampled with seed 0."""
+        """Up to SAMPLE_CAP seat rows per point, reservoir-sampled with seed 0."""
         key = frozenset(points)
         if key == self._points:
             self.counts  # the census's own pass samples its points
@@ -336,18 +339,18 @@ class Census:
             self._first = {MatchPoint(*divmod(k, stride)): a for k, a in first.items()}
             self._counts = {MatchPoint(*divmod(k, stride)): c for k, c in counts.items()}
         mode = "exhaustive" if all(n <= cap for n in seen.values()) else "sampled"
-        samples = {p: [self.si.name_row(a) for a in kept[p]] for p in wanted}
-        return Sample(samples, mode, matched)
+        return Sample(kept, mode, matched)
 
 
-def _applicable_cycles(si: SeatInstance, m: Matching, budget: EnumerationBudget):
-    """All applicable cycles in m's associated graph, by exhaustive search.
+def _applicable_cycles(si: SeatInstance, seat_of: Sequence[int], budget: EnumerationBudget):
+    """All applicable cycles in the associated graph of the seat row
+    seat_of, by exhaustive search.
 
     Yields (patient_indices, seat_indices, loss).  Each applicable cycle has
     a unique unmatched start patient, so each is produced exactly once.
     """
     n_p, n_s = len(si.patients), len(si.seats)
-    seat_of, patient_of = si.index_matching(m)
+    patient_of = {j: i for i, j in enumerate(seat_of) if j != -1}
     elig = si.eligible_seats
     bene = si.beneficiary_seat_sets
     cur_bene = [1 if seat_of[i] != -1 and seat_of[i] in bene[i] else 0 for i in range(n_p)]
@@ -365,7 +368,7 @@ def _applicable_cycles(si: SeatInstance, m: Matching, budget: EnumerationBudget)
             if j == seat_of[p] or on_s[j]:
                 continue
             dloss = cur_bene[p] - (1 if j in bene[p] else 0)
-            holder = patient_of[j]
+            holder = patient_of.get(j, -1)
             if holder == -1:
                 out.append((tuple(path_p), tuple(path_s + [j]), loss + dloss))
                 continue
@@ -394,11 +397,12 @@ def _applicable_cycles(si: SeatInstance, m: Matching, budget: EnumerationBudget)
 
 
 def oracle_min_cycle_loss(
-    si: SeatInstance, m: Matching, budget: EnumerationBudget = DEFAULT_BUDGET
+    si: SeatInstance, row: Sequence[int], budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> int | None:
-    """Minimum beneficiary loss over all applicable cycles, or None if none."""
+    """Minimum beneficiary loss over all applicable cycles of the seat row's
+    matching, or None if none; MatchingError if row is not a matching of si."""
     _check_size(si, budget)
-    cycles = _applicable_cycles(si, m, budget)
+    cycles = _applicable_cycles(si, si.check_row(row), budget)
     if not cycles:
         return None
     return min(loss for _, _, loss in cycles)

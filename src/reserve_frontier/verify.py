@@ -12,6 +12,11 @@ frontier's points, enumerates it once however many suites and targets
 read it, and the mechanism suite selects on the shared frontier instead
 of recomputing it per target.
 
+Matchings reach these checks as seat rows (row[i] is patient i's seat
+index, or -1).  A check names a row only to print it, or to score it by
+match_point on patient and seat ids, apart from the pair-code scorer
+(core.row_point) of the routes it checks.
+
 Setting RESERVE_FRONTIER_INJECT_CORRUPTION=1 deliberately corrupts the
 frontier that the frontier suite checks, and only that copy.  That is
 the negative control: a verifier that cannot fail is not verifying
@@ -27,7 +32,7 @@ from random import Random
 from typing import Iterator
 
 from .core import BudgetExceededError, MatchPoint, Problem, dominates, match_point
-from .cycles import apply_cycle, find_minimal_cycle, frontier_walk
+from .cycles import apply_cycle, cheapest_cycle, frontier_walk
 from .frontier import (
     Frontier,
     check_frontier_invariants,
@@ -156,7 +161,7 @@ def verify_cycles(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]
         return results
 
     start_pt = f.points[0]
-    walk = frontier_walk(si, si.name_row(f.witnesses[start_pt]))
+    walk = frontier_walk(si, f.witnesses[start_pt])
     walk_pts = [pt for pt, _ in walk]
     covered = walk_pts == list(f.points)
     results.append(
@@ -173,9 +178,9 @@ def verify_cycles(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]
     min_ok = True
     detail = f"mode={mode}"
     for pt in f.points:
-        for m in samples.get(pt, ()):
-            cyc = find_minimal_cycle(si, m)
-            want = oracle_min_cycle_loss(si, m, budget)
+        for row in samples.get(pt, ()):
+            cyc = cheapest_cycle(si, row)
+            want = oracle_min_cycle_loss(si, row, budget)
             if cyc is None:
                 if want is not None:
                     min_ok, detail = False, f"missed a cycle at {pt}"
@@ -184,7 +189,7 @@ def verify_cycles(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]
                     min_ok, detail = False, f"no cycle before the max-size point {pt}"
                     break
                 continue
-            nxt = match_point(si, apply_cycle(si, m, cyc))
+            nxt = match_point(si, si.name_row(apply_cycle(si, row, cyc)))
             got = pt.b - nxt.b  # the sample at pt scores pt
             if want is None or got != want:
                 min_ok, detail = False, f"loss {got} vs exhaustive {want} at {pt}"
@@ -217,31 +222,31 @@ def _disjoint_cycles(census: Census) -> CheckResult:
     for lo_idx, f2 in enumerate(f.points[:-1]):
         # the cycles of a sampled matching serve every f1 above its f2
         sampled = []
-        for m2 in sample.matchings[f2]:
+        for row2 in sample.matchings[f2]:
             positive = [
                 (
                     list(zip(ps, ss)),
                     frozenset(ps) | frozenset(n_p + j for j in ss),
                     loss,
                 )
-                for ps, ss, loss in _applicable_cycles(si, m2, budget)
+                for ps, ss, loss in _applicable_cycles(si, row2, budget)
                 if loss >= 1
             ]
-            sampled.append((m2, positive, si.index_matching(m2)[0]))
+            sampled.append((row2, positive))
         for f1 in f.points[lo_idx + 1 :]:
             k = f1.e - f2.e
             target = f2.b - f1.b
             pairs += 1
-            for m2, positive, seat_of in sampled:
+            for row2, positive in sampled:
                 witnesses += 1
                 family = _find_disjoint_family(positive, k, target, _StateCounter(budget.max_states))
                 if family is None:
                     failure = failure or (
                         f"no {k} disjoint cycles with total loss {target} "
-                        f"from {f2} to {f1} for witness {m2.pairs}"
+                        f"from {f2} to {f1} for witness {si.name_row(row2).pairs}"
                     )
                     continue
-                row = list(seat_of)
+                row = list(row2)
                 for idx in family:
                     for i, j in positive[idx][0]:
                         row[i] = j
@@ -257,17 +262,17 @@ def _matched_preservation(census: Census) -> CheckResult:
     f2, some matching at f1 keeps all of f2's matched patients matched."""
     f = census.frontier()
     sample = census.sample(f.points)
-    bit = {p: 1 << i for i, p in enumerate(census.si.patients)}
     pairs = 0
     failure = ""
     for lo_idx, f2 in enumerate(f.points):
         for f1 in f.points[lo_idx + 1 :]:
             pairs += 1
-            for m2 in sample.matchings[f2]:
-                kept = m2.matched_patients
-                mask = sum(bit[p] for p in kept)
+            for row2 in sample.matchings[f2]:
+                kept = [i for i, j in enumerate(row2) if j != -1]
+                mask = sum(1 << i for i in kept)
                 if not failure and not any(mask & s == mask for s in sample.matched[f1]):
-                    failure = f"no matching at {f1} keeps matched set {sorted(kept)} from {f2}"
+                    named = sorted(census.si.patients[i] for i in kept)
+                    failure = f"no matching at {f1} keeps matched set {named} from {f2}"
     return _lemma("matched-sets-extend-along-frontier", f"pairs={pairs} mode={sample.mode}", failure)
 
 

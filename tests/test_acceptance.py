@@ -16,7 +16,6 @@ from reserve_frontier.oracle import Census
 from reserve_frontier.verify import _exact_share_domination
 from reserve_frontier import (
     GenConfig,
-    Matching,
     MatchPoint,
     NoNonEmptyMatchingError,
     PriorityOrder,
@@ -24,11 +23,11 @@ from reserve_frontier import (
     apply_cycle,
     audit_substitutability,
     beneficiary_share,
+    cheapest_cycle,
     choice_masks,
     compute_frontier,
     enumerate_matchings,
     expand_to_seats,
-    find_minimal_cycle,
     frontier_iteration,
     frontier_walk,
     gen_chain_family,
@@ -115,7 +114,7 @@ def oracle_pool():
         si = expand_to_seats(inst)
         f = compute_frontier(si)
         fo = Census(si).frontier()
-        walk = frontier_walk(si, si.name_row(f.witnesses[f.points[0]]))
+        walk = frontier_walk(si, f.witnesses[f.points[0]])
         records.append((i, si, f, fo, frozenset(pt for pt, _ in walk)))
     return records, time.perf_counter() - t0
 
@@ -206,17 +205,17 @@ def test_criterion_06_minimal_cycle_theorem(oracle_pool, monkeypatch):
     for i, si, _, fo, _ in records:
         on_frontier = set(fo.points)
         samples = Census(si).sample(fo.points).matchings
-        for pt, ms in samples.items():
-            for m in ms:
+        for pt, rows in samples.items():
+            for row in rows:
                 checked += 1
-                want = oracle_min_cycle_loss(si, m)
-                cyc = find_minimal_cycle(si, m)
+                want = oracle_min_cycle_loss(si, row)
+                cyc = cheapest_cycle(si, row)
                 if cyc is None:
                     assert want is None, f"instance {i}: missed a cycle at {pt}"
                     assert pt.e == fo.e_max, f"instance {i}: stuck at {pt}"
                     continue
-                nxt = match_point(si, apply_cycle(si, m, cyc))
-                got = match_point(si, m).b - nxt.b
+                nxt = match_point(si, si.name_row(apply_cycle(si, row, cyc)))
+                got = match_point(si, si.name_row(row)).b - nxt.b
                 assert got == want, f"instance {i} at {pt}: loss {got} != {want}"
                 assert nxt in on_frontier, f"instance {i}: {pt} stepped off to {nxt}"
     assert checked >= 2000
@@ -262,8 +261,8 @@ def test_criterion_09_exact_share_domination():
         si = expand_to_seats(inst)
         census = Census(si)
         shares = set()
-        for m in enumerate_matchings(si):
-            pt = match_point(si, m)
+        for row in enumerate_matchings(si):
+            pt = match_point(si, si.name_row(row))
             if pt.e:
                 shares.add(beneficiary_share(pt))
         # realized shares as targets keep the exact-share set non-empty
@@ -324,9 +323,10 @@ def test_criterion_10_priority_repair():
     print(f"criterion 10: {done} repairs clean, point preserved, {improved} non-trivial")
 
 
-def matchings_at(si, pt):
-    """Every eligible matching scoring exactly pt."""
-    return [m for m in enumerate_matchings(si) if match_point(si, m) == pt]
+def matched_sets_at(si, pt):
+    """The matched patients of every eligible matching scoring exactly pt."""
+    named = (si.name_row(row) for row in enumerate_matchings(si))
+    return {frozenset(p for p, _ in m.pairs) for m in named if match_point(si, m) == pt}
 
 
 def test_criterion_11_impossibility_reproduction():
@@ -344,12 +344,12 @@ def test_criterion_11_impossibility_reproduction():
     # robustness over tie-breaks: every optimal matching is an admissible
     # choice set, so quantify over all of them on both sides of the pair
     _, pt_full = select_approx_on_frontier(pr)
-    full_sets = {m.matched_patients for m in matchings_at(expand_to_seats(pr.instance), pt_full)}
+    full_sets = matched_sets_at(expand_to_seats(pr.instance), pt_full)
     assert full_sets and all(needed <= s for s in full_sets)
 
     sub = restrict_patients(pr.instance, x)
     _, pt_sub = select_approx_on_frontier(Problem(instance=sub, beta_star=pr.beta_star))
-    sub_sets = {m.matched_patients for m in matchings_at(expand_to_seats(sub), pt_sub)}
+    sub_sets = matched_sets_at(expand_to_seats(sub), pt_sub)
     assert sub_sets and all(not needed <= s for s in sub_sets)
 
     elapsed = time.perf_counter() - t0

@@ -3,10 +3,10 @@
 The reference functions below are the scans the verify checks ran before
 they shared one census: one enumeration each for the frontier, for the
 samples, for the matched-patient sets and, per share target, for the
-exact-share matchings (built as Matching objects and scored with
-match_point).  They run on scan_leaves, the depth-first recursion that
-enumerated the matchings one Python call per state before the oracle
-expanded them in numpy blocks.  They are kept here only as the reference.
+exact-share matchings (scored by name with match_point).  They run on
+scan_leaves, the depth-first recursion that enumerated the matchings one
+Python call per state before the oracle expanded them in numpy blocks.
+They are kept here only as the reference.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from reserve_frontier import (
     match_point,
     run_suites,
     select_approx_on_frontier,
+    validate_matching,
 )
 from reserve_frontier.frontier import Frontier, kinks_of
 from reserve_frontier.oracle import (
@@ -117,7 +118,7 @@ def ref_sample(si, points, budget=DEFAULT_BUDGET, cap=200):
 
     scan_leaves(si, budget, visit)
     mode = "exhaustive" if all(seen[p] <= cap for p in wanted) else "sampled"
-    return {p: [si.name_row(a) for a in kept[p]] for p in wanted}, mode
+    return kept, mode
 
 
 def ref_matched_sets(si, points, budget=DEFAULT_BUDGET):
@@ -191,8 +192,8 @@ def assert_census_matches_the_scans(inst, cap):
         }
 
     by_share: dict = {}
-    for m in enumerate_matchings(si):
-        pt = match_point(si, m)
+    for row in enumerate_matchings(si):
+        pt = match_point(si, si.name_row(row))
         if pt.e:
             by_share.setdefault(beneficiary_share(pt), []).append(pt)
     for beta, at_share in by_share.items():
@@ -277,17 +278,12 @@ def test_a_census_built_with_its_points_equals_the_scans(sliced, monkeypatch):
 def test_seat_rows_name_the_enumerated_matchings():
     for inst in [*small_draws(), *base_draws()]:
         si = expand_to_seats(inst)
-        rows = [row for a, _, _ in _leaf_blocks(si, DEFAULT_BUDGET) for row in a.tolist()]
-        matchings = list(enumerate_matchings(si))
-        assert len(rows) == len(matchings)
-        for row, m in zip(rows, matchings):
-            seat_of, patient_of = si.index_matching(m)
-            assert seat_of == row
-            assert si.name_row(seat_of) == m
-            assert len(patient_of) == len(si.seats)
-            assert sum(i != -1 for i in patient_of) == len(m)
-            assert all(patient_of[j] == i for i, j in enumerate(seat_of) if j != -1)
-            assert all(seat_of[i] == j for j, i in enumerate(patient_of) if i != -1)
+        rows = [tuple(row) for a, _, _ in _leaf_blocks(si, DEFAULT_BUDGET) for row in a.tolist()]
+        assert list(enumerate_matchings(si)) == rows
+        for row in rows:
+            m = validate_matching(si, si.name_row(row))
+            assert len(m.pairs) == sum(j != -1 for j in row)
+            assert all(si.seats[row[si.patient_index[p]]] == s for p, s in m.pairs)
 
 
 @pytest.fixture
@@ -340,7 +336,7 @@ def test_leaf_blocks_list_the_recursions_leaves(sliced, monkeypatch):
         most_blocks = max(most_blocks, len(blocks))
         got = [(tuple(a), e, b) for block in blocks for a, e, b in zip(*(x.tolist() for x in block))]
         assert got == want
-        assert list(enumerate_matchings(si)) == [si.name_row(a) for a, _, _ in want]
+        assert list(enumerate_matchings(si)) == [a for a, _, _ in want]
 
         counts: dict = {}
         first: dict = {}

@@ -11,13 +11,13 @@ from reserve_frontier import (
     DominatedInputError,
     GenConfig,
     Instance,
-    Matching,
+    MatchingError,
     MatchPoint,
     apply_cycle,
+    cheapest_cycle,
     check_applicable,
     compute_frontier,
     expand_to_seats,
-    find_minimal_cycle,
     frontier_walk,
     gen_chain_family,
     gen_named,
@@ -30,9 +30,27 @@ import reserve_frontier.oracle as oracle_module
 from reserve_frontier.oracle import Census
 
 
-def beneficiary_loss(si, m, c):
-    """Drop in beneficiary matches caused by applying c to m."""
-    return match_point(si, m).b - match_point(si, apply_cycle(si, m, c)).b
+def seat_row(si, *pairs):
+    """The seat row of named (patient, seat) pairs."""
+    row = [-1] * len(si.patients)
+    for p, s in pairs:
+        row[si.patient_index[p]] = si.seat_index[s]
+    return tuple(row)
+
+
+def named_cycle(si, patients, seats):
+    """The Cycle of named patients and seats."""
+    return Cycle(tuple(si.patient_index[p] for p in patients), tuple(si.seat_index[s] for s in seats))
+
+
+def point(si, row):
+    """The point of a seat row, scored by name."""
+    return match_point(si, si.name_row(row))
+
+
+def beneficiary_loss(si, row, c):
+    """Drop in beneficiary matches caused by applying c to the seat row."""
+    return point(si, row).b - point(si, apply_cycle(si, row, c)).b
 
 
 def conflict_si():
@@ -41,66 +59,101 @@ def conflict_si():
 
 def test_cycle_validation():
     with pytest.raises(CycleError):
-        Cycle(patients=("p1",), seats=())
+        Cycle(patients=(0,), seats=())
     with pytest.raises(CycleError):
-        Cycle(patients=("p1", "p1"), seats=("s1", "s2"))
-    assert len(Cycle(patients=("p1",), seats=("s1",))) == 1
+        Cycle(patients=(0, 0), seats=(0, 1))
+    assert len(Cycle(patients=(0,), seats=(0,))) == 1
+    with pytest.raises(TypeError):  # a Cycle lists indices, not ids
+        Cycle(patients=("p1",), seats=("c1#0",))
 
 
 def test_applicability_and_application_on_conflict():
     si = conflict_si()
-    m = Matching(pairs=(("p1", "c2#0"),))
+    row = seat_row(si, ("p1", "c2#0"))
     # p2 enters c2, pushing p1 over to c1
-    c = Cycle(patients=("p2", "p1"), seats=("c2#0", "c1#0"))
-    check_applicable(si, m, c)
-    out = apply_cycle(si, m, c)
-    assert match_point(si, out) == MatchPoint(2, 0)
-    assert beneficiary_loss(si, m, c) == 1
+    c = named_cycle(si, ("p2", "p1"), ("c2#0", "c1#0"))
+    check_applicable(si, row, c)
+    out = apply_cycle(si, row, c)
+    assert out == seat_row(si, ("p1", "c1#0"), ("p2", "c2#0"))
+    assert point(si, out) == MatchPoint(2, 0)
+    assert beneficiary_loss(si, row, c) == 1
 
 
 def test_applicability_failures():
     si = conflict_si()
-    m = Matching(pairs=(("p1", "c2#0"),))
-    with pytest.raises(CycleError, match="is matched"):
-        check_applicable(si, m, Cycle(patients=("p1",), seats=("c1#0",)))
-    with pytest.raises(CycleError, match="not eligible"):
-        check_applicable(si, m, Cycle(patients=("p2",), seats=("c1#0",)))
-    with pytest.raises(CycleError, match="is filled"):
-        check_applicable(si, m, Cycle(patients=("p2",), seats=("c2#0",)))
+    row = seat_row(si, ("p1", "c2#0"))
+    with pytest.raises(CycleError, match="patient p1 is matched"):
+        check_applicable(si, row, named_cycle(si, ("p1",), ("c1#0",)))
+    with pytest.raises(CycleError, match="p2 not eligible for c1#0"):
+        check_applicable(si, row, named_cycle(si, ("p2",), ("c1#0",)))
+    with pytest.raises(CycleError, match="seat c2#0 is filled"):
+        check_applicable(si, row, named_cycle(si, ("p2",), ("c2#0",)))
+    with pytest.raises(CycleError, match="outside 2 patients and 2 seats"):
+        check_applicable(si, row, Cycle(patients=(1,), seats=(2,)))
     # chain break: middle seat must hand over to the next patient
-    full = Matching(pairs=(("p1", "c1#0"), ("p2", "c2#0")))
+    full = seat_row(si, ("p1", "c1#0"), ("p2", "c2#0"))
     with pytest.raises(CycleError):
-        check_applicable(si, full, Cycle(patients=("p1", "p2"), seats=("c2#0", "c1#0")))
+        check_applicable(si, full, named_cycle(si, ("p1", "p2"), ("c2#0", "c1#0")))
 
 
 def test_minimal_cycle_on_conflict():
     si = conflict_si()
-    m = Matching(pairs=(("p1", "c2#0"),))
-    c = find_minimal_cycle(si, m)
+    row = seat_row(si, ("p1", "c2#0"))
+    c = cheapest_cycle(si, row)
     assert c is not None
-    assert beneficiary_loss(si, m, c) == 1
-    assert c.patients == ("p2", "p1") and c.seats == ("c2#0", "c1#0")
+    assert beneficiary_loss(si, row, c) == 1
+    assert c == named_cycle(si, ("p2", "p1"), ("c2#0", "c1#0"))
     # nothing larger than the full matching
-    full = Matching(pairs=(("p1", "c1#0"), ("p2", "c2#0")))
-    assert find_minimal_cycle(si, full) is None
+    assert cheapest_cycle(si, seat_row(si, ("p1", "c1#0"), ("p2", "c2#0"))) is None
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((-1,), "one entry per patient: 1 for 2"),
+        ((-1, -1, -1), "one entry per patient: 3 for 2"),
+        ((2, -1), "seat index 2 outside \\[-1, 2\\)"),
+        ((-2, -1), "seat index -2 outside \\[-1, 2\\)"),
+        ((-1, 0), "patient p2 not eligible for seat c1#0"),
+        ((1, 1), "gives one seat to more than one patient"),
+    ],
+    ids=["short", "long", "past-the-seats", "below-minus-one", "ineligible", "seat-twice"],
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda si, row: check_applicable(si, row, Cycle(patients=(1,), seats=(1,))),
+        lambda si, row: apply_cycle(si, row, Cycle(patients=(1,), seats=(1,))),
+        cheapest_cycle,
+        frontier_walk,
+        oracle_min_cycle_loss,
+    ],
+    ids=["check_applicable", "apply_cycle", "cheapest_cycle", "frontier_walk", "oracle_min_cycle_loss"],
+)
+def test_a_row_that_is_no_matching_of_the_instance_is_refused(entry, row, message):
+    """Every entry of the cycle layer and the oracle refuses such a row
+    with MatchingError, rather than reading it as a dominated matching
+    (an ineligible pair once scored a beneficiary loss of -1) or failing
+    on an index."""
+    with pytest.raises(MatchingError, match=message):
+        entry(conflict_si(), row)
 
 
 def test_minimal_cycle_is_deterministic():
     inst = gen_random(GenConfig(patients=6, categories=4, quota_range=(1, 2), seed=12))
     si = expand_to_seats(inst)
     f = compute_frontier(si)
-    m = si.name_row(f.witnesses[f.points[0]])
+    row = f.witnesses[f.points[0]]
     if f.points[0] != f.points[-1]:
-        cycles = {find_minimal_cycle(si, m) for _ in range(5)}
+        cycles = {cheapest_cycle(si, row) for _ in range(5)}
         assert len(cycles) == 1
 
 
 def test_dominated_matching_is_rejected():
     si = conflict_si()
     # (1,0): dominated by both frontier points; a free zero-loss move exists
-    m = Matching(pairs=(("p1", "c1#0"),))
     with pytest.raises(DominatedInputError):
-        find_minimal_cycle(si, m)
+        cheapest_cycle(si, seat_row(si, ("p1", "c1#0")))
 
 
 def test_beneficiary_gaining_swap_loop_is_rejected():
@@ -120,9 +173,8 @@ def test_beneficiary_gaining_swap_loop_is_rejected():
         )
     )
     si = expand_to_seats(inst)
-    m = Matching(pairs=(("p1", "c1#0"), ("p2", "c2#0")))
     with pytest.raises(DominatedInputError):
-        find_minimal_cycle(si, m)
+        cheapest_cycle(si, seat_row(si, ("p1", "c1#0"), ("p2", "c2#0")))
 
 
 def test_chain_family_single_cycle_costs_everything():
@@ -130,10 +182,10 @@ def test_chain_family_single_cycle_costs_everything():
         si = expand_to_seats(gen_chain_family(k))
         f = compute_frontier(si)
         assert list(f.points) == [MatchPoint(k + 1, k + 1), MatchPoint(k + 2, 0)]
-        m = si.name_row(f.witnesses[f.points[0]])
-        c = find_minimal_cycle(si, m)
+        row = f.witnesses[f.points[0]]
+        c = cheapest_cycle(si, row)
         assert c is not None
-        assert beneficiary_loss(si, m, c) == k + 1
+        assert beneficiary_loss(si, row, c) == k + 1
         assert len(c) == k + 2  # the cycle must ripple through every category
 
 
@@ -141,28 +193,38 @@ def test_walk_visits_the_whole_frontier():
     for name in ("conflict", "figure1", "path-independence"):
         si = expand_to_seats(gen_named(name).instance)
         f = compute_frontier(si)
-        walk = frontier_walk(si, si.name_row(f.witnesses[f.points[0]]))
+        walk = frontier_walk(si, f.witnesses[f.points[0]])
         assert [pt for pt, _ in walk] == list(f.points)
-        for pt, m in walk:
-            assert match_point(si, m) == pt
+        for pt, row in walk:
+            assert point(si, row) == pt
 
 
 def test_each_walk_step_applies_its_cycle_once(monkeypatch):
     applied = []
-    original = cycles_module.apply_cycle
+    original = cycles_module._apply
 
-    def counting(si, m, c):
+    def counting(si, row, c):
         applied.append(c)
-        return original(si, m, c)
+        return original(si, row, c)
 
-    monkeypatch.setattr(cycles_module, "apply_cycle", counting)
+    monkeypatch.setattr(cycles_module, "_apply", counting)
     for name in ("conflict", "figure1", "path-independence"):
         si = expand_to_seats(gen_named(name).instance)
         f = compute_frontier(si)
         applied.clear()
-        walk = frontier_walk(si, si.name_row(f.witnesses[f.points[0]]))
+        walk = frontier_walk(si, f.witnesses[f.points[0]])
         assert len(applied) == len(walk) - 1
         assert [pt for pt, _ in walk] == list(f.points)
+
+
+def test_a_walk_checks_its_start_row_once(monkeypatch):
+    si = expand_to_seats(gen_named("path-independence").instance)
+    f = compute_frontier(si)
+    checked = []
+    original = type(si).check_row
+    monkeypatch.setattr(type(si), "check_row", lambda self, row: checked.append(row) or original(self, row))
+    walk = frontier_walk(si, f.witnesses[f.points[0]])
+    assert len(walk) > 1 and checked == [f.witnesses[f.points[0]]]
 
 
 def test_walk_with_shrinking_losses_is_rejected(monkeypatch):
@@ -185,12 +247,12 @@ def test_walk_with_shrinking_losses_is_rejected(monkeypatch):
         )
     )
     si = expand_to_seats(inst)
-    start = Matching(pairs=(("p1", "a2#0"), ("x1", "d1#0"), ("x2", "d2#0")))
+    start = seat_row(si, ("p1", "a2#0"), ("x1", "d1#0"), ("x2", "d2#0"))
     assert [pt for pt, _ in frontier_walk(si, start)] == [(3, 3), (4, 2), (5, 0)]
-    chain = Cycle(patients=("x3", "x1", "x2"), seats=("d1#0", "d2#0", "d3#0"))
-    conflict = Cycle(patients=("p2", "p1"), seats=("a2#0", "a1#0"))
+    chain = named_cycle(si, ("x3", "x1", "x2"), ("d1#0", "d2#0", "d3#0"))
+    conflict = named_cycle(si, ("p2", "p1"), ("a2#0", "a1#0"))
     forced = iter([chain, conflict])
-    monkeypatch.setattr(cycles_module, "find_minimal_cycle", lambda si, m: next(forced, None))
+    monkeypatch.setattr(cycles_module, "_cheapest", lambda si, row: next(forced, None))
     with pytest.raises(DominatedInputError, match="decreased"):
         frontier_walk(si, start)
 
@@ -198,7 +260,7 @@ def test_walk_with_shrinking_losses_is_rejected(monkeypatch):
 def test_walk_from_dominated_start_is_rejected():
     si = conflict_si()
     with pytest.raises(DominatedInputError):
-        frontier_walk(si, Matching(pairs=(("p1", "c1#0"),)))
+        frontier_walk(si, seat_row(si, ("p1", "c1#0")))
 
 
 def test_minimal_loss_matches_exhaustive_search(monkeypatch):
@@ -221,15 +283,15 @@ def test_minimal_loss_matches_exhaustive_search(monkeypatch):
         if f.points[-1].e == 0:
             continue
         samples = census.sample(f.points).matchings
-        for pt, ms in samples.items():
-            for m in ms:
-                want = oracle_min_cycle_loss(si, m)
-                got = find_minimal_cycle(si, m)
+        for pt, rows in samples.items():
+            for row in rows:
+                want = oracle_min_cycle_loss(si, row)
+                got = cheapest_cycle(si, row)
                 if want is None:
                     assert got is None
                 else:
                     assert got is not None
-                    assert beneficiary_loss(si, m, got) == want
+                    assert beneficiary_loss(si, row, got) == want
 
 
 # The cheapest-cycle search as it stood before it became one multi-source
@@ -239,14 +301,13 @@ def test_minimal_loss_matches_exhaustive_search(monkeypatch):
 REF_INF = 10**9
 
 
-def ref_find_minimal_cycle(si, m, start_costs=None):
+def ref_cheapest_cycle(si, row, start_costs=None):
     n_p, n_s = len(si.patients), len(si.seats)
-    seat_of = [-1] * n_p
+    seat_of = list(row)
     patient_of = [-1] * n_s
-    for p, s in m.pairs:
-        i, j = si.patient_index[p], si.seat_index[s]
-        seat_of[i] = j
-        patient_of[j] = i
+    for i, j in enumerate(seat_of):
+        if j != -1:
+            patient_of[j] = i
     elig = si.eligible_seats
     bene = si.beneficiary_seat_sets
     cur_bene = [
@@ -311,11 +372,12 @@ def ref_find_minimal_cycle(si, m, start_costs=None):
 
     if best_path is None:
         return None
-    cycle = Cycle(patients=tuple(si.patients[i] for i in best_path[0::2]),
-                  seats=tuple(si.seats[j - n_p] for j in best_path[1::2]))
-    before = [(p, m.seat_of(p)) for p in cycle.patients]
-    delta = sum(1 for p, s in before if s is not None and p in si.beneficiary_of(s))
-    delta -= sum(1 for p, s in zip(cycle.patients, cycle.seats) if p in si.beneficiary_of(s))
+    cycle = Cycle(patients=tuple(best_path[0::2]), seats=tuple(j - n_p for j in best_path[1::2]))
+    # the loss by name
+    names = [(si.patients[i], si.seats[j]) for i, j in zip(cycle.patients, cycle.seats)]
+    before = [(si.patients[i], si.seats[seat_of[i]]) for i in cycle.patients if seat_of[i] != -1]
+    delta = sum(1 for p, s in before if p in si.beneficiary_of(s))
+    delta -= sum(1 for p, s in names if p in si.beneficiary_of(s))
     if delta != best_key[0]:
         raise RuntimeError("cycle cost disagrees with its beneficiary loss")
     if delta <= 0:
@@ -353,35 +415,35 @@ def ref_trace_back(start, target, cost, hops, n_p, elig, bene, seat_of, patient_
     return path
 
 
-def outcome(search, si, m, **kwargs):
+def outcome(search, si, row, **kwargs):
     """The cycle's patients and seats, None, or the exception's type and message."""
     try:
-        c = search(si, m, **kwargs)
+        c = search(si, row, **kwargs)
     except (DominatedInputError, RuntimeError) as exc:
         return type(exc).__name__, str(exc)
     return None if c is None else ("cycle", c.patients, c.seats)
 
 
-def random_eligible_matching(si, rng):
-    """Seat a random subset of patients, each at a random free eligible seat."""
+def random_eligible_row(si, rng):
+    """The seat row of a random subset of patients, each at a random free eligible seat."""
     free = set(range(len(si.seats)))
-    pairs = []
+    row = [-1] * len(si.patients)
     for i in rng.sample(range(len(si.patients)), len(si.patients)):
         open_seats = sorted(free & set(si.eligible_seats[i]))
         if open_seats and rng.random() < 0.7:
             j = rng.choice(open_seats)
             free.discard(j)
-            pairs.append((si.patients[i], si.seats[j]))
-    return Matching(pairs=tuple(pairs))
+            row[i] = j
+    return tuple(row)
 
 
-def walk_matchings(si, start):
-    """Every matching a frontier walk from start searches, up to its first refusal."""
+def walk_rows(si, start):
+    """Every seat row a frontier walk from start searches, up to its first refusal."""
     current = start
     while True:
         yield current
         try:
-            c = find_minimal_cycle(si, current)
+            c = cheapest_cycle(si, current)
         except DominatedInputError:
             return
         if c is None:
@@ -390,7 +452,7 @@ def walk_matchings(si, start):
 
 
 def differential_corpus():
-    """(seat instance, matching) calls from walks, chains, arbitrary matchings and oracle samples."""
+    """(seat instance, seat row) calls from walks, chains, arbitrary matchings and oracle samples."""
     rng = Random(2024)
     for _ in range(80):  # walk steps on sparse draws shaped like the solve-walk family
         n = rng.randint(10, 60)
@@ -399,11 +461,11 @@ def differential_corpus():
         )
         si = expand_to_seats(inst)
         f = compute_frontier(si)
-        yield from ((si, m) for m in walk_matchings(si, si.name_row(f.witnesses[f.points[0]])))
+        yield from ((si, row) for row in walk_rows(si, f.witnesses[f.points[0]]))
     for k in range(1, 9):
         si = expand_to_seats(gen_chain_family(k))
         f = compute_frontier(si)
-        yield from ((si, m) for m in walk_matchings(si, si.name_row(f.witnesses[f.points[0]])))
+        yield from ((si, row) for row in walk_rows(si, f.witnesses[f.points[0]]))
     for _ in range(300):  # arbitrary eligible matchings, mostly dominated
         n = rng.randint(2, 14)
         inst = gen_random(
@@ -414,7 +476,7 @@ def differential_corpus():
         )
         si = expand_to_seats(inst)
         for _ in range(4):
-            yield si, random_eligible_matching(si, rng)
+            yield si, random_eligible_row(si, rng)
     for _ in range(40):  # oracle samples at frontier points
         inst = gen_random(
             GenConfig(
@@ -425,17 +487,17 @@ def differential_corpus():
         si = expand_to_seats(inst)
         census = Census(si)
         samples = census.sample(census.frontier().points).matchings
-        for ms in samples.values():
-            yield from ((si, m) for m in ms)
+        for rows in samples.values():
+            yield from ((si, row) for row in rows)
 
 
 def test_one_search_returns_the_per_start_searches_outcome(monkeypatch):
     monkeypatch.setattr(oracle_module, "SAMPLE_CAP", 4)
     rank_ties = loops = 0
-    for si, m in differential_corpus():
+    for si, row in differential_corpus():
         start_costs: list[int] = []
-        want = outcome(ref_find_minimal_cycle, si, m, start_costs=start_costs)
-        assert outcome(find_minimal_cycle, si, m) == want, (si.patients, m.pairs)
+        want = outcome(ref_cheapest_cycle, si, row, start_costs=start_costs)
+        assert outcome(cheapest_cycle, si, row) == want, (si.patients, row)
         if want is None:
             continue
         if want[0] == "cycle":

@@ -33,7 +33,8 @@ from reserve_frontier import (
     validate_matching,
     with_all_witnesses,
 )
-from reserve_frontier.frontier import _point, witness_at
+from reserve_frontier.core import row_point
+from reserve_frontier.frontier import witness_at
 from reserve_frontier.hungarian import cost_matrix, min_cost_assignment
 from reserve_frontier.oracle import Census
 
@@ -77,7 +78,7 @@ def test_frontier_iteration_maximizes_the_weighted_objective():
         )
         si = expand_to_seats(inst)
         n = max(len(si.patients), len(si.seats))
-        all_points = {match_point(si, m) for m in enumerate_matchings(si)}
+        all_points = {match_point(si, si.name_row(row)) for row in enumerate_matchings(si)}
         for d in range(n + 1):
             pt, row = frontier_iteration(si, d)
             m = validate_matching(si, si.name_row(row))
@@ -155,7 +156,7 @@ def test_segment_witness_agrees_with_the_cycle_walk():
     for inst in insts:
         si = expand_to_seats(inst)
         f = compute_frontier(si)
-        walk = frontier_walk(si, si.name_row(f.witnesses[f.points[0]]))
+        walk = frontier_walk(si, f.witnesses[f.points[0]])
         assert [pt for pt, _ in walk] == list(f.points)
         for pt in f.points:
             m = validate_matching(si, si.name_row(witness_at(si.pair_codes, f, pt)))
@@ -195,7 +196,7 @@ def segment_codes():
     codes = np.zeros((10, 9), dtype=np.uint8)
     for cell, code in SEGMENT_CODES.items():
         codes[cell] = code
-    assert [_point(codes, np.array(row)) for row in (SEGMENT_A, SEGMENT_C)] == pts((6, 4), (9, 1))
+    assert [row_point(codes, row) for row in (SEGMENT_A, SEGMENT_C)] == pts((6, 4), (9, 1))
     return codes
 
 
@@ -218,7 +219,7 @@ def test_witness_row_applies_the_first_augmenting_paths_of_the_two_kink_rows():
     for pt, row in want.items():
         got = witness_at(codes, f, pt)
         assert got == row
-        assert _point(codes, np.array(got)) == pt
+        assert row_point(codes, got) == pt
     assert f.witnesses[MatchPoint(6, 4)] == tuple(SEGMENT_A)  # A's row is not edited
     # a frontier that lists a point no matching between A and C scores
     wrong = segment_frontier(*pts((6, 4), (7, 4), (8, 2), (9, 1)))
@@ -281,8 +282,8 @@ def test_matches_oracle_on_random_instances():
         assert f.kinks == o.kinks
         check_frontier_invariants(f)
         # every frontier point defeats or equals every enumerated matching
-        for m in enumerate_matchings(si):
-            pt = match_point(si, m)
+        for row in enumerate_matchings(si):
+            pt = match_point(si, si.name_row(row))
             assert pt in set(f.points) or any(dominates(q, pt) for q in f.points)
 
 

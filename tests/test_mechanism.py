@@ -118,8 +118,8 @@ def test_selection_and_all_witnesses_run_no_cycle_search(monkeypatch):
     def forbidden(*args):
         raise AssertionError("cycle search in production")
 
-    monkeypatch.setattr(cycles_module, "find_minimal_cycle", forbidden)
-    monkeypatch.setattr(cycles_module, "frontier_walk", forbidden)
+    for name in ("cheapest_cycle", "_cheapest", "frontier_walk"):
+        monkeypatch.setattr(cycles_module, name, forbidden)
     interior = 0
     for inst in unit_quota_draws():
         si = expand_to_seats(inst)
@@ -166,7 +166,7 @@ def test_no_qualifying_matching_is_larger_than_the_selection():
             continue  # fallback case: the guarantee is vacuous
         checked += 1
         for other in enumerate_matchings(si):
-            opt = match_point(si, other)
+            opt = match_point(si, si.name_row(other))
             if opt.e > pt.e:
                 assert beneficiary_share(opt) < beta
     assert checked >= 20
@@ -276,7 +276,7 @@ def test_exact_share_check_catches_an_undominated_rival():
         )
     )
     si = expand_to_seats(inst)
-    scored = [match_point(si, m) for m in enumerate_matchings(si)]
+    scored = [match_point(si, si.name_row(row)) for row in enumerate_matchings(si)]
     pr = Problem(instance=inst, beta_star=Fraction(1))
     selected = MatchPoint(2, 0)  # dominates none of the share-1 matchings
     exact = [pt for pt in scored if pt.e and beneficiary_share(pt) == pr.beta_star]
@@ -447,7 +447,8 @@ def reference_respects_priority(pr, m):
     """The full scan: every assigned patient against every unmatched one."""
     po = reference_order(pr)
     si = expand_to_seats(pr.instance)
-    unmatched = [p for p in pr.instance.patients if m.seat_of(p) is None]
+    matched = {p for p, _ in m.pairs}
+    unmatched = [p for p in pr.instance.patients if p not in matched]
     out = []
     for p, s in m.pairs:
         c = si.category_of(s)
@@ -472,9 +473,9 @@ def reference_repair_priority(pr, m):
                 cat_pos[v[0]], reference_rank(po, v[0], v[2]), -reference_rank(po, v[0], v[1])
             ),
         )
-        assignment = dict(m.by_patient)
+        assignment = dict(m.pairs)
         assignment[q] = assignment.pop(p)
-        m = Matching.from_assignment(assignment)
+        m = Matching(tuple(assignment.items()))
         if match_point(si, m) != target:
             raise ValueError(
                 "input was not a frontier matching: a priority swap changed its score"
@@ -505,7 +506,10 @@ def random_matching(inst, rng):
             s = rng.choice(options)
             free.remove(s)
             pairs.append((p, s))
-    return tuple(si.index_matching(Matching(pairs=tuple(pairs)))[0])
+    row = [-1] * len(si.patients)
+    for p, s in pairs:
+        row[si.patient_index[p]] = si.seat_index[s]
+    return tuple(row)
 
 
 def reference_rank_sum(pr, m):

@@ -10,7 +10,6 @@ from reserve_frontier import (
     BudgetExceededError,
     EnumerationBudget,
     GenConfig,
-    Matching,
     MatchPoint,
     dominates,
     enumerate_matchings,
@@ -57,12 +56,12 @@ def count_by_seats(si) -> int:
 def test_conflict_has_five_matchings():
     si = expand_to_seats(gen_named("conflict").instance)
     assert count_matchings(si) == 5
-    ms = list(enumerate_matchings(si))
-    assert len(ms) == 5
-    assert len(set(ms)) == 5
-    assert Matching.empty() in ms
-    for m in ms:
-        validate_matching(si, m)
+    rows = list(enumerate_matchings(si))
+    assert len(rows) == 5
+    assert len(set(rows)) == 5
+    assert (-1, -1) in rows
+    for row in rows:
+        validate_matching(si, si.name_row(row))
 
 
 def test_count_agrees_with_seat_axis_recursion():
@@ -96,8 +95,8 @@ def test_oracle_frontier_points_dominate_everything():
     si = expand_to_seats(inst)
     f = Census(si).frontier()
     pts = set(f.points)
-    for m in enumerate_matchings(si):
-        pt = match_point(si, m)
+    for row in enumerate_matchings(si):
+        pt = match_point(si, si.name_row(row))
         assert pt in pts or any(dominates(q, pt) for q in pts)
 
 
@@ -237,9 +236,9 @@ def test_disjoint_cycle_check_searches_each_sampled_matching_once(monkeypatch):
     calls = []
     original = oracle_module._applicable_cycles
 
-    def counting(si, m, budget):
-        calls.append(m)
-        return original(si, m, budget)
+    def counting(si, row, budget):
+        calls.append(row)
+        return original(si, row, budget)
 
     monkeypatch.setattr(verify_module, "_applicable_cycles", counting)
     census = Census(expand_to_seats(gen_random(GenConfig(7, 3, (1, 3), 0.6, 0.4, seed=3))))
@@ -271,8 +270,9 @@ def test_lemma_checks_report_their_counts_and_first_failure(monkeypatch):
         sets.clear()
     row = verify_module._matched_preservation(census)
     assert not row.ok
+    first = census.si.name_row(census.sample(points).matchings[points[0]][0])
     assert row.detail == kept.detail + f" first failure: no matching at {points[1]} keeps matched set " + (
-        f"{sorted(census.sample(points).matchings[points[0]][0].matched_patients)} from {points[0]}"
+        f"{sorted(p for p, _ in first.pairs)} from {points[0]}"
     )
 
 
@@ -294,17 +294,16 @@ def test_disjoint_family_search_loops_over_skipped_cycles():
 
 def test_matchings_at_point_and_sampling():
     si = expand_to_seats(gen_named("conflict").instance)
-    at_11 = [m for m in enumerate_matchings(si) if match_point(si, m) == MatchPoint(1, 1)]
-    assert at_11 == [Matching(pairs=(("p1", "c2#0"),))]
+    at_11 = [row for row in enumerate_matchings(si) if match_point(si, si.name_row(row)) == MatchPoint(1, 1)]
+    assert [si.name_row(row).pairs for row in at_11] == [(("p1", "c2#0"),)]
     census = Census(si)
     f = census.frontier()
     sample = census.sample(f.points)
     assert sample.mode == "exhaustive"
-    for pt, ms in sample.matchings.items():
-        assert ms
-        for m in ms:
-            validate_matching(si, m)
-            assert match_point(si, m) == pt
+    for pt, rows in sample.matchings.items():
+        assert rows
+        for row in rows:
+            assert match_point(si, validate_matching(si, si.name_row(row))) == pt
 
 
 def test_sampling_caps_and_stays_deterministic(monkeypatch):
@@ -321,7 +320,6 @@ def test_sampling_caps_and_stays_deterministic(monkeypatch):
 
 def test_min_cycle_loss_on_conflict():
     si = expand_to_seats(gen_named("conflict").instance)
-    best = Matching(pairs=(("p1", "c2#0"),))  # the (1,1) matching
-    assert oracle_min_cycle_loss(si, best) == 1
-    full = Matching(pairs=(("p1", "c1#0"), ("p2", "c2#0")))  # (2,0): nothing larger
-    assert oracle_min_cycle_loss(si, full) is None
+    assert si.seats == ("c1#0", "c2#0")
+    assert oracle_min_cycle_loss(si, (1, -1)) == 1  # p1 at c2: the (1,1) matching
+    assert oracle_min_cycle_loss(si, (0, 1)) is None  # (2,0): nothing larger
