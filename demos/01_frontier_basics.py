@@ -54,11 +54,12 @@ for pt in f.points:
     tag = "  (kink)" if pt in f.kinks else ""
     print(f"  e={pt.e}  b={pt.b}  share={share}{tag}")
 
-# a witness is a seat row: row[i] is patient i's seat index, or -1
+# a witness is a category row: row[i] is patient i's category index, or -1
 print("\nwitness assignments:")
+cats = si.source.categories
 for pt in f.points:
     row = f.witnesses[pt]
-    pairs = ", ".join(f"{p}->{si.category_of(si.seats[j])}" for p, j in zip(si.patients, row) if j >= 0)
+    pairs = ", ".join(f"{p}->{cats[c]}" for p, c in zip(si.patients, row) if c >= 0)
     print(f"  at {tuple(pt)}: {pairs}")
 
 # the chain block alone, scaled up: the endpoint gap grows without bound,

@@ -41,7 +41,7 @@ inst = validate_instance(
 
 si = expand_to_seats(inst)
 f = compute_frontier(si)
-start = f.witnesses[f.points[0]]  # a seat row: row[i] is patient i's seat index, or -1
+start = f.witnesses[f.points[0]]  # a category row: row[i] is patient i's category index, or -1
 
 print("start at the max-beneficiary endpoint:", tuple(f.points[0]))
 print(f"{len(si.patients)} patients and {len(si.seats)} unit seats")
@@ -49,7 +49,7 @@ print(f"{len(si.patients)} patients and {len(si.seats)} unit seats")
 walk = frontier_walk(si, start)
 prev_pt, row = walk[0]
 for pt, nxt in walk[1:]:
-    cycle = cheapest_cycle(si, row)  # the cycle the walk applied, as patient and seat indices
+    cycle = cheapest_cycle(si, row)  # the cycle the walk applied, as patient and category indices
     moved = " -> ".join(si.patients[i] for i in cycle.patients)
     print(f"  {tuple(prev_pt)} -> {tuple(pt)}  loss {prev_pt.b - pt.b}, reseats {moved}")
     prev_pt, row = pt, nxt

@@ -41,7 +41,7 @@ for c in inst.categories:
 
 pr = Problem(instance=inst, beta_star=Fraction(1, 3), priority=PriorityOrder(order=order))
 
-# a matching is a seat row: row[i] is patient i's seat index, or -1;
+# a matching is a category row: row[i] is patient i's category index, or -1;
 # violations are (category, seated patient, unmatched patient) indices
 row, pt = select_approx_on_frontier(pr)
 si = pr.seat_instance
@@ -58,7 +58,7 @@ print(f"rank sum {rank_sum(pr, row)} -> {rank_sum(pr, fixed)}")
 
 
 def categories(row):
-    return {p: si.category_of(si.seats[j]) for p, j in zip(si.patients, row) if j >= 0}
+    return {p: inst.categories[c] for p, c in zip(si.patients, row) if c >= 0}
 
 
 was, now = categories(row), categories(fixed)

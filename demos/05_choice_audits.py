@@ -54,9 +54,9 @@ print("example: chose", sorted(worst.lhs), "from the full pool but only",
 sub = restrict_patients(pr.instance, x)
 _, pt = select_approx_on_frontier(Problem(instance=sub, beta_star=pr.beta_star))
 si = expand_to_seats(sub)
-# enumerate_matchings yields seat rows: row[i] is patient i's seat index, or -1
+# enumerate_matchings yields category rows: row[i] is patient i's category index, or -1
 options = {
-    frozenset(si.patients[i] for i, j in enumerate(row) if j != -1)
+    frozenset(si.patients[i] for i, c in enumerate(row) if c != -1)
     for row in enumerate_matchings(si)
     if row_point(si.pair_codes, row) == pt
 }

@@ -26,7 +26,6 @@ from .core import (
     restrict_patients,
     validate_instance,
     validate_matching,
-    validate_priority,
 )
 from .cycles import (
     Cycle,
@@ -34,7 +33,6 @@ from .cycles import (
     DominatedInputError,
     apply_cycle,
     cheapest_cycle,
-    check_applicable,
     frontier_walk,
 )
 from .frontier import (
@@ -66,15 +64,7 @@ from .mechanism import (
     select_approx_on_frontier,
 )
 from .oracle import EnumerationBudget, enumerate_matchings, oracle_min_cycle_loss
-from .verify import (
-    SUITES,
-    CheckResult,
-    run_suites,
-    verify_cycles,
-    verify_frontier,
-    verify_lemmas,
-    verify_mechanism,
-)
+from .verify import SUITES, CheckResult, run_suites
 
 __version__ = "0.1.0"
 
@@ -105,7 +95,6 @@ __all__ = [
     "audit_substitutability",
     "beneficiary_share",
     "cheapest_cycle",
-    "check_applicable",
     "check_frontier_invariants",
     "choice_masks",
     "compute_frontier",
@@ -129,10 +118,5 @@ __all__ = [
     "select_approx_on_frontier",
     "validate_instance",
     "validate_matching",
-    "validate_priority",
-    "verify_cycles",
-    "verify_frontier",
-    "verify_lemmas",
-    "verify_mechanism",
     "with_all_witnesses",
 ]

@@ -2,8 +2,10 @@
 
 An instance has categories with integer quotas and per-category eligible
 and beneficiary patient sets (beneficiaries are a subset of the eligible).
-Quotas are expanded into unit seats before any matching computation; all
-category-level reporting is re-aggregated at the I/O boundary.
+A matching is a category row: row[i] is the index of patient i's
+category, or -1.  Quotas are expanded into unit seats only where a step
+works seat by seat: the frontier's solver, the oracle's enumerator, and
+the naming of a row at the I/O boundary (SeatInstance.name_row).
 
 Every input, parsed, generated or named, is one Problem: an instance plus
 an optional share target beta_star and optional priority orders.  The
@@ -241,7 +243,9 @@ class SeatInstance:
     """Unit-quota expansion of an instance.
 
     Seat ids are "<category>#<k>" for k in range(quota).  Seats of one
-    category share the parent's eligible and beneficiary sets.
+    category share the parent's eligible and beneficiary sets, so below the
+    I/O boundary a matching is a category row, and the seats are named only
+    by name_row.
     """
 
     source: Instance
@@ -263,71 +267,72 @@ class SeatInstance:
         return {p: i for i, p in enumerate(self.patients)}
 
     @cached_property
-    def seat_index(self) -> dict[str, int]:
-        return {s: j for j, s in enumerate(self.seats)}
-
-    @cached_property
-    def category_index(self) -> tuple[int, ...]:
-        """Per seat index, the index of the seat's category in source.categories."""
-        column = {cat: c for c, cat in enumerate(self.source.categories)}
-        return tuple(column[self.seat_category[s]] for s in self.seats)
+    def quotas(self) -> tuple[int, ...]:
+        """Per category index, in source.categories order, its quota."""
+        return tuple(self.source.quota[c] for c in self.source.categories)
 
     @cached_property
     def pair_codes(self) -> np.ndarray:
-        """uint8 (patients x seats) pair codes: 0 ineligible, 1 eligible, 2 beneficiary."""
+        """uint8 (patients x categories) pair codes: 0 ineligible, 1 eligible, 2 beneficiary."""
         index, cats = self.patient_index, self.source.categories
-        by_category = np.zeros((len(self.patients), len(cats)), dtype=np.uint8)
+        codes = np.zeros((len(self.patients), len(cats)), dtype=np.uint8)
         for code, members in ((1, self.source.eligible), (2, self.source.beneficiary)):
             sets = [members[cat] for cat in cats]
             rows = [index[p] for ps in sets for p in ps]
-            by_category[rows, np.repeat(np.arange(len(cats)), [len(ps) for ps in sets])] = code
-        # take, not by_category[:, cols], whose result is column-major: the
-        # solver copies a cost matrix gathered over that into row-major order
-        return np.take(by_category, self.category_index, axis=1)
+            codes[rows, np.repeat(np.arange(len(cats)), [len(ps) for ps in sets])] = code
+        return codes
 
     @cached_property
-    def eligible_seats(self) -> tuple[tuple[int, ...], ...]:
-        """Per patient index, the ascending seat indices the patient is eligible for."""
+    def eligible_categories(self) -> tuple[tuple[int, ...], ...]:
+        """Per patient index, the ascending category indices the patient is eligible for."""
         return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.pair_codes)
 
     @cached_property
-    def beneficiary_seat_sets(self) -> tuple[frozenset[int], ...]:
-        """Per patient index, the seat indices where the patient is a beneficiary."""
+    def beneficiary_categories(self) -> tuple[frozenset[int], ...]:
+        """Per patient index, the category indices where the patient is a beneficiary."""
         return tuple(frozenset(np.flatnonzero(row == 2).tolist()) for row in self.pair_codes)
 
-    # A seat row lists a matching by index: row[i] is patient i's seat
-    # index, -1 when patient i is unmatched.
+    # A category row lists a matching by index: row[i] is the index of
+    # patient i's category in source.categories, -1 when patient i is
+    # unmatched; which of the category's seats they hold is no part of it.
     def check_row(self, row: Sequence[int]) -> list[int]:
-        """row as a list, once it is the seat row of a matching of this
+        """row as a list, once it is the category row of a matching of this
         instance; raises MatchingError for a row of the wrong length, with a
-        seat index outside [-1, seats), with a patient seated where they are
-        not eligible, or with a seat used twice."""
+        category index outside [-1, categories), with a patient placed where
+        they are not eligible, or with a category over its quota."""
         codes = self.pair_codes
-        n_patients, n_seats = codes.shape
+        n_patients, n_categories = codes.shape
         row = list(map(operator.index, row))
         if len(row) != n_patients:
-            raise MatchingError(f"a seat row has one entry per patient: {len(row)} for {n_patients} patient(s)")
-        taken: set[int] = set()
+            raise MatchingError(f"a category row has one entry per patient: {len(row)} for {n_patients} patient(s)")
+        free = list(self.quotas)
         # item() per pair: a numpy gather is no faster at 20,000 patients, and 4x slower at 7
-        for i, j in enumerate(row):
-            if j == -1:
+        for i, c in enumerate(row):
+            if c == -1:
                 continue
-            if not 0 <= j < n_seats:
-                raise MatchingError(f"patient {self.patients[i]}: seat index {j} outside [-1, {n_seats})")
-            if not codes.item(i, j):
-                raise MatchingError(f"patient {self.patients[i]} not eligible for seat {self.seats[j]}")
-            if j in taken:
-                raise MatchingError("a seat row gives one seat to more than one patient")
-            taken.add(j)
+            if not 0 <= c < n_categories:
+                raise MatchingError(f"patient {self.patients[i]}: category index {c} outside [-1, {n_categories})")
+            if not codes.item(i, c):
+                raise MatchingError(f"patient {self.patients[i]} not eligible for category {self.source.categories[c]}")
+            if not free[c]:
+                raise MatchingError(f"a category row places more patients in {self.source.categories[c]}"
+                                    f" than its quota of {self.quotas[c]}")
+            free[c] -= 1
         return row
 
     def name_row(self, row: Iterable[int]) -> Matching:
-        """The Matching that the seat row lists."""
-        return Matching(tuple((self.patients[i], self.seats[j]) for i, j in enumerate(row) if j != -1))
+        """The Matching that the category row lists, once check_row accepts
+        it: each category's seats go to its patients in patient order."""
+        cats, taken, pairs = self.source.categories, [0] * len(self.quotas), []
+        for i, c in enumerate(self.check_row(row)):
+            if c != -1:
+                pairs.append((self.patients[i], f"{cats[c]}#{taken[c]}"))
+                taken[c] += 1
+        return Matching(tuple(pairs))
 
 
 def row_point(codes: np.ndarray, row: Sequence[int]) -> MatchPoint:
-    """The point of a seat row on its pair-code matrix (SeatInstance.pair_codes)."""
+    """The point of a category row on its pair-code matrix (SeatInstance.pair_codes)."""
     row = np.asarray(row, dtype=np.intp)
     rows = np.flatnonzero(row >= 0)
     return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, row[rows]] == 2)))
@@ -404,7 +409,7 @@ def validate_matching(si: SeatInstance, m: Matching) -> Matching:
     for p, s in m.pairs:
         if p not in si.patient_index:
             raise MatchingError(f"unknown patient {p}")
-        if s not in si.seat_index:
+        if s not in si.seat_category:
             raise MatchingError(f"unknown seat {s}")
         if p not in si.eligible_of(s):
             raise MatchingError(f"patient {p} not eligible for seat {s}")

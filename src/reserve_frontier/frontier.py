@@ -23,13 +23,15 @@ from the two kink rows around them (witness_at).
 
 Every solve reads the instance's cached pair codes (0 ineligible, 1
 eligible, 2 beneficiary) with one weight per code, gathered into a
-negated float64 cost matrix (see hungarian).  The sweeps of one frontier
-share one such matrix, gathered once and shifted in place from one
-sweep's weights to the next (_sweeps).  A matching is a seat row, as in
-the oracle: row[i] is patient i's seat index, or -1 when patient i is
-unmatched.  Sweeps are scored on their rows, and every witness this
-module returns is a seat row, a tuple of ints; names are given at the
-I/O boundary (serialize) or by SeatInstance.name_row.
+negated float64 cost matrix (see hungarian).  The solver works on unit
+seats, so the codes reach it with each category's column repeated quota
+times.  The sweeps of one frontier share one such matrix, gathered once
+and shifted in place from one sweep's weights to the next (_sweeps).  A
+matching is a category row, as everywhere below the I/O boundary: row[i]
+is the index of patient i's category, or -1 when patient i is unmatched.
+Sweeps are scored on their rows, and every witness this module returns
+is a category row, a tuple of ints; names are given at the I/O boundary
+(serialize) or by SeatInstance.name_row.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class FrontierInvariantError(RuntimeError):
 class Frontier:
     """Non-domination frontier: points ascending in e, kinks, and witnesses.
 
-    A witness is a seat row.  Witnesses are guaranteed at every kink (hence
+    A witness is a category row.  Witnesses are guaranteed at every kink (hence
     both endpoints); interior straight-segment points get one on demand
     from witness_at.
     """
@@ -81,10 +83,7 @@ class Frontier:
 
 def check_frontier_invariants(f: Frontier) -> None:
     """Density, monotonicity, and concavity; raise FrontierInvariantError."""
-    _check_points(f.points)
-
-
-def _check_points(pts: Sequence[MatchPoint]) -> None:
+    pts = f.points
     if not pts:
         raise FrontierInvariantError("frontier must contain at least one point")
     for a, b in zip(pts, pts[1:]):
@@ -109,33 +108,34 @@ def kinks_of(points: Sequence[MatchPoint]) -> frozenset[MatchPoint]:
     return frozenset(out)
 
 
-def _row(n_rows: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The seat row of the pairs (rows[k], cols[k])."""
-    row = np.full(n_rows, -1, dtype=np.intp)
-    row[rows] = cols
-    return row
+def _sweeps(codes: np.ndarray, quotas: Sequence[int]) -> Callable[[int], tuple[MatchPoint, np.ndarray]]:
+    """sweep(d) -> (point, category row) of sweep d in 0..n, all on one cost
+    matrix, for the pair codes of categories with these quotas.
 
-
-def _sweeps(codes: np.ndarray) -> Callable[[int], tuple[MatchPoint, np.ndarray]]:
-    """sweep(d) -> (point, seat row) of sweep d in 0..n, all on one cost matrix.
-
-    The matrix is gathered at d = n, so its exactness check covers every
-    sweep's weights.  Sweep d's matrix is sweep d_prev's with each eligible
-    cell 2 (d - d_prev) lower, so a sweep shifts those cells in place.  The
-    values are integers below 2^53, so the shift is exact, and code-0 cells
-    keep their -0.0: the solver reads the bytes a fresh gather for d gives.
-    The shift's mask, one byte a cell, is freed before the solve.
+    The solver sees unit seats: each category's column repeated quota times
+    (the codes themselves when every quota is 1), and each seat column it
+    assigns is mapped back to its category.  The matrix is gathered at
+    d = n, so its exactness check covers every sweep's weights.  Sweep d's
+    matrix is sweep d_prev's with each eligible cell 2 (d - d_prev) lower,
+    so a sweep shifts those cells in place.  The values are integers below
+    2^53, so the shift is exact, and code-0 cells keep their -0.0: the
+    solver reads the bytes a fresh gather for d gives.  The shift's mask,
+    one byte a cell, is freed before the solve.
     """
-    n = max(codes.shape)
-    cost = cost_matrix(codes, (0, 2 * n + 1, 2 * n + 3))
+    seat_codes = codes if codes.shape[1] == sum(quotas) else np.repeat(codes, quotas, axis=1)
+    category = np.repeat(np.arange(codes.shape[1]), quotas)  # of each seat column
+    n = max(seat_codes.shape)
+    cost = cost_matrix(seat_codes, (0, 2 * n + 1, 2 * n + 3))
     at = n
 
     def sweep(d: int) -> tuple[MatchPoint, np.ndarray]:
         nonlocal at
         if d != at:
-            np.subtract(cost, 2 * (d - at), out=cost, where=codes != 0)
+            np.subtract(cost, 2 * (d - at), out=cost, where=seat_codes != 0)
             at = d
-        row = _row(codes.shape[0], *min_cost_assignment(cost, codes))
+        rows, cols = min_cost_assignment(cost, seat_codes)
+        row = np.full(codes.shape[0], -1, dtype=np.intp)
+        row[rows] = category[cols]
         return row_point(codes, row), row
 
     return sweep
@@ -143,27 +143,32 @@ def _sweeps(codes: np.ndarray) -> Callable[[int], tuple[MatchPoint, np.ndarray]]
 
 def frontier_iteration(si: SeatInstance, d: int) -> tuple[MatchPoint, tuple[int, ...]]:
     """Single weighted sweep: the frontier point that maximizes (2d + 1) e + 2b, and its row."""
-    n = max(si.pair_codes.shape)
+    n = max(len(si.patients), sum(si.quotas))
     if not 0 <= d <= n:
         raise ValueError(f"d must be in [0, {n}], got {d}")
-    pt, row = _sweeps(si.pair_codes)(d)
+    pt, row = _sweeps(si.pair_codes, si.quotas)(d)
     return pt, tuple(row.tolist())
 
 
 def witness_at(codes: np.ndarray, f: Frontier, pt: MatchPoint) -> tuple[int, ...]:
-    """The seat row of a matching at frontier point pt of f, the frontier of
-    the pair-code matrix codes (si.pair_codes).
+    """The category row of a matching at frontier point pt of f, the
+    frontier of the pair-code matrix codes (si.pair_codes).
 
     f's own witness if pt has one.  Otherwise, for the witnessed points A
     and C just below and above pt, A's row with the first pt.e - A.e
-    augmenting paths of A xor C applied.  No kink lies between A and C, so
-    for their integer slope s both maximize s e + b, and each path or cycle
-    of A xor C (Berge, 1957) keeps that score: an augmenting path adds a
-    match at a loss of s, and at least C.e - A.e components augment.  Each
-    starts at a patient whom C seats and A does not, taken by ascending
-    patient; one that ends at a patient whom C leaves unmatched moves
-    neither count and is skipped.  Raises ValueError if pt is not a point
-    of f, and FrontierInvariantError if the row does not score pt.
+    augmenting paths of C - A applied.  No kink lies between A and C, so
+    for their integer slope s both maximize s e + b, and each path or
+    cycle of a conformal decomposition of C - A (Ahuja, Magnanti and Orlin,
+    Network Flows, 1993, section 3.5; Berge, 1957) keeps that score when
+    applied to A alone: an augmenting path adds a match at a loss of s, and
+    at least C.e - A.e components augment.  A path starts at a patient whom
+    C places and A does not, taken by ascending patient, and moves each
+    patient to C's category.  There it displaces the lowest patient, not
+    yet on a path, whom A has there and C moves out, and it ends at a
+    category with no such patient, which then still has a free seat.  A path
+    that reaches a patient whom C leaves unmatched is skipped.  Raises
+    ValueError if pt is not a point of f, and FrontierInvariantError if
+    the row does not score pt.
     """
     if pt in f.witnesses:
         return f.witnesses[pt]
@@ -171,23 +176,26 @@ def witness_at(codes: np.ndarray, f: Frontier, pt: MatchPoint) -> tuple[int, ...
         raise ValueError(f"{pt} is not a point of the frontier")
     a = max(q for q in f.witnesses if q.e < pt.e)
     c = min(q for q in f.witnesses if q.e > pt.e)
-    row, c_row = np.array(f.witnesses[a], dtype=np.intp), f.witnesses[c]
-    holder = np.full(codes.shape[1], -1, dtype=np.intp)  # A's patient at each seat
-    holder[row[row >= 0]] = np.flatnonzero(row >= 0)
-    holder, need = holder.tolist(), pt.e - a.e
-    for i in np.flatnonzero((row < 0) & (np.array(c_row, dtype=np.intp) >= 0)).tolist():
+    row, c_row = list(f.witnesses[a]), f.witnesses[c]
+    leaving: list[list[int]] = [[] for _ in range(codes.shape[1])]  # per category, descending
+    for i in reversed(range(len(row))):
+        if row[i] >= 0 and c_row[i] != row[i]:
+            leaving[row[i]].append(i)
+    need = pt.e - a.e
+    for i in [i for i, (j, k) in enumerate(zip(row, c_row)) if j < 0 <= k]:
         if not need:
             break
         path = [i]
-        while (i := holder[c_row[i]]) >= 0 and c_row[i] >= 0:
-            path.append(i)
-        if i < 0:  # C's seat is free in A: an augmenting path
-            row[path] = [c_row[k] for k in path]
+        while (k := c_row[path[-1]]) >= 0 and leaving[k]:
+            path.append(leaving[k].pop())
+        if k >= 0:  # no one left to displace, so category k has a free seat: an augmenting path
+            for q in path:
+                row[q] = c_row[q]
             need -= 1
     got = row_point(codes, row)
     if got != pt:
         raise FrontierInvariantError(f"witness between {a} and {c} scores {got}, not {pt}")
-    return tuple(row.tolist())
+    return tuple(row)
 
 
 def compute_frontier(si: SeatInstance) -> Frontier:
@@ -214,17 +222,18 @@ def compute_frontier(si: SeatInstance) -> Frontier:
     where bisection needs O(kinks * log n).  The parametric search is that
     of Eisner and Severance (1976, J. ACM 23(4)).
     """
-    return _frontier(si.pair_codes)
+    return _frontier(si.pair_codes, si.quotas)
 
 
-def _frontier(codes: np.ndarray) -> Frontier:
-    """compute_frontier on a pair-code matrix, such as the rows of a patient subset."""
-    n = max(codes.shape)
+def _frontier(codes: np.ndarray, quotas: Sequence[int]) -> Frontier:
+    """compute_frontier on a pair-code matrix and its categories' quotas,
+    such as the rows of a patient subset."""
+    n = max(codes.shape[0], sum(quotas))
     if n == 0 or not codes.any():
         empty = MatchPoint(0, 0)
         return Frontier(points=(empty,), kinks=frozenset({empty}), witnesses={empty: (-1,) * codes.shape[0]})
 
-    sweep = _sweeps(codes)
+    sweep = _sweeps(codes, quotas)
     sweeps = {d: sweep(d) for d in (n, 0)}  # n first: its matrix needs no shift
     firsts = [0]  # ascending d at which a new point first appears
     todo = [(0, n)]  # intervals with both end sweeps done, leftmost on top
@@ -259,8 +268,9 @@ def _frontier(codes: np.ndarray) -> Frontier:
             points.append(MatchPoint(a.e + j, a.b - j * step))
         points.append(b)
 
-    _check_points(points)
-    return Frontier(points=tuple(points), kinks=frozenset(kinks), witnesses=witnesses)
+    f = Frontier(points=tuple(points), kinks=frozenset(kinks), witnesses=witnesses)
+    check_frontier_invariants(f)
+    return f
 
 
 def half_bound_ratio(f: Frontier) -> Fraction:

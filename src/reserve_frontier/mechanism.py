@@ -20,8 +20,9 @@ no ineligible patient outranks one the category can seat.  The priority
 functions therefore rank only eligible patients, on pr.rank_rows, each
 category's eligible patient indices best first.
 
-Every matching here is a seat row, a tuple with one entry per patient:
-row[i] is patient i's seat index, or -1 when patient i is unmatched.
+Every matching here is a category row, a tuple with one entry per
+patient: row[i] is the index of patient i's category, or -1 when patient
+i is unmatched.
 Selection returns one; rank_sum, respects_priority and repair_priority
 take one, and refuse with MatchingError a row that is not a matching of
 the instance (SeatInstance.check_row).  Names are given at the I/O
@@ -55,7 +56,7 @@ def _select(codes: np.ndarray, f: Frontier, beta_star: Fraction) -> tuple[tuple[
 
 
 def select_approx_on_frontier(pr: Problem) -> tuple[tuple[int, ...], MatchPoint]:
-    """The seat row of the frontier matching meeting the share target
+    """The category row of the frontier matching meeting the share target
     approximately, and its point.
 
     Raises NoNonEmptyMatchingError when the instance has no eligible pair.
@@ -70,14 +71,13 @@ def _first_swap(pr: Problem, row: Sequence[int]) -> tuple[int, int] | None:
     """The next swap of repair on row, as (seated, unmatched) patient indices:
     in the first category, in instance order, whose best-ranked unmatched
     patient outranks its worst-ranked seated one, those two; None if none."""
-    category = pr.seat_instance.category_index
     for c, rank in enumerate(pr.rank_rows):
         free = seated = None
         for i in rank:
             if row[i] < 0:
                 if free is None:
                     free = i
-            elif free is not None and category[row[i]] == c:
+            elif free is not None and row[i] == c:
                 seated = i
         if seated is not None:
             return seated, free
@@ -85,28 +85,25 @@ def _first_swap(pr: Problem, row: Sequence[int]) -> tuple[int, int] | None:
 
 
 def rank_sum(pr: Problem, row: Sequence[int]) -> int:
-    """Sum of seated patients' priority ranks in their seats' categories.
+    """Sum of seated patients' priority ranks in their categories.
 
     Like respects_priority and repair_priority, this ranks by the tier
     order when pr names no priority.
     """
-    row, category = pr.seat_instance.check_row(row), pr.seat_instance.category_index
-    return sum(
-        k for c, rank in enumerate(pr.rank_rows) for k, i in enumerate(rank, 1)
-        if row[i] >= 0 and category[row[i]] == c
-    )
+    row = pr.seat_instance.check_row(row)
+    return sum(k for c, rank in enumerate(pr.rank_rows) for k, i in enumerate(rank, 1) if row[i] == c)
 
 
 def respects_priority(pr: Problem, row: Sequence[int]) -> list[tuple[int, int, int]]:
     """Every violation, as (category, seated patient, unmatched patient who
     outranks them) indices, categories in instance order and each by rank."""
-    row, category, out = pr.seat_instance.check_row(row), pr.seat_instance.category_index, []
+    row, out = pr.seat_instance.check_row(row), []
     for c, rank in enumerate(pr.rank_rows):
         free: list[int] = []
         for i in rank:
             if row[i] < 0:
                 free.append(i)
-            elif free and category[row[i]] == c:
+            elif free and row[i] == c:
                 out += [(c, i, q) for q in free]
     return out
 
@@ -124,12 +121,12 @@ def repair_priority(pr: Problem, row: Sequence[int]) -> tuple[int, ...]:
     row, codes = pr.seat_instance.check_row(row), pr.seat_instance.pair_codes
     while (swap := _first_swap(pr, row)) is not None:
         p, q = swap
-        s = row[p]
-        if (codes[p, s] == 2) != (codes[q, s] == 2):
+        c = row[p]
+        if (codes[p, c] == 2) != (codes[q, c] == 2):
             raise ValueError(
                 "input was not a frontier matching: a priority swap changed its score"
             )
-        row[p], row[q] = -1, s
+        row[p], row[q] = -1, c
     return tuple(row)
 
 
@@ -164,13 +161,14 @@ def choice_masks(pr: Problem) -> tuple[tuple[str, ...], np.ndarray]:
     reads as 0, which selects the max-total endpoint.  An instance of more
     than MAX_AUDIT_PATIENTS patients is refused before any subset is solved.
 
-    A subset keeps every seat, so its sub-problem is its rows of
-    pr.seat_instance.pair_codes, the matrix that restricting the instance
-    to it and expanding that would build.  At a point that is not a kink,
-    optimal matchings that seat different patients can tie, so C, and every
-    audit count built on it, depends on which one witness_at builds: on
-    one 7-patient draw the audits find 528 path-independence and 43
-    substitutability violations with its witness and 418 and 30 with another.
+    A subset keeps every category and quota, so its sub-problem is its
+    rows of pr.seat_instance.pair_codes, the matrix that restricting the
+    instance to it and expanding that would build.  At a point that is not
+    a kink, optimal matchings that seat different patients can tie, so C,
+    and every audit count built on it, depends on which one witness_at
+    builds: on one 7-patient draw the audits find 528 path-independence
+    and 43 substitutability violations with its witness and 418 and 30
+    with another.
     """
     patients = pr.instance.patients
     if len(patients) > MAX_AUDIT_PATIENTS:
@@ -179,17 +177,17 @@ def choice_masks(pr: Problem) -> tuple[tuple[str, ...], np.ndarray]:
             f"{MAX_AUDIT_PATIENTS} (the audits take 2^n subsets and 4^n pairs)"
         )
     beta_star = Fraction(0) if pr.beta_star is None else pr.beta_star
-    codes = pr.seat_instance.pair_codes
+    codes, quotas = pr.seat_instance.pair_codes, pr.seat_instance.quotas
     bits = 1 << np.arange(len(patients), dtype=np.int64)
     masks = np.zeros(1 << len(patients), dtype=np.int64)
     for x in range(1, len(masks)):
         rows = np.flatnonzero(x & bits)
         sub = codes[rows]
         try:
-            row, _ = _select(sub, _frontier(sub), beta_star)
+            row, _ = _select(sub, _frontier(sub, quotas), beta_star)
         except NoNonEmptyMatchingError:
             continue  # no eligible pair: C(x) is empty
-        masks[x] = sum(1 << i for i, j in zip(rows.tolist(), row) if j >= 0)
+        masks[x] = sum(1 << i for i, c in zip(rows.tolist(), row) if c >= 0)
     return patients, masks
 
 

@@ -7,17 +7,20 @@ associated-graph definition.  Budgets cap instance size and visited states
 so runaway inputs fail fast instead of hanging.  It only computes: the
 checks on its answers live in verify, and no production module imports it.
 
-Every matching here is a seat row, as in frontier and cycles (row[i] is
-patient i's seat index, or -1), and nothing here names one.
+Every matching here is handed over as a category row, as in frontier and
+cycles (row[i] is the index of patient i's category, or -1), and nothing
+here names one.  The enumeration itself still assigns unit seats, so a
+matching is counted once per assignment of its patients to the seats of
+their categories, and a category row appears that many times.
 
 There are two entry points.  Census(si, budget, points) answers everything
 the verify checks read: .counts (matchings per score point), .frontier()
-(undominated points, witnessed as frontier does, by the seat row of
+(undominated points, witnessed as frontier does, by the category row of
 their first matching) and .sample(points) (up to the SAMPLE_CAP constant
-seat rows per point, reservoir-sampled with seed 0).
-enumerate_matchings(si, budget) yields every seat row once, in the same
-order, for callers that need each one.  oracle_min_cycle_loss(si, row)
-refuses a row that is not a matching of si (SeatInstance.check_row).
+rows per point, reservoir-sampled with seed 0).
+enumerate_matchings(si, budget) yields the row of every matching, in the
+same order, for callers that need each one.  oracle_min_cycle_loss(si,
+row) refuses a row that is not a matching of si (SeatInstance.check_row).
 
 Matchings are enumerated by a recursion over patients (_leaf_blocks)
 that expands one numpy level of rows per patient and yields the leaves
@@ -94,7 +97,7 @@ def budget_from_env() -> EnumerationBudget:
 
 
 def _check_size(si: SeatInstance, budget: EnumerationBudget) -> None:
-    n_p, n_s = len(si.patients), len(si.seats)
+    n_p, n_s = len(si.patients), sum(si.quotas)
     if n_p > budget.max_patients or n_s > budget.max_seats:
         raise BudgetExceededError(
             f"instance has {n_p} patients and {n_s} seats; "
@@ -132,12 +135,12 @@ _BLOCK_BYTES = 32 << 20
 def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
     """Yield (assignment, e, b) blocks that list every eligible matching once.
 
-    Row r of a block is one matching: assignment[r] holds a seat index per
-    patient (-1 for unmatched), and e[r], b[r] are its score.  A recursion
-    over patients expands one level of rows per patient, and a parent's
-    children stay together in choice order (unmatched, then the ascending
-    eligible seats), so the blocks list the matchings lexicographically, in
-    the leaf order of a depth-first recursion that takes one call per state.
+    Row r of a block is one matching: assignment[r] is its category row,
+    and e[r], b[r] are its score.  A recursion over patients expands one
+    level of rows per patient, taking unit seats, and a parent's children
+    stay together in choice order (unmatched, then the ascending eligible
+    seats), so the blocks list the seat matchings lexicographically, in the
+    leaf order of a depth-first recursion that takes one call per state.
 
     The state count is the root plus every row of every level, the states
     that such a recursion visits.  All the children of a level's rows are
@@ -147,19 +150,20 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
     parents at a time, so that the live levels hold at most _BLOCK_BYTES.
     """
     _check_size(si, budget)
-    n, words = len(si.patients), (len(si.seats) + 63) // 64
+    codes = si.pair_codes
+    category = np.repeat(np.arange(codes.shape[1]), si.quotas)  # of each unit seat
+    n, words = len(si.patients), (len(category) + 63) // 64
     states = _StateCounter(budget.max_states)
     states.add()  # the root
 
-    # per patient: the seat of each choice, whether it is a beneficiary
+    # per patient: the category of each choice, whether it is a beneficiary
     # pair, and the bitmask word and bit of each eligible seat
-    codes = si.pair_codes
-    elig = [np.array(seats, dtype=np.intp) for seats in si.eligible_seats]
-    seat_of_choice = [np.concatenate(([-1], js)).astype(np.int16) for js in elig]
-    bene_of_choice = [np.concatenate(([0], codes[i, js] == 2)).astype(np.int32) for i, js in enumerate(elig)]
+    elig = [np.flatnonzero(row[category]) for row in codes]
+    category_of_choice = [np.concatenate(([-1], category[js])).astype(np.int16) for js in elig]
+    bene_of_choice = [np.concatenate(([0], row[category[js]] == 2)).astype(np.int32) for row, js in zip(codes, elig)]
     word = [js >> 6 for js in elig]
     bit = [np.left_shift(np.uint64(1), (js & 63).astype(np.uint64)) for js in elig]
-    row_bytes = 8 + 2 + 4 + 4 + 8 * words  # parent link, seat, e, b and used of one row
+    row_bytes = 8 + 2 + 4 + 4 + 8 * words  # parent link, category, e, b and used of one row
     # parents per slice: each of the n levels gets an equal share of the bytes
     step = [max(1, _BLOCK_BYTES // (n * row_bytes * (len(js) + 1))) for js in elig]
 
@@ -170,14 +174,14 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
     def expand(links: list, e: np.ndarray, b: np.ndarray, used: np.ndarray | None):
         """Yield the leaf blocks below the rows of level i = len(links), each row
         with its score and the bitmask of the seats it took (None at the leaves);
-        links[k] holds the parent row and the seat of every row of level k + 1."""
+        links[k] holds the parent row and the category of every row of level k + 1."""
         i = len(links)
-        if i == n:  # leaves: read each row's seats back along the parent links
+        if i == n:  # leaves: read each row's categories back along the parent links
             assignment = np.empty((len(e), n), dtype=np.int16)
             rows = slice(None)
             for lv in reversed(range(n)):
-                parent, seat = links[lv]
-                assignment[:, lv] = seat[rows]
+                parent, placed = links[lv]
+                assignment[:, lv] = placed[rows]
                 rows = parent[rows]
             yield assignment, e, b
             return
@@ -201,7 +205,7 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
             matched = np.flatnonzero(choice)
             taken = choice[matched] - 1
             child_used[matched, word[i][taken]] |= bit[i][taken]
-        link = parent, seat_of_choice[i][choice]
+        link = parent, category_of_choice[i][choice]
         return [*links, link], e[parent] + (choice > 0), b[parent] + bene_of_choice[i][choice], child_used
 
     zero = np.zeros(1, np.int32)
@@ -209,8 +213,9 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
 
 
 def enumerate_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET):
-    """Yield the seat row of every eligible matching exactly once, in a fixed
-    recursion order.
+    """Yield the category row of every eligible matching, in a fixed
+    recursion order: once per assignment of its patients to the unit seats
+    of their categories.
 
     Blocks are built as the matchings are consumed, so memory stays within
     the enumeration's byte cap, and a BudgetExceededError for the state
@@ -220,14 +225,14 @@ def enumerate_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BU
         yield from map(tuple, assignment.tolist())
 
 
-# Seat rows that Census.sample keeps per point; the rest are reservoir-sampled.
+# Rows that Census.sample keeps per point; the rest are reservoir-sampled.
 SAMPLE_CAP = 200
 
 
 class Sample(NamedTuple):
     """Samples at a set of points, and the matched sets of every matching there."""
 
-    matchings: dict[MatchPoint, list[tuple[int, ...]]]  # seat rows
+    matchings: dict[MatchPoint, list[tuple[int, ...]]]  # category rows
     mode: str  # "exhaustive" if nothing was dropped, else "sampled"
     matched: dict[MatchPoint, set[int]]  # bitmasks of matched patient indices
 
@@ -265,7 +270,7 @@ class Census:
         return self._counts
 
     def frontier(self) -> Frontier:
-        """Undominated points, each witnessed by its first matching's seat row."""
+        """Undominated points, each witnessed by its first matching's category row."""
         if self._frontier is None:
             # by e, then b, descending: a point is undominated iff its b
             # beats every b before it
@@ -280,7 +285,7 @@ class Census:
         return self._frontier
 
     def sample(self, points) -> Sample:
-        """Up to SAMPLE_CAP seat rows per point, reservoir-sampled with seed 0."""
+        """Up to SAMPLE_CAP category rows per point, reservoir-sampled with seed 0."""
         key = frozenset(points)
         if key == self._points:
             self.counts  # the census's own pass samples its points
@@ -342,55 +347,56 @@ class Census:
         return Sample(kept, mode, matched)
 
 
-def _applicable_cycles(si: SeatInstance, seat_of: Sequence[int], budget: EnumerationBudget):
-    """All applicable cycles in the associated graph of the seat row
-    seat_of, by exhaustive search.
+def _applicable_cycles(si: SeatInstance, row: Sequence[int], budget: EnumerationBudget):
+    """All applicable cycles in the associated graph of the category row,
+    by exhaustive search.
 
-    Yields (patient_indices, seat_indices, loss).  Each applicable cycle has
-    a unique unmatched start patient, so each is produced exactly once.
+    Returns (patient_indices, category_indices, loss, end) tuples.  A cycle
+    that ends in a category with k free seats is listed k times, with the
+    end tokens (category, 0) to (category, k - 1): cycles that share no
+    patient and no end token can be applied together, as cycles that share
+    no unit seat can.  Each applicable cycle has a unique unmatched start
+    patient, so each is produced once per end token.
     """
-    n_p, n_s = len(si.patients), len(si.seats)
-    patient_of = {j: i for i, j in enumerate(seat_of) if j != -1}
-    elig = si.eligible_seats
-    bene = si.beneficiary_seat_sets
-    cur_bene = [1 if seat_of[i] != -1 and seat_of[i] in bene[i] else 0 for i in range(n_p)]
+    n_p, n_c = si.pair_codes.shape
+    elig = si.eligible_categories
+    bene = si.beneficiary_categories
+    holders: list[list[int]] = [[] for _ in range(n_c)]  # per category, its patients ascending
+    for i, c in enumerate(row):
+        if c != -1:
+            holders[c].append(i)
+    ends = [[(c, slot) for slot in range(q - len(held))] for c, (q, held) in enumerate(zip(si.quotas, holders))]
+    cur_bene = [1 if row[i] in bene[i] else 0 for i in range(n_p)]
     counter = _StateCounter(budget.max_states)
-    out: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
+    out: list[tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, int]]] = []
 
     path_p: list[int] = []
-    path_s: list[int] = []
-    on_s = [False] * n_s
+    path_c: list[int] = []
     on_p = [False] * n_p
 
     def step(p: int, loss: int) -> None:
         counter.add()
-        for j in elig[p]:
-            if j == seat_of[p] or on_s[j]:
+        for c in elig[p]:
+            if c == row[p]:
                 continue
-            dloss = cur_bene[p] - (1 if j in bene[p] else 0)
-            holder = patient_of.get(j, -1)
-            if holder == -1:
-                out.append((tuple(path_p), tuple(path_s + [j]), loss + dloss))
-                continue
-            if on_p[holder]:
-                continue
-            path_s.append(j)
-            path_p.append(holder)
-            on_s[j] = True
-            on_p[holder] = True
-            step(holder, loss + dloss)
-            on_p[holder] = False
-            on_s[j] = False
-            path_p.pop()
-            path_s.pop()
+            dloss = cur_bene[p] - (1 if c in bene[p] else 0)
+            path_c.append(c)
+            for end in ends[c]:
+                out.append((tuple(path_p), tuple(path_c), loss + dloss, end))
+            for holder in holders[c]:
+                if on_p[holder]:
+                    continue
+                path_p.append(holder)
+                on_p[holder] = True
+                step(holder, loss + dloss)
+                on_p[holder] = False
+                path_p.pop()
+            path_c.pop()
 
     for start in range(n_p):
-        if seat_of[start] != -1:
+        if row[start] != -1:
             continue
-        path_p = [start]
-        path_s = []
-        on_p = [False] * n_p
-        on_p[start] = True
+        path_p = [start]  # a start is unmatched, so no category hands it over again
         step(start, 0)
 
     return out
@@ -399,17 +405,18 @@ def _applicable_cycles(si: SeatInstance, seat_of: Sequence[int], budget: Enumera
 def oracle_min_cycle_loss(
     si: SeatInstance, row: Sequence[int], budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> int | None:
-    """Minimum beneficiary loss over all applicable cycles of the seat row's
-    matching, or None if none; MatchingError if row is not a matching of si."""
+    """Minimum beneficiary loss over all applicable cycles of the category
+    row's matching, or None if none; MatchingError if row is not a matching of si."""
     _check_size(si, budget)
     cycles = _applicable_cycles(si, si.check_row(row), budget)
     if not cycles:
         return None
-    return min(loss for _, _, loss in cycles)
+    return min(loss for _, _, loss, _ in cycles)
 
 
 def _find_disjoint_family(cycles, k: int, target_loss: int, counter: _StateCounter):
-    """k pairwise vertex-disjoint cycles with losses summing to target_loss."""
+    """k cycles with pairwise disjoint vertex sets (patients and end token)
+    and losses summing to target_loss."""
 
     def rec(i: int, chosen, used, loss_left: int):
         # recurses only to take cycle i; skipping it loops, one state per i

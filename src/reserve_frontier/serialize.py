@@ -18,9 +18,9 @@ category entry, is rejected by name.
 Shares stay exact end to end: "num/den" strings are the canonical output
 form, decimal inputs are converted through their decimal literal (0.7
 becomes 7/10, never the nearest binary float).  Matchings serialize at the
-category level (patient -> category); unit seats are an internal device.
-The library hands matchings over as seat rows (row[i] is patient i's
-seat index, or -1), and this is where they get names.
+category level (patient -> category), as the library hands them over:
+as category rows (row[i] is the index of patient i's category, or -1),
+which get their names here.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .core import (
     Problem,
     SeatInstance,
     beneficiary_share,
-    match_point,
+    row_point,
 )
 from .frontier import Frontier
 
@@ -233,12 +233,10 @@ def instance_to_json(pr: Problem) -> str:
 
 
 def matching_to_dict(si: SeatInstance, row: Sequence[int]) -> dict[str, Any]:
-    """The matching of a seat row at the category level (seats are
-    internal), by patient id, with its score."""
-    m = si.name_row(row)
-    pt = match_point(si, m)
+    """The matching of a category row, by patient and category id, with its score."""
+    pt, cats = row_point(si.pair_codes, row), si.source.categories
     return {
-        "assignment": {p: si.category_of(s) for p, s in m.pairs},  # pairs sort by patient
+        "assignment": {p: cats[c] for p, c in zip(si.patients, row) if c != -1},
         "e": pt.e,
         "b": pt.b,
         "beta": share_str(beneficiary_share(pt)) if pt.e else None,

@@ -12,10 +12,10 @@ frontier's points, enumerates it once however many suites and targets
 read it, and the mechanism suite selects on the shared frontier instead
 of recomputing it per target.
 
-Matchings reach these checks as seat rows (row[i] is patient i's seat
-index, or -1).  A check names a row only to print it, or to score it by
-match_point on patient and seat ids, apart from the pair-code scorer
-(core.row_point) of the routes it checks.
+Matchings reach these checks as category rows (row[i] is the index of
+patient i's category, or -1).  A check names a row only to print it, or
+to score it by match_point on patient and seat ids, apart from the
+pair-code scorer (core.row_point) of the routes it checks.
 
 Setting RESERVE_FRONTIER_INJECT_CORRUPTION=1 deliberately corrupts the
 frontier that the frontier suite checks, and only that copy.  That is
@@ -216,7 +216,6 @@ def _disjoint_cycles(census: Census) -> CheckResult:
     si, budget = census.si, census.budget
     f = census.frontier()
     sample = census.sample(f.points)
-    n_p = len(si.patients)
     pairs = witnesses = 0
     failure = ""
     for lo_idx, f2 in enumerate(f.points[:-1]):
@@ -224,12 +223,8 @@ def _disjoint_cycles(census: Census) -> CheckResult:
         sampled = []
         for row2 in sample.matchings[f2]:
             positive = [
-                (
-                    list(zip(ps, ss)),
-                    frozenset(ps) | frozenset(n_p + j for j in ss),
-                    loss,
-                )
-                for ps, ss, loss in _applicable_cycles(si, row2, budget)
+                (list(zip(ps, cs)), frozenset(ps) | {end}, loss)
+                for ps, cs, loss, end in _applicable_cycles(si, row2, budget)
                 if loss >= 1
             ]
             sampled.append((row2, positive))
@@ -248,8 +243,8 @@ def _disjoint_cycles(census: Census) -> CheckResult:
                     continue
                 row = list(row2)
                 for idx in family:
-                    for i, j in positive[idx][0]:
-                        row[i] = j
+                    for i, c in positive[idx][0]:
+                        row[i] = c
                 landed = match_point(si, si.name_row(row))
                 if landed != f1:
                     failure = failure or f"joint application landed on {landed}, expected {f1}"
@@ -268,7 +263,7 @@ def _matched_preservation(census: Census) -> CheckResult:
         for f1 in f.points[lo_idx + 1 :]:
             pairs += 1
             for row2 in sample.matchings[f2]:
-                kept = [i for i, j in enumerate(row2) if j != -1]
+                kept = [i for i, c in enumerate(row2) if c != -1]
                 mask = sum(1 << i for i in kept)
                 if not failure and not any(mask & s == mask for s in sample.matched[f1]):
                     named = sorted(census.si.patients[i] for i in kept)

@@ -52,14 +52,16 @@ from reserve_frontier.verify import _exact_share_domination
 def scan_leaves(si, budget, visit) -> int:
     """Call visit(assignment, e, b) for every eligible matching, depth first.
 
-    `assignment` is a mutable list of seat indices per patient (-1 for
-    unmatched) that is only valid during the call.  Returns the number of
-    states visited.
+    The recursion takes unit seats, named by the instance, and
+    `assignment` is a mutable list of the category index of each patient's
+    seat (-1 for unmatched) that is only valid during the call.  Returns
+    the number of states visited.
     """
     _check_size(si, budget)
     n = len(si.patients)
-    elig = si.eligible_seats
-    bene = si.beneficiary_seat_sets
+    category = [si.source.categories.index(si.category_of(s)) for s in si.seats]
+    elig = [[j for j, s in enumerate(si.seats) if p in si.eligible_of(s)] for p in si.patients]
+    bene = [{j for j, s in enumerate(si.seats) if p in si.beneficiary_of(s)} for p in si.patients]
     used = [False] * len(si.seats)
     current = [-1] * n
     counter = _StateCounter(budget.max_states)
@@ -74,7 +76,7 @@ def scan_leaves(si, budget, visit) -> int:
         for j in elig[i]:
             if not used[j]:
                 used[j] = True
-                current[i] = j
+                current[i] = category[j]
                 rec(i + 1, e + 1, b + (1 if j in bene[i] else 0))
                 used[j] = False
         current[i] = -1
@@ -283,7 +285,7 @@ def test_seat_rows_name_the_enumerated_matchings():
         for row in rows:
             m = validate_matching(si, si.name_row(row))
             assert len(m.pairs) == sum(j != -1 for j in row)
-            assert all(si.seats[row[si.patient_index[p]]] == s for p, s in m.pairs)
+            assert all(si.category_of(s) == si.source.categories[row[si.patient_index[p]]] for p, s in m.pairs)
 
 
 @pytest.fixture
@@ -367,7 +369,7 @@ def test_enumeration_memory_stays_under_the_byte_cap_at_the_ceiling():
         beneficiary={"a": half, "b": half},
     )
     si = expand_to_seats(inst)
-    si.eligible_seats, si.beneficiary_seat_sets  # the instance's own tables, built before measuring
+    si.pair_codes, si.quotas  # the instance's own tables, built before measuring
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
@@ -390,7 +392,7 @@ def test_enumerate_matchings_streams_its_blocks():
         beneficiary={c: frozenset(patients[-3:]) for c in categories[:3]},
     )
     si = expand_to_seats(inst)
-    si.eligible_seats, si.beneficiary_seat_sets, si.pair_codes  # built before measuring
+    si.pair_codes, si.quotas  # built before measuring
     tracemalloc.start()
     try:
         next(enumerate_matchings(si, EnumerationBudget(300, 300, 10**7)))

@@ -161,6 +161,26 @@ def test_expand_to_seats_unit_quotas():
     assert si.beneficiary_of("c1#2") == frozenset({"p2"})
 
 
+def test_name_row_gives_each_category_its_seats_in_patient_order():
+    inst = validate_instance(
+        Instance(
+            categories=("c1", "c2"),
+            patients=("p1", "p2", "p3"),
+            quota={"c1": 2, "c2": 1},
+            eligible={"c1": frozenset({"p1", "p2", "p3"}), "c2": frozenset({"p1"})},
+            beneficiary={"c1": frozenset({"p3"})},
+        )
+    )
+    si = expand_to_seats(inst)
+    m = si.name_row((-1, 0, 0))
+    assert m.pairs == (("p2", "c1#0"), ("p3", "c1#1"))
+    assert match_point(si, validate_matching(si, m)) == MatchPoint(2, 1)
+    assert si.name_row((1, -1, 0)).pairs == (("p1", "c2#0"), ("p3", "c1#0"))
+    # a row that check_row refuses names no seat past a category's quota
+    with pytest.raises(MatchingError, match="more patients in c1 than its quota of 2"):
+        si.name_row((0, 0, 0))
+
+
 def test_memory_limits_admit_every_exact_weight_shape_and_refuse_past_each_cap():
     def instance(n_patients: int, quota: int, n_beneficiaries: int = 0) -> Instance:
         patients = tuple(f"p{i}" for i in range(n_patients))

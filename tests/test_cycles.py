@@ -15,7 +15,6 @@ from reserve_frontier import (
     MatchPoint,
     apply_cycle,
     cheapest_cycle,
-    check_applicable,
     compute_frontier,
     expand_to_seats,
     frontier_walk,
@@ -30,26 +29,26 @@ import reserve_frontier.oracle as oracle_module
 from reserve_frontier.oracle import Census
 
 
-def seat_row(si, *pairs):
-    """The seat row of named (patient, seat) pairs."""
+def category_row(si, *pairs):
+    """The category row of named (patient, category) pairs."""
     row = [-1] * len(si.patients)
-    for p, s in pairs:
-        row[si.patient_index[p]] = si.seat_index[s]
+    for p, c in pairs:
+        row[si.patient_index[p]] = si.source.categories.index(c)
     return tuple(row)
 
 
-def named_cycle(si, patients, seats):
-    """The Cycle of named patients and seats."""
-    return Cycle(tuple(si.patient_index[p] for p in patients), tuple(si.seat_index[s] for s in seats))
+def named_cycle(si, patients, categories):
+    """The Cycle of named patients and categories."""
+    return Cycle(tuple(si.patient_index[p] for p in patients), tuple(map(si.source.categories.index, categories)))
 
 
 def point(si, row):
-    """The point of a seat row, scored by name."""
+    """The point of a category row, scored by name."""
     return match_point(si, si.name_row(row))
 
 
 def beneficiary_loss(si, row, c):
-    """Drop in beneficiary matches caused by applying c to the seat row."""
+    """Drop in beneficiary matches caused by applying c to the category row."""
     return point(si, row).b - point(si, apply_cycle(si, row, c)).b
 
 
@@ -57,86 +56,96 @@ def conflict_si():
     return expand_to_seats(gen_named("conflict").instance)
 
 
+def quota_two_si():
+    """One category of quota 2, for which all three patients are eligible."""
+    return expand_to_seats(validate_instance(Instance(
+        categories=("c1",), patients=("p1", "p2", "p3"), quota={"c1": 2},
+        eligible={"c1": frozenset({"p1", "p2", "p3"})}, beneficiary={"c1": frozenset({"p1"})},
+    )))
+
+
 def test_cycle_validation():
     with pytest.raises(CycleError):
-        Cycle(patients=(0,), seats=())
+        Cycle(patients=(0,), categories=())
     with pytest.raises(CycleError):
-        Cycle(patients=(0, 0), seats=(0, 1))
-    assert len(Cycle(patients=(0,), seats=(0,))) == 1
+        Cycle(patients=(0, 0), categories=(0, 1))
+    assert len(Cycle(patients=(0,), categories=(0,))) == 1
+    # a path may pass two seats of one category, so only patients are distinct
+    assert len(Cycle(patients=(0, 1), categories=(0, 0))) == 2
     with pytest.raises(TypeError):  # a Cycle lists indices, not ids
-        Cycle(patients=("p1",), seats=("c1#0",))
+        Cycle(patients=("p1",), categories=("c1",))
 
 
 def test_applicability_and_application_on_conflict():
     si = conflict_si()
-    row = seat_row(si, ("p1", "c2#0"))
+    row = category_row(si, ("p1", "c2"))
     # p2 enters c2, pushing p1 over to c1
-    c = named_cycle(si, ("p2", "p1"), ("c2#0", "c1#0"))
-    check_applicable(si, row, c)
+    c = named_cycle(si, ("p2", "p1"), ("c2", "c1"))
     out = apply_cycle(si, row, c)
-    assert out == seat_row(si, ("p1", "c1#0"), ("p2", "c2#0"))
+    assert out == category_row(si, ("p1", "c1"), ("p2", "c2"))
     assert point(si, out) == MatchPoint(2, 0)
     assert beneficiary_loss(si, row, c) == 1
 
 
 def test_applicability_failures():
     si = conflict_si()
-    row = seat_row(si, ("p1", "c2#0"))
+    row = category_row(si, ("p1", "c2"))
     with pytest.raises(CycleError, match="patient p1 is matched"):
-        check_applicable(si, row, named_cycle(si, ("p1",), ("c1#0",)))
-    with pytest.raises(CycleError, match="p2 not eligible for c1#0"):
-        check_applicable(si, row, named_cycle(si, ("p2",), ("c1#0",)))
-    with pytest.raises(CycleError, match="seat c2#0 is filled"):
-        check_applicable(si, row, named_cycle(si, ("p2",), ("c2#0",)))
-    with pytest.raises(CycleError, match="outside 2 patients and 2 seats"):
-        check_applicable(si, row, Cycle(patients=(1,), seats=(2,)))
-    # chain break: middle seat must hand over to the next patient
-    full = seat_row(si, ("p1", "c1#0"), ("p2", "c2#0"))
+        apply_cycle(si, row, named_cycle(si, ("p1",), ("c1",)))
+    with pytest.raises(CycleError, match="p2 not eligible for c1"):
+        apply_cycle(si, row, named_cycle(si, ("p2",), ("c1",)))
+    with pytest.raises(CycleError, match="category c2 is full"):
+        apply_cycle(si, row, named_cycle(si, ("p2",), ("c2",)))
+    with pytest.raises(CycleError, match="outside 2 patients and 2 categories"):
+        apply_cycle(si, row, Cycle(patients=(1,), categories=(2,)))
+    # chain break: a middle category must hand over the next patient
+    full = category_row(si, ("p1", "c1"), ("p2", "c2"))
     with pytest.raises(CycleError):
-        check_applicable(si, full, named_cycle(si, ("p1", "p2"), ("c2#0", "c1#0")))
+        apply_cycle(si, full, named_cycle(si, ("p1", "p2"), ("c2", "c1")))
 
 
 def test_minimal_cycle_on_conflict():
     si = conflict_si()
-    row = seat_row(si, ("p1", "c2#0"))
+    row = category_row(si, ("p1", "c2"))
     c = cheapest_cycle(si, row)
     assert c is not None
     assert beneficiary_loss(si, row, c) == 1
-    assert c == named_cycle(si, ("p2", "p1"), ("c2#0", "c1#0"))
+    assert c == named_cycle(si, ("p2", "p1"), ("c2", "c1"))
     # nothing larger than the full matching
-    assert cheapest_cycle(si, seat_row(si, ("p1", "c1#0"), ("p2", "c2#0"))) is None
+    assert cheapest_cycle(si, category_row(si, ("p1", "c1"), ("p2", "c2"))) is None
 
 
 @pytest.mark.parametrize(
-    "row, message",
+    "si_of, row, message",
     [
-        ((-1,), "one entry per patient: 1 for 2"),
-        ((-1, -1, -1), "one entry per patient: 3 for 2"),
-        ((2, -1), "seat index 2 outside \\[-1, 2\\)"),
-        ((-2, -1), "seat index -2 outside \\[-1, 2\\)"),
-        ((-1, 0), "patient p2 not eligible for seat c1#0"),
-        ((1, 1), "gives one seat to more than one patient"),
+        (conflict_si, (-1,), "one entry per patient: 1 for 2"),
+        (conflict_si, (-1, -1, -1), "one entry per patient: 3 for 2"),
+        (conflict_si, (2, -1), "category index 2 outside \\[-1, 2\\)"),
+        (conflict_si, (-2, -1), "category index -2 outside \\[-1, 2\\)"),
+        (conflict_si, (-1, 0), "patient p2 not eligible for category c1"),
+        # two patients on the one seat of c2
+        (conflict_si, (1, 1), "more patients in c2 than its quota of 1"),
+        (quota_two_si, (0, 0, 0), "more patients in c1 than its quota of 2"),
     ],
-    ids=["short", "long", "past-the-seats", "below-minus-one", "ineligible", "seat-twice"],
+    ids=["short", "long", "past-the-seats", "below-minus-one", "ineligible", "seat-twice", "over-quota"],
 )
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda si, row: check_applicable(si, row, Cycle(patients=(1,), seats=(1,))),
-        lambda si, row: apply_cycle(si, row, Cycle(patients=(1,), seats=(1,))),
+        lambda si, row: apply_cycle(si, row, Cycle(patients=(1,), categories=(0,))),
         cheapest_cycle,
         frontier_walk,
         oracle_min_cycle_loss,
     ],
-    ids=["check_applicable", "apply_cycle", "cheapest_cycle", "frontier_walk", "oracle_min_cycle_loss"],
+    ids=["apply_cycle", "cheapest_cycle", "frontier_walk", "oracle_min_cycle_loss"],
 )
-def test_a_row_that_is_no_matching_of_the_instance_is_refused(entry, row, message):
+def test_a_row_that_is_no_matching_of_the_instance_is_refused(entry, si_of, row, message):
     """Every entry of the cycle layer and the oracle refuses such a row
     with MatchingError, rather than reading it as a dominated matching
     (an ineligible pair once scored a beneficiary loss of -1) or failing
     on an index."""
     with pytest.raises(MatchingError, match=message):
-        entry(conflict_si(), row)
+        entry(si_of(), row)
 
 
 def test_minimal_cycle_is_deterministic():
@@ -153,7 +162,7 @@ def test_dominated_matching_is_rejected():
     si = conflict_si()
     # (1,0): dominated by both frontier points; a free zero-loss move exists
     with pytest.raises(DominatedInputError):
-        cheapest_cycle(si, seat_row(si, ("p1", "c1#0")))
+        cheapest_cycle(si, category_row(si, ("p1", "c1")))
 
 
 def test_beneficiary_gaining_swap_loop_is_rejected():
@@ -174,7 +183,7 @@ def test_beneficiary_gaining_swap_loop_is_rejected():
     )
     si = expand_to_seats(inst)
     with pytest.raises(DominatedInputError):
-        cheapest_cycle(si, seat_row(si, ("p1", "c1#0"), ("p2", "c2#0")))
+        cheapest_cycle(si, category_row(si, ("p1", "c1"), ("p2", "c2")))
 
 
 def test_chain_family_single_cycle_costs_everything():
@@ -247,10 +256,10 @@ def test_walk_with_shrinking_losses_is_rejected(monkeypatch):
         )
     )
     si = expand_to_seats(inst)
-    start = seat_row(si, ("p1", "a2#0"), ("x1", "d1#0"), ("x2", "d2#0"))
+    start = category_row(si, ("p1", "a2"), ("x1", "d1"), ("x2", "d2"))
     assert [pt for pt, _ in frontier_walk(si, start)] == [(3, 3), (4, 2), (5, 0)]
-    chain = named_cycle(si, ("x3", "x1", "x2"), ("d1#0", "d2#0", "d3#0"))
-    conflict = named_cycle(si, ("p2", "p1"), ("a2#0", "a1#0"))
+    chain = named_cycle(si, ("x3", "x1", "x2"), ("d1", "d2", "d3"))
+    conflict = named_cycle(si, ("p2", "p1"), ("a2", "a1"))
     forced = iter([chain, conflict])
     monkeypatch.setattr(cycles_module, "_cheapest", lambda si, row: next(forced, None))
     with pytest.raises(DominatedInputError, match="decreased"):
@@ -260,7 +269,7 @@ def test_walk_with_shrinking_losses_is_rejected(monkeypatch):
 def test_walk_from_dominated_start_is_rejected():
     si = conflict_si()
     with pytest.raises(DominatedInputError):
-        frontier_walk(si, seat_row(si, ("p1", "c1#0")))
+        frontier_walk(si, category_row(si, ("p1", "c1")))
 
 
 def test_minimal_loss_matches_exhaustive_search(monkeypatch):
@@ -302,23 +311,17 @@ REF_INF = 10**9
 
 
 def ref_cheapest_cycle(si, row, start_costs=None):
-    n_p, n_s = len(si.patients), len(si.seats)
-    seat_of = list(row)
-    patient_of = [-1] * n_s
-    for i, j in enumerate(seat_of):
-        if j != -1:
-            patient_of[j] = i
-    elig = si.eligible_seats
-    bene = si.beneficiary_seat_sets
-    cur_bene = [
-        1 if seat_of[i] != -1 and seat_of[i] in bene[i] else 0 for i in range(n_p)
-    ]
-    starts = [i for i in range(n_p) if seat_of[i] == -1 and elig[i]]
-    targets = [j for j in range(n_s) if patient_of[j] == -1]
+    n_p, n_c = si.pair_codes.shape
+    row = list(row)
+    elig = si.eligible_categories
+    bene = si.beneficiary_categories
+    cur_bene = [1 if row[i] in bene[i] else 0 for i in range(n_p)]
+    starts = [i for i in range(n_p) if row[i] == -1 and elig[i]]
+    targets = [c for c in range(n_c) if row.count(c) < si.quotas[c]]
     if not starts or not targets:
         return None
 
-    n_nodes = n_p + n_s
+    n_nodes = n_p + n_c
     best_key = None
     best_path = None
 
@@ -339,19 +342,18 @@ def ref_cheapest_cycle(si, row, start_costs=None):
             for i in range(n_p):
                 if cost[i] == REF_INF:
                     continue
-                for j in elig[i]:
-                    if j == seat_of[i]:
+                for c in elig[i]:
+                    if c == row[i]:
                         continue
-                    w = cur_bene[i] - (1 if j in bene[i] else 0)
+                    w = cur_bene[i] - (1 if c in bene[i] else 0)
                     cand = (cost[i] + w, hops[i] + 1)
-                    if cand < (cost[n_p + j], hops[n_p + j]):
-                        cost[n_p + j], hops[n_p + j] = cand
+                    if cand < (cost[n_p + c], hops[n_p + c]):
+                        cost[n_p + c], hops[n_p + c] = cand
                         changed = True
-            for j in range(n_s):
-                u = n_p + j
-                if cost[u] == REF_INF or patient_of[j] == -1:
+            for v in range(n_p):
+                if row[v] == -1 or cost[n_p + row[v]] == REF_INF:
                     continue
-                v = patient_of[j]
+                u = n_p + row[v]
                 cand = (cost[u], hops[u] + 1)
                 if cand < (cost[v], hops[v]):
                     cost[v], hops[v] = cand
@@ -359,25 +361,24 @@ def ref_cheapest_cycle(si, row, start_costs=None):
 
         if start_costs is not None:
             start_costs.append(min(cost[n_p + t] for t in targets))
-        for seat_rank, t in enumerate(targets):
+        for category_rank, t in enumerate(targets):
             u = n_p + t
             if cost[u] == REF_INF:
                 continue
-            key = (cost[u], start_rank, seat_rank, hops[u])
+            key = (cost[u], start_rank, category_rank, hops[u])
             if best_key is None or key < best_key:
                 best_key = key
-                best_path = ref_trace_back(
-                    start, u, cost, hops, n_p, elig, bene, seat_of, patient_of, cur_bene
-                )
+                best_path = ref_trace_back(start, u, cost, hops, n_p, elig, bene, row, cur_bene)
 
     if best_path is None:
         return None
-    cycle = Cycle(patients=tuple(best_path[0::2]), seats=tuple(j - n_p for j in best_path[1::2]))
+    cycle = Cycle(patients=tuple(best_path[0::2]), categories=tuple(c - n_p for c in best_path[1::2]))
     # the loss by name
-    names = [(si.patients[i], si.seats[j]) for i, j in zip(cycle.patients, cycle.seats)]
-    before = [(si.patients[i], si.seats[seat_of[i]]) for i in cycle.patients if seat_of[i] != -1]
-    delta = sum(1 for p, s in before if p in si.beneficiary_of(s))
-    delta -= sum(1 for p, s in names if p in si.beneficiary_of(s))
+    cats = si.source.categories
+    names = [(si.patients[i], cats[c]) for i, c in zip(cycle.patients, cycle.categories)]
+    before = [(si.patients[i], cats[row[i]]) for i in cycle.patients if row[i] != -1]
+    delta = sum(1 for p, c in before if p in si.source.beneficiary_of(c))
+    delta -= sum(1 for p, c in names if p in si.source.beneficiary_of(c))
     if delta != best_key[0]:
         raise RuntimeError("cycle cost disagrees with its beneficiary loss")
     if delta <= 0:
@@ -387,17 +388,17 @@ def ref_cheapest_cycle(si, row, start_costs=None):
     return cycle
 
 
-def ref_trace_back(start, target, cost, hops, n_p, elig, bene, seat_of, patient_of, cur_bene):
+def ref_trace_back(start, target, cost, hops, n_p, elig, bene, row, cur_bene):
     path = [target]
     node = target
     while node != start:
         if node >= n_p:
-            j = node - n_p
+            c = node - n_p
             found = None
             for i in range(n_p):
-                if cost[i] == REF_INF or j == seat_of[i] or j not in elig[i]:
+                if cost[i] == REF_INF or c == row[i] or c not in elig[i]:
                     continue
-                w = cur_bene[i] - (1 if j in bene[i] else 0)
+                w = cur_bene[i] - (1 if c in bene[i] else 0)
                 if cost[i] + w == cost[node] and hops[i] + 1 == hops[node]:
                     found = i
                     break
@@ -405,9 +406,9 @@ def ref_trace_back(start, target, cost, hops, n_p, elig, bene, seat_of, patient_
                 raise RuntimeError("path reconstruction lost its predecessor")
             node = found
         else:
-            j = seat_of[node]
-            u = n_p + j
-            if j == -1 or not (cost[u] == cost[node] and hops[u] + 1 == hops[node]):
+            c = row[node]
+            u = n_p + c
+            if c == -1 or not (cost[u] == cost[node] and hops[u] + 1 == hops[node]):
                 raise RuntimeError("path reconstruction lost its predecessor")
             node = u
         path.append(node)
@@ -416,29 +417,31 @@ def ref_trace_back(start, target, cost, hops, n_p, elig, bene, seat_of, patient_
 
 
 def outcome(search, si, row, **kwargs):
-    """The cycle's patients and seats, None, or the exception's type and message."""
+    """The cycle's patients and categories, None, or the exception's type and message."""
     try:
         c = search(si, row, **kwargs)
     except (DominatedInputError, RuntimeError) as exc:
         return type(exc).__name__, str(exc)
-    return None if c is None else ("cycle", c.patients, c.seats)
+    return None if c is None else ("cycle", c.patients, c.categories)
 
 
 def random_eligible_row(si, rng):
-    """The seat row of a random subset of patients, each at a random free eligible seat."""
+    """The category row of a random subset of patients, each at a random
+    free eligible seat, drawn seat by seat."""
+    category = [si.source.categories.index(si.category_of(s)) for s in si.seats]
     free = set(range(len(si.seats)))
     row = [-1] * len(si.patients)
     for i in rng.sample(range(len(si.patients)), len(si.patients)):
-        open_seats = sorted(free & set(si.eligible_seats[i]))
+        open_seats = sorted(j for j in free if si.pair_codes[i, category[j]])
         if open_seats and rng.random() < 0.7:
             j = rng.choice(open_seats)
             free.discard(j)
-            row[i] = j
+            row[i] = category[j]
     return tuple(row)
 
 
 def walk_rows(si, start):
-    """Every seat row a frontier walk from start searches, up to its first refusal."""
+    """Every category row a frontier walk from start searches, up to its first refusal."""
     current = start
     while True:
         yield current
@@ -452,7 +455,7 @@ def walk_rows(si, start):
 
 
 def differential_corpus():
-    """(seat instance, seat row) calls from walks, chains, arbitrary matchings and oracle samples."""
+    """(seat instance, category row) calls from walks, chains, arbitrary matchings and oracle samples."""
     rng = Random(2024)
     for _ in range(80):  # walk steps on sparse draws shaped like the solve-walk family
         n = rng.randint(10, 60)

@@ -227,6 +227,87 @@ def test_witness_row_applies_the_first_augmenting_paths_of_the_two_kink_rows():
         witness_at(codes, wrong, MatchPoint(7, 4))
 
 
+def test_a_path_displaces_the_lowest_patient_leaving_a_full_category_then_ends_at_a_free_seat():
+    # X (quota 2) holds the beneficiaries p1 and p2 in A at (2, 2); C at
+    # (4, 0) puts p0 and p3 in X and moves p1 to Y and p2 to Z, each of
+    # which has a free seat in A
+    inst = validate_instance(Instance(
+        categories=("X", "Y", "Z"), patients=("p0", "p1", "p2", "p3"), quota={"X": 2, "Y": 1, "Z": 1},
+        eligible={"X": frozenset({"p0", "p1", "p2", "p3"}), "Y": frozenset({"p1"}), "Z": frozenset({"p2"})},
+        beneficiary={"X": frozenset({"p1", "p2"})},
+    ))
+    si = expand_to_seats(inst)
+    f = compute_frontier(si)
+    assert list(f.points) == pts((2, 2), (3, 1), (4, 0)) and f.kinks == set(pts((2, 2), (4, 0)))
+    assert (f.witnesses[MatchPoint(2, 2)], f.witnesses[MatchPoint(4, 0)]) == ((-1, 0, 0, -1), (0, 1, 2, 0))
+    # the first path starts at p0, enters the full X, displaces p1, the
+    # lower of the two patients that C moves out, and ends in Y's free seat
+    row = witness_at(si.pair_codes, f, MatchPoint(3, 1))
+    assert row == (0, 1, 0, -1)
+    assert si.check_row(row) == [0, 1, 0, -1]
+    assert match_point(si, validate_matching(si, si.name_row(row))) == MatchPoint(3, 1)
+
+
+def seat_level_witness_at(codes, f, pt):
+    """witness_at as it stood on seat rows: codes is a patients x seats
+    matrix, and each path of A xor C follows C's seat to A's holder of it.
+    Kept here only as the reference on unit quotas, where seat j is
+    category j."""
+    if pt in f.witnesses:
+        return f.witnesses[pt]
+    a = max(q for q in f.witnesses if q.e < pt.e)
+    c = min(q for q in f.witnesses if q.e > pt.e)
+    row, c_row = np.array(f.witnesses[a], dtype=np.intp), f.witnesses[c]
+    holder = np.full(codes.shape[1], -1, dtype=np.intp)  # A's patient at each seat
+    holder[row[row >= 0]] = np.flatnonzero(row >= 0)
+    holder, need = holder.tolist(), pt.e - a.e
+    for i in np.flatnonzero((row < 0) & (np.array(c_row, dtype=np.intp) >= 0)).tolist():
+        if not need:
+            break
+        path = [i]
+        while (i := holder[c_row[i]]) >= 0 and c_row[i] >= 0:
+            path.append(i)
+        if i < 0:  # C's seat is free in A: an augmenting path
+            row[path] = [c_row[k] for k in path]
+            need -= 1
+    return tuple(row.tolist())
+
+
+def witness_draws(quota_range):
+    """160 seeded sparse draws of 20 to 100 patients: square with unit
+    quotas, or with n // 2 + 1 categories of quotas 1 to 3."""
+    for seed in range(160):
+        rng = Random(seed)
+        n = rng.randint(20, 100)
+        if quota_range == (1, 1):
+            yield gen_random(GenConfig(n, n, quota_range, rng.choice([2, 3, 4]) / n, 0.5, seed))
+        else:
+            yield gen_random(GenConfig(n, n // 2 + 1, quota_range, rng.choice([3, 4, 6]) / n, 0.5, seed))
+
+
+def test_category_witnesses_keep_the_seat_level_witnesses_on_unit_quotas():
+    between = 0
+    for inst in witness_draws((1, 1)):
+        si = expand_to_seats(inst)
+        f = compute_frontier(si)
+        for pt, row in with_all_witnesses(si, f).witnesses.items():
+            assert row == seat_level_witness_at(si.pair_codes, f, pt), (inst, pt)
+            between += pt not in f.kinks
+    assert between >= 250, between
+
+
+def test_category_witnesses_are_matchings_at_their_points_on_mixed_quotas():
+    between = 0
+    for inst in witness_draws((1, 3)):
+        si = expand_to_seats(inst)
+        f = compute_frontier(si)
+        for pt, row in with_all_witnesses(si, f).witnesses.items():
+            assert si.check_row(row) == list(row) and row_point(si.pair_codes, row) == pt, (inst, pt)
+            assert match_point(si, validate_matching(si, si.name_row(row))) == pt, (inst, pt)
+            between += pt not in f.kinks
+    assert between >= 180, between
+
+
 def test_zero_eligibility_gives_the_empty_point():
     inst = validate_instance(
         Instance(categories=("c1",), patients=("p1",), quota={"c1": 2}, eligible={}, beneficiary={})
@@ -350,13 +431,14 @@ DIFFERENTIAL_FAMILIES = {
 
 
 def route_sweeps(monkeypatch, through):
-    """Answer sweep d of every frontier with through(sweep, codes, d), where
-    sweep is the frontier's own sweep function on the same codes."""
+    """Answer sweep d of every frontier with through(sweep, n, d), where
+    sweep is the frontier's own sweep function on the same codes and n its
+    largest d."""
     sweeps = frontier_module._sweeps
 
-    def routed(codes):
-        sweep = sweeps(codes)
-        return lambda d: through(sweep, codes, d)
+    def routed(codes, quotas):
+        sweep = sweeps(codes, quotas)
+        return lambda d: through(sweep, max(len(codes), sum(quotas)), d)
 
     monkeypatch.setattr(frontier_module, "_sweeps", routed)
 
@@ -367,7 +449,7 @@ def test_bisection_matches_the_full_sweep(family, monkeypatch):
     in at most 3 * kinks - 2 sweeps (2 when one point covers every d)."""
     swept = []
 
-    def counted(sweep, codes, d):
+    def counted(sweep, n, d):
         swept.append(d)
         return sweep(d)
 
@@ -395,8 +477,8 @@ def tally_splits(monkeypatch, shift: int) -> Counter:
     done: dict[int, MatchPoint] = {}
     tally = Counter()
 
-    def remapped(sweep, codes, d):
-        out = sweep(min(max(d + shift, 0), max(codes.shape)))
+    def remapped(sweep, n, d):
+        out = sweep(min(max(d + shift, 0), n))
         below, above = [j for j in done if j < d], [j for j in done if j > d]
         if below and above:
             lo, hi = max(below), min(above)
@@ -439,13 +521,14 @@ def test_a_shifted_sweep_reaches_the_upper_clamp_and_a_tie_at_x(monkeypatch):
 
 
 def test_out_of_order_interval_ends_raise(monkeypatch):
-    route_sweeps(monkeypatch, lambda sweep, codes, d: sweep(max(codes.shape) - d))
+    route_sweeps(monkeypatch, lambda sweep, n, d: sweep(n - d))
     with pytest.raises(FrontierInvariantError, match="out of order"):
         compute_frontier(expand_to_seats(two_conflict_copies()))
 
 
-def fresh_gather_sweeps(codes):
-    """The frontier's sweep function with one fresh cost matrix per sweep."""
+def fresh_gather_sweeps(codes, quotas):
+    """The frontier's sweep function with one fresh cost matrix per sweep,
+    on codes whose quotas are all 1."""
 
     def sweep(d):
         rows, cols = min_cost_assignment(cost_matrix(codes, (0, 2 * d + 1, 2 * d + 3)), codes)
@@ -487,7 +570,7 @@ def test_sweeps_share_one_cost_matrix_that_reads_as_a_fresh_gather(monkeypatch):
     matrices = empty_lines = split = revisited = 0
     for codes in shared_matrix_codes():
         got.clear()
-        f = frontier_module._frontier(codes)
+        f = frontier_module._frontier(codes, (1,) * codes.shape[1])
         ds = []
         for cost in got:
             i, j = np.argwhere(codes)[0]  # an eligible cell costs -(2d + 1), or -(2d + 3) at code 2
@@ -498,7 +581,7 @@ def test_sweeps_share_one_cost_matrix_that_reads_as_a_fresh_gather(monkeypatch):
         assert len(ds) == len(set(ds)) and (not codes.any() or {0, n} <= set(ds))
         with monkeypatch.context() as m:
             m.setattr(frontier_module, "_sweeps", fresh_gather_sweeps)
-            want = frontier_module._frontier(codes)
+            want = frontier_module._frontier(codes, (1,) * codes.shape[1])
         assert f.points == want.points
         assert list(f.witnesses.items()) == list(want.witnesses.items())
         matrices += 1
@@ -510,18 +593,21 @@ def test_sweeps_share_one_cost_matrix_that_reads_as_a_fresh_gather(monkeypatch):
 
 # compute_frontier as it stood before the integer-slope sweeps: sweep k in
 # 1..n weighed a plain pair k n^2 and a beneficiary pair k n^2 + n^2 + k,
-# and split an interval at x = n^2 db // (n^2 de - db).  Kept here only as
-# the reference for the kinks and their witnesses.
+# and split an interval at x = n^2 db // (n^2 de - db), on the seats' own
+# pair codes.  Kept here only as the reference for the kinks and their
+# witnesses, whose seats it maps to their categories.
 def ref_n_cubed_kinks(si):
-    codes = si.pair_codes
+    cats = si.source.categories
+    category = np.array([cats.index(si.category_of(s)) for s in si.seats], dtype=np.intp)
+    codes = np.ascontiguousarray(si.pair_codes[:, category])
     n = max(codes.shape)
     if n == 0 or not codes.any():
         return [MatchPoint(0, 0)], {MatchPoint(0, 0): (-1,) * len(codes)}
 
     def sweep(k):
         rows, cols = min_cost_assignment(cost_matrix(codes, (0, k * n * n, k * n * n + n * n + k)), codes)
-        row = np.full(len(codes), -1)  # the seat row: patient i's seat, or -1
-        row[rows] = cols
+        row = np.full(len(codes), -1)  # the category row: patient i's category, or -1
+        row[rows] = category[cols]
         return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2))), row
 
     sweeps = {k: sweep(k) for k in sorted({1, n})}
@@ -571,14 +657,14 @@ def test_integer_slope_sweeps_keep_the_n_cubed_kinks_and_witnesses():
         assert f.kinks == frozenset(kinks), inst
         assert f.witnesses == witnesses, inst
         kinks_seen += len(kinks)
-        n = max(si.pair_codes.shape)
+        n = max(len(si.patients), len(si.seats))
         if n > 200 or not f.e_max:
             continue  # criterion 12 would take 501 sweeps; an empty frontier has none
         # every d from a kink's left drop to one below its right drop returns it,
         # and the last kink's range ends at n: the ranges cover 0..n
         drops = [a.b - c.b for a, c in zip(f.points, f.points[1:])]
         ends = [0] + [drops[i - 1] for i, pt in enumerate(f.points) if i and pt in f.kinks] + [n + 1]
-        sweep = frontier_module._sweeps(si.pair_codes)
+        sweep = frontier_module._sweeps(si.pair_codes, si.quotas)
         for kink, lo, hi in zip(sorted(f.kinks), ends, ends[1:]):
             assert [sweep(d)[0] for d in range(lo, hi)] == [kink] * (hi - lo)
             ranges_swept += 1

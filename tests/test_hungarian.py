@@ -161,7 +161,7 @@ def test_code_table_entry_matches_the_int64_maximize_solve_on_sweeps_and_pads():
             )
         )
         si = expand_to_seats(inst)
-        codes = si.pair_codes
+        codes = np.repeat(si.pair_codes, si.quotas, axis=1)  # the unit-seat codes that the sweeps solve on
         n_p, n_s = codes.shape
         # masks from the seats' eligible and beneficiary sets, not from the codes
         elig = np.zeros((n_p, n_s), dtype=bool)

@@ -47,9 +47,9 @@ from reserve_frontier import (
     select_approx_on_frontier,
     validate_instance,
     validate_matching,
-    validate_priority,
     with_all_witnesses,
 )
+from reserve_frontier.core import validate_priority
 
 
 def test_selection_on_named_problems():
@@ -178,7 +178,8 @@ def test_no_qualifying_matching_is_larger_than_the_selection():
     ids=["kink", "between-kinks"],
 )
 def test_selection_names_only_the_witness_it_returns(beta_star, selected, monkeypatch, tmp_path, capsys):
-    """Selection and repair name nothing; solve names the one witness it prints."""
+    """Selection and repair name nothing, and neither does solve: it prints
+    the witness's categories straight from its category row."""
     pr = Problem(instance=gen_random(GenConfig(30, 30, (1, 1), 0.1, 0.5, seed=1)), beta_star=beta_star)
     si = pr.seat_instance
     f = compute_frontier(si)
@@ -193,7 +194,7 @@ def test_selection_names_only_the_witness_it_returns(beta_star, selected, monkey
     fixed = repair_priority(pr, row)
     assert respects_priority(pr, fixed) == [] and (len(named), len(built)) == (0, 0)
     assert cli_module.main(["solve", str(path), "--respect-priority"]) == 0
-    assert (len(named), len(built)) == (1, 1)
+    assert (len(named), len(built)) == (0, 0)
     assert capsys.readouterr().out == name_route_solve_stdout(pr, True)
     assert pt == selected and row == f.witnesses.get(pt, row) and match_point(si, si.name_row(row)) == pt
 
@@ -496,7 +497,7 @@ def shuffled_admissible_order(inst, rng):
 
 
 def random_matching(inst, rng):
-    """The seat row of an eligible matching: each drawn patient takes a
+    """The category row of an eligible matching: each drawn patient takes a
     random free seat it is eligible for."""
     si = expand_to_seats(inst)
     free, pairs = set(si.seats), []
@@ -508,7 +509,7 @@ def random_matching(inst, rng):
             pairs.append((p, s))
     row = [-1] * len(si.patients)
     for p, s in pairs:
-        row[si.patient_index[p]] = si.seat_index[s]
+        row[si.patient_index[p]] = inst.categories.index(si.category_of(s))
     return tuple(row)
 
 
@@ -517,8 +518,13 @@ def reference_rank_sum(pr, m):
     return sum(reference_rank(po, si.category_of(s), p) for p, s in m.pairs)
 
 
+def placements(si, m):
+    """The (patient, category) pairs of a named matching."""
+    return sorted((p, si.category_of(s)) for p, s in m.pairs)
+
+
 def assert_priority_layer_matches_reference(pr, row):
-    """The repaired seat row, or None when both repairs refuse row.  The
+    """The repaired category row, or None when both repairs refuse row.  The
     reference scans work on the named matching."""
     si = pr.seat_instance
     m = si.name_row(row)
@@ -533,7 +539,7 @@ def assert_priority_layer_matches_reference(pr, row):
             repair_priority(pr, row)
         return None
     got = repair_priority(pr, row)
-    assert si.name_row(got) == want
+    assert placements(si, si.name_row(got)) == placements(si, want)
     assert rank_sum(pr, got) == reference_rank_sum(pr, want)
     return got
 
@@ -561,22 +567,7 @@ def test_priority_layer_matches_the_full_scan_on_random_matchings():
     assert flagged > 100 and swapped > 20
 
 
-@pytest.mark.parametrize(
-    "row, pairs, message",
-    [
-        ((0, -1, -1), (("p1", "c1#0"),), "patient p1 not eligible for seat c1#0"),
-        ((-1, 2, -1), (("p2", "c9#0"),), "seat index 2 outside \\[-1, 2\\)|unknown seat c9#0"),
-        ((-1, -2, -1), None, "seat index -2 outside \\[-1, 2\\)"),
-        ((-1, 0), None, "one entry per patient: 2 for 3"),
-        ((-1, 0, -1, -1), None, "one entry per patient: 4 for 3"),
-        ((-1, 0, 0), (("p2", "c1#0"), ("p3", "c1#0")), "more than one patient|seat c1#0 assigned more than one"),
-    ],
-    ids=["ineligible", "unknown-seat", "below-minus-one", "short", "long", "seat-twice"],
-)
-def test_priority_layer_refuses_a_pair_it_cannot_rank(row, pairs, message):
-    """A row that is not a matching of the instance is refused by each
-    priority function; a named pair list is refused by validate_matching
-    or the Matching constructor with the same fault."""
+def two_categories():
     inst = validate_instance(
         Instance(
             categories=("c1", "c2"),
@@ -586,7 +577,44 @@ def test_priority_layer_refuses_a_pair_it_cannot_rank(row, pairs, message):
             beneficiary={},
         )
     )
-    for priority in (None, PriorityOrder(order={"c1": ("p2", "p3", "p1"), "c2": ("p3", "p1", "p2")})):
+    return inst, PriorityOrder(order={"c1": ("p2", "p3", "p1"), "c2": ("p3", "p1", "p2")})
+
+
+def one_category_of_quota_two():
+    inst = validate_instance(
+        Instance(
+            categories=("c1",),
+            patients=("p1", "p2", "p3"),
+            quota={"c1": 2},
+            eligible={"c1": frozenset({"p1", "p2", "p3"})},
+            beneficiary={},
+        )
+    )
+    return inst, PriorityOrder(order={"c1": ("p3", "p1", "p2")})
+
+
+@pytest.mark.parametrize(
+    "instance, row, pairs, message",
+    [
+        (two_categories, (0, -1, -1), (("p1", "c1#0"),), "patient p1 not eligible for (category c1|seat c1#0)"),
+        (two_categories, (-1, 2, -1), (("p2", "c9#0"),), "category index 2 outside \\[-1, 2\\)|unknown seat c9#0"),
+        (two_categories, (-1, -2, -1), None, "category index -2 outside \\[-1, 2\\)"),
+        (two_categories, (-1, 0), None, "one entry per patient: 2 for 3"),
+        (two_categories, (-1, 0, -1, -1), None, "one entry per patient: 4 for 3"),
+        # two patients on the one seat of c1
+        (two_categories, (-1, 0, 0), (("p2", "c1#0"), ("p3", "c1#0")),
+         "more patients in c1 than its quota of 1|seat c1#0 assigned more than one"),
+        (one_category_of_quota_two, (0, 0, 0), (("p1", "c1#0"), ("p2", "c1#1"), ("p3", "c1#2")),
+         "more patients in c1 than its quota of 2|unknown seat c1#2"),
+    ],
+    ids=["ineligible", "unknown-seat", "below-minus-one", "short", "long", "seat-twice", "over-quota"],
+)
+def test_priority_layer_refuses_a_pair_it_cannot_rank(instance, row, pairs, message):
+    """A row that is not a matching of the instance is refused by each
+    priority function; a named pair list is refused by validate_matching
+    or the Matching constructor with the same fault."""
+    inst, order = instance()
+    for priority in (None, order):
         pr = Problem(instance=inst, beta_star=Fraction(0), priority=priority)
         for fn in (rank_sum, respects_priority, repair_priority):
             with pytest.raises(MatchingError, match=message):
@@ -612,7 +640,7 @@ def name_route_solve_stdout(pr: Problem, respect: bool) -> str:
 
 def test_solve_prints_the_name_route_on_seat_rows(tmp_path, capsys):
     """solve and solve --respect-priority repair and count on the selected
-    seat row; their stdout is the name route's, byte for byte."""
+    category row; their stdout is the name route's, byte for byte."""
     rng = Random(2107)
     problems = []
     for _ in range(200):
@@ -665,7 +693,7 @@ def test_rank_tables_are_built_once_per_problem(monkeypatch):
         assert all(r.ok for r in run_suites(pr, ("mechanism",)))
         assert len(builds) == 1
         with pytest.raises(MatchingError):  # each call still checks its row
-            respects_priority(pr, (len(pr.seat_instance.seats),) + row[1:])
+            respects_priority(pr, (len(pr.instance.categories),) + row[1:])
 
 
 def test_priority_layer_matches_the_full_scan_on_frontier_matchings():
