@@ -4,8 +4,8 @@ An instance has categories with integer quotas and per-category eligible
 and beneficiary patient sets (beneficiaries are a subset of the eligible).
 A matching is a category row: row[i] is the index of patient i's
 category, or -1.  Quotas are expanded into unit seats only where a step
-works seat by seat: the frontier's solver, the oracle's enumerator, and
-the naming of a row at the I/O boundary (SeatInstance.name_row).
+works seat by seat: the frontier's solver and the naming of a row at the
+I/O boundary (SeatInstance.name_row).
 
 Every input, parsed, generated or named, is one Problem: an instance plus
 an optional share target beta_star and optional priority orders.  The

@@ -7,11 +7,9 @@ associated-graph definition.  Budgets cap instance size and visited states
 so runaway inputs fail fast instead of hanging.  It only computes: the
 checks on its answers live in verify, and no production module imports it.
 
-Every matching here is handed over as a category row, as in frontier and
-cycles (row[i] is the index of patient i's category, or -1), and nothing
-here names one.  The enumeration itself still assigns unit seats, so a
-matching is counted once per assignment of its patients to the seats of
-their categories, and a category row appears that many times.
+Every matching here is a category row, as in frontier and cycles (row[i]
+is the index of patient i's category, or -1), enumerated and counted once,
+and nothing here names one.
 
 There are two entry points.  Census(si, budget, points) answers everything
 the verify checks read: .counts (matchings per score point), .frontier()
@@ -22,18 +20,19 @@ enumerate_matchings(si, budget) yields the row of every matching, in the
 same order, for callers that need each one.  oracle_min_cycle_loss(si,
 row) refuses a row that is not a matching of si (SeatInstance.check_row).
 
-Matchings are enumerated by a recursion over patients (_leaf_blocks)
-that expands one numpy level of rows per patient and yields the leaves
-in blocks, in the leaf order of a depth-first recursion with one call
-per state; it counts that recursion's states against the budget and
-holds a fixed number of bytes whatever the instance, and
-enumerate_matchings streams its blocks.  A Census enumerates its instance
-once for the count and first matching at every score point (the
-frontier, its witnesses and every exact-share count) and, in the same
-pass, the sampled matchings and matched patient sets at the points it
-was built with; only samples at other points take a pass of their own.
-Leaves are scored by index, block by block, and only the leaves at
-sampled points reach Python.
+Matchings are enumerated by a recursion over patients (_leaf_blocks) in
+which each patient takes no category or an eligible one with a free seat;
+it expands one numpy level of rows per patient and yields the leaves in
+blocks, in the leaf order of a depth-first recursion with one call per
+state; it counts that recursion's states against the budget and holds a
+fixed number of bytes whatever the instance, and enumerate_matchings
+streams its blocks.  A Census enumerates its instance once for the count
+and first matching at every score point (the frontier, its witnesses and
+every exact-share count) and, in the same pass, the sampled matchings and
+matched patient sets at the points it was built with; only samples at
+other points take a pass of their own.  Leaves are scored by index, block
+by block, and only the first leaf at each new point and the leaves at
+sampled points are read back and reach Python.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ BUDGET_ENV = "RESERVE_FRONTIER_ORACLE_BUDGET"
 # _find_disjoint_family once per chosen cycle (at most min(patients,
 # seats)), on top of the caller's frames.  Sizes up to this stay well
 # inside Python's default recursion limit of 1,000.  _leaf_blocks keeps
-# one level of rows per patient, and up to this size one level's share of
-# _BLOCK_BYTES still holds the children of one parent.
+# one level of rows per patient, and up to this size the levels stay under
+# _BLOCK_BYTES even where each holds the children of one parent only.
 MAX_ORACLE_SIZE = 500
 
 
@@ -123,67 +122,80 @@ class _StateCounter:
             )
 
 
-# Bytes that the rows of the enumeration's live levels may hold together.
-# Each of the n levels gets an equal share, and a parent's children are
-# never split, so a share must hold the up to seats + 1 children of one
-# parent: at the 500 x 500 ceiling that is 501 rows of 82 bytes a level,
-# 20.5 MB in all.  The arrays one expansion step builds are a small
-# multiple of one level's share.
+# Bytes that the enumeration may hold.  Its live levels get half, an equal
+# share each; the rest holds the arrays that one expansion step builds, a
+# small multiple of one level's share, and the leaves a caller reads back,
+# 2 bytes a patient each.  A parent's children are never split, so a level
+# can outgrow its share: at the 500 x 500 ceiling one parent's up to 501
+# children of 82 bytes take 41 kB a level, 20.5 MB over 500 levels.
 _BLOCK_BYTES = 32 << 20
 
 
 def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
-    """Yield (assignment, e, b) blocks that list every eligible matching once.
+    """Yield (read, e, b) blocks that list every eligible matching once.
 
-    Row r of a block is one matching: assignment[r] is its category row,
-    and e[r], b[r] are its score.  A recursion over patients expands one
-    level of rows per patient, taking unit seats, and a parent's children
-    stay together in choice order (unmatched, then the ascending eligible
-    seats), so the blocks list the seat matchings lexicographically, in the
-    leaf order of a depth-first recursion that takes one call per state.
+    Leaf r of a block is one matching scoring e[r], b[r], and read(rows)
+    returns the category rows of the leaves at the indices rows, read back
+    along the parent links, so that a caller reads only the leaves it
+    keeps.  A recursion over patients expands one level of rows per
+    patient, and a parent's children stay together in choice order
+    (unmatched, then the ascending eligible categories with a free seat),
+    so the blocks list the category rows lexicographically, in the leaf
+    order of a depth-first recursion that takes one call per state.
 
     The state count is the root plus every row of every level, the states
     that such a recursion visits.  All the children of a level's rows are
     counted before any of them is built, so BudgetExceededError is raised
     exactly when the one-call-per-state recursion would raise it, before
     the rows over the budget are allocated.  Levels are expanded a slice of
-    parents at a time, so that the live levels hold at most _BLOCK_BYTES.
+    parents at a time, so that the live levels hold at most half of
+    _BLOCK_BYTES.
     """
     _check_size(si, budget)
-    codes = si.pair_codes
-    category = np.repeat(np.arange(codes.shape[1]), si.quotas)  # of each unit seat
-    n, words = len(si.patients), (len(category) + 63) // 64
+    codes, n = si.pair_codes, len(si.patients)
+    # a row's seats taken per category, each a field of its quota's bit
+    # length in the row's uint64 words, never split between two words: a
+    # unit category's field is the one bit of its seat
+    widths, offset, at = [q.bit_length() or 1 for q in si.quotas], [], 0
+    for width in widths:
+        at += -at % 64 if at % 64 + width > 64 else 0
+        offset.append(at)
+        at += width
+    words, word = (at + 63) // 64, np.array(offset, dtype=np.intp) >> 6
+    one = np.left_shift(np.uint64(1), np.array(offset, dtype=np.uint64) & np.uint64(63))
+    field = np.array([(1 << w) - 1 for w in widths], dtype=np.uint64) * one
+    full = np.array(si.quotas, dtype=np.uint64) * one  # a field with every seat taken
     states = _StateCounter(budget.max_states)
     states.add()  # the root
 
-    # per patient: the category of each choice, whether it is a beneficiary
-    # pair, and the bitmask word and bit of each eligible seat
-    elig = [np.flatnonzero(row[category]) for row in codes]
-    category_of_choice = [np.concatenate(([-1], category[js])).astype(np.int16) for js in elig]
-    bene_of_choice = [np.concatenate(([0], row[category[js]] == 2)).astype(np.int32) for row, js in zip(codes, elig)]
-    word = [js >> 6 for js in elig]
-    bit = [np.left_shift(np.uint64(1), (js & 63).astype(np.uint64)) for js in elig]
-    row_bytes = 8 + 2 + 4 + 4 + 8 * words  # parent link, category, e, b and used of one row
-    # parents per slice: each of the n levels gets an equal share of the bytes
-    step = [max(1, _BLOCK_BYTES // (n * row_bytes * (len(js) + 1))) for js in elig]
+    # per patient: its eligible categories, and the category and whether it
+    # is a beneficiary pair of each choice
+    elig = [np.flatnonzero(row) for row in codes]
+    category_of_choice = [np.concatenate(([-1], js)).astype(np.int16) for js in elig]
+    bene_of_choice = [np.concatenate(([0], row[js] == 2)).astype(np.int32) for row, js in zip(codes, elig)]
+    row_bytes = 8 + 2 + 4 + 4 + 8 * words  # parent link, category, e, b and taken seats of one row
+    # parents per slice: each of the n levels gets an equal share of half the bytes
+    step = [max(1, _BLOCK_BYTES // (2 * n * row_bytes * (len(js) + 1))) for js in elig]
 
     def free(used: np.ndarray, i: int) -> np.ndarray:
-        """(parents, eligible seats) mask of the seats patient i may still take."""
-        return (used[:, word[i]] & bit[i]) == 0
+        """(parents, eligible categories) mask of the categories patient i may still take."""
+        js = elig[i]
+        return (used[:, word[js]] & field[js]) < full[js]
 
     def expand(links: list, e: np.ndarray, b: np.ndarray, used: np.ndarray | None):
         """Yield the leaf blocks below the rows of level i = len(links), each row
-        with its score and the bitmask of the seats it took (None at the leaves);
-        links[k] holds the parent row and the category of every row of level k + 1."""
+        with its score and its taken seats (None at the leaves); links[k]
+        holds the parent row and the category of every row of level k + 1."""
         i = len(links)
-        if i == n:  # leaves: read each row's categories back along the parent links
-            assignment = np.empty((len(e), n), dtype=np.int16)
-            rows = slice(None)
-            for lv in reversed(range(n)):
-                parent, placed = links[lv]
-                assignment[:, lv] = placed[rows]
-                rows = parent[rows]
-            yield assignment, e, b
+        if i == n:
+            def read(rows: np.ndarray) -> np.ndarray:
+                assignment = np.empty((len(rows), n), dtype=np.int16)
+                for lv in reversed(range(n)):
+                    parent, placed = links[lv]
+                    assignment[:, lv] = placed[rows]
+                    rows = parent[rows]
+                return assignment
+            yield read, e, b
             return
         slices = range(0, len(e), step[i])
         states.add(len(e) + sum(int(np.count_nonzero(free(used[s : s + step[i]], i))) for s in slices))
@@ -200,11 +212,11 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
         parent, choice = np.nonzero(choices)
         parent += start
         child_used = None
-        if i + 1 < n:  # leaves need no mask
+        if i + 1 < n:  # leaves need no taken seats
             child_used = used[parent]
             matched = np.flatnonzero(choice)
-            taken = choice[matched] - 1
-            child_used[matched, word[i][taken]] |= bit[i][taken]
+            taken = elig[i][choice[matched] - 1]
+            child_used[matched, word[taken]] += one[taken]
         link = parent, category_of_choice[i][choice]
         return [*links, link], e[parent] + (choice > 0), b[parent] + bene_of_choice[i][choice], child_used
 
@@ -213,16 +225,15 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
 
 
 def enumerate_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET):
-    """Yield the category row of every eligible matching, in a fixed
-    recursion order: once per assignment of its patients to the unit seats
-    of their categories.
+    """Yield the category row of every eligible matching once, in
+    lexicographic order.
 
     Blocks are built as the matchings are consumed, so memory stays within
     the enumeration's byte cap, and a BudgetExceededError for the state
     budget can come after matchings already yielded.
     """
-    for assignment, _, _ in _leaf_blocks(si, budget):
-        yield from map(tuple, assignment.tolist())
+    for read, e, _ in _leaf_blocks(si, budget):
+        yield from map(tuple, read(np.arange(len(e))).tolist())
 
 
 # Rows that Census.sample keeps per point; the rest are reservoir-sampled.
@@ -309,7 +320,7 @@ class Census:
         points = [p for p in wanted if min(p) >= 0 and max(p) < stride]
         for k, (pe, pb) in enumerate(points):
             slot_of[pe * stride + pb] = k
-        for a, e, b in _leaf_blocks(self.si, self.budget):
+        for read, e, b in _leaf_blocks(self.si, self.budget):
             keys = e * stride + b
             if tally:
                 sizes = np.bincount(keys)
@@ -317,15 +328,16 @@ class Census:
                 np.minimum.at(at, keys, np.arange(len(keys)))  # each key's first row
                 hit = np.flatnonzero(sizes)
                 hit = hit[np.argsort(at[hit])]  # in order of first appearance
-                for key, row, size in zip(hit.tolist(), at[hit].tolist(), sizes[hit].tolist()):
-                    if key in counts:
-                        counts[key] += size
-                    else:
-                        counts[key] = size
-                        first[key] = tuple(a[row].tolist())
+                new = [key for key in hit.tolist() if key not in counts]
+                for key, size in zip(hit.tolist(), sizes[hit].tolist()):
+                    counts[key] = counts.get(key, 0) + size
+                if new:  # only the first row at each new point is read back
+                    first.update(zip(new, map(tuple, read(at[new]).tolist())))
             slots = slot_of[keys]
             rows = np.flatnonzero(slots >= 0)
-            hits = a[rows]
+            if not len(rows):
+                continue
+            hits = read(rows)
             bits = np.packbits(hits >= 0, axis=1, bitorder="little")
             # one leaf at a time, in leaf order across all points, so the
             # reservoir draws from rng exactly as a depth-first scan does

@@ -405,7 +405,8 @@ def random_inputs(params: dict[str, str]) -> tuple[int, Iterator[Problem]]:
 
     An unknown key, a value that is not a number, or one that GenConfig
     refuses is refused by its key, before anything is drawn.  So are draws
-    that cannot fit the oracle budget: every category has at least one seat.
+    that cannot fit the oracle budget: every category has at least the
+    quota range's low end of seats.
     """
     for key in params:
         if key not in RANDOM_DEFAULTS:
@@ -435,10 +436,10 @@ def random_inputs(params: dict[str, str]) -> tuple[int, Iterator[Problem]]:
             cfg = replace(cfg, **{field: value})
         except ValueError as exc:
             raise ValueError(f"--random {key}={raw[key]}: {exc}") from None
-    budget = budget_from_env()
-    if patients > budget.max_patients or categories > budget.max_seats:
+    budget, seats = budget_from_env(), categories * cfg.quota_range[0]
+    if patients > budget.max_patients or seats > budget.max_seats:
         raise BudgetExceededError(
-            f"--random draws {patients} patients and at least {categories} seats; "
+            f"--random draws {patients} patients and at least {seats} seats; "
             f"budget allows {budget.max_patients} patients and {budget.max_seats} seats; "
             f"raise it with {BUDGET_ENV}=patients,seats,states"
         )

@@ -199,7 +199,7 @@ def test_criterion_05_concavity_density(small_pool, oracle_pool):
 
 
 def test_criterion_06_minimal_cycle_theorem(oracle_pool, monkeypatch):
-    monkeypatch.setattr(oracle_module, "SAMPLE_CAP", 8)
+    monkeypatch.setattr(oracle_module, "SAMPLE_CAP", 16)
     records, _ = oracle_pool
     checked = 0
     for i, si, _, fo, _ in records:

@@ -5,8 +5,12 @@ they shared one census: one enumeration each for the frontier, for the
 samples, for the matched-patient sets and, per share target, for the
 exact-share matchings (scored by name with match_point).  They run on
 scan_leaves, the depth-first recursion that enumerated the matchings one
-Python call per state before the oracle expanded them in numpy blocks.
-They are kept here only as the reference.
+Python call per state before the oracle expanded them in numpy blocks;
+it takes the lowest free seat of each category, so it lists each category
+row once, and with every_seat it takes every free seat, listing each row
+once per assignment of its patients to their categories' seats, as the
+oracle did before it enumerated categories.  They are kept here only as
+the reference.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import tracemalloc
 from random import Random
 
+import numpy as np
 import pytest
 
 import reserve_frontier.oracle as oracle_module
@@ -49,10 +54,11 @@ from reserve_frontier.oracle import (
 from reserve_frontier.verify import _exact_share_domination
 
 
-def scan_leaves(si, budget, visit) -> int:
+def scan_leaves(si, budget, visit, every_seat=False) -> int:
     """Call visit(assignment, e, b) for every eligible matching, depth first.
 
-    The recursion takes unit seats, named by the instance, and
+    The recursion takes unit seats, named by the instance: the lowest free
+    seat of each eligible category, or with every_seat each free seat.
     `assignment` is a mutable list of the category index of each patient's
     seat (-1 for unmatched) that is only valid during the call.  Returns
     the number of states visited.
@@ -73,8 +79,10 @@ def scan_leaves(si, budget, visit) -> int:
             return
         current[i] = -1
         rec(i + 1, e, b)
+        tried = set()
         for j in elig[i]:
-            if not used[j]:
+            if not used[j] and (every_seat or category[j] not in tried):
+                tried.add(category[j])
                 used[j] = True
                 current[i] = category[j]
                 rec(i + 1, e + 1, b + (1 if j in bene[i] else 0))
@@ -85,18 +93,27 @@ def scan_leaves(si, budget, visit) -> int:
     return counter.used
 
 
-def ref_oracle_frontier(si, budget=DEFAULT_BUDGET) -> Frontier:
+def scan_rows(si, budget=DEFAULT_BUDGET, every_seat=False) -> list:
+    """(category row, e, b) of every leaf of scan_leaves, in leaf order."""
+    leaves: list = []
+    scan_leaves(si, budget, lambda a, e, b: leaves.append((tuple(a), e, b)), every_seat)
+    return leaves
+
+
+def frontier_of(leaves) -> tuple[Frontier, list]:
+    """The frontier of the leaves, witnessed by the first row at each point,
+    and every point in order of first appearance."""
     first: dict = {}
-
-    def visit(a, e, b):
-        if (e, b) not in first:
-            first[(e, b)] = tuple(a)
-
-    scan_leaves(si, budget, visit)
-    pts = [MatchPoint(e, b) for e, b in first]
+    for a, e, b in leaves:
+        first.setdefault(MatchPoint(e, b), a)
+    pts = list(first)
     nd = sorted(p for p in pts if not any(dominates(q, p) for q in pts))
-    witnesses = {p: first[(p.e, p.b)] for p in nd}
-    return Frontier(points=tuple(nd), kinks=kinks_of(nd), witnesses=witnesses)
+    witnesses = {p: first[p] for p in nd}
+    return Frontier(points=tuple(nd), kinks=kinks_of(nd), witnesses=witnesses), pts
+
+
+def ref_oracle_frontier(si, budget=DEFAULT_BUDGET) -> Frontier:
+    return frontier_of(scan_rows(si, budget))[0]
 
 
 def ref_sample(si, points, budget=DEFAULT_BUDGET, cap=200):
@@ -280,12 +297,45 @@ def test_a_census_built_with_its_points_equals_the_scans(sliced, monkeypatch):
 def test_seat_rows_name_the_enumerated_matchings():
     for inst in [*small_draws(), *base_draws()]:
         si = expand_to_seats(inst)
-        rows = [tuple(row) for a, _, _ in _leaf_blocks(si, DEFAULT_BUDGET) for row in a.tolist()]
+        rows = [tuple(row) for read, e, _ in _leaf_blocks(si, DEFAULT_BUDGET)
+                for row in read(np.arange(len(e))).tolist()]
         assert list(enumerate_matchings(si)) == rows
         for row in rows:
             m = validate_matching(si, si.name_row(row))
             assert len(m.pairs) == sum(j != -1 for j in row)
             assert all(si.category_of(s) == si.source.categories[row[si.patient_index[p]]] for p, s in m.pairs)
+
+
+def test_the_enumeration_is_the_seat_recursion_without_repeats():
+    # each category row once, in the order of its first seat assignment;
+    # the census's frontier, witnesses and points are the seat recursion's
+    r, budget = Random(99), EnumerationBudget(8, 12, 10**7)
+    seat_leaves = rows = 0
+    for k in range(400):
+        cfg = GenConfig(r.randint(0, 7), r.randint(1, 4), (1, r.choice([1, 2, 3])),
+                        r.choice([0.3, 0.5, 0.8]), r.choice([0.2, 0.5]), seed=k)
+        si = expand_to_seats(gen_random(cfg))
+        leaves = scan_rows(si, budget, every_seat=True)
+        got = list(enumerate_matchings(si, budget))
+        assert got == list(dict.fromkeys(a for a, _, _ in leaves))
+        want, points = frontier_of(leaves)
+        census = Census(si, budget)
+        f = census.frontier()
+        assert (f.points, f.kinks, f.witnesses) == (want.points, want.kinks, want.witnesses)
+        assert list(census.counts) == points
+        seat_leaves, rows = seat_leaves + len(leaves), rows + len(got)
+    assert (seat_leaves, rows) == (681_983, 46_509)
+
+
+def test_census_samples_hold_no_repeated_rows():
+    # verify --random patients=7 categories=3 quota=2:3 seed=2000 elig=0.7 count=20
+    budget = EnumerationBudget(8, 10, 50_000_000)
+    for seed in range(2000, 2020):
+        si = expand_to_seats(gen_random(GenConfig(7, 3, (2, 3), 0.7, 0.5, seed=seed)))
+        census = Census(si, budget)
+        for rows in census.sample(census.frontier().points).matchings.values():
+            assert len(set(rows)) == len(rows)
+        assert sum(census.counts.values()) == len(set(enumerate_matchings(si, budget)))
 
 
 @pytest.fixture
@@ -336,7 +386,8 @@ def test_leaf_blocks_list_the_recursions_leaves(sliced, monkeypatch):
         states = scan_leaves(si, DEFAULT_BUDGET, lambda a, e, b: want.append((tuple(a), e, b)))
         blocks = list(_leaf_blocks(si, DEFAULT_BUDGET))
         most_blocks = max(most_blocks, len(blocks))
-        got = [(tuple(a), e, b) for block in blocks for a, e, b in zip(*(x.tolist() for x in block))]
+        got = [(tuple(a), e, b) for read, es, bs in blocks
+               for a, e, b in zip(read(np.arange(len(es))).tolist(), es.tolist(), bs.tolist())]
         assert got == want
         assert list(enumerate_matchings(si)) == [a for a, _, _ in want]
 
@@ -357,16 +408,19 @@ def test_leaf_blocks_list_the_recursions_leaves(sliced, monkeypatch):
     assert most_blocks > 1 if sliced else most_blocks == 1
 
 
-def test_enumeration_memory_stays_under_the_byte_cap_at_the_ceiling():
+def census_peak_bytes_at_the_ceiling(quota: dict) -> int:
+    """Peak traced bytes of a census of MAX_ORACLE_SIZE patients, all eligible
+    for every category and every other one a beneficiary, that the state
+    budget of 10^7 stops."""
     n = MAX_ORACLE_SIZE
     patients = tuple(f"p{i}" for i in range(n))
     half = frozenset(patients[::2])
     inst = Instance(
-        categories=("a", "b"),
+        categories=tuple(quota),
         patients=patients,
-        quota={"a": n // 2, "b": n - n // 2},
-        eligible={"a": frozenset(patients), "b": frozenset(patients)},
-        beneficiary={"a": half, "b": half},
+        quota=quota,
+        eligible=dict.fromkeys(quota, frozenset(patients)),
+        beneficiary=dict.fromkeys(quota, half),
     )
     si = expand_to_seats(inst)
     si.pair_codes, si.quotas  # the instance's own tables, built before measuring
@@ -377,7 +431,21 @@ def test_enumeration_memory_stays_under_the_byte_cap_at_the_ceiling():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < oracle_module._BLOCK_BYTES
+    return peak
+
+
+def test_enumeration_memory_stays_under_the_byte_cap_at_the_ceiling():
+    # 3 choices a patient: the enumeration reaches leaves at depth 500
+    # before the state budget binds
+    n = MAX_ORACLE_SIZE
+    assert census_peak_bytes_at_the_ceiling({"a": n // 2, "b": n - n // 2}) < oracle_module._BLOCK_BYTES
+
+
+def test_enumeration_memory_stays_under_the_byte_cap_on_the_widest_branching():
+    # 500 unit categories: a parent has up to 501 children, more than a
+    # level's share of the bytes holds
+    quota = {f"c{k}": 1 for k in range(MAX_ORACLE_SIZE)}
+    assert census_peak_bytes_at_the_ceiling(quota) < oracle_module._BLOCK_BYTES
 
 
 def test_enumerate_matchings_streams_its_blocks():

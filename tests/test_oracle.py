@@ -37,20 +37,25 @@ def count_matchings(si, budget=EnumerationBudget()) -> int:
     return sum(Census(si, budget).counts.values())
 
 
-def count_by_seats(si) -> int:
-    # independent route: recurse over seats instead of patients
+def rows_by_seats(si) -> set:
+    # independent route: recurse over seats instead of patients; the
+    # seat assignments of one category row collapse to that row
     seats = list(si.seats)
+    category = [si.source.categories.index(si.category_of(s)) for s in seats]
+    rows = set()
 
-    def rec(j: int, used: frozenset) -> int:
+    def rec(j: int, held: dict) -> None:
         if j == len(seats):
-            return 1
-        total = rec(j + 1, used)
+            rows.add(tuple(held.get(i, -1) for i in range(len(si.patients))))
+            return
+        rec(j + 1, held)
         for p in si.eligible_of(seats[j]):
-            if p not in used:
-                total += rec(j + 1, used | {p})
-        return total
+            i = si.patient_index[p]
+            if i not in held:
+                rec(j + 1, {**held, i: category[j]})
 
-    return rec(0, frozenset())
+    rec(0, {})
+    return rows
 
 
 def test_conflict_has_five_matchings():
@@ -77,7 +82,7 @@ def test_count_agrees_with_seat_axis_recursion():
             )
         )
         si = expand_to_seats(inst)
-        assert count_matchings(si) == count_by_seats(si)
+        assert count_matchings(si) == len(rows_by_seats(si))
 
 
 def test_oracle_frontier_on_named_instances():
@@ -210,8 +215,9 @@ def test_verify_refuses_an_oversized_instance_before_solving_it(suite, tmp_path,
         ["patients=6000", "categories=6000", "elig=0.0005"],
         ["patients=8", "categories=3"],
         ["patients=3", "categories=8", "quota=2:2"],
+        ["patients=3", "categories=3", "quota=3:3"],  # 9 seats in every draw
     ],
-    ids=["both", "patients", "categories"],
+    ids=["both", "patients", "categories", "quotas"],
 )
 def test_verify_random_refuses_an_oversized_draw_before_drawing(argv, monkeypatch, capsys):
     def no_draw(cfg):
