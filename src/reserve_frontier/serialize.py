@@ -233,7 +233,14 @@ def instance_to_json(pr: Problem) -> str:
 
 
 def matching_to_dict(si: SeatInstance, row: Sequence[int]) -> dict[str, Any]:
-    """The matching of a category row, by patient and category id, with its score."""
+    """The matching of a category row, by patient and category id, with its
+    score; raises MatchingError for a row that is no matching of si
+    (SeatInstance.check_row)."""
+    return _matching_dict(si, si.check_row(row))
+
+
+def _matching_dict(si: SeatInstance, row: Sequence[int]) -> dict[str, Any]:
+    """matching_to_dict of a row known to be a matching of si, such as a frontier witness."""
     pt, cats = row_point(si.pair_codes, row), si.source.categories
     return {
         "assignment": {p: cats[c] for p, c in zip(si.patients, row) if c != -1},
@@ -270,7 +277,7 @@ def frontier_to_dict(f: Frontier, si: SeatInstance, witnesses: bool = False) -> 
     }
     if witnesses:
         doc["witnesses"] = [
-            {"e": pt.e, "b": pt.b, **matching_to_dict(si, f.witnesses[pt])}
+            {"e": pt.e, "b": pt.b, **_matching_dict(si, f.witnesses[pt])}
             for pt in f.points
             if pt in f.witnesses
         ]

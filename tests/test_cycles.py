@@ -27,6 +27,7 @@ from reserve_frontier import (
 )
 import reserve_frontier.oracle as oracle_module
 from reserve_frontier.oracle import Census
+from reserve_frontier.serialize import matching_to_dict
 
 
 def category_row(si, *pairs):
@@ -136,14 +137,15 @@ def test_minimal_cycle_on_conflict():
         cheapest_cycle,
         frontier_walk,
         oracle_min_cycle_loss,
+        matching_to_dict,
     ],
-    ids=["apply_cycle", "cheapest_cycle", "frontier_walk", "oracle_min_cycle_loss"],
+    ids=["apply_cycle", "cheapest_cycle", "frontier_walk", "oracle_min_cycle_loss", "matching_to_dict"],
 )
 def test_a_row_that_is_no_matching_of_the_instance_is_refused(entry, si_of, row, message):
-    """Every entry of the cycle layer and the oracle refuses such a row
-    with MatchingError, rather than reading it as a dominated matching
-    (an ineligible pair once scored a beneficiary loss of -1) or failing
-    on an index."""
+    """Every entry of the cycle layer and the oracle, and the serializer's
+    matching_to_dict, refuses such a row with MatchingError, rather than
+    reading it as a dominated matching (an ineligible pair once scored a
+    beneficiary loss of -1), naming it, or failing on an index."""
     with pytest.raises(MatchingError, match=message):
         entry(si_of(), row)
 

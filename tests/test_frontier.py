@@ -7,9 +7,9 @@ from random import Random
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import reserve_frontier.frontier as frontier_module
-import reserve_frontier.hungarian as hungarian_module
 from reserve_frontier import (
     Frontier,
     FrontierInvariantError,
@@ -35,7 +35,6 @@ from reserve_frontier import (
 )
 from reserve_frontier.core import row_point
 from reserve_frontier.frontier import witness_at
-from reserve_frontier.hungarian import cost_matrix, min_cost_assignment
 from reserve_frontier.oracle import Census
 
 
@@ -526,15 +525,26 @@ def test_out_of_order_interval_ends_raise(monkeypatch):
         compute_frontier(expand_to_seats(two_conflict_copies()))
 
 
+def fresh_solve(codes, table):
+    """(rows, cols) of the max-weight assignment where pair (i, j) weighs
+    table[codes[i, j]]: scipy's solve on a fresh gather of the negated
+    table, without the code-0 pairs."""
+    rows, cols = linear_sum_assignment((-np.array(table, dtype=np.float64))[codes])
+    keep = codes[rows, cols] != 0
+    return rows[keep], cols[keep]
+
+
 def fresh_gather_sweeps(codes, quotas):
-    """The frontier's sweep function with one fresh cost matrix per sweep,
-    on codes whose quotas are all 1."""
+    """The frontier's sweep function with one fresh cost matrix and solve
+    per sweep, on each category's column repeated quota times."""
+    seat_codes = np.repeat(codes, quotas, axis=1)
+    category = np.repeat(np.arange(codes.shape[1]), quotas)
 
     def sweep(d):
-        rows, cols = min_cost_assignment(cost_matrix(codes, (0, 2 * d + 1, 2 * d + 3)), codes)
+        rows, cols = fresh_solve(seat_codes, (0, 2 * d + 1, 2 * d + 3))
         row = np.full(len(codes), -1, dtype=np.intp)
-        row[rows] = cols
-        return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2))), row
+        row[rows] = category[cols]
+        return MatchPoint(len(rows), int(np.count_nonzero(seat_codes[rows, cols] == 2))), row
 
     return sweep
 
@@ -563,32 +573,43 @@ def shared_matrix_codes():
 
 def test_sweeps_share_one_cost_matrix_that_reads_as_a_fresh_gather(monkeypatch):
     """Every matrix the solver gets during _frontier has the bytes of
-    (-table)[codes] for its d, -0.0 sign bits included, and the points and
-    kink rows are those of a fresh gather per sweep."""
-    solver, got = hungarian_module.linear_sum_assignment, []
-    monkeypatch.setattr(hungarian_module, "linear_sum_assignment", lambda cost: got.append(cost.copy()) or solver(cost))
-    matrices = empty_lines = split = revisited = 0
+    (-table)[np.repeat(codes, quotas, axis=1)] for its d, -0.0 sign bits
+    included, and the points and kink rows are those of a fresh gather per
+    sweep.  Each code matrix is solved with unit quotas and with quotas
+    drawn from 1..3."""
+    solver, got = frontier_module.linear_sum_assignment, []
+    monkeypatch.setattr(frontier_module, "linear_sum_assignment", lambda cost: got.append(cost.copy()) or solver(cost))
+    rng = np.random.default_rng(2107)
+    tally = Counter()
     for codes in shared_matrix_codes():
-        got.clear()
-        f = frontier_module._frontier(codes, (1,) * codes.shape[1])
-        ds = []
-        for cost in got:
-            i, j = np.argwhere(codes)[0]  # an eligible cell costs -(2d + 1), or -(2d + 3) at code 2
-            d = (int(-cost[i, j]) - 1 - 2 * (codes[i, j] == 2)) // 2
-            assert cost.tobytes() == (-np.array((0, 2 * d + 1, 2 * d + 3), dtype=np.float64))[codes].tobytes()
-            ds.append(d)
-        n = max(codes.shape)
-        assert len(ds) == len(set(ds)) and (not codes.any() or {0, n} <= set(ds))
-        with monkeypatch.context() as m:
-            m.setattr(frontier_module, "_sweeps", fresh_gather_sweeps)
-            want = frontier_module._frontier(codes, (1,) * codes.shape[1])
-        assert f.points == want.points
-        assert list(f.witnesses.items()) == list(want.witnesses.items())
-        matrices += 1
-        split += len(ds) > 2
-        empty_lines += not (codes.any(axis=0).all() and codes.any(axis=1).all())
-        revisited += any(b < a for a, b in zip(ds[2:], ds[3:]))  # after the end sweeps n and 0
-    assert (matrices, empty_lines >= 50, split >= 50, revisited >= 30) == (240, True, True, True)
+        drawn = tuple(int(q) for q in rng.integers(1, 4, size=codes.shape[1]))
+        for kind, quotas in (("unit", (1,) * codes.shape[1]), ("drawn", drawn)):
+            got.clear()
+            f = frontier_module._frontier(codes, quotas)
+            seat_codes = np.repeat(codes, quotas, axis=1)
+            ds = []
+            for cost in got:
+                i, j = np.argwhere(seat_codes)[0]  # an eligible cell costs -(2d + 1), or -(2d + 3) at code 2
+                d = (int(-cost[i, j]) - 1 - 2 * (seat_codes[i, j] == 2)) // 2
+                want_cost = (-np.array((0, 2 * d + 1, 2 * d + 3), dtype=np.float64))[seat_codes]
+                assert cost.tobytes() == want_cost.tobytes()
+                ds.append(d)
+            n = max(seat_codes.shape)
+            assert len(ds) == len(set(ds)) and (not codes.any() or {0, n} <= set(ds))
+            with monkeypatch.context() as m:
+                m.setattr(frontier_module, "_sweeps", fresh_gather_sweeps)
+                want = frontier_module._frontier(codes, quotas)
+            assert f.points == want.points
+            assert list(f.witnesses.items()) == list(want.witnesses.items())
+            tally[kind, "matrices"] += 1
+            tally[kind, "quota > 1"] += max(quotas, default=1) > 1
+            tally[kind, "split"] += len(ds) > 2
+            tally[kind, "empty lines"] += not (codes.any(axis=0).all() and codes.any(axis=1).all())
+            tally[kind, "revisited"] += any(b < a for a, b in zip(ds[2:], ds[3:]))  # after the end sweeps n and 0
+    for kind in ("unit", "drawn"):
+        assert tally[kind, "matrices"] == 240
+        assert tally[kind, "empty lines"] >= 50 and tally[kind, "split"] >= 50
+    assert tally["unit", "revisited"] >= 30 and tally["drawn", "quota > 1"] >= 200
 
 
 # compute_frontier as it stood before the integer-slope sweeps: sweep k in
@@ -605,7 +626,7 @@ def ref_n_cubed_kinks(si):
         return [MatchPoint(0, 0)], {MatchPoint(0, 0): (-1,) * len(codes)}
 
     def sweep(k):
-        rows, cols = min_cost_assignment(cost_matrix(codes, (0, k * n * n, k * n * n + n * n + k)), codes)
+        rows, cols = fresh_solve(codes, (0, k * n * n, k * n * n + n * n + k))
         row = np.full(len(codes), -1)  # the category row: patient i's category, or -1
         row[rows] = category[cols]
         return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2))), row

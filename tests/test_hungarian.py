@@ -1,7 +1,13 @@
+"""The assignment solver, its exactness bound, and the sweeps that are its
+one caller: frontier._sweeps gathers, shifts, solves and filters the cost
+matrix, so each sweep's assignment is checked here against brute force
+and against scipy's int64 maximize=True solve."""
+
 from __future__ import annotations
 
 import importlib.machinery
 import itertools
+import tracemalloc
 import types
 from random import Random
 
@@ -11,21 +17,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from reserve_frontier import GenConfig, expand_to_seats, gen_random, hungarian
+import reserve_frontier.frontier as frontier_module
+from reserve_frontier import GenConfig, MatchPoint, expand_to_seats, gen_random, hungarian
 from reserve_frontier.core import MAX_CELLS, InstanceError
-from reserve_frontier.hungarian import EXACT_LIMIT, cost_matrix, fits_exactly, min_cost_assignment
+from reserve_frontier.hungarian import EXACT_LIMIT, fits_exactly
 
 
-def as_codes(dense: np.ndarray, allowed: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """A dense weight matrix as pair codes and a table: one code per allowed
-    cell, code 0 for every forbidden one."""
-    codes = np.where(allowed, np.arange(1, dense.size + 1).reshape(dense.shape), 0)
-    return codes, [0, *dense.ravel().tolist()]
+def sweep_pairs(codes: np.ndarray, d: int) -> dict[int, int]:
+    """Sweep d's assignment on a code matrix of unit-quota columns, as {row: column}."""
+    _, row = frontier_module._sweeps(codes, (1,) * codes.shape[1])(d)
+    return {i: c for i, c in enumerate(row.tolist()) if c >= 0}
 
 
-def assign(codes: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
-    """The max-weight assignment where pair (i, j) weighs table[codes[i, j]]."""
-    return min_cost_assignment(cost_matrix(codes, table), codes)
+def sweep_weights(codes: np.ndarray, d: int) -> dict[tuple[int, int], int]:
+    """Sweep d's weight of each eligible pair: 2d + 1, or 2d + 3 at code 2."""
+    return {(i, j): 2 * d + 1 + 2 * (c == 2) for (i, j), c in np.ndenumerate(codes) if c}
 
 
 def reference_assignment(weights: np.ndarray, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,92 +60,97 @@ def brute_force_total(n_left: int, n_right: int, weights: dict) -> int:
     return best
 
 
-def solve(n_left: int, n_right: int, weights: dict) -> tuple[dict[int, int], int]:
-    """Dense solve of a weight map; absent pairs are forbidden."""
-    dense = np.zeros((n_left, n_right), dtype=np.int64)
-    allowed = np.zeros((n_left, n_right), dtype=bool)
-    for (i, j), w in weights.items():
-        dense[i, j] = w
-        allowed[i, j] = True
-    rows, cols = assign(*as_codes(dense, allowed))
-    return dict(zip(rows.tolist(), cols.tolist())), int(dense[rows, cols].sum())
+def assert_every_sweep_is_a_max_weight_matching(codes: np.ndarray) -> None:
+    n_left, n_right = codes.shape
+    for d in range(max(n_left, n_right) + 1):
+        assignment, weights = sweep_pairs(codes, d), sweep_weights(codes, d)
+        assert all((i, j) in weights for i, j in assignment.items())
+        assert len(set(assignment.values())) == len(assignment)
+        total = sum(weights[(i, j)] for i, j in assignment.items())
+        assert total == brute_force_total(n_left, n_right, weights), (codes, d)
+
+
+def random_codes(rng: Random, n_left: int, n_right: int, eligible: float) -> np.ndarray:
+    """Each pair eligible with probability eligible, then a beneficiary pair half the time."""
+    rows = [[(rng.random() < eligible) * rng.choice((1, 2)) for _ in range(n_right)] for _ in range(n_left)]
+    return np.array(rows, dtype=np.uint8)
 
 
 def test_empty_graph():
-    assignment, total = solve(0, 3, {})
-    assert assignment == {} and total == 0
+    for shape in ((0, 3), (3, 0), (2, 3)):
+        sweep = frontier_module._sweeps(np.zeros(shape, dtype=np.uint8), (1,) * shape[1])
+        for d in range(max(shape) + 1):
+            pt, row = sweep(d)
+            assert pt == MatchPoint(0, 0) and row.tolist() == [-1] * shape[0]
 
 
 def test_simple_two_by_two():
-    assignment, total = solve(2, 2, {(0, 0): 3, (0, 1): 5, (1, 0): 4})
-    assert total == 9
-    assert assignment == {0: 1, 1: 0}
+    codes = np.array([[1, 2], [1, 0]], dtype=np.uint8)
+    for d in range(3):
+        assert sweep_pairs(codes, d) == {0: 1, 1: 0}
+    assert_every_sweep_is_a_max_weight_matching(codes)
 
 
 def test_forbidden_pairs_never_assigned():
-    # only (0,1) carries weight; (1,0) is forbidden entirely
-    assignment, total = solve(2, 2, {(0, 1): 7})
-    assert assignment == {0: 1}
-    assert total == 7
+    # only (0, 1) is eligible; the solver assigns row 1 at a code-0 cell, which is dropped
+    codes = np.array([[0, 1], [0, 0]], dtype=np.uint8)
+    for d in range(3):
+        assert sweep_pairs(codes, d) == {0: 1}
 
 
-def test_validation():
-    # a weight whose product with the smaller side reaches 2^53 is refused
+def test_validation(monkeypatch):
+    # sweep weights whose top, 2n + 3, times the smaller side reach the limit
+    # are refused; n and that side count seats, not categories
+    codes = np.ones((2, 1), dtype=np.uint8)  # 2 patients, one category of 3 seats: n = 3, 9 * 2 = 18
+    monkeypatch.setattr(hungarian, "EXACT_LIMIT", 18)
     with pytest.raises(ValueError, match="exact arithmetic headroom"):
-        solve(2, 2, {(0, 0): EXACT_LIMIT})
+        frontier_module._sweeps(codes, (3,))
+    monkeypatch.setattr(hungarian, "EXACT_LIMIT", 19)
+    assert frontier_module._sweeps(codes, (3,))(0)[0] == MatchPoint(2, 0)
+
+
+def test_the_exactness_bound_is_the_top_weight_times_the_smaller_side():
+    top = (EXACT_LIMIT - 1) // 3
+    assert fits_exactly(top, 3, 4) and fits_exactly(top, 4, 3)
+    assert not fits_exactly(top + 1, 3, 4) and not fits_exactly(top + 1, 4, 3)
 
 
 def test_matches_brute_force_on_random_graphs():
     rng = Random(7)
     for trial in range(60):
-        n_left = rng.randint(1, 5)
-        n_right = rng.randint(1, 5)
-        weights = {}
-        for i in range(n_left):
-            for j in range(n_right):
-                if rng.random() < 0.6:
-                    weights[(i, j)] = rng.randint(0, 40)
-        assignment, total = solve(n_left, n_right, weights)
-        assert total == brute_force_total(n_left, n_right, weights)
-        assert total == sum(weights[(i, j)] for i, j in assignment.items())
-        assert len(set(assignment.values())) == len(assignment)
-        assert all((i, j) in weights for i, j in assignment.items())
+        assert_every_sweep_is_a_max_weight_matching(random_codes(rng, rng.randint(1, 5), rng.randint(1, 5), 0.6))
 
 
-def test_dense_agrees_with_brute_force_on_zero_weight_pairs():
+def test_dense_agrees_with_brute_force_on_zero_weight_pairs(monkeypatch):
+    # sparse codes: most cells are code 0, weight zero, and the solver
+    # assigns many of them; each must be dropped and the total stay optimal
+    zero_pairs = 0
+
+    def solver(cost):
+        nonlocal zero_pairs
+        rows, cols = linear_sum_assignment(cost)
+        zero_pairs += int(np.count_nonzero(cost[rows, cols] == 0))  # code 0 costs -0.0, the rest at most -1
+        return rows, cols
+
+    monkeypatch.setattr(frontier_module, "linear_sum_assignment", solver)
     rng = Random(3)
     for trial in range(30):
-        n, m = rng.randint(1, 6), rng.randint(1, 6)
-        w = np.zeros((n, m), dtype=np.int64)
-        allowed = np.zeros((n, m), dtype=bool)
-        weights = {}
-        for i in range(n):
-            for j in range(m):
-                if rng.random() < 0.7:
-                    allowed[i, j] = True
-                    w[i, j] = rng.randint(0, 30)
-                    weights[(i, j)] = int(w[i, j])
-        rows, cols = assign(*as_codes(w, allowed))
-        dense_total = int(w[rows, cols].sum())
-        assert dense_total == brute_force_total(n, m, weights)
-        assert allowed[rows, cols].all()
+        assert_every_sweep_is_a_max_weight_matching(random_codes(rng, rng.randint(1, 6), rng.randint(1, 6), 0.3))
+    assert zero_pairs >= 30, zero_pairs
 
 
 @given(
     st.integers(1, 4),
     st.integers(1, 4),
-    st.lists(st.integers(0, 9), min_size=16, max_size=16),
-    st.lists(st.booleans(), min_size=16, max_size=16),
+    st.lists(st.integers(0, 2), min_size=16, max_size=16),
+    st.integers(0, 4),
 )
 @settings(max_examples=60, deadline=None)
-def test_total_is_max_over_all_injections(n_left, n_right, vals, mask):
-    weights = {}
-    for i in range(n_left):
-        for j in range(n_right):
-            k = i * 4 + j
-            if mask[k]:
-                weights[(i, j)] = vals[k]
-    _, total = solve(n_left, n_right, weights)
+def test_total_is_max_over_all_injections(n_left, n_right, vals, d):
+    codes = np.array(vals, dtype=np.uint8).reshape(4, 4)[:n_left, :n_right]
+    d = min(d, max(n_left, n_right))
+    assignment, weights = sweep_pairs(codes, d), sweep_weights(codes, d)
+    total = sum(weights[(i, j)] for i, j in assignment.items())
     assert total == brute_force_total(n_left, n_right, weights)
 
 
@@ -162,6 +173,7 @@ def test_code_table_entry_matches_the_int64_maximize_solve_on_sweeps_and_pads():
         )
         si = expand_to_seats(inst)
         codes = np.repeat(si.pair_codes, si.quotas, axis=1)  # the unit-seat codes that the sweeps solve on
+        category = np.repeat(np.arange(len(si.quotas)), si.quotas)
         n_p, n_s = codes.shape
         # masks from the seats' eligible and beneficiary sets, not from the codes
         elig = np.zeros((n_p, n_s), dtype=bool)
@@ -170,22 +182,24 @@ def test_code_table_entry_matches_the_int64_maximize_solve_on_sweeps_and_pads():
             elig[[si.patient_index[p] for p in si.eligible_of(seat)], j] = True
             bene[[si.patient_index[p] for p in si.beneficiary_of(seat)], j] = True
         assert np.array_equal(codes, elig.astype(np.uint8) + bene)
-        assert codes.flags.c_contiguous  # else scipy copies every cost matrix gathered over it
+        assert si.pair_codes.flags.c_contiguous  # else scipy copies every cost matrix gathered over it
 
         n = max(n_p, n_s)
-        for d in sorted({0, n // 3, n}):
-            w_elig, w_bene = 2 * d + 1, 2 * d + 3  # the weights of sweep d
-            weights = np.where(bene, w_bene, np.where(elig, w_elig, 0)).astype(np.int64)
-            got = assign(codes, (0, w_elig, w_bene))
-            assert_same_pairs(got, reference_assignment(weights, elig))
+        sweep = frontier_module._sweeps(si.pair_codes, si.quotas)
+        for d in sorted({0, n // 3, n}):  # shifted from n down to 0, then up
+            weights = np.where(bene, 2 * d + 3, np.where(elig, 2 * d + 1, 0)).astype(np.int64)
+            rows, cols = reference_assignment(weights, elig)
+            want = np.full(n_p, -1, dtype=np.intp)
+            want[rows] = category[cols]
+            assert sweep(d)[1].tolist() == want.tolist()
 
 
 def test_the_cost_matrix_is_the_negated_table_indexed_by_the_codes(monkeypatch):
-    # however the wrapper builds its cost, the solver must see the bytes, and
-    # so the -0.0 of code 0, that indexing the negated table by the codes gives
+    # however the sweeps build and shift their cost, the solver must see the
+    # bytes, and so the -0.0 of code 0, that indexing the negated table by
+    # the codes gives
     costs = []
-    solver = hungarian.linear_sum_assignment
-    monkeypatch.setattr(hungarian, "linear_sum_assignment", lambda cost: costs.append(cost) or solver(cost))
+    monkeypatch.setattr(frontier_module, "linear_sum_assignment", lambda cost: costs.append(cost.copy()) or linear_sum_assignment(cost))
     rng = np.random.default_rng(20)
     for _ in range(200):
         n_p, n_s = (int(v) for v in rng.integers(1, 25, size=2))
@@ -193,7 +207,7 @@ def test_the_cost_matrix_is_the_negated_table_indexed_by_the_codes(monkeypatch):
         table = (0, 2 * d + 1, 2 * d + 3)  # the weights of sweep d
         codes = rng.integers(0, len(table), size=(n_p, n_s), dtype=np.uint8)
         costs.clear()
-        assign(codes, table)
+        frontier_module._sweeps(codes, (1,) * n_s)(d)
         want = (-np.array(table, dtype=np.float64))[codes]
         (got,) = costs
         assert got.dtype == np.float64 and got.shape == codes.shape
@@ -202,29 +216,23 @@ def test_the_cost_matrix_is_the_negated_table_indexed_by_the_codes(monkeypatch):
         assert np.signbit(got[codes == 0]).all()
 
 
-def test_code_table_entry_matches_the_int64_maximize_solve_near_the_headroom():
-    rng = Random(5)
-    top = (EXACT_LIMIT - 1) // 3
-    assert fits_exactly(top, 3, 4) and not fits_exactly(top + 1, 3, 4)
-    for _ in range(50):
-        allowed = np.array([[rng.random() < 0.7 for _ in range(4)] for _ in range(3)])
-        dense = np.array([[rng.randint(top - 1000, top) for _ in range(4)] for _ in range(3)], dtype=np.int64)
-        dense[~allowed] = 0
-        for w, a in ((dense, allowed), (dense.T.copy(), allowed.T.copy())):
-            got = assign(*as_codes(w, a))
-            assert_same_pairs(got, reference_assignment(w, a))
-    with pytest.raises(ValueError, match="exact arithmetic headroom"):
-        assign(np.ones((3, 4), dtype=np.uint8), (0, top + 1))
-
-
 def test_a_matrix_over_the_cell_limit_is_refused_before_its_cost_matrix_exists():
-    # broadcast views hold one byte whatever their shape, so nothing here
-    # allocates; the solver would gather a float64 cost matrix over them
+    # a broadcast view holds one byte whatever its shape, so nothing here
+    # allocates unless the sweeps do: the refusal must come before the seat
+    # matrix (one category's column repeated side times) and the cost matrix
     side = int(MAX_CELLS**0.5) + 1  # the smallest square over the limit
     assert (side - 1) ** 2 <= MAX_CELLS < side**2
-    over = np.broadcast_to(np.uint8(1), (side, side))
-    with pytest.raises(InstanceError, match=f"assignment too large for memory: {side} x {side}"):
-        assign(over, (0, 1))
+    unit_quotas = (np.broadcast_to(np.uint8(1), (side, side)), (1,) * side)
+    one_category = (np.broadcast_to(np.uint8(1), (side, 1)), (side,))
+    for codes, quotas in (unit_quotas, one_category):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceError, match=f"assignment too large for memory: {side} x {side}"):
+                frontier_module._sweeps(codes, quotas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak  # the seat matrix alone is side**2 bytes, about 190 MB
 
 
 def test_the_solver_is_scipys_built_in():
