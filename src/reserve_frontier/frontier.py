@@ -42,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import MatchPoint, SeatInstance, check_cells, row_point
-from .hungarian import fits_exactly, linear_sum_assignment
+from .hungarian import linear_sum_assignment
 
 
 class FrontierInvariantError(RuntimeError):
@@ -115,8 +115,7 @@ def _sweeps(codes: np.ndarray, quotas: Sequence[int]) -> Callable[[int], tuple[M
     The solver sees unit seats: each category's column repeated quota times
     (the codes themselves when every quota is 1), and each seat column it
     assigns is mapped back to its category.  A patients x seats matrix over
-    MAX_CELLS, or weights without exact headroom (hungarian.fits_exactly),
-    is refused before anything of that size is allocated.
+    MAX_CELLS is refused before anything of that size is allocated.
 
     The solver minimizes, so the matrix is the negated weight table
     (0, 2n + 1, 2n + 3) of sweep n gathered over the seat codes: one float64
@@ -127,7 +126,9 @@ def _sweeps(codes: np.ndarray, quotas: Sequence[int]) -> Callable[[int], tuple[M
     `table.take(seat_codes)` gives the same bytes and is faster alone, but
     it first copies the uint8 codes to intp: inside `solve` on a 320 x 320
     instance it took 0.78-0.89 ms a call against 0.36 ms for the gather, on
-    2 shared vCPUs.  The exactness check at d = n covers every sweep.
+    2 shared vCPUs.  Every weight stays exact: with n = max(P, S), the top
+    weight times the smaller side is (2n + 3) min(P, S) <= 5 P S, and
+    5 MAX_CELLS is below 2^53.
     Sweep d's matrix is sweep d_prev's with each eligible cell 2 (d - d_prev)
     lower, so a sweep shifts those cells in place.  The shift is exact, and
     code-0 cells keep their -0.0: the solver reads the bytes a fresh gather
@@ -137,8 +138,6 @@ def _sweeps(codes: np.ndarray, quotas: Sequence[int]) -> Callable[[int], tuple[M
     n_patients, n_seats = codes.shape[0], sum(quotas)
     n = max(n_patients, n_seats)
     check_cells(n_patients, n_seats, "assignment")
-    if not fits_exactly(2 * n + 3, n_patients, n_seats):
-        raise ValueError("weights too large for exact arithmetic headroom")
     seat_codes = codes if codes.shape[1] == n_seats else np.repeat(codes, quotas, axis=1)
     category = np.repeat(np.arange(codes.shape[1]), quotas)  # of each seat column
     # negate the small table, not the gathered matrix: one full-size allocation

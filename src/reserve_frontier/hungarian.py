@@ -1,13 +1,10 @@
-"""The exact assignment solver and its exactness bound.
+"""The exact assignment solver.
 
 `linear_sum_assignment` is scipy's rectangular min-cost assignment
 solver.  Its one caller, frontier._sweeps, builds the cost matrix, shifts
-it between sweeps and drops the forbidden pairs; that matrix's layout is
-described there.  Its weights are integers, and fits_exactly bounds them:
-max_weight * min(n_left, n_right) < 2**53 keeps every value the solver
-touches exactly representable in float64, so the returned optimum is
-exact, not approximate.  The sweeps' weights are O(n), so within
-core.MAX_CELLS the bound never binds.
+it between sweeps and drops the forbidden pairs; that matrix's layout,
+and why its integer weights stay exact in float64 within core.MAX_CELLS,
+are described there.
 
 The solver is scipy's compiled `scipy/optimize/_lsap` extension, loaded
 from its file.  `from scipy.optimize import linear_sum_assignment`
@@ -27,8 +24,6 @@ import importlib.machinery
 import importlib.util
 import os
 
-EXACT_LIMIT = 2**53
-
 
 def _load_lsap():
     """scipy's `linear_sum_assignment`, loaded without importing `scipy.optimize`."""
@@ -47,9 +42,3 @@ def _load_lsap():
 
 
 linear_sum_assignment = _load_lsap()
-
-
-def fits_exactly(max_weight: int, n_left: int, n_right: int) -> bool:
-    """Whether weights up to max_weight on an n_left x n_right problem stay exact."""
-    return max_weight * min(n_left, n_right) < EXACT_LIMIT
-

@@ -20,15 +20,16 @@ enumerate_matchings(si, budget) yields the row of every matching, in the
 same order, for callers that need each one.  oracle_min_cycle_loss(si,
 row) refuses a row that is not a matching of si (SeatInstance.check_row).
 
-Matchings are enumerated by a recursion over patients (_leaf_blocks) in
-which each patient takes no category or an eligible one with a free seat;
-it expands one numpy level of rows per patient and yields the leaves in
-blocks, in the leaf order of a depth-first recursion with one call per
-state; it counts that recursion's states against the budget and holds a
-fixed number of bytes whatever the instance, and enumerate_matchings
-streams its blocks.  A Census enumerates its instance once for the count
-and first matching at every score point (the frontier, its witnesses and
-every exact-share count) and, in the same pass, the sampled matchings and
+Matchings are enumerated patient by patient (_leaf_blocks), each patient
+taking no category or an eligible one with a free seat: one loop over a
+stack of frames expands one numpy level of rows per patient and yields
+the leaves in blocks, each once, in the leaf order of a depth-first
+recursion with one call per state; it counts that recursion's states
+against the budget and holds a fixed number of bytes whatever the
+instance, and enumerate_matchings streams its blocks.  A Census
+enumerates its instance once, when it is built, for the count and first
+matching at every score point (the frontier, its witnesses and every
+exact-share count) and, in the same pass, the sampled matchings and
 matched patient sets at the points it was built with; only samples at
 other points take a pass of their own.  Leaves are scored by index, block
 by block, and only the first leaf at each new point and the leaves at
@@ -50,10 +51,10 @@ from .frontier import Frontier, kinks_of
 BUDGET_ENV = "RESERVE_FRONTIER_ORACLE_BUDGET"
 
 
-# _applicable_cycles and _leaf_blocks recurse once per patient, and
-# _find_disjoint_family once per chosen cycle (at most min(patients,
-# seats)), on top of the caller's frames.  Sizes up to this stay well
-# inside Python's default recursion limit of 1,000.  _leaf_blocks keeps
+# _applicable_cycles recurses once per patient, and _find_disjoint_family
+# once per chosen cycle (at most min(patients, seats)), on top of the
+# caller's frames.  Sizes up to this stay well inside Python's default
+# recursion limit of 1,000.  _leaf_blocks recurses not at all, but keeps
 # one level of rows per patient, and up to this size the levels stay under
 # _BLOCK_BYTES even where each holds the children of one parent only.
 MAX_ORACLE_SIZE = 500
@@ -137,11 +138,12 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
     Leaf r of a block is one matching scoring e[r], b[r], and read(rows)
     returns the category rows of the leaves at the indices rows, read back
     along the parent links, so that a caller reads only the leaves it
-    keeps.  A recursion over patients expands one level of rows per
+    keeps.  One loop over a stack of frames expands one level of rows per
     patient, and a parent's children stay together in choice order
     (unmatched, then the ascending eligible categories with a free seat),
     so the blocks list the category rows lexicographically, in the leaf
-    order of a depth-first recursion that takes one call per state.
+    order of a depth-first recursion that takes one call per state, and
+    each block is yielded once, from the loop itself.
 
     The state count is the root plus every row of every level, the states
     that such a recursion visits.  All the children of a level's rows are
@@ -149,9 +151,8 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
     exactly when the one-call-per-state recursion would raise it, before
     the rows over the budget are allocated.  Levels are expanded a slice of
     parents at a time, so that the live levels hold at most half of
-    _BLOCK_BYTES.
+    _BLOCK_BYTES.  Its callers check the instance's size.
     """
-    _check_size(si, budget)
     codes, n = si.pair_codes, len(si.patients)
     # a row's seats taken per category, each a field of its quota's bit
     # length in the row's uint64 words, never split between two words: a
@@ -182,31 +183,36 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
         js = elig[i]
         return (used[:, word[js]] & field[js]) < full[js]
 
-    def expand(links: list, e: np.ndarray, b: np.ndarray, used: np.ndarray | None):
-        """Yield the leaf blocks below the rows of level i = len(links), each row
-        with its score and its taken seats (None at the leaves); links[k]
-        holds the parent row and the category of every row of level k + 1."""
+    def reader(links: list):
+        """read(rows): the category rows of the leaves at rows; links[k] holds
+        the parent row and the category of every row of level k + 1."""
+        def read(rows: np.ndarray) -> np.ndarray:
+            assignment = np.empty((len(rows), n), dtype=np.int16)
+            for lv in reversed(range(n)):
+                parent, placed = links[lv]
+                assignment[:, lv] = placed[rows]
+                rows = parent[rows]
+            return assignment
+        return read
+
+    # a frame is the rows of level len(links), each with its score and its
+    # taken seats (None at the leaves), and the first parent whose children
+    # are still to be built; a slice's children go above the rest of their
+    # level, so the frames pop in depth-first order
+    zero = np.zeros(1, np.int32)
+    stack = [([], zero, zero, np.zeros((1, words), np.uint64), 0)]
+    while stack:
+        links, e, b, used, start = stack.pop()
         i = len(links)
         if i == n:
-            def read(rows: np.ndarray) -> np.ndarray:
-                assignment = np.empty((len(rows), n), dtype=np.int16)
-                for lv in reversed(range(n)):
-                    parent, placed = links[lv]
-                    assignment[:, lv] = placed[rows]
-                    rows = parent[rows]
-                return assignment
-            yield read, e, b
-            return
-        slices = range(0, len(e), step[i])
-        states.add(len(e) + sum(int(np.count_nonzero(free(used[s : s + step[i]], i))) for s in slices))
-        for start in slices:
-            yield from expand(*children(links, e, b, used, start))
-
-    def children(links: list, e: np.ndarray, b: np.ndarray, used: np.ndarray, start: int):
-        """expand's arguments for the children of one slice of parents, from start on;
-        a function of its own, so that its masks are freed before expand descends."""
-        i = len(links)
+            yield reader(links), e, b
+            continue
+        if not start:  # every child of the level, before its first slice is built
+            slices = range(0, len(e), step[i])
+            states.add(len(e) + sum(int(np.count_nonzero(free(used[s : s + step[i]], i))) for s in slices))
         stop = min(start + step[i], len(e))
+        if stop < len(e):
+            stack.append((links, e, b, used, stop))
         choices = np.ones((stop - start, len(elig[i]) + 1), dtype=bool)
         choices[:, 1:] = free(used[start:stop], i)
         parent, choice = np.nonzero(choices)
@@ -218,10 +224,7 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
             taken = elig[i][choice[matched] - 1]
             child_used[matched, word[taken]] += one[taken]
         link = parent, category_of_choice[i][choice]
-        return [*links, link], e[parent] + (choice > 0), b[parent] + bene_of_choice[i][choice], child_used
-
-    zero = np.zeros(1, np.int32)
-    yield from expand([], zero, zero, np.zeros((1, words), np.uint64))
+        stack.append(([*links, link], e[parent] + (choice > 0), b[parent] + bene_of_choice[i][choice], child_used, 0))
 
 
 def enumerate_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET):
@@ -232,6 +235,7 @@ def enumerate_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BU
     the enumeration's byte cap, and a BudgetExceededError for the state
     budget can come after matchings already yielded.
     """
+    _check_size(si, budget)
     for read, e, _ in _leaf_blocks(si, budget):
         yield from map(tuple, read(np.arange(len(e))).tolist())
 
@@ -249,64 +253,54 @@ class Sample(NamedTuple):
 
 
 class Census:
-    """The oracle's view of one instance, built lazily in one pass.
+    """The oracle's view of one instance, from one pass made when it is built.
 
-    An instance over the budget's patients or seats is refused when the
-    census is built, before any caller solves it.  The pass records, for
-    each point (e, b), the number of matchings scoring it and the first
-    one in recursion order, and in the same visit reservoir-samples up to
-    SAMPLE_CAP matchings at each of the census's points, drawing from
-    Random(0) exactly as a scan of its own would, and collects the matched
-    patient sets there.  Samples at another point set get a fresh pass of
-    their own, so a frontier that disagrees with the oracle still gets its
-    samples.  Every pass has its own state budget, as every scan does.
+    Building it enumerates the instance, so an instance over the budget's
+    patients or seats, or one whose pass exceeds the state budget, is
+    refused there, before any caller reads it.  The pass records, for each point (e, b), the
+    number of matchings scoring it and the first one in enumeration order,
+    and in the same visit reservoir-samples up to SAMPLE_CAP matchings at
+    each of the census's points, drawing from Random(0) exactly as a scan
+    of its own would, and collects the matched patient sets there.  Samples
+    at another point set get a fresh pass of their own, so a frontier that
+    disagrees with the oracle still gets its samples.  Every pass has its
+    own state budget, as every scan does.
     """
 
     def __init__(self, si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET,
                  points: Iterable[MatchPoint] = ()):
-        _check_size(si, budget)
         self.si = si
         self.budget = budget
-        self._points = frozenset(points)
-        self._counts: dict[MatchPoint, int] | None = None
-        self._first: dict[MatchPoint, tuple[int, ...]] = {}
-        self._frontier: Frontier | None = None
-        self._samples: dict[frozenset[MatchPoint], Sample] = {}
-
-    @property
-    def counts(self) -> dict[MatchPoint, int]:
-        """Number of eligible matchings at each point, in order of first appearance."""
-        if self._counts is None:
-            self._samples[self._points] = self._pass(self._points, tally=True)
-        return self._counts
+        own = frozenset(points)
+        # counts: matchings at each point, in order of first appearance
+        self.counts, self._first, sample = self._pass(own)
+        self._samples: dict[frozenset[MatchPoint], Sample] = {own: sample}
+        # by e, then b, descending: a point is undominated iff its b beats
+        # every b before it
+        nd, top = [], -1
+        for p in sorted(self.counts, key=lambda p: (-p.e, -p.b)):
+            if p.b > top:
+                nd.append(p)
+                top = p.b
+        nd.reverse()
+        witnesses = {p: self._first[p] for p in nd}
+        self._frontier = Frontier(points=tuple(nd), kinks=kinks_of(nd), witnesses=witnesses)
 
     def frontier(self) -> Frontier:
         """Undominated points, each witnessed by its first matching's category row."""
-        if self._frontier is None:
-            # by e, then b, descending: a point is undominated iff its b
-            # beats every b before it
-            nd, top = [], -1
-            for p in sorted(self.counts, key=lambda p: (-p.e, -p.b)):
-                if p.b > top:
-                    nd.append(p)
-                    top = p.b
-            nd.reverse()
-            witnesses = {p: self._first[p] for p in nd}
-            self._frontier = Frontier(points=tuple(nd), kinks=kinks_of(nd), witnesses=witnesses)
         return self._frontier
 
     def sample(self, points) -> Sample:
         """Up to SAMPLE_CAP category rows per point, reservoir-sampled with seed 0."""
         key = frozenset(points)
-        if key == self._points:
-            self.counts  # the census's own pass samples its points
         if key not in self._samples:
-            self._samples[key] = self._pass(key, tally=False)
+            self._samples[key] = self._pass(key)[2]
         return self._samples[key]
 
-    def _pass(self, wanted: frozenset[MatchPoint], tally: bool) -> Sample:
-        """One enumeration: the sample at the wanted points and, with tally,
-        the count and first matching of every point."""
+    def _pass(self, wanted: frozenset[MatchPoint]) -> tuple[dict, dict, Sample]:
+        """One enumeration: (counts, first, sample), the count and first
+        matching of every point and the sample at the wanted points."""
+        _check_size(self.si, self.budget)  # before the slot table, (patients + 1)^2 wide
         rng, cap = random.Random(0), SAMPLE_CAP
         kept: dict[MatchPoint, list[tuple[int, ...]]] = {p: [] for p in wanted}
         seen: dict[MatchPoint, int] = {p: 0 for p in wanted}
@@ -322,17 +316,16 @@ class Census:
             slot_of[pe * stride + pb] = k
         for read, e, b in _leaf_blocks(self.si, self.budget):
             keys = e * stride + b
-            if tally:
-                sizes = np.bincount(keys)
-                at = np.full(len(sizes), len(keys), dtype=np.intp)
-                np.minimum.at(at, keys, np.arange(len(keys)))  # each key's first row
-                hit = np.flatnonzero(sizes)
-                hit = hit[np.argsort(at[hit])]  # in order of first appearance
-                new = [key for key in hit.tolist() if key not in counts]
-                for key, size in zip(hit.tolist(), sizes[hit].tolist()):
-                    counts[key] = counts.get(key, 0) + size
-                if new:  # only the first row at each new point is read back
-                    first.update(zip(new, map(tuple, read(at[new]).tolist())))
+            sizes = np.bincount(keys)
+            at = np.full(len(sizes), len(keys), dtype=np.intp)
+            np.minimum.at(at, keys, np.arange(len(keys)))  # each key's first row
+            hit = np.flatnonzero(sizes)
+            hit = hit[np.argsort(at[hit])]  # in order of first appearance
+            new = [key for key in hit.tolist() if key not in counts]
+            for key, size in zip(hit.tolist(), sizes[hit].tolist()):
+                counts[key] = counts.get(key, 0) + size
+            if new:  # only the first row at each new point is read back
+                first.update(zip(new, map(tuple, read(at[new]).tolist())))
             slots = slot_of[keys]
             rows = np.flatnonzero(slots >= 0)
             if not len(rows):
@@ -352,11 +345,10 @@ class Census:
                     slot = rng.randrange(n)
                     if slot < cap:
                         bucket[slot] = tuple(row)
-        if tally:
-            self._first = {MatchPoint(*divmod(k, stride)): a for k, a in first.items()}
-            self._counts = {MatchPoint(*divmod(k, stride)): c for k, c in counts.items()}
         mode = "exhaustive" if all(n <= cap for n in seen.values()) else "sampled"
-        return Sample(kept, mode, matched)
+        return ({MatchPoint(*divmod(k, stride)): c for k, c in counts.items()},
+                {MatchPoint(*divmod(k, stride)): a for k, a in first.items()},
+                Sample(kept, mode, matched))
 
 
 def _applicable_cycles(si: SeatInstance, row: Sequence[int], budget: EnumerationBudget):

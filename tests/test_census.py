@@ -15,6 +15,8 @@ the reference.
 
 from __future__ import annotations
 
+import inspect
+import sys
 import tracemalloc
 from random import Random
 
@@ -400,12 +402,37 @@ def test_leaf_blocks_list_the_recursions_leaves(sliced, monkeypatch):
         assert list(census.counts.items()) == list(counts.items())
         assert list(census._first.items()) == list(first.items())
 
-        # the budget binds at exactly the recursion's state count; a budget
-        # below one state (only the root, no patients) is refused when built
+        # the budget binds at exactly the recursion's state count, when the
+        # census is built; a budget below one state (only the root, no
+        # patients) is refused when the budget is built
         assert sum(Census(si, EnumerationBudget(max_states=states)).counts.values()) == len(want)
         with pytest.raises(BudgetExceededError if states > 1 else ValueError, match=BUDGET_ENV):
-            Census(si, EnumerationBudget(max_states=states - 1)).counts
+            Census(si, EnumerationBudget(max_states=states - 1))
     assert most_blocks > 1 if sliced else most_blocks == 1
+
+
+def test_the_enumeration_takes_no_frame_per_patient():
+    # 300 patients, of whom the last 3 are eligible for 3 unit categories:
+    # 1 + 9 + 18 + 6 = 34 matchings, enumerated within 100 frames of the caller
+    patients = tuple(f"p{i}" for i in range(300))
+    categories = ("c0", "c1", "c2")
+    inst = Instance(
+        categories=categories,
+        patients=patients,
+        quota=dict.fromkeys(categories, 1),
+        eligible=dict.fromkeys(categories, frozenset(patients[-3:])),
+        beneficiary=dict.fromkeys(categories, frozenset(patients[-1:])),
+    )
+    si = expand_to_seats(inst)
+    si.pair_codes, si.quotas  # built before the limit is lowered
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        rows = list(enumerate_matchings(si, EnumerationBudget(300, 300, 10**7)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(rows) == len(set(rows)) == 34
+    assert all(row[:297] == (-1,) * 297 for row in rows)
 
 
 def census_peak_bytes_at_the_ceiling(quota: dict) -> int:

@@ -26,7 +26,6 @@ from reserve_frontier import (
 )
 from reserve_frontier.core import MAX_CELLS, MAX_SEATS
 from reserve_frontier.frontier import compute_frontier
-from reserve_frontier.hungarian import fits_exactly
 
 
 def tiny() -> Instance:
@@ -216,7 +215,7 @@ def test_memory_limits_admit_every_exact_weight_shape_and_refuse_past_each_cap()
     # (2n + 3) min(P, S) <= 5 P S <= 5 MAX_CELLS; checked at the corners
     assert 5 * MAX_CELLS < 2**53
     for n_patients, n_seats in ((9741, 9741), (1, MAX_SEATS), (MAX_CELLS, 1), (9741, 2 * 9741)):
-        assert fits_exactly(2 * max(n_patients, n_seats) + 3, n_patients, n_seats)
+        assert (2 * max(n_patients, n_seats) + 3) * min(n_patients, n_seats) < 2**53
 
     # many patients, few seats, solved: 500,000 cells
     f = compute_frontier(expand_to_seats(instance(10_000, 50, n_beneficiaries=20)))

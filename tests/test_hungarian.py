@@ -1,7 +1,7 @@
-"""The assignment solver, its exactness bound, and the sweeps that are its
-one caller: frontier._sweeps gathers, shifts, solves and filters the cost
-matrix, so each sweep's assignment is checked here against brute force
-and against scipy's int64 maximize=True solve."""
+"""The assignment solver and the sweeps that are its one caller:
+frontier._sweeps gathers, shifts, solves and filters the cost matrix, so
+each sweep's assignment is checked here against brute force and against
+scipy's int64 maximize=True solve."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from scipy.optimize import linear_sum_assignment
 import reserve_frontier.frontier as frontier_module
 from reserve_frontier import GenConfig, MatchPoint, expand_to_seats, gen_random, hungarian
 from reserve_frontier.core import MAX_CELLS, InstanceError
-from reserve_frontier.hungarian import EXACT_LIMIT, fits_exactly
 
 
 def sweep_pairs(codes: np.ndarray, d: int) -> dict[int, int]:
@@ -96,23 +95,6 @@ def test_forbidden_pairs_never_assigned():
     codes = np.array([[0, 1], [0, 0]], dtype=np.uint8)
     for d in range(3):
         assert sweep_pairs(codes, d) == {0: 1}
-
-
-def test_validation(monkeypatch):
-    # sweep weights whose top, 2n + 3, times the smaller side reach the limit
-    # are refused; n and that side count seats, not categories
-    codes = np.ones((2, 1), dtype=np.uint8)  # 2 patients, one category of 3 seats: n = 3, 9 * 2 = 18
-    monkeypatch.setattr(hungarian, "EXACT_LIMIT", 18)
-    with pytest.raises(ValueError, match="exact arithmetic headroom"):
-        frontier_module._sweeps(codes, (3,))
-    monkeypatch.setattr(hungarian, "EXACT_LIMIT", 19)
-    assert frontier_module._sweeps(codes, (3,))(0)[0] == MatchPoint(2, 0)
-
-
-def test_the_exactness_bound_is_the_top_weight_times_the_smaller_side():
-    top = (EXACT_LIMIT - 1) // 3
-    assert fits_exactly(top, 3, 4) and fits_exactly(top, 4, 3)
-    assert not fits_exactly(top + 1, 3, 4) and not fits_exactly(top + 1, 4, 3)
 
 
 def test_matches_brute_force_on_random_graphs():

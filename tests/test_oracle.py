@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from reserve_frontier import (
+    SUITES,
     BudgetExceededError,
     EnumerationBudget,
     GenConfig,
@@ -166,15 +167,21 @@ def test_verify_runs_at_the_ceiling_and_exits_2_above_it(tmp_path, monkeypatch, 
     assert f"ceiling of {MAX_ORACLE_SIZE}" in captured.err
 
 
-def test_a_state_budget_error_reads_the_same_from_every_suite(monkeypatch, capsys):
+def test_a_state_budget_error_reads_the_same_from_every_suite(tmp_path, monkeypatch, capsys):
+    # no patient of the second document is eligible, so its frontier is
+    # (0, 0) alone and the cycles and mechanism suites read nothing of the
+    # census: building it raises all the same
+    empty = tmp_path / "no-eligible.json"
+    empty.write_text(json.dumps({"categories": [{"id": "c1", "quota": 1}], "patients": ["p1", "p2", "p3"]}))
     monkeypatch.setenv(BUDGET_ENV, "7,7,3")
-    seen = []
-    for suite in ("mechanism", "frontier"):
-        code = main(["verify", "--named", "conflict", "--suite", suite])
-        seen.append((code, capsys.readouterr().err))
-    assert seen[0] == seen[1]
-    assert seen[0][0] == 3
-    assert "state budget 3 exceeded" in seen[0][1]
+    for source in (["--named", "conflict"], [str(empty)]):
+        seen = []
+        for suite in SUITES:
+            code = main(["verify", *source, "--suite", suite])
+            seen.append((code, capsys.readouterr().err))
+        assert seen == [seen[0]] * len(SUITES)
+        assert seen[0][0] == 3
+        assert "state budget 3 exceeded" in seen[0][1]
 
 
 @pytest.mark.parametrize(
