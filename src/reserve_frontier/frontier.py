@@ -17,9 +17,13 @@ score(P) - score(Q) is > 0 at both ends for every rival Q, so it is > 0
 in between.  When they return different points A and C, the interval is
 split where the scores of A and C cross, a parametric search in the
 manner of Eisner and Severance (1976, J. ACM 23(4)), so every kink is
-found in O(kinks) sweeps instead of n.  Frontier points between kinks
-lie on straight segments, are filled by interpolation, and get witnesses
-from the two kink rows around them (witness_at).
+found in O(kinks) sweeps instead of n.  Each kink keeps the row of the
+largest d whose sweep returns it.  Frontier points between kinks lie on
+straight segments, are filled by interpolation, and get witnesses from
+the two kink rows around them (witness_at).  One loop (_split) does every
+split, told by a predicate which intervals to split: all of them for the
+whole frontier, and for selection (mechanism._select) only those that
+hold its point or a kink whose row that point needs.
 
 Every solve reads the instance's cached pair codes (0 ineligible, 1
 eligible, 2 beneficiary), with each category's column repeated quota
@@ -215,24 +219,73 @@ def witness_at(codes: np.ndarray, f: Frontier, pt: MatchPoint) -> tuple[int, ...
     return tuple(row)
 
 
+def _split(
+    sweep: Callable[[int], tuple[MatchPoint, np.ndarray]],
+    sweeps: dict[int, tuple[MatchPoint, np.ndarray]],
+    wanted: Callable[[MatchPoint, MatchPoint], bool],
+) -> dict[MatchPoint, np.ndarray]:
+    """Split where scores cross every interval between neighbouring done
+    sweeps whose end points a != c are wanted(a, c), and each interval that
+    split makes, until the wanted ones join adjacent d; sweeps gains every
+    sweep run.  Returns each point swept, ascending, with the row of the
+    largest d that returned it.
+
+    Interval ends lo < hi returning A and C != A, with de = C.e - A.e > 0
+    and db = A.b - C.b > 0, are split at x = (2 db - de) // (2 de), the
+    largest d at which A scores at least C (sweep d scores (e, b) as
+    (2d + 1) e + 2b), clamped into [lo + 1, hi - 1].  Ends that agree hold
+    no other point, and adjacent ends lo, lo + 1 mark the last d of A.
+    Raises FrontierInvariantError when the ends of an interval do not trade
+    beneficiaries for matches, or when the chords between the points swept
+    are not concave.
+    """
+    done = sorted(sweeps)
+    todo = list(zip(done, done[1:]))[::-1]  # intervals with both end sweeps done, leftmost on top
+    while todo:
+        lo, hi = todo.pop()
+        a, c = sweeps[lo][0], sweeps[hi][0]
+        if a == c:
+            continue
+        # points first seen at ascending d must trade b for e; anything else is a bug
+        if not (c.e > a.e and c.b < a.b):
+            raise FrontierInvariantError(f"sweeps {lo} and {hi} out of order: {a} then {c}")
+        if hi == lo + 1 or not wanted(a, c):
+            continue
+        de = c.e - a.e
+        mid = min(max((2 * (a.b - c.b) - de) // (2 * de), lo + 1), hi - 1)
+        sweeps[mid] = sweep(mid)
+        todo += [(mid, hi), (lo, mid)]
+    rows = {pt: row for _, (pt, row) in sorted(sweeps.items())}  # a later d overwrites the row
+    found = list(rows)
+    for a, b, c in zip(found, found[1:], found[2:]):
+        if (a.b - b.b) * (c.e - b.e) > (b.b - c.b) * (b.e - a.e):
+            raise FrontierInvariantError(f"chords through {a}, {b} and {c} are not concave")
+    return rows
+
+
+def _segment(a: MatchPoint, c: MatchPoint) -> list[MatchPoint]:
+    """The frontier points from kink a up to, not including, the next kink c."""
+    span, drop = c.e - a.e, a.b - c.b
+    if drop % span:
+        raise FrontierInvariantError(f"drop between kinks {a} and {c} is not divisible by their span")
+    return [MatchPoint(a.e + j, a.b - j * (drop // span)) for j in range(span)]
+
+
 def compute_frontier(si: SeatInstance) -> Frontier:
     """The complete frontier, with witnesses at every kink.
 
-    Splits the sweep range [0, n] where scores cross.  An interval whose
-    end sweeps agree holds no other point and is not split further.  One
-    whose ends lo < hi return A and C != A, with de = C.e - A.e > 0 and
-    db = A.b - C.b > 0, is split at x = (2 db - de) // (2 de), the largest
-    d at which A scores at least C (sweep d scores (e, b) as
-    (2d + 1) e + 2b), clamped into [lo + 1, hi - 1]; at adjacent ends C
-    first appears at hi.  Each kink's witness is the matching of the
-    smallest d whose sweep returns it, the same one a sweep of every
-    d = 0..n in order would keep.
+    Splits the sweep range [0, n] where scores cross (_split), into
+    intervals whose end sweeps agree or are adjacent.  Each kink's witness
+    is the matching of the largest d whose sweep returns it: the lower end
+    of the adjacent pair where the next kink takes over, or n for the last
+    kink, the same one a sweep of every d = n..0 in order would keep.
 
-    Sweeps are linear in the kinks.  Slopes are integers, so no two
-    frontier points tie for the best score at a half-integer, and every
-    dominated matching loses strictly.  So A wins strictly at lo and C at
-    hi, and lo <= x < hi.  A sweep at x finds a new point or A, and then one at
-    x + 1, where C wins, finds a new point or C; a sweep at lo + 1 > x
+    Sweeps are linear in the kinks; A, C, lo, hi and x are _split's.
+    Slopes are integers, so no two frontier points tie for the best score
+    at a half-integer, and every dominated matching loses strictly.  So A
+    wins strictly at lo and C at hi, and lo <= x < hi.  A sweep at x finds
+    a new point or A, and then one at x + 1, where C wins, finds a new
+    point or C; a sweep at lo + 1 > x
     finds a new point or C.  So the pair (A, C) costs at most two sweeps
     that find nothing new, each charged to the adjacent pair of kinks it
     ends up between: at most 3 * kinks - 2 sweeps (2 when the ends agree),
@@ -244,7 +297,8 @@ def compute_frontier(si: SeatInstance) -> Frontier:
 
 def _frontier(codes: np.ndarray, quotas: Sequence[int]) -> Frontier:
     """compute_frontier on a pair-code matrix and its categories' quotas,
-    such as the rows of a patient subset."""
+    such as the rows of a patient subset: sweeps n and 0, then every
+    interval split (mechanism._select splits only those it needs)."""
     n = max(codes.shape[0], sum(quotas))
     if n == 0 or not codes.any():
         empty = MatchPoint(0, 0)
@@ -252,39 +306,9 @@ def _frontier(codes: np.ndarray, quotas: Sequence[int]) -> Frontier:
 
     sweep = _sweeps(codes, quotas)
     sweeps = {d: sweep(d) for d in (n, 0)}  # n first: its matrix needs no shift
-    firsts = [0]  # ascending d at which a new point first appears
-    todo = [(0, n)]  # intervals with both end sweeps done, leftmost on top
-    while todo:
-        lo, hi = todo.pop()
-        a, c = sweeps[lo][0], sweeps[hi][0]
-        if a == c:
-            continue
-        # points first seen at ascending d must trade b for e; anything else is a bug
-        if not (c.e > a.e and c.b < a.b):
-            raise FrontierInvariantError(f"sweeps {lo} and {hi} out of order: {a} then {c}")
-        if hi == lo + 1:
-            firsts.append(hi)
-            continue
-        de = c.e - a.e
-        mid = min(max((2 * (a.b - c.b) - de) // (2 * de), lo + 1), hi - 1)
-        sweeps[mid] = sweep(mid)
-        todo += [(mid, hi), (lo, mid)]
-    witnesses = {pt: tuple(row.tolist()) for pt, row in (sweeps[d] for d in firsts)}
+    witnesses = {pt: tuple(row.tolist()) for pt, row in _split(sweep, sweeps, lambda a, c: True).items()}
     kinks = list(witnesses)
-
-    points: list[MatchPoint] = [kinks[0]]
-    for a, b in zip(kinks, kinks[1:]):
-        span = b.e - a.e
-        drop = a.b - b.b
-        if drop % span:
-            raise FrontierInvariantError(
-                f"drop between kinks {a} and {b} is not divisible by their span"
-            )
-        step = drop // span
-        for j in range(1, span):
-            points.append(MatchPoint(a.e + j, a.b - j * step))
-        points.append(b)
-
+    points = [pt for a, c in zip(kinks, kinks[1:]) for pt in _segment(a, c)] + kinks[-1:]
     f = Frontier(points=tuple(points), kinks=frozenset(kinks), witnesses=witnesses)
     check_frontier_invariants(f)
     return f

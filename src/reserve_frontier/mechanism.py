@@ -37,21 +37,55 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BudgetExceededError, MatchPoint, Problem, beneficiary_share
-from .frontier import Frontier, _frontier, compute_frontier, witness_at
+from .core import BudgetExceededError, MatchPoint, Problem
+from .frontier import Frontier, _segment, _split, _sweeps, witness_at
 
 
 class NoNonEmptyMatchingError(ValueError):
     """The instance admits no non-empty eligible matching."""
 
 
-def _select(codes: np.ndarray, f: Frontier, beta_star: Fraction) -> tuple[tuple[int, ...], MatchPoint]:
-    """The selection rule's point on f, the frontier of the pair-code matrix
-    codes (module docstring), and its witness_at witness."""
-    if f.e_max == 0:
+def _select(codes: np.ndarray, quotas: Sequence[int], beta_star: Fraction) -> tuple[tuple[int, ...], MatchPoint]:
+    """The selection rule's point (module docstring) on the frontier of the
+    pair-code matrix codes, whose categories have these quotas, and the row
+    witness_at gives there on that whole frontier, from only the sweeps
+    that the point and its row need.
+
+    Sweep n returns the max-total end, the selection when its share meets
+    the target.  Otherwise sweep 0 and split (frontier._split) only the
+    intervals that hold the crossing: their left end meets the target and
+    their right end does not.  The selection then lies on the segment from
+    a kink A to the next kink C, or is the first kink.  Last, split only
+    the intervals that start at a kink whose row the witness needs, A and
+    C, or A alone when the selection is A, so that each keeps the row of
+    the largest d that returns it, as on the whole frontier.  So selection
+    never sweeps a d that _frontier does not.
+    """
+    if not codes.any():
         raise NoNonEmptyMatchingError("no non-empty matching exists")
-    qualifying = [p for p in f.points if beneficiary_share(p) >= beta_star]
-    pt = qualifying[-1] if qualifying else f.points[0]
+    num, den = beta_star.numerator, beta_star.denominator
+
+    def meets(pt: MatchPoint) -> bool:  # b / e >= beta_star; every point swept has e > 0
+        return pt.b * den >= pt.e * num
+
+    n = max(codes.shape[0], sum(quotas))
+    sweep = _sweeps(codes, quotas)
+    sweeps = {n: sweep(n)}
+    pt, row = sweeps[n]
+    if meets(pt):
+        return tuple(row.tolist()), pt
+    sweeps[0] = sweep(0)
+    kinks = list(_split(sweep, sweeps, lambda a, c: meets(a) and not meets(c)))
+    a = c = pt = kinks[0]  # when even the first kink misses the target
+    points = [a]
+    if meets(a):
+        i = max(i for i, k in enumerate(kinks) if meets(k))
+        a, c = kinks[i], kinks[i + 1]
+        points = _segment(a, c) + [c]
+        pt = [p for p in points if meets(p)][-1]
+    need = {a} if pt == a else {a, c}
+    rows = _split(sweep, sweeps, lambda lo_end, _: lo_end in need)
+    f = Frontier(points=points, kinks=need, witnesses={k: tuple(rows[k].tolist()) for k in need})
     return witness_at(codes, f, pt), pt
 
 
@@ -64,7 +98,7 @@ def select_approx_on_frontier(pr: Problem) -> tuple[tuple[int, ...], MatchPoint]
     if pr.beta_star is None:
         raise ValueError("selection needs a share target beta_star")
     si = pr.seat_instance
-    return _select(si.pair_codes, compute_frontier(si), pr.beta_star)
+    return _select(si.pair_codes, si.quotas, pr.beta_star)
 
 
 def _first_swap(pr: Problem, row: Sequence[int]) -> tuple[int, int] | None:
@@ -144,10 +178,11 @@ class AuditViolation:
 # selections on row subsets of one pair-code matrix; path independence
 # compares 4^n pairs as 2^n numpy rows, substitutability 3^n, and only the
 # printed violations are built, so memory stays flat.  GenConfig(12, 4,
-# (1, 2), 0.5, seed=3) at beta* 1/3 (2,422,275 and 16,300 violations) takes
-# 0.2-0.3 s of masks and 0.2 s of counts; its 14-patient sibling (7,059,068
-# and 77,175) 0.9-1.1 s and 1.8-1.9 s, and 3.2 s and 34 MB for the whole
-# `audit --check both`.  Each patient more quadruples the pairs.
+# (1, 2), 0.5, seed=3) at beta* 1/3 (2,346,493 and 15,218 violations) takes
+# 0.11-0.12 s of masks (4,600 sweeps) and 0.1 s of counts; its 14-patient
+# sibling (7,062,038 and 77,607) 0.4-0.5 s (17,358 sweeps) and 1.0 s, and
+# 1.6 s and 34 MB for the whole `audit --check both`.  Each patient more
+# quadruples the pairs.
 MAX_AUDIT_PATIENTS = 14
 
 # violations that an audit builds and the CLI prints; the rest are counted
@@ -165,10 +200,12 @@ def choice_masks(pr: Problem) -> tuple[tuple[str, ...], np.ndarray]:
     rows of pr.seat_instance.pair_codes, the matrix that restricting the
     instance to it and expanding that would build.  At a point that is not
     a kink, optimal matchings that seat different patients can tie, so C,
-    and every audit count built on it, depends on which one witness_at
-    builds: on one 7-patient draw the audits find 528 path-independence
-    and 43 substitutability violations with its witness and 418 and 30
-    with another.
+    and every audit count built on it, depends on which one selection
+    returns: on one 7-patient draw the audits find 528 path-independence
+    and 43 substitutability violations with witness_at's row and 418 and
+    30 with another.  Kinks can tie too: with the row of the smallest d
+    that returns each kink in place of the largest, the 12-patient draw
+    above counts 2,422,275 and 16,300.
     """
     patients = pr.instance.patients
     if len(patients) > MAX_AUDIT_PATIENTS:
@@ -184,7 +221,7 @@ def choice_masks(pr: Problem) -> tuple[tuple[str, ...], np.ndarray]:
         rows = np.flatnonzero(x & bits)
         sub = codes[rows]
         try:
-            row, _ = _select(sub, _frontier(sub, quotas), beta_star)
+            row, _ = _select(sub, quotas, beta_star)
         except NoNonEmptyMatchingError:
             continue  # no eligible pair: C(x) is empty
         masks[x] = sum(1 << i for i, c in zip(rows.tolist(), row) if c >= 0)

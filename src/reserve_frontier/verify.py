@@ -9,8 +9,9 @@ run_suites builds one expansion, one census and one frontier per
 instance and hands them to every suite: the instance is expanded once
 (pr.seat_instance), the oracle Census, built with the computed
 frontier's points, enumerates it once however many suites and targets
-read it, and the mechanism suite selects on the shared frontier instead
-of recomputing it per target.
+read it, and the mechanism suite reads each target's point and witness
+off the shared frontier; selection's own route (mechanism._select) runs
+once, at the repair target.
 
 Matchings reach these checks as category rows (row[i] is the index of
 patient i's category, or -1).  A check names a row only to print it, or
@@ -39,6 +40,7 @@ from .frontier import (
     compute_frontier,
     frontier_iteration,
     half_bound_ratio,
+    witness_at,
 )
 from .generator import GenConfig, gen_random
 from .mechanism import NoNonEmptyMatchingError, _select, rank_sum, repair_priority, respects_priority
@@ -319,14 +321,19 @@ def _exact_share_domination(beta: Fraction, selected: MatchPoint, census: Census
 
 
 def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
-    """Selection rule, share guarantee, domination of exact-share rivals, repair."""
+    """Selection rule, share guarantee, domination of exact-share rivals, repair.
+
+    Every target reads the rule's point and its witness off the shared
+    frontier f.  Selection itself (mechanism._select, which sweeps only
+    what its point needs) runs once, at the repair target, and must give
+    f's point and witness_at's row there."""
     si = census.si
     results: list[CheckResult] = []
 
     if f.e_max == 0:
         ok = True
         try:
-            _select(si.pair_codes, f, Fraction(1, 2))
+            _select(si.pair_codes, si.quotas, Fraction(1, 2))
             ok = False
         except NoNonEmptyMatchingError:
             pass
@@ -337,27 +344,32 @@ def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResu
     mono = all(a > b for a, b in zip(shares, shares[1:]))
     results.append(CheckResult("mechanism", "share-falls-strictly-along-frontier", mono))
 
-    sel_ok = True
-    detail = ""
-    for beta in _targets_for(pr.beta_star, f):
-        row, pt = _select(si.pair_codes, f, beta)
-        if match_point(si, si.name_row(row)) != pt or pt not in f.points:
+    def rule(beta: Fraction) -> MatchPoint:
+        qualifying = [p for p, share in zip(f.points, shares) if share >= beta]
+        return qualifying[-1] if qualifying else f.points[0]
+
+    # the priority functions never read beta_star, so pr itself serves
+    target = Fraction(1, 2) if pr.beta_star is None else pr.beta_star
+    row, pt = _select(si.pair_codes, si.quotas, target)
+    sel_ok, detail = True, ""
+    if pt != rule(target):
+        sel_ok, detail = False, f"picked {pt}, expected {rule(target)} at target {target}"
+    elif row != witness_at(si.pair_codes, f, pt):
+        sel_ok, detail = False, f"selected row is not the frontier's witness at {pt}, target {target}"
+    scored: set[MatchPoint] = set()  # points whose witness match_point scored
+    for beta in _targets_for(pr.beta_star, f) if sel_ok else ():
+        want = rule(beta)
+        if want not in scored and match_point(si, si.name_row(witness_at(si.pair_codes, f, want))) != want:
             sel_ok, detail = False, f"witness off the frontier at target {beta}"
             break
-        qualifying = [p for p in f.points if Fraction(p.b, p.e) >= beta]
-        want = qualifying[-1] if qualifying else f.points[0]
-        if pt != want:
-            sel_ok, detail = False, f"picked {pt}, expected {want} at target {beta}"
-            break
-        if Fraction(pt.b, pt.e) != beta:
-            rival = _exact_share_domination(beta, pt, census)
+        scored.add(want)
+        if Fraction(want.b, want.e) != beta:
+            rival = _exact_share_domination(beta, want, census)
             if not rival.ok:
                 sel_ok, detail = False, rival.detail
                 break
     results.append(CheckResult("mechanism", "selection-rule-and-exact-share-domination", sel_ok, detail))
 
-    # the priority functions never read beta_star, so pr itself serves
-    row, pt = _select(si.pair_codes, f, Fraction(1, 2) if pr.beta_star is None else pr.beta_star)
     fixed = repair_priority(pr, row)
     rep_ok = (
         match_point(si, si.name_row(fixed)) == pt

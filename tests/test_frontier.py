@@ -9,13 +9,18 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import reserve_frontier.cli as cli_module
 import reserve_frontier.frontier as frontier_module
+import reserve_frontier.mechanism as mechanism_module
 from reserve_frontier import (
     Frontier,
     FrontierInvariantError,
     GenConfig,
     Instance,
     MatchPoint,
+    NoNonEmptyMatchingError,
+    Problem,
+    beneficiary_share,
     check_frontier_invariants,
     compute_frontier,
     dominates,
@@ -29,13 +34,16 @@ from reserve_frontier import (
     half_bound_ratio,
     kinks_of,
     match_point,
+    select_approx_on_frontier,
     validate_instance,
     validate_matching,
     with_all_witnesses,
 )
 from reserve_frontier.core import row_point
 from reserve_frontier.frontier import witness_at
+from reserve_frontier.mechanism import _select
 from reserve_frontier.oracle import Census
+from reserve_frontier.serialize import instance_to_json
 
 
 def pts(*pairs) -> list[MatchPoint]:
@@ -368,13 +376,14 @@ def test_matches_oracle_on_random_instances():
 
 
 def full_sweep_reference(si):
-    """Sweep every d = 0..n in order, keeping each new point's first matching."""
+    """Sweep every d = n..0 in order, keeping each new point's first
+    matching: the row of the largest d that returns it."""
     n = max(len(si.patients), len(si.seats))
     kinks, witnesses = [], {}
-    for d in range(n + 1):
+    for d in range(n, -1, -1):
         pt, row = frontier_iteration(si, d)
-        if not kinks or pt != kinks[-1]:
-            kinks.append(pt)
+        if not kinks or pt != kinks[0]:
+            kinks.insert(0, pt)
             witnesses[pt] = row
     points = [kinks[0]]
     for a, b in zip(kinks, kinks[1:]):
@@ -430,9 +439,9 @@ DIFFERENTIAL_FAMILIES = {
 
 
 def route_sweeps(monkeypatch, through):
-    """Answer sweep d of every frontier with through(sweep, n, d), where
-    sweep is the frontier's own sweep function on the same codes and n its
-    largest d."""
+    """Answer sweep d of every frontier and selection with
+    through(sweep, n, d), where sweep is their own sweep function on the
+    same codes and n its largest d."""
     sweeps = frontier_module._sweeps
 
     def routed(codes, quotas):
@@ -440,6 +449,7 @@ def route_sweeps(monkeypatch, through):
         return lambda d: through(sweep, max(len(codes), sum(quotas)), d)
 
     monkeypatch.setattr(frontier_module, "_sweeps", routed)
+    monkeypatch.setattr(mechanism_module, "_sweeps", routed)
 
 
 @pytest.mark.parametrize("family", sorted(DIFFERENTIAL_FAMILIES))
@@ -496,7 +506,7 @@ def tally_splits(monkeypatch, shift: int) -> Counter:
     for inst in draws:
         si = expand_to_seats(inst)
         done.clear()
-        points, kinks, witnesses = full_sweep_reference(si)  # ascending d: no splits
+        points, kinks, witnesses = full_sweep_reference(si)  # every d: no splits
         done.clear()
         f = compute_frontier(si)
         assert (list(f.points), f.kinks, f.witnesses) == (points, frozenset(kinks), witnesses)
@@ -521,8 +531,114 @@ def test_a_shifted_sweep_reaches_the_upper_clamp_and_a_tie_at_x(monkeypatch):
 
 def test_out_of_order_interval_ends_raise(monkeypatch):
     route_sweeps(monkeypatch, lambda sweep, n, d: sweep(n - d))
+    si = expand_to_seats(two_conflict_copies())
     with pytest.raises(FrontierInvariantError, match="out of order"):
-        compute_frontier(expand_to_seats(two_conflict_copies()))
+        compute_frontier(si)
+    # a target that no point meets, so that selection sweeps 0 and splits
+    with pytest.raises(FrontierInvariantError, match="out of order"):
+        _select(si.pair_codes, si.quotas, Fraction(2))
+
+
+def test_chords_that_are_not_concave_raise():
+    row = np.full(3, -1)
+    a, b, c = pts((0, 10), (1, 5), (3, 4))  # drops 5 then 1/2 a step
+    with pytest.raises(FrontierInvariantError, match="not concave"):
+        frontier_module._split(None, {0: (a, row), 1: (b, row), 2: (c, row)}, lambda a, c: True)
+    assert list(frontier_module._split(None, {0: (a, row), 2: (c, row)}, lambda a, c: False)) == [a, c]
+
+
+def selection_targets(f):
+    """0, 1, and each point's exact share with shares just above and below
+    it, nearer than any other point's share."""
+    eps = Fraction(1, 2 * (f.e_max + 1) ** 2)
+    shares = [beneficiary_share(pt) for pt in f.points if pt.e]
+    return sorted({Fraction(0), Fraction(1), *(s + k * eps for s in shares for k in (-1, 0, 1))})
+
+
+def selection_draws():
+    """Seeded draws: small ones at every density, and sparse ones of 4-40
+    patients, each with unit quotas or quotas of 1-3; then the chain
+    unions, and unions of repeated chains, whose equal drops make long
+    straight segments."""
+    rng = Random(30)
+    for k in range(240):
+        if k % 3 == 0:
+            patients, elig = rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8])
+        else:
+            patients = rng.randint(4, 40)
+            elig = min(1.0, rng.choice([2, 3, 5]) / patients)
+        yield gen_random(
+            GenConfig(
+                patients=patients,
+                categories=rng.randint(max(1, patients // 2), patients),
+                quota_range=(1, 1 if k % 2 else 3),
+                eligibility_density=elig,
+                beneficiary_density=rng.choice([0.3, 0.5, 0.7]),
+                seed=rng.randint(0, 100_000),
+            )
+        )
+    for ks in CHAIN_UNIONS + [(k,) * r + (k + 3,) * r for k in (1, 2, 3) for r in (2, 3, 4)]:
+        yield disjoint_union(*map(gen_chain_family, ks))
+
+
+def test_selection_gives_the_frontier_witness_at_the_rule_point(monkeypatch):
+    """_select splits only the intervals its point needs, yet returns the
+    rule's point on compute_frontier's frontier and witness_at's row there,
+    and sweeps no d twice and none that compute_frontier does not."""
+    swept = []
+    route_sweeps(monkeypatch, lambda sweep, n, d: swept.append(d) or sweep(d))
+    tally = Counter()
+    for inst in selection_draws():
+        si = expand_to_seats(inst)
+        swept.clear()
+        f = compute_frontier(si)
+        full = set(swept)
+        for beta in selection_targets(f):
+            swept.clear()
+            if not f.e_max:
+                with pytest.raises(NoNonEmptyMatchingError):
+                    _select(si.pair_codes, si.quotas, beta)
+                tally["empty"] += 1
+                continue
+            got = _select(si.pair_codes, si.quotas, beta)
+            qualifying = [p for p in f.points if beneficiary_share(p) >= beta]
+            want = qualifying[-1] if qualifying else f.points[0]
+            assert got == (witness_at(si.pair_codes, f, want), want), (inst, beta)
+            assert len(swept) == len(set(swept)) and set(swept) <= full, (inst, beta)
+            tally["one sweep"] += len(swept) == 1
+            tally["fewer sweeps"] += len(swept) < len(full)
+            tally["between kinks"] += want not in f.kinks
+            tally["below an interior kink"] += want not in f.kinks and want.e < max(f.kinks - {f.points[-1]}).e
+            tally["interior kink"] += want in f.kinks and want not in (f.points[0], f.points[-1])
+            tally["none meets"] += not qualifying
+    assert tally["empty"] >= 5 and tally["none meets"] >= 300, tally
+    assert tally["interior kink"] >= 50 and tally["between kinks"] >= 100, tally
+    assert tally["below an interior kink"] >= 30, tally
+    assert tally["one sweep"] >= 500 and tally["fewer sweeps"] >= 800, tally
+
+
+def test_solve_sweeps_once_where_the_max_total_end_meets_the_target(monkeypatch, tmp_path, capsys):
+    """On the solve-walk benchmark's base draw, a 320 x 320 unit-quota
+    instance at beta* 1/2, the max-total end meets the target: solve takes
+    sweep n alone where the whole frontier takes five.  At every other
+    target selection sweeps no more than the whole frontier."""
+    swept = []
+    route_sweeps(monkeypatch, lambda sweep, n, d: swept.append(d) or sweep(d))
+    pr = Problem(instance=DIFFERENTIAL_FAMILIES["unit-quota-320"]()[0], beta_star=Fraction(1, 2))
+    path = tmp_path / "solve-walk.json"
+    path.write_text(instance_to_json(pr))
+    assert cli_module.main(["solve", str(path), "--respect-priority"]) == 0
+    assert swept == [320]
+    assert capsys.readouterr().out.endswith("e=297 b=197 beta=197/297 target=1/2\n")
+    swept.clear()
+    f = compute_frontier(pr.seat_instance)
+    assert len(swept) == 5 and select_approx_on_frontier(pr)[1] == f.points[-1]
+    full = set(swept)
+    for pt in sorted(f.kinks)[:-1]:
+        for beta in (beneficiary_share(pt), beneficiary_share(pt) + Fraction(1, 10**6)):
+            swept.clear()
+            _select(pr.seat_instance.pair_codes, pr.seat_instance.quotas, beta)
+            assert set(swept) <= full and 1 < len(swept) <= len(full)
 
 
 def fresh_solve(codes, table):
@@ -616,7 +732,8 @@ def test_sweeps_share_one_cost_matrix_that_reads_as_a_fresh_gather(monkeypatch):
 # 1..n weighed a plain pair k n^2 and a beneficiary pair k n^2 + n^2 + k,
 # and split an interval at x = n^2 db // (n^2 de - db), on the seats' own
 # pair codes.  Kept here only as the reference for the kinks and their
-# witnesses, whose seats it maps to their categories.
+# witnesses, each the row of the largest k that returns its kink, as a
+# sweep of k = n..1 would keep, with its seats mapped to their categories.
 def ref_n_cubed_kinks(si):
     cats = si.source.categories
     category = np.array([cats.index(si.category_of(s)) for s in si.seats], dtype=np.intp)
@@ -632,21 +749,21 @@ def ref_n_cubed_kinks(si):
         return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, cols] == 2))), row
 
     sweeps = {k: sweep(k) for k in sorted({1, n})}
-    firsts, todo = [1], [(1, n)]
+    lasts, todo = [n], [(1, n)]
     while todo:
         lo, hi = todo.pop()
         a, c = sweeps[lo][0], sweeps[hi][0]
         if a == c:
             continue
         if hi == lo + 1:
-            firsts.append(hi)
+            lasts.append(lo)
             continue
         db = a.b - c.b
         mid = min(max(n * n * db // (n * n * (c.e - a.e) - db), lo + 1), hi - 1)
         sweeps[mid] = sweep(mid)
         todo += [(mid, hi), (lo, mid)]
-    kinks = [sweeps[k][0] for k in firsts]
-    return kinks, {sweeps[k][0]: tuple(sweeps[k][1].tolist()) for k in firsts}
+    kinks = [sweeps[k][0] for k in sorted(lasts)]
+    return kinks, {sweeps[k][0]: tuple(sweeps[k][1].tolist()) for k in lasts}
 
 
 def integer_slope_draws():

@@ -228,7 +228,8 @@ def test_selection_returns_the_frontier_witness_at_its_point():
                 select_approx_on_frontier(pr)
             continue
         row, pt = select_approx_on_frontier(pr)
-        assert (row, pt) == _select(si.pair_codes, f, beta_star), inst
+        qualifying = [p for p in f.points if beneficiary_share(p) >= beta_star]
+        assert pt == (qualifying[-1] if qualifying else f.points[0]), inst
         assert row == with_all_witnesses(si, f).witnesses[pt], inst
         checked += 1
         between_kinks += pt not in f.kinks
@@ -882,8 +883,8 @@ def test_audit_counts_on_the_tie_draw_and_a12():
     assert masks.tolist() == reference_choice_masks(pr)
     # never build the reference path-independence list here: it held 2.4 M
     # violations and took 6.95 GB
-    assert audit_path_independence(patients, masks)[0] == 2_422_275
-    assert audit_substitutability(patients, masks)[0] == 16_300
+    assert audit_path_independence(patients, masks)[0] == 2_346_493
+    assert audit_substitutability(patients, masks)[0] == 15_218
 
 
 def ira_holds(masks):
