@@ -24,16 +24,17 @@ Matchings are enumerated patient by patient (_leaf_blocks), each patient
 taking no category or an eligible one with a free seat: one loop over a
 stack of frames expands one numpy level of rows per patient and yields
 the leaves in blocks, each once, in the leaf order of a depth-first
-recursion with one call per state; it counts that recursion's states
-against the budget and holds a fixed number of bytes whatever the
-instance, and enumerate_matchings streams its blocks.  A Census
-enumerates its instance once, when it is built, for the count and first
-matching at every score point (the frontier, its witnesses and every
-exact-share count) and, in the same pass, the sampled matchings and
-matched patient sets at the points it was built with; only samples at
-other points take a pass of their own.  Leaves are scored by index, block
-by block, and only the first leaf at each new point and the leaves at
-sampled points are read back and reach Python.
+recursion with one call per state.  It counts that recursion's states
+against the budget, each slice's children before they are built, so a
+pass raises exactly when their total exceeds it, and holds a fixed
+number of bytes whatever the instance; enumerate_matchings streams its
+blocks.  A Census enumerates its instance once, when it is built, for
+the count and first matching at every score point (the frontier, its
+witnesses and every exact-share count) and, in the same pass, the
+sampled matchings and matched patient sets at the points it was built
+with; only samples at other points take a pass of their own.  Leaves are
+scored by index, block by block, and only the first leaf at each new
+point and the leaves at sampled points are read back and reach Python.
 """
 
 from __future__ import annotations
@@ -146,12 +147,13 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
     each block is yielded once, from the loop itself.
 
     The state count is the root plus every row of every level, the states
-    that such a recursion visits.  All the children of a level's rows are
-    counted before any of them is built, so BudgetExceededError is raised
-    exactly when the one-call-per-state recursion would raise it, before
-    the rows over the budget are allocated.  Levels are expanded a slice of
-    parents at a time, so that the live levels hold at most half of
-    _BLOCK_BYTES.  Its callers check the instance's size.
+    that such a recursion visits.  Levels are expanded a slice of parents
+    at a time, so that the live levels hold at most half of _BLOCK_BYTES,
+    and a slice's children are counted before any is built: a pass over
+    every block raises BudgetExceededError exactly when that count exceeds
+    the budget, and the leaves yielded before it are a prefix of those the
+    recursion visits before it raises.  Its callers check the instance's
+    size.
     """
     codes, n = si.pair_codes, len(si.patients)
     # a row's seats taken per category, each a field of its quota's bit
@@ -178,11 +180,6 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
     # parents per slice: each of the n levels gets an equal share of half the bytes
     step = [max(1, _BLOCK_BYTES // (2 * n * row_bytes * (len(js) + 1))) for js in elig]
 
-    def free(used: np.ndarray, i: int) -> np.ndarray:
-        """(parents, eligible categories) mask of the categories patient i may still take."""
-        js = elig[i]
-        return (used[:, word[js]] & field[js]) < full[js]
-
     def reader(links: list):
         """read(rows): the category rows of the leaves at rows; links[k] holds
         the parent row and the category of every row of level k + 1."""
@@ -207,21 +204,20 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
         if i == n:
             yield reader(links), e, b
             continue
-        if not start:  # every child of the level, before its first slice is built
-            slices = range(0, len(e), step[i])
-            states.add(len(e) + sum(int(np.count_nonzero(free(used[s : s + step[i]], i))) for s in slices))
         stop = min(start + step[i], len(e))
         if stop < len(e):
             stack.append((links, e, b, used, stop))
-        choices = np.ones((stop - start, len(elig[i]) + 1), dtype=bool)
-        choices[:, 1:] = free(used[start:stop], i)
+        js = elig[i]
+        choices = np.ones((stop - start, len(js) + 1), dtype=bool)
+        choices[:, 1:] = (used[start:stop, word[js]] & field[js]) < full[js]  # a free seat left
         parent, choice = np.nonzero(choices)
+        states.add(len(parent))  # the slice's children, before any is built
         parent += start
         child_used = None
         if i + 1 < n:  # leaves need no taken seats
             child_used = used[parent]
             matched = np.flatnonzero(choice)
-            taken = elig[i][choice[matched] - 1]
+            taken = js[choice[matched] - 1]
             child_used[matched, word[taken]] += one[taken]
         link = parent, category_of_choice[i][choice]
         stack.append(([*links, link], e[parent] + (choice > 0), b[parent] + bene_of_choice[i][choice], child_used, 0))
@@ -233,7 +229,7 @@ def enumerate_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BU
 
     Blocks are built as the matchings are consumed, so memory stays within
     the enumeration's byte cap, and a BudgetExceededError for the state
-    budget can come after matchings already yielded.
+    budget can come after it has yielded a prefix of the matchings.
     """
     _check_size(si, budget)
     for read, e, _ in _leaf_blocks(si, budget):
@@ -418,9 +414,10 @@ def oracle_min_cycle_loss(
     return min(loss for _, _, loss, _ in cycles)
 
 
-def _find_disjoint_family(cycles, k: int, target_loss: int, counter: _StateCounter):
+def _find_disjoint_family(cycles, k: int, target_loss: int, budget: EnumerationBudget):
     """k cycles with pairwise disjoint vertex sets (patients and end token)
     and losses summing to target_loss."""
+    counter = _StateCounter(budget.max_states)
 
     def rec(i: int, chosen, used, loss_left: int):
         # recurses only to take cycle i; skipping it loops, one state per i

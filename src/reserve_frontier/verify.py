@@ -50,7 +50,6 @@ from .oracle import (
     _applicable_cycles,
     _check_size,
     _find_disjoint_family,
-    _StateCounter,
     budget_from_env,
     oracle_min_cycle_loss,
 )
@@ -236,7 +235,7 @@ def _disjoint_cycles(census: Census) -> CheckResult:
             pairs += 1
             for row2, positive in sampled:
                 witnesses += 1
-                family = _find_disjoint_family(positive, k, target, _StateCounter(budget.max_states))
+                family = _find_disjoint_family(positive, k, target, budget)
                 if family is None:
                     failure = failure or (
                         f"no {k} disjoint cycles with total loss {target} "

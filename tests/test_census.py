@@ -411,6 +411,39 @@ def test_leaf_blocks_list_the_recursions_leaves(sliced, monkeypatch):
     assert most_blocks > 1 if sliced else most_blocks == 1
 
 
+@pytest.mark.parametrize("sliced", [False, True])
+def test_an_over_budget_pass_raises_after_a_prefix_of_the_leaves(sliced, monkeypatch):
+    # each slice counts its children before it builds them: a census raises
+    # at any budget below the recursion's state count, and a stream raises
+    # after a prefix of the leaves, no longer than the recursion yields
+    # before it raises at that budget
+    if sliced:
+        slice_every_level(monkeypatch)
+    budgets = yielded = 0
+    for inst in [*small_draws(), *base_draws()]:
+        si = expand_to_seats(inst)
+        want: list = []
+        states = scan_leaves(si, DEFAULT_BUDGET, lambda a, e, b: want.append(tuple(a)))
+        for limit in sorted({states - 1, states // 2, 2}):
+            if not 1 <= limit < states:
+                continue
+            budget = EnumerationBudget(max_states=limit)
+            with pytest.raises(BudgetExceededError, match=BUDGET_ENV):
+                Census(si, budget)
+            got: list = []
+            with pytest.raises(BudgetExceededError, match=BUDGET_ENV):
+                got.extend(enumerate_matchings(si, budget))
+            assert got == want[: len(got)]
+            visited: list = []
+            with pytest.raises(BudgetExceededError):
+                scan_leaves(si, budget, lambda a, e, b: visited.append(tuple(a)))
+            assert len(got) <= len(visited)
+            budgets, yielded = budgets + 1, yielded + len(got)
+    # unsliced, a level is one slice, so every state is counted before the
+    # one block of leaves is built
+    assert budgets == 524 and (yielded > 0 if sliced else yielded == 0)
+
+
 def test_the_enumeration_takes_no_frame_per_patient():
     # 300 patients, of whom the last 3 are eligible for 3 unit categories:
     # 1 + 9 + 18 + 6 = 34 matchings, enumerated within 100 frames of the caller

@@ -29,7 +29,6 @@ from reserve_frontier.oracle import (
     MAX_ORACLE_SIZE,
     Census,
     _find_disjoint_family,
-    _StateCounter,
     budget_from_env,
 )
 
@@ -300,9 +299,9 @@ def test_oversized_budget_on_a_large_file_exits_2_not_with_a_recursion_error(tmp
 def test_disjoint_family_search_loops_over_skipped_cycles():
     # far more candidates than the recursion limit, none of which fits
     cycles = [([], frozenset({i}), 5) for i in range(5000)]
-    assert _find_disjoint_family(cycles, 1, 2, _StateCounter(10**6)) is None
+    assert _find_disjoint_family(cycles, 1, 2, EnumerationBudget(max_states=10**6)) is None
     cycles[-1] = ([], frozenset({4999}), 2)
-    assert _find_disjoint_family(cycles, 1, 2, _StateCounter(10**6)) == [4999]
+    assert _find_disjoint_family(cycles, 1, 2, EnumerationBudget(max_states=10**6)) == [4999]
 
 
 def test_matchings_at_point_and_sampling():
