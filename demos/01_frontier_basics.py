@@ -56,7 +56,7 @@ for pt in f.points:
 
 # a witness is a category row: row[i] is patient i's category index, or -1
 print("\nwitness assignments:")
-cats = si.source.categories
+cats = si.instance.categories
 for pt in f.points:
     row = f.witnesses[pt]
     pairs = ", ".join(f"{p}->{cats[c]}" for p, c in zip(si.patients, row) if c >= 0)

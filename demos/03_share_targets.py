@@ -7,6 +7,7 @@ falls back to that endpoint: the instance cannot do better, so the rule
 returns the best share available rather than failing.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 from reserve_frontier import (
@@ -14,7 +15,6 @@ from reserve_frontier import (
     Problem,
     beneficiary_share,
     compute_frontier,
-    expand_to_seats,
     select_approx_on_frontier,
     validate_instance,
 )
@@ -41,8 +41,8 @@ inst = validate_instance(
     )
 )
 
-si = expand_to_seats(inst)
-f = compute_frontier(si)
+pr = Problem(instance=inst)
+f = compute_frontier(pr)
 print("frontier:", [tuple(pt) for pt in f.points])
 print("shares:  ", [str(beneficiary_share(pt)) for pt in f.points])
 
@@ -51,7 +51,7 @@ print(f"\nmax attainable share is {best} at {tuple(f.points[0])}\n")
 
 for num, den in ((0, 1), (1, 10), (1, 2), (3, 5), (7, 10), (9, 10), (1, 1)):
     target = Fraction(num, den)
-    _, pt = select_approx_on_frontier(Problem(instance=inst, beta_star=target))
+    _, pt = select_approx_on_frontier(replace(pr, beta_star=target))
     share = beneficiary_share(pt)
     if share == target:
         note = "meets it exactly"
@@ -64,7 +64,7 @@ for num, den in ((0, 1), (1, 10), (1, 2), (3, 5), (7, 10), (9, 10), (1, 1)):
 # raising the target never raises the selected total
 totals = []
 for k in range(0, 11):
-    _, pt = select_approx_on_frontier(Problem(instance=inst, beta_star=Fraction(k, 10)))
+    _, pt = select_approx_on_frontier(replace(pr, beta_star=Fraction(k, 10)))
     totals.append(pt.e)
 assert totals == sorted(totals, reverse=True)
 print("\nselected totals over targets 0/10..10/10:", totals)

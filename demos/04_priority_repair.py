@@ -44,21 +44,20 @@ pr = Problem(instance=inst, beta_star=Fraction(1, 3), priority=PriorityOrder(ord
 # a matching is a category row: row[i] is patient i's category index, or -1;
 # violations are (category, seated patient, unmatched patient) indices
 row, pt = select_approx_on_frontier(pr)
-si = pr.seat_instance
 before = respects_priority(pr, row)
 print(f"selected point {tuple(pt)} with {len(before)} priority violation(s)")
 for c, seated, skipped in before:
-    print(f"  {inst.categories[c]}: seated {si.patients[seated]} over unmatched {si.patients[skipped]}")
+    print(f"  {inst.categories[c]}: seated {pr.patients[seated]} over unmatched {pr.patients[skipped]}")
 
 fixed = repair_priority(pr, row)
 after = respects_priority(pr, fixed)
 print(f"\nafter repair: {len(after)} violation(s)")
-print("point unchanged:", match_point(si, si.name_row(fixed)) == pt)
+print("point unchanged:", match_point(pr, pr.name_row(fixed)) == pt)
 print(f"rank sum {rank_sum(pr, row)} -> {rank_sum(pr, fixed)}")
 
 
 def categories(row):
-    return {p: inst.categories[c] for p, c in zip(si.patients, row) if c >= 0}
+    return {p: inst.categories[c] for p, c in zip(pr.patients, row) if c >= 0}
 
 
 was, now = categories(row), categories(fixed)

@@ -14,7 +14,6 @@ from reserve_frontier import (
     audit_substitutability,
     choice_masks,
     enumerate_matchings,
-    expand_to_seats,
     gen_named,
     restrict_patients,
     select_approx_on_frontier,
@@ -51,14 +50,13 @@ print("example: chose", sorted(worst.lhs), "from the full pool but only",
       sorted(worst.rhs), "from the subset")
 
 # every optimal matching on X is an admissible C(X); none keeps all of kept
-sub = restrict_patients(pr.instance, x)
-_, pt = select_approx_on_frontier(Problem(instance=sub, beta_star=pr.beta_star))
-si = expand_to_seats(sub)
+sub = Problem(instance=restrict_patients(pr.instance, x), beta_star=pr.beta_star)
+_, pt = select_approx_on_frontier(sub)
 # enumerate_matchings yields category rows: row[i] is patient i's category index, or -1
 options = {
-    frozenset(si.patients[i] for i, c in enumerate(row) if c != -1)
-    for row in enumerate_matchings(si)
-    if row_point(si.pair_codes, row) == pt
+    frozenset(sub.patients[i] for i, c in enumerate(row) if c != -1)
+    for row in enumerate_matchings(sub)
+    if row_point(sub.pair_codes, row) == pt
 }
 print(f"\nadmissible C(X) tie-breaks at {tuple(pt)}:")
 for s in sorted(options, key=sorted):

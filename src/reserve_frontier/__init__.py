@@ -18,7 +18,6 @@ from .core import (
     MatchPoint,
     PriorityOrder,
     Problem,
-    SeatInstance,
     beneficiary_share,
     dominates,
     expand_to_seats,
@@ -89,7 +88,6 @@ __all__ = [
     "PriorityOrder",
     "Problem",
     "SUITES",
-    "SeatInstance",
     "apply_cycle",
     "audit_path_independence",
     "audit_substitutability",

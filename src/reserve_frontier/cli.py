@@ -109,18 +109,18 @@ def _write_text(text: str, path: str | None) -> None:
 def cmd_frontier(args) -> int:
     if args.witnesses and args.format == "csv" and not args.output:
         raise ValueError("csv witnesses need -o so the sidecar has a path")
-    si = load_input(args).seat_instance
-    f = compute_frontier(si)
+    pr = load_input(args)
+    f = compute_frontier(pr)
     if args.witnesses:
-        f = with_all_witnesses(si, f)
+        f = with_all_witnesses(pr, f)
     if args.format == "json":
-        _write_text(frontier_to_json(f, si, witnesses=args.witnesses), args.output)
+        _write_text(frontier_to_json(f, pr, witnesses=args.witnesses), args.output)
         return 0
     buf = io.StringIO()
     write_frontier_csv(f, buf)
     _write_text(buf.getvalue(), args.output)
     if args.witnesses:
-        _write_text(frontier_to_json(f, si, witnesses=True), args.output + ".witnesses.json")
+        _write_text(frontier_to_json(f, pr, witnesses=True), args.output + ".witnesses.json")
     return 0
 
 
@@ -132,7 +132,7 @@ def cmd_solve(args) -> int:
     row, pt = select_approx_on_frontier(pr)  # no eligible pair: NoNonEmptyMatchingError
     if args.respect_priority:
         row = repair_priority(pr, row)
-    out = matching_to_dict(pr.seat_instance, row)
+    out = matching_to_dict(pr, row)
     out["target"] = share_str(pr.beta_star)
     if args.respect_priority:
         out["priority_violations"] = len(respects_priority(pr, row))

@@ -5,15 +5,15 @@ and beneficiary patient sets (beneficiaries are a subset of the eligible).
 A matching is a category row: row[i] is the index of patient i's
 category, or -1.  Quotas are expanded into unit seats only where a step
 works seat by seat: the frontier's solver and the naming of a row at the
-I/O boundary (SeatInstance.name_row).
+I/O boundary (Problem.name_row).
 
 Every input, parsed, generated or named, is one Problem: an instance plus
-an optional share target beta_star and optional priority orders.  The
-Instance alone is the structural type that seat expansion, restriction
-and the generators work on.  A Problem validates its instance once, when
-it is built, and expands it once, on first use of seat_instance; every
-consumer reads that expansion.  Its priority ranks are likewise built
-once, on first use of rank_rows, as rows of patient indices.
+an optional share target beta_star and optional priority orders, and
+every step takes it.  The Instance alone is the structural type that
+restriction and the generators work on.  A Problem validates its
+instance once, when it is built, and builds its indexed form (quotas,
+pair codes, priority ranks) once each, on first use; every consumer
+reads those.
 
 A matching is scored by the pair (e, b): total eligible matches and
 beneficiary matches.  Shares b/e are kept as exact fractions throughout.
@@ -188,7 +188,7 @@ def validate_priority(inst: Instance, po: PriorityOrder) -> PriorityOrder:
 
 def _build_rank_rows(pr: Problem) -> tuple[tuple[int, ...], ...]:
     """Problem.rank_rows."""
-    inst, index = pr.instance, pr.seat_instance.patient_index.__getitem__
+    inst, index = pr.instance, pr.patient_index.__getitem__
     rows = []
     for c in inst.categories:
         elig, bene = inst.eligible[c], inst.beneficiary[c]
@@ -199,6 +199,22 @@ def _build_rank_rows(pr: Problem) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+# Memory limits.  A dense assignment solve costs 9 bytes a cell, a uint8
+# pair code and a float64 cost, so MAX_CELLS is about 1.7 GB of solve.
+# Every solve is a sweep on an admitted instance's patients x seats matrix.
+# MAX_SEATS bounds the seat ids and the solver's seat columns, which the
+# cell check misses when there are few or no patients.
+MAX_SEATS = 208_063
+MAX_CELLS = 2 * 9_741**2
+
+
+def check_cells(n_rows: int, n_cols: int, what: str) -> None:
+    """Raise InstanceError if a dense n_rows x n_cols matrix exceeds MAX_CELLS."""
+    if n_rows * n_cols > MAX_CELLS:
+        raise InstanceError(f"{what} too large for memory: {n_rows} x {n_cols} = {n_rows * n_cols}"
+                            f" cells exceed MAX_CELLS = {MAX_CELLS}, at 9 bytes a cell")
+
+
 @dataclass(frozen=True)
 class Problem:
     """The mechanism's input: an instance, an optional exact beneficiary-share
@@ -206,7 +222,20 @@ class Problem:
 
     Construction validates the instance, then beta_star, then the priority
     orders, and raises on the first fault; nothing downstream validates
-    the instance again."""
+    the instance again.  The indexed form that every step below the I/O
+    boundary reads is built on first use and kept: quotas, pair_codes,
+    each patient's eligible and beneficiary categories, and rank_rows.
+    Building quotas, which pair_codes does first, checks the memory limits,
+    so a Problem that is only restricted to a patient subset is never held
+    to them; the subset's own Problem is.
+
+    A matching is a category row: row[i] is the index of patient i's
+    category in instance.categories, -1 when patient i is unmatched; which
+    of the category's seats they hold is no part of it.  Unit seats
+    "<category>#<k>", k in range(quota), are named only at the I/O
+    boundary: by name_row, and by seats and category_of, the seat-keyed
+    view of a Matching (validate_matching, match_point).
+    """
 
     instance: Instance
     beta_star: Fraction | None = None
@@ -225,10 +254,13 @@ class Problem:
         if self.priority is not None:
             validate_priority(self.instance, self.priority)
 
+    @property
+    def patients(self) -> tuple[str, ...]:
+        return self.instance.patients
+
     @cached_property
-    def seat_instance(self) -> SeatInstance:
-        """The instance expanded to unit seats, built on first use."""
-        return expand_to_seats(self.instance)
+    def patient_index(self) -> dict[str, int]:
+        return {p: i for i, p in enumerate(self.patients)}
 
     @cached_property
     def rank_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -237,49 +269,28 @@ class Problem:
         or, when it names none, from the tier order in input order."""
         return _build_rank_rows(self)
 
-
-@dataclass(frozen=True)
-class SeatInstance:
-    """Unit-quota expansion of an instance.
-
-    Seat ids are "<category>#<k>" for k in range(quota).  Seats of one
-    category share the parent's eligible and beneficiary sets, so below the
-    I/O boundary a matching is a category row, and the seats are named only
-    by name_row.
-    """
-
-    source: Instance
-    patients: tuple[str, ...]
-    seats: tuple[str, ...]
-    seat_category: Mapping[str, str]
-
-    def category_of(self, seat: str) -> str:
-        return self.seat_category[seat]
-
-    def eligible_of(self, seat: str) -> frozenset[str]:
-        return self.source.eligible_of(self.seat_category[seat])
-
-    def beneficiary_of(self, seat: str) -> frozenset[str]:
-        return self.source.beneficiary_of(self.seat_category[seat])
-
-    @cached_property
-    def patient_index(self) -> dict[str, int]:
-        return {p: i for i, p in enumerate(self.patients)}
-
     @cached_property
     def quotas(self) -> tuple[int, ...]:
-        """Per category index, in source.categories order, its quota."""
-        return tuple(self.source.quota[c] for c in self.source.categories)
+        """Per category index, in instance order, its quota.  An instance
+        over MAX_SEATS seats or MAX_CELLS patients x seats is refused here,
+        before anything of that size is built."""
+        inst = self.instance
+        if inst.total_quota > MAX_SEATS:
+            raise InstanceError(f"instance too large for memory: {inst.total_quota} seat(s) "
+                                f"exceed MAX_SEATS = {MAX_SEATS}")
+        check_cells(len(inst.patients), inst.total_quota, "instance (patients x seats)")
+        return tuple(inst.quota[c] for c in inst.categories)
 
     @cached_property
     def pair_codes(self) -> np.ndarray:
-        """uint8 (patients x categories) pair codes: 0 ineligible, 1 eligible, 2 beneficiary."""
-        index, cats = self.patient_index, self.source.categories
-        codes = np.zeros((len(self.patients), len(cats)), dtype=np.uint8)
-        for code, members in ((1, self.source.eligible), (2, self.source.beneficiary)):
-            sets = [members[cat] for cat in cats]
+        """uint8 (patients x categories) pair codes: 0 ineligible, 1 eligible,
+        2 beneficiary; built after quotas, so within the memory limits."""
+        index, inst = self.patient_index, self.instance
+        codes = np.zeros((len(self.patients), len(self.quotas)), dtype=np.uint8)
+        for code, members in ((1, inst.eligible), (2, inst.beneficiary)):
+            sets = [members[cat] for cat in inst.categories]
             rows = [index[p] for ps in sets for p in ps]
-            codes[rows, np.repeat(np.arange(len(cats)), [len(ps) for ps in sets])] = code
+            codes[rows, np.repeat(np.arange(len(sets)), [len(ps) for ps in sets])] = code
         return codes
 
     @cached_property
@@ -292,15 +303,12 @@ class SeatInstance:
         """Per patient index, the category indices where the patient is a beneficiary."""
         return tuple(frozenset(np.flatnonzero(row == 2).tolist()) for row in self.pair_codes)
 
-    # A category row lists a matching by index: row[i] is the index of
-    # patient i's category in source.categories, -1 when patient i is
-    # unmatched; which of the category's seats they hold is no part of it.
     def check_row(self, row: Sequence[int]) -> list[int]:
         """row as a list, once it is the category row of a matching of this
         instance; raises MatchingError for a row of the wrong length, with a
         category index outside [-1, categories), with a patient placed where
         they are not eligible, or with a category over its quota."""
-        codes = self.pair_codes
+        codes, cats = self.pair_codes, self.instance.categories
         n_patients, n_categories = codes.shape
         row = list(map(operator.index, row))
         if len(row) != n_patients:
@@ -313,9 +321,9 @@ class SeatInstance:
             if not 0 <= c < n_categories:
                 raise MatchingError(f"patient {self.patients[i]}: category index {c} outside [-1, {n_categories})")
             if not codes.item(i, c):
-                raise MatchingError(f"patient {self.patients[i]} not eligible for category {self.source.categories[c]}")
+                raise MatchingError(f"patient {self.patients[i]} not eligible for category {cats[c]}")
             if not free[c]:
-                raise MatchingError(f"a category row places more patients in {self.source.categories[c]}"
+                raise MatchingError(f"a category row places more patients in {cats[c]}"
                                     f" than its quota of {self.quotas[c]}")
             free[c] -= 1
         return row
@@ -323,61 +331,40 @@ class SeatInstance:
     def name_row(self, row: Iterable[int]) -> Matching:
         """The Matching that the category row lists, once check_row accepts
         it: each category's seats go to its patients in patient order."""
-        cats, taken, pairs = self.source.categories, [0] * len(self.quotas), []
+        cats, taken, pairs = self.instance.categories, [0] * len(self.quotas), []
         for i, c in enumerate(self.check_row(row)):
             if c != -1:
                 pairs.append((self.patients[i], f"{cats[c]}#{taken[c]}"))
                 taken[c] += 1
         return Matching(tuple(pairs))
 
+    @cached_property
+    def _seat_category(self) -> dict[str, str]:
+        # a seat id splits at its last '#', so distinct categories give distinct seats
+        return {f"{c}#{k}": c for c, q in zip(self.instance.categories, self.quotas) for k in range(q)}
+
+    @property
+    def seats(self) -> tuple[str, ...]:
+        """The unit seat ids, in category order."""
+        return tuple(self._seat_category)
+
+    def category_of(self, seat: str) -> str:
+        return self._seat_category[seat]
+
 
 def row_point(codes: np.ndarray, row: Sequence[int]) -> MatchPoint:
-    """The point of a category row on its pair-code matrix (SeatInstance.pair_codes)."""
+    """The point of a category row on its pair-code matrix (Problem.pair_codes)."""
     row = np.asarray(row, dtype=np.intp)
     rows = np.flatnonzero(row >= 0)
     return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, row[rows]] == 2)))
 
 
-# Memory limits.  A dense assignment solve costs 9 bytes a cell, a uint8
-# pair code and a float64 cost, so MAX_CELLS is about 1.7 GB of solve.
-# Every solve is a sweep on an admitted instance's patients x seats matrix.
-# MAX_SEATS bounds the seat ids that expand_to_seats builds, which the cell
-# check misses when there are few or no patients.
-MAX_SEATS = 208_063
-MAX_CELLS = 2 * 9_741**2
-
-
-def check_cells(n_rows: int, n_cols: int, what: str) -> None:
-    """Raise InstanceError if a dense n_rows x n_cols matrix exceeds MAX_CELLS."""
-    if n_rows * n_cols > MAX_CELLS:
-        raise InstanceError(f"{what} too large for memory: {n_rows} x {n_cols} = {n_rows * n_cols}"
-                            f" cells exceed MAX_CELLS = {MAX_CELLS}, at 9 bytes a cell")
-
-
-def expand_to_seats(inst: Instance) -> SeatInstance:
-    """Expand quotas into unit seats, in category order.
-
-    An instance over MAX_SEATS seats or MAX_CELLS patients x seats is
-    refused before any seat is built, so an oversized quota fails at once.
-    Seat id c#k splits at its last '#', so distinct categories give distinct seats.
-    """
-    if inst.total_quota > MAX_SEATS:
-        raise InstanceError(f"instance too large for memory: {inst.total_quota} seat(s) "
-                            f"exceed MAX_SEATS = {MAX_SEATS}")
-    check_cells(len(inst.patients), inst.total_quota, "instance (patients x seats)")
-    seats: list[str] = []
-    seat_category: dict[str, str] = {}
-    for c in inst.categories:
-        for k in range(inst.quota[c]):
-            sid = f"{c}#{k}"
-            seats.append(sid)
-            seat_category[sid] = c
-    return SeatInstance(
-        source=inst,
-        patients=inst.patients,
-        seats=tuple(seats),
-        seat_category=seat_category,
-    )
+def expand_to_seats(inst: Instance) -> Problem:
+    """The Problem of inst alone, its memory limits checked at once: the
+    seat-keyed view (seats, category_of) for a caller that holds an Instance."""
+    pr = Problem(inst)
+    pr.quotas  # built now, so the memory limits are checked now
+    return pr
 
 
 @dataclass(frozen=True)
@@ -404,20 +391,20 @@ class Matching:
             seen_s.add(s)
 
 
-def validate_matching(si: SeatInstance, m: Matching) -> Matching:
+def validate_matching(pr: Problem, m: Matching) -> Matching:
     """Check that m matches known patients to known seats they are eligible for."""
     for p, s in m.pairs:
-        if p not in si.patient_index:
+        if p not in pr.patient_index:
             raise MatchingError(f"unknown patient {p}")
-        if s not in si.seat_category:
+        if s not in pr._seat_category:
             raise MatchingError(f"unknown seat {s}")
-        if p not in si.eligible_of(s):
+        if p not in pr.instance.eligible_of(pr.category_of(s)):
             raise MatchingError(f"patient {p} not eligible for seat {s}")
     return m
 
 
-def match_point(si: SeatInstance, m: Matching) -> MatchPoint:
+def match_point(pr: Problem, m: Matching) -> MatchPoint:
     """Score (e, b) of an eligible matching."""
     e = len(m.pairs)
-    b = sum(1 for p, s in m.pairs if p in si.beneficiary_of(s))
+    b = sum(1 for p, s in m.pairs if p in pr.instance.beneficiary_of(pr.category_of(s)))
     return MatchPoint(e, b)

@@ -17,7 +17,7 @@ rows (frontier.witness_at).
 Every matching here is a category row, as in frontier and the oracle
 (row[i] is the index of patient i's category, or -1), and a Cycle lists
 indices.  Each public function refuses a row that is not a matching of
-the instance with MatchingError (SeatInstance.check_row); a walk checks
+the instance with MatchingError (Problem.check_row); a walk checks
 only its start row.
 
 Cheapest-cycle search is one Bellman-Ford on patients and categories
@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import MatchPoint, SeatInstance, row_point
+from .core import MatchPoint, Problem, row_point
 
 
 class CycleError(ValueError):
@@ -65,39 +65,39 @@ class Cycle:
         return len(self.patients)
 
 
-def apply_cycle(si: SeatInstance, row: Sequence[int], c: Cycle) -> tuple[int, ...]:
+def apply_cycle(pr: Problem, row: Sequence[int], c: Cycle) -> tuple[int, ...]:
     """The category row with every cycle patient in its cycle category;
     everyone else stays put.  Raises CycleError unless c is an applicable
     cycle in the graph of the row's matching."""
-    return _apply(si, si.check_row(row), c)
+    return _apply(pr, pr.check_row(row), c)
 
 
-def _apply(si: SeatInstance, row: Sequence[int], c: Cycle) -> tuple[int, ...]:
-    codes, names = si.pair_codes, si.source.categories
+def _apply(pr: Problem, row: Sequence[int], c: Cycle) -> tuple[int, ...]:
+    codes, names = pr.pair_codes, pr.instance.categories
     n_p, n_c = codes.shape
     for p, k in zip(c.patients, c.categories):
         if not (0 <= p < n_p and 0 <= k < n_c):
             raise CycleError(f"cycle not applicable: pair ({p}, {k}) outside {n_p} patients and {n_c} categories")
     p1, last = c.patients[0], c.categories[-1]
     if row[p1] != -1:
-        raise CycleError(f"cycle not applicable: patient {si.patients[p1]} is matched")
-    if row.count(last) == si.quotas[last]:
+        raise CycleError(f"cycle not applicable: patient {pr.patients[p1]} is matched")
+    if row.count(last) == pr.quotas[last]:
         raise CycleError(f"cycle not applicable: category {names[last]} is full")
     for p, k in zip(c.patients, c.categories):
         if codes[p, k] == 0:
-            raise CycleError(f"cycle not applicable: {si.patients[p]} not eligible for {names[k]}")
+            raise CycleError(f"cycle not applicable: {pr.patients[p]} not eligible for {names[k]}")
         if row[p] == k:
-            raise CycleError(f"cycle not applicable: {si.patients[p]} already placed in {names[k]}")
+            raise CycleError(f"cycle not applicable: {pr.patients[p]} already placed in {names[k]}")
     for k, p in zip(c.categories, c.patients[1:]):
         if row[p] != k:
-            raise CycleError(f"cycle not applicable: category {names[k]} does not hold {si.patients[p]}")
+            raise CycleError(f"cycle not applicable: category {names[k]} does not hold {pr.patients[p]}")
     out = list(row)
     for p, k in zip(c.patients, c.categories):
         out[p] = k
     return tuple(out)
 
 
-def cheapest_cycle(si: SeatInstance, row: Sequence[int]) -> Cycle | None:
+def cheapest_cycle(pr: Problem, row: Sequence[int]) -> Cycle | None:
     """Applicable cycle of minimum beneficiary loss, or None if none exists.
 
     Ties break by unmatched-patient order, then by the order of the
@@ -136,18 +136,18 @@ def cheapest_cycle(si: SeatInstance, row: Sequence[int]) -> Cycle | None:
     plus one hop, and a placed patient's label is its category's plus one
     hop, so the links lead back to the start in strictly fewer hops.
     """
-    return _cheapest(si, si.check_row(row))
+    return _cheapest(pr, pr.check_row(row))
 
 
-def _cheapest(si: SeatInstance, row: Sequence[int]) -> Cycle | None:
-    n_p, n_c = si.pair_codes.shape
-    elig = si.eligible_categories
-    bene = si.beneficiary_categories
+def _cheapest(pr: Problem, row: Sequence[int]) -> Cycle | None:
+    n_p, n_c = pr.pair_codes.shape
+    elig = pr.eligible_categories
+    bene = pr.beneficiary_categories
     # Cost of moving patient i to category c: loses their current beneficiary
     # match (if any), gains one if c makes them a beneficiary.
     cur_bene = [1 if row[i] in bene[i] else 0 for i in range(n_p)]
     starts = [i for i in range(n_p) if row[i] == -1 and elig[i]]
-    free = list(si.quotas)
+    free = list(pr.quotas)
     for c in row:
         if c != -1:
             free[c] -= 1
@@ -220,7 +220,7 @@ def _cheapest(si: SeatInstance, row: Sequence[int]) -> Cycle | None:
     return Cycle(patients=tuple(reversed(patients)), categories=tuple(reversed(categories)))
 
 
-def frontier_walk(si: SeatInstance, start: Sequence[int]) -> list[tuple[MatchPoint, tuple[int, ...]]]:
+def frontier_walk(pr: Problem, start: Sequence[int]) -> list[tuple[MatchPoint, tuple[int, ...]]]:
     """Apply cheapest cycles until none remain, recording every stop (point, category row).
 
     Started from a max-beneficiary-then-max-total matching this visits every
@@ -228,11 +228,11 @@ def frontier_walk(si: SeatInstance, start: Sequence[int]) -> list[tuple[MatchPoi
     a dominated input (non-positive loss, or losses that shrink along the
     way, which a frontier matching can never produce).
     """
-    current, prev_loss = tuple(si.check_row(start)), 0  # a cycle never loses less than 1
-    stops = [(row_point(si.pair_codes, current), current)]
-    while (cycle := _cheapest(si, current)) is not None:
-        current = _apply(si, current, cycle)
-        pt = row_point(si.pair_codes, current)
+    current, prev_loss = tuple(pr.check_row(start)), 0  # a cycle never loses less than 1
+    stops = [(row_point(pr.pair_codes, current), current)]
+    while (cycle := _cheapest(pr, current)) is not None:
+        current = _apply(pr, current, cycle)
+        pt = row_point(pr.pair_codes, current)
         loss = stops[-1][0].b - pt.b
         if loss < prev_loss:
             raise DominatedInputError("dominated input: beneficiary loss decreased along the walk")

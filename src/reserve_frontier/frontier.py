@@ -34,7 +34,7 @@ everywhere below the I/O boundary: row[i] is the index of patient i's
 category, or -1 when patient i is unmatched.  Sweeps are scored on their
 rows, and every witness this module returns is a category row, a tuple
 of ints; names are given at the I/O boundary (serialize) or by
-SeatInstance.name_row.
+Problem.name_row.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import MatchPoint, SeatInstance, check_cells, row_point
+from .core import MatchPoint, Problem, check_cells, row_point
 from .hungarian import linear_sum_assignment
 
 
@@ -162,18 +162,18 @@ def _sweeps(codes: np.ndarray, quotas: Sequence[int]) -> Callable[[int], tuple[M
     return sweep
 
 
-def frontier_iteration(si: SeatInstance, d: int) -> tuple[MatchPoint, tuple[int, ...]]:
+def frontier_iteration(pr: Problem, d: int) -> tuple[MatchPoint, tuple[int, ...]]:
     """Single weighted sweep: the frontier point that maximizes (2d + 1) e + 2b, and its row."""
-    n = max(len(si.patients), sum(si.quotas))
+    n = max(len(pr.patients), sum(pr.quotas))
     if not 0 <= d <= n:
         raise ValueError(f"d must be in [0, {n}], got {d}")
-    pt, row = _sweeps(si.pair_codes, si.quotas)(d)
+    pt, row = _sweeps(pr.pair_codes, pr.quotas)(d)
     return pt, tuple(row.tolist())
 
 
 def witness_at(codes: np.ndarray, f: Frontier, pt: MatchPoint) -> tuple[int, ...]:
     """The category row of a matching at frontier point pt of f, the
-    frontier of the pair-code matrix codes (si.pair_codes).
+    frontier of the pair-code matrix codes (Problem.pair_codes).
 
     f's own witness if pt has one.  Otherwise, for the witnessed points A
     and C just below and above pt, A's row with the first pt.e - A.e
@@ -271,7 +271,7 @@ def _segment(a: MatchPoint, c: MatchPoint) -> list[MatchPoint]:
     return [MatchPoint(a.e + j, a.b - j * (drop // span)) for j in range(span)]
 
 
-def compute_frontier(si: SeatInstance) -> Frontier:
+def compute_frontier(pr: Problem) -> Frontier:
     """The complete frontier, with witnesses at every kink.
 
     Splits the sweep range [0, n] where scores cross (_split), into
@@ -292,7 +292,7 @@ def compute_frontier(si: SeatInstance) -> Frontier:
     where bisection needs O(kinks * log n).  The parametric search is that
     of Eisner and Severance (1976, J. ACM 23(4)).
     """
-    return _frontier(si.pair_codes, si.quotas)
+    return _frontier(pr.pair_codes, pr.quotas)
 
 
 def _frontier(codes: np.ndarray, quotas: Sequence[int]) -> Frontier:
@@ -321,7 +321,7 @@ def half_bound_ratio(f: Frontier) -> Fraction:
     return Fraction(f.e_max - f.e_min, f.e_max)
 
 
-def with_all_witnesses(si: SeatInstance, f: Frontier) -> Frontier:
+def with_all_witnesses(pr: Problem, f: Frontier) -> Frontier:
     """f with a witness at every point: witness_at at each missing one."""
-    missing = {pt: witness_at(si.pair_codes, f, pt) for pt in f.points if pt not in f.witnesses}
+    missing = {pt: witness_at(pr.pair_codes, f, pt) for pt in f.points if pt not in f.witnesses}
     return Frontier(points=f.points, kinks=f.kinks, witnesses={**f.witnesses, **missing})

@@ -25,7 +25,7 @@ patient: row[i] is the index of patient i's category, or -1 when patient
 i is unmatched.
 Selection returns one; rank_sum, respects_priority and repair_priority
 take one, and refuse with MatchingError a row that is not a matching of
-the instance (SeatInstance.check_row).  Names are given at the I/O
+the instance (Problem.check_row).  Names are given at the I/O
 boundary (serialize).
 """
 
@@ -97,8 +97,7 @@ def select_approx_on_frontier(pr: Problem) -> tuple[tuple[int, ...], MatchPoint]
     """
     if pr.beta_star is None:
         raise ValueError("selection needs a share target beta_star")
-    si = pr.seat_instance
-    return _select(si.pair_codes, si.quotas, pr.beta_star)
+    return _select(pr.pair_codes, pr.quotas, pr.beta_star)
 
 
 def _first_swap(pr: Problem, row: Sequence[int]) -> tuple[int, int] | None:
@@ -124,14 +123,14 @@ def rank_sum(pr: Problem, row: Sequence[int]) -> int:
     Like respects_priority and repair_priority, this ranks by the tier
     order when pr names no priority.
     """
-    row = pr.seat_instance.check_row(row)
+    row = pr.check_row(row)
     return sum(k for c, rank in enumerate(pr.rank_rows) for k, i in enumerate(rank, 1) if row[i] == c)
 
 
 def respects_priority(pr: Problem, row: Sequence[int]) -> list[tuple[int, int, int]]:
     """Every violation, as (category, seated patient, unmatched patient who
     outranks them) indices, categories in instance order and each by rank."""
-    row, out = pr.seat_instance.check_row(row), []
+    row, out = pr.check_row(row), []
     for c, rank in enumerate(pr.rank_rows):
         free: list[int] = []
         for i in rank:
@@ -152,7 +151,7 @@ def repair_priority(pr: Problem, row: Sequence[int]) -> tuple[int, ...]:
     is a beneficiary, which on admissible orders means the input was not a
     frontier matching; that case raises with a diagnostic.
     """
-    row, codes = pr.seat_instance.check_row(row), pr.seat_instance.pair_codes
+    row, codes = pr.check_row(row), pr.pair_codes
     while (swap := _first_swap(pr, row)) is not None:
         p, q = swap
         c = row[p]
@@ -194,18 +193,19 @@ def choice_masks(pr: Problem) -> tuple[tuple[str, ...], np.ndarray]:
     a subset mask is patients[i], and masks[x] is the mask of C(x), the
     patients of subset x that selection seats.  A missing share target
     reads as 0, which selects the max-total endpoint.  An instance of more
-    than MAX_AUDIT_PATIENTS patients is refused before any subset is solved.
+    than MAX_AUDIT_PATIENTS patients is refused first, before the memory
+    limits that building pr.pair_codes checks.
 
     A subset keeps every category and quota, so its sub-problem is its
-    rows of pr.seat_instance.pair_codes, the matrix that restricting the
-    instance to it and expanding that would build.  At a point that is not
-    a kink, optimal matchings that seat different patients can tie, so C,
-    and every audit count built on it, depends on which one selection
-    returns: on one 7-patient draw the audits find 528 path-independence
-    and 43 substitutability violations with witness_at's row and 418 and
-    30 with another.  Kinks can tie too: with the row of the smallest d
-    that returns each kink in place of the largest, the 12-patient draw
-    above counts 2,422,275 and 16,300.
+    rows of pr.pair_codes, the matrix that the Problem of the instance
+    restricted to it would build.  At a point that is not a kink, optimal
+    matchings that seat different patients can tie, so C, and every audit
+    count built on it, depends on which one selection returns: on one
+    7-patient draw the audits find 528 path-independence and 43
+    substitutability violations with witness_at's row and 418 and 30 with
+    another.  Kinks can tie too: with the row of the smallest d that
+    returns each kink in place of the largest, the 12-patient draw above
+    counts 2,422,275 and 16,300.
     """
     patients = pr.instance.patients
     if len(patients) > MAX_AUDIT_PATIENTS:
@@ -214,7 +214,7 @@ def choice_masks(pr: Problem) -> tuple[tuple[str, ...], np.ndarray]:
             f"{MAX_AUDIT_PATIENTS} (the audits take 2^n subsets and 4^n pairs)"
         )
     beta_star = Fraction(0) if pr.beta_star is None else pr.beta_star
-    codes, quotas = pr.seat_instance.pair_codes, pr.seat_instance.quotas
+    codes, quotas = pr.pair_codes, pr.quotas
     bits = 1 << np.arange(len(patients), dtype=np.int64)
     masks = np.zeros(1 << len(patients), dtype=np.int64)
     for x in range(1, len(masks)):

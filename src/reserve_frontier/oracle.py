@@ -11,14 +11,14 @@ Every matching here is a category row, as in frontier and cycles (row[i]
 is the index of patient i's category, or -1), enumerated and counted once,
 and nothing here names one.
 
-There are two entry points.  Census(si, budget, points) answers everything
+There are two entry points.  Census(pr, budget, points) answers everything
 the verify checks read: .counts (matchings per score point), .frontier()
 (undominated points, witnessed as frontier does, by the category row of
 their first matching) and .sample(points) (up to the SAMPLE_CAP constant
 rows per point, reservoir-sampled with seed 0).
-enumerate_matchings(si, budget) yields the row of every matching, in the
-same order, for callers that need each one.  oracle_min_cycle_loss(si,
-row) refuses a row that is not a matching of si (SeatInstance.check_row).
+enumerate_matchings(pr, budget) yields the row of every matching, in the
+same order, for callers that need each one.  oracle_min_cycle_loss(pr,
+row) refuses a row that is not a matching of pr (Problem.check_row).
 
 Matchings are enumerated patient by patient (_leaf_blocks), each patient
 taking no category or an eligible one with a free seat: one loop over a
@@ -46,7 +46,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BudgetExceededError, MatchPoint, SeatInstance
+from .core import BudgetExceededError, MatchPoint, Problem
 from .frontier import Frontier, kinks_of
 
 BUDGET_ENV = "RESERVE_FRONTIER_ORACLE_BUDGET"
@@ -97,8 +97,8 @@ def budget_from_env() -> EnumerationBudget:
     return EnumerationBudget(*parts)
 
 
-def _check_size(si: SeatInstance, budget: EnumerationBudget) -> None:
-    n_p, n_s = len(si.patients), sum(si.quotas)
+def _check_size(pr: Problem, budget: EnumerationBudget) -> None:
+    n_p, n_s = len(pr.patients), sum(pr.quotas)
     if n_p > budget.max_patients or n_s > budget.max_seats:
         raise BudgetExceededError(
             f"instance has {n_p} patients and {n_s} seats; "
@@ -133,7 +133,7 @@ class _StateCounter:
 _BLOCK_BYTES = 32 << 20
 
 
-def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
+def _leaf_blocks(pr: Problem, budget: EnumerationBudget):
     """Yield (read, e, b) blocks that list every eligible matching once.
 
     Leaf r of a block is one matching scoring e[r], b[r], and read(rows)
@@ -155,11 +155,11 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
     recursion visits before it raises.  Its callers check the instance's
     size.
     """
-    codes, n = si.pair_codes, len(si.patients)
+    codes, n = pr.pair_codes, len(pr.patients)
     # a row's seats taken per category, each a field of its quota's bit
     # length in the row's uint64 words, never split between two words: a
     # unit category's field is the one bit of its seat
-    widths, offset, at = [q.bit_length() or 1 for q in si.quotas], [], 0
+    widths, offset, at = [q.bit_length() or 1 for q in pr.quotas], [], 0
     for width in widths:
         at += -at % 64 if at % 64 + width > 64 else 0
         offset.append(at)
@@ -167,7 +167,7 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
     words, word = (at + 63) // 64, np.array(offset, dtype=np.intp) >> 6
     one = np.left_shift(np.uint64(1), np.array(offset, dtype=np.uint64) & np.uint64(63))
     field = np.array([(1 << w) - 1 for w in widths], dtype=np.uint64) * one
-    full = np.array(si.quotas, dtype=np.uint64) * one  # a field with every seat taken
+    full = np.array(pr.quotas, dtype=np.uint64) * one  # a field with every seat taken
     states = _StateCounter(budget.max_states)
     states.add()  # the root
 
@@ -223,7 +223,7 @@ def _leaf_blocks(si: SeatInstance, budget: EnumerationBudget):
         stack.append(([*links, link], e[parent] + (choice > 0), b[parent] + bene_of_choice[i][choice], child_used, 0))
 
 
-def enumerate_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET):
+def enumerate_matchings(pr: Problem, budget: EnumerationBudget = DEFAULT_BUDGET):
     """Yield the category row of every eligible matching once, in
     lexicographic order.
 
@@ -231,8 +231,8 @@ def enumerate_matchings(si: SeatInstance, budget: EnumerationBudget = DEFAULT_BU
     the enumeration's byte cap, and a BudgetExceededError for the state
     budget can come after it has yielded a prefix of the matchings.
     """
-    _check_size(si, budget)
-    for read, e, _ in _leaf_blocks(si, budget):
+    _check_size(pr, budget)
+    for read, e, _ in _leaf_blocks(pr, budget):
         yield from map(tuple, read(np.arange(len(e))).tolist())
 
 
@@ -263,9 +263,9 @@ class Census:
     own state budget, as every scan does.
     """
 
-    def __init__(self, si: SeatInstance, budget: EnumerationBudget = DEFAULT_BUDGET,
+    def __init__(self, pr: Problem, budget: EnumerationBudget = DEFAULT_BUDGET,
                  points: Iterable[MatchPoint] = ()):
-        self.si = si
+        self.pr = pr
         self.budget = budget
         own = frozenset(points)
         # counts: matchings at each point, in order of first appearance
@@ -296,7 +296,7 @@ class Census:
     def _pass(self, wanted: frozenset[MatchPoint]) -> tuple[dict, dict, Sample]:
         """One enumeration: (counts, first, sample), the count and first
         matching of every point and the sample at the wanted points."""
-        _check_size(self.si, self.budget)  # before the slot table, (patients + 1)^2 wide
+        _check_size(self.pr, self.budget)  # before the slot table, (patients + 1)^2 wide
         rng, cap = random.Random(0), SAMPLE_CAP
         kept: dict[MatchPoint, list[tuple[int, ...]]] = {p: [] for p in wanted}
         seen: dict[MatchPoint, int] = {p: 0 for p in wanted}
@@ -305,12 +305,12 @@ class Census:
         first: dict[int, tuple[int, ...]] = {}
         # a point's key is e * stride + b; each wanted point a leaf can score
         # has one slot, and the others are never hit
-        stride = len(self.si.patients) + 1
+        stride = len(self.pr.patients) + 1
         slot_of = np.full(stride * stride, -1, dtype=np.intp)
         points = [p for p in wanted if min(p) >= 0 and max(p) < stride]
         for k, (pe, pb) in enumerate(points):
             slot_of[pe * stride + pb] = k
-        for read, e, b in _leaf_blocks(self.si, self.budget):
+        for read, e, b in _leaf_blocks(self.pr, self.budget):
             keys = e * stride + b
             sizes = np.bincount(keys)
             at = np.full(len(sizes), len(keys), dtype=np.intp)
@@ -347,7 +347,7 @@ class Census:
                 Sample(kept, mode, matched))
 
 
-def _applicable_cycles(si: SeatInstance, row: Sequence[int], budget: EnumerationBudget):
+def _applicable_cycles(pr: Problem, row: Sequence[int], budget: EnumerationBudget):
     """All applicable cycles in the associated graph of the category row,
     by exhaustive search.
 
@@ -358,14 +358,14 @@ def _applicable_cycles(si: SeatInstance, row: Sequence[int], budget: Enumeration
     no unit seat can.  Each applicable cycle has a unique unmatched start
     patient, so each is produced once per end token.
     """
-    n_p, n_c = si.pair_codes.shape
-    elig = si.eligible_categories
-    bene = si.beneficiary_categories
+    n_p, n_c = pr.pair_codes.shape
+    elig = pr.eligible_categories
+    bene = pr.beneficiary_categories
     holders: list[list[int]] = [[] for _ in range(n_c)]  # per category, its patients ascending
     for i, c in enumerate(row):
         if c != -1:
             holders[c].append(i)
-    ends = [[(c, slot) for slot in range(q - len(held))] for c, (q, held) in enumerate(zip(si.quotas, holders))]
+    ends = [[(c, slot) for slot in range(q - len(held))] for c, (q, held) in enumerate(zip(pr.quotas, holders))]
     cur_bene = [1 if row[i] in bene[i] else 0 for i in range(n_p)]
     counter = _StateCounter(budget.max_states)
     out: list[tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, int]]] = []
@@ -403,12 +403,12 @@ def _applicable_cycles(si: SeatInstance, row: Sequence[int], budget: Enumeration
 
 
 def oracle_min_cycle_loss(
-    si: SeatInstance, row: Sequence[int], budget: EnumerationBudget = DEFAULT_BUDGET
+    pr: Problem, row: Sequence[int], budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> int | None:
     """Minimum beneficiary loss over all applicable cycles of the category
-    row's matching, or None if none; MatchingError if row is not a matching of si."""
-    _check_size(si, budget)
-    cycles = _applicable_cycles(si, si.check_row(row), budget)
+    row's matching, or None if none; MatchingError if row is not a matching of pr."""
+    _check_size(pr, budget)
+    cycles = _applicable_cycles(pr, pr.check_row(row), budget)
     if not cycles:
         return None
     return min(loss for _, _, loss, _ in cycles)

@@ -36,7 +36,6 @@ from .core import (
     Instance,
     PriorityOrder,
     Problem,
-    SeatInstance,
     beneficiary_share,
     row_point,
 )
@@ -232,18 +231,18 @@ def instance_to_json(pr: Problem) -> str:
     return json.dumps(emit_instance(pr), indent=2, sort_keys=True) + "\n"
 
 
-def matching_to_dict(si: SeatInstance, row: Sequence[int]) -> dict[str, Any]:
+def matching_to_dict(pr: Problem, row: Sequence[int]) -> dict[str, Any]:
     """The matching of a category row, by patient and category id, with its
-    score; raises MatchingError for a row that is no matching of si
-    (SeatInstance.check_row)."""
-    return _matching_dict(si, si.check_row(row))
+    score; raises MatchingError for a row that is no matching of pr
+    (Problem.check_row)."""
+    return _matching_dict(pr, pr.check_row(row))
 
 
-def _matching_dict(si: SeatInstance, row: Sequence[int]) -> dict[str, Any]:
-    """matching_to_dict of a row known to be a matching of si, such as a frontier witness."""
-    pt, cats = row_point(si.pair_codes, row), si.source.categories
+def _matching_dict(pr: Problem, row: Sequence[int]) -> dict[str, Any]:
+    """matching_to_dict of a row known to be a matching of pr, such as a frontier witness."""
+    pt, cats = row_point(pr.pair_codes, row), pr.instance.categories
     return {
-        "assignment": {p: cats[c] for p, c in zip(si.patients, row) if c != -1},
+        "assignment": {p: cats[c] for p, c in zip(pr.patients, row) if c != -1},
         "e": pt.e,
         "b": pt.b,
         "beta": share_str(beneficiary_share(pt)) if pt.e else None,
@@ -263,7 +262,7 @@ def write_frontier_csv(f: Frontier, fp: IO[str]) -> None:
         writer.writerow([pt.e, pt.b, num, den, 1 if pt in f.kinks else 0])
 
 
-def frontier_to_dict(f: Frontier, si: SeatInstance, witnesses: bool = False) -> dict[str, Any]:
+def frontier_to_dict(f: Frontier, pr: Problem, witnesses: bool = False) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "points": [
             {
@@ -277,12 +276,12 @@ def frontier_to_dict(f: Frontier, si: SeatInstance, witnesses: bool = False) -> 
     }
     if witnesses:
         doc["witnesses"] = [
-            {"e": pt.e, "b": pt.b, **_matching_dict(si, f.witnesses[pt])}
+            {"e": pt.e, "b": pt.b, **_matching_dict(pr, f.witnesses[pt])}
             for pt in f.points
             if pt in f.witnesses
         ]
     return doc
 
 
-def frontier_to_json(f: Frontier, si: SeatInstance, witnesses: bool = False) -> str:
-    return json.dumps(frontier_to_dict(f, si, witnesses), indent=2, sort_keys=True) + "\n"
+def frontier_to_json(f: Frontier, pr: Problem, witnesses: bool = False) -> str:
+    return json.dumps(frontier_to_dict(f, pr, witnesses), indent=2, sort_keys=True) + "\n"

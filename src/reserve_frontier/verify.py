@@ -5,13 +5,12 @@ suites never share code with the algorithms they audit beyond the core
 data types, so a bug has to appear on both routes to slip through.
 Every check lives here, as a CheckResult row that keeps its first
 failure; the oracle only computes.
-run_suites builds one expansion, one census and one frontier per
-instance and hands them to every suite: the instance is expanded once
-(pr.seat_instance), the oracle Census, built with the computed
-frontier's points, enumerates it once however many suites and targets
-read it, and the mechanism suite reads each target's point and witness
-off the shared frontier; selection's own route (mechanism._select) runs
-once, at the repair target.
+run_suites builds one census and one frontier per Problem and hands
+them to every suite beside the Problem: the oracle Census, built with
+the computed frontier's points, enumerates it once however many suites
+and targets read it, and the mechanism suite reads each target's point
+and witness off the shared frontier; selection's own route
+(mechanism._select) runs once, at the repair target.
 
 Matchings reach these checks as category rows (row[i] is the index of
 patient i's category, or -1).  A check names a row only to print it, or
@@ -91,7 +90,6 @@ def _maybe_corrupt(f: Frontier) -> Frontier:
 
 def verify_frontier(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
     """Computed frontier == enumerated frontier, plus its shape invariants."""
-    si = census.si
     results: list[CheckResult] = []
     f = _maybe_corrupt(f)
 
@@ -136,7 +134,7 @@ def verify_frontier(pr: Problem, census: Census, f: Frontier) -> list[CheckResul
         )
     )
 
-    wit_ok = all(match_point(si, si.name_row(row)) == pt for pt, row in f.witnesses.items())
+    wit_ok = all(match_point(pr, pr.name_row(row)) == pt for pt, row in f.witnesses.items())
     results.append(CheckResult("frontier", "witnesses-score-their-points", wit_ok))
 
     if f.e_max:
@@ -154,15 +152,14 @@ def verify_frontier(pr: Problem, census: Census, f: Frontier) -> list[CheckResul
 
 def verify_cycles(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
     """Minimal reassignment cycles agree with exhaustive cycle search."""
-    si, budget = census.si, census.budget
     results: list[CheckResult] = []
 
-    if si.source.total_quota == 0 or f.e_max == 0:
+    if f.e_max == 0:
         results.append(CheckResult("cycles", "walk-covers-frontier", True, "empty frontier"))
         return results
 
     start_pt = f.points[0]
-    walk = frontier_walk(si, f.witnesses[start_pt])
+    walk = frontier_walk(pr, f.witnesses[start_pt])
     walk_pts = [pt for pt, _ in walk]
     covered = walk_pts == list(f.points)
     results.append(
@@ -180,8 +177,8 @@ def verify_cycles(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]
     detail = f"mode={mode}"
     for pt in f.points:
         for row in samples.get(pt, ()):
-            cyc = cheapest_cycle(si, row)
-            want = oracle_min_cycle_loss(si, row, budget)
+            cyc = cheapest_cycle(pr, row)
+            want = oracle_min_cycle_loss(pr, row, census.budget)
             if cyc is None:
                 if want is not None:
                     min_ok, detail = False, f"missed a cycle at {pt}"
@@ -190,7 +187,7 @@ def verify_cycles(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]
                     min_ok, detail = False, f"no cycle before the max-size point {pt}"
                     break
                 continue
-            nxt = match_point(si, si.name_row(apply_cycle(si, row, cyc)))
+            nxt = match_point(pr, pr.name_row(apply_cycle(pr, row, cyc)))
             got = pt.b - nxt.b  # the sample at pt scores pt
             if want is None or got != want:
                 min_ok, detail = False, f"loss {got} vs exhaustive {want} at {pt}"
@@ -214,7 +211,7 @@ def _disjoint_cycles(census: Census) -> CheckResult:
     """For every frontier pair f2 -> f1 (e1 > e2) and every sampled matching at
     f2, find e1-e2 pairwise disjoint applicable cycles with positive losses
     summing to b2-b1 whose joint application lands exactly on f1."""
-    si, budget = census.si, census.budget
+    pr, budget = census.pr, census.budget
     f = census.frontier()
     sample = census.sample(f.points)
     pairs = witnesses = 0
@@ -225,7 +222,7 @@ def _disjoint_cycles(census: Census) -> CheckResult:
         for row2 in sample.matchings[f2]:
             positive = [
                 (list(zip(ps, cs)), frozenset(ps) | {end}, loss)
-                for ps, cs, loss, end in _applicable_cycles(si, row2, budget)
+                for ps, cs, loss, end in _applicable_cycles(pr, row2, budget)
                 if loss >= 1
             ]
             sampled.append((row2, positive))
@@ -239,14 +236,14 @@ def _disjoint_cycles(census: Census) -> CheckResult:
                 if family is None:
                     failure = failure or (
                         f"no {k} disjoint cycles with total loss {target} "
-                        f"from {f2} to {f1} for witness {si.name_row(row2).pairs}"
+                        f"from {f2} to {f1} for witness {pr.name_row(row2).pairs}"
                     )
                     continue
                 row = list(row2)
                 for idx in family:
                     for i, c in positive[idx][0]:
                         row[i] = c
-                landed = match_point(si, si.name_row(row))
+                landed = match_point(pr, pr.name_row(row))
                 if landed != f1:
                     failure = failure or f"joint application landed on {landed}, expected {f1}"
     counts = f"pairs={pairs} witnesses={witnesses} mode={sample.mode}"
@@ -267,14 +264,13 @@ def _matched_preservation(census: Census) -> CheckResult:
                 kept = [i for i, c in enumerate(row2) if c != -1]
                 mask = sum(1 << i for i in kept)
                 if not failure and not any(mask & s == mask for s in sample.matched[f1]):
-                    named = sorted(census.si.patients[i] for i in kept)
+                    named = sorted(census.pr.patients[i] for i in kept)
                     failure = f"no matching at {f1} keeps matched set {named} from {f2}"
     return _lemma("matched-sets-extend-along-frontier", f"pairs={pairs} mode={sample.mode}", failure)
 
 
 def verify_lemmas(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
     """Structural facts: disjoint cycle families, matched-set preservation, kink sweep."""
-    si = census.si
     results = [_disjoint_cycles(census), _matched_preservation(census)]
 
     ok = True
@@ -285,7 +281,7 @@ def verify_lemmas(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]
             if pt not in f.kinks:
                 continue
             d = pts[i - 1].b - pt.b if i else 0  # the left drop
-            got, _ = frontier_iteration(si, d)
+            got, _ = frontier_iteration(pr, d)
             if got != pt:
                 ok, detail = False, f"sweep {d} gave {got}, expected {pt}"
                 break
@@ -326,13 +322,12 @@ def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResu
     frontier f.  Selection itself (mechanism._select, which sweeps only
     what its point needs) runs once, at the repair target, and must give
     f's point and witness_at's row there."""
-    si = census.si
     results: list[CheckResult] = []
 
     if f.e_max == 0:
         ok = True
         try:
-            _select(si.pair_codes, si.quotas, Fraction(1, 2))
+            _select(pr.pair_codes, pr.quotas, Fraction(1, 2))
             ok = False
         except NoNonEmptyMatchingError:
             pass
@@ -349,16 +344,16 @@ def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResu
 
     # the priority functions never read beta_star, so pr itself serves
     target = Fraction(1, 2) if pr.beta_star is None else pr.beta_star
-    row, pt = _select(si.pair_codes, si.quotas, target)
+    row, pt = _select(pr.pair_codes, pr.quotas, target)
     sel_ok, detail = True, ""
     if pt != rule(target):
         sel_ok, detail = False, f"picked {pt}, expected {rule(target)} at target {target}"
-    elif row != witness_at(si.pair_codes, f, pt):
+    elif row != witness_at(pr.pair_codes, f, pt):
         sel_ok, detail = False, f"selected row is not the frontier's witness at {pt}, target {target}"
     scored: set[MatchPoint] = set()  # points whose witness match_point scored
     for beta in _targets_for(pr.beta_star, f) if sel_ok else ():
         want = rule(beta)
-        if want not in scored and match_point(si, si.name_row(witness_at(si.pair_codes, f, want))) != want:
+        if want not in scored and match_point(pr, pr.name_row(witness_at(pr.pair_codes, f, want))) != want:
             sel_ok, detail = False, f"witness off the frontier at target {beta}"
             break
         scored.add(want)
@@ -371,7 +366,7 @@ def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResu
 
     fixed = repair_priority(pr, row)
     rep_ok = (
-        match_point(si, si.name_row(fixed)) == pt
+        match_point(pr, pr.name_row(fixed)) == pt
         and not respects_priority(pr, fixed)
         and rank_sum(pr, fixed) <= rank_sum(pr, row)
     )
@@ -395,10 +390,10 @@ SUITE_FUNCS = {
 
 
 def run_suites(pr: Problem, suites: tuple[str, ...]) -> list[CheckResult]:
-    si, budget = pr.seat_instance, budget_from_env()
-    _check_size(si, budget)  # an instance the oracle refuses is never solved
-    f = compute_frontier(si)
-    census = Census(si, budget, f.points)
+    budget = budget_from_env()
+    _check_size(pr, budget)  # an instance the oracle refuses is never solved
+    f = compute_frontier(pr)
+    census = Census(pr, budget, f.points)
     out: list[CheckResult] = []
     for name in suites:
         out.extend(SUITE_FUNCS[name](pr, census, f))

@@ -67,9 +67,9 @@ def scan_leaves(si, budget, visit, every_seat=False) -> int:
     """
     _check_size(si, budget)
     n = len(si.patients)
-    category = [si.source.categories.index(si.category_of(s)) for s in si.seats]
-    elig = [[j for j, s in enumerate(si.seats) if p in si.eligible_of(s)] for p in si.patients]
-    bene = [{j for j, s in enumerate(si.seats) if p in si.beneficiary_of(s)} for p in si.patients]
+    category = [si.instance.categories.index(si.category_of(s)) for s in si.seats]
+    elig = [[j for j, s in enumerate(si.seats) if p in si.instance.eligible_of(si.category_of(s))] for p in si.patients]
+    bene = [{j for j, s in enumerate(si.seats) if p in si.instance.beneficiary_of(si.category_of(s))} for p in si.patients]
     used = [False] * len(si.seats)
     current = [-1] * n
     counter = _StateCounter(budget.max_states)
@@ -305,7 +305,7 @@ def test_seat_rows_name_the_enumerated_matchings():
         for row in rows:
             m = validate_matching(si, si.name_row(row))
             assert len(m.pairs) == sum(j != -1 for j in row)
-            assert all(si.category_of(s) == si.source.categories[row[si.patient_index[p]]] for p, s in m.pairs)
+            assert all(si.category_of(s) == si.instance.categories[row[si.patient_index[p]]] for p, s in m.pairs)
 
 
 def test_the_enumeration_is_the_seat_recursion_without_repeats():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -271,7 +272,18 @@ def count_calls(monkeypatch, name: str) -> list:
 
 @pytest.fixture
 def expansions(monkeypatch):
-    return count_calls(monkeypatch, "expand_to_seats")
+    """Records every build of a Problem's indexed form: its pair codes."""
+    calls = []
+    build = core_module.Problem.pair_codes.func
+
+    def counting(pr):
+        calls.append(pr)
+        return build(pr)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(core_module.Problem, "pair_codes")
+    monkeypatch.setattr(core_module.Problem, "pair_codes", counted)
+    return calls
 
 
 def test_solve_with_repair_expands_the_instance_once(expansions, capsys):
@@ -436,6 +448,34 @@ def test_oversized_quota_exits_2_before_building_seats(tmp_path, capsys):
         assert "100000000 seat(s) exceed MAX_SEATS = 208063" in err
 
 
+COMMANDS = ("frontier", "solve", "verify", "audit")
+SEATS_DOC = {"categories": [{"id": "c1", "quota": 300_000}], "patients": ["p1", "p2"], "beta_star": "1/2"}
+CELLS_DOC = {"categories": [{"id": "c1", "quota": 30_000}], "patients": [f"p{i}" for i in range(30_000)],
+             "beta_star": "1/2"}
+CELLS_MESSAGE = "30000 x 30000 = 900000000 cells exceed MAX_CELLS = 189774162"
+
+
+@pytest.mark.parametrize(
+    "subset, codes, messages",
+    [
+        ((), (2, 2, 2, 3), (CELLS_MESSAGE,) * 3 + ("choice audit over 30000 patients exceeds MAX_AUDIT_PATIENTS = 14",)),
+        (("--subset", "p1..p3"), (0, 2, 3, 0),
+         ("", "no non-empty matching exists", "instance has 3 patients and 30000 seats", "")),
+    ],
+    ids=["whole", "subset"],
+)
+def test_the_memory_limits_meet_only_the_patients_a_subset_keeps(subset, codes, messages, tmp_path, capsys):
+    """A document over MAX_CELLS is refused when its pair codes are first
+    built, so by every command but audit, whose patient cap comes first;
+    restricted to three patients it is never refused for memory."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(CELLS_DOC))
+    for command, want, message in zip(COMMANDS, codes, messages):
+        code, _, err = run(capsys, command, str(path), *subset)
+        assert code == want and message in err, (command, code, err)
+        assert (err == "") == (code == 0), (command, err)
+
+
 def tall_conflict_doc(n_fillers: int) -> dict:
     """Two conflict blocks, frontier (2, 2), (3, 1), (4, 0) with (3, 1) not a
     kink, plus patients eligible for nothing; beta_star selects (3, 1)."""
@@ -479,8 +519,11 @@ def tall_conflict_doc(n_fillers: int) -> dict:
             ("solve",),
             "9742 x 19482",
         ),
+        *[(SEATS_DOC, (command,), "300000 seat(s) exceed MAX_SEATS = 208063") for command in COMMANDS],
+        *[(CELLS_DOC, (command,), CELLS_MESSAGE) for command in COMMANDS[:3]],
     ],
-    ids=["seats", "patients-x-seats", "witness-frontier", "witness-solve"],
+    ids=["seats", "patients-x-seats", "witness-frontier", "witness-solve",
+         *[f"300k-seats-{command}" for command in COMMANDS], *[f"30k-cells-{command}" for command in COMMANDS[:3]]],
 )
 def test_memory_limits_exit_2_naming_the_limit_before_allocating(doc, argv, message, tmp_path, capsys):
     path = tmp_path / "big.json"

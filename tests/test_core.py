@@ -156,8 +156,8 @@ def test_expand_to_seats_unit_quotas():
     si = expand_to_seats(inst)
     assert si.seats == ("c1#0", "c1#1", "c1#2")
     assert all(si.category_of(s) == "c1" for s in si.seats)
-    assert si.eligible_of("c1#1") == frozenset({"p1", "p2"})
-    assert si.beneficiary_of("c1#2") == frozenset({"p2"})
+    assert si.instance.eligible_of(si.category_of("c1#1")) == frozenset({"p1", "p2"})
+    assert si.instance.beneficiary_of(si.category_of("c1#2")) == frozenset({"p2"})
 
 
 def test_name_row_gives_each_category_its_seats_in_patient_order():

@@ -34,13 +34,13 @@ def category_row(si, *pairs):
     """The category row of named (patient, category) pairs."""
     row = [-1] * len(si.patients)
     for p, c in pairs:
-        row[si.patient_index[p]] = si.source.categories.index(c)
+        row[si.patient_index[p]] = si.instance.categories.index(c)
     return tuple(row)
 
 
 def named_cycle(si, patients, categories):
     """The Cycle of named patients and categories."""
-    return Cycle(tuple(si.patient_index[p] for p in patients), tuple(map(si.source.categories.index, categories)))
+    return Cycle(tuple(si.patient_index[p] for p in patients), tuple(map(si.instance.categories.index, categories)))
 
 
 def point(si, row):
@@ -376,11 +376,11 @@ def ref_cheapest_cycle(si, row, start_costs=None):
         return None
     cycle = Cycle(patients=tuple(best_path[0::2]), categories=tuple(c - n_p for c in best_path[1::2]))
     # the loss by name
-    cats = si.source.categories
+    cats = si.instance.categories
     names = [(si.patients[i], cats[c]) for i, c in zip(cycle.patients, cycle.categories)]
     before = [(si.patients[i], cats[row[i]]) for i in cycle.patients if row[i] != -1]
-    delta = sum(1 for p, c in before if p in si.source.beneficiary_of(c))
-    delta -= sum(1 for p, c in names if p in si.source.beneficiary_of(c))
+    delta = sum(1 for p, c in before if p in si.instance.beneficiary_of(c))
+    delta -= sum(1 for p, c in names if p in si.instance.beneficiary_of(c))
     if delta != best_key[0]:
         raise RuntimeError("cycle cost disagrees with its beneficiary loss")
     if delta <= 0:
@@ -430,7 +430,7 @@ def outcome(search, si, row, **kwargs):
 def random_eligible_row(si, rng):
     """The category row of a random subset of patients, each at a random
     free eligible seat, drawn seat by seat."""
-    category = [si.source.categories.index(si.category_of(s)) for s in si.seats]
+    category = [si.instance.categories.index(si.category_of(s)) for s in si.seats]
     free = set(range(len(si.seats)))
     row = [-1] * len(si.patients)
     for i in rng.sample(range(len(si.patients)), len(si.patients)):

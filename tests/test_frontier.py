@@ -631,13 +631,13 @@ def test_solve_sweeps_once_where_the_max_total_end_meets_the_target(monkeypatch,
     assert swept == [320]
     assert capsys.readouterr().out.endswith("e=297 b=197 beta=197/297 target=1/2\n")
     swept.clear()
-    f = compute_frontier(pr.seat_instance)
+    f = compute_frontier(pr)
     assert len(swept) == 5 and select_approx_on_frontier(pr)[1] == f.points[-1]
     full = set(swept)
     for pt in sorted(f.kinks)[:-1]:
         for beta in (beneficiary_share(pt), beneficiary_share(pt) + Fraction(1, 10**6)):
             swept.clear()
-            _select(pr.seat_instance.pair_codes, pr.seat_instance.quotas, beta)
+            _select(pr.pair_codes, pr.quotas, beta)
             assert set(swept) <= full and 1 < len(swept) <= len(full)
 
 
@@ -735,7 +735,7 @@ def test_sweeps_share_one_cost_matrix_that_reads_as_a_fresh_gather(monkeypatch):
 # witnesses, each the row of the largest k that returns its kink, as a
 # sweep of k = n..1 would keep, with its seats mapped to their categories.
 def ref_n_cubed_kinks(si):
-    cats = si.source.categories
+    cats = si.instance.categories
     category = np.array([cats.index(si.category_of(s)) for s in si.seats], dtype=np.intp)
     codes = np.ascontiguousarray(si.pair_codes[:, category])
     n = max(codes.shape)

@@ -181,14 +181,13 @@ def test_selection_names_only_the_witness_it_returns(beta_star, selected, monkey
     """Selection and repair name nothing, and neither does solve: it prints
     the witness's categories straight from its category row."""
     pr = Problem(instance=gen_random(GenConfig(30, 30, (1, 1), 0.1, 0.5, seed=1)), beta_star=beta_star)
-    si = pr.seat_instance
-    f = compute_frontier(si)
+    f = compute_frontier(pr)
     assert len(f.kinks) == 3 and (selected in f.kinks) == (selected == MatchPoint(26, 20))
     path = tmp_path / "draw.json"
     path.write_text(instance_to_json(pr))
     named, built = [], []
-    name_row, post_init = core_module.SeatInstance.name_row, core_module.Matching.__post_init__
-    monkeypatch.setattr(core_module.SeatInstance, "name_row", lambda self, row: named.append(1) or name_row(self, row))
+    name_row, post_init = core_module.Problem.name_row, core_module.Matching.__post_init__
+    monkeypatch.setattr(core_module.Problem, "name_row", lambda self, row: named.append(1) or name_row(self, row))
     monkeypatch.setattr(core_module.Matching, "__post_init__", lambda self: built.append(1) or post_init(self))
     row, pt = select_approx_on_frontier(pr)
     fixed = repair_priority(pr, row)
@@ -196,7 +195,7 @@ def test_selection_names_only_the_witness_it_returns(beta_star, selected, monkey
     assert cli_module.main(["solve", str(path), "--respect-priority"]) == 0
     assert (len(named), len(built)) == (0, 0)
     assert capsys.readouterr().out == name_route_solve_stdout(pr, True)
-    assert pt == selected and row == f.witnesses.get(pt, row) and match_point(si, si.name_row(row)) == pt
+    assert pt == selected and row == f.witnesses.get(pt, row) and match_point(pr, pr.name_row(row)) == pt
 
 
 def test_selection_returns_the_frontier_witness_at_its_point():
@@ -222,7 +221,6 @@ def test_selection_returns_the_frontier_witness_at_its_point():
         if between and rng.random() < 0.75:  # the share of a point selects that point
             beta_star = beneficiary_share(rng.choice(between))
         pr = Problem(instance=inst, beta_star=beta_star)
-        si = pr.seat_instance
         if f.e_max == 0:
             with pytest.raises(NoNonEmptyMatchingError):
                 select_approx_on_frontier(pr)
@@ -230,7 +228,7 @@ def test_selection_returns_the_frontier_witness_at_its_point():
         row, pt = select_approx_on_frontier(pr)
         qualifying = [p for p in f.points if beneficiary_share(p) >= beta_star]
         assert pt == (qualifying[-1] if qualifying else f.points[0]), inst
-        assert row == with_all_witnesses(si, f).witnesses[pt], inst
+        assert row == with_all_witnesses(pr, f).witnesses[pt], inst
         checked += 1
         between_kinks += pt not in f.kinks
     assert checked >= 300 and between_kinks >= 30, (checked, between_kinks)
@@ -258,7 +256,7 @@ def test_exact_share_matchings_are_dominated():
             continue
         if beneficiary_share(pt) == beta:
             continue
-        census = Census(pr.seat_instance)
+        census = Census(pr)
         row = _exact_share_domination(pr.beta_star, pt, census)
         assert row.ok, row.detail
         nonvacuous += any(p.e and beneficiary_share(p) == beta for p in census.counts)
@@ -503,7 +501,7 @@ def random_matching(inst, rng):
     si = expand_to_seats(inst)
     free, pairs = set(si.seats), []
     for p in rng.sample(inst.patients, rng.randint(0, len(inst.patients))):
-        options = [s for s in si.seats if s in free and p in si.eligible_of(s)]
+        options = [s for s in si.seats if s in free and p in si.instance.eligible_of(si.category_of(s))]
         if options:
             s = rng.choice(options)
             free.remove(s)
@@ -527,9 +525,8 @@ def placements(si, m):
 def assert_priority_layer_matches_reference(pr, row):
     """The repaired category row, or None when both repairs refuse row.  The
     reference scans work on the named matching."""
-    si = pr.seat_instance
-    m = si.name_row(row)
-    cats, pats = pr.instance.categories, si.patients
+    m = pr.name_row(row)
+    cats, pats = pr.instance.categories, pr.patients
     named = sorted((cats[c], pats[p], pats[q]) for c, p, q in respects_priority(pr, row))
     assert named == reference_respects_priority(pr, m)
     assert rank_sum(pr, row) == reference_rank_sum(pr, m)
@@ -540,7 +537,7 @@ def assert_priority_layer_matches_reference(pr, row):
             repair_priority(pr, row)
         return None
     got = repair_priority(pr, row)
-    assert placements(si, si.name_row(got)) == placements(si, want)
+    assert placements(pr, pr.name_row(got)) == placements(pr, want)
     assert rank_sum(pr, got) == reference_rank_sum(pr, want)
     return got
 
@@ -562,7 +559,7 @@ def test_priority_layer_matches_the_full_scan_on_random_matchings():
         for priority in (None, shuffled_admissible_order(inst, rng)):
             pr = Problem(instance=inst, beta_star=Fraction(1, 2), priority=priority)
             row = random_matching(inst, rng)
-            flagged += bool(reference_respects_priority(pr, pr.seat_instance.name_row(row)))
+            flagged += bool(reference_respects_priority(pr, pr.name_row(row)))
             fixed = assert_priority_layer_matches_reference(pr, row)
             swapped += fixed is not None and fixed != row
     assert flagged > 100 and swapped > 20
@@ -622,7 +619,7 @@ def test_priority_layer_refuses_a_pair_it_cannot_rank(instance, row, pairs, mess
                 fn(pr, row)
     if pairs is not None:
         with pytest.raises(MatchingError, match=message):
-            validate_matching(pr.seat_instance, Matching(pairs=pairs))
+            validate_matching(pr, Matching(pairs=pairs))
 
 
 def name_route_solve_stdout(pr: Problem, respect: bool) -> str:
@@ -631,7 +628,7 @@ def name_route_solve_stdout(pr: Problem, respect: bool) -> str:
     row, pt = select_approx_on_frontier(pr)
     if respect:
         row = repair_priority(pr, row)
-    out = matching_to_dict(pr.seat_instance, row)
+    out = matching_to_dict(pr, row)
     out["target"] = share_str(pr.beta_star)
     if respect:
         out["priority_violations"] = len(respects_priority(pr, row))
@@ -721,7 +718,7 @@ def test_priority_layer_matches_the_full_scan_on_the_solve_walk_draw():
     inst = gen_random(GenConfig(320, 320, (1, 1), 3 / 320, 0.5, seed=1))
     pr = Problem(instance=inst, beta_star=Fraction(1, 2))
     row, _ = select_approx_on_frontier(pr)
-    assert reference_respects_priority(pr, pr.seat_instance.name_row(row))
+    assert reference_respects_priority(pr, pr.name_row(row))
     fixed = assert_priority_layer_matches_reference(pr, row)
     assert respects_priority(pr, fixed) == []
 

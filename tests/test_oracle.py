@@ -41,7 +41,7 @@ def rows_by_seats(si) -> set:
     # independent route: recurse over seats instead of patients; the
     # seat assignments of one category row collapse to that row
     seats = list(si.seats)
-    category = [si.source.categories.index(si.category_of(s)) for s in seats]
+    category = [si.instance.categories.index(si.category_of(s)) for s in seats]
     rows = set()
 
     def rec(j: int, held: dict) -> None:
@@ -49,7 +49,7 @@ def rows_by_seats(si) -> set:
             rows.add(tuple(held.get(i, -1) for i in range(len(si.patients))))
             return
         rec(j + 1, held)
-        for p in si.eligible_of(seats[j]):
+        for p in si.instance.eligible_of(si.category_of(seats[j])):
             i = si.patient_index[p]
             if i not in held:
                 rec(j + 1, {**held, i: category[j]})
@@ -282,7 +282,7 @@ def test_lemma_checks_report_their_counts_and_first_failure(monkeypatch):
         sets.clear()
     row = verify_module._matched_preservation(census)
     assert not row.ok
-    first = census.si.name_row(census.sample(points).matchings[points[0]][0])
+    first = census.pr.name_row(census.sample(points).matchings[points[0]][0])
     assert row.detail == kept.detail + f" first failure: no matching at {points[1]} keeps matched set " + (
         f"{sorted(p for p, _ in first.pairs)} from {points[0]}"
     )
