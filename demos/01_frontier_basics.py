@@ -10,37 +10,34 @@ at first, then 3.
 """
 
 from reserve_frontier import (
-    Instance,
+    Problem,
     beneficiary_share,
     compute_frontier,
     expand_to_seats,
     gen_chain_family,
-    validate_instance,
     with_all_witnesses,
 )
 
 
-def two_block_instance() -> Instance:
-    return validate_instance(
-        Instance(
-            categories=("a1", "a2", "b1", "b2", "b3", "b4"),
-            patients=("x1", "x2", "y1", "y2", "y3", "y4"),
-            quota={c: 1 for c in ("a1", "a2", "b1", "b2", "b3", "b4")},
-            eligible={
-                "a1": frozenset({"x1"}),
-                "a2": frozenset({"x1", "x2"}),
-                "b1": frozenset({"y1", "y4"}),
-                "b2": frozenset({"y1", "y2"}),
-                "b3": frozenset({"y2", "y3"}),
-                "b4": frozenset({"y3"}),
-            },
-            beneficiary={
-                "a2": frozenset({"x1"}),
-                "b1": frozenset({"y1"}),
-                "b2": frozenset({"y2"}),
-                "b3": frozenset({"y3"}),
-            },
-        )
+def two_block_instance() -> Problem:
+    return Problem(
+        categories=("a1", "a2", "b1", "b2", "b3", "b4"),
+        patients=("x1", "x2", "y1", "y2", "y3", "y4"),
+        quota={c: 1 for c in ("a1", "a2", "b1", "b2", "b3", "b4")},
+        eligible={
+            "a1": frozenset({"x1"}),
+            "a2": frozenset({"x1", "x2"}),
+            "b1": frozenset({"y1", "y4"}),
+            "b2": frozenset({"y1", "y2"}),
+            "b3": frozenset({"y2", "y3"}),
+            "b4": frozenset({"y3"}),
+        },
+        beneficiary={
+            "a2": frozenset({"x1"}),
+            "b1": frozenset({"y1"}),
+            "b2": frozenset({"y2"}),
+            "b3": frozenset({"y3"}),
+        },
     )
 
 
@@ -56,7 +53,7 @@ for pt in f.points:
 
 # a witness is a category row: row[i] is patient i's category index, or -1
 print("\nwitness assignments:")
-cats = si.instance.categories
+cats = si.categories
 for pt in f.points:
     row = f.witnesses[pt]
     pairs = ", ".join(f"{p}->{cats[c]}" for p, c in zip(si.patients, row) if c >= 0)
@@ -66,7 +63,7 @@ for pt in f.points:
 # so no constant share of the beneficiary count is safe from one extra seat
 print("\ndisplacement chains of increasing depth:")
 for k in (1, 3, 5):
-    fk = compute_frontier(expand_to_seats(gen_chain_family(k)))
+    fk = compute_frontier(gen_chain_family(k))
     a, b = fk.points[0], fk.points[-1]
     print(f"  depth {k}: {tuple(a)} or {tuple(b)}; "
           f"the last seat costs {a.b - b.b} beneficiary matches")

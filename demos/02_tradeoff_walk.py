@@ -9,37 +9,34 @@ is exactly why the frontier is concave.
 """
 
 from reserve_frontier import (
-    Instance,
+    Problem,
     cheapest_cycle,
     compute_frontier,
     expand_to_seats,
     frontier_walk,
-    validate_instance,
 )
 
-inst = validate_instance(
-    Instance(
-        categories=("a1", "a2", "b1", "b2", "b3", "b4"),
-        patients=("x1", "x2", "y1", "y2", "y3", "y4"),
-        quota={c: 1 for c in ("a1", "a2", "b1", "b2", "b3", "b4")},
-        eligible={
-            "a1": frozenset({"x1"}),
-            "a2": frozenset({"x1", "x2"}),
-            "b1": frozenset({"y1", "y4"}),
-            "b2": frozenset({"y1", "y2"}),
-            "b3": frozenset({"y2", "y3"}),
-            "b4": frozenset({"y3"}),
-        },
-        beneficiary={
-            "a2": frozenset({"x1"}),
-            "b1": frozenset({"y1"}),
-            "b2": frozenset({"y2"}),
-            "b3": frozenset({"y3"}),
-        },
-    )
+pr = Problem(
+    categories=("a1", "a2", "b1", "b2", "b3", "b4"),
+    patients=("x1", "x2", "y1", "y2", "y3", "y4"),
+    quota={c: 1 for c in ("a1", "a2", "b1", "b2", "b3", "b4")},
+    eligible={
+        "a1": frozenset({"x1"}),
+        "a2": frozenset({"x1", "x2"}),
+        "b1": frozenset({"y1", "y4"}),
+        "b2": frozenset({"y1", "y2"}),
+        "b3": frozenset({"y2", "y3"}),
+        "b4": frozenset({"y3"}),
+    },
+    beneficiary={
+        "a2": frozenset({"x1"}),
+        "b1": frozenset({"y1"}),
+        "b2": frozenset({"y2"}),
+        "b3": frozenset({"y3"}),
+    },
 )
 
-si = expand_to_seats(inst)
+si = expand_to_seats(pr)
 f = compute_frontier(si)
 start = f.witnesses[f.points[0]]  # a category row: row[i] is patient i's category index, or -1
 

@@ -11,37 +11,32 @@ from dataclasses import replace
 from fractions import Fraction
 
 from reserve_frontier import (
-    Instance,
     Problem,
     beneficiary_share,
     compute_frontier,
     select_approx_on_frontier,
-    validate_instance,
 )
 
-inst = validate_instance(
-    Instance(
-        categories=("a1", "a2", "b1", "b2", "b3", "b4"),
-        patients=("x1", "x2", "y1", "y2", "y3", "y4"),
-        quota={c: 1 for c in ("a1", "a2", "b1", "b2", "b3", "b4")},
-        eligible={
-            "a1": frozenset({"x1"}),
-            "a2": frozenset({"x1", "x2"}),
-            "b1": frozenset({"y1", "y4"}),
-            "b2": frozenset({"y1", "y2"}),
-            "b3": frozenset({"y2", "y3"}),
-            "b4": frozenset({"y3"}),
-        },
-        beneficiary={
-            "a2": frozenset({"x1"}),
-            "b1": frozenset({"y1"}),
-            "b2": frozenset({"y2"}),
-            "b3": frozenset({"y3"}),
-        },
-    )
+pr = Problem(
+    categories=("a1", "a2", "b1", "b2", "b3", "b4"),
+    patients=("x1", "x2", "y1", "y2", "y3", "y4"),
+    quota={c: 1 for c in ("a1", "a2", "b1", "b2", "b3", "b4")},
+    eligible={
+        "a1": frozenset({"x1"}),
+        "a2": frozenset({"x1", "x2"}),
+        "b1": frozenset({"y1", "y4"}),
+        "b2": frozenset({"y1", "y2"}),
+        "b3": frozenset({"y2", "y3"}),
+        "b4": frozenset({"y3"}),
+    },
+    beneficiary={
+        "a2": frozenset({"x1"}),
+        "b1": frozenset({"y1"}),
+        "b2": frozenset({"y2"}),
+        "b3": frozenset({"y3"}),
+    },
 )
 
-pr = Problem(instance=inst)
 f = compute_frontier(pr)
 print("frontier:", [tuple(pt) for pt in f.points])
 print("shares:  ", [str(beneficiary_share(pt)) for pt in f.points])

@@ -8,13 +8,12 @@ ones of the same kind; the (total, beneficiary) point is provably
 unchanged and the rank sum only improves.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
 from reserve_frontier import (
     GenConfig,
-    PriorityOrder,
-    Problem,
     gen_random,
     match_point,
     rank_sum,
@@ -39,7 +38,7 @@ for c in inst.categories:
         rng.shuffle(tier)
     order[c] = tuple(bene + elig + rest)
 
-pr = Problem(instance=inst, beta_star=Fraction(1, 3), priority=PriorityOrder(order=order))
+pr = replace(inst, beta_star=Fraction(1, 3), priority=order)
 
 # a matching is a category row: row[i] is patient i's category index, or -1;
 # violations are (category, seated patient, unmatched patient) indices

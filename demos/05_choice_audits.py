@@ -9,7 +9,6 @@ failure is structural: no admissible tie-breaking avoids it.
 """
 
 from reserve_frontier import (
-    Problem,
     audit_path_independence,
     audit_substitutability,
     choice_masks,
@@ -21,7 +20,7 @@ from reserve_frontier import (
 from reserve_frontier.core import row_point
 
 pr = gen_named("path-independence")
-full = frozenset(pr.instance.patients)
+full = frozenset(pr.patients)
 x = frozenset({"p1", "p2", "p3", "p4", "p5"})
 
 # bit i of a subset mask is patient i; masks[X] is the mask of C(X)
@@ -50,7 +49,7 @@ print("example: chose", sorted(worst.lhs), "from the full pool but only",
       sorted(worst.rhs), "from the subset")
 
 # every optimal matching on X is an admissible C(X); none keeps all of kept
-sub = Problem(instance=restrict_patients(pr.instance, x), beta_star=pr.beta_star)
+sub = restrict_patients(pr, x)
 _, pt = select_approx_on_frontier(sub)
 # enumerate_matchings yields category rows: row[i] is patient i's category index, or -1
 options = {

@@ -10,12 +10,12 @@ aggregate, the same machinery the `verify` CLI subcommand uses.
 
 from collections import Counter
 
-from reserve_frontier import SUITES, GenConfig, Problem, gen_random, run_suites
+from reserve_frontier import SUITES, GenConfig, gen_random, run_suites
 
 problems = [
-    Problem(gen_random(GenConfig(patients=p, categories=c, quota_range=(1, 2),
-                                 eligibility_density=ed, beneficiary_density=bd,
-                                 seed=seed)))
+    gen_random(GenConfig(patients=p, categories=c, quota_range=(1, 2),
+                         eligibility_density=ed, beneficiary_density=bd,
+                         seed=seed))
     for seed, (p, c, ed, bd) in enumerate(
         (p, c, ed, bd)
         for p in (3, 5, 7)

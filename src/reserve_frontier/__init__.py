@@ -11,19 +11,16 @@ all of it against brute-force enumeration at small scale.
 
 from .core import (
     BudgetExceededError,
-    Instance,
     InstanceError,
     Matching,
     MatchingError,
     MatchPoint,
-    PriorityOrder,
     Problem,
     beneficiary_share,
     dominates,
     expand_to_seats,
     match_point,
     restrict_patients,
-    validate_instance,
     validate_matching,
 )
 from .cycles import (
@@ -78,14 +75,12 @@ __all__ = [
     "Frontier",
     "FrontierInvariantError",
     "GenConfig",
-    "Instance",
     "InstanceError",
     "MatchPoint",
     "Matching",
     "MatchingError",
     "NAMED_INSTANCES",
     "NoNonEmptyMatchingError",
-    "PriorityOrder",
     "Problem",
     "SUITES",
     "apply_cycle",
@@ -114,7 +109,6 @@ __all__ = [
     "restrict_patients",
     "run_suites",
     "select_approx_on_frontier",
-    "validate_instance",
     "validate_matching",
     "with_all_witnesses",
 ]

@@ -22,7 +22,7 @@ import sys
 from collections import deque
 from typing import Iterable, Iterator
 
-from .core import BudgetExceededError, PriorityOrder, Problem, beneficiary_share, restrict_patients
+from .core import BudgetExceededError, Problem, beneficiary_share, restrict_patients
 from .frontier import compute_frontier, with_all_witnesses
 from .generator import NAMED_INSTANCES, gen_named
 from .mechanism import (
@@ -71,17 +71,10 @@ def parse_subset_tokens(spec: str, n_patients: int) -> list[str]:
 
 
 def _apply_subset(pr: Problem, spec: str) -> Problem:
-    keep = parse_subset_tokens(spec, len(pr.instance.patients))
+    keep = parse_subset_tokens(spec, len(pr.patients))
     if not keep:
         raise ValueError(f"--subset {spec!r} names no patient")
-    sub = restrict_patients(pr.instance, keep)
-    priority = None
-    if pr.priority is not None:
-        kept = set(sub.patients)
-        priority = PriorityOrder(
-            order={c: tuple(p for p in ps if p in kept) for c, ps in pr.priority.order.items()}
-        )
-    return Problem(instance=sub, beta_star=pr.beta_star, priority=priority)
+    return restrict_patients(pr, keep)
 
 
 def load_input(args) -> Problem:

@@ -7,13 +7,12 @@ category, or -1.  Quotas are expanded into unit seats only where a step
 works seat by seat: the frontier's solver and the naming of a row at the
 I/O boundary (Problem.name_row).
 
-Every input, parsed, generated or named, is one Problem: an instance plus
-an optional share target beta_star and optional priority orders, and
-every step takes it.  The Instance alone is the structural type that
-restriction and the generators work on.  A Problem validates its
-instance once, when it is built, and builds its indexed form (quotas,
-pair codes, priority ranks) once each, on first use; every consumer
-reads those.
+Every input, parsed, generated, named or restricted to a patient subset,
+is one Problem: an instance plus an optional share target beta_star and
+optional priority orders, and every step takes it.  A Problem validates
+itself once, when it is built, and builds its indexed form (quotas, pair
+codes, priority ranks) once each, on first use; every consumer reads
+those.
 
 A matching is scored by the pair (e, b): total eligible matches and
 beneficiary matches.  Shares b/e are kept as exact fractions throughout.
@@ -61,120 +60,68 @@ def dominates(a: MatchPoint, b: MatchPoint) -> bool:
     return a.e >= b.e and a.b >= b.b and (a.e > b.e or a.b > b.b)
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A reserve system: categories with quotas, eligible and beneficiary sets.
-
-    Categories missing from `eligible` or `beneficiary` get empty sets.
-    Instances are treated as immutable once validated.
-    """
-
-    categories: tuple[str, ...]
-    patients: tuple[str, ...]
-    quota: Mapping[str, int]
-    eligible: Mapping[str, frozenset[str]]
-    beneficiary: Mapping[str, frozenset[str]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "categories", tuple(self.categories))
-        object.__setattr__(self, "patients", tuple(self.patients))
-        object.__setattr__(self, "quota", dict(self.quota))
-        for field in ("eligible", "beneficiary"):
-            raw = {c: frozenset(v) for c, v in dict(getattr(self, field)).items()}
-            # normalize so instances differing only in omitted-vs-empty sets compare equal
-            for c in self.categories:
-                raw.setdefault(c, frozenset())
-            object.__setattr__(self, field, raw)
-
-    def eligible_of(self, category: str) -> frozenset[str]:
-        return self.eligible.get(category, frozenset())
-
-    def beneficiary_of(self, category: str) -> frozenset[str]:
-        return self.beneficiary.get(category, frozenset())
-
-    @property
-    def total_quota(self) -> int:
-        return sum(self.quota.values())
-
-
-def validate_instance(inst: Instance) -> Instance:
-    """Check all structural invariants; raise InstanceError on the first violation."""
-    if len(set(inst.categories)) != len(inst.categories):
+def _validate_instance(pr: Problem) -> None:
+    """Check the reserve system's structural invariants; raise InstanceError
+    on the first violation, naming the least of the ids at fault."""
+    if len(set(pr.categories)) != len(pr.categories):
         raise InstanceError("duplicate category id")
-    if len(set(inst.patients)) != len(inst.patients):
+    if len(set(pr.patients)) != len(pr.patients):
         raise InstanceError("duplicate patient id")
-    cats = set(inst.categories)
-    pats = set(inst.patients)
-    for c in inst.categories:
-        if c not in inst.quota:
+    cats = set(pr.categories)
+    pats = set(pr.patients)
+    for c in pr.categories:
+        if c not in pr.quota:
             raise InstanceError(f"category {c}: missing quota")
-        q = inst.quota[c]
+        q = pr.quota[c]
         if not isinstance(q, int) or isinstance(q, bool) or q < 1:
             raise InstanceError(f"category {c}: quota must be a positive integer")
-    for name, mapping in (("quota", inst.quota), ("eligible", inst.eligible),
-                          ("beneficiary", inst.beneficiary)):
+    for name, mapping in (("quota", pr.quota), ("eligible", pr.eligible),
+                          ("beneficiary", pr.beneficiary)):
         for c in mapping:
             if c not in cats:
                 raise InstanceError(f"{name} references unknown category {c}")
-    for c in inst.categories:
-        elig = inst.eligible_of(c)
-        for p in elig - pats:
-            raise InstanceError(f"category {c}: eligible patient {p} not in patient set")
-        for p in inst.beneficiary_of(c) - elig:
-            raise InstanceError(f"category {c}: beneficiary {p} not eligible")
-    return inst
+    for c in pr.categories:
+        elig = pr.eligible_of(c)
+        if unknown := elig - pats:
+            raise InstanceError(f"category {c}: eligible patient {min(unknown)} not in patient set")
+        if ineligible := pr.beneficiary_of(c) - elig:
+            raise InstanceError(f"category {c}: beneficiary {min(ineligible)} not eligible")
 
 
-def restrict_patients(inst: Instance, keep: Iterable[str]) -> Instance:
-    """Sub-instance on a patient subset; categories and quotas are unchanged."""
+def restrict_patients(pr: Problem, keep: Iterable[str]) -> Problem:
+    """pr on a patient subset: categories, quotas and beta_star are
+    unchanged, and each priority order keeps its kept patients, in order."""
     keep_set = frozenset(keep)
-    unknown = keep_set - set(inst.patients)
+    unknown = keep_set - set(pr.patients)
     if unknown:
-        raise InstanceError(f"unknown patient {sorted(unknown)[0]}")
-    return Instance(
-        categories=inst.categories,
-        patients=tuple(p for p in inst.patients if p in keep_set),
-        quota=inst.quota,
-        eligible={c: inst.eligible_of(c) & keep_set for c in inst.categories},
-        beneficiary={c: inst.beneficiary_of(c) & keep_set for c in inst.categories},
+        raise InstanceError(f"unknown patient {min(unknown)}")
+    return Problem(
+        categories=pr.categories,
+        patients=tuple(p for p in pr.patients if p in keep_set),
+        quota=pr.quota,
+        eligible={c: pr.eligible_of(c) & keep_set for c in pr.categories},
+        beneficiary={c: pr.beneficiary_of(c) & keep_set for c in pr.categories},
+        beta_star=pr.beta_star,
+        priority=None if pr.priority is None else {
+            c: tuple(p for p in ps if p in keep_set) for c, ps in pr.priority.items()
+        },
     )
 
 
-@dataclass(frozen=True)
-class PriorityOrder:
-    """Per-category strict total orders over all patients, highest first."""
-
-    order: Mapping[str, tuple[str, ...]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "order", {c: tuple(ps) for c, ps in dict(self.order).items()}
-        )
-
-    @classmethod
-    def from_tiers(cls, inst: Instance) -> "PriorityOrder":
-        """Admissible order synthesized from tiers, input order within a tier."""
-        def tiers(c: str) -> tuple[str, ...]:
-            bene, elig = inst.beneficiary_of(c), inst.eligible_of(c)
-            return tuple(sorted(inst.patients, key=lambda p: (p not in bene, p not in elig)))
-
-        return cls(order={c: tiers(c) for c in inst.categories})
-
-
-def validate_priority(inst: Instance, po: PriorityOrder) -> PriorityOrder:
+def _validate_priority(pr: Problem) -> None:
     """Check bijectivity and the beneficiary > eligible > ineligible tiers."""
-    for c in po.order:
-        if c not in inst.categories:
+    for c in pr.priority:
+        if c not in pr.categories:
             raise InstanceError(f"priority names unknown category {c}")
-    pats = set(inst.patients)
-    for c in inst.categories:
-        if c not in po.order:
+    pats = set(pr.patients)
+    for c in pr.categories:
+        if c not in pr.priority:
             raise InstanceError(f"priority missing category {c}")
-        ps = po.order[c]
-        if len(ps) != len(inst.patients) or set(ps) != pats:
+        ps = pr.priority[c]
+        if len(ps) != len(pr.patients) or set(ps) != pats:
             raise InstanceError(f"priority for {c} is not a permutation of the patients")
-        bene = inst.beneficiary_of(c)
-        elig = inst.eligible_of(c)
+        bene = pr.beneficiary_of(c)
+        elig = pr.eligible_of(c)
         tier_seen = 0  # 0 = beneficiaries, 1 = other eligible, 2 = ineligible
         for p in ps:
             tier = 0 if p in bene else (1 if p in elig else 2)
@@ -183,17 +130,16 @@ def validate_priority(inst: Instance, po: PriorityOrder) -> PriorityOrder:
                     f"priority for {c} breaks the beneficiary/eligible/ineligible tiers at {p}"
                 )
             tier_seen = tier
-    return po
 
 
 def _build_rank_rows(pr: Problem) -> tuple[tuple[int, ...], ...]:
     """Problem.rank_rows."""
-    inst, index = pr.instance, pr.patient_index.__getitem__
+    index = pr.patient_index.__getitem__
     rows = []
-    for c in inst.categories:
-        elig, bene = inst.eligible[c], inst.beneficiary[c]
+    for c in pr.categories:
+        elig, bene = pr.eligible[c], pr.beneficiary[c]
         if pr.priority is not None:
-            rows.append(tuple(map(index, pr.priority.order[c][: len(elig)])))
+            rows.append(tuple(map(index, pr.priority[c][: len(elig)])))
         else:
             rows.append((*sorted(map(index, bene)), *sorted(map(index, elig - bene))))
     return tuple(rows)
@@ -217,12 +163,15 @@ def check_cells(n_rows: int, n_cols: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class Problem:
-    """The mechanism's input: an instance, an optional exact beneficiary-share
-    target beta_star, and optional per-category priority orders.
+    """The mechanism's input: a reserve system (categories with quotas,
+    eligible and beneficiary sets), an optional exact beneficiary-share
+    target beta_star, and optional per-category priority orders, each a
+    tuple of all patient ids, highest first.
 
-    Construction validates the instance, then beta_star, then the priority
-    orders, and raises on the first fault; nothing downstream validates
-    the instance again.  The indexed form that every step below the I/O
+    Categories missing from `eligible` or `beneficiary` get empty sets.
+    Construction validates the reserve system, then beta_star, then the
+    priority orders, and raises on the first fault; nothing downstream
+    validates again.  The indexed form that every step below the I/O
     boundary reads is built on first use and kept: quotas, pair_codes,
     each patient's eligible and beneficiary categories, and rank_rows.
     Building quotas, which pair_codes does first, checks the memory limits,
@@ -230,19 +179,32 @@ class Problem:
     to them; the subset's own Problem is.
 
     A matching is a category row: row[i] is the index of patient i's
-    category in instance.categories, -1 when patient i is unmatched; which
-    of the category's seats they hold is no part of it.  Unit seats
+    category in categories, -1 when patient i is unmatched; which of the
+    category's seats they hold is no part of it.  Unit seats
     "<category>#<k>", k in range(quota), are named only at the I/O
     boundary: by name_row, and by seats and category_of, the seat-keyed
     view of a Matching (validate_matching, match_point).
     """
 
-    instance: Instance
+    categories: tuple[str, ...]
+    patients: tuple[str, ...]
+    quota: Mapping[str, int]
+    eligible: Mapping[str, frozenset[str]]
+    beneficiary: Mapping[str, frozenset[str]]
     beta_star: Fraction | None = None
-    priority: PriorityOrder | None = None
+    priority: Mapping[str, tuple[str, ...]] | None = None
 
     def __post_init__(self) -> None:
-        validate_instance(self.instance)
+        object.__setattr__(self, "categories", tuple(self.categories))
+        object.__setattr__(self, "patients", tuple(self.patients))
+        object.__setattr__(self, "quota", dict(self.quota))
+        for field in ("eligible", "beneficiary"):
+            raw = {c: frozenset(v) for c, v in dict(getattr(self, field)).items()}
+            # normalize so problems differing only in omitted-vs-empty sets compare equal
+            for c in self.categories:
+                raw.setdefault(c, frozenset())
+            object.__setattr__(self, field, raw)
+        _validate_instance(self)
         beta = self.beta_star
         if beta is not None:
             if isinstance(beta, (bool, float)):
@@ -252,11 +214,18 @@ class Problem:
                 raise InstanceError(f"beta_star must lie in [0, 1], got {beta}")
             object.__setattr__(self, "beta_star", beta)
         if self.priority is not None:
-            validate_priority(self.instance, self.priority)
+            object.__setattr__(self, "priority", {c: tuple(ps) for c, ps in dict(self.priority).items()})
+            _validate_priority(self)
+
+    def eligible_of(self, category: str) -> frozenset[str]:
+        return self.eligible.get(category, frozenset())
+
+    def beneficiary_of(self, category: str) -> frozenset[str]:
+        return self.beneficiary.get(category, frozenset())
 
     @property
-    def patients(self) -> tuple[str, ...]:
-        return self.instance.patients
+    def total_quota(self) -> int:
+        return sum(self.quota.values())
 
     @cached_property
     def patient_index(self) -> dict[str, int]:
@@ -274,21 +243,20 @@ class Problem:
         """Per category index, in instance order, its quota.  An instance
         over MAX_SEATS seats or MAX_CELLS patients x seats is refused here,
         before anything of that size is built."""
-        inst = self.instance
-        if inst.total_quota > MAX_SEATS:
-            raise InstanceError(f"instance too large for memory: {inst.total_quota} seat(s) "
+        if self.total_quota > MAX_SEATS:
+            raise InstanceError(f"instance too large for memory: {self.total_quota} seat(s) "
                                 f"exceed MAX_SEATS = {MAX_SEATS}")
-        check_cells(len(inst.patients), inst.total_quota, "instance (patients x seats)")
-        return tuple(inst.quota[c] for c in inst.categories)
+        check_cells(len(self.patients), self.total_quota, "instance (patients x seats)")
+        return tuple(self.quota[c] for c in self.categories)
 
     @cached_property
     def pair_codes(self) -> np.ndarray:
         """uint8 (patients x categories) pair codes: 0 ineligible, 1 eligible,
         2 beneficiary; built after quotas, so within the memory limits."""
-        index, inst = self.patient_index, self.instance
+        index = self.patient_index
         codes = np.zeros((len(self.patients), len(self.quotas)), dtype=np.uint8)
-        for code, members in ((1, inst.eligible), (2, inst.beneficiary)):
-            sets = [members[cat] for cat in inst.categories]
+        for code, members in ((1, self.eligible), (2, self.beneficiary)):
+            sets = [members[cat] for cat in self.categories]
             rows = [index[p] for ps in sets for p in ps]
             codes[rows, np.repeat(np.arange(len(sets)), [len(ps) for ps in sets])] = code
         return codes
@@ -308,7 +276,7 @@ class Problem:
         instance; raises MatchingError for a row of the wrong length, with a
         category index outside [-1, categories), with a patient placed where
         they are not eligible, or with a category over its quota."""
-        codes, cats = self.pair_codes, self.instance.categories
+        codes, cats = self.pair_codes, self.categories
         n_patients, n_categories = codes.shape
         row = list(map(operator.index, row))
         if len(row) != n_patients:
@@ -331,7 +299,7 @@ class Problem:
     def name_row(self, row: Iterable[int]) -> Matching:
         """The Matching that the category row lists, once check_row accepts
         it: each category's seats go to its patients in patient order."""
-        cats, taken, pairs = self.instance.categories, [0] * len(self.quotas), []
+        cats, taken, pairs = self.categories, [0] * len(self.quotas), []
         for i, c in enumerate(self.check_row(row)):
             if c != -1:
                 pairs.append((self.patients[i], f"{cats[c]}#{taken[c]}"))
@@ -341,7 +309,7 @@ class Problem:
     @cached_property
     def _seat_category(self) -> dict[str, str]:
         # a seat id splits at its last '#', so distinct categories give distinct seats
-        return {f"{c}#{k}": c for c, q in zip(self.instance.categories, self.quotas) for k in range(q)}
+        return {f"{c}#{k}": c for c, q in zip(self.categories, self.quotas) for k in range(q)}
 
     @property
     def seats(self) -> tuple[str, ...]:
@@ -359,10 +327,9 @@ def row_point(codes: np.ndarray, row: Sequence[int]) -> MatchPoint:
     return MatchPoint(len(rows), int(np.count_nonzero(codes[rows, row[rows]] == 2)))
 
 
-def expand_to_seats(inst: Instance) -> Problem:
-    """The Problem of inst alone, its memory limits checked at once: the
-    seat-keyed view (seats, category_of) for a caller that holds an Instance."""
-    pr = Problem(inst)
+def expand_to_seats(pr: Problem) -> Problem:
+    """pr, its memory limits checked at once, for a caller of the seat-keyed
+    view (seats, category_of)."""
     pr.quotas  # built now, so the memory limits are checked now
     return pr
 
@@ -398,7 +365,7 @@ def validate_matching(pr: Problem, m: Matching) -> Matching:
             raise MatchingError(f"unknown patient {p}")
         if s not in pr._seat_category:
             raise MatchingError(f"unknown seat {s}")
-        if p not in pr.instance.eligible_of(pr.category_of(s)):
+        if p not in pr.eligible_of(pr.category_of(s)):
             raise MatchingError(f"patient {p} not eligible for seat {s}")
     return m
 
@@ -406,5 +373,5 @@ def validate_matching(pr: Problem, m: Matching) -> Matching:
 def match_point(pr: Problem, m: Matching) -> MatchPoint:
     """Score (e, b) of an eligible matching."""
     e = len(m.pairs)
-    b = sum(1 for p, s in m.pairs if p in pr.instance.beneficiary_of(pr.category_of(s)))
+    b = sum(1 for p, s in m.pairs if p in pr.beneficiary_of(pr.category_of(s)))
     return MatchPoint(e, b)

@@ -73,7 +73,7 @@ def apply_cycle(pr: Problem, row: Sequence[int], c: Cycle) -> tuple[int, ...]:
 
 
 def _apply(pr: Problem, row: Sequence[int], c: Cycle) -> tuple[int, ...]:
-    codes, names = pr.pair_codes, pr.instance.categories
+    codes, names = pr.pair_codes, pr.categories
     n_p, n_c = codes.shape
     for p, k in zip(c.patients, c.categories):
         if not (0 <= p < n_p and 0 <= k < n_c):

@@ -1,10 +1,9 @@
-"""Instance generators: seeded random draws and small named worked instances.
+"""Input generators: seeded random draws and small named worked instances.
 
 Random generation is deterministic per seed.  Degenerate draws (a patient
 eligible nowhere, a category with no eligible patients) are kept, not
-resampled; they exercise empty-row handling downstream.  Generated
-instances are valid by construction and come back unchecked; a Problem
-validates its instance when it is built.
+resampled; they exercise empty-row handling downstream.  Every generator
+returns a Problem, validated when it is built like any other input.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, Problem
+from .core import Problem
 
 NAMED_INSTANCES = ("conflict", "figure1", "beta-threshold", "path-independence")
 
@@ -39,8 +38,9 @@ class GenConfig:
             raise ValueError("beneficiary_density must be in [0, 1]")
 
 
-def gen_random(cfg: GenConfig) -> Instance:
-    """Draw a random instance; the same config always yields the same instance."""
+def gen_random(cfg: GenConfig) -> Problem:
+    """Draw a random instance, with no share target or priority; the same
+    config always yields the same Problem."""
     rng = random.Random(cfg.seed)
     patients = tuple(f"p{i}" for i in range(1, cfg.patients + 1))
     categories = tuple(f"c{j}" for j in range(1, cfg.categories + 1))
@@ -52,7 +52,7 @@ def gen_random(cfg: GenConfig) -> Instance:
         bene = [p for p in elig if rng.random() < cfg.beneficiary_density]
         eligible[c] = frozenset(elig)
         beneficiary[c] = frozenset(bene)
-    return Instance(
+    return Problem(
         categories=categories,
         patients=patients,
         quota=quota,
@@ -61,7 +61,7 @@ def gen_random(cfg: GenConfig) -> Instance:
     )
 
 
-def gen_chain_family(k: int) -> Instance:
+def gen_chain_family(k: int) -> Problem:
     """Displacement-chain instance with K+2 patients and K+2 unit categories.
 
     Matching everyone forces a chain of displacements that destroys every
@@ -77,7 +77,7 @@ def gen_chain_family(k: int) -> Instance:
     eligible[f"c{n}"] = frozenset({f"p{n - 1}"})
     beneficiary = {f"c{i}": frozenset({f"p{i}"}) for i in range(1, n)}
     beneficiary[f"c{n}"] = frozenset()
-    return Instance(
+    return Problem(
         categories=categories,
         patients=patients,
         quota={c: 1 for c in categories},
@@ -87,18 +87,17 @@ def gen_chain_family(k: int) -> Instance:
 
 
 def _conflict() -> Problem:
-    inst = Instance(
+    return Problem(
         categories=("c1", "c2"),
         patients=("p1", "p2"),
         quota={"c1": 1, "c2": 1},
         eligible={"c1": frozenset({"p1"}), "c2": frozenset({"p1", "p2"})},
         beneficiary={"c1": frozenset(), "c2": frozenset({"p1"})},
     )
-    return Problem(instance=inst)
 
 
 def _figure1() -> Problem:
-    inst = Instance(
+    return Problem(
         categories=("c1", "c2", "c3"),
         patients=("p1", "p2", "p3"),
         quota={"c1": 1, "c2": 1, "c3": 1},
@@ -109,22 +108,21 @@ def _figure1() -> Problem:
         },
         beneficiary={},
     )
-    return Problem(instance=inst)
 
 
 def _beta_threshold() -> Problem:
-    inst = Instance(
+    return Problem(
         categories=("c1", "c2"),
         patients=("p1", "p2"),
         quota={"c1": 1, "c2": 1},
         eligible={"c1": frozenset({"p1"}), "c2": frozenset({"p2"})},
         beneficiary={"c1": frozenset({"p1"})},
+        beta_star=Fraction(7, 10),
     )
-    return Problem(instance=inst, beta_star=Fraction(7, 10))
 
 
 def _path_independence() -> Problem:
-    inst = Instance(
+    return Problem(
         categories=("c1", "c2", "c3", "c4", "c5"),
         patients=("p1", "p2", "p3", "p4", "p5", "p6"),
         quota={c: 1 for c in ("c1", "c2", "c3", "c4", "c5")},
@@ -139,8 +137,8 @@ def _path_independence() -> Problem:
             "c1": frozenset({"p1"}),
             "c4": frozenset({"p6"}),
         },
+        beta_star=Fraction(1, 5),
     )
-    return Problem(instance=inst, beta_star=Fraction(1, 5))
 
 
 def gen_named(name: str) -> Problem:

@@ -197,8 +197,8 @@ def choice_masks(pr: Problem) -> tuple[tuple[str, ...], np.ndarray]:
     limits that building pr.pair_codes checks.
 
     A subset keeps every category and quota, so its sub-problem is its
-    rows of pr.pair_codes, the matrix that the Problem of the instance
-    restricted to it would build.  At a point that is not a kink, optimal
+    rows of pr.pair_codes, the matrix that restrict_patients(pr, subset)
+    would build.  At a point that is not a kink, optimal
     matchings that seat different patients can tie, so C, and every audit
     count built on it, depends on which one selection returns: on one
     7-patient draw the audits find 528 path-independence and 43
@@ -207,7 +207,7 @@ def choice_masks(pr: Problem) -> tuple[tuple[str, ...], np.ndarray]:
     returns each kink in place of the largest, the 12-patient draw above
     counts 2,422,275 and 16,300.
     """
-    patients = pr.instance.patients
+    patients = pr.patients
     if len(patients) > MAX_AUDIT_PATIENTS:
         raise BudgetExceededError(
             f"choice audit over {len(patients)} patients exceeds MAX_AUDIT_PATIENTS = "

@@ -1,6 +1,6 @@
-"""Instance files and frontier reports.
+"""Input files and frontier reports.
 
-Instance schema (JSON):
+Input schema (JSON):
 
     {
       "categories": [
@@ -32,13 +32,7 @@ import sys
 from fractions import Fraction
 from typing import IO, Any, NamedTuple, Sequence
 
-from .core import (
-    Instance,
-    PriorityOrder,
-    Problem,
-    beneficiary_share,
-    row_point,
-)
+from .core import Problem, beneficiary_share, row_point
 from .frontier import Frontier
 
 _TOP_KEYS = ("categories", "patients", "beta_star", "priority")
@@ -125,9 +119,9 @@ def parse_instance(data: Any) -> Problem:
         beneficiary[c] = frozenset(
             _str_list(entry.get("beneficiary", []), f"category {c}: 'beneficiary'")
         )
-    inst = Instance(
-        categories=tuple(categories),
-        patients=tuple(_str_list(data["patients"], "'patients'")),
+    fields = dict(
+        categories=categories,
+        patients=_str_list(data["patients"], "'patients'"),
         quota=quota,
         eligible=eligible,
         beneficiary=beneficiary,
@@ -143,15 +137,13 @@ def parse_instance(data: Any) -> Problem:
         if priority is not None:
             if not isinstance(priority, dict):
                 raise ValueError("'priority' must map category ids to lists of patient ids")
-            order = PriorityOrder(
-                order={c: tuple(_str_list(ps, f"priority for {c}")) for c, ps in priority.items()}
-            )
+            order = {c: _str_list(ps, f"priority for {c}") for c, ps in priority.items()}
     except ValueError:
         # report faults in the order a document is read: the instance, then
         # the share's range, then this one
-        Problem(instance=inst, beta_star=beta_star)
+        Problem(**fields, beta_star=beta_star)
         raise
-    return Problem(instance=inst, beta_star=beta_star, priority=order)
+    return Problem(**fields, beta_star=beta_star, priority=order)
 
 
 class _LongInteger(NamedTuple):
@@ -207,23 +199,22 @@ def parse_instance_file(path: str) -> Problem:
 
 def emit_instance(pr: Problem) -> dict[str, Any]:
     """JSON-ready document; parse_instance(emit_instance(pr)) == pr."""
-    inst = pr.instance
     doc: dict[str, Any] = {
         "categories": [
             {
                 "id": c,
-                "quota": inst.quota[c],
-                "eligible": sorted(inst.eligible_of(c)),
-                "beneficiary": sorted(inst.beneficiary_of(c)),
+                "quota": pr.quota[c],
+                "eligible": sorted(pr.eligible_of(c)),
+                "beneficiary": sorted(pr.beneficiary_of(c)),
             }
-            for c in inst.categories
+            for c in pr.categories
         ],
-        "patients": list(inst.patients),
+        "patients": list(pr.patients),
     }
     if pr.beta_star is not None:
         doc["beta_star"] = share_str(pr.beta_star)
     if pr.priority is not None:
-        doc["priority"] = {c: list(ps) for c, ps in sorted(pr.priority.order.items())}
+        doc["priority"] = {c: list(ps) for c, ps in sorted(pr.priority.items())}
     return doc
 
 
@@ -240,7 +231,7 @@ def matching_to_dict(pr: Problem, row: Sequence[int]) -> dict[str, Any]:
 
 def _matching_dict(pr: Problem, row: Sequence[int]) -> dict[str, Any]:
     """matching_to_dict of a row known to be a matching of pr, such as a frontier witness."""
-    pt, cats = row_point(pr.pair_codes, row), pr.instance.categories
+    pt, cats = row_point(pr.pair_codes, row), pr.categories
     return {
         "assignment": {p: cats[c] for p, c in zip(pr.patients, row) if c != -1},
         "e": pt.e,

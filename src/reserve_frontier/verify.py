@@ -449,4 +449,4 @@ def random_inputs(params: dict[str, str]) -> tuple[int, Iterator[Problem]]:
             f"budget allows {budget.max_patients} patients and {budget.max_seats} seats; "
             f"raise it with {BUDGET_ENV}=patients,seats,states"
         )
-    return count, (Problem(gen_random(replace(cfg, seed=seed + i))) for i in range(count))
+    return count, (gen_random(replace(cfg, seed=seed + i)) for i in range(count))

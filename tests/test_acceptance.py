@@ -6,6 +6,7 @@ shared across the checks that reuse them, so each pool is built once.
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -18,8 +19,6 @@ from reserve_frontier import (
     GenConfig,
     MatchPoint,
     NoNonEmptyMatchingError,
-    PriorityOrder,
-    Problem,
     apply_cycle,
     audit_substitutability,
     beneficiary_share,
@@ -127,10 +126,10 @@ def test_criterion_01_named_frontiers():
         "path-independence": (MatchPoint(4, 2), MatchPoint(5, 1)),
     }
     for name, want in cases.items():
-        got = compute_frontier(expand_to_seats(gen_named(name).instance)).points
+        got = compute_frontier(expand_to_seats(gen_named(name))).points
         assert got == want, f"{name}: {got} != {want}"
     sub = restrict_patients(
-        gen_named("path-independence").instance, {"p1", "p2", "p3", "p4", "p5"}
+        gen_named("path-independence"), {"p1", "p2", "p3", "p4", "p5"}
     )
     got = compute_frontier(expand_to_seats(sub)).points
     assert got == (MatchPoint(4, 1), MatchPoint(5, 0)), got
@@ -163,7 +162,7 @@ def test_criterion_03_half_bound(small_pool):
         r = half_bound_ratio(f)
         assert r <= Fraction(1, 2), f"instance {i}: ratio {r}"
     assert nonempty >= 900, f"only {nonempty} instances had any match"
-    conflict = compute_frontier(expand_to_seats(gen_named("conflict").instance))
+    conflict = compute_frontier(expand_to_seats(gen_named("conflict")))
     assert half_bound_ratio(conflict) == Fraction(1, 2)
     elapsed = build_s + time.perf_counter() - t0
     assert elapsed < 60.0, f"{elapsed:.1f}s"
@@ -269,7 +268,7 @@ def test_criterion_09_exact_share_domination():
         for beta in sorted(shares):
             if qualifying >= 200:
                 break
-            pr = Problem(instance=inst, beta_star=beta)
+            pr = replace(inst, beta_star=beta)
             _, pt = select_approx_on_frontier(pr)
             if beneficiary_share(pt) == beta:
                 continue
@@ -280,7 +279,7 @@ def test_criterion_09_exact_share_domination():
     print(f"criterion 09: {qualifying} off-target selections dominate every exact-share matching")
 
 
-def _admissible_order(inst, rng: Random) -> PriorityOrder:
+def _admissible_order(inst, rng: Random) -> dict[str, tuple[str, ...]]:
     """Random strict order respecting beneficiary > eligible > ineligible tiers."""
     order = {}
     for c in inst.categories:
@@ -290,7 +289,7 @@ def _admissible_order(inst, rng: Random) -> PriorityOrder:
         for tier in (bene, elig, rest):
             rng.shuffle(tier)
         order[c] = tuple(bene + elig + rest)
-    return PriorityOrder(order=order)
+    return order
 
 
 def test_criterion_10_priority_repair():
@@ -304,12 +303,12 @@ def test_criterion_10_priority_repair():
         beta = targets[i % len(targets)]
         rng = Random(i)
         i += 1
-        pr = Problem(instance=inst, beta_star=beta)
+        pr = replace(inst, beta_star=beta)
         try:
             row, pt = select_approx_on_frontier(pr)
         except NoNonEmptyMatchingError:
             continue
-        pwo = Problem(instance=inst, beta_star=beta, priority=_admissible_order(inst, rng))
+        pwo = replace(inst, beta_star=beta, priority=_admissible_order(inst, rng))
         fixed = repair_priority(pwo, row)
         si = expand_to_seats(inst)
         assert respects_priority(pwo, fixed) == [], f"instance {i - 1}"
@@ -332,7 +331,7 @@ def matched_sets_at(si, pt):
 def test_criterion_11_impossibility_reproduction():
     t0 = time.perf_counter()
     pr = gen_named("path-independence")
-    full = frozenset(pr.instance.patients)
+    full = frozenset(pr.patients)
     x = frozenset({"p1", "p2", "p3", "p4", "p5"})
     needed = frozenset({"p1", "p2", "p3", "p5"})
 
@@ -344,11 +343,11 @@ def test_criterion_11_impossibility_reproduction():
     # robustness over tie-breaks: every optimal matching is an admissible
     # choice set, so quantify over all of them on both sides of the pair
     _, pt_full = select_approx_on_frontier(pr)
-    full_sets = matched_sets_at(expand_to_seats(pr.instance), pt_full)
+    full_sets = matched_sets_at(expand_to_seats(pr), pt_full)
     assert full_sets and all(needed <= s for s in full_sets)
 
-    sub = restrict_patients(pr.instance, x)
-    _, pt_sub = select_approx_on_frontier(Problem(instance=sub, beta_star=pr.beta_star))
+    sub = restrict_patients(pr, x)
+    _, pt_sub = select_approx_on_frontier(sub)
     sub_sets = matched_sets_at(expand_to_seats(sub), pt_sub)
     assert sub_sets and all(not needed <= s for s in sub_sets)
 

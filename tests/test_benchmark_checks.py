@@ -11,6 +11,7 @@ bytecode is written next to it.
 from __future__ import annotations
 
 import types
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +35,7 @@ def checks() -> types.ModuleType:
 @pytest.fixture
 def draw(tmp_path) -> tuple[Path, Problem]:
     """A 6-patient, 4-category draw with a share target, inside the oracle budget."""
-    pr = Problem(instance=gen_random(GenConfig(6, 4, (1, 1), 0.6, 0.5, seed=4)), beta_star=Fraction(1, 2))
+    pr = replace(gen_random(GenConfig(6, 4, (1, 1), 0.6, 0.5, seed=4)), beta_star=Fraction(1, 2))
     path = tmp_path / "draw.json"
     path.write_text(instance_to_json(pr))
     return path, pr

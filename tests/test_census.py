@@ -18,6 +18,7 @@ from __future__ import annotations
 import inspect
 import sys
 import tracemalloc
+from dataclasses import replace
 from random import Random
 
 import numpy as np
@@ -29,7 +30,6 @@ from reserve_frontier import (
     BudgetExceededError,
     EnumerationBudget,
     GenConfig,
-    Instance,
     MatchPoint,
     Problem,
     beneficiary_share,
@@ -67,9 +67,9 @@ def scan_leaves(si, budget, visit, every_seat=False) -> int:
     """
     _check_size(si, budget)
     n = len(si.patients)
-    category = [si.instance.categories.index(si.category_of(s)) for s in si.seats]
-    elig = [[j for j, s in enumerate(si.seats) if p in si.instance.eligible_of(si.category_of(s))] for p in si.patients]
-    bene = [{j for j, s in enumerate(si.seats) if p in si.instance.beneficiary_of(si.category_of(s))} for p in si.patients]
+    category = [si.categories.index(si.category_of(s)) for s in si.seats]
+    elig = [[j for j, s in enumerate(si.seats) if p in si.eligible_of(si.category_of(s))] for p in si.patients]
+    bene = [{j for j, s in enumerate(si.seats) if p in si.beneficiary_of(si.category_of(s))} for p in si.patients]
     used = [False] * len(si.seats)
     current = [-1] * n
     counter = _StateCounter(budget.max_states)
@@ -218,7 +218,7 @@ def assert_census_matches_the_scans(inst, cap):
         if pt.e:
             by_share.setdefault(beneficiary_share(pt), []).append(pt)
     for beta, at_share in by_share.items():
-        pr = Problem(instance=inst, beta_star=beta)
+        pr = replace(inst, beta_star=beta)
         _, selected = select_approx_on_frontier(pr)
         # the census counts every matching of that share
         assert sum(n for pt, n in census.counts.items() if pt.e and beneficiary_share(pt) == beta) == len(at_share)
@@ -305,7 +305,7 @@ def test_seat_rows_name_the_enumerated_matchings():
         for row in rows:
             m = validate_matching(si, si.name_row(row))
             assert len(m.pairs) == sum(j != -1 for j in row)
-            assert all(si.category_of(s) == si.instance.categories[row[si.patient_index[p]]] for p, s in m.pairs)
+            assert all(si.category_of(s) == si.categories[row[si.patient_index[p]]] for p, s in m.pairs)
 
 
 def test_the_enumeration_is_the_seat_recursion_without_repeats():
@@ -354,8 +354,8 @@ def scan_counter(monkeypatch):
 
 
 def test_verify_enumerates_each_instance_exactly_once(scan_counter):
-    problems = [*map(Problem, base_draws()), gen_named("conflict"), gen_named("path-independence")]
-    problems += [Problem(gen_random(GenConfig(6, 5, (1, 1), 0.5, 0.5, seed=s))) for s in range(20)]
+    problems = [*base_draws(), gen_named("conflict"), gen_named("path-independence")]
+    problems += [gen_random(GenConfig(6, 5, (1, 1), 0.5, 0.5, seed=s)) for s in range(20)]
     for pr in problems:
         scan_counter.clear()
         results = run_suites(pr, SUITES)
@@ -449,7 +449,7 @@ def test_the_enumeration_takes_no_frame_per_patient():
     # 1 + 9 + 18 + 6 = 34 matchings, enumerated within 100 frames of the caller
     patients = tuple(f"p{i}" for i in range(300))
     categories = ("c0", "c1", "c2")
-    inst = Instance(
+    inst = Problem(
         categories=categories,
         patients=patients,
         quota=dict.fromkeys(categories, 1),
@@ -475,7 +475,7 @@ def census_peak_bytes_at_the_ceiling(quota: dict) -> int:
     n = MAX_ORACLE_SIZE
     patients = tuple(f"p{i}" for i in range(n))
     half = frozenset(patients[::2])
-    inst = Instance(
+    inst = Problem(
         categories=tuple(quota),
         patients=patients,
         quota=quota,
@@ -512,7 +512,7 @@ def test_enumerate_matchings_streams_its_blocks():
     # 130,922 matchings of 300 patients, of whom only the last 7 are eligible
     patients = tuple(f"p{i}" for i in range(300))
     categories = tuple(f"c{k}" for k in range(7))
-    inst = Instance(
+    inst = Problem(
         categories=categories,
         patients=patients,
         quota=dict.fromkeys(categories, 1),

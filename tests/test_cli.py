@@ -7,6 +7,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,17 +17,19 @@ import reserve_frontier
 import reserve_frontier.cli as cli_module
 import reserve_frontier.core as core_module
 import reserve_frontier.mechanism as mechanism_module
+from conftest import tier_order
 from reserve_frontier import (
     NAMED_INSTANCES,
     SUITES,
-    Instance,
-    PriorityOrder,
+    GenConfig,
     Problem,
     gen_named,
+    gen_random,
+    restrict_patients,
     run_suites,
 )
 from reserve_frontier.cli import main, parse_subset_tokens
-from reserve_frontier.serialize import emit_instance, parse_instance
+from reserve_frontier.serialize import emit_instance, instance_to_json, parse_instance
 from reserve_frontier.verify import random_inputs
 
 
@@ -136,6 +140,46 @@ def test_frontier_subset_restriction(capsys):
     assert out == "e,b,beta_num,beta_den,is_kink\n4,1,1,4,1\n5,0,0,1,1\n"
 
 
+def test_solve_subset_keeps_the_share_and_each_priority_order_on_the_kept_patients(tmp_path, capsys):
+    draw = gen_random(GenConfig(12, 4, (1, 2), 0.5, 0.5, seed=3))
+
+    def reversed_tiers(c):  # admissible, and not the tier order: each tier in reverse input order
+        bene, elig = draw.beneficiary_of(c), draw.eligible_of(c)
+        return tuple(sorted(draw.patients[::-1], key=lambda p: (p not in bene, p not in elig)))
+
+    pr = replace(draw, beta_star=Fraction(1, 3), priority={c: reversed_tiers(c) for c in draw.categories})
+    keep = ("p2", "p3", "p4", "p5", "p6", "p7", "p11")
+    sub = restrict_patients(pr, keep)
+    assert sub.beta_star == pr.beta_star
+    assert sub.priority == {c: tuple(p for p in ps if p in keep) for c, ps in pr.priority.items()}
+    assert sub.priority != tier_order(sub)
+    whole, restricted = tmp_path / "whole.json", tmp_path / "restricted.json"
+    whole.write_text(instance_to_json(pr))
+    restricted.write_text(instance_to_json(sub))
+    want = run(capsys, "solve", str(restricted), "--respect-priority")
+    assert want[0] == 0 and want[2] == ""
+    assert run(capsys, "solve", str(whole), "--respect-priority", "--subset", "p2..p7,p11") == want
+
+
+def test_a_validation_fault_names_the_least_id_under_every_hash_seed(tmp_path):
+    unknown, ineligible = tmp_path / "unknown.json", tmp_path / "ineligible.json"
+    unknown.write_text(json.dumps(
+        {"patients": ["p1"], "categories": [{"id": "c1", "quota": 1, "eligible": ["x1", "y2", "z3", "w4"]}]}
+    ))
+    ineligible.write_text(json.dumps({
+        "patients": ["p1", "x1", "y2", "z3", "w4"],
+        "categories": [{"id": "c1", "quota": 1, "eligible": ["p1"], "beneficiary": ["x1", "y2", "z3", "w4"]}],
+    }))
+    env = {**os.environ, "PYTHONPATH": str(Path(reserve_frontier.__file__).parents[1])}
+    for path, message in ((unknown, "eligible patient w4 not in patient set"), (ineligible, "beneficiary w4 not eligible")):
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "reserve_frontier.cli", "frontier", str(path)],
+                capture_output=True, text=True, env={**env, "PYTHONHASHSEED": seed}, timeout=120,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: category c1: {message}\n"), seed
+
+
 def test_frontier_file_output_and_witness_sidecar(tmp_path, capsys):
     out_path = tmp_path / "f.csv"
     code, out, _ = run(
@@ -221,8 +265,7 @@ def test_solve_repair_builds_no_tier_order(monkeypatch, tmp_path, capsys):
     def forbidden(*args):
         raise AssertionError("a tier order was materialized")
 
-    monkeypatch.setattr(core_module.PriorityOrder, "from_tiers", forbidden)
-    monkeypatch.setattr(core_module, "validate_priority", forbidden)
+    monkeypatch.setattr(core_module, "_validate_priority", forbidden)
     everyone = ["p1", "p2", "p3", "p4"]
     path = tmp_path / "inst.json"
     path.write_text(
@@ -299,7 +342,7 @@ def test_audit_expands_the_instance_once_for_every_subset(expansions, capsys):
 
 
 def test_run_suites_expands_each_instance_once(expansions):
-    empty = Instance(
+    empty = Problem(
         categories=("c1",), patients=("p1",), quota={"c1": 1}, eligible={}, beneficiary={}
     )
     prioritized = parse_instance(
@@ -310,7 +353,7 @@ def test_run_suites_expands_each_instance_once(expansions):
             "priority": {"c1": ["p2", "p1"]},
         }
     )
-    problems = [gen_named(n) for n in NAMED_INSTANCES] + [Problem(empty), prioritized]
+    problems = [gen_named(n) for n in NAMED_INSTANCES] + [empty, prioritized]
     problems += random_inputs({"patients": "6", "categories": "5", "count": "8"})[1]
     for pr in problems:
         expansions.clear()
@@ -320,9 +363,9 @@ def test_run_suites_expands_each_instance_once(expansions):
 
 
 def test_each_input_is_validated_once(monkeypatch, tmp_path, capsys):
-    validations = count_calls(monkeypatch, "validate_instance")
+    validations = count_calls(monkeypatch, "_validate_instance")
     pr = gen_named("path-independence")
-    prioritized = Problem(pr.instance, pr.beta_star, PriorityOrder.from_tiers(pr.instance))
+    prioritized = replace(pr, priority=tier_order(pr))
     paths = []
     for name, problem in (("plain", pr), ("prioritized", prioritized)):
         paths.append(tmp_path / f"{name}.json")
@@ -341,7 +384,7 @@ def test_each_input_is_validated_once(monkeypatch, tmp_path, capsys):
 
 
 def test_random_verify_validates_each_draw_once(monkeypatch, capsys):
-    validations = count_calls(monkeypatch, "validate_instance")
+    validations = count_calls(monkeypatch, "_validate_instance")
     assert run(capsys, "verify", "--random", "count=20", "--jobs", "1")[0] == 0
     assert len(validations) == 20
 

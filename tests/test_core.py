@@ -1,18 +1,18 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tier_order
 from reserve_frontier import (
-    Instance,
     InstanceError,
     Matching,
     MatchingError,
     MatchPoint,
-    PriorityOrder,
     Problem,
     beneficiary_share,
     dominates,
@@ -21,22 +21,19 @@ from reserve_frontier import (
     rank_sum,
     respects_priority,
     restrict_patients,
-    validate_instance,
     validate_matching,
 )
 from reserve_frontier.core import MAX_CELLS, MAX_SEATS
 from reserve_frontier.frontier import compute_frontier
 
 
-def tiny() -> Instance:
-    return validate_instance(
-        Instance(
-            categories=("c1", "c2"),
-            patients=("p1", "p2"),
-            quota={"c1": 1, "c2": 1},
-            eligible={"c1": frozenset({"p1"}), "c2": frozenset({"p1", "p2"})},
-            beneficiary={"c2": frozenset({"p1"})},
-        )
+def tiny() -> Problem:
+    return Problem(
+        categories=("c1", "c2"),
+        patients=("p1", "p2"),
+        quota={"c1": 1, "c2": 1},
+        eligible={"c1": frozenset({"p1"}), "c2": frozenset({"p1", "p2"})},
+        beneficiary={"c2": frozenset({"p1"})},
     )
 
 
@@ -49,50 +46,38 @@ def test_validate_accepts_tiny_instance():
 
 def test_validate_rejects_duplicate_ids():
     with pytest.raises(InstanceError):
-        validate_instance(
-            Instance(categories=("c1", "c1"), patients=("p1",), quota={"c1": 1}, eligible={}, beneficiary={})
-        )
+        Problem(categories=("c1", "c1"), patients=("p1",), quota={"c1": 1}, eligible={}, beneficiary={})
     with pytest.raises(InstanceError):
-        validate_instance(
-            Instance(categories=("c1",), patients=("p1", "p1"), quota={"c1": 1}, eligible={}, beneficiary={})
-        )
+        Problem(categories=("c1",), patients=("p1", "p1"), quota={"c1": 1}, eligible={}, beneficiary={})
 
 
 def test_validate_rejects_bad_quota():
     with pytest.raises(InstanceError, match="positive"):
-        validate_instance(
-            Instance(categories=("c1",), patients=(), quota={"c1": 0}, eligible={}, beneficiary={})
-        )
+        Problem(categories=("c1",), patients=(), quota={"c1": 0}, eligible={}, beneficiary={})
     with pytest.raises(InstanceError):
-        validate_instance(Instance(categories=("c1",), patients=(), quota={}, eligible={}, beneficiary={}))
+        Problem(categories=("c1",), patients=(), quota={}, eligible={}, beneficiary={})
 
 
 def test_validate_rejects_unknown_names():
     with pytest.raises(InstanceError):
-        validate_instance(
-            Instance(
-                categories=("c1",),
-                patients=("p1",),
-                quota={"c1": 1},
-                eligible={"c1": frozenset({"ghost"})},
-                beneficiary={},
-            )
+        Problem(
+            categories=("c1",),
+            patients=("p1",),
+            quota={"c1": 1},
+            eligible={"c1": frozenset({"ghost"})},
+            beneficiary={},
         )
     with pytest.raises(InstanceError, match="not eligible"):
-        validate_instance(
-            Instance(
-                categories=("c1",),
-                patients=("p1",),
-                quota={"c1": 1},
-                eligible={"c1": frozenset()},
-                beneficiary={"c1": frozenset({"p1"})},
-            )
+        Problem(
+            categories=("c1",),
+            patients=("p1",),
+            quota={"c1": 1},
+            eligible={"c1": frozenset()},
+            beneficiary={"c1": frozenset({"p1"})},
         )
     # sets keyed by a category that does not exist
     with pytest.raises(InstanceError):
-        validate_instance(
-            Instance(categories=("c1",), patients=(), quota={"c1": 1}, eligible={"cX": frozenset()}, beneficiary={})
-        )
+        Problem(categories=("c1",), patients=(), quota={"c1": 1}, eligible={"cX": frozenset()}, beneficiary={})
 
 
 def test_restrict_patients_keeps_categories_and_trims_sets():
@@ -108,67 +93,59 @@ def test_restrict_patients_keeps_categories_and_trims_sets():
 
 def test_problem_requires_exact_fraction():
     inst = tiny()
-    assert Problem(instance=inst, beta_star=Fraction(7, 10)).beta_star == Fraction(7, 10)
+    assert replace(inst, beta_star=Fraction(7, 10)).beta_star == Fraction(7, 10)
     with pytest.raises(TypeError):
-        Problem(instance=inst, beta_star=0.7)
+        replace(inst, beta_star=0.7)
     # a bool is an int to Fraction, but no share: True once read as 1
     for flag in (True, False):
         with pytest.raises(TypeError, match=f"not {flag}"):
-            Problem(instance=inst, beta_star=flag)
+            replace(inst, beta_star=flag)
     with pytest.raises(InstanceError):
-        Problem(instance=inst, beta_star=Fraction(11, 10))
+        replace(inst, beta_star=Fraction(11, 10))
     with pytest.raises(InstanceError):
-        Problem(instance=inst, beta_star=Fraction(-1, 10))
+        replace(inst, beta_star=Fraction(-1, 10))
 
 
 def test_a_problem_validates_its_instance_on_construction():
-    bad = Instance(
-        categories=("c1",), patients=("p1",), quota={"c1": 1}, eligible={"c1": {"p9"}}, beneficiary={}
-    )
     with pytest.raises(InstanceError, match="not in patient set"):
-        Problem(instance=bad)
+        Problem(categories=("c1",), patients=("p1",), quota={"c1": 1}, eligible={"c1": {"p9"}}, beneficiary={})
 
 
 def test_problem_validates_its_priority_and_fills_in_the_tier_order():
-    inst = tiny()
-    bare = Problem(instance=inst)
+    bare = tiny()
     assert bare.beta_star is None and bare.priority is None
     # without a priority, the priority layer ranks by the tier order
-    tiered = Problem(instance=inst, priority=PriorityOrder.from_tiers(inst))
+    tiered = replace(bare, priority=tier_order(bare))
     row = (-1, 1)  # p2 at c2#0
     assert rank_sum(bare, row) == rank_sum(tiered, row)
     # c2 seats p2 over the unmatched p1
     assert respects_priority(bare, row) == respects_priority(tiered, row) == [(1, 1, 0)]
     with pytest.raises(InstanceError, match="unknown category"):
-        Problem(instance=inst, priority=PriorityOrder(order={"zz": inst.patients}))
+        replace(bare, priority={"zz": bare.patients})
 
 
 def test_expand_to_seats_unit_quotas():
-    inst = validate_instance(
-        Instance(
-            categories=("c1",),
-            patients=("p1", "p2"),
-            quota={"c1": 3},
-            eligible={"c1": frozenset({"p1", "p2"})},
-            beneficiary={"c1": frozenset({"p2"})},
-        )
+    inst = Problem(
+        categories=("c1",),
+        patients=("p1", "p2"),
+        quota={"c1": 3},
+        eligible={"c1": frozenset({"p1", "p2"})},
+        beneficiary={"c1": frozenset({"p2"})},
     )
     si = expand_to_seats(inst)
     assert si.seats == ("c1#0", "c1#1", "c1#2")
     assert all(si.category_of(s) == "c1" for s in si.seats)
-    assert si.instance.eligible_of(si.category_of("c1#1")) == frozenset({"p1", "p2"})
-    assert si.instance.beneficiary_of(si.category_of("c1#2")) == frozenset({"p2"})
+    assert si.eligible_of(si.category_of("c1#1")) == frozenset({"p1", "p2"})
+    assert si.beneficiary_of(si.category_of("c1#2")) == frozenset({"p2"})
 
 
 def test_name_row_gives_each_category_its_seats_in_patient_order():
-    inst = validate_instance(
-        Instance(
-            categories=("c1", "c2"),
-            patients=("p1", "p2", "p3"),
-            quota={"c1": 2, "c2": 1},
-            eligible={"c1": frozenset({"p1", "p2", "p3"}), "c2": frozenset({"p1"})},
-            beneficiary={"c1": frozenset({"p3"})},
-        )
+    inst = Problem(
+        categories=("c1", "c2"),
+        patients=("p1", "p2", "p3"),
+        quota={"c1": 2, "c2": 1},
+        eligible={"c1": frozenset({"p1", "p2", "p3"}), "c2": frozenset({"p1"})},
+        beneficiary={"c1": frozenset({"p3"})},
     )
     si = expand_to_seats(inst)
     m = si.name_row((-1, 0, 0))
@@ -181,11 +158,11 @@ def test_name_row_gives_each_category_its_seats_in_patient_order():
 
 
 def test_memory_limits_admit_every_exact_weight_shape_and_refuse_past_each_cap():
-    def instance(n_patients: int, quota: int, n_beneficiaries: int = 0) -> Instance:
+    def instance(n_patients: int, quota: int, n_beneficiaries: int = 0) -> Problem:
         patients = tuple(f"p{i}" for i in range(n_patients))
         eligible = {"c1": frozenset(patients)} if n_beneficiaries else {}
         beneficiary = {"c1": frozenset(patients[:n_beneficiaries])} if n_beneficiaries else {}
-        return Instance(("c1",), patients, {"c1": quota}, eligible, beneficiary)
+        return Problem(("c1",), patients, {"c1": quota}, eligible, beneficiary)
 
     def n_cubed_bound(n_patients: int, n_seats: int) -> int:
         # the largest n^3-weight sweep times the smaller side, which had to stay

@@ -10,9 +10,9 @@ from reserve_frontier import (
     CycleError,
     DominatedInputError,
     GenConfig,
-    Instance,
     MatchingError,
     MatchPoint,
+    Problem,
     apply_cycle,
     cheapest_cycle,
     compute_frontier,
@@ -23,7 +23,6 @@ from reserve_frontier import (
     gen_random,
     match_point,
     oracle_min_cycle_loss,
-    validate_instance,
 )
 import reserve_frontier.oracle as oracle_module
 from reserve_frontier.oracle import Census
@@ -34,13 +33,13 @@ def category_row(si, *pairs):
     """The category row of named (patient, category) pairs."""
     row = [-1] * len(si.patients)
     for p, c in pairs:
-        row[si.patient_index[p]] = si.instance.categories.index(c)
+        row[si.patient_index[p]] = si.categories.index(c)
     return tuple(row)
 
 
 def named_cycle(si, patients, categories):
     """The Cycle of named patients and categories."""
-    return Cycle(tuple(si.patient_index[p] for p in patients), tuple(map(si.instance.categories.index, categories)))
+    return Cycle(tuple(si.patient_index[p] for p in patients), tuple(map(si.categories.index, categories)))
 
 
 def point(si, row):
@@ -54,15 +53,15 @@ def beneficiary_loss(si, row, c):
 
 
 def conflict_si():
-    return expand_to_seats(gen_named("conflict").instance)
+    return expand_to_seats(gen_named("conflict"))
 
 
 def quota_two_si():
     """One category of quota 2, for which all three patients are eligible."""
-    return expand_to_seats(validate_instance(Instance(
+    return expand_to_seats(Problem(
         categories=("c1",), patients=("p1", "p2", "p3"), quota={"c1": 2},
         eligible={"c1": frozenset({"p1", "p2", "p3"})}, beneficiary={"c1": frozenset({"p1"})},
-    )))
+    ))
 
 
 def test_cycle_validation():
@@ -170,18 +169,16 @@ def test_dominated_matching_is_rejected():
 def test_beneficiary_gaining_swap_loop_is_rejected():
     # p1 and p2 sit where they help nobody; swapping both would gain two
     # beneficiary matches, so the matching is dominated at equal size
-    inst = validate_instance(
-        Instance(
-            categories=("c1", "c2", "c3"),
-            patients=("p1", "p2", "p3"),
-            quota={"c1": 1, "c2": 1, "c3": 1},
-            eligible={
-                "c1": frozenset({"p1", "p2", "p3"}),
-                "c2": frozenset({"p1", "p2"}),
-                "c3": frozenset({"p2"}),
-            },
-            beneficiary={"c1": frozenset({"p2"}), "c2": frozenset({"p1"})},
-        )
+    inst = Problem(
+        categories=("c1", "c2", "c3"),
+        patients=("p1", "p2", "p3"),
+        quota={"c1": 1, "c2": 1, "c3": 1},
+        eligible={
+            "c1": frozenset({"p1", "p2", "p3"}),
+            "c2": frozenset({"p1", "p2"}),
+            "c3": frozenset({"p2"}),
+        },
+        beneficiary={"c1": frozenset({"p2"}), "c2": frozenset({"p1"})},
     )
     si = expand_to_seats(inst)
     with pytest.raises(DominatedInputError):
@@ -202,7 +199,7 @@ def test_chain_family_single_cycle_costs_everything():
 
 def test_walk_visits_the_whole_frontier():
     for name in ("conflict", "figure1", "path-independence"):
-        si = expand_to_seats(gen_named(name).instance)
+        si = expand_to_seats(gen_named(name))
         f = compute_frontier(si)
         walk = frontier_walk(si, f.witnesses[f.points[0]])
         assert [pt for pt, _ in walk] == list(f.points)
@@ -220,7 +217,7 @@ def test_each_walk_step_applies_its_cycle_once(monkeypatch):
 
     monkeypatch.setattr(cycles_module, "_apply", counting)
     for name in ("conflict", "figure1", "path-independence"):
-        si = expand_to_seats(gen_named(name).instance)
+        si = expand_to_seats(gen_named(name))
         f = compute_frontier(si)
         applied.clear()
         walk = frontier_walk(si, f.witnesses[f.points[0]])
@@ -229,7 +226,7 @@ def test_each_walk_step_applies_its_cycle_once(monkeypatch):
 
 
 def test_a_walk_checks_its_start_row_once(monkeypatch):
-    si = expand_to_seats(gen_named("path-independence").instance)
+    si = expand_to_seats(gen_named("path-independence"))
     f = compute_frontier(si)
     checked = []
     original = type(si).check_row
@@ -242,20 +239,18 @@ def test_walk_with_shrinking_losses_is_rejected(monkeypatch):
     # a conflict pair (loss 1) beside a two-step chain (loss 2); a search
     # that took the chain first would then lose less, which no frontier
     # walk can do
-    inst = validate_instance(
-        Instance(
-            categories=("a1", "a2", "d1", "d2", "d3"),
-            patients=("p1", "p2", "x1", "x2", "x3"),
-            quota={c: 1 for c in ("a1", "a2", "d1", "d2", "d3")},
-            eligible={
-                "a1": frozenset({"p1"}),
-                "a2": frozenset({"p1", "p2"}),
-                "d1": frozenset({"x1", "x3"}),
-                "d2": frozenset({"x1", "x2"}),
-                "d3": frozenset({"x2"}),
-            },
-            beneficiary={"a2": frozenset({"p1"}), "d1": frozenset({"x1"}), "d2": frozenset({"x2"})},
-        )
+    inst = Problem(
+        categories=("a1", "a2", "d1", "d2", "d3"),
+        patients=("p1", "p2", "x1", "x2", "x3"),
+        quota={c: 1 for c in ("a1", "a2", "d1", "d2", "d3")},
+        eligible={
+            "a1": frozenset({"p1"}),
+            "a2": frozenset({"p1", "p2"}),
+            "d1": frozenset({"x1", "x3"}),
+            "d2": frozenset({"x1", "x2"}),
+            "d3": frozenset({"x2"}),
+        },
+        beneficiary={"a2": frozenset({"p1"}), "d1": frozenset({"x1"}), "d2": frozenset({"x2"})},
     )
     si = expand_to_seats(inst)
     start = category_row(si, ("p1", "a2"), ("x1", "d1"), ("x2", "d2"))
@@ -376,11 +371,11 @@ def ref_cheapest_cycle(si, row, start_costs=None):
         return None
     cycle = Cycle(patients=tuple(best_path[0::2]), categories=tuple(c - n_p for c in best_path[1::2]))
     # the loss by name
-    cats = si.instance.categories
+    cats = si.categories
     names = [(si.patients[i], cats[c]) for i, c in zip(cycle.patients, cycle.categories)]
     before = [(si.patients[i], cats[row[i]]) for i in cycle.patients if row[i] != -1]
-    delta = sum(1 for p, c in before if p in si.instance.beneficiary_of(c))
-    delta -= sum(1 for p, c in names if p in si.instance.beneficiary_of(c))
+    delta = sum(1 for p, c in before if p in si.beneficiary_of(c))
+    delta -= sum(1 for p, c in names if p in si.beneficiary_of(c))
     if delta != best_key[0]:
         raise RuntimeError("cycle cost disagrees with its beneficiary loss")
     if delta <= 0:
@@ -430,7 +425,7 @@ def outcome(search, si, row, **kwargs):
 def random_eligible_row(si, rng):
     """The category row of a random subset of patients, each at a random
     free eligible seat, drawn seat by seat."""
-    category = [si.instance.categories.index(si.category_of(s)) for s in si.seats]
+    category = [si.categories.index(si.category_of(s)) for s in si.seats]
     free = set(range(len(si.seats)))
     row = [-1] * len(si.patients)
     for i in rng.sample(range(len(si.patients)), len(si.patients)):

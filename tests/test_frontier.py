@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -16,7 +17,6 @@ from reserve_frontier import (
     Frontier,
     FrontierInvariantError,
     GenConfig,
-    Instance,
     MatchPoint,
     NoNonEmptyMatchingError,
     Problem,
@@ -35,7 +35,6 @@ from reserve_frontier import (
     kinks_of,
     match_point,
     select_approx_on_frontier,
-    validate_instance,
     validate_matching,
     with_all_witnesses,
 )
@@ -61,17 +60,17 @@ def test_kinks_are_endpoints_plus_slope_changes():
 
 
 def test_named_frontiers():
-    f = compute_frontier(expand_to_seats(gen_named("conflict").instance))
+    f = compute_frontier(expand_to_seats(gen_named("conflict")))
     assert list(f.points) == pts((1, 1), (2, 0))
     assert f.kinks == {MatchPoint(1, 1), MatchPoint(2, 0)}
 
-    f = compute_frontier(expand_to_seats(gen_named("figure1").instance))
+    f = compute_frontier(expand_to_seats(gen_named("figure1")))
     assert list(f.points) == pts((3, 0))
 
-    f = compute_frontier(expand_to_seats(gen_named("beta-threshold").instance))
+    f = compute_frontier(expand_to_seats(gen_named("beta-threshold")))
     assert list(f.points) == pts((2, 1))
 
-    f = compute_frontier(expand_to_seats(gen_named("path-independence").instance))
+    f = compute_frontier(expand_to_seats(gen_named("path-independence")))
     assert list(f.points) == pts((4, 2), (5, 1))
 
 
@@ -95,7 +94,7 @@ def test_frontier_iteration_maximizes_the_weighted_objective():
 
 
 def test_frontier_iteration_range_check():
-    si = expand_to_seats(gen_named("conflict").instance)
+    si = expand_to_seats(gen_named("conflict"))
     n = max(len(si.patients), len(si.seats))
     for d in (-1, n + 1):
         with pytest.raises(ValueError, match=f"d must be in \\[0, {n}\\], got {d}"):
@@ -105,7 +104,7 @@ def test_frontier_iteration_range_check():
 
 
 def test_endpoints_maximize_each_objective_first():
-    si = expand_to_seats(gen_named("path-independence").instance)
+    si = expand_to_seats(gen_named("path-independence"))
     _, mu_be = frontier_iteration(si, 0)
     _, mu_eb = frontier_iteration(si, max(len(si.patients), len(si.seats)))
     f = compute_frontier(si)
@@ -113,21 +112,19 @@ def test_endpoints_maximize_each_objective_first():
     assert match_point(si, si.name_row(mu_eb)) == f.points[-1]
 
 
-def two_conflict_copies() -> Instance:
+def two_conflict_copies() -> Problem:
     # disjoint union of two conflict blocks: frontier (2,2),(3,1),(4,0)
-    return validate_instance(
-        Instance(
-            categories=("c1", "c2", "d1", "d2"),
-            patients=("p1", "p2", "q1", "q2"),
-            quota={c: 1 for c in ("c1", "c2", "d1", "d2")},
-            eligible={
-                "c1": frozenset({"p1"}),
-                "c2": frozenset({"p1", "p2"}),
-                "d1": frozenset({"q1"}),
-                "d2": frozenset({"q1", "q2"}),
-            },
-            beneficiary={"c2": frozenset({"p1"}), "d2": frozenset({"q1"})},
-        )
+    return Problem(
+        categories=("c1", "c2", "d1", "d2"),
+        patients=("p1", "p2", "q1", "q2"),
+        quota={c: 1 for c in ("c1", "c2", "d1", "d2")},
+        eligible={
+            "c1": frozenset({"p1"}),
+            "c2": frozenset({"p1", "p2"}),
+            "d1": frozenset({"q1"}),
+            "d2": frozenset({"q1", "q2"}),
+        },
+        beneficiary={"c2": frozenset({"p1"}), "d2": frozenset({"q1"})},
     )
 
 
@@ -177,8 +174,8 @@ def test_segment_witness_refuses_a_point_off_the_frontier():
     # between kinks of a larger draw
     cases = [
         (two_conflict_copies(), MatchPoint(3, 2)),
-        (gen_named("path-independence").instance, MatchPoint(6, 0)),
-        (gen_named("path-independence").instance, MatchPoint(0, 0)),
+        (gen_named("path-independence"), MatchPoint(6, 0)),
+        (gen_named("path-independence"), MatchPoint(0, 0)),
         (gen_random(GenConfig(30, 30, (1, 1), 0.1, 0.5, seed=1)), MatchPoint(27, 19)),
     ]
     for inst, pt in cases:
@@ -238,11 +235,11 @@ def test_a_path_displaces_the_lowest_patient_leaving_a_full_category_then_ends_a
     # X (quota 2) holds the beneficiaries p1 and p2 in A at (2, 2); C at
     # (4, 0) puts p0 and p3 in X and moves p1 to Y and p2 to Z, each of
     # which has a free seat in A
-    inst = validate_instance(Instance(
+    inst = Problem(
         categories=("X", "Y", "Z"), patients=("p0", "p1", "p2", "p3"), quota={"X": 2, "Y": 1, "Z": 1},
         eligible={"X": frozenset({"p0", "p1", "p2", "p3"}), "Y": frozenset({"p1"}), "Z": frozenset({"p2"})},
         beneficiary={"X": frozenset({"p1", "p2"})},
-    ))
+    )
     si = expand_to_seats(inst)
     f = compute_frontier(si)
     assert list(f.points) == pts((2, 2), (3, 1), (4, 0)) and f.kinks == set(pts((2, 2), (4, 0)))
@@ -316,9 +313,7 @@ def test_category_witnesses_are_matchings_at_their_points_on_mixed_quotas():
 
 
 def test_zero_eligibility_gives_the_empty_point():
-    inst = validate_instance(
-        Instance(categories=("c1",), patients=("p1",), quota={"c1": 2}, eligible={}, beneficiary={})
-    )
+    inst = Problem(categories=("c1",), patients=("p1",), quota={"c1": 2}, eligible={}, beneficiary={})
     f = compute_frontier(expand_to_seats(inst))
     assert list(f.points) == [MatchPoint(0, 0)]
     assert f.witnesses[MatchPoint(0, 0)] == (-1,)
@@ -327,8 +322,8 @@ def test_zero_eligibility_gives_the_empty_point():
 
 
 def test_half_bound_ratio_values():
-    assert half_bound_ratio(compute_frontier(expand_to_seats(gen_named("conflict").instance))) == Fraction(1, 2)
-    assert half_bound_ratio(compute_frontier(expand_to_seats(gen_named("figure1").instance))) == 0
+    assert half_bound_ratio(compute_frontier(expand_to_seats(gen_named("conflict")))) == Fraction(1, 2)
+    assert half_bound_ratio(compute_frontier(expand_to_seats(gen_named("figure1")))) == 0
 
 
 def test_invariant_checker_rejects_bad_shapes():
@@ -407,7 +402,7 @@ def small_random_draws():
         )
 
 
-def disjoint_union(*insts: Instance) -> Instance:
+def disjoint_union(*insts: Problem) -> Problem:
     """The instances side by side, ids prefixed by position: frontiers add."""
     cats, pats, quota, eligible, beneficiary = [], [], {}, {}, {}
     for i, inst in enumerate(insts):
@@ -418,7 +413,7 @@ def disjoint_union(*insts: Instance) -> Instance:
             quota[tag(c)] = inst.quota[c]
             eligible[tag(c)] = frozenset(map(tag, inst.eligible_of(c)))
             beneficiary[tag(c)] = frozenset(map(tag, inst.beneficiary_of(c)))
-    return validate_instance(Instance(tuple(cats), tuple(pats), quota, eligible, beneficiary))
+    return Problem(tuple(cats), tuple(pats), quota, eligible, beneficiary)
 
 
 # chain k drops k + 1 beneficiaries for its last match, so a union of chains
@@ -624,7 +619,7 @@ def test_solve_sweeps_once_where_the_max_total_end_meets_the_target(monkeypatch,
     target selection sweeps no more than the whole frontier."""
     swept = []
     route_sweeps(monkeypatch, lambda sweep, n, d: swept.append(d) or sweep(d))
-    pr = Problem(instance=DIFFERENTIAL_FAMILIES["unit-quota-320"]()[0], beta_star=Fraction(1, 2))
+    pr = replace(DIFFERENTIAL_FAMILIES["unit-quota-320"]()[0], beta_star=Fraction(1, 2))
     path = tmp_path / "solve-walk.json"
     path.write_text(instance_to_json(pr))
     assert cli_module.main(["solve", str(path), "--respect-priority"]) == 0
@@ -735,7 +730,7 @@ def test_sweeps_share_one_cost_matrix_that_reads_as_a_fresh_gather(monkeypatch):
 # witnesses, each the row of the largest k that returns its kink, as a
 # sweep of k = n..1 would keep, with its seats mapped to their categories.
 def ref_n_cubed_kinks(si):
-    cats = si.instance.categories
+    cats = si.categories
     category = np.array([cats.index(si.category_of(s)) for s in si.seats], dtype=np.intp)
     codes = np.ascontiguousarray(si.pair_codes[:, category])
     n = max(codes.shape)

@@ -10,7 +10,6 @@ from reserve_frontier import (
     gen_chain_family,
     gen_named,
     gen_random,
-    validate_instance,
 )
 
 
@@ -23,54 +22,49 @@ def test_registry_lists_all_named_instances():
 def test_conflict_structure():
     pr = gen_named("conflict")
     assert pr.beta_star is None and pr.priority is None
-    inst = pr.instance
-    assert inst.quota == {"c1": 1, "c2": 1}
-    assert inst.eligible_of("c1") == frozenset({"p1"})
-    assert inst.eligible_of("c2") == frozenset({"p1", "p2"})
-    assert inst.beneficiary_of("c2") == frozenset({"p1"})
-    assert inst.beneficiary_of("c1") == frozenset()
+    assert pr.quota == {"c1": 1, "c2": 1}
+    assert pr.eligible_of("c1") == frozenset({"p1"})
+    assert pr.eligible_of("c2") == frozenset({"p1", "p2"})
+    assert pr.beneficiary_of("c2") == frozenset({"p1"})
+    assert pr.beneficiary_of("c1") == frozenset()
 
 
 def test_figure1_structure():
     pr = gen_named("figure1")
     assert pr.beta_star is None and pr.priority is None
-    inst = pr.instance
-    assert inst.eligible_of("c1") == frozenset({"p1", "p2"})
-    assert inst.eligible_of("c2") == frozenset({"p2", "p3"})
-    assert inst.eligible_of("c3") == frozenset({"p1"})
-    assert all(not inst.beneficiary_of(c) for c in inst.categories)
+    assert pr.eligible_of("c1") == frozenset({"p1", "p2"})
+    assert pr.eligible_of("c2") == frozenset({"p2", "p3"})
+    assert pr.eligible_of("c3") == frozenset({"p1"})
+    assert all(not pr.beneficiary_of(c) for c in pr.categories)
 
 
 def test_beta_threshold_structure():
     pr = gen_named("beta-threshold")
     assert pr.beta_star is not None and pr.priority is None
     assert pr.beta_star == Fraction(7, 10)
-    inst = pr.instance
-    assert inst.eligible_of("c1") == inst.beneficiary_of("c1") == frozenset({"p1"})
-    assert inst.eligible_of("c2") == frozenset({"p2"})
-    assert inst.beneficiary_of("c2") == frozenset()
+    assert pr.eligible_of("c1") == pr.beneficiary_of("c1") == frozenset({"p1"})
+    assert pr.eligible_of("c2") == frozenset({"p2"})
+    assert pr.beneficiary_of("c2") == frozenset()
 
 
 def test_path_independence_structure():
     pr = gen_named("path-independence")
     assert pr.beta_star is not None and pr.priority is None
     assert pr.beta_star == Fraction(1, 5)
-    inst = pr.instance
-    assert inst.patients == ("p1", "p2", "p3", "p4", "p5", "p6")
-    assert all(inst.quota[c] == 1 for c in inst.categories)
-    assert inst.eligible_of("c1") == frozenset({"p1", "p2"})
-    assert inst.beneficiary_of("c1") == frozenset({"p1"})
-    assert inst.eligible_of("c2") == frozenset({"p2", "p3"})
-    assert inst.eligible_of("c3") == frozenset({"p3", "p5"})
-    assert inst.eligible_of("c4") == frozenset({"p4", "p6"})
-    assert inst.beneficiary_of("c4") == frozenset({"p6"})
-    assert inst.eligible_of("c5") == frozenset({"p1"})
+    assert pr.patients == ("p1", "p2", "p3", "p4", "p5", "p6")
+    assert all(pr.quota[c] == 1 for c in pr.categories)
+    assert pr.eligible_of("c1") == frozenset({"p1", "p2"})
+    assert pr.beneficiary_of("c1") == frozenset({"p1"})
+    assert pr.eligible_of("c2") == frozenset({"p2", "p3"})
+    assert pr.eligible_of("c3") == frozenset({"p3", "p5"})
+    assert pr.eligible_of("c4") == frozenset({"p4", "p6"})
+    assert pr.beneficiary_of("c4") == frozenset({"p6"})
+    assert pr.eligible_of("c5") == frozenset({"p1"})
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_chain_family_structure(k):
     inst = gen_chain_family(k)
-    validate_instance(inst)
     n = k + 2
     assert len(inst.patients) == n and len(inst.categories) == n
     assert inst.eligible_of("c1") == frozenset({"p1", f"p{n}"})
@@ -93,7 +87,6 @@ def test_gen_random_is_deterministic_and_valid():
     b = gen_random(cfg)
     assert a == b
     assert a != gen_random(GenConfig(patients=8, categories=4, quota_range=(1, 3), seed=6))
-    validate_instance(a)
     assert len(a.patients) == 8 and len(a.categories) == 4
 
 

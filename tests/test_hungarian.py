@@ -161,8 +161,8 @@ def test_code_table_entry_matches_the_int64_maximize_solve_on_sweeps_and_pads():
         elig = np.zeros((n_p, n_s), dtype=bool)
         bene = np.zeros((n_p, n_s), dtype=bool)
         for j, seat in enumerate(si.seats):
-            elig[[si.patient_index[p] for p in si.instance.eligible_of(si.category_of(seat))], j] = True
-            bene[[si.patient_index[p] for p in si.instance.beneficiary_of(si.category_of(seat))], j] = True
+            elig[[si.patient_index[p] for p in si.eligible_of(si.category_of(seat))], j] = True
+            bene[[si.patient_index[p] for p in si.beneficiary_of(si.category_of(seat))], j] = True
         assert np.array_equal(codes, elig.astype(np.uint8) + bene)
         assert si.pair_codes.flags.c_contiguous  # else scipy copies every cost matrix gathered over it
 

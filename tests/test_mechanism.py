@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -11,6 +12,7 @@ import reserve_frontier.cli as cli_module
 import reserve_frontier.core as core_module
 import reserve_frontier.cycles as cycles_module
 import reserve_frontier.mechanism as mechanism_module
+from conftest import tier_order
 from reserve_frontier.mechanism import AUDIT_SHOWN, _select
 from reserve_frontier.oracle import Census
 from reserve_frontier.serialize import instance_to_json, matching_to_dict, share_str
@@ -20,13 +22,11 @@ from reserve_frontier import (
     AuditViolation,
     BudgetExceededError,
     GenConfig,
-    Instance,
     InstanceError,
     Matching,
     MatchingError,
     MatchPoint,
     NoNonEmptyMatchingError,
-    PriorityOrder,
     Problem,
     audit_path_independence,
     audit_substitutability,
@@ -45,11 +45,9 @@ from reserve_frontier import (
     restrict_patients,
     run_suites,
     select_approx_on_frontier,
-    validate_instance,
     validate_matching,
     with_all_witnesses,
 )
-from reserve_frontier.core import validate_priority
 
 
 def test_selection_on_named_problems():
@@ -69,23 +67,21 @@ def test_selection_on_named_problems():
 
 
 def test_selection_picks_largest_qualifying_point():
-    inst = gen_named("conflict").instance
-    m, pt = select_approx_on_frontier(Problem(instance=inst, beta_star=Fraction(1, 3)))
+    inst = gen_named("conflict")
+    m, pt = select_approx_on_frontier(replace(inst, beta_star=Fraction(1, 3)))
     assert pt == MatchPoint(1, 1)
-    m, pt = select_approx_on_frontier(Problem(instance=inst, beta_star=Fraction(0)))
+    m, pt = select_approx_on_frontier(replace(inst, beta_star=Fraction(0)))
     assert pt == MatchPoint(2, 0)
-    row, pt = select_approx_on_frontier(Problem(instance=inst, beta_star=Fraction(1)))
+    row, pt = select_approx_on_frontier(replace(inst, beta_star=Fraction(1)))
     assert pt == MatchPoint(1, 1)
     si = expand_to_seats(inst)
     assert match_point(si, si.name_row(row)) == pt
 
 
 def test_selection_needs_an_eligible_pair():
-    empty = validate_instance(
-        Instance(categories=("c1",), patients=("p1",), quota={"c1": 1}, eligible={}, beneficiary={})
-    )
+    empty = Problem(categories=("c1",), patients=("p1",), quota={"c1": 1}, eligible={}, beneficiary={})
     with pytest.raises(NoNonEmptyMatchingError):
-        select_approx_on_frontier(Problem(instance=empty, beta_star=Fraction(1, 2)))
+        select_approx_on_frontier(replace(empty, beta_star=Fraction(1, 2)))
 
 
 def unit_quota_draws():
@@ -108,7 +104,7 @@ def test_selection_witness_equals_with_all_witnesses():
             if pt.e == 0:
                 continue
             interior += pt not in f.kinks
-            row, got = select_approx_on_frontier(Problem(instance=inst, beta_star=beneficiary_share(pt)))
+            row, got = select_approx_on_frontier(replace(inst, beta_star=beneficiary_share(pt)))
             assert got == pt
             assert row == full[pt]
     assert interior >= 10
@@ -128,7 +124,7 @@ def test_selection_and_all_witnesses_run_no_cycle_search(monkeypatch):
         for pt in f.points:
             if pt.e:
                 interior += pt not in f.kinks
-                row, got = select_approx_on_frontier(Problem(instance=inst, beta_star=beneficiary_share(pt)))
+                row, got = select_approx_on_frontier(replace(inst, beta_star=beneficiary_share(pt)))
                 assert got == pt
                 if pt in f.kinks:
                     assert row == f.witnesses[pt]
@@ -159,7 +155,7 @@ def test_no_qualifying_matching_is_larger_than_the_selection():
         beta = Fraction(rng.randrange(0, 5), 4)
         si = expand_to_seats(inst)
         try:
-            m, pt = select_approx_on_frontier(Problem(instance=inst, beta_star=beta))
+            m, pt = select_approx_on_frontier(replace(inst, beta_star=beta))
         except NoNonEmptyMatchingError:
             continue
         if beneficiary_share(pt) < beta:
@@ -180,7 +176,7 @@ def test_no_qualifying_matching_is_larger_than_the_selection():
 def test_selection_names_only_the_witness_it_returns(beta_star, selected, monkeypatch, tmp_path, capsys):
     """Selection and repair name nothing, and neither does solve: it prints
     the witness's categories straight from its category row."""
-    pr = Problem(instance=gen_random(GenConfig(30, 30, (1, 1), 0.1, 0.5, seed=1)), beta_star=beta_star)
+    pr = replace(gen_random(GenConfig(30, 30, (1, 1), 0.1, 0.5, seed=1)), beta_star=beta_star)
     f = compute_frontier(pr)
     assert len(f.kinks) == 3 and (selected in f.kinks) == (selected == MatchPoint(26, 20))
     path = tmp_path / "draw.json"
@@ -220,7 +216,7 @@ def test_selection_returns_the_frontier_witness_at_its_point():
         between = [p for p in f.points if p not in f.kinks]
         if between and rng.random() < 0.75:  # the share of a point selects that point
             beta_star = beneficiary_share(rng.choice(between))
-        pr = Problem(instance=inst, beta_star=beta_star)
+        pr = replace(inst, beta_star=beta_star)
         if f.e_max == 0:
             with pytest.raises(NoNonEmptyMatchingError):
                 select_approx_on_frontier(pr)
@@ -249,7 +245,7 @@ def test_exact_share_matchings_are_dominated():
             )
         )
         beta = Fraction(rng.randrange(0, 4), 3)
-        pr = Problem(instance=inst, beta_star=beta)
+        pr = replace(inst, beta_star=beta)
         try:
             m, pt = select_approx_on_frontier(pr)
         except NoNonEmptyMatchingError:
@@ -266,18 +262,16 @@ def test_exact_share_matchings_are_dominated():
 def test_exact_share_check_catches_an_undominated_rival():
     # p1 and p2 each have one beneficiary category: both matched gives (2, 2),
     # swapped gives (2, 0), and each single match gives (1, 1) or (1, 0)
-    inst = validate_instance(
-        Instance(
-            categories=("a", "b"),
-            patients=("p1", "p2"),
-            quota={"a": 1, "b": 1},
-            eligible={"a": frozenset({"p1", "p2"}), "b": frozenset({"p1", "p2"})},
-            beneficiary={"a": frozenset({"p1"}), "b": frozenset({"p2"})},
-        )
+    inst = Problem(
+        categories=("a", "b"),
+        patients=("p1", "p2"),
+        quota={"a": 1, "b": 1},
+        eligible={"a": frozenset({"p1", "p2"}), "b": frozenset({"p1", "p2"})},
+        beneficiary={"a": frozenset({"p1"}), "b": frozenset({"p2"})},
     )
     si = expand_to_seats(inst)
     scored = [match_point(si, si.name_row(row)) for row in enumerate_matchings(si)]
-    pr = Problem(instance=inst, beta_star=Fraction(1))
+    pr = replace(inst, beta_star=Fraction(1))
     selected = MatchPoint(2, 0)  # dominates none of the share-1 matchings
     exact = [pt for pt in scored if pt.e and beneficiary_share(pt) == pr.beta_star]
     escaped = [pt for pt in exact if not dominates(selected, pt)]
@@ -295,49 +289,40 @@ def test_exact_share_check_catches_an_undominated_rival():
 
 
 def priority_fixture():
-    inst = validate_instance(
-        Instance(
-            categories=("c1", "c2"),
-            patients=("p1", "p2", "p3"),
-            quota={"c1": 1, "c2": 1},
-            eligible={"c1": frozenset({"p1", "p2", "p3"}), "c2": frozenset({"p2", "p3"})},
-            beneficiary={"c1": frozenset({"p2"})},
-        )
+    return Problem(
+        categories=("c1", "c2"),
+        patients=("p1", "p2", "p3"),
+        quota={"c1": 1, "c2": 1},
+        eligible={"c1": frozenset({"p1", "p2", "p3"}), "c2": frozenset({"p2", "p3"})},
+        beneficiary={"c1": frozenset({"p2"})},
     )
-    return inst
 
 
 def test_from_tiers_orders_beneficiaries_first():
     inst = priority_fixture()
-    po = PriorityOrder.from_tiers(inst)
-    assert po.order["c1"] == ("p2", "p1", "p3")  # beneficiary, then eligible, then rest
-    assert po.order["c2"] == ("p2", "p3", "p1")
-    validate_priority(inst, po)
+    po = tier_order(inst)
+    assert po["c1"] == ("p2", "p1", "p3")  # beneficiary, then eligible, then rest
+    assert po["c2"] == ("p2", "p3", "p1")
+    assert replace(inst, priority=po).priority == po  # validated: the tiers hold
 
 
 def test_validate_priority_rejects_bad_orders():
     inst = priority_fixture()
     with pytest.raises(InstanceError):
-        validate_priority(inst, PriorityOrder(order={"c1": ("p1", "p2", "p3")}))  # c2 missing
+        replace(inst, priority={"c1": ("p1", "p2", "p3")})  # c2 missing
     with pytest.raises(InstanceError):
-        validate_priority(
-            inst,
-            PriorityOrder(order={"c1": ("p1", "p1", "p3"), "c2": ("p2", "p3", "p1")}),
-        )
+        replace(inst, priority={"c1": ("p1", "p1", "p3"), "c2": ("p2", "p3", "p1")})
     # eligible non-beneficiary ahead of a beneficiary breaks the tier rule
     with pytest.raises(InstanceError):
-        validate_priority(
-            inst,
-            PriorityOrder(order={"c1": ("p1", "p2", "p3"), "c2": ("p2", "p3", "p1")}),
-        )
+        replace(inst, priority={"c1": ("p1", "p2", "p3"), "c2": ("p2", "p3", "p1")})
 
 
 def test_rank_sum_by_hand():
     inst = priority_fixture()
-    pwo = Problem(
-        instance=inst,
+    pwo = replace(
+        inst,
         beta_star=Fraction(0),
-        priority=PriorityOrder.from_tiers(inst),
+        priority=tier_order(inst),
     )
     row = (0, -1, 1)  # p1 at c1#0, p3 at c2#0
     # p1 is rank 2 in c1, p3 is rank 2 in c2
@@ -346,19 +331,17 @@ def test_rank_sum_by_hand():
 
 def test_repair_swaps_in_the_outranking_patient():
     # one seat, no beneficiaries, priority prefers the unmatched patient
-    inst = validate_instance(
-        Instance(
-            categories=("c1",),
-            patients=("p1", "p2"),
-            quota={"c1": 1},
-            eligible={"c1": frozenset({"p1", "p2"})},
-            beneficiary={},
-        )
+    inst = Problem(
+        categories=("c1",),
+        patients=("p1", "p2"),
+        quota={"c1": 1},
+        eligible={"c1": frozenset({"p1", "p2"})},
+        beneficiary={},
     )
-    pwo = Problem(
-        instance=inst,
+    pwo = replace(
+        inst,
         beta_star=Fraction(0),
-        priority=PriorityOrder(order={"c1": ("p2", "p1")}),
+        priority={"c1": ("p2", "p1")},
     )
     row = (0, -1)  # p1 at c1#0
     assert respects_priority(pwo, row) == [(0, 0, 1)]  # c1 seats p1 over p2
@@ -372,19 +355,17 @@ def test_repair_swaps_in_the_outranking_patient():
 
 def test_repair_rejects_score_changing_swaps():
     # the only fix would swap a beneficiary in, changing the point
-    inst = validate_instance(
-        Instance(
-            categories=("c1",),
-            patients=("p1", "p2"),
-            quota={"c1": 1},
-            eligible={"c1": frozenset({"p1", "p2"})},
-            beneficiary={"c1": frozenset({"p2"})},
-        )
+    inst = Problem(
+        categories=("c1",),
+        patients=("p1", "p2"),
+        quota={"c1": 1},
+        eligible={"c1": frozenset({"p1", "p2"})},
+        beneficiary={"c1": frozenset({"p2"})},
     )
-    pwo = Problem(
-        instance=inst,
+    pwo = replace(
+        inst,
         beta_star=Fraction(0),
-        priority=PriorityOrder.from_tiers(inst),
+        priority=tier_order(inst),
     )
     dominated = (0, -1)  # p1 at c1#0
     with pytest.raises(ValueError, match="not a frontier matching"):
@@ -405,15 +386,15 @@ def test_repair_preserves_selected_points_on_random_instances():
                 seed=rng.randint(0, 100_000),
             )
         )
-        pr = Problem(instance=inst, beta_star=Fraction(rng.randrange(0, 4), 3))
+        pr = replace(inst, beta_star=Fraction(rng.randrange(0, 4), 3))
         try:
             row, pt = select_approx_on_frontier(pr)
         except NoNonEmptyMatchingError:
             continue
         # scramble within tiers deterministically to provoke violations
-        base = PriorityOrder.from_tiers(inst)
+        base = tier_order(inst)
         order = {}
-        for c, ps in base.order.items():
+        for c, ps in base.items():
             tiers = [
                 [p for p in ps if p in inst.beneficiary_of(c)],
                 [p for p in ps if p in inst.eligible_of(c) and p not in inst.beneficiary_of(c)],
@@ -424,7 +405,7 @@ def test_repair_preserves_selected_points_on_random_instances():
                 rng.shuffle(tier)
                 shuffled.extend(tier)
             order[c] = tuple(shuffled)
-        pwo = Problem(instance=inst, beta_star=pr.beta_star, priority=validate_priority(inst, PriorityOrder(order=order)))
+        pwo = replace(pr, priority=order)
         before = respects_priority(pwo, row)
         fixed = repair_priority(pwo, row)
         si = expand_to_seats(inst)
@@ -436,19 +417,19 @@ def test_repair_preserves_selected_points_on_random_instances():
 
 
 def reference_order(pr):
-    return pr.priority if pr.priority is not None else PriorityOrder.from_tiers(pr.instance)
+    return pr.priority if pr.priority is not None else tier_order(pr)
 
 
 def reference_rank(po, c, p):
-    return po.order[c].index(p) + 1
+    return po[c].index(p) + 1
 
 
 def reference_respects_priority(pr, m):
     """The full scan: every assigned patient against every unmatched one."""
     po = reference_order(pr)
-    si = expand_to_seats(pr.instance)
+    si = expand_to_seats(pr)
     matched = {p for p, _ in m.pairs}
-    unmatched = [p for p in pr.instance.patients if p not in matched]
+    unmatched = [p for p in pr.patients if p not in matched]
     out = []
     for p, s in m.pairs:
         c = si.category_of(s)
@@ -460,9 +441,9 @@ def reference_respects_priority(pr, m):
 def reference_repair_priority(pr, m):
     """One full scan per swap; each swap takes the min-key violation."""
     po = reference_order(pr)
-    si = expand_to_seats(pr.instance)
+    si = expand_to_seats(pr)
     target = match_point(si, m)
-    cat_pos = {c: i for i, c in enumerate(pr.instance.categories)}
+    cat_pos = {c: i for i, c in enumerate(pr.categories)}
     while True:
         violations = reference_respects_priority(pr, m)
         if not violations:
@@ -492,7 +473,7 @@ def shuffled_admissible_order(inst, rng):
             [p for p in inst.patients if p not in elig],
         ]
         order[c] = tuple(p for tier in tiers for p in rng.sample(tier, len(tier)))
-    return PriorityOrder(order=order)
+    return order
 
 
 def random_matching(inst, rng):
@@ -501,7 +482,7 @@ def random_matching(inst, rng):
     si = expand_to_seats(inst)
     free, pairs = set(si.seats), []
     for p in rng.sample(inst.patients, rng.randint(0, len(inst.patients))):
-        options = [s for s in si.seats if s in free and p in si.instance.eligible_of(si.category_of(s))]
+        options = [s for s in si.seats if s in free and p in si.eligible_of(si.category_of(s))]
         if options:
             s = rng.choice(options)
             free.remove(s)
@@ -513,7 +494,7 @@ def random_matching(inst, rng):
 
 
 def reference_rank_sum(pr, m):
-    po, si = reference_order(pr), expand_to_seats(pr.instance)
+    po, si = reference_order(pr), expand_to_seats(pr)
     return sum(reference_rank(po, si.category_of(s), p) for p, s in m.pairs)
 
 
@@ -526,7 +507,7 @@ def assert_priority_layer_matches_reference(pr, row):
     """The repaired category row, or None when both repairs refuse row.  The
     reference scans work on the named matching."""
     m = pr.name_row(row)
-    cats, pats = pr.instance.categories, pr.patients
+    cats, pats = pr.categories, pr.patients
     named = sorted((cats[c], pats[p], pats[q]) for c, p, q in respects_priority(pr, row))
     assert named == reference_respects_priority(pr, m)
     assert rank_sum(pr, row) == reference_rank_sum(pr, m)
@@ -557,7 +538,7 @@ def test_priority_layer_matches_the_full_scan_on_random_matchings():
             )
         )
         for priority in (None, shuffled_admissible_order(inst, rng)):
-            pr = Problem(instance=inst, beta_star=Fraction(1, 2), priority=priority)
+            pr = replace(inst, beta_star=Fraction(1, 2), priority=priority)
             row = random_matching(inst, rng)
             flagged += bool(reference_respects_priority(pr, pr.name_row(row)))
             fixed = assert_priority_layer_matches_reference(pr, row)
@@ -566,29 +547,25 @@ def test_priority_layer_matches_the_full_scan_on_random_matchings():
 
 
 def two_categories():
-    inst = validate_instance(
-        Instance(
-            categories=("c1", "c2"),
-            patients=("p1", "p2", "p3"),
-            quota={"c1": 1, "c2": 1},
-            eligible={"c1": frozenset({"p2", "p3"}), "c2": frozenset({"p3"})},
-            beneficiary={},
-        )
+    inst = Problem(
+        categories=("c1", "c2"),
+        patients=("p1", "p2", "p3"),
+        quota={"c1": 1, "c2": 1},
+        eligible={"c1": frozenset({"p2", "p3"}), "c2": frozenset({"p3"})},
+        beneficiary={},
     )
-    return inst, PriorityOrder(order={"c1": ("p2", "p3", "p1"), "c2": ("p3", "p1", "p2")})
+    return inst, {"c1": ("p2", "p3", "p1"), "c2": ("p3", "p1", "p2")}
 
 
 def one_category_of_quota_two():
-    inst = validate_instance(
-        Instance(
-            categories=("c1",),
-            patients=("p1", "p2", "p3"),
-            quota={"c1": 2},
-            eligible={"c1": frozenset({"p1", "p2", "p3"})},
-            beneficiary={},
-        )
+    inst = Problem(
+        categories=("c1",),
+        patients=("p1", "p2", "p3"),
+        quota={"c1": 2},
+        eligible={"c1": frozenset({"p1", "p2", "p3"})},
+        beneficiary={},
     )
-    return inst, PriorityOrder(order={"c1": ("p3", "p1", "p2")})
+    return inst, {"c1": ("p3", "p1", "p2")}
 
 
 @pytest.mark.parametrize(
@@ -613,7 +590,7 @@ def test_priority_layer_refuses_a_pair_it_cannot_rank(instance, row, pairs, mess
     or the Matching constructor with the same fault."""
     inst, order = instance()
     for priority in (None, order):
-        pr = Problem(instance=inst, beta_star=Fraction(0), priority=priority)
+        pr = replace(inst, beta_star=Fraction(0), priority=priority)
         for fn in (rank_sum, respects_priority, repair_priority):
             with pytest.raises(MatchingError, match=message):
                 fn(pr, row)
@@ -650,9 +627,10 @@ def test_solve_prints_the_name_route_on_seat_rows(tmp_path, capsys):
             )
         )
         beta = Fraction(rng.randrange(6), 5)
-        problems += [Problem(inst, beta), Problem(inst, beta, shuffled_admissible_order(inst, rng))]
-    walk = gen_random(GenConfig(320, 320, (1, 1), 3 / 320, 0.5, seed=1))
-    problems += [Problem(walk, Fraction(1, 2)), Problem(walk, Fraction(1, 2), shuffled_admissible_order(walk, rng))]
+        pr = replace(inst, beta_star=beta)
+        problems += [pr, replace(pr, priority=shuffled_admissible_order(pr, rng))]
+    walk = replace(gen_random(GenConfig(320, 320, (1, 1), 3 / 320, 0.5, seed=1)), beta_star=Fraction(1, 2))
+    problems += [walk, replace(walk, priority=shuffled_admissible_order(walk, rng))]
     path, compared, swapped = tmp_path / "draw.json", Counter(), 0
     for pr in problems:
         path.write_text(instance_to_json(pr))
@@ -682,16 +660,16 @@ def test_rank_tables_are_built_once_per_problem(monkeypatch):
 
     monkeypatch.setattr(core_module, "_build_rank_rows", counting)
     inst = gen_random(GenConfig(7, 4, (1, 2), 0.6, 0.5, seed=5))
-    for priority in (None, PriorityOrder.from_tiers(inst)):
+    for priority in (None, tier_order(inst)):
         builds.clear()
-        pr = Problem(instance=inst, beta_star=Fraction(1, 2), priority=priority)
+        pr = replace(inst, beta_star=Fraction(1, 2), priority=priority)
         row, _ = select_approx_on_frontier(pr)
         fixed = repair_priority(pr, row)
         assert respects_priority(pr, fixed) == [] and rank_sum(pr, fixed) <= rank_sum(pr, row)
         assert all(r.ok for r in run_suites(pr, ("mechanism",)))
         assert len(builds) == 1
         with pytest.raises(MatchingError):  # each call still checks its row
-            respects_priority(pr, (len(pr.instance.categories),) + row[1:])
+            respects_priority(pr, (len(pr.categories),) + row[1:])
 
 
 def test_priority_layer_matches_the_full_scan_on_frontier_matchings():
@@ -704,7 +682,7 @@ def test_priority_layer_matches_the_full_scan_on_frontier_matchings():
             )
         )
         for priority in (None, shuffled_admissible_order(inst, rng)):
-            pr = Problem(instance=inst, beta_star=Fraction(rng.randrange(4), 3), priority=priority)
+            pr = replace(inst, beta_star=Fraction(rng.randrange(4), 3), priority=priority)
             try:
                 row, _ = select_approx_on_frontier(pr)
             except NoNonEmptyMatchingError:
@@ -716,7 +694,7 @@ def test_priority_layer_matches_the_full_scan_on_frontier_matchings():
 def test_priority_layer_matches_the_full_scan_on_the_solve_walk_draw():
     # the solve-walk base draw: 320 x 320, quota 1, elig 3/320, bene 0.5, seed 1
     inst = gen_random(GenConfig(320, 320, (1, 1), 3 / 320, 0.5, seed=1))
-    pr = Problem(instance=inst, beta_star=Fraction(1, 2))
+    pr = replace(inst, beta_star=Fraction(1, 2))
     row, _ = select_approx_on_frontier(pr)
     assert reference_respects_priority(pr, pr.name_row(row))
     fixed = assert_priority_layer_matches_reference(pr, row)
@@ -726,12 +704,12 @@ def test_priority_layer_matches_the_full_scan_on_the_solve_walk_draw():
 def test_induced_choice_on_the_six_patient_problem():
     pr = gen_named("path-independence")
     patients, masks = choice_masks(pr)
-    assert patients == pr.instance.patients
+    assert patients == pr.patients
 
     def chosen(subset):
         return unmask(patients, masks[sum(1 << patients.index(p) for p in subset)])
 
-    assert chosen(pr.instance.patients) == frozenset({"p1", "p2", "p3", "p5", "p6"})
+    assert chosen(pr.patients) == frozenset({"p1", "p2", "p3", "p5", "p6"})
     assert chosen(["p1", "p2", "p3", "p4", "p5"]) in (
         frozenset({"p1", "p2", "p3", "p4"}),
         frozenset({"p1", "p2", "p4", "p5"}),
@@ -747,7 +725,7 @@ def test_audits_flag_the_designed_failure():
     assert pi
     subs, first = audit_substitutability(patients, masks)
     assert subs == len(first) == 3
-    everyone = frozenset(pr.instance.patients)
+    everyone = frozenset(pr.patients)
     x = frozenset({"p1", "p2", "p3", "p4", "p5"})
     hits = [v for v in first if v.x == everyone and v.x_prime == x]
     assert hits and hits[0].lhs == frozenset({"p1", "p2", "p3", "p5"})
@@ -755,16 +733,14 @@ def test_audits_flag_the_designed_failure():
 
 def test_audits_pass_on_an_unconstrained_instance():
     # everyone always fits, so choice is the identity and both laws hold
-    inst = validate_instance(
-        Instance(
-            categories=("c1",),
-            patients=("p1", "p2", "p3"),
-            quota={"c1": 3},
-            eligible={"c1": frozenset({"p1", "p2", "p3"})},
-            beneficiary={"c1": frozenset({"p1", "p2", "p3"})},
-        )
+    inst = Problem(
+        categories=("c1",),
+        patients=("p1", "p2", "p3"),
+        quota={"c1": 3},
+        eligible={"c1": frozenset({"p1", "p2", "p3"})},
+        beneficiary={"c1": frozenset({"p1", "p2", "p3"})},
     )
-    patients, masks = choice_masks(Problem(instance=inst, beta_star=Fraction(1)))
+    patients, masks = choice_masks(replace(inst, beta_star=Fraction(1)))
     assert masks.tolist() == list(range(8))
     assert audit_path_independence(patients, masks) == (0, [])
     assert audit_substitutability(patients, masks) == (0, [])
@@ -775,7 +751,7 @@ def test_audit_respects_the_patient_cap(monkeypatch):
         raise AssertionError("an audit over the patient cap solved a subset")
 
     monkeypatch.setattr(mechanism_module, "_select", no_enumeration)
-    pr = Problem(instance=gen_random(GenConfig(15, 4, (1, 2), 0.5, seed=3)), beta_star=Fraction(1, 3))
+    pr = replace(gen_random(GenConfig(15, 4, (1, 2), 0.5, seed=3)), beta_star=Fraction(1, 3))
     with pytest.raises(BudgetExceededError, match="MAX_AUDIT_PATIENTS = 14"):
         choice_masks(pr)
 
@@ -784,13 +760,13 @@ def test_audit_respects_the_patient_cap(monkeypatch):
 # restricted instance, Problem, expansion and selection per subset, and
 # every violation kept in a list.  Kept here only as the reference.
 def reference_choice_masks(pr):
-    patients = pr.instance.patients
+    patients = pr.patients
     beta_star = Fraction(0) if pr.beta_star is None else pr.beta_star
     masks = []
     for x in range(1 << len(patients)):
-        sub = restrict_patients(pr.instance, unmask(patients, x))
+        sub = restrict_patients(pr, unmask(patients, x))
         try:
-            row, _ = select_approx_on_frontier(Problem(instance=sub, beta_star=beta_star))
+            row, _ = select_approx_on_frontier(replace(sub, beta_star=beta_star))
         except NoNonEmptyMatchingError:
             row = ()
         chosen = [p for p, j in zip(sub.patients, row) if j >= 0]
@@ -854,7 +830,7 @@ def audit_problems():
     ]
     for cfg in [*draws, TIE_DRAW]:
         inst = gen_random(cfg)
-        yield from (Problem(instance=inst, beta_star=t) for t in (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1)))
+        yield from (replace(inst, beta_star=t) for t in (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1)))
 
 
 def test_choice_masks_and_audits_match_the_per_subset_route():
@@ -871,11 +847,11 @@ def test_choice_masks_and_audits_match_the_per_subset_route():
 
 
 def test_audit_counts_on_the_tie_draw_and_a12():
-    patients, masks = choice_masks(Problem(instance=gen_random(TIE_DRAW), beta_star=Fraction(1, 5)))
+    patients, masks = choice_masks(replace(gen_random(TIE_DRAW), beta_star=Fraction(1, 5)))
     assert audit_path_independence(patients, masks)[0] == 528
     assert audit_substitutability(patients, masks)[0] == 43
 
-    pr = Problem(instance=gen_random(A12), beta_star=Fraction(1, 3))
+    pr = replace(gen_random(A12), beta_star=Fraction(1, 3))
     patients, masks = choice_masks(pr)
     assert masks.tolist() == reference_choice_masks(pr)
     # never build the reference path-independence list here: it held 2.4 M

@@ -41,7 +41,7 @@ def rows_by_seats(si) -> set:
     # independent route: recurse over seats instead of patients; the
     # seat assignments of one category row collapse to that row
     seats = list(si.seats)
-    category = [si.instance.categories.index(si.category_of(s)) for s in seats]
+    category = [si.categories.index(si.category_of(s)) for s in seats]
     rows = set()
 
     def rec(j: int, held: dict) -> None:
@@ -49,7 +49,7 @@ def rows_by_seats(si) -> set:
             rows.add(tuple(held.get(i, -1) for i in range(len(si.patients))))
             return
         rec(j + 1, held)
-        for p in si.instance.eligible_of(si.category_of(seats[j])):
+        for p in si.eligible_of(si.category_of(seats[j])):
             i = si.patient_index[p]
             if i not in held:
                 rec(j + 1, {**held, i: category[j]})
@@ -59,7 +59,7 @@ def rows_by_seats(si) -> set:
 
 
 def test_conflict_has_five_matchings():
-    si = expand_to_seats(gen_named("conflict").instance)
+    si = expand_to_seats(gen_named("conflict"))
     assert count_matchings(si) == 5
     rows = list(enumerate_matchings(si))
     assert len(rows) == 5
@@ -86,12 +86,12 @@ def test_count_agrees_with_seat_axis_recursion():
 
 
 def test_oracle_frontier_on_named_instances():
-    assert list(Census(expand_to_seats(gen_named("conflict").instance)).frontier().points) == [
+    assert list(Census(expand_to_seats(gen_named("conflict"))).frontier().points) == [
         MatchPoint(1, 1),
         MatchPoint(2, 0),
     ]
-    assert list(Census(expand_to_seats(gen_named("figure1").instance)).frontier().points) == [MatchPoint(3, 0)]
-    pi = gen_named("path-independence").instance
+    assert list(Census(expand_to_seats(gen_named("figure1"))).frontier().points) == [MatchPoint(3, 0)]
+    pi = gen_named("path-independence")
     assert list(Census(expand_to_seats(pi)).frontier().points) == [MatchPoint(4, 2), MatchPoint(5, 1)]
 
 
@@ -305,7 +305,7 @@ def test_disjoint_family_search_loops_over_skipped_cycles():
 
 
 def test_matchings_at_point_and_sampling():
-    si = expand_to_seats(gen_named("conflict").instance)
+    si = expand_to_seats(gen_named("conflict"))
     at_11 = [row for row in enumerate_matchings(si) if match_point(si, si.name_row(row)) == MatchPoint(1, 1)]
     assert [si.name_row(row).pairs for row in at_11] == [(("p1", "c2#0"),)]
     census = Census(si)
@@ -331,7 +331,7 @@ def test_sampling_caps_and_stays_deterministic(monkeypatch):
 
 
 def test_min_cycle_loss_on_conflict():
-    si = expand_to_seats(gen_named("conflict").instance)
+    si = expand_to_seats(gen_named("conflict"))
     assert si.seats == ("c1#0", "c2#0")
     assert oracle_min_cycle_loss(si, (1, -1)) == 1  # p1 at c2: the (1,1) matching
     assert oracle_min_cycle_loss(si, (0, 1)) is None  # (2,0): nothing larger

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tier_order
 from reserve_frontier import (
     GenConfig,
     MatchPoint,
-    PriorityOrder,
     Problem,
     compute_frontier,
     expand_to_seats,
@@ -75,9 +76,8 @@ def test_parse_minimal_document():
     }
     pr = parse_instance(doc)
     assert pr.beta_star is None and pr.priority is None
-    inst = pr.instance
-    assert inst.quota == {"c1": 1, "c2": 2}
-    assert inst.beneficiary_of("c2") == frozenset({"p1"})
+    assert pr.quota == {"c1": 1, "c2": 2}
+    assert pr.beneficiary_of("c2") == frozenset({"p1"})
 
 
 def test_parse_errors():
@@ -170,9 +170,7 @@ def test_round_trip_on_named_inputs():
 
 def test_round_trip_with_priority():
     pr = gen_named("beta-threshold")
-    pwo = Problem(
-        instance=pr.instance, beta_star=pr.beta_star, priority=PriorityOrder.from_tiers(pr.instance)
-    )
+    pwo = replace(pr, priority=tier_order(pr))
     again = parse_instance(emit_instance(pwo))
     assert again == pwo
 
@@ -188,13 +186,13 @@ def test_round_trip_on_random_instances():
                 seed=rng.randint(0, 10_000),
             )
         )
-        assert parse_instance(emit_instance(Problem(inst))) == Problem(inst)
-        pr = Problem(instance=inst, beta_star=Fraction(rng.randint(0, 6), 6))
+        assert parse_instance(emit_instance(inst)) == inst
+        pr = replace(inst, beta_star=Fraction(rng.randint(0, 6), 6))
         assert parse_instance(emit_instance(pr)) == pr
 
 
 def test_matching_serialization_uses_categories():
-    si = expand_to_seats(gen_named("conflict").instance)
+    si = expand_to_seats(gen_named("conflict"))
     assert si.seats == ("c1#0", "c2#0")
     d = matching_to_dict(si, (1, -1))  # p1 at c2#0
     assert d == {"assignment": {"p1": "c2"}, "e": 1, "b": 1, "beta": "1/1"}
@@ -202,18 +200,14 @@ def test_matching_serialization_uses_categories():
 
 
 def test_frontier_csv_layout():
-    f = compute_frontier(expand_to_seats(gen_named("conflict").instance))
+    f = compute_frontier(expand_to_seats(gen_named("conflict")))
     buf = io.StringIO()
     write_frontier_csv(f, buf)
     assert buf.getvalue() == "e,b,beta_num,beta_den,is_kink\n1,1,1,1,1\n2,0,0,1,1\n"
 
 
 def test_frontier_csv_empty_point_row():
-    from reserve_frontier import Instance, validate_instance
-
-    inst = validate_instance(
-        Instance(categories=("c1",), patients=("p1",), quota={"c1": 1}, eligible={}, beneficiary={})
-    )
+    inst = Problem(categories=("c1",), patients=("p1",), quota={"c1": 1}, eligible={}, beneficiary={})
     f = compute_frontier(expand_to_seats(inst))
     buf = io.StringIO()
     write_frontier_csv(f, buf)
@@ -221,7 +215,7 @@ def test_frontier_csv_empty_point_row():
 
 
 def test_frontier_json_with_witnesses():
-    si = expand_to_seats(gen_named("conflict").instance)
+    si = expand_to_seats(gen_named("conflict"))
     f = with_all_witnesses(si, compute_frontier(si))
     doc = frontier_to_dict(f, si, witnesses=True)
     assert [p["e"] for p in doc["points"]] == [1, 2]
