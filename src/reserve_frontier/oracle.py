@@ -11,11 +11,12 @@ Every matching here is a category row, as in frontier and cycles (row[i]
 is the index of patient i's category, or -1), enumerated and counted once,
 and nothing here names one.
 
-There are two entry points.  Census(pr, budget, points) answers everything
-the verify checks read: .counts (matchings per score point), .frontier()
-(undominated points, witnessed as frontier does, by the category row of
-their first matching) and .sample(points) (up to the SAMPLE_CAP constant
-rows per point, reservoir-sampled with seed 0).
+There are two entry points.  Census(pr, budget, points) is the record of
+one pass and holds everything the verify checks read: .counts (matchings
+per score point), .frontier (undominated points, witnessed as frontier
+does, by the category row of their first matching) and, at the points it
+is built with, .samples (up to the SAMPLE_CAP constant rows per point,
+reservoir-sampled with seed 0), .matched and .mode.
 enumerate_matchings(pr, budget) yields the row of every matching, in the
 same order, for callers that need each one.  oracle_min_cycle_loss(pr,
 row) refuses a row that is not a matching of pr (Problem.check_row).
@@ -31,8 +32,8 @@ number of bytes whatever the instance; enumerate_matchings streams its
 blocks.  A Census enumerates its instance once, when it is built, for
 the count and first matching at every score point (the frontier, its
 witnesses and every exact-share count) and, in the same pass, the
-sampled matchings and matched patient sets at the points it was built
-with; only samples at other points take a pass of their own.  Leaves are
+sampled matchings and matched patient sets at the points it is built
+with; samples at other points take a Census of their own.  Leaves are
 scored by index, block by block, and only the first leaf at each new
 point and the leaves at sampled points are read back and reach Python.
 """
@@ -42,7 +43,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -236,81 +237,45 @@ def enumerate_matchings(pr: Problem, budget: EnumerationBudget = DEFAULT_BUDGET)
         yield from map(tuple, read(np.arange(len(e))).tolist())
 
 
-# Rows that Census.sample keeps per point; the rest are reservoir-sampled.
+# Rows that a Census keeps per point; the rest are reservoir-sampled.
 SAMPLE_CAP = 200
 
 
-class Sample(NamedTuple):
-    """Samples at a set of points, and the matched sets of every matching there."""
-
-    matchings: dict[MatchPoint, list[tuple[int, ...]]]  # category rows
-    mode: str  # "exhaustive" if nothing was dropped, else "sampled"
-    matched: dict[MatchPoint, set[int]]  # bitmasks of matched patient indices
-
-
 class Census:
-    """The oracle's view of one instance, from one pass made when it is built.
+    """The oracle's record of one instance, from the one pass made when it is built.
 
     Building it enumerates the instance, so an instance over the budget's
     patients or seats, or one whose pass exceeds the state budget, is
-    refused there, before any caller reads it.  The pass records, for each point (e, b), the
-    number of matchings scoring it and the first one in enumeration order,
-    and in the same visit reservoir-samples up to SAMPLE_CAP matchings at
-    each of the census's points, drawing from Random(0) exactly as a scan
-    of its own would, and collects the matched patient sets there.  Samples
-    at another point set get a fresh pass of their own, so a frontier that
-    disagrees with the oracle still gets its samples.  Every pass has its
-    own state budget, as every scan does.
+    refused there, before any caller reads it.  The pass sets counts, the
+    number of matchings scoring each point (e, b), in order of first
+    appearance, and frontier, the undominated points, each witnessed by
+    its first matching in enumeration order.  At the points it is built
+    with, the same visit sets samples, up to SAMPLE_CAP category rows per
+    point, reservoir-sampled from Random(0) exactly as a scan of its own
+    would, and matched, the matched patient sets of every matching there
+    (as bitmasks of patient indices); mode is "exhaustive" if no sample
+    dropped a row, else "sampled".  Samples at other points take a Census
+    of their own, with its own state budget.
     """
 
     def __init__(self, pr: Problem, budget: EnumerationBudget = DEFAULT_BUDGET,
                  points: Iterable[MatchPoint] = ()):
-        self.pr = pr
-        self.budget = budget
-        own = frozenset(points)
-        # counts: matchings at each point, in order of first appearance
-        self.counts, self._first, sample = self._pass(own)
-        self._samples: dict[frozenset[MatchPoint], Sample] = {own: sample}
-        # by e, then b, descending: a point is undominated iff its b beats
-        # every b before it
-        nd, top = [], -1
-        for p in sorted(self.counts, key=lambda p: (-p.e, -p.b)):
-            if p.b > top:
-                nd.append(p)
-                top = p.b
-        nd.reverse()
-        witnesses = {p: self._first[p] for p in nd}
-        self._frontier = Frontier(points=tuple(nd), kinks=kinks_of(nd), witnesses=witnesses)
-
-    def frontier(self) -> Frontier:
-        """Undominated points, each witnessed by its first matching's category row."""
-        return self._frontier
-
-    def sample(self, points) -> Sample:
-        """Up to SAMPLE_CAP category rows per point, reservoir-sampled with seed 0."""
-        key = frozenset(points)
-        if key not in self._samples:
-            self._samples[key] = self._pass(key)[2]
-        return self._samples[key]
-
-    def _pass(self, wanted: frozenset[MatchPoint]) -> tuple[dict, dict, Sample]:
-        """One enumeration: (counts, first, sample), the count and first
-        matching of every point and the sample at the wanted points."""
-        _check_size(self.pr, self.budget)  # before the slot table, (patients + 1)^2 wide
+        _check_size(pr, budget)  # before the slot table, (patients + 1)^2 wide
+        self.pr, self.budget, self.points = pr, budget, frozenset(points)
         rng, cap = random.Random(0), SAMPLE_CAP
-        kept: dict[MatchPoint, list[tuple[int, ...]]] = {p: [] for p in wanted}
-        seen: dict[MatchPoint, int] = {p: 0 for p in wanted}
-        matched: dict[MatchPoint, set[int]] = {p: set() for p in wanted}
+        self.samples: dict[MatchPoint, list[tuple[int, ...]]] = {p: [] for p in self.points}
+        self.matched: dict[MatchPoint, set[int]] = {p: set() for p in self.points}
+        seen = dict.fromkeys(self.points, 0)
         counts: dict[int, int] = {}
         first: dict[int, tuple[int, ...]] = {}
-        # a point's key is e * stride + b; each wanted point a leaf can score
+        # a point's key is e * stride + b; each sampled point a leaf can score
         # has one slot, and the others are never hit
-        stride = len(self.pr.patients) + 1
+        stride = len(pr.patients) + 1
         slot_of = np.full(stride * stride, -1, dtype=np.intp)
-        points = [p for p in wanted if min(p) >= 0 and max(p) < stride]
-        for k, (pe, pb) in enumerate(points):
+        wanted = [p for p in self.points if min(p) >= 0 and max(p) < stride]
+        for k, (pe, pb) in enumerate(wanted):
             slot_of[pe * stride + pb] = k
-        for read, e, b in _leaf_blocks(self.pr, self.budget):
+        for read, e, b in _leaf_blocks(pr, budget):
             keys = e * stride + b
             sizes = np.bincount(keys)
             at = np.full(len(sizes), len(keys), dtype=np.intp)
@@ -331,32 +296,39 @@ class Census:
             # one leaf at a time, in leaf order across all points, so the
             # reservoir draws from rng exactly as a depth-first scan does
             for k, row, mask in zip(slots[rows].tolist(), hits.tolist(), bits):
-                pt = points[k]
+                pt = wanted[k]
                 seen[pt] = n = seen[pt] + 1
-                matched[pt].add(int.from_bytes(mask.tobytes(), "little"))
-                bucket = kept[pt]
+                self.matched[pt].add(int.from_bytes(mask.tobytes(), "little"))
+                bucket = self.samples[pt]
                 if len(bucket) < cap:
                     bucket.append(tuple(row))
                 else:
                     slot = rng.randrange(n)
                     if slot < cap:
                         bucket[slot] = tuple(row)
-        mode = "exhaustive" if all(n <= cap for n in seen.values()) else "sampled"
-        return ({MatchPoint(*divmod(k, stride)): c for k, c in counts.items()},
-                {MatchPoint(*divmod(k, stride)): a for k, a in first.items()},
-                Sample(kept, mode, matched))
+        self.mode = "exhaustive" if all(n <= cap for n in seen.values()) else "sampled"
+        self.counts = {MatchPoint(*divmod(k, stride)): c for k, c in counts.items()}
+        self._first = {MatchPoint(*divmod(k, stride)): a for k, a in first.items()}
+        # by e, then b, descending: a point is undominated iff its b beats
+        # every b before it
+        nd, top = [], -1
+        for p in sorted(self.counts, key=lambda p: (-p.e, -p.b)):
+            if p.b > top:
+                nd.append(p)
+                top = p.b
+        nd.reverse()
+        witnesses = {p: self._first[p] for p in nd}
+        self.frontier = Frontier(points=tuple(nd), kinks=kinks_of(nd), witnesses=witnesses)
 
 
 def _applicable_cycles(pr: Problem, row: Sequence[int], budget: EnumerationBudget):
     """All applicable cycles in the associated graph of the category row,
     by exhaustive search.
 
-    Returns (patient_indices, category_indices, loss, end) tuples.  A cycle
-    that ends in a category with k free seats is listed k times, with the
-    end tokens (category, 0) to (category, k - 1): cycles that share no
-    patient and no end token can be applied together, as cycles that share
-    no unit seat can.  Each applicable cycle has a unique unmatched start
-    patient, so each is produced once per end token.
+    Returns (patient_indices, category_indices, loss) tuples, each cycle
+    once: it ends in its last category, which has a free seat.  Each
+    applicable cycle has a unique unmatched start patient, so each is
+    produced once.
     """
     n_p, n_c = pr.pair_codes.shape
     elig = pr.eligible_categories
@@ -365,10 +337,10 @@ def _applicable_cycles(pr: Problem, row: Sequence[int], budget: EnumerationBudge
     for i, c in enumerate(row):
         if c != -1:
             holders[c].append(i)
-    ends = [[(c, slot) for slot in range(q - len(held))] for c, (q, held) in enumerate(zip(pr.quotas, holders))]
+    free = [q - len(held) for q, held in zip(pr.quotas, holders)]
     cur_bene = [1 if row[i] in bene[i] else 0 for i in range(n_p)]
     counter = _StateCounter(budget.max_states)
-    out: list[tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, int]]] = []
+    out: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
 
     path_p: list[int] = []
     path_c: list[int] = []
@@ -381,8 +353,8 @@ def _applicable_cycles(pr: Problem, row: Sequence[int], budget: EnumerationBudge
                 continue
             dloss = cur_bene[p] - (1 if c in bene[p] else 0)
             path_c.append(c)
-            for end in ends[c]:
-                out.append((tuple(path_p), tuple(path_c), loss + dloss, end))
+            if free[c]:
+                out.append((tuple(path_p), tuple(path_c), loss + dloss))
             for holder in holders[c]:
                 if on_p[holder]:
                     continue
@@ -411,13 +383,15 @@ def oracle_min_cycle_loss(
     cycles = _applicable_cycles(pr, pr.check_row(row), budget)
     if not cycles:
         return None
-    return min(loss for _, _, loss, _ in cycles)
+    return min(loss for _, _, loss in cycles)
 
 
-def _find_disjoint_family(cycles, k: int, target_loss: int, budget: EnumerationBudget):
-    """k cycles with pairwise disjoint vertex sets (patients and end token)
-    and losses summing to target_loss."""
+def _find_disjoint_family(cycles, k: int, target_loss: int, free: Sequence[int], budget: EnumerationBudget):
+    """k of the (pairs, patients, end, loss) cycles with pairwise disjoint
+    patient sets, at most free[c] of them ending in category c, and losses
+    summing to target_loss."""
     counter = _StateCounter(budget.max_states)
+    left = list(free)  # the free seats that no chosen cycle ends in
 
     def rec(i: int, chosen, used, loss_left: int):
         # recurses only to take cycle i; skipping it loops, one state per i
@@ -430,9 +404,11 @@ def _find_disjoint_family(cycles, k: int, target_loss: int, budget: EnumerationB
                 return None
             if loss_left < need:  # every cycle loses at least 1
                 return None
-            ps, vset, loss = cycles[i]
-            if loss <= loss_left - (need - 1) and used.isdisjoint(vset):
-                hit = rec(i + 1, chosen + [i], used | vset, loss_left - loss)
+            _, ps, end, loss = cycles[i]
+            if loss <= loss_left - (need - 1) and left[end] and used.isdisjoint(ps):
+                left[end] -= 1
+                hit = rec(i + 1, chosen + [i], used | ps, loss_left - loss)
+                left[end] += 1
                 if hit is not None:
                     return hit
             i += 1

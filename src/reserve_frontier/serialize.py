@@ -13,7 +13,8 @@ Input schema (JSON):
 
 Every document parses to one Problem, whose beta_star and priority are
 None when the file omits them.  Any other key, at the top level or in a
-category entry, is rejected by name.
+category entry, is rejected by name, and so is a key repeated in one
+object.
 
 Shares stay exact end to end: "num/den" strings are the canonical output
 form, decimal inputs are converted through their decimal literal (0.7
@@ -174,25 +175,31 @@ def _decimal(literal: str) -> float:
     return decimal
 
 
-def _object(doc: dict[str, Any]) -> dict[str, Any]:
-    """A JSON object; an integer value too long to convert is refused by its key,
-    and only beta_star keeps a decimal's literal."""
-    for key, value in doc.items():
-        if isinstance(value, _LongInteger):
-            raise ValueError(f"{key!r} holds an integer of {value.digits} digits, over the "
-                             f"{sys.get_int_max_str_digits()}-digit limit of integer conversion")
-        if isinstance(value, _Decimal) and key != "beta_star":
-            doc[key] = float(value)
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object from its key-value pairs; a repeated key, or an integer
+    value too long to convert, is refused by its key, and only beta_star
+    keeps a decimal's literal."""
+    doc: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in doc or type(value) in (_LongInteger, _Decimal):  # one test for the rare cases
+            if key in doc:
+                raise ValueError(f"key {key!r} appears more than once in one object")
+            if type(value) is _LongInteger:
+                raise ValueError(f"{key!r} holds an integer of {value.digits} digits, over the "
+                                 f"{sys.get_int_max_str_digits()}-digit limit of integer conversion")
+            if key != "beta_star":
+                value = float(value)
+        doc[key] = value
     return doc
 
 
 def parse_instance_file(path: str) -> Problem:
     with open(path, "r", encoding="utf-8") as fp:
         try:
-            data = json.load(fp, parse_int=_integer, parse_float=_decimal, object_hook=_object)
+            data = json.load(fp, parse_int=_integer, parse_float=_decimal, object_pairs_hook=_object)
         except RecursionError:
             raise ValueError(f"{path}: JSON nesting too deep to parse") from None
-        except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long to convert
+        except ValueError as exc:  # bad JSON, bad UTF-8, a repeated key, an integer too long to convert
             raise ValueError(f"{path}: {exc}") from None
     return parse_instance(data)
 

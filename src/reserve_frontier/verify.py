@@ -10,7 +10,10 @@ them to every suite beside the Problem: the oracle Census, built with
 the computed frontier's points, enumerates it once however many suites
 and targets read it, and the mechanism suite reads each target's point
 and witness off the shared frontier; selection's own route
-(mechanism._select) runs once, at the repair target.
+(mechanism._select) runs once, at the repair target.  A suite that needs
+samples at other points, as the lemma checks do at the oracle's own
+frontier when the two disagree, gets them from _sampled_at, the one
+function that builds a second Census of an instance.
 
 Matchings reach these checks as category rows (row[i] is the index of
 patient i's category, or -1).  A check names a row only to print it, or
@@ -114,7 +117,7 @@ def verify_frontier(pr: Problem, census: Census, f: Frontier) -> list[CheckResul
     except Exception as exc:  # report, do not abort the suite
         results.append(CheckResult("frontier", "shape-invariants", False, str(exc)))
 
-    oracle = census.frontier()
+    oracle = census.frontier
     same = f.points == oracle.points
     results.append(
         CheckResult(
@@ -171,12 +174,11 @@ def verify_cycles(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]
         )
     )
 
-    sample = census.sample(f.points)
-    samples, mode = sample.matchings, sample.mode
+    sampled = _sampled_at(census, f.points)
     min_ok = True
-    detail = f"mode={mode}"
+    detail = f"mode={sampled.mode}"
     for pt in f.points:
-        for row in samples.get(pt, ()):
+        for row in sampled.samples[pt]:
             cyc = cheapest_cycle(pr, row)
             want = oracle_min_cycle_loss(pr, row, census.budget)
             if cyc is None:
@@ -201,6 +203,15 @@ def verify_cycles(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]
     return results
 
 
+def _sampled_at(census: Census, points) -> Census:
+    """census if it was built with exactly these points, else a Census of
+    its instance that samples them, so that a frontier that disagrees with
+    the oracle still gets its samples."""
+    if census.points == frozenset(points):
+        return census
+    return Census(census.pr, census.budget, points)
+
+
 def _lemma(check: str, counts: str, failure: str) -> CheckResult:
     """A lemma check's row: what it counted, then its first failure if any."""
     tail = f" first failure: {failure}" if failure else ""
@@ -210,29 +221,29 @@ def _lemma(check: str, counts: str, failure: str) -> CheckResult:
 def _disjoint_cycles(census: Census) -> CheckResult:
     """For every frontier pair f2 -> f1 (e1 > e2) and every sampled matching at
     f2, find e1-e2 pairwise disjoint applicable cycles with positive losses
-    summing to b2-b1 whose joint application lands exactly on f1."""
-    pr, budget = census.pr, census.budget
-    f = census.frontier()
-    sample = census.sample(f.points)
+    summing to b2-b1 whose joint application lands exactly on f1.  The
+    census samples its own frontier's points."""
+    pr, budget, f = census.pr, census.budget, census.frontier
     pairs = witnesses = 0
     failure = ""
     for lo_idx, f2 in enumerate(f.points[:-1]):
         # the cycles of a sampled matching serve every f1 above its f2
         sampled = []
-        for row2 in sample.matchings[f2]:
+        for row2 in census.samples[f2]:
+            free = [q - row2.count(c) for c, q in enumerate(pr.quotas)]
             positive = [
-                (list(zip(ps, cs)), frozenset(ps) | {end}, loss)
-                for ps, cs, loss, end in _applicable_cycles(pr, row2, budget)
+                (list(zip(ps, cs)), frozenset(ps), cs[-1], loss)
+                for ps, cs, loss in _applicable_cycles(pr, row2, budget)
                 if loss >= 1
             ]
-            sampled.append((row2, positive))
+            sampled.append((row2, free, positive))
         for f1 in f.points[lo_idx + 1 :]:
             k = f1.e - f2.e
             target = f2.b - f1.b
             pairs += 1
-            for row2, positive in sampled:
+            for row2, free, positive in sampled:
                 witnesses += 1
-                family = _find_disjoint_family(positive, k, target, budget)
+                family = _find_disjoint_family(positive, k, target, free, budget)
                 if family is None:
                     failure = failure or (
                         f"no {k} disjoint cycles with total loss {target} "
@@ -246,32 +257,33 @@ def _disjoint_cycles(census: Census) -> CheckResult:
                 landed = match_point(pr, pr.name_row(row))
                 if landed != f1:
                     failure = failure or f"joint application landed on {landed}, expected {f1}"
-    counts = f"pairs={pairs} witnesses={witnesses} mode={sample.mode}"
+    counts = f"pairs={pairs} witnesses={witnesses} mode={census.mode}"
     return _lemma("gaps-split-into-disjoint-cycles", counts, failure)
 
 
 def _matched_preservation(census: Census) -> CheckResult:
     """For every frontier pair f2 -> f1 (e1 > e2) and every sampled matching at
-    f2, some matching at f1 keeps all of f2's matched patients matched."""
-    f = census.frontier()
-    sample = census.sample(f.points)
+    f2, some matching at f1 keeps all of f2's matched patients matched.  The
+    census samples its own frontier's points."""
+    f = census.frontier
     pairs = 0
     failure = ""
     for lo_idx, f2 in enumerate(f.points):
         for f1 in f.points[lo_idx + 1 :]:
             pairs += 1
-            for row2 in sample.matchings[f2]:
+            for row2 in census.samples[f2]:
                 kept = [i for i, c in enumerate(row2) if c != -1]
                 mask = sum(1 << i for i in kept)
-                if not failure and not any(mask & s == mask for s in sample.matched[f1]):
+                if not failure and not any(mask & s == mask for s in census.matched[f1]):
                     named = sorted(census.pr.patients[i] for i in kept)
                     failure = f"no matching at {f1} keeps matched set {named} from {f2}"
-    return _lemma("matched-sets-extend-along-frontier", f"pairs={pairs} mode={sample.mode}", failure)
+    return _lemma("matched-sets-extend-along-frontier", f"pairs={pairs} mode={census.mode}", failure)
 
 
 def verify_lemmas(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
     """Structural facts: disjoint cycle families, matched-set preservation, kink sweep."""
-    results = [_disjoint_cycles(census), _matched_preservation(census)]
+    sampled = _sampled_at(census, census.frontier.points)
+    results = [_disjoint_cycles(sampled), _matched_preservation(sampled)]
 
     ok = True
     detail = ""

@@ -112,7 +112,7 @@ def oracle_pool():
         inst = gen_random(_oracle_cfg(i))
         si = expand_to_seats(inst)
         f = compute_frontier(si)
-        fo = Census(si).frontier()
+        fo = Census(si).frontier
         walk = frontier_walk(si, f.witnesses[f.points[0]])
         records.append((i, si, f, fo, frozenset(pt for pt, _ in walk)))
     return records, time.perf_counter() - t0
@@ -203,7 +203,7 @@ def test_criterion_06_minimal_cycle_theorem(oracle_pool, monkeypatch):
     checked = 0
     for i, si, _, fo, _ in records:
         on_frontier = set(fo.points)
-        samples = Census(si).sample(fo.points).matchings
+        samples = Census(si, points=fo.points).samples
         for pt, rows in samples.items():
             for row in rows:
                 checked += 1

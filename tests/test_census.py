@@ -53,7 +53,7 @@ from reserve_frontier.oracle import (
     _leaf_blocks,
     _StateCounter,
 )
-from reserve_frontier.verify import _exact_share_domination
+from reserve_frontier.verify import _exact_share_domination, _sampled_at, verify_lemmas
 
 
 def scan_leaves(si, budget, visit, every_seat=False) -> int:
@@ -189,7 +189,7 @@ def assert_census_matches_the_scans(inst, cap):
     si = expand_to_seats(inst)
     census = Census(si)
     want = ref_oracle_frontier(si)
-    got = census.frontier()
+    got = census.frontier
     assert got.points == want.points
     assert got.kinks == want.kinks
     assert got.witnesses == want.witnesses
@@ -201,14 +201,14 @@ def assert_census_matches_the_scans(inst, cap):
     for points in (want.points, [*want.points, busiest]):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle_module, "SAMPLE_CAP", cap)
-            sample = census.sample(points)
+            sampled = Census(si, points=points)
         ref_samples, ref_mode = ref_sample(si, points, cap=cap)
-        assert sample.matchings == ref_samples
-        assert sample.mode == ref_mode
-        modes.add(sample.mode)
+        assert sampled.samples == ref_samples
+        assert sampled.mode == ref_mode
+        modes.add(sampled.mode)
         bit = {p: 1 << i for i, p in enumerate(si.patients)}
         ref_sets = ref_matched_sets(si, points)
-        assert sample.matched == {
+        assert sampled.matched == {
             pt: {sum(bit[p] for p in s) for s in sets} for pt, sets in ref_sets.items()
         }
 
@@ -268,19 +268,18 @@ def assert_a_census_with_points_matches_the_scans(inst, cap):
             mp.setattr(oracle_module, "SAMPLE_CAP", cap)
             mp.setattr(oracle_module, "_leaf_blocks", lambda *args: passes.append(args) or original(*args))
             census = Census(si, points=points)
-            sample = census.sample(list(reversed(points)))
             assert list(census.counts.items()) == list(plain.counts.items())
             assert list(census._first.items()) == list(plain._first.items())
-            got = census.frontier()
+            got = census.frontier
         assert len(passes) == 1
         assert (got.points, got.kinks, got.witnesses) == (want.points, want.kinks, want.witnesses)
         ref_samples, ref_mode = ref_sample(si, points, cap=cap)
-        assert sample.matchings == ref_samples
-        assert sample.mode == ref_mode
-        assert sample.matched == {
+        assert census.samples == ref_samples
+        assert census.mode == ref_mode
+        assert census.matched == {
             pt: {sum(bit[p] for p in s) for s in sets} for pt, sets in ref_matched_sets(si, points).items()
         }
-        modes.add(sample.mode)
+        modes.add(census.mode)
     return modes
 
 
@@ -322,7 +321,7 @@ def test_the_enumeration_is_the_seat_recursion_without_repeats():
         assert got == list(dict.fromkeys(a for a, _, _ in leaves))
         want, points = frontier_of(leaves)
         census = Census(si, budget)
-        f = census.frontier()
+        f = census.frontier
         assert (f.points, f.kinks, f.witnesses) == (want.points, want.kinks, want.witnesses)
         assert list(census.counts) == points
         seat_leaves, rows = seat_leaves + len(leaves), rows + len(got)
@@ -334,8 +333,8 @@ def test_census_samples_hold_no_repeated_rows():
     budget = EnumerationBudget(8, 10, 50_000_000)
     for seed in range(2000, 2020):
         si = expand_to_seats(gen_random(GenConfig(7, 3, (2, 3), 0.7, 0.5, seed=seed)))
-        census = Census(si, budget)
-        for rows in census.sample(census.frontier().points).matchings.values():
+        census = Census(si, budget, Census(si, budget).frontier.points)
+        for rows in census.samples.values():
             assert len(set(rows)) == len(rows)
         assert sum(census.counts.values()) == len(set(enumerate_matchings(si, budget)))
 
@@ -366,14 +365,18 @@ def test_verify_enumerates_each_instance_exactly_once(scan_counter):
 def test_a_disagreeing_frontier_gets_its_own_samples(scan_counter):
     si = expand_to_seats(next(base_draws()))
     census = Census(si)
-    points = census.frontier().points
-    assert census.sample(points) is census.sample(list(reversed(points)))
+    points = census.frontier.points
+    sampled = _sampled_at(census, points)
+    assert _sampled_at(sampled, list(reversed(points))) is sampled
     assert len(scan_counter) == 2
     shifted = [MatchPoint(p.e, p.b - 1) for p in points]
-    sample = census.sample(shifted)
+    other = _sampled_at(sampled, shifted)
     assert len(scan_counter) == 3
-    assert any(sample.matchings.values())
-    assert sample.matchings == ref_sample(si, shifted)[0]
+    assert any(other.samples.values())
+    assert other.samples == ref_sample(si, shifted)[0]
+    # both lemma checks read one census at the oracle's own frontier
+    assert all(r.ok for r in verify_lemmas(si, other, census.frontier))
+    assert len(scan_counter) == 4
 
 
 

@@ -17,11 +17,13 @@ import reserve_frontier
 import reserve_frontier.cli as cli_module
 import reserve_frontier.core as core_module
 import reserve_frontier.mechanism as mechanism_module
+import reserve_frontier.verify as verify_module
 from conftest import tier_order
 from reserve_frontier import (
     NAMED_INSTANCES,
     SUITES,
     GenConfig,
+    MatchPoint,
     Problem,
     gen_named,
     gen_random,
@@ -402,6 +404,8 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     bad.write_text("{not json")
     assert run(capsys, "frontier", str(bad))[0] == 2
     assert run(capsys, "frontier")[0] == 2  # neither file nor --named
+    code, _, err = run(capsys, "frontier", str(bad), "--named", "conflict")
+    assert code == 2 and "give an input file or --named, not both" in err
     missing = tmp_path / "missing.json"
     assert run(capsys, "frontier", str(missing))[0] == 2
     code, _, err = run(capsys, "frontier", "--named", "conflict", "--subset", "p1,p9")
@@ -819,10 +823,80 @@ def test_verify_jobs_capped_by_instances_and_cpus(capsys, monkeypatch):
 
 def test_verify_reports_injected_corruption(capsys, monkeypatch):
     monkeypatch.setenv("RESERVE_FRONTIER_INJECT_CORRUPTION", "1")
-    code, out, _ = run(capsys, "verify", "--named", "conflict", "--suite", "frontier")
+    for named in ("conflict", "figure1"):  # a frontier of two points, and one of one
+        code, out, _ = run(capsys, "verify", "--named", named, "--suite", "frontier")
+        assert code == 1
+        assert "FAIL frontier:mutual-non-domination" in out
+        assert "dominates" in out
+
+
+def _off_after_first(witness_at):
+    """witness_at that gives the true row on its first call, then an empty one."""
+    calls = []
+
+    def broken(codes, f, pt):
+        calls.append(pt)
+        return witness_at(codes, f, pt) if len(calls) == 1 else (-1,) * len(codes)
+    return broken
+
+
+def _planted_rival(*args):
+    return verify_module.CheckResult("mechanism", "selection-rule-and-exact-share-domination", False,
+                                     "exact-share rival undominated: planted")
+
+
+def _first_point_only(f):
+    """The frontier f cut down to its first point."""
+    first = f.points[0]
+    return replace(f, points=(first,), kinks={first}, witnesses={first: f.witnesses[first]})
+
+
+# (check, start of its failure text, the verify names broken, each as a
+# function of the original); path-independence has the frontier (4,2), (5,1)
+BROKEN_ROUTES = {
+    "walk-short": ("cycles:walk-covers-frontier", "walk=",
+                   {"frontier_walk": lambda walk: lambda pr, row: walk(pr, row)[:1]}),
+    "missed-cycle": ("cycles:minimal-loss-matches-exhaustive", "missed a cycle at",
+                     {"cheapest_cycle": lambda _: lambda pr, row: None}),
+    "no-cycle-before-max": ("cycles:minimal-loss-matches-exhaustive", "no cycle before the max-size point",
+                            {"cheapest_cycle": lambda _: lambda pr, row: None,
+                             "oracle_min_cycle_loss": lambda _: lambda pr, row, budget: None}),
+    "loss-mismatch": ("cycles:minimal-loss-matches-exhaustive", "loss 1 vs exhaustive 0",
+                      {"oracle_min_cycle_loss": lambda _: lambda pr, row, budget: 0}),
+    "landed-off": ("cycles:minimal-loss-matches-exhaustive", "cheapest cycle from",
+                   {"compute_frontier": lambda compute: lambda pr: _first_point_only(compute(pr))}),
+    "kink-sweep": ("lemmas:kinks-surface-at-their-tradeoff-weight", "sweep 0 gave",
+                   {"frontier_iteration": lambda _: lambda pr, d: (MatchPoint(0, 0), None)}),
+    "joint-application": ("lemmas:gaps-split-into-disjoint-cycles", "first failure: joint application landed on",
+                          {"_find_disjoint_family": lambda _: lambda *args: []}),
+    "picked-point": ("mechanism:selection-rule-and-exact-share-domination", "picked MatchPoint(e=0, b=0)",
+                     {"_select": lambda select: lambda *args: (select(*args)[0], MatchPoint(0, 0))}),
+    "selected-row": ("mechanism:selection-rule-and-exact-share-domination", "selected row is not",
+                     {"witness_at": lambda _: lambda codes, f, pt: (-1,) * len(codes)}),
+    "witness-off": ("mechanism:selection-rule-and-exact-share-domination", "witness off the frontier",
+                    {"witness_at": _off_after_first}),
+    "exact-share-rival": ("mechanism:selection-rule-and-exact-share-domination", "exact-share rival undominated",
+                          {"_exact_share_domination": lambda _: _planted_rival}),
+}
+
+
+@pytest.mark.parametrize("case", [*BROKEN_ROUTES, "empty-instance"])
+def test_each_verify_check_fails_when_its_route_is_broken(case, tmp_path, monkeypatch, capsys):
+    if case == "empty-instance":  # no eligible pair, so selection must refuse
+        path = tmp_path / "no-eligible.json"
+        path.write_text(json.dumps({"categories": [{"id": "c1", "quota": 1}], "patients": ["p1"]}))
+        check, text = "mechanism:empty-instance-refused", ""
+        broken = {"_select": lambda _: lambda *args: ((-1,), MatchPoint(0, 0))}
+        argv = ["verify", str(path)]
+    else:
+        check, text, broken = BROKEN_ROUTES[case]
+        argv = ["verify", "--named", "path-independence"]
+    for name, breaking in broken.items():
+        monkeypatch.setattr(verify_module, name, breaking(getattr(verify_module, name)))
+    code, out, _ = run(capsys, *argv)
     assert code == 1
-    assert "FAIL frontier:mutual-non-domination" in out
-    assert "dominates" in out
+    failed = [line for line in out.splitlines() if line.startswith(f"FAIL {check}")]
+    assert failed and text in failed[0], out
 
 
 def test_audit_reports_designed_violations(capsys):

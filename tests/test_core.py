@@ -122,6 +122,8 @@ def test_problem_validates_its_priority_and_fills_in_the_tier_order():
     assert respects_priority(bare, row) == respects_priority(tiered, row) == [(1, 1, 0)]
     with pytest.raises(InstanceError, match="unknown category"):
         replace(bare, priority={"zz": bare.patients})
+    with pytest.raises(InstanceError, match="priority missing category c2"):
+        replace(bare, priority={"c1": tier_order(bare)["c1"]})
 
 
 def test_expand_to_seats_unit_quotas():

@@ -98,10 +98,19 @@ def test_applicability_failures():
         apply_cycle(si, row, named_cycle(si, ("p2",), ("c2",)))
     with pytest.raises(CycleError, match="outside 2 patients and 2 categories"):
         apply_cycle(si, row, Cycle(patients=(1,), categories=(2,)))
-    # chain break: a middle category must hand over the next patient
+    # a matched start is refused before the chain is read
     full = category_row(si, ("p1", "c1"), ("p2", "c2"))
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError, match="patient p1 is matched"):
         apply_cycle(si, full, named_cycle(si, ("p1", "p2"), ("c2", "c1")))
+    # c1 has a free seat beside p1's, so only the pair or the chain is at fault
+    roomy = Problem(categories=("c1", "c2"), patients=("p1", "p2", "p3"), quota={"c1": 2, "c2": 1},
+                    eligible={c: frozenset({"p1", "p2", "p3"}) for c in ("c1", "c2")}, beneficiary={})
+    row = category_row(roomy, ("p1", "c1"))
+    with pytest.raises(CycleError, match="p1 already placed in c1"):
+        apply_cycle(roomy, row, named_cycle(roomy, ("p2", "p1"), ("c1", "c1")))
+    # chain break: a middle category must hand over the next patient
+    with pytest.raises(CycleError, match="category c1 does not hold p3"):
+        apply_cycle(roomy, row, named_cycle(roomy, ("p2", "p3"), ("c1", "c2")))
 
 
 def test_minimal_cycle_on_conflict():
@@ -284,11 +293,10 @@ def test_minimal_loss_matches_exhaustive_search(monkeypatch):
             )
         )
         si = expand_to_seats(inst)
-        census = Census(si)
-        f = census.frontier()
+        f = Census(si).frontier
         if f.points[-1].e == 0:
             continue
-        samples = census.sample(f.points).matchings
+        samples = Census(si, points=f.points).samples
         for pt, rows in samples.items():
             for row in rows:
                 want = oracle_min_cycle_loss(si, row)
@@ -485,8 +493,7 @@ def differential_corpus():
             )
         )
         si = expand_to_seats(inst)
-        census = Census(si)
-        samples = census.sample(census.frontier().points).matchings
+        samples = Census(si, points=Census(si).frontier.points).samples
         for rows in samples.values():
             yield from ((si, row) for row in rows)
 

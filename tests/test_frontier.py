@@ -133,7 +133,7 @@ def test_straight_segments_are_interpolated():
     f = compute_frontier(si)
     assert list(f.points) == pts((2, 2), (3, 1), (4, 0))
     assert f.kinks == {MatchPoint(2, 2), MatchPoint(4, 0)}  # middle point is not a kink
-    assert list(Census(si).frontier().points) == list(f.points)
+    assert list(Census(si).frontier.points) == list(f.points)
 
 
 def test_with_all_witnesses_fills_interior_points():
@@ -343,6 +343,11 @@ def test_invariant_checker_rejects_bad_shapes():
     )
     with pytest.raises(FrontierInvariantError):
         check_frontier_invariants(f)
+    # a kink or a witness off the points is refused when the frontier is built
+    with pytest.raises(ValueError, match="kinks must be frontier points"):
+        Frontier(points=pts((1, 1)), kinks=pts((2, 0)), witnesses={})
+    with pytest.raises(ValueError, match="witnesses must sit on frontier points"):
+        Frontier(points=pts((1, 1)), kinks=pts((1, 1)), witnesses={MatchPoint(2, 0): (0, 1)})
 
 
 def test_matches_oracle_on_random_instances():
@@ -360,7 +365,7 @@ def test_matches_oracle_on_random_instances():
         )
         si = expand_to_seats(inst)
         f = compute_frontier(si)
-        o = Census(si).frontier()
+        o = Census(si).frontier
         assert f.points == o.points
         assert f.kinks == o.kinks
         check_frontier_invariants(f)

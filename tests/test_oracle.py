@@ -86,19 +86,19 @@ def test_count_agrees_with_seat_axis_recursion():
 
 
 def test_oracle_frontier_on_named_instances():
-    assert list(Census(expand_to_seats(gen_named("conflict"))).frontier().points) == [
+    assert list(Census(expand_to_seats(gen_named("conflict"))).frontier.points) == [
         MatchPoint(1, 1),
         MatchPoint(2, 0),
     ]
-    assert list(Census(expand_to_seats(gen_named("figure1"))).frontier().points) == [MatchPoint(3, 0)]
+    assert list(Census(expand_to_seats(gen_named("figure1"))).frontier.points) == [MatchPoint(3, 0)]
     pi = gen_named("path-independence")
-    assert list(Census(expand_to_seats(pi)).frontier().points) == [MatchPoint(4, 2), MatchPoint(5, 1)]
+    assert list(Census(expand_to_seats(pi)).frontier.points) == [MatchPoint(4, 2), MatchPoint(5, 1)]
 
 
 def test_oracle_frontier_points_dominate_everything():
     inst = gen_random(GenConfig(patients=5, categories=3, quota_range=(1, 2), seed=99))
     si = expand_to_seats(inst)
-    f = Census(si).frontier()
+    f = Census(si).frontier
     pts = set(f.points)
     for row in enumerate_matchings(si):
         pt = match_point(si, si.name_row(row))
@@ -108,7 +108,7 @@ def test_oracle_frontier_points_dominate_everything():
 def test_empty_instance_oracle():
     inst = gen_random(GenConfig(patients=0, categories=2, seed=0))
     si = expand_to_seats(inst)
-    f = Census(si).frontier()
+    f = Census(si).frontier
     assert list(f.points) == [MatchPoint(0, 0)]
     assert count_matchings(si) == 1
 
@@ -253,9 +253,9 @@ def test_disjoint_cycle_check_searches_each_sampled_matching_once(monkeypatch):
         return original(si, row, budget)
 
     monkeypatch.setattr(verify_module, "_applicable_cycles", counting)
-    census = Census(expand_to_seats(gen_random(GenConfig(7, 3, (1, 3), 0.6, 0.4, seed=3))))
-    points = census.frontier().points
-    samples = census.sample(points).matchings
+    si = expand_to_seats(gen_random(GenConfig(7, 3, (1, 3), 0.6, 0.4, seed=3)))
+    census = Census(si, points=Census(si).frontier.points)
+    points, samples = census.frontier.points, census.samples
     assert len(points) >= 3
     row = verify_module._disjoint_cycles(census)
     assert row.ok
@@ -266,8 +266,9 @@ def test_disjoint_cycle_check_searches_each_sampled_matching_once(monkeypatch):
 
 
 def test_lemma_checks_report_their_counts_and_first_failure(monkeypatch):
-    census = Census(expand_to_seats(gen_random(GenConfig(7, 3, (1, 3), 0.6, 0.4, seed=3))))
-    points = census.frontier().points
+    si = expand_to_seats(gen_random(GenConfig(7, 3, (1, 3), 0.6, 0.4, seed=3)))
+    census = Census(si, points=Census(si).frontier.points)
+    points = census.frontier.points
     passed = verify_module._disjoint_cycles(census)
     kept = verify_module._matched_preservation(census)
     assert passed.ok and kept.ok
@@ -278,11 +279,11 @@ def test_lemma_checks_report_their_counts_and_first_failure(monkeypatch):
     assert row.detail.startswith(passed.detail + f" first failure: no {points[1].e - points[0].e} disjoint cycles")
     assert row.detail.count("no ") == 1
     # no matched set at any point: the first pair fails
-    for sets in census.sample(points).matched.values():
+    for sets in census.matched.values():
         sets.clear()
     row = verify_module._matched_preservation(census)
     assert not row.ok
-    first = census.pr.name_row(census.sample(points).matchings[points[0]][0])
+    first = census.pr.name_row(census.samples[points[0]][0])
     assert row.detail == kept.detail + f" first failure: no matching at {points[1]} keeps matched set " + (
         f"{sorted(p for p, _ in first.pairs)} from {points[0]}"
     )
@@ -298,21 +299,19 @@ def test_oversized_budget_on_a_large_file_exits_2_not_with_a_recursion_error(tmp
 
 def test_disjoint_family_search_loops_over_skipped_cycles():
     # far more candidates than the recursion limit, none of which fits
-    cycles = [([], frozenset({i}), 5) for i in range(5000)]
-    assert _find_disjoint_family(cycles, 1, 2, EnumerationBudget(max_states=10**6)) is None
-    cycles[-1] = ([], frozenset({4999}), 2)
-    assert _find_disjoint_family(cycles, 1, 2, EnumerationBudget(max_states=10**6)) == [4999]
+    cycles = [([], frozenset({i}), 0, 5) for i in range(5000)]
+    assert _find_disjoint_family(cycles, 1, 2, [1], EnumerationBudget(max_states=10**6)) is None
+    cycles[-1] = ([], frozenset({4999}), 0, 2)
+    assert _find_disjoint_family(cycles, 1, 2, [1], EnumerationBudget(max_states=10**6)) == [4999]
 
 
 def test_matchings_at_point_and_sampling():
     si = expand_to_seats(gen_named("conflict"))
     at_11 = [row for row in enumerate_matchings(si) if match_point(si, si.name_row(row)) == MatchPoint(1, 1)]
     assert [si.name_row(row).pairs for row in at_11] == [(("p1", "c2#0"),)]
-    census = Census(si)
-    f = census.frontier()
-    sample = census.sample(f.points)
-    assert sample.mode == "exhaustive"
-    for pt, rows in sample.matchings.items():
+    census = Census(si, points=Census(si).frontier.points)
+    assert census.mode == "exhaustive"
+    for pt, rows in census.samples.items():
         assert rows
         for row in rows:
             assert match_point(si, validate_matching(si, si.name_row(row))) == pt
@@ -322,12 +321,12 @@ def test_sampling_caps_and_stays_deterministic(monkeypatch):
     monkeypatch.setattr(oracle_module, "SAMPLE_CAP", 3)
     inst = gen_random(GenConfig(patients=6, categories=6, eligibility_density=0.9, seed=4))
     si = expand_to_seats(inst)
-    f = Census(si).frontier()
-    a = Census(si).sample(f.points)
-    b = Census(si).sample(f.points)
-    assert a == b
+    f = Census(si).frontier
+    a = Census(si, points=f.points)
+    b = Census(si, points=f.points)
+    assert (a.samples, a.matched) == (b.samples, b.matched)
     assert a.mode == "sampled"
-    assert all(len(ms) <= 3 for ms in a.matchings.values())
+    assert all(len(ms) <= 3 for ms in a.samples.values())
 
 
 def test_min_cycle_loss_on_conflict():

@@ -22,6 +22,7 @@ from reserve_frontier import (
     select_approx_on_frontier,
     with_all_witnesses,
 )
+from reserve_frontier.cli import main
 from reserve_frontier.serialize import (
     emit_instance,
     frontier_to_dict,
@@ -139,6 +140,23 @@ def test_an_integer_too_long_to_convert_names_its_field(field, tmp_path):
     with pytest.raises(ValueError) as caught:
         parse_instance_file(str(path))
     assert str(caught.value).startswith(f"{path}: '{field}' holds an integer of 5000 digits, over the")
+
+
+@pytest.mark.parametrize("doc, key", [
+    ('{"categories": [{"id": "c1", "quota": 1, "eligible": ["p1"]}], "patients": ["p1"], "patients": ["p1", "p2"]}',
+     "patients"),
+    ('{"categories": [{"id": "c1", "quota": 1, "eligible": ["p1"], "eligible": []}], "patients": ["p1"]}',
+     "eligible"),
+], ids=["top-level", "category-entry"])
+def test_a_repeated_key_exits_2_naming_the_key(doc, key, tmp_path, capsys):
+    # json.load alone keeps the last value of a repeated key, dropping the first
+    path = tmp_path / "repeated.json"
+    path.write_text(doc)
+    for command in ("frontier", "solve", "verify", "audit"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: key '{key}' appears more than once in one object" in captured.err
 
 
 def test_parse_reports_the_first_fault_in_reading_order():
