@@ -31,9 +31,9 @@ inst = gen_random(GenConfig(patients=8, categories=3, quota_range=(1, 2),
 # shuffled inside each tier
 order = {}
 for c in inst.categories:
-    bene = sorted(inst.beneficiary_of(c))
-    elig = sorted(p for p in inst.eligible_of(c) if p not in inst.beneficiary_of(c))
-    rest = sorted(p for p in inst.patients if p not in inst.eligible_of(c))
+    bene = sorted(inst.beneficiary[c])
+    elig = sorted(p for p in inst.eligible[c] if p not in inst.beneficiary[c])
+    rest = sorted(p for p in inst.patients if p not in inst.eligible[c])
     for tier in (bene, elig, rest):
         rng.shuffle(tier)
     order[c] = tuple(bene + elig + rest)

@@ -9,10 +9,11 @@ I/O boundary (Problem.name_row).
 
 Every input, parsed, generated, named or restricted to a patient subset,
 is one Problem: an instance plus an optional share target beta_star and
-optional priority orders, and every step takes it.  A Problem validates
+optional priority orders, and every step takes it.  A Problem keeps each
+instance fact once and is read directly (pr.eligible[c]).  It validates
 itself once, when it is built, and builds its indexed form (quotas, pair
 codes, priority ranks) once each, on first use; every consumer reads
-those.
+those.  Building quotas is the one memory-limit check.
 
 A matching is scored by the pair (e, b): total eligible matches and
 beneficiary matches.  Shares b/e are kept as exact fractions throughout.
@@ -81,10 +82,10 @@ def _validate_instance(pr: Problem) -> None:
             if c not in cats:
                 raise InstanceError(f"{name} references unknown category {c}")
     for c in pr.categories:
-        elig = pr.eligible_of(c)
+        elig = pr.eligible[c]
         if unknown := elig - pats:
             raise InstanceError(f"category {c}: eligible patient {min(unknown)} not in patient set")
-        if ineligible := pr.beneficiary_of(c) - elig:
+        if ineligible := pr.beneficiary[c] - elig:
             raise InstanceError(f"category {c}: beneficiary {min(ineligible)} not eligible")
 
 
@@ -99,8 +100,8 @@ def restrict_patients(pr: Problem, keep: Iterable[str]) -> Problem:
         categories=pr.categories,
         patients=tuple(p for p in pr.patients if p in keep_set),
         quota=pr.quota,
-        eligible={c: pr.eligible_of(c) & keep_set for c in pr.categories},
-        beneficiary={c: pr.beneficiary_of(c) & keep_set for c in pr.categories},
+        eligible={c: pr.eligible[c] & keep_set for c in pr.categories},
+        beneficiary={c: pr.beneficiary[c] & keep_set for c in pr.categories},
         beta_star=pr.beta_star,
         priority=None if pr.priority is None else {
             c: tuple(p for p in ps if p in keep_set) for c, ps in pr.priority.items()
@@ -120,8 +121,7 @@ def _validate_priority(pr: Problem) -> None:
         ps = pr.priority[c]
         if len(ps) != len(pr.patients) or set(ps) != pats:
             raise InstanceError(f"priority for {c} is not a permutation of the patients")
-        bene = pr.beneficiary_of(c)
-        elig = pr.eligible_of(c)
+        bene, elig = pr.beneficiary[c], pr.eligible[c]
         tier_seen = 0  # 0 = beneficiaries, 1 = other eligible, 2 = ineligible
         for p in ps:
             tier = 0 if p in bene else (1 if p in elig else 2)
@@ -145,20 +145,14 @@ def _build_rank_rows(pr: Problem) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-# Memory limits.  A dense assignment solve costs 9 bytes a cell, a uint8
-# pair code and a float64 cost, so MAX_CELLS is about 1.7 GB of solve.
-# Every solve is a sweep on an admitted instance's patients x seats matrix.
-# MAX_SEATS bounds the seat ids and the solver's seat columns, which the
-# cell check misses when there are few or no patients.
+# Memory limits, checked once, when Problem.quotas is built.  A dense
+# assignment solve costs 9 bytes a cell, a uint8 pair code and a float64
+# cost, so MAX_CELLS is about 1.7 GB of solve.  Every solve is a sweep on
+# rows of an admitted instance's patients x seats matrix.  MAX_SEATS bounds
+# the seat ids and the solver's seat columns, which the cell check misses
+# when there are few or no patients.
 MAX_SEATS = 208_063
 MAX_CELLS = 2 * 9_741**2
-
-
-def check_cells(n_rows: int, n_cols: int, what: str) -> None:
-    """Raise InstanceError if a dense n_rows x n_cols matrix exceeds MAX_CELLS."""
-    if n_rows * n_cols > MAX_CELLS:
-        raise InstanceError(f"{what} too large for memory: {n_rows} x {n_cols} = {n_rows * n_cols}"
-                            f" cells exceed MAX_CELLS = {MAX_CELLS}, at 9 bytes a cell")
 
 
 @dataclass(frozen=True)
@@ -168,15 +162,17 @@ class Problem:
     target beta_star, and optional per-category priority orders, each a
     tuple of all patient ids, highest first.
 
-    Categories missing from `eligible` or `beneficiary` get empty sets.
-    Construction validates the reserve system, then beta_star, then the
-    priority orders, and raises on the first fault; nothing downstream
-    validates again.  The indexed form that every step below the I/O
-    boundary reads is built on first use and kept: quotas, pair_codes,
-    each patient's eligible and beneficiary categories, and rank_rows.
-    Building quotas, which pair_codes does first, checks the memory limits,
-    so a Problem that is only restricted to a patient subset is never held
-    to them; the subset's own Problem is.
+    The id lists are taken as given and the sets built here: each category
+    has a frozenset in `eligible` and `beneficiary`, an empty one when the
+    input omits it, so both are read directly.  Construction validates the
+    reserve system, then beta_star, then the priority orders, and raises on
+    the first fault; nothing downstream validates again.  The indexed form
+    that every step below the I/O boundary reads is built on first use and
+    kept: quotas, pair_codes, each patient's eligible and beneficiary
+    categories, and rank_rows.  Building quotas, which pair_codes does
+    first, is the only check of the memory limits, so a Problem that is
+    only restricted to a patient subset is never held to them; the
+    subset's own Problem is.
 
     A matching is a category row: row[i] is the index of patient i's
     category in categories, -1 when patient i is unmatched; which of the
@@ -217,16 +213,6 @@ class Problem:
             object.__setattr__(self, "priority", {c: tuple(ps) for c, ps in dict(self.priority).items()})
             _validate_priority(self)
 
-    def eligible_of(self, category: str) -> frozenset[str]:
-        return self.eligible.get(category, frozenset())
-
-    def beneficiary_of(self, category: str) -> frozenset[str]:
-        return self.beneficiary.get(category, frozenset())
-
-    @property
-    def total_quota(self) -> int:
-        return sum(self.quota.values())
-
     @cached_property
     def patient_index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.patients)}
@@ -242,12 +228,15 @@ class Problem:
     def quotas(self) -> tuple[int, ...]:
         """Per category index, in instance order, its quota.  An instance
         over MAX_SEATS seats or MAX_CELLS patients x seats is refused here,
-        before anything of that size is built."""
-        if self.total_quota > MAX_SEATS:
-            raise InstanceError(f"instance too large for memory: {self.total_quota} seat(s) "
-                                f"exceed MAX_SEATS = {MAX_SEATS}")
-        check_cells(len(self.patients), self.total_quota, "instance (patients x seats)")
-        return tuple(self.quota[c] for c in self.categories)
+        before anything of that size is built: the only memory-limit check."""
+        quotas = tuple(self.quota[c] for c in self.categories)
+        n_rows, n_cols = len(self.patients), sum(quotas)
+        if n_cols > MAX_SEATS:
+            raise InstanceError(f"instance too large for memory: {n_cols} seat(s) exceed MAX_SEATS = {MAX_SEATS}")
+        if n_rows * n_cols > MAX_CELLS:
+            raise InstanceError(f"instance (patients x seats) too large for memory: {n_rows} x {n_cols} = "
+                                f"{n_rows * n_cols} cells exceed MAX_CELLS = {MAX_CELLS}, at 9 bytes a cell")
+        return quotas
 
     @cached_property
     def pair_codes(self) -> np.ndarray:
@@ -365,7 +354,7 @@ def validate_matching(pr: Problem, m: Matching) -> Matching:
             raise MatchingError(f"unknown patient {p}")
         if s not in pr._seat_category:
             raise MatchingError(f"unknown seat {s}")
-        if p not in pr.eligible_of(pr.category_of(s)):
+        if p not in pr.eligible[pr.category_of(s)]:
             raise MatchingError(f"patient {p} not eligible for seat {s}")
     return m
 
@@ -373,5 +362,5 @@ def validate_matching(pr: Problem, m: Matching) -> Matching:
 def match_point(pr: Problem, m: Matching) -> MatchPoint:
     """Score (e, b) of an eligible matching."""
     e = len(m.pairs)
-    b = sum(1 for p, s in m.pairs if p in pr.beneficiary_of(pr.category_of(s)))
+    b = sum(1 for p, s in m.pairs if p in pr.beneficiary[pr.category_of(s)])
     return MatchPoint(e, b)

@@ -45,7 +45,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import MatchPoint, Problem, check_cells, row_point
+from .core import MatchPoint, Problem, row_point
 from .hungarian import linear_sum_assignment
 
 
@@ -112,14 +112,15 @@ def kinks_of(points: Sequence[MatchPoint]) -> frozenset[MatchPoint]:
     return frozenset(out)
 
 
-def _sweeps(codes: np.ndarray, quotas: Sequence[int]) -> Callable[[int], tuple[MatchPoint, np.ndarray]]:
-    """sweep(d) -> (point, category row) of sweep d in 0..n, all on one cost
-    matrix, for the pair codes of categories with these quotas.
+def _sweeps(codes: np.ndarray, quotas: Sequence[int]) -> Callable[[int], tuple[MatchPoint, tuple[int, ...]]]:
+    """sweep(d) -> (point, category row as a tuple of ints) of sweep d in
+    0..n, all on one cost matrix, for the pair codes of categories with
+    these quotas.
 
     The solver sees unit seats: each category's column repeated quota times
     (the codes themselves when every quota is 1), and each seat column it
-    assigns is mapped back to its category.  A patients x seats matrix over
-    MAX_CELLS is refused before anything of that size is allocated.
+    assigns is mapped back to its category.  The codes are rows of an
+    admitted Problem's pair codes, within the limits Problem.quotas checks.
 
     The solver minimizes, so the matrix is the negated weight table
     (0, 2n + 1, 2n + 3) of sweep n gathered over the seat codes: one float64
@@ -141,14 +142,13 @@ def _sweeps(codes: np.ndarray, quotas: Sequence[int]) -> Callable[[int], tuple[M
     """
     n_patients, n_seats = codes.shape[0], sum(quotas)
     n = max(n_patients, n_seats)
-    check_cells(n_patients, n_seats, "assignment")
     seat_codes = codes if codes.shape[1] == n_seats else np.repeat(codes, quotas, axis=1)
     category = np.repeat(np.arange(codes.shape[1]), quotas)  # of each seat column
     # negate the small table, not the gathered matrix: one full-size allocation
     cost = (-np.array((0, 2 * n + 1, 2 * n + 3), dtype=np.float64))[seat_codes]
     at = n
 
-    def sweep(d: int) -> tuple[MatchPoint, np.ndarray]:
+    def sweep(d: int) -> tuple[MatchPoint, tuple[int, ...]]:
         nonlocal at
         if d != at:
             np.subtract(cost, 2 * (d - at), out=cost, where=seat_codes != 0)
@@ -157,18 +157,18 @@ def _sweeps(codes: np.ndarray, quotas: Sequence[int]) -> Callable[[int], tuple[M
         keep = seat_codes[rows, cols] != 0
         row = np.full(n_patients, -1, dtype=np.intp)
         row[rows[keep]] = category[cols[keep]]
-        return row_point(codes, row), row
+        return row_point(codes, row), tuple(row.tolist())
 
     return sweep
 
 
 def frontier_iteration(pr: Problem, d: int) -> tuple[MatchPoint, tuple[int, ...]]:
-    """Single weighted sweep: the frontier point that maximizes (2d + 1) e + 2b, and its row."""
+    """Single weighted sweep: the frontier point that maximizes (2d + 1) e + 2b,
+    and its category row, a tuple of ints."""
     n = max(len(pr.patients), sum(pr.quotas))
     if not 0 <= d <= n:
         raise ValueError(f"d must be in [0, {n}], got {d}")
-    pt, row = _sweeps(pr.pair_codes, pr.quotas)(d)
-    return pt, tuple(row.tolist())
+    return _sweeps(pr.pair_codes, pr.quotas)(d)
 
 
 def witness_at(codes: np.ndarray, f: Frontier, pt: MatchPoint) -> tuple[int, ...]:
@@ -220,10 +220,10 @@ def witness_at(codes: np.ndarray, f: Frontier, pt: MatchPoint) -> tuple[int, ...
 
 
 def _split(
-    sweep: Callable[[int], tuple[MatchPoint, np.ndarray]],
-    sweeps: dict[int, tuple[MatchPoint, np.ndarray]],
+    sweep: Callable[[int], tuple[MatchPoint, tuple[int, ...]]],
+    sweeps: dict[int, tuple[MatchPoint, tuple[int, ...]]],
     wanted: Callable[[MatchPoint, MatchPoint], bool],
-) -> dict[MatchPoint, np.ndarray]:
+) -> dict[MatchPoint, tuple[int, ...]]:
     """Split where scores cross every interval between neighbouring done
     sweeps whose end points a != c are wanted(a, c), and each interval that
     split makes, until the wanted ones join adjacent d; sweeps gains every
@@ -299,14 +299,14 @@ def _frontier(codes: np.ndarray, quotas: Sequence[int]) -> Frontier:
     """compute_frontier on a pair-code matrix and its categories' quotas,
     such as the rows of a patient subset: sweeps n and 0, then every
     interval split (mechanism._select splits only those it needs)."""
-    n = max(codes.shape[0], sum(quotas))
-    if n == 0 or not codes.any():
+    if not codes.any():
         empty = MatchPoint(0, 0)
         return Frontier(points=(empty,), kinks=frozenset({empty}), witnesses={empty: (-1,) * codes.shape[0]})
 
+    n = max(codes.shape[0], sum(quotas))
     sweep = _sweeps(codes, quotas)
     sweeps = {d: sweep(d) for d in (n, 0)}  # n first: its matrix needs no shift
-    witnesses = {pt: tuple(row.tolist()) for pt, row in _split(sweep, sweeps, lambda a, c: True).items()}
+    witnesses = _split(sweep, sweeps, lambda a, c: True)
     kinks = list(witnesses)
     points = [pt for a, c in zip(kinks, kinks[1:]) for pt in _segment(a, c)] + kinks[-1:]
     f = Frontier(points=tuple(points), kinks=frozenset(kinks), witnesses=witnesses)

@@ -73,7 +73,7 @@ def _select(codes: np.ndarray, quotas: Sequence[int], beta_star: Fraction) -> tu
     sweeps = {n: sweep(n)}
     pt, row = sweeps[n]
     if meets(pt):
-        return tuple(row.tolist()), pt
+        return row, pt
     sweeps[0] = sweep(0)
     kinks = list(_split(sweep, sweeps, lambda a, c: meets(a) and not meets(c)))
     a = c = pt = kinks[0]  # when even the first kink misses the target
@@ -85,7 +85,7 @@ def _select(codes: np.ndarray, quotas: Sequence[int], beta_star: Fraction) -> tu
         pt = [p for p in points if meets(p)][-1]
     need = {a} if pt == a else {a, c}
     rows = _split(sweep, sweeps, lambda lo_end, _: lo_end in need)
-    f = Frontier(points=points, kinks=need, witnesses={k: tuple(rows[k].tolist()) for k in need})
+    f = Frontier(points=points, kinks=need, witnesses={k: rows[k] for k in need})
     return witness_at(codes, f, pt), pt
 
 

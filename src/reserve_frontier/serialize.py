@@ -91,7 +91,8 @@ def _str_list(value: Any, field: str) -> list[str]:
 
 
 def parse_instance(data: Any) -> Problem:
-    """Validated Problem from a JSON document.
+    """Validated Problem from a JSON document.  The id lists go to Problem
+    as they are read; Problem builds the sets.
 
     Raises ValueError naming the field on any schema or invariant violation.
     """
@@ -105,8 +106,8 @@ def parse_instance(data: Any) -> Problem:
         raise ValueError("'categories' must be a list of category objects")
     categories = []
     quota: dict[str, int] = {}
-    eligible: dict[str, frozenset[str]] = {}
-    beneficiary: dict[str, frozenset[str]] = {}
+    eligible: dict[str, list[str]] = {}
+    beneficiary: dict[str, list[str]] = {}
     for entry in data["categories"]:
         if not isinstance(entry, dict) or "id" not in entry or "quota" not in entry:
             raise ValueError("each category needs an 'id' and a 'quota'")
@@ -116,10 +117,8 @@ def parse_instance(data: Any) -> Problem:
         _reject_unknown_keys(entry, _CATEGORY_KEYS, f"category {c}")
         categories.append(c)
         quota[c] = entry["quota"]
-        eligible[c] = frozenset(_str_list(entry.get("eligible", []), f"category {c}: 'eligible'"))
-        beneficiary[c] = frozenset(
-            _str_list(entry.get("beneficiary", []), f"category {c}: 'beneficiary'")
-        )
+        eligible[c] = _str_list(entry.get("eligible", []), f"category {c}: 'eligible'")
+        beneficiary[c] = _str_list(entry.get("beneficiary", []), f"category {c}: 'beneficiary'")
     fields = dict(
         categories=categories,
         patients=_str_list(data["patients"], "'patients'"),
@@ -211,8 +210,8 @@ def emit_instance(pr: Problem) -> dict[str, Any]:
             {
                 "id": c,
                 "quota": pr.quota[c],
-                "eligible": sorted(pr.eligible_of(c)),
-                "beneficiary": sorted(pr.beneficiary_of(c)),
+                "eligible": sorted(pr.eligible[c]),
+                "beneficiary": sorted(pr.beneficiary[c]),
             }
             for c in pr.categories
         ],

@@ -1,8 +1,11 @@
 """Cross-checks between the fast algorithms and the exhaustive oracle.
 
-Each suite takes (pr, census, f) and returns CheckResult rows.  The
-suites never share code with the algorithms they audit beyond the core
-data types, so a bug has to appear on both routes to slip through.
+Each suite takes (pr, census, f) and returns CheckResult rows.  A route
+that raises ValueError inside a suite, say by returning a row that is no
+matching, fails that suite with one route-raised row in place of its
+rows: the input was admitted before any suite ran.  The suites never
+share code with the algorithms they audit beyond the core data types,
+so a bug has to appear on both routes to slip through.
 Every check lives here, as a CheckResult row that keeps its first
 failure; the oracle only computes.
 run_suites builds one census and one frontier per Problem and hands
@@ -57,8 +60,6 @@ from .oracle import (
 )
 
 CORRUPTION_ENV = "RESERVE_FRONTIER_INJECT_CORRUPTION"
-
-SUITES = ("frontier", "cycles", "lemmas", "mechanism")
 
 
 @dataclass(frozen=True)
@@ -313,18 +314,18 @@ def _targets_for(beta_star: Fraction | None, f: Frontier) -> list[Fraction]:
     return targets
 
 
-def _exact_share_domination(beta: Fraction, selected: MatchPoint, census: Census) -> CheckResult:
-    """Whether the selected point dominates every matching whose share is
-    exactly the target (meaningful when the selected share differs from it).
-    b/e = num/den is tested exactly as b*den == e*num at each point the
-    census counts, and the first undominated one, in enumeration order, fails."""
+def _exact_share_domination(beta: Fraction, selected: MatchPoint, census: Census) -> str:
+    """The failure, or "" when the selected point dominates every matching
+    whose share is exactly the target (meaningful when the selected share
+    differs from it).  b/e = num/den is tested exactly as b*den == e*num at
+    each point the census counts, and the first undominated one, in
+    enumeration order, fails."""
     num, den = beta.numerator, beta.denominator
     for pt in census.counts:
         if pt.e and pt.b * den == pt.e * num and not dominates(selected, pt):
-            return CheckResult("mechanism", "selection-rule-and-exact-share-domination", False,
-                               f"exact-share rival undominated: matching at {pt} with exact share {beta} "
-                               f"is not dominated by {selected}")
-    return CheckResult("mechanism", "selection-rule-and-exact-share-domination", True)
+            return (f"exact-share rival undominated: matching at {pt} with exact share {beta} "
+                    f"is not dominated by {selected}")
+    return ""
 
 
 def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
@@ -369,11 +370,9 @@ def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResu
             sel_ok, detail = False, f"witness off the frontier at target {beta}"
             break
         scored.add(want)
-        if Fraction(want.b, want.e) != beta:
-            rival = _exact_share_domination(beta, want, census)
-            if not rival.ok:
-                sel_ok, detail = False, rival.detail
-                break
+        if Fraction(want.b, want.e) != beta and (rival := _exact_share_domination(beta, want, census)):
+            sel_ok, detail = False, rival
+            break
     results.append(CheckResult("mechanism", "selection-rule-and-exact-share-domination", sel_ok, detail))
 
     fixed = repair_priority(pr, row)
@@ -399,6 +398,7 @@ SUITE_FUNCS = {
     "lemmas": verify_lemmas,
     "mechanism": verify_mechanism,
 }
+SUITES = tuple(SUITE_FUNCS)
 
 
 def run_suites(pr: Problem, suites: tuple[str, ...]) -> list[CheckResult]:
@@ -408,7 +408,10 @@ def run_suites(pr: Problem, suites: tuple[str, ...]) -> list[CheckResult]:
     census = Census(pr, budget, f.points)
     out: list[CheckResult] = []
     for name in suites:
-        out.extend(SUITE_FUNCS[name](pr, census, f))
+        try:
+            out.extend(SUITE_FUNCS[name](pr, census, f))
+        except ValueError as exc:  # a checked route refused its own answer: the suite fails, the input stands
+            out.append(CheckResult(name, "route-raised", False, f"{type(exc).__name__}: {exc}"))
     return out
 
 

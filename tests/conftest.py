@@ -8,7 +8,7 @@ def tier_order(pr) -> dict[str, tuple[str, ...]]:
     category, beneficiaries, then other eligible patients, then the rest,
     each tier in input order."""
     def tiers(c: str) -> tuple[str, ...]:
-        bene, elig = pr.beneficiary_of(c), pr.eligible_of(c)
+        bene, elig = pr.beneficiary[c], pr.eligible[c]
         return tuple(sorted(pr.patients, key=lambda p: (p not in bene, p not in elig)))
 
     return {c: tiers(c) for c in pr.categories}

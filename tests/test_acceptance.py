@@ -274,8 +274,8 @@ def test_criterion_09_exact_share_domination():
                 continue
             qualifying += 1
             assert any(p.e and beneficiary_share(p) == beta for p in census.counts)
-            row = _exact_share_domination(pr.beta_star, pt, census)
-            assert row.ok, f"instance {i - 1}: {row.detail}"
+            failure = _exact_share_domination(pr.beta_star, pt, census)
+            assert not failure, f"instance {i - 1}: {failure}"
     print(f"criterion 09: {qualifying} off-target selections dominate every exact-share matching")
 
 
@@ -283,9 +283,9 @@ def _admissible_order(inst, rng: Random) -> dict[str, tuple[str, ...]]:
     """Random strict order respecting beneficiary > eligible > ineligible tiers."""
     order = {}
     for c in inst.categories:
-        bene = sorted(inst.beneficiary_of(c))
-        elig = sorted(p for p in inst.eligible_of(c) if p not in inst.beneficiary_of(c))
-        rest = sorted(p for p in inst.patients if p not in inst.eligible_of(c))
+        bene = sorted(inst.beneficiary[c])
+        elig = sorted(p for p in inst.eligible[c] if p not in inst.beneficiary[c])
+        rest = sorted(p for p in inst.patients if p not in inst.eligible[c])
         for tier in (bene, elig, rest):
             rng.shuffle(tier)
         order[c] = tuple(bene + elig + rest)

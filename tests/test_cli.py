@@ -22,6 +22,7 @@ from conftest import tier_order
 from reserve_frontier import (
     NAMED_INSTANCES,
     SUITES,
+    Cycle,
     GenConfig,
     MatchPoint,
     Problem,
@@ -146,7 +147,7 @@ def test_solve_subset_keeps_the_share_and_each_priority_order_on_the_kept_patien
     draw = gen_random(GenConfig(12, 4, (1, 2), 0.5, 0.5, seed=3))
 
     def reversed_tiers(c):  # admissible, and not the tier order: each tier in reverse input order
-        bene, elig = draw.beneficiary_of(c), draw.eligible_of(c)
+        bene, elig = draw.beneficiary[c], draw.eligible[c]
         return tuple(sorted(draw.patients[::-1], key=lambda p: (p not in bene, p not in elig)))
 
     pr = replace(draw, beta_star=Fraction(1, 3), priority={c: reversed_tiers(c) for c in draw.categories})
@@ -841,14 +842,35 @@ def _off_after_first(witness_at):
 
 
 def _planted_rival(*args):
-    return verify_module.CheckResult("mechanism", "selection-rule-and-exact-share-domination", False,
-                                     "exact-share rival undominated: planted")
+    return "exact-share rival undominated: planted"
 
 
 def _first_point_only(f):
     """The frontier f cut down to its first point."""
     first = f.points[0]
     return replace(f, points=(first,), kinks={first}, witnesses={first: f.witnesses[first]})
+
+
+def _ineligible_last_witness(compute):
+    """compute_frontier whose last witness puts the first patient with an
+    ineligible category into that category."""
+    def broken(pr):
+        f = compute(pr)
+        last = f.points[-1]
+        i, c = next((i, c) for i, p in enumerate(pr.patients)
+                    for c, cat in enumerate(pr.categories) if p not in pr.eligible[cat])
+        row = list(f.witnesses[last])
+        row[i] = c
+        return replace(f, witnesses={**f.witnesses, last: tuple(row)})
+    return broken
+
+
+def _one_entry_too_many(select):
+    """_select whose row has an entry past the last patient, so is no matching."""
+    def broken(*args):
+        row, pt = select(*args)
+        return (*row, -1), pt
+    return broken
 
 
 # (check, start of its failure text, the verify names broken, each as a
@@ -877,6 +899,13 @@ BROKEN_ROUTES = {
                     {"witness_at": _off_after_first}),
     "exact-share-rival": ("mechanism:selection-rule-and-exact-share-domination", "exact-share rival undominated",
                           {"_exact_share_domination": lambda _: _planted_rival}),
+    # a route whose answer the library refuses fails its suite, with exit 1, not 2
+    "ineligible-witness": ("frontier:route-raised", "MatchingError: patient p1 not eligible for category c2",
+                           {"compute_frontier": _ineligible_last_witness}),
+    "inapplicable-cycle": ("cycles:route-raised", "CycleError: cycle not applicable: patient p1 is matched",
+                           {"cheapest_cycle": lambda _: lambda pr, row: Cycle((0,), (0,))}),
+    "non-matching-select": ("mechanism:route-raised", "MatchingError: a category row has one entry per patient",
+                            {"_select": _one_entry_too_many}),
 }
 
 

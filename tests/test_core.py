@@ -39,9 +39,9 @@ def tiny() -> Problem:
 
 def test_validate_accepts_tiny_instance():
     inst = tiny()
-    assert inst.eligible_of("c1") == frozenset({"p1"})
-    assert inst.beneficiary_of("c1") == frozenset()
-    assert inst.total_quota == 2
+    assert inst.eligible["c1"] == frozenset({"p1"})
+    assert inst.beneficiary["c1"] == frozenset()
+    assert sum(inst.quota.values()) == 2
 
 
 def test_validate_rejects_duplicate_ids():
@@ -85,8 +85,8 @@ def test_restrict_patients_keeps_categories_and_trims_sets():
     sub = restrict_patients(inst, {"p2"})
     assert sub.categories == inst.categories
     assert sub.patients == ("p2",)
-    assert sub.eligible_of("c2") == frozenset({"p2"})
-    assert sub.beneficiary_of("c2") == frozenset()
+    assert sub.eligible["c2"] == frozenset({"p2"})
+    assert sub.beneficiary["c2"] == frozenset()
     with pytest.raises(InstanceError):
         restrict_patients(inst, {"p9"})
 
@@ -137,8 +137,8 @@ def test_expand_to_seats_unit_quotas():
     si = expand_to_seats(inst)
     assert si.seats == ("c1#0", "c1#1", "c1#2")
     assert all(si.category_of(s) == "c1" for s in si.seats)
-    assert si.eligible_of(si.category_of("c1#1")) == frozenset({"p1", "p2"})
-    assert si.beneficiary_of(si.category_of("c1#2")) == frozenset({"p2"})
+    assert si.eligible[si.category_of("c1#1")] == frozenset({"p1", "p2"})
+    assert si.beneficiary[si.category_of("c1#2")] == frozenset({"p2"})
 
 
 def test_name_row_gives_each_category_its_seats_in_patient_order():

@@ -382,8 +382,8 @@ def ref_cheapest_cycle(si, row, start_costs=None):
     cats = si.categories
     names = [(si.patients[i], cats[c]) for i, c in zip(cycle.patients, cycle.categories)]
     before = [(si.patients[i], cats[row[i]]) for i in cycle.patients if row[i] != -1]
-    delta = sum(1 for p, c in before if p in si.beneficiary_of(c))
-    delta -= sum(1 for p, c in names if p in si.beneficiary_of(c))
+    delta = sum(1 for p, c in before if p in si.beneficiary[c])
+    delta -= sum(1 for p, c in names if p in si.beneficiary[c])
     if delta != best_key[0]:
         raise RuntimeError("cycle cost disagrees with its beneficiary loss")
     if delta <= 0:

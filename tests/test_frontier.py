@@ -13,6 +13,7 @@ from scipy.optimize import linear_sum_assignment
 import reserve_frontier.cli as cli_module
 import reserve_frontier.frontier as frontier_module
 import reserve_frontier.mechanism as mechanism_module
+import reserve_frontier.verify as verify_module
 from reserve_frontier import (
     Frontier,
     FrontierInvariantError,
@@ -39,7 +40,7 @@ from reserve_frontier import (
     with_all_witnesses,
 )
 from reserve_frontier.core import row_point
-from reserve_frontier.frontier import witness_at
+from reserve_frontier.frontier import _segment, witness_at
 from reserve_frontier.mechanism import _select
 from reserve_frontier.oracle import Census
 from reserve_frontier.serialize import instance_to_json
@@ -134,6 +135,16 @@ def test_straight_segments_are_interpolated():
     assert list(f.points) == pts((2, 2), (3, 1), (4, 0))
     assert f.kinks == {MatchPoint(2, 2), MatchPoint(4, 0)}  # middle point is not a kink
     assert list(Census(si).frontier.points) == list(f.points)
+
+
+def test_the_kink_sweep_lemma_sweeps_each_kink_once_and_skips_interior_points(monkeypatch):
+    pr = two_conflict_copies()
+    f = compute_frontier(pr)
+    swept = []
+    monkeypatch.setattr(verify_module, "frontier_iteration", lambda pr, d: swept.append(d) or frontier_iteration(pr, d))
+    results = verify_module.verify_lemmas(pr, Census(pr, points=f.points), f)
+    assert all(r.ok for r in results), results
+    assert swept == [0, 1]  # at the left drops of (2,2) and (4,0); none at (3,1)
 
 
 def test_with_all_witnesses_fills_interior_points():
@@ -343,6 +354,11 @@ def test_invariant_checker_rejects_bad_shapes():
     )
     with pytest.raises(FrontierInvariantError):
         check_frontier_invariants(f)
+    with pytest.raises(FrontierInvariantError, match="at least one point"):
+        check_frontier_invariants(Frontier(points=(), kinks=frozenset(), witnesses={}))
+    # kinks whose drop 3 does not split evenly over their span 2
+    with pytest.raises(FrontierInvariantError, match="not divisible by their span"):
+        _segment(MatchPoint(1, 3), MatchPoint(3, 0))
     # a kink or a witness off the points is refused when the frontier is built
     with pytest.raises(ValueError, match="kinks must be frontier points"):
         Frontier(points=pts((1, 1)), kinks=pts((2, 0)), witnesses={})
@@ -416,8 +432,8 @@ def disjoint_union(*insts: Problem) -> Problem:
         pats += map(tag, inst.patients)
         for c in inst.categories:
             quota[tag(c)] = inst.quota[c]
-            eligible[tag(c)] = frozenset(map(tag, inst.eligible_of(c)))
-            beneficiary[tag(c)] = frozenset(map(tag, inst.beneficiary_of(c)))
+            eligible[tag(c)] = frozenset(map(tag, inst.eligible[c]))
+            beneficiary[tag(c)] = frozenset(map(tag, inst.beneficiary[c]))
     return Problem(tuple(cats), tuple(pats), quota, eligible, beneficiary)
 
 
@@ -660,7 +676,7 @@ def fresh_gather_sweeps(codes, quotas):
         rows, cols = fresh_solve(seat_codes, (0, 2 * d + 1, 2 * d + 3))
         row = np.full(len(codes), -1, dtype=np.intp)
         row[rows] = category[cols]
-        return MatchPoint(len(rows), int(np.count_nonzero(seat_codes[rows, cols] == 2))), row
+        return MatchPoint(len(rows), int(np.count_nonzero(seat_codes[rows, cols] == 2))), tuple(row.tolist())
 
     return sweep
 

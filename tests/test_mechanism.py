@@ -253,8 +253,8 @@ def test_exact_share_matchings_are_dominated():
         if beneficiary_share(pt) == beta:
             continue
         census = Census(pr)
-        row = _exact_share_domination(pr.beta_star, pt, census)
-        assert row.ok, row.detail
+        failure = _exact_share_domination(pr.beta_star, pt, census)
+        assert not failure, failure
         nonvacuous += any(p.e and beneficiary_share(p) == beta for p in census.counts)
     assert nonvacuous >= 5
 
@@ -278,14 +278,12 @@ def test_exact_share_check_catches_an_undominated_rival():
     assert len(exact) == 3 and len(escaped) == 3
     census = Census(si)
     assert sum(n for pt, n in census.counts.items() if pt.e and beneficiary_share(pt) == 1) == len(exact)
-    row = _exact_share_domination(pr.beta_star, selected, census)
-    assert not row.ok
+    failure = _exact_share_domination(pr.beta_star, selected, census)
     # the first undominated point in enumeration order is reported
-    assert "matching at MatchPoint(e=1, b=1) with exact share 1 is not dominated" in row.detail
+    assert "matching at MatchPoint(e=1, b=1) with exact share 1 is not dominated" in failure
     # (2, 1) dominates both (1, 1) singles; only (2, 2) escapes it
-    row = _exact_share_domination(pr.beta_star, MatchPoint(2, 1), census)
-    assert not row.ok
-    assert "matching at MatchPoint(e=2, b=2)" in row.detail
+    failure = _exact_share_domination(pr.beta_star, MatchPoint(2, 1), census)
+    assert "matching at MatchPoint(e=2, b=2)" in failure
 
 
 def priority_fixture():
@@ -396,9 +394,9 @@ def test_repair_preserves_selected_points_on_random_instances():
         order = {}
         for c, ps in base.items():
             tiers = [
-                [p for p in ps if p in inst.beneficiary_of(c)],
-                [p for p in ps if p in inst.eligible_of(c) and p not in inst.beneficiary_of(c)],
-                [p for p in ps if p not in inst.eligible_of(c)],
+                [p for p in ps if p in inst.beneficiary[c]],
+                [p for p in ps if p in inst.eligible[c] and p not in inst.beneficiary[c]],
+                [p for p in ps if p not in inst.eligible[c]],
             ]
             shuffled = []
             for tier in tiers:
@@ -466,7 +464,7 @@ def reference_repair_priority(pr, m):
 def shuffled_admissible_order(inst, rng):
     order = {}
     for c in inst.categories:
-        bene, elig = inst.beneficiary_of(c), inst.eligible_of(c)
+        bene, elig = inst.beneficiary[c], inst.eligible[c]
         tiers = [
             [p for p in inst.patients if p in bene],
             [p for p in inst.patients if p in elig and p not in bene],
@@ -482,7 +480,7 @@ def random_matching(inst, rng):
     si = expand_to_seats(inst)
     free, pairs = set(si.seats), []
     for p in rng.sample(inst.patients, rng.randint(0, len(inst.patients))):
-        options = [s for s in si.seats if s in free and p in si.eligible_of(si.category_of(s))]
+        options = [s for s in si.seats if s in free and p in si.eligible[si.category_of(s)]]
         if options:
             s = rng.choice(options)
             free.remove(s)

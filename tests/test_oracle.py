@@ -49,7 +49,7 @@ def rows_by_seats(si) -> set:
             rows.add(tuple(held.get(i, -1) for i in range(len(si.patients))))
             return
         rec(j + 1, held)
-        for p in si.eligible_of(si.category_of(seats[j])):
+        for p in si.eligible[si.category_of(seats[j])]:
             i = si.patient_index[p]
             if i not in held:
                 rec(j + 1, {**held, i: category[j]})
@@ -303,6 +303,8 @@ def test_disjoint_family_search_loops_over_skipped_cycles():
     assert _find_disjoint_family(cycles, 1, 2, [1], EnumerationBudget(max_states=10**6)) is None
     cycles[-1] = ([], frozenset({4999}), 0, 2)
     assert _find_disjoint_family(cycles, 1, 2, [1], EnumerationBudget(max_states=10**6)) == [4999]
+    # two cycles lose at least 2, so a target loss of 1 is refused in the first state
+    assert _find_disjoint_family(cycles, 2, 1, [2], EnumerationBudget(max_states=1)) is None
 
 
 def test_matchings_at_point_and_sampling():

@@ -78,7 +78,7 @@ def test_parse_minimal_document():
     pr = parse_instance(doc)
     assert pr.beta_star is None and pr.priority is None
     assert pr.quota == {"c1": 1, "c2": 2}
-    assert pr.beneficiary_of("c2") == frozenset({"p1"})
+    assert pr.beneficiary["c2"] == frozenset({"p1"})
 
 
 def test_parse_errors():
