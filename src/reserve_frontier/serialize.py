@@ -8,11 +8,11 @@ Input schema (JSON):
       ],
       "patients": ["p1", "p2"],
       "beta_star": "7/10",                # optional; "0.7" and 0.7 also accepted
-      "priority": {"c1": ["p1", "p2"]}    # optional; requires beta_star
+      "priority": {"c1": ["p1", "p2"]}    # optional
     }
 
 Every document parses to one Problem, whose beta_star and priority are
-None when the file omits them.  Any other key, at the top level or in a
+None when the file omits them; either may come without the other.  Any other key, at the top level or in a
 category entry, is rejected by name, and so is a key repeated in one
 object.
 
@@ -130,8 +130,6 @@ def parse_instance(data: Any) -> Problem:
     priority = data.get("priority")
     beta_star = order = None
     try:
-        if beta is None and priority is not None:
-            raise ValueError("a priority block requires beta_star")
         if beta is not None:
             beta_star = parse_share(beta)
         if priority is not None:

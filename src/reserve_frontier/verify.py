@@ -1,27 +1,33 @@
 """Cross-checks between the fast algorithms and the exhaustive oracle.
 
-Each suite takes (pr, census, f) and returns CheckResult rows.  A route
+Each suite takes (census, f), the oracle Census of one Problem
+(census.pr) and that Problem's computed frontier, and returns
+CheckResult rows.  A check that can name a fault returns its first
+failure as text, or "" when it passes, and _row makes its row; a lemma
+row (_lemma) prints what it counted before the failure, and a yes/no
+check with nothing to name is the CheckResult of its bool.  A route
 that raises ValueError inside a suite, say by returning a row that is no
 matching, fails that suite with one route-raised row in place of its
 rows: the input was admitted before any suite ran.  The suites never
 share code with the algorithms they audit beyond the core data types,
 so a bug has to appear on both routes to slip through.
-Every check lives here, as a CheckResult row that keeps its first
-failure; the oracle only computes.
+Every check lives here; the oracle only computes.
 run_suites builds one census and one frontier per Problem and hands
-them to every suite beside the Problem: the oracle Census, built with
-the computed frontier's points, enumerates it once however many suites
-and targets read it, and the mechanism suite reads each target's point
-and witness off the shared frontier; selection's own route
-(mechanism._select) runs once, at the repair target.  A suite that needs
-samples at other points, as the lemma checks do at the oracle's own
-frontier when the two disagree, gets them from _sampled_at, the one
-function that builds a second Census of an instance.
+them to every suite: the oracle Census, built with the computed
+frontier's points, enumerates it once however many suites and targets
+read it, and the mechanism suite reads each target's point and witness
+off the shared frontier; selection's own route (mechanism._select) runs
+once, at the repair target.  A suite that needs samples at other
+points, as the lemma checks do at the oracle's own frontier when the
+two disagree, gets them from _sampled_at, the one function that builds
+a second Census of an instance.  The checks call the routes they audit
+through this module's names, so a test can break a route by patching it
+here.
 
 Matchings reach these checks as category rows (row[i] is the index of
 patient i's category, or -1).  A check names a row only to print it, or
-to score it by match_point on patient and seat ids, apart from the
-pair-code scorer (core.row_point) of the routes it checks.
+to score it with _score, by match_point on patient and seat ids, apart
+from the pair-code scorer (core.row_point) of the routes it checks.
 
 Setting RESERVE_FRONTIER_INJECT_CORRUPTION=1 deliberately corrupts the
 frontier that the frontier suite checks, and only that copy.  That is
@@ -34,6 +40,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations, pairwise
 from random import Random
 from typing import Iterator
 
@@ -92,116 +99,91 @@ def _maybe_corrupt(f: Frontier) -> Frontier:
     )
 
 
-def verify_frontier(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
-    """Computed frontier == enumerated frontier, plus its shape invariants."""
-    results: list[CheckResult] = []
-    f = _maybe_corrupt(f)
+def _row(suite: str, check: str, failure: str, detail: str = "") -> CheckResult:
+    """The row of a check that returns its first failure: it passes when
+    failure is "", and prints failure, or detail when it passes."""
+    return CheckResult(suite, check, not failure, failure or detail)
 
-    bad = [
-        (p, q)
-        for i, p in enumerate(f.points)
-        for q in f.points[i + 1 :]
-        if dominates(p, q) or dominates(q, p)
-    ]
-    results.append(
-        CheckResult(
-            "frontier",
-            "mutual-non-domination",
-            not bad,
-            "" if not bad else f"{bad[0][1]} dominates {bad[0][0]}",
-        )
-    )
 
+def _score(pr: Problem, row) -> MatchPoint:
+    """The (e, b) of a category row, by match_point on patient and seat ids."""
+    return match_point(pr, pr.name_row(row))
+
+
+def _mutual_domination(points) -> str:
+    """The first pair of points where one dominates the other, named
+    dominating point first, or ""."""
+    for p, q in combinations(points, 2):
+        for a, b in ((q, p), (p, q)):
+            if dominates(a, b):
+                return f"{a} dominates {b}"
+    return ""
+
+
+def _shape_failure(f: Frontier) -> str:
+    """check_frontier_invariants' complaint about f, or ""."""
     try:
         check_frontier_invariants(f)
-        results.append(CheckResult("frontier", "shape-invariants", True))
     except Exception as exc:  # report, do not abort the suite
-        results.append(CheckResult("frontier", "shape-invariants", False, str(exc)))
+        return str(exc) or type(exc).__name__  # a failure with no message still fails
+    return ""
 
-    oracle = census.frontier
-    same = f.points == oracle.points
-    results.append(
-        CheckResult(
-            "frontier",
-            "matches-exhaustive-enumeration",
-            same,
-            "" if same else f"fast={list(f.points)} oracle={list(oracle.points)}",
-        )
-    )
-    same_kinks = f.kinks == oracle.kinks
-    results.append(
-        CheckResult(
-            "frontier",
-            "kinks-match",
-            same_kinks,
-            "" if same_kinks else f"fast={list(f.kinks)} oracle={list(oracle.kinks)}",
-        )
-    )
 
-    wit_ok = all(match_point(pr, pr.name_row(row)) == pt for pt, row in f.witnesses.items())
-    results.append(CheckResult("frontier", "witnesses-score-their-points", wit_ok))
-
+def verify_frontier(census: Census, f: Frontier) -> list[CheckResult]:
+    """Computed frontier == enumerated frontier, plus its shape invariants."""
+    pr, oracle, f = census.pr, census.frontier, _maybe_corrupt(f)
+    results = [
+        _row("frontier", "mutual-non-domination", _mutual_domination(f.points)),
+        _row("frontier", "shape-invariants", _shape_failure(f)),
+        _row("frontier", "matches-exhaustive-enumeration",
+             "" if f.points == oracle.points else f"fast={list(f.points)} oracle={list(oracle.points)}"),
+        _row("frontier", "kinks-match",
+             "" if f.kinks == oracle.kinks else f"fast={list(f.kinks)} oracle={list(oracle.kinks)}"),
+        CheckResult("frontier", "witnesses-score-their-points",
+                    all(_score(pr, row) == pt for pt, row in f.witnesses.items())),
+    ]
     if f.e_max:
         ratio = half_bound_ratio(f)
-        results.append(
-            CheckResult(
-                "frontier",
-                "range-at-most-half",
-                ratio <= Fraction(1, 2),
-                f"ratio={ratio}",
-            )
-        )
+        results.append(CheckResult("frontier", "range-at-most-half", ratio <= Fraction(1, 2), f"ratio={ratio}"))
     return results
 
 
-def verify_cycles(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
-    """Minimal reassignment cycles agree with exhaustive cycle search."""
-    results: list[CheckResult] = []
-
-    if f.e_max == 0:
-        results.append(CheckResult("cycles", "walk-covers-frontier", True, "empty frontier"))
-        return results
-
-    start_pt = f.points[0]
-    walk = frontier_walk(pr, f.witnesses[start_pt])
-    walk_pts = [pt for pt, _ in walk]
-    covered = walk_pts == list(f.points)
-    results.append(
-        CheckResult(
-            "cycles",
-            "walk-covers-frontier",
-            covered,
-            "" if covered else f"walk={walk_pts} frontier={list(f.points)}",
-        )
-    )
-
-    sampled = _sampled_at(census, f.points)
-    min_ok = True
-    detail = f"mode={sampled.mode}"
-    for pt in f.points:
-        for row in sampled.samples[pt]:
+def _minimal_loss(census: Census, points) -> str:
+    """The first failure, in frontier order, of a sampled matching whose
+    cheapest cycle disagrees with exhaustive cycle search or lands off the
+    frontier, or "".  The census samples exactly these points."""
+    pr = census.pr
+    for pt in points:
+        for row in census.samples[pt]:
             cyc = cheapest_cycle(pr, row)
             want = oracle_min_cycle_loss(pr, row, census.budget)
             if cyc is None:
                 if want is not None:
-                    min_ok, detail = False, f"missed a cycle at {pt}"
-                    break
-                if pt != f.points[-1]:
-                    min_ok, detail = False, f"no cycle before the max-size point {pt}"
-                    break
+                    return f"missed a cycle at {pt}"
+                if pt != points[-1]:
+                    return f"no cycle before the max-size point {pt}"
                 continue
-            nxt = match_point(pr, pr.name_row(apply_cycle(pr, row, cyc)))
+            nxt = _score(pr, apply_cycle(pr, row, cyc))
             got = pt.b - nxt.b  # the sample at pt scores pt
             if want is None or got != want:
-                min_ok, detail = False, f"loss {got} vs exhaustive {want} at {pt}"
-                break
-            if nxt not in set(f.points):
-                min_ok, detail = False, f"cheapest cycle from {pt} landed off the frontier at {nxt}"
-                break
-        if not min_ok:
-            break
-    results.append(CheckResult("cycles", "minimal-loss-matches-exhaustive", min_ok, detail))
-    return results
+                return f"loss {got} vs exhaustive {want} at {pt}"
+            if nxt not in census.points:
+                return f"cheapest cycle from {pt} landed off the frontier at {nxt}"
+    return ""
+
+
+def verify_cycles(census: Census, f: Frontier) -> list[CheckResult]:
+    """Minimal reassignment cycles agree with exhaustive cycle search."""
+    if f.e_max == 0:
+        return [_row("cycles", "walk-covers-frontier", "", "empty frontier")]
+    walk_pts = [pt for pt, _ in frontier_walk(census.pr, f.witnesses[f.points[0]])]
+    walked = "" if walk_pts == list(f.points) else f"walk={walk_pts} frontier={list(f.points)}"
+    sampled = _sampled_at(census, f.points)
+    return [
+        _row("cycles", "walk-covers-frontier", walked),
+        _row("cycles", "minimal-loss-matches-exhaustive", _minimal_loss(sampled, f.points),
+             f"mode={sampled.mode}"),
+    ]
 
 
 def _sampled_at(census: Census, points) -> Census:
@@ -255,7 +237,7 @@ def _disjoint_cycles(census: Census) -> CheckResult:
                 for idx in family:
                     for i, c in positive[idx][0]:
                         row[i] = c
-                landed = match_point(pr, pr.name_row(row))
+                landed = _score(pr, row)
                 if landed != f1:
                     failure = failure or f"joint application landed on {landed}, expected {f1}"
     counts = f"pairs={pairs} witnesses={witnesses} mode={census.mode}"
@@ -281,25 +263,26 @@ def _matched_preservation(census: Census) -> CheckResult:
     return _lemma("matched-sets-extend-along-frontier", f"pairs={pairs} mode={census.mode}", failure)
 
 
-def verify_lemmas(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
-    """Structural facts: disjoint cycle families, matched-set preservation, kink sweep."""
-    sampled = _sampled_at(census, census.frontier.points)
-    results = [_disjoint_cycles(sampled), _matched_preservation(sampled)]
-
-    ok = True
-    detail = ""
-    if f.e_max:
-        pts = f.points
-        for i, pt in enumerate(pts):
-            if pt not in f.kinks:
-                continue
+def _kink_sweep(pr: Problem, f: Frontier) -> str:
+    """The first kink that the sweep at its left drop misses, or ""."""
+    pts = f.points if f.e_max else ()
+    for i, pt in enumerate(pts):
+        if pt in f.kinks:
             d = pts[i - 1].b - pt.b if i else 0  # the left drop
             got, _ = frontier_iteration(pr, d)
             if got != pt:
-                ok, detail = False, f"sweep {d} gave {got}, expected {pt}"
-                break
-    results.append(CheckResult("lemmas", "kinks-surface-at-their-tradeoff-weight", ok, detail))
-    return results
+                return f"sweep {d} gave {got}, expected {pt}"
+    return ""
+
+
+def verify_lemmas(census: Census, f: Frontier) -> list[CheckResult]:
+    """Structural facts: disjoint cycle families, matched-set preservation, kink sweep."""
+    sampled = _sampled_at(census, census.frontier.points)
+    return [
+        _disjoint_cycles(sampled),
+        _matched_preservation(sampled),
+        _row("lemmas", "kinks-surface-at-their-tradeoff-weight", _kink_sweep(census.pr, f)),
+    ]
 
 
 def _targets_for(beta_star: Fraction | None, f: Frontier) -> list[Fraction]:
@@ -328,68 +311,61 @@ def _exact_share_domination(beta: Fraction, selected: MatchPoint, census: Census
     return ""
 
 
-def verify_mechanism(pr: Problem, census: Census, f: Frontier) -> list[CheckResult]:
+def _selection(census: Census, f: Frontier, target: Fraction, row, pt) -> str:
+    """The first failure of the selection rule read off f, or "": (row, pt),
+    selection's own answer at target, must be f's point there and its
+    witness_at row; at each of _targets_for's targets the rule's witness
+    must score its point, which must dominate every exact-share rival."""
+    pr, shares = census.pr, [Fraction(p.b, p.e) for p in f.points]
+
+    def rule(beta: Fraction) -> MatchPoint:
+        qualifying = [p for p, share in zip(f.points, shares) if share >= beta]
+        return qualifying[-1] if qualifying else f.points[0]
+
+    if pt != rule(target):
+        return f"picked {pt}, expected {rule(target)} at target {target}"
+    if row != witness_at(pr.pair_codes, f, pt):
+        return f"selected row is not the frontier's witness at {pt}, target {target}"
+    scored: set[MatchPoint] = set()  # points whose witness _score scored
+    for beta in _targets_for(pr.beta_star, f):
+        want = rule(beta)
+        if want not in scored and _score(pr, witness_at(pr.pair_codes, f, want)) != want:
+            return f"witness off the frontier at target {beta}"
+        scored.add(want)
+        if Fraction(want.b, want.e) != beta and (rival := _exact_share_domination(beta, want, census)):
+            return rival
+    return ""
+
+
+def verify_mechanism(census: Census, f: Frontier) -> list[CheckResult]:
     """Selection rule, share guarantee, domination of exact-share rivals, repair.
 
     Every target reads the rule's point and its witness off the shared
     frontier f.  Selection itself (mechanism._select, which sweeps only
     what its point needs) runs once, at the repair target, and must give
     f's point and witness_at's row there."""
-    results: list[CheckResult] = []
-
+    pr = census.pr
     if f.e_max == 0:
-        ok = True
         try:
             _select(pr.pair_codes, pr.quotas, Fraction(1, 2))
-            ok = False
         except NoNonEmptyMatchingError:
-            pass
-        results.append(CheckResult("mechanism", "empty-instance-refused", ok))
-        return results
-
-    shares = [Fraction(pt.b, pt.e) for pt in f.points]
-    mono = all(a > b for a, b in zip(shares, shares[1:]))
-    results.append(CheckResult("mechanism", "share-falls-strictly-along-frontier", mono))
-
-    def rule(beta: Fraction) -> MatchPoint:
-        qualifying = [p for p, share in zip(f.points, shares) if share >= beta]
-        return qualifying[-1] if qualifying else f.points[0]
+            return [CheckResult("mechanism", "empty-instance-refused", True)]
+        return [CheckResult("mechanism", "empty-instance-refused", False)]
 
     # the priority functions never read beta_star, so pr itself serves
     target = Fraction(1, 2) if pr.beta_star is None else pr.beta_star
     row, pt = _select(pr.pair_codes, pr.quotas, target)
-    sel_ok, detail = True, ""
-    if pt != rule(target):
-        sel_ok, detail = False, f"picked {pt}, expected {rule(target)} at target {target}"
-    elif row != witness_at(pr.pair_codes, f, pt):
-        sel_ok, detail = False, f"selected row is not the frontier's witness at {pt}, target {target}"
-    scored: set[MatchPoint] = set()  # points whose witness match_point scored
-    for beta in _targets_for(pr.beta_star, f) if sel_ok else ():
-        want = rule(beta)
-        if want not in scored and match_point(pr, pr.name_row(witness_at(pr.pair_codes, f, want))) != want:
-            sel_ok, detail = False, f"witness off the frontier at target {beta}"
-            break
-        scored.add(want)
-        if Fraction(want.b, want.e) != beta and (rival := _exact_share_domination(beta, want, census)):
-            sel_ok, detail = False, rival
-            break
-    results.append(CheckResult("mechanism", "selection-rule-and-exact-share-domination", sel_ok, detail))
-
+    selection = _selection(census, f, target, row, pt)
     fixed = repair_priority(pr, row)
-    rep_ok = (
-        match_point(pr, pr.name_row(fixed)) == pt
-        and not respects_priority(pr, fixed)
-        and rank_sum(pr, fixed) <= rank_sum(pr, row)
-    )
-    results.append(
-        CheckResult(
-            "mechanism",
-            "priority-repair-keeps-the-point",
-            rep_ok,
-            f"violations before={len(respects_priority(pr, row))}",
-        )
-    )
-    return results
+    return [
+        CheckResult("mechanism", "share-falls-strictly-along-frontier",
+                    all(p.b * q.e > q.b * p.e for p, q in pairwise(f.points))),  # b/e falls, exactly
+        _row("mechanism", "selection-rule-and-exact-share-domination", selection),
+        CheckResult("mechanism", "priority-repair-keeps-the-point",
+                    _score(pr, fixed) == pt and not respects_priority(pr, fixed)
+                    and rank_sum(pr, fixed) <= rank_sum(pr, row),
+                    f"violations before={len(respects_priority(pr, row))}"),
+    ]
 
 
 SUITE_FUNCS = {
@@ -409,7 +385,7 @@ def run_suites(pr: Problem, suites: tuple[str, ...]) -> list[CheckResult]:
     out: list[CheckResult] = []
     for name in suites:
         try:
-            out.extend(SUITE_FUNCS[name](pr, census, f))
+            out.extend(SUITE_FUNCS[name](census, f))
         except ValueError as exc:  # a checked route refused its own answer: the suite fails, the input stands
             out.append(CheckResult(name, "route-raised", False, f"{type(exc).__name__}: {exc}"))
     return out

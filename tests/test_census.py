@@ -374,7 +374,7 @@ def test_a_disagreeing_frontier_gets_its_own_samples(scan_counter):
     assert any(other.samples.values())
     assert other.samples == ref_sample(si, shifted)[0]
     # both lemma checks read one census at the oracle's own frontier
-    assert all(r.ok for r in verify_lemmas(si, other, census.frontier))
+    assert all(r.ok for r in verify_lemmas(other, census.frontier))
     assert len(scan_counter) == 4
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from reserve_frontier import (
     NAMED_INSTANCES,
     SUITES,
     Cycle,
+    Frontier,
     GenConfig,
     MatchPoint,
     Problem,
@@ -32,6 +34,7 @@ from reserve_frontier import (
     run_suites,
 )
 from reserve_frontier.cli import main, parse_subset_tokens
+from reserve_frontier.oracle import Census
 from reserve_frontier.serialize import emit_instance, instance_to_json, parse_instance
 from reserve_frontier.verify import random_inputs
 
@@ -822,6 +825,64 @@ def test_verify_jobs_capped_by_instances_and_cpus(capsys, monkeypatch):
     assert pools == [2]  # 3 jobs on 2 CPUs; the other runs had one worker and no pool
 
 
+# sha256 of verify's stdout on each input, recorded before the verify
+# suites took (census, f): a change to how verify checks keeps every byte
+VERIFY_STDOUT_SHA256 = {
+    "conflict": "1b169c70077a904ac2925f88ad9b2a4c4ff578b60480dfb0ed55bc662a2a71bb",
+    "conflict frontier": "a23b80880dbd55d783f28e001118692d1d506a40c2a2159bc23539f91fed6740",
+    "conflict cycles": "1338c9a282aff4c69c0ae1ec9187d9579047441cdb70731afe0b4ca273cfce06",
+    "conflict lemmas": "e239106346c8f14b20e2b07d0c5bd3fdfd7781fd9756218e0d35b6a3d38586c1",
+    "conflict mechanism": "f9c8f8211ce645c446aa22cc8712e7be23f5265b2c4146c0d91bd18d445fb79d",
+    "figure1": "fc613ba1ce99e45fff3d5227f78358a1bc3c17e1f3d37bbf33fc48fd6d48c781",
+    "figure1 frontier": "091d6674d556acd1d801a63b8b02c253a1b0e65b0c6a780e32b5a6914f6e0fe4",
+    "figure1 cycles": "1338c9a282aff4c69c0ae1ec9187d9579047441cdb70731afe0b4ca273cfce06",
+    "figure1 lemmas": "66b7863edd671abab144ea85b9595d2662b11e00fe0c6c2884e4e7a92187e372",
+    "figure1 mechanism": "f9c8f8211ce645c446aa22cc8712e7be23f5265b2c4146c0d91bd18d445fb79d",
+    "path-independence": "97a4677a9f1b933abd3ae676a97594a1a0af7db263a26d2dac2e554a73052b46",
+    "path-independence frontier": "df329079a80017cbafea40523c25bb479bd5710da4ea64a809a8fc333d89cadc",
+    "path-independence cycles": "1338c9a282aff4c69c0ae1ec9187d9579047441cdb70731afe0b4ca273cfce06",
+    "path-independence lemmas": "a32a1d12828039a2238388ca9debba9c2b81a42c0d622335e84dbb758204d669",
+    "path-independence mechanism": "f9c8f8211ce645c446aa22cc8712e7be23f5265b2c4146c0d91bd18d445fb79d",
+    "beta-threshold": "fc613ba1ce99e45fff3d5227f78358a1bc3c17e1f3d37bbf33fc48fd6d48c781",
+    "beta-threshold frontier": "091d6674d556acd1d801a63b8b02c253a1b0e65b0c6a780e32b5a6914f6e0fe4",
+    "beta-threshold cycles": "1338c9a282aff4c69c0ae1ec9187d9579047441cdb70731afe0b4ca273cfce06",
+    "beta-threshold lemmas": "66b7863edd671abab144ea85b9595d2662b11e00fe0c6c2884e4e7a92187e372",
+    "beta-threshold mechanism": "f9c8f8211ce645c446aa22cc8712e7be23f5265b2c4146c0d91bd18d445fb79d",
+    "random count=20": "4ded49eb7c3977da687324f8f4bc915f1779d111213108941cee0d1ef0f0c333",
+    "random quota=1:2": "d4643367dfe2337fe3bddd1ef6ef559257bd34f19ad07dc3cd424ba37735f4c2",
+    "draw 100": "fc613ba1ce99e45fff3d5227f78358a1bc3c17e1f3d37bbf33fc48fd6d48c781",
+    "draw 101": "572b8217220e04838862a603f0f94f72e1cf1c16fdd1c43f8ebca718a187ab3d",
+    "draw 102": "fc613ba1ce99e45fff3d5227f78358a1bc3c17e1f3d37bbf33fc48fd6d48c781",
+    "draw 103": "fc613ba1ce99e45fff3d5227f78358a1bc3c17e1f3d37bbf33fc48fd6d48c781",
+    "draw 104": "e3498772c8bd6a21dc2e90d85e3f4ec7e7a1c02cac087f3ce19952b234834de1",
+    "draw 105": "cb8ddd78facb732392f36bee81e609b47a7ff409f94fa7659858a359b288e327",
+    "draw 106": "fc613ba1ce99e45fff3d5227f78358a1bc3c17e1f3d37bbf33fc48fd6d48c781",
+    "draw 107": "d6230b51ea0a5dcaf386a15dd286bd4fc2faeeafd2305a52f738c042a4e27e72",
+    "draw 108": "fc613ba1ce99e45fff3d5227f78358a1bc3c17e1f3d37bbf33fc48fd6d48c781",
+    "draw 109": "fc613ba1ce99e45fff3d5227f78358a1bc3c17e1f3d37bbf33fc48fd6d48c781",
+    "corrupt conflict": "70bfd99a1191459981de18055174abffc114add77b9b00423de87df5e616d009",
+    "corrupt figure1": "4c09a20cb0ee6e30589621b9638c8dad7f62284cb10f47ac9b7e0044dc54b0c1",
+}
+
+
+def test_verify_stdout_is_pinned(tmp_path, monkeypatch, capsys):
+    argvs = {}
+    for name in NAMED_INSTANCES:
+        argvs[name] = ["--named", name]
+        argvs.update({f"{name} {suite}": ["--named", name, "--suite", suite] for suite in SUITES})
+    argvs["random count=20"] = ["--random", "count=20"]
+    argvs["random quota=1:2"] = ["--random", "patients=7", "categories=3", "quota=1:2", "count=30", "seed=4"]
+    for seed in range(100, 110):
+        path = tmp_path / f"draw{seed}.json"
+        path.write_text(instance_to_json(gen_random(GenConfig(7, 7, (1, 1), 0.5, 0.5, seed=seed))))
+        argvs[f"draw {seed}"] = [str(path)]
+    got = {key: hashlib.sha256(run(capsys, "verify", *argv)[1].encode()).hexdigest() for key, argv in argvs.items()}
+    monkeypatch.setenv("RESERVE_FRONTIER_INJECT_CORRUPTION", "1")
+    for name in ("conflict", "figure1"):
+        got[f"corrupt {name}"] = hashlib.sha256(run(capsys, "verify", "--named", name)[1].encode()).hexdigest()
+    assert got == VERIFY_STDOUT_SHA256
+
+
 def test_verify_reports_injected_corruption(capsys, monkeypatch):
     monkeypatch.setenv("RESERVE_FRONTIER_INJECT_CORRUPTION", "1")
     for named in ("conflict", "figure1"):  # a frontier of two points, and one of one
@@ -829,6 +890,17 @@ def test_verify_reports_injected_corruption(capsys, monkeypatch):
         assert code == 1
         assert "FAIL frontier:mutual-non-domination" in out
         assert "dominates" in out
+
+
+@pytest.mark.parametrize("later, failure", [
+    (MatchPoint(1, 0), "MatchPoint(e=1, b=1) dominates MatchPoint(e=1, b=0)"),
+    (MatchPoint(2, 1), "MatchPoint(e=2, b=1) dominates MatchPoint(e=1, b=1)"),
+], ids=["earlier-dominates", "later-dominates"])
+def test_mutual_non_domination_names_the_dominating_point_first(later, failure):
+    earlier = MatchPoint(1, 1)
+    f = Frontier(points=(earlier, later), kinks={earlier}, witnesses={})
+    row = verify_module.verify_frontier(Census(gen_named("conflict")), f)[0]
+    assert row.line() == f"FAIL frontier:mutual-non-domination  {failure}"
 
 
 def _off_after_first(witness_at):

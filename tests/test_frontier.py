@@ -142,7 +142,7 @@ def test_the_kink_sweep_lemma_sweeps_each_kink_once_and_skips_interior_points(mo
     f = compute_frontier(pr)
     swept = []
     monkeypatch.setattr(verify_module, "frontier_iteration", lambda pr, d: swept.append(d) or frontier_iteration(pr, d))
-    results = verify_module.verify_lemmas(pr, Census(pr, points=f.points), f)
+    results = verify_module.verify_lemmas(Census(pr, points=f.points), f)
     assert all(r.ok for r in results), results
     assert swept == [0, 1]  # at the left drops of (2,2) and (4,0); none at (3,1)
 

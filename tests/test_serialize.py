@@ -86,8 +86,6 @@ def test_parse_errors():
         parse_instance({"categories": []})
     with pytest.raises(ValueError, match="quota"):
         parse_instance({"categories": [{"id": "c1"}], "patients": []})
-    with pytest.raises(ValueError, match="beta_star"):
-        parse_instance({"categories": [], "patients": [], "priority": {}})
 
 
 @pytest.mark.parametrize("quota", [1e3, True, 1.5])
@@ -187,10 +185,10 @@ def test_round_trip_on_named_inputs():
 
 
 def test_round_trip_with_priority():
-    pr = gen_named("beta-threshold")
-    pwo = replace(pr, priority=tier_order(pr))
-    again = parse_instance(emit_instance(pwo))
-    assert again == pwo
+    for name in ("beta-threshold", "conflict"):  # conflict has no beta_star
+        pr = gen_named(name)
+        pwo = replace(pr, priority=tier_order(pr))
+        assert parse_instance(emit_instance(pwo)) == pwo
 
 
 def test_round_trip_on_random_instances():
